@@ -240,18 +240,6 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     return InvariantTuple(k0, k1, k2, k3, r0)
 
 
-def span_contains(gs: Sequence[GeneratorCoeffs], g: GeneratorCoeffs,
-                  binding: Optional[Binding] = None,
-                  rng: Optional[np.random.Generator] = None, tol: float = 1e-7) -> bool:
-    if rng is None:
-        rng = np.random.default_rng(0)
-    binding = binding or EMPTY_BINDING
-    tvals = rng.uniform(0.32, 1.68, size=13)
-    rows, _ = coefficient_rows(list(gs), binding, tvals)
-    grow, _ = coefficient_rows([g], binding, tvals)
-    return _row_in_span(rows, grow[0], tol)
-
-
 # ---------------------------------------------------------------------------
 # kernel check and lemma fixtures
 # ---------------------------------------------------------------------------

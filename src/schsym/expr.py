@@ -355,7 +355,6 @@ ZERO = const(0)
 ONE = const(1)
 MINUS_ONE = const(-1)
 I_UNIT = const(0, 1)
-HALF = const(Fraction(1, 2))
 
 
 def as_expr(x) -> Expr:
@@ -629,10 +628,6 @@ def conj_expr(e: Expr) -> Expr:
     return _intern(key, lambda: Conj(e))
 
 
-def re_part(e: Expr) -> Expr:
-    return HALF * (e + conj_expr(e))
-
-
 def im_part(e: Expr) -> Expr:
     return const(0, Fraction(-1, 2)) * (e - conj_expr(e))
 
@@ -704,12 +699,6 @@ def _diff(e: Expr, v: VarId) -> Expr:
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
-def diff_n(e: Expr, v: VarId, k: int) -> Expr:
-    for _ in range(k):
-        e = diff(e, v)
-    return e
-
-
 def total_derivative(e: Expr, direction: int) -> Expr:
     """Total derivative D_t (direction 0) or D_a (direction a in 1..n).
 
@@ -757,10 +746,6 @@ def subst(e: Expr, mapping: Mapping[VarId, Expr]) -> Expr:
         return out
 
     return go(e)
-
-
-def subst_t(e: Expr, replacement: Expr) -> Expr:
-    return subst(e, {T_VAR: replacement})
 
 
 def depends_only_on_t(e: Expr) -> bool:

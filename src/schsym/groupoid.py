@@ -25,10 +25,6 @@ class ModelNotUniform(GroupoidError):
     pass
 
 
-class ModelNotSemiNormalized(GroupoidError):
-    pass
-
-
 @dataclass(frozen=True)
 class Arrow:
     src: str

@@ -391,17 +391,29 @@ class ExprImpl(funcbank.FunctionImpl):
 class InverseImpl(funcbank.FunctionImpl):
     """Inverse of a monotone scalar map T given as an expression in t.
 
-    Values come from bisection plus Newton polish (tol 1e-12); derivatives
-    follow from power-series inversion of T at the preimage.
+    Values come from a safeguarded Newton solve ("rtsafe"): an expanding
+    search finds a bracket [lo, hi] with a sign change of T - y, then each
+    iteration narrows the bracket and takes the Newton step if it stays
+    inside, else bisects, until every bracketed step is below 1e-13.
+    Derivatives follow from power-series inversion of T at the preimage.
+
+    The last solve is memoized by its points, so derivative orders 0..k and
+    ``unsafe_mask`` on the same points cost one root solve.  Points whose
+    residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) are
+    reported by ``unsafe_mask``.
     """
 
     MAX_ORDER = 8
+    MAX_ITER = 100
+    STEP_TOL = 1e-13
+    RESIDUAL_TOL = 1e-8
 
     def __init__(self, T_expr: Expr, binding: Binding, bracket=(-60.0, 60.0)):
         self.T_expr = T_expr
         self._binding = binding
         self._bracket = bracket
         self._tder = [T_expr]
+        self._memo: Optional[tuple[tuple, np.ndarray, np.ndarray]] = None
 
     def _T_derivs(self, k: int):
         from .expr import T_VAR
@@ -410,18 +422,23 @@ class InverseImpl(funcbank.FunctionImpl):
             self._tder.append(diff(self._tder[-1], T_VAR))
         return self._tder[: k + 1]
 
-    def _T_at(self, s: np.ndarray, order: int) -> list[np.ndarray]:
+    def _T_at(self, s: np.ndarray, order: int, first: int = 0) -> list[np.ndarray]:
+        """Real values of T^(first) .. T^(order) at s."""
         from .expr import T_VAR
 
         env = {T_VAR: np.asarray(s, dtype=complex)}
         out = []
-        for d in self._T_derivs(order):
+        for d in self._T_derivs(order)[first:]:
             vals, _, _ = eval_batch(d, self._binding, env)
             out.append(np.real(vals))
         return out
 
-    def _solve(self, y: np.ndarray) -> np.ndarray:
-        y = np.real(np.asarray(y))
+    def _solve(self, args) -> tuple[np.ndarray, np.ndarray]:
+        """Preimages s of args[0] and their residuals |T(s) - y|."""
+        y = np.real(np.asarray(args[0], dtype=complex))
+        key = (y.shape, y.tobytes())
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1], self._memo[2]
         blo, bhi = self._bracket
         lo = np.clip(y - 0.5, blo, bhi)
         hi = np.clip(y + 0.5, blo, bhi)
@@ -439,47 +456,47 @@ class InverseImpl(funcbank.FunctionImpl):
             step *= 1.6
             if step > 4.0 * (bhi - blo):
                 break
+        # points without a sign change (y outside the range of T) must not
+        # hold the loop open; the residual check marks them unsafe
+        bracketed = flo * fhi <= 0
         # orient so f(lo) <= 0 <= f(hi)
         swap = flo > 0
         lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
-        for _ in range(60):
-            if np.max(np.abs(hi - lo)) < 1e-8:
-                break
-            mid = 0.5 * (lo + hi)
-            fm = self._T_at(mid, 0)[0] - y
-            take_lo = fm <= 0
-            lo = np.where(take_lo, mid, lo)
-            hi = np.where(take_lo, hi, mid)
         s = 0.5 * (lo + hi)
-        for _ in range(8):
+        for _ in range(self.MAX_ITER):
             f, fp = self._T_at(s, 1)
-            newton = (f - y) / np.where(np.abs(fp) < 1e-14, 1.0, fp)
-            newton = np.clip(newton, -1.0, 1.0)
-            s = s - newton
-            if np.max(np.abs(newton)) < 1e-13:
+            f = f - y
+            below = f <= 0
+            lo = np.where(below, s, lo)
+            hi = np.where(below, hi, s)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = s - f / fp
+            # closed interval: a converged point's step may land on an end
+            inside = (newton >= np.minimum(lo, hi)) & (newton <= np.maximum(lo, hi))
+            nxt = np.where(inside, newton, 0.5 * (lo + hi))
+            done = np.abs(nxt - s) < self.STEP_TOL
+            s = nxt
+            if np.all(done | ~bracketed):
                 break
-        self._residual = np.abs(self._T_at(s, 0)[0] - y)
-        return s
+        residual = np.abs(self._T_at(s, 0)[0] - y)
+        self._memo = (key, s, residual)
+        return s, residual
 
     def deriv(self, didx, args):
         k = didx[0]
         if k > self.MAX_ORDER:
             raise ValueError("inverse-function derivative order too high")
-        y = args[0]
-        s = self._solve(y)
+        s, _ = self._solve(args)
         if k == 0:
             return s.astype(complex)
-        # Taylor coefficients a_j = T^(j)(s)/j!; invert the series
-        tvals = self._T_at(s, k)
-        a = [tv / math.factorial(j) for j, tv in enumerate(tvals)]
+        # Taylor coefficients a_j = T^(j)(s)/j! for j >= 1; invert the series
+        a = [None] + [tv / math.factorial(j)
+                      for j, tv in enumerate(self._T_at(s, k, first=1), start=1)]
         b = _invert_series(a, k)  # b_j: g(y+h) = s + sum b_j h^j
         return (b[k] * math.factorial(k)).astype(complex)
 
     def unsafe_mask(self, args):
-        res = getattr(self, "_residual", None)
-        if res is None:
-            return None
-        return res > 1e-8
+        return self._solve(args)[1] > self.RESIDUAL_TOL
 
 
 def _invert_series(a: list[np.ndarray], order: int) -> list[np.ndarray]:

@@ -84,10 +84,6 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, expected: str):
         self._skip_ws()
         if not self.text.startswith(expected, self.pos):

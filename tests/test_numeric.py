@@ -96,3 +96,79 @@ def test_antideriv_impl_matches_closed_form():
     # first derivative falls back to the integrand
     got1 = impl.deriv((1,), (z,))
     assert np.allclose(got1, np.cos(np.real(z)))
+
+
+def _counting_eval_batch(monkeypatch):
+    import schsym.numeric as numeric
+
+    calls = []
+    orig = numeric.eval_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "eval_batch", counted)
+    return calls
+
+
+def test_inverse_impl_stiff_map_converges():
+    T = parse("t^3 + t/1000")
+    impl = InverseImpl(T, EMPTY_BINDING)
+    y = np.concatenate([np.linspace(-2.0, 2.0, 41), [1e-9, -3e-7, 1e-4]])
+    s = np.real(impl.deriv((0,), (y,)))
+    assert np.max(np.abs(s ** 3 + s / 1000 - y)) <= 1e-12
+    assert not impl.unsafe_mask((y,)).any()
+
+
+def test_inverse_impl_higher_orders_match_closed_form():
+    impl = InverseImpl(parse("t + 3/10*sin(t)"), EMPTY_BINDING)
+    y = np.linspace(-1.0, 2.5, 15)
+    s = np.real(impl.deriv((0,), (y,)))
+    t1, t2, t3 = 1 + 0.3 * np.cos(s), -0.3 * np.sin(s), -0.3 * np.cos(s)
+    want = {1: 1 / t1, 2: -t2 / t1 ** 3, 3: (3 * t2 ** 2 - t1 * t3) / t1 ** 5}
+    for k, w in want.items():
+        assert np.allclose(np.real(impl.deriv((k,), (y,))), w, rtol=1e-10, atol=1e-12)
+
+
+def test_inverse_impl_out_of_range_is_unsafe(monkeypatch):
+    tbl = SymbolTable()
+    impl = InverseImpl(parse("atan(t)", tbl), EMPTY_BINDING)
+    y = np.array([0.5, 2.0, -3.0, 1.0])
+    calls = _counting_eval_batch(monkeypatch)
+    impl.deriv((0,), (y,))
+    # the unbracketed points do not hold the Newton loop open to its cap
+    assert len(calls) < InverseImpl.MAX_ITER
+    assert impl.unsafe_mask((y,)).tolist() == [False, True, True, False]
+    monkeypatch.undo()
+    sym = tbl.declare("Ti", 1, "real")
+    app = func_app(sym, [t()])
+    binding = Binding({sym: impl})
+    assert eval_expr(app, binding, SamplePoint(0.5, ())).real == pytest.approx(np.tan(0.5))
+    with pytest.raises(UnsafeSampleError):
+        eval_expr(app, binding, SamplePoint(2.0, ()))
+
+
+def test_inverse_impl_reuses_solve_across_orders(monkeypatch):
+    impl = InverseImpl(parse("t + 3/10*sin(t)"), EMPTY_BINDING)
+    y = np.random.default_rng(6).uniform(-3.0, 3.0, 100)
+    calls = _counting_eval_batch(monkeypatch)
+    impl.deriv((0,), (y,))
+    assert len(calls) <= 20
+    for k in range(1, 4):
+        del calls[:]
+        impl.deriv((k,), (y,))
+        assert len(calls) <= k + 1
+    del calls[:]
+    impl.unsafe_mask((y,))
+    assert not calls
+
+
+def test_inverse_impl_unsafe_mask_follows_its_args():
+    impl = InverseImpl(parse("atan(t)"), EMPTY_BINDING)
+    y1 = np.array([2.0, 0.5])
+    y2 = np.array([0.5, 0.7])
+    impl.deriv((0,), (y1,))
+    impl.deriv((0,), (y2,))
+    assert impl.unsafe_mask((y1,)).tolist() == [True, False]
+    assert impl.unsafe_mask((y2,)).tolist() == [False, False]
