@@ -312,7 +312,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_groupoid(args) -> int:
     cfg = args.cfg
-    if args.model in gp.FIXTURE_BUILDERS:
+    if args.model in gp.FIXTURE_TRUTH_TABLE:
         model = gp.load_fixture(args.model)
     else:
         with open(args.model) as fh:

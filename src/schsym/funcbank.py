@@ -9,7 +9,7 @@ products of cosines), whose derivatives of all orders are closed-form.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -17,13 +17,26 @@ _HALF_PI = math.pi / 2.0
 
 
 class FunctionImpl:
-    """Base protocol: deriv(didx, args) -> complex ndarray broadcast over args."""
+    """Base protocol: ``deriv(didx, args) -> (values, unsafe_mask)``.
 
-    def deriv(self, didx: tuple[int, ...], args: tuple[np.ndarray, ...]) -> np.ndarray:
+    ``values`` is the mixed partial derivative of order ``didx`` as a complex
+    ndarray broadcast over ``args``.  ``unsafe_mask`` is a boolean array
+    marking the points where those values cannot be trusted (a singular
+    base, a branch cut, a failed root solve), or None when every point is
+    safe.  An implementation may substitute harmless values at unsafe
+    points, but it must report them: the zero test redraws those points.
+    """
+
+    def deriv(self, didx: tuple[int, ...], args: tuple[np.ndarray, ...]
+              ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         raise NotImplementedError
 
-    def unsafe_mask(self, args: tuple[np.ndarray, ...]) -> Optional[np.ndarray]:
-        return None
+
+def nth_derivative(derivs: list, k: int, step: Callable):
+    """``derivs[k]``, first extending the list of successive derivatives by ``step``."""
+    while len(derivs) <= k:
+        derivs.append(step(derivs[-1]))
+    return derivs[k]
 
 
 class ConstImpl(FunctionImpl):
@@ -33,7 +46,7 @@ class ConstImpl(FunctionImpl):
         self.value = complex(value)
 
     def deriv(self, didx, args):
-        return np.asarray(self.value)
+        return np.asarray(self.value), None
 
 
 class ExpPoly:
@@ -173,13 +186,8 @@ class ExpPolyImpl(FunctionImpl):
     def func(self) -> ExpPoly:
         return self._derivs[0]
 
-    def _d(self, k: int) -> ExpPoly:
-        while len(self._derivs) <= k:
-            self._derivs.append(self._derivs[-1].derivative())
-        return self._derivs[k]
-
     def deriv(self, didx, args):
-        return self._d(didx[0])(args[0])
+        return nth_derivative(self._derivs, didx[0], ExpPoly.derivative)(args[0]), None
 
 
 class TrigPolyND(FunctionImpl):
@@ -206,7 +214,7 @@ class TrigPolyND(FunctionImpl):
                 zj = np.asarray(args[j], dtype=complex)
                 val = val * (a ** k) * np.cos(a * zj + b + k * _HALF_PI)
             total = total + val
-        return total
+        return total, None
 
 
 def random_trig_poly(rng, codomain: str = "real", degree: int = 3) -> ExpPoly:
@@ -262,18 +270,18 @@ def random_surrogate(rng, arity: int, codomain: str) -> FunctionImpl:
 class _CosImpl(FunctionImpl):
     def deriv(self, didx, args):
         k = didx[0]
-        return np.cos(np.asarray(args[0], dtype=complex) + k * _HALF_PI)
+        return np.cos(np.asarray(args[0], dtype=complex) + k * _HALF_PI), None
 
 
 class _SinImpl(FunctionImpl):
     def deriv(self, didx, args):
         k = didx[0]
-        return np.sin(np.asarray(args[0], dtype=complex) + k * _HALF_PI)
+        return np.sin(np.asarray(args[0], dtype=complex) + k * _HALF_PI), None
 
 
 class _ExpImpl(FunctionImpl):
     def deriv(self, didx, args):
-        return np.exp(np.asarray(args[0], dtype=complex))
+        return np.exp(np.asarray(args[0], dtype=complex)), None
 
 
 class _LogImpl(FunctionImpl):
@@ -283,16 +291,13 @@ class _LogImpl(FunctionImpl):
 
     def deriv(self, didx, args):
         z = np.real(args[0])
+        unsafe = (z <= self.EPS) | (np.abs(np.imag(args[0])) > 1e-9)
         safe = np.where(z > self.EPS, z, 1.0)
         k = didx[0]
         if k == 0:
-            return np.log(safe).astype(complex)
+            return np.log(safe).astype(complex), unsafe
         sign = -1.0 if (k - 1) % 2 else 1.0
-        return (sign * math.factorial(k - 1) * safe ** (-float(k))).astype(complex)
-
-    def unsafe_mask(self, args):
-        z = np.asarray(args[0])
-        return (np.real(z) <= self.EPS) | (np.abs(np.imag(z)) > 1e-9)
+        return (sign * math.factorial(k - 1) * safe ** (-float(k))).astype(complex), unsafe
 
 
 class _AtanImpl(FunctionImpl):
@@ -314,14 +319,12 @@ class _AtanImpl(FunctionImpl):
 
     def deriv(self, didx, args):
         z = np.real(args[0])
+        unsafe = np.abs(np.imag(args[0])) > 1e-9
         k = didx[0]
         if k == 0:
-            return np.arctan(z).astype(complex)
+            return np.arctan(z).astype(complex), unsafe
         p = self._poly(k)
-        return (np.polyval(p, z) / (1.0 + z * z) ** k).astype(complex)
-
-    def unsafe_mask(self, args):
-        return np.abs(np.imag(np.asarray(args[0]))) > 1e-9
+        return (np.polyval(p, z) / (1.0 + z * z) ** k).astype(complex), unsafe
 
 
 BUILTIN_IMPLS = {

@@ -409,83 +409,6 @@ def model_from_json(data) -> GroupoidModel:
 # shipped fixtures
 # ---------------------------------------------------------------------------
 
-def _perm_group(perms: dict[str, tuple[int, ...]]):
-    """Composition table for named permutations (apply first, then second)."""
-    compose = {}
-    byperm = {p: name for name, p in perms.items()}
-    for n1, p1 in perms.items():
-        for n2, p2 in perms.items():
-            comp = tuple(p2[p1[i]] for i in range(len(p1)))
-            compose[(n1, n2)] = byperm[comp]
-    return compose
-
-
-_S3 = {
-    "e": (0, 1, 2), "r": (1, 2, 0), "rr": (2, 0, 1),
-    "s": (1, 0, 2), "sr": (2, 1, 0), "srr": (0, 2, 1),
-}
-_EVEN = ("e", "r", "rr")
-_ODD = ("s", "sr", "srr")
-
-
-def _fixture_normalized() -> GroupoidModel:
-    objects = ["a", "b"]
-    compose = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
-    action = {"e": {"a": "a", "b": "b"}, "g": {"a": "b", "b": "a"}}
-    arrow_set = [("a", "e"), ("b", "e"), ("a", "g"), ("b", "g")]
-    G = FiniteGroupoid.from_label_action(objects, ["e", "g"], compose, action, arrow_set)
-    H = G.all_arrows()
-    N = {obj: frozenset({G.unit[obj]}) for obj in objects}
-    return GroupoidModel(G, H, N, Hbar=H)
-
-
-def _s3_groupoid() -> FiniteGroupoid:
-    objects = ["a", "b"]
-    compose = _perm_group(_S3)
-    action = {}
-    for lab in _S3:
-        if lab in _EVEN:
-            action[lab] = {"a": "a", "b": "b"}
-        else:
-            action[lab] = {"a": "b", "b": "a"}
-    arrow_set = [(obj, lab) for obj in objects for lab in _S3]
-    return FiniteGroupoid.from_label_action(objects, list(_S3), compose, action, arrow_set)
-
-
-def _fixture_disjoint() -> GroupoidModel:
-    G = _s3_groupoid()
-    H = frozenset(i for i, a in enumerate(G.arrows) if a.label in ("e", "s"))
-    N = {obj: frozenset(i for i in G.vertex_group(obj)
-                        if G.arrows[i].label in _EVEN) for obj in G.objects}
-    return GroupoidModel(G, H, N, Hbar=G.all_arrows())
-
-
-def _fixture_non_disjoint() -> GroupoidModel:
-    G = _s3_groupoid()
-    H = G.all_arrows()
-    N = {obj: frozenset(i for i in G.vertex_group(obj)
-                        if G.arrows[i].label in _EVEN) for obj in G.objects}
-    return GroupoidModel(G, H, N, Hbar=H)
-
-
-def _fixture_non_semi() -> GroupoidModel:
-    objects = ["a", "b"]
-    compose = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
-    action = {"e": {"a": "a", "b": "b"}, "g": {"a": "b", "b": "a"}}
-    arrow_set = [("a", "e"), ("b", "e"), ("a", "g"), ("b", "g")]
-    G = FiniteGroupoid.from_label_action(objects, ["e", "g"], compose, action, arrow_set)
-    H = frozenset(G.unit[obj] for obj in objects)
-    N = {obj: frozenset({G.unit[obj]}) for obj in objects}
-    return GroupoidModel(G, H, N, Hbar=H)
-
-
-FIXTURE_BUILDERS = {
-    "normalized": _fixture_normalized,
-    "disjoint_semi": _fixture_disjoint,
-    "non_disjoint_semi": _fixture_non_disjoint,
-    "non_semi": _fixture_non_semi,
-}
-
 # documented truth table for the four shipped fixtures
 FIXTURE_TRUTH_TABLE = {
     "normalized": {"uniform": True, "semi_normalized": True, "disjoint": True,
@@ -500,6 +423,7 @@ FIXTURE_TRUTH_TABLE = {
 
 
 def load_fixture(name: str) -> GroupoidModel:
+    """A shipped model, read from its JSON file in ``schsym/data/groupoids``."""
     from importlib import resources
 
     text = resources.files("schsym.data.groupoids").joinpath(f"{name}.json").read_text()

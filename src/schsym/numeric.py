@@ -26,8 +26,10 @@ from .expr import (
     Sign,
     Sum,
     SymbolTable,
+    T_VAR,
     Var,
     VarId,
+    ZERO,
     diff,
     jet_var,
 )
@@ -230,10 +232,8 @@ def _eval(e: Expr, st: _EvalState) -> np.ndarray:
         out = np.conj(_eval(e.arg, st))
     elif isinstance(e, FuncApp):
         argvals = tuple(_eval(a, st) for a in e.args)
-        impl = st.binding.lookup(e.sym)
-        out = np.broadcast_to(np.asarray(impl.deriv(e.didx, argvals), dtype=complex),
-                              st.scale.shape)
-        mask = impl.unsafe_mask(argvals)
+        vals, mask = st.binding.lookup(e.sym).deriv(e.didx, argvals)
+        out = np.broadcast_to(np.asarray(vals, dtype=complex), st.scale.shape)
         if mask is not None and np.any(mask):
             st.unsafe |= np.broadcast_to(mask, st.scale.shape)
     else:
@@ -339,8 +339,6 @@ def is_zero(e: Expr, trials: int = 5, bindings_per_trial: int = 1,
     Each trial draws fresh surrogate bindings for unbound symbols and fresh
     sample points; `tol` applies to values normalized by (1 + max|subterm|).
     """
-    from .expr import ZERO
-
     if e is ZERO:
         return True
     worst, _ = max_normalized_residual(
@@ -359,33 +357,26 @@ def _var_name(v: VarId) -> str:
 # expression-backed and derived implementations
 # ---------------------------------------------------------------------------
 
+def _diff_t(e: Expr) -> Expr:
+    return diff(e, T_VAR)
+
+
 class ExprImpl(funcbank.FunctionImpl):
     """Arity-1 symbol whose value is a univariate expression in t.
 
-    Derivatives are obtained by formal differentiation of the expression.
+    Derivatives are obtained by formal differentiation of the expression;
+    the unsafe mask is that of evaluating the derivative expression.
     """
 
     def __init__(self, expr_t: Expr, binding: Binding):
         self._derivs = [expr_t]
         self._binding = binding
 
-    def _d(self, k: int) -> Expr:
-        from .expr import T_VAR
-
-        while len(self._derivs) <= k:
-            self._derivs.append(diff(self._derivs[-1], T_VAR))
-        return self._derivs[k]
-
     def deriv(self, didx, args):
-        from .expr import T_VAR
-
+        d = funcbank.nth_derivative(self._derivs, didx[0], _diff_t)
         env = {T_VAR: np.asarray(args[0], dtype=complex)}
-        vals, _, unsafe = eval_batch(self._d(didx[0]), self._binding, env)
-        self._last_unsafe = unsafe
-        return vals
-
-    def unsafe_mask(self, args):
-        return getattr(self, "_last_unsafe", None)
+        vals, _, unsafe = eval_batch(d, self._binding, env)
+        return vals, unsafe
 
 
 class InverseImpl(funcbank.FunctionImpl):
@@ -397,10 +388,10 @@ class InverseImpl(funcbank.FunctionImpl):
     inside, else bisects, until every bracketed step is below 1e-13.
     Derivatives follow from power-series inversion of T at the preimage.
 
-    The last solve is memoized by its points, so derivative orders 0..k and
-    ``unsafe_mask`` on the same points cost one root solve.  Points whose
-    residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) are
-    reported by ``unsafe_mask``.
+    ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
+    residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T).  The
+    last solve is memoized by its points, so derivative orders 0..k on the
+    same points cost one root solve.
     """
 
     MAX_ORDER = 8
@@ -412,23 +403,15 @@ class InverseImpl(funcbank.FunctionImpl):
         self.T_expr = T_expr
         self._binding = binding
         self._bracket = bracket
-        self._tder = [T_expr]
+        self._derivs = [T_expr]
         self._memo: Optional[tuple[tuple, np.ndarray, np.ndarray]] = None
-
-    def _T_derivs(self, k: int):
-        from .expr import T_VAR
-
-        while len(self._tder) <= k:
-            self._tder.append(diff(self._tder[-1], T_VAR))
-        return self._tder[: k + 1]
 
     def _T_at(self, s: np.ndarray, order: int, first: int = 0) -> list[np.ndarray]:
         """Real values of T^(first) .. T^(order) at s."""
-        from .expr import T_VAR
-
         env = {T_VAR: np.asarray(s, dtype=complex)}
         out = []
-        for d in self._T_derivs(order)[first:]:
+        for j in range(first, order + 1):
+            d = funcbank.nth_derivative(self._derivs, j, _diff_t)
             vals, _, _ = eval_batch(d, self._binding, env)
             out.append(np.real(vals))
         return out
@@ -446,7 +429,8 @@ class InverseImpl(funcbank.FunctionImpl):
         fhi = self._T_at(hi, 0)[0] - y
         step = 1.0
         for _ in range(80):
-            bad = flo * fhi > 0
+            # a point pinned at both bracket limits cannot gain a sign change
+            bad = (flo * fhi > 0) & ((lo > blo) | (hi < bhi))
             if not bad.any():
                 break
             lo = np.where(bad, np.maximum(lo - step, blo), lo)
@@ -486,17 +470,15 @@ class InverseImpl(funcbank.FunctionImpl):
         k = didx[0]
         if k > self.MAX_ORDER:
             raise ValueError("inverse-function derivative order too high")
-        s, _ = self._solve(args)
+        s, residual = self._solve(args)
+        unsafe = residual > self.RESIDUAL_TOL
         if k == 0:
-            return s.astype(complex)
+            return s.astype(complex), unsafe
         # Taylor coefficients a_j = T^(j)(s)/j! for j >= 1; invert the series
         a = [None] + [tv / math.factorial(j)
                       for j, tv in enumerate(self._T_at(s, k, first=1), start=1)]
         b = _invert_series(a, k)  # b_j: g(y+h) = s + sum b_j h^j
-        return (b[k] * math.factorial(k)).astype(complex)
-
-    def unsafe_mask(self, args):
-        return self._solve(args)[1] > self.RESIDUAL_TOL
+        return (b[k] * math.factorial(k)).astype(complex), unsafe
 
 
 def _invert_series(a: list[np.ndarray], order: int) -> list[np.ndarray]:
@@ -537,20 +519,14 @@ class AntiderivImpl(funcbank.FunctionImpl):
     """Symbol defined by its derivative expression; values by quadrature.
 
     deriv order k >= 1 evaluates the (k-1)-th formal derivative of the
-    integrand; order 0 integrates numerically from the base point.
+    integrand and reports that evaluation's unsafe mask; order 0 integrates
+    numerically from the base point and reports no mask.
     """
 
     def __init__(self, integrand: Expr, binding: Binding, base_point: float = 1.0):
         self._derivs = [integrand]
         self._binding = binding
         self._base = base_point
-
-    def _d(self, k: int) -> Expr:
-        from .expr import T_VAR
-
-        while len(self._derivs) <= k:
-            self._derivs.append(diff(self._derivs[-1], T_VAR))
-        return self._derivs[k]
 
     GAUSS_ORDER = 24
     MAX_PANEL = 0.25
@@ -561,8 +537,6 @@ class AntiderivImpl(funcbank.FunctionImpl):
         All integrand evaluations happen in one vectorized batch, which keeps
         integrands containing root-finding inverses affordable.
         """
-        from .expr import T_VAR
-
         flat = np.real(np.asarray(z)).reshape(-1)
         knots = np.unique(np.concatenate([[self._base], flat]))
         nodes, weights = np.polynomial.legendre.leggauss(self.GAUSS_ORDER)
@@ -577,7 +551,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
             mid = 0.5 * (lo + hi)[:, None]
             half = 0.5 * (hi - lo)[:, None]
             pts = (mid + half * nodes[None, :]).reshape(-1)
-            vals, _, _ = eval_batch(self._d(0), self._binding,
+            vals, _, _ = eval_batch(self._derivs[0], self._binding,
                                     {T_VAR: pts.astype(complex)})
             vals = vals.reshape(len(panels), self.GAUSS_ORDER)
             panel_ints = (vals * weights[None, :]).sum(axis=1) * half[:, 0]
@@ -600,8 +574,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
         k = didx[0]
         z = np.asarray(args[0], dtype=complex)
         if k == 0:
-            return self._value(z)
-        from .expr import T_VAR
-
-        vals, _, _ = eval_batch(self._d(k - 1), self._binding, {T_VAR: z})
-        return vals
+            return self._value(z), None
+        d = funcbank.nth_derivative(self._derivs, k - 1, _diff_t)
+        vals, _, unsafe = eval_batch(d, self._binding, {T_VAR: z})
+        return vals, unsafe

@@ -26,7 +26,7 @@ from schsym.expr import LOG, SymbolTable, T_VAR, ZERO, const, diff, func_app, im
 from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, bracket_generic,
                            bracket_structural, expand)
 from schsym.funcbank import random_surrogate, random_trig_poly
-from schsym.groupoid import FIXTURE_BUILDERS, FIXTURE_TRUTH_TABLE, load_fixture, run_all_checks
+from schsym.groupoid import FIXTURE_TRUTH_TABLE, load_fixture, run_all_checks
 from schsym.numeric import Workspace, is_zero
 from schsym.parsing import parse
 
@@ -251,7 +251,7 @@ def test_criterion_7_real_subclass():
 def test_criterion_8_groupoid_fixtures():
     start = time.time()
     results = {}
-    for name in FIXTURE_BUILDERS:
+    for name in FIXTURE_TRUTH_TABLE:
         results[name] = run_all_checks(load_fixture(name))
     elapsed = time.time() - start
     report(8, "finite groupoid fixtures reproduce the documented truth table",

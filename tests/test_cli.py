@@ -101,10 +101,10 @@ def test_groupoid_fixture_checks(capsys):
 
 
 def test_groupoid_model_file_and_errors(tmp_path, capsys):
-    from schsym.groupoid import FIXTURE_BUILDERS, model_to_json
+    from schsym.groupoid import load_fixture, model_to_json
 
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_json(FIXTURE_BUILDERS["normalized"]())))
+    path.write_text(json.dumps(model_to_json(load_fixture("normalized"))))
     code, _ = run_cli(capsys, "groupoid", str(path), "all")
     assert code == 0
     bad = tmp_path / "bad.json"

@@ -3,16 +3,32 @@ import json
 
 import pytest
 
-from schsym.groupoid import (FIXTURE_BUILDERS, FIXTURE_TRUTH_TABLE,
-                             FiniteGroupoid, GroupoidError, GroupoidModel,
+from schsym.groupoid import (FIXTURE_TRUTH_TABLE, FiniteGroupoid, GroupoidError, GroupoidModel,
                              ModelNotUniform, frobenius_product, is_disjointedly,
                              is_semi_normalized, is_uniform, kernel_labels,
                              load_fixture, model_from_json, model_to_json,
                              run_all_checks, verify_extension, verify_factorization)
 
 
+_S3 = {
+    "e": (0, 1, 2), "r": (1, 2, 0), "rr": (2, 0, 1),
+    "s": (1, 0, 2), "sr": (2, 1, 0), "srr": (0, 2, 1),
+}
+
+
+def _perm_group(perms: dict[str, tuple[int, ...]]):
+    """Composition table for named permutations (apply first, then second)."""
+    compose = {}
+    byperm = {p: name for name, p in perms.items()}
+    for n1, p1 in perms.items():
+        for n2, p2 in perms.items():
+            comp = tuple(p2[p1[i]] for i in range(len(p1)))
+            compose[(n1, n2)] = byperm[comp]
+    return compose
+
+
 def s3_model():
-    return FIXTURE_BUILDERS["disjoint_semi"]()
+    return load_fixture("disjoint_semi")
 
 
 def test_axioms_validated_on_construction():
@@ -55,13 +71,7 @@ def test_frobenius_units_are_neutral():
 
 
 def test_fixture_truth_table():
-    for name, builder in FIXTURE_BUILDERS.items():
-        got = run_all_checks(builder())
-        assert got == FIXTURE_TRUTH_TABLE[name], name
-
-
-def test_shipped_files_match_builders():
-    for name in FIXTURE_BUILDERS:
+    for name in FIXTURE_TRUTH_TABLE:
         model = load_fixture(name)
         assert run_all_checks(model) == FIXTURE_TRUTH_TABLE[name], name
 
@@ -94,18 +104,16 @@ def test_factorization_details():
     assert rep["applicable"] and rep["passed"] and rep["disjoint"]
     for entry in rep["objects"].values():
         assert entry["unique_decomposition"]
-    ndm = FIXTURE_BUILDERS["non_disjoint_semi"]()
+    ndm = load_fixture("non_disjoint_semi")
     rep2 = verify_factorization(ndm)
     assert rep2["applicable"] and rep2["passed"] and not rep2["disjoint"]
-    nsm = FIXTURE_BUILDERS["non_semi"]()
+    nsm = load_fixture("non_semi")
     rep3 = verify_factorization(nsm)
     assert not rep3["applicable"] and not rep3["passed"]
 
 
 def test_semidirect_vertex_group():
     # one object with full S3 vertex group: G = (C2 acting on C3), split exactly
-    from schsym.groupoid import _S3, _perm_group
-
     compose = _perm_group(_S3)
     action = {lab: {"pt": "pt"} for lab in _S3}
     arrow_set = [("pt", lab) for lab in _S3]

@@ -4,7 +4,7 @@ import pytest
 
 from schsym.expr import SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x
 from schsym.funcbank import ExpPoly, ExpPolyImpl
-from schsym.numeric import (AntiderivImpl, Binding, EMPTY_BINDING, InverseImpl,
+from schsym.numeric import (AntiderivImpl, Binding, EMPTY_BINDING, ExprImpl, InverseImpl,
                             SamplePoint, UnsafeSampleError, draw_env, eval_batch,
                             eval_expr, is_zero, max_normalized_residual)
 from schsym.parsing import parse
@@ -90,12 +90,32 @@ def test_inverse_impl_roundtrip_and_derivatives():
 def test_antideriv_impl_matches_closed_form():
     impl = AntiderivImpl(parse("cos(t)"), EMPTY_BINDING, base_point=1.0)
     z = np.array([0.4, 1.0, 1.6, 2.5], dtype=complex)
-    got = impl.deriv((0,), (z,))
+    got, _ = impl.deriv((0,), (z,))
     want = np.sin(np.real(z)) - np.sin(1.0)
     assert np.max(np.abs(got - want)) < 1e-12
     # first derivative falls back to the integrand
-    got1 = impl.deriv((1,), (z,))
+    got1, _ = impl.deriv((1,), (z,))
     assert np.allclose(got1, np.cos(np.real(z)))
+
+
+def test_antideriv_impl_reports_integrand_unsafe_points():
+    tbl = SymbolTable()
+    L = tbl.declare("L", 1, "real")
+    binding = Binding({L: AntiderivImpl(parse("log(t)"), EMPTY_BINDING)})
+    dL = diff(func_app(L, [t()]), T_VAR)
+    vals, _, unsafe = eval_batch(dL, binding, {T_VAR: np.array([-1.0, 2.0], dtype=complex)})
+    assert unsafe.tolist() == [True, False]
+    assert vals[1] == pytest.approx(np.log(2.0))
+
+
+def test_expr_impl_reports_unsafe_points():
+    impl = ExprImpl(parse("log(t)"), EMPTY_BINDING)
+    z = np.array([-1.0, 2.0], dtype=complex)
+    _, unsafe = impl.deriv((0,), (z,))
+    assert unsafe.tolist() == [True, False]
+    vals1, unsafe1 = impl.deriv((1,), (z,))
+    assert unsafe1.tolist() == [True, False]
+    assert vals1[1] == pytest.approx(0.5)
 
 
 def _counting_eval_batch(monkeypatch):
@@ -116,19 +136,20 @@ def test_inverse_impl_stiff_map_converges():
     T = parse("t^3 + t/1000")
     impl = InverseImpl(T, EMPTY_BINDING)
     y = np.concatenate([np.linspace(-2.0, 2.0, 41), [1e-9, -3e-7, 1e-4]])
-    s = np.real(impl.deriv((0,), (y,)))
+    s, unsafe = impl.deriv((0,), (y,))
+    s = np.real(s)
     assert np.max(np.abs(s ** 3 + s / 1000 - y)) <= 1e-12
-    assert not impl.unsafe_mask((y,)).any()
+    assert not unsafe.any()
 
 
 def test_inverse_impl_higher_orders_match_closed_form():
     impl = InverseImpl(parse("t + 3/10*sin(t)"), EMPTY_BINDING)
     y = np.linspace(-1.0, 2.5, 15)
-    s = np.real(impl.deriv((0,), (y,)))
+    s = np.real(impl.deriv((0,), (y,))[0])
     t1, t2, t3 = 1 + 0.3 * np.cos(s), -0.3 * np.sin(s), -0.3 * np.cos(s)
     want = {1: 1 / t1, 2: -t2 / t1 ** 3, 3: (3 * t2 ** 2 - t1 * t3) / t1 ** 5}
     for k, w in want.items():
-        assert np.allclose(np.real(impl.deriv((k,), (y,))), w, rtol=1e-10, atol=1e-12)
+        assert np.allclose(np.real(impl.deriv((k,), (y,))[0]), w, rtol=1e-10, atol=1e-12)
 
 
 def test_inverse_impl_out_of_range_is_unsafe(monkeypatch):
@@ -136,10 +157,11 @@ def test_inverse_impl_out_of_range_is_unsafe(monkeypatch):
     impl = InverseImpl(parse("atan(t)", tbl), EMPTY_BINDING)
     y = np.array([0.5, 2.0, -3.0, 1.0])
     calls = _counting_eval_batch(monkeypatch)
-    impl.deriv((0,), (y,))
-    # the unbracketed points do not hold the Newton loop open to its cap
-    assert len(calls) < InverseImpl.MAX_ITER
-    assert impl.unsafe_mask((y,)).tolist() == [False, True, True, False]
+    _, unsafe = impl.deriv((0,), (y,))
+    # unbracketed points stop the bracket search once pinned at both limits
+    # and do not hold the Newton loop open to its cap
+    assert len(calls) <= 31
+    assert unsafe.tolist() == [False, True, True, False]
     monkeypatch.undo()
     sym = tbl.declare("Ti", 1, "real")
     app = func_app(sym, [t()])
@@ -160,7 +182,7 @@ def test_inverse_impl_reuses_solve_across_orders(monkeypatch):
         impl.deriv((k,), (y,))
         assert len(calls) <= k + 1
     del calls[:]
-    impl.unsafe_mask((y,))
+    assert not impl.deriv((0,), (y,))[1].any()
     assert not calls
 
 
@@ -170,5 +192,5 @@ def test_inverse_impl_unsafe_mask_follows_its_args():
     y2 = np.array([0.5, 0.7])
     impl.deriv((0,), (y1,))
     impl.deriv((0,), (y2,))
-    assert impl.unsafe_mask((y1,)).tolist() == [True, False]
-    assert impl.unsafe_mask((y2,)).tolist() == [False, False]
+    assert impl.deriv((0,), (y1,))[1].tolist() == [True, False]
+    assert impl.deriv((0,), (y2,))[1].tolist() == [False, False]
