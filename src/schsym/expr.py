@@ -346,9 +346,13 @@ class Conj(Expr):
 # ---------------------------------------------------------------------------
 
 def const(re: Number = 0, im: Number = 0) -> Const:
-    re = Fraction(re)
-    im = Fraction(im)
-    return _intern(("c", re, im), lambda: Const(re, im))
+    if type(re) is not Fraction:
+        re = Fraction(re)
+    if type(im) is not Fraction:
+        im = Fraction(im)
+    # integer keys: hashing a Fraction is far slower than hashing its parts
+    key = ("c", re.numerator, re.denominator, im.numerator, im.denominator)
+    return _intern(key, lambda: Const(re, im))
 
 
 ZERO = const(0)
@@ -398,14 +402,23 @@ def func_app(sym: FunctionSymbol, args: Iterable[Expr], didx: Optional[Sequence[
     return _intern(key, lambda: FuncApp(sym, args, didx))
 
 
-# -- complex rational helpers for coefficient folding
+# -- complex rational helpers for coefficient folding; most coefficients are
+# real, so the real case skips the imaginary-part arithmetic
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
 
 def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+    if a[1] or b[1]:
+        return (a[0] + b[0], a[1] + b[1])
+    return (a[0] + b[0], _F0)
 
 
 def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    if a[1] or b[1]:
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    return (a[0] * b[0], _F0)
 
 
 def _cpow(a, k: int):
@@ -430,12 +443,12 @@ def _split_coeff(term: Expr):
         rest = term.factors[1:]
         mono = rest[0] if len(rest) == 1 else _intern(("p", tuple(id(f) for f in rest)), lambda: Product(rest))
         return (c.re, c.im), mono
-    return (Fraction(1), Fraction(0)), term
+    return (_F1, _F0), term
 
 
 def sum_(terms: Iterable[Expr]) -> Expr:
     acc: dict[Expr, tuple] = {}
-    cacc = (Fraction(0), Fraction(0))
+    cacc = None
     stack = list(terms)
     stack.reverse()
     while stack:
@@ -451,17 +464,17 @@ def sum_(terms: Iterable[Expr]) -> Expr:
             continue
         coeff, mono = _split_coeff(tm)
         if mono is ONE:
-            cacc = _cadd(cacc, coeff)
+            cacc = coeff if cacc is None else _cadd(cacc, coeff)
         else:
             prev = acc.get(mono)
             acc[mono] = _cadd(prev, coeff) if prev is not None else coeff
     out: list[Expr] = []
-    if cacc != (0, 0):
+    if cacc is not None and (cacc[0] or cacc[1]):
         out.append(const(*cacc))
     for mono, coeff in acc.items():
-        if coeff == (0, 0):
+        if not coeff[0] and not coeff[1]:
             continue
-        if coeff == (1, 0):
+        if coeff[0] == 1 and not coeff[1]:
             out.append(mono)
         else:
             out.append(prod((const(*coeff), mono)))
@@ -475,7 +488,7 @@ def sum_(terms: Iterable[Expr]) -> Expr:
 
 
 def prod(factors: Iterable[Expr]) -> Expr:
-    cacc = (Fraction(1), Fraction(0))
+    cacc = (_F1, _F0)
     ipow: dict[Expr, int] = {}
     apow: dict[Expr, Fraction] = {}
     spar: dict[Expr, int] = {}
@@ -495,9 +508,9 @@ def prod(factors: Iterable[Expr]) -> Expr:
             stack.extend(reversed(f.factors))
             continue
         if isinstance(f, Const):
-            if f.re == 0 and f.im == 0:
+            if f is ZERO:
                 return ZERO
-            cacc = _cmul(cacc, (f.re, f.im))
+            cacc = (f.re, f.im) if cacc[0] is _F1 and not cacc[1] else _cmul(cacc, (f.re, f.im))
         elif isinstance(f, IntPow):
             add_ipow(f.base, f.k)
         elif isinstance(f, AbsPow):
@@ -523,13 +536,13 @@ def prod(factors: Iterable[Expr]) -> Expr:
             piece = sign_of(b) if spar[b] % 2 else ONE
         if isinstance(piece, Const):
             cacc = _cmul(cacc, (piece.re, piece.im))
-            if cacc == (0, 0):
+            if not cacc[0] and not cacc[1]:
                 return ZERO
         elif piece is not ONE:
             out.append(piece)
     if not out:
         return const(*cacc)
-    if cacc != (1, 0):
+    if cacc[0] != 1 or cacc[1]:
         out.insert(0, const(*cacc))
     if len(out) == 1:
         return out[0]

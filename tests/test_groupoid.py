@@ -1,5 +1,6 @@
 """Finite groupoid kit: axioms, Frobenius products, fixture truth table."""
 import json
+from importlib import resources
 
 import pytest
 
@@ -74,6 +75,17 @@ def test_fixture_truth_table():
     for name in FIXTURE_TRUTH_TABLE:
         model = load_fixture(name)
         assert run_all_checks(model) == FIXTURE_TRUTH_TABLE[name], name
+
+
+def test_shipped_files_match_builders():
+    # the shipped JSON files are the only source of the fixtures: exactly one
+    # file per truth-table entry, each in the canonical form model_to_json writes
+    shipped = resources.files("schsym.data.groupoids")
+    names = sorted(p.name[:-len(".json")] for p in shipped.iterdir() if p.name.endswith(".json"))
+    assert names == sorted(FIXTURE_TRUTH_TABLE)
+    for name in names:
+        on_disk = json.loads(shipped.joinpath(f"{name}.json").read_text())
+        assert model_to_json(load_fixture(name)) == on_disk, name
 
 
 def test_uniformity_counterexample():
