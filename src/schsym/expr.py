@@ -142,7 +142,8 @@ def _intern(key, build):
 
 
 class Expr:
-    __slots__ = ("is_real", "_jets", "_vars", "_syms", "__weakref__")
+    # _tape: numeric's compiled evaluation program for this node as a root
+    __slots__ = ("is_real", "_jets", "_vars", "_syms", "_tape", "__weakref__")
 
     def __str__(self):
         from . import parsing
@@ -224,6 +225,7 @@ class Expr:
         self._jets = None
         self._vars = None
         self._syms = None
+        self._tape = None
 
 
 class Const(Expr):

@@ -4,6 +4,11 @@ Identities are decided by evaluating expressions at random sample points
 with random surrogate functions bound to abstract symbols.  Values are
 normalized by (1 + max |subterm|) so the tolerance is scale-free.  Points
 where sgn/abs-power/log hit a near-zero base are rejected and redrawn.
+
+``eval_batch`` runs a root's compiled tape: one iterative post-order
+program over the distinct nodes of its DAG, with children referenced by
+slot, so evaluation has no recursion and no depth limit.  A root keeps its
+tape from its second evaluation on.
 """
 from __future__ import annotations
 
@@ -168,93 +173,187 @@ def _var_sort_key(v: VarId):
 
 
 # ---------------------------------------------------------------------------
-# batch evaluator
+# batch evaluator: one compiled tape per root
 # ---------------------------------------------------------------------------
 
-class _EvalState:
-    __slots__ = ("scale", "unsafe", "binding", "env", "memo")
-
-    def __init__(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
-        self.binding = binding
-        self.env = env
-        self.scale = np.zeros(count)
-        self.unsafe = np.zeros(count, dtype=bool)
-        self.memo: dict[int, np.ndarray] = {}
+# opcodes of computed nodes
+_SUM, _PROD, _IPOW, _APOW, _SIGN, _CONJ, _FUNC = range(7)
+# elements of |value| taken at once when folding the subterm scale
+_FOLD_ELEMS = 1 << 16
 
 
-def _eval(e: Expr, st: _EvalState) -> np.ndarray:
-    got = st.memo.get(id(e))
-    if got is not None:
-        return got
-    if isinstance(e, Const):
-        out = np.broadcast_to(np.asarray(e.value()), st.scale.shape)
-    elif isinstance(e, Var):
-        v = e.vid
-        if v.is_jet and v.conj:
-            base = st.env.get(v)
-            if base is None:
-                base = np.conj(st.env[jet_var(v.alpha, False)])
-            out = base
+def _post_order(root: Expr) -> list[Expr]:
+    """Distinct nodes of the DAG below root, children first, left to right."""
+    seen = {root}
+    order = []
+    stack = [(root, iter(root.children()))]
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if c not in seen:
+                seen.add(c)
+                stack.append((c, iter(c.children())))
+                break
         else:
-            out = st.env[v]
-    elif isinstance(e, Sum):
-        out = _eval(e.terms[0], st).copy()
-        for tm in e.terms[1:]:
-            out += _eval(tm, st)
-    elif isinstance(e, Product):
-        out = _eval(e.factors[0], st).copy()
-        for f in e.factors[1:]:
-            out *= _eval(f, st)
-    elif isinstance(e, IntPow):
-        b = _eval(e.base, st)
-        if e.k < 0:
-            bad = np.abs(b) < EPS_UNSAFE
-            if bad.any():
-                st.unsafe |= bad
-                b = np.where(bad, 1.0, b)
-        out = b ** e.k
-    elif isinstance(e, AbsPow):
-        b = np.real(_eval(e.base, st))
-        a = np.abs(b)
-        if e.q < 0:
-            bad = a < EPS_UNSAFE
-            if bad.any():
-                st.unsafe |= bad
-                a = np.where(bad, 1.0, a)
-        out = (a ** float(e.q)).astype(complex)
-    elif isinstance(e, Sign):
-        b = np.real(_eval(e.base, st))
-        bad = np.abs(b) < EPS_UNSAFE
-        if bad.any():
-            st.unsafe |= bad
-        out = np.sign(np.where(bad, 1.0, b)).astype(complex)
-    elif isinstance(e, Conj):
-        out = np.conj(_eval(e.arg, st))
-    elif isinstance(e, FuncApp):
-        argvals = tuple(_eval(a, st) for a in e.args)
-        vals, mask = st.binding.lookup(e.sym).deriv(e.didx, argvals)
-        out = np.broadcast_to(np.asarray(vals, dtype=complex), st.scale.shape)
-        if mask is not None and np.any(mask):
-            st.unsafe |= np.broadcast_to(mask, st.scale.shape)
-    else:
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
-    mag = np.abs(out)
+            stack.pop()
+            order.append(node)
+    return order
+
+
+class _Tape:
+    """Evaluation program for one root: the "tape" of Griewank & Walther,
+    *Evaluating Derivatives* (SIAM 2008).
+
+    Every distinct node is one slot.  Computed nodes come first, in post
+    order, and own a row of one ``(rows, count)`` buffer; constant slots
+    hold ``complex128`` scalars (broadcast to arrays when a node other than
+    a sum or product reads them) and variable slots the env arrays as they
+    are.
+    """
+
+    __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root")
+
+    def __init__(self, root: Expr):
+        order = _post_order(root)
+        computed = [n for n in order if not isinstance(n, (Const, Var))]
+        consts = [n for n in order if isinstance(n, Const)]
+        variables = [n for n in order if isinstance(n, Var)]
+        slot = {n: i for i, n in enumerate(computed + consts + variables)}
+        self.rows = len(computed)
+        self.consts = [np.complex128(c.value()) for c in consts]
+        self.cmax = max((abs(c) for c in self.consts), default=0.0)
+        self.vars = []
+        for n in variables:
+            v = n.vid
+            base = jet_var(v.alpha, False) if v.is_jet and v.conj else None
+            self.vars.append((v, base))
+        self.root = slot[root]
+        array_consts = set()
+        self.code = []
+        for n in computed:
+            out = slot[n]
+            if isinstance(n, Sum):
+                ins = (_SUM, out, tuple(slot[c] for c in n.terms))
+            elif isinstance(n, Product):
+                ins = (_PROD, out, tuple(slot[c] for c in n.factors))
+            else:
+                # these read constants as arrays: numpy's scalar math can
+                # round differently from its array loops
+                array_consts.update(c for c in n.children() if isinstance(c, Const))
+                if isinstance(n, IntPow):
+                    ins = (_IPOW, out, slot[n.base], n.k)
+                elif isinstance(n, AbsPow):
+                    ins = (_APOW, out, slot[n.base], float(n.q))
+                elif isinstance(n, Sign):
+                    ins = (_SIGN, out, slot[n.base])
+                elif isinstance(n, Conj):
+                    ins = (_CONJ, out, slot[n.arg])
+                elif isinstance(n, FuncApp):
+                    ins = (_FUNC, out, tuple(slot[a] for a in n.args), n.sym, n.didx)
+                else:
+                    raise TypeError(f"cannot evaluate {type(n).__name__}")
+            self.code.append(ins)
+        self.bcast = [(slot[c], self.consts[slot[c] - self.rows]) for c in array_consts]
+
+    def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
+        buf = np.empty((self.rows, count), dtype=complex)
+        vals = list(buf)
+        vals += self.consts
+        for s, c in self.bcast:
+            vals[s] = np.broadcast_to(c, (count,))
+        var_vals = []
+        for v, base in self.vars:
+            x = env.get(v) if base is not None else env[v]
+            if x is None:
+                x = np.conj(env[base])
+            var_vals.append(x)
+        vals += var_vals
+        unsafe = np.zeros(count, dtype=bool)
+        for ins in self.code:
+            op = ins[0]
+            out = vals[ins[1]]
+            if op == _PROD:
+                fs = ins[2]
+                np.multiply(vals[fs[0]], vals[fs[1]], out=out)
+                for f in fs[2:]:
+                    np.multiply(out, vals[f], out=out)
+            elif op == _SUM:
+                ts = ins[2]
+                np.add(vals[ts[0]], vals[ts[1]], out=out)
+                for tm in ts[2:]:
+                    np.add(out, vals[tm], out=out)
+            elif op == _FUNC:
+                got, mask = binding.lookup(ins[3]).deriv(
+                    ins[4], tuple(vals[a] for a in ins[2]))
+                out[...] = got
+                if mask is not None and np.any(mask):
+                    unsafe |= mask
+            elif op == _IPOW:
+                b = vals[ins[2]]
+                k = ins[3]
+                if k < 0:
+                    bad = np.abs(b) < EPS_UNSAFE
+                    if bad.any():
+                        unsafe |= bad
+                        b = np.where(bad, 1.0, b)
+                # operator form: ndarray.__pow__ has fast paths np.power lacks
+                out[...] = b ** k
+            elif op == _APOW:
+                a = np.abs(np.real(vals[ins[2]]))
+                q = ins[3]
+                if q < 0:
+                    bad = a < EPS_UNSAFE
+                    if bad.any():
+                        unsafe |= bad
+                        a = np.where(bad, 1.0, a)
+                out[...] = a ** q
+            elif op == _SIGN:
+                b = np.real(vals[ins[2]])
+                bad = np.abs(b) < EPS_UNSAFE
+                if bad.any():
+                    unsafe |= bad
+                out[...] = np.sign(np.where(bad, 1.0, b))
+            else:
+                np.conj(vals[ins[2]], out=out)
+        # subterm scale and non-finite check, a block of rows at a time
+        scale = np.full(count, self.cmax)
+        step = max(1, _FOLD_ELEMS // max(count, 1))
+        for i in range(0, self.rows, step):
+            _fold(np.abs(buf[i:i + step]), scale, unsafe)
+        if var_vals:
+            _fold(np.abs(var_vals), scale, unsafe)
+        if self.root < self.rows:
+            return buf[self.root].copy(), scale, unsafe
+        if self.root < self.rows + len(self.consts):
+            return np.full(count, self.consts[self.root - self.rows]), scale, unsafe
+        return np.asarray(vals[self.root]), scale, unsafe
+
+
+def _fold(mag: np.ndarray, scale: np.ndarray, unsafe: np.ndarray) -> None:
+    """Fold a (rows, count) block of magnitudes into scale and unsafe."""
     finite = np.isfinite(mag)
     if not finite.all():
-        st.unsafe |= ~finite
-        mag = np.where(finite, mag, 0.0)
-    np.maximum(st.scale, mag, out=st.scale)
-    st.memo[id(e)] = out
-    return out
+        unsafe |= ~finite.all(axis=0)
+        mag[~finite] = 0.0
+    np.maximum(scale, mag.max(axis=0), out=scale)
 
 
 def eval_batch(e: Expr, binding: Binding, env: Mapping[VarId, np.ndarray], count: int = 1):
-    """Evaluate over a batch; returns (values, subterm scale, unsafe mask)."""
+    """Evaluate over a batch; returns (values, subterm scale, unsafe mask).
+
+    A root's first evaluation compiles a tape and drops it; the second
+    compiles it again and keeps it on the node for every later one, so
+    expressions evaluated once hold no program.
+    """
     if env:
         count = len(next(iter(env.values())))
-    st = _EvalState(binding, env, count)
-    vals = _eval(e, st)
-    return np.asarray(vals), st.scale, st.unsafe
+    tape = e._tape
+    if not tape:
+        # None: never evaluated; False: evaluated once, tape not kept
+        seen = tape is False
+        tape = _Tape(e)
+        e._tape = tape if seen else False
+    return tape.run(binding, env, count)
 
 
 def eval_expr(e: Expr, binding: Binding, point: SamplePoint) -> complex:
@@ -520,7 +619,8 @@ class AntiderivImpl(funcbank.FunctionImpl):
 
     deriv order k >= 1 evaluates the (k-1)-th formal derivative of the
     integrand and reports that evaluation's unsafe mask; order 0 integrates
-    numerically from the base point and reports no mask.
+    numerically from the base point and flags a point unsafe when the
+    integrand is unsafe anywhere in a panel between the base point and it.
     """
 
     def __init__(self, integrand: Expr, binding: Binding, base_point: float = 1.0):
@@ -531,50 +631,46 @@ class AntiderivImpl(funcbank.FunctionImpl):
     GAUSS_ORDER = 24
     MAX_PANEL = 0.25
 
-    def _value(self, z: np.ndarray) -> np.ndarray:
+    def _value(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative Gauss-Legendre integration over sorted panels.
 
         All integrand evaluations happen in one vectorized batch, which keeps
         integrands containing root-finding inverses affordable.
         """
-        flat = np.real(np.asarray(z)).reshape(-1)
+        flat = np.real(z).reshape(-1)
         knots = np.unique(np.concatenate([[self._base], flat]))
-        nodes, weights = np.polynomial.legendre.leggauss(self.GAUSS_ORDER)
-        panels = []
-        for a, b in zip(knots[:-1], knots[1:]):
-            k = max(1, int(np.ceil((b - a) / self.MAX_PANEL)))
-            edges = np.linspace(a, b, k + 1)
-            panels.extend(zip(edges[:-1], edges[1:]))
-        if panels:
-            lo = np.array([p[0] for p in panels])
-            hi = np.array([p[1] for p in panels])
-            mid = 0.5 * (lo + hi)[:, None]
-            half = 0.5 * (hi - lo)[:, None]
-            pts = (mid + half * nodes[None, :]).reshape(-1)
-            vals, _, _ = eval_batch(self._derivs[0], self._binding,
-                                    {T_VAR: pts.astype(complex)})
-            vals = vals.reshape(len(panels), self.GAUSS_ORDER)
-            panel_ints = (vals * weights[None, :]).sum(axis=1) * half[:, 0]
-            ends = np.array([p[1] for p in panels])
-            cumulative = np.cumsum(panel_ints)
-            knot_vals = {self._base: 0.0 + 0.0j}
-            for e, c in zip(ends, cumulative):
-                knot_vals[e] = c
-            base_val = knot_vals[self._base]
-        else:
-            knot_vals = {self._base: 0.0 + 0.0j}
-            base_val = 0.0 + 0.0j
+        # integral and number of unsafe panels from the lowest knot to each knot
+        integral = np.zeros(len(knots), dtype=complex)
+        bad_panels = np.zeros(len(knots), dtype=int)
+        if len(knots) > 1:
+            edges = [np.linspace(a, b, max(1, int(np.ceil((b - a) / self.MAX_PANEL))) + 1)
+                     for a, b in zip(knots[:-1], knots[1:])]
+            lo = np.concatenate([e[:-1] for e in edges])
+            hi = np.concatenate([e[1:] for e in edges])
+            nodes, weights = np.polynomial.legendre.leggauss(self.GAUSS_ORDER)
+            half = 0.5 * (hi - lo)
+            pts = (0.5 * (lo + hi)[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
+            vals, _, unsafe = eval_batch(self._derivs[0], self._binding,
+                                         {T_VAR: pts.astype(complex)})
+            vals = vals.reshape(len(lo), self.GAUSS_ORDER)
+            panel_ints = (vals * weights[None, :]).sum(axis=1) * half
+            # the panel that ends at each knot after the lowest
+            ends = np.cumsum([len(e) - 1 for e in edges]) - 1
+            integral[1:] = np.cumsum(panel_ints)[ends]
+            bad = unsafe.reshape(len(lo), self.GAUSS_ORDER).any(axis=1)
+            bad_panels[1:] = np.cumsum(bad)[ends]
         # knots below the base point integrate with negative orientation
-        offset = {k: knot_vals.get(k, 0.0 + 0.0j) for k in knots}
-        shift = offset[self._base]
-        out = np.array([offset[v] - shift for v in flat], dtype=complex)
-        return out.reshape(np.asarray(z).shape)
+        i = np.searchsorted(knots, flat)
+        b = np.searchsorted(knots, self._base)
+        out = integral[i] - integral[b]
+        mask = bad_panels[i] != bad_panels[b]
+        return out.reshape(z.shape), mask.reshape(z.shape)
 
     def deriv(self, didx, args):
         k = didx[0]
         z = np.asarray(args[0], dtype=complex)
         if k == 0:
-            return self._value(z), None
+            return self._value(z)
         d = funcbank.nth_derivative(self._derivs, k - 1, _diff_t)
         vals, _, unsafe = eval_batch(d, self._binding, {T_VAR: z})
         return vals, unsafe

@@ -98,6 +98,15 @@ def test_antideriv_impl_matches_closed_form():
     assert np.allclose(got1, np.cos(np.real(z)))
 
 
+def test_antideriv_impl_value_reports_unsafe_panels():
+    # log(t) is unsafe for t <= 0, which lies between the base point 1 and -1
+    impl = AntiderivImpl(parse("log(t)"), EMPTY_BINDING)
+    _, unsafe = impl.deriv((0,), (np.array([-1.0, 2.0]),))
+    assert unsafe.tolist() == [True, False]
+    _, unsafe = impl.deriv((0,), (np.array([[0.5, 2.0], [1.0, 3.0]]),))
+    assert unsafe.tolist() == [[False, False], [False, False]]
+
+
 def test_antideriv_impl_reports_integrand_unsafe_points():
     tbl = SymbolTable()
     L = tbl.declare("L", 1, "real")

@@ -1,0 +1,171 @@
+"""Compiled evaluation tape: bitwise agreement with a recursive reference."""
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from schsym.expr import (AbsPow, Conj, Const, FuncApp, IntPow, Product, SIN, Sign, Sum,
+                         SymbolTable, T_VAR, Var, abs_pow, const, func_app, int_pow,
+                         jet_var, psi, psi_var, sign_of, t, x, x_var)
+from schsym.funcbank import random_surrogate
+from schsym.numeric import EMPTY_BINDING, EPS_UNSAFE, Binding, draw_env, eval_batch
+from test_expr import _expr_strategy
+
+
+def _reference_eval(e, binding, env, count=1):
+    """The recursive evaluator the tape replaced, kept as the oracle."""
+    if env:
+        count = len(next(iter(env.values())))
+    scale = np.zeros(count)
+    unsafe = np.zeros(count, dtype=bool)
+    memo = {}
+
+    def ev(e):
+        nonlocal unsafe
+        got = memo.get(id(e))
+        if got is not None:
+            return got
+        if isinstance(e, Const):
+            out = np.broadcast_to(np.asarray(e.value()), scale.shape)
+        elif isinstance(e, Var):
+            v = e.vid
+            out = env.get(v) if v.is_jet and v.conj else env[v]
+            if out is None:
+                out = np.conj(env[jet_var(v.alpha, False)])
+        elif isinstance(e, Sum):
+            out = ev(e.terms[0]).copy()
+            for tm in e.terms[1:]:
+                out += ev(tm)
+        elif isinstance(e, Product):
+            out = ev(e.factors[0]).copy()
+            for f in e.factors[1:]:
+                out *= ev(f)
+        elif isinstance(e, IntPow):
+            b = ev(e.base)
+            if e.k < 0:
+                bad = np.abs(b) < EPS_UNSAFE
+                unsafe |= bad
+                b = np.where(bad, 1.0, b)
+            out = b ** e.k
+        elif isinstance(e, AbsPow):
+            a = np.abs(np.real(ev(e.base)))
+            if e.q < 0:
+                bad = a < EPS_UNSAFE
+                unsafe |= bad
+                a = np.where(bad, 1.0, a)
+            out = (a ** float(e.q)).astype(complex)
+        elif isinstance(e, Sign):
+            b = np.real(ev(e.base))
+            bad = np.abs(b) < EPS_UNSAFE
+            unsafe |= bad
+            out = np.sign(np.where(bad, 1.0, b)).astype(complex)
+        elif isinstance(e, Conj):
+            out = np.conj(ev(e.arg))
+        else:
+            assert isinstance(e, FuncApp)
+            vals, mask = binding.lookup(e.sym).deriv(e.didx, tuple(ev(a) for a in e.args))
+            out = np.broadcast_to(np.asarray(vals, dtype=complex), scale.shape)
+            if mask is not None:
+                unsafe |= np.broadcast_to(mask, scale.shape)
+        mag = np.abs(out)
+        finite = np.isfinite(mag)
+        unsafe |= ~finite
+        np.maximum(scale, np.where(finite, mag, 0.0), out=scale)
+        memo[id(e)] = out
+        return out
+
+    return np.asarray(ev(e)), scale, unsafe
+
+
+def _assert_matches_reference(e, binding, env, count=1):
+    want = _reference_eval(e, binding, env, count)
+    # the first evaluation compiles a throwaway tape, the second keeps one
+    for _ in range(2):
+        got = eval_batch(e, binding, env, count)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tape_matches_recursive_reference_bitwise(data):
+    tbl = SymbolTable()
+    tbl.declare("U", 1, "complex")
+    tbl.declare("f", 1, "real")
+    e = data.draw(_expr_strategy(tbl))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    binding = Binding({s: random_surrogate(rng, s.arity, s.codomain)
+                       for s in e.free_symbols if s.name in ("U", "f")})
+    env = draw_env(e.free_vars, 12, rng)
+    if x_var(1) in env and data.draw(st.booleans()):
+        env[x_var(1)][:3] = 0.0  # singular points of 1/x1
+    _assert_matches_reference(e, binding, env)
+
+
+def test_constant_root():
+    vals, scale, unsafe = _assert_matches_reference(const(Fraction(-3, 2)), EMPTY_BINDING, {}, 3)
+    assert vals.tolist() == [-1.5] * 3 and scale.tolist() == [1.5] * 3
+    assert not unsafe.any()
+
+
+def test_variable_root():
+    env = {x_var(1): np.array([2.0, -0.5j])}
+    vals, scale, _ = _assert_matches_reference(x(1), EMPTY_BINDING, env)
+    assert vals is env[x_var(1)]
+    assert scale.tolist() == [2.0, 0.5]
+
+
+def test_conjugated_jet_without_env_entry():
+    psi0 = np.array([1 + 2j, -0.5j])
+    env = {psi_var(2): psi0, T_VAR: np.array([0.5, 1.5], dtype=complex)}
+    for e in (psi(2, conj=True), psi(2, conj=True) * t() + psi(2)):
+        vals, _, unsafe = _assert_matches_reference(e, EMPTY_BINDING, env)
+        assert not unsafe.any()
+    assert np.array_equal(vals, np.conj(psi0) * env[T_VAR] + psi0)
+
+
+def test_reciprocal_at_zero_is_unsafe():
+    env = {x_var(1): np.array([0.0, 2.0], dtype=complex)}
+    vals, _, unsafe = _assert_matches_reference(int_pow(x(1), -1), EMPTY_BINDING, env)
+    assert unsafe.tolist() == [True, False]
+    assert vals[1] == 0.5
+
+
+def test_sign_and_negative_abs_power_at_zero_are_unsafe():
+    env = {x_var(1): np.array([0.0, -2.0], dtype=complex)}
+    _, _, unsafe = _assert_matches_reference(sign_of(x(1)), EMPTY_BINDING, env)
+    assert unsafe.tolist() == [True, False]
+    e = abs_pow(x(1), Fraction(-1, 2)) + sign_of(x(1))
+    _, _, unsafe = _assert_matches_reference(e, EMPTY_BINDING, env)
+    assert unsafe.tolist() == [True, False]
+
+
+def test_infinite_variable_is_unsafe_at_the_variable():
+    # sgn(inf) is finite, so only the variable's own value flags the point
+    env = {x_var(1): np.array([np.inf, 3.0], dtype=complex)}
+    _, scale, unsafe = _assert_matches_reference(sign_of(x(1)), EMPTY_BINDING, env)
+    assert unsafe.tolist() == [True, False]
+    assert scale.tolist() == [1.0, 3.0]
+
+
+def test_tape_is_kept_from_the_second_evaluation():
+    e = func_app(SIN, [t() * Fraction(3, 7)]) + Fraction(1, 9)
+    env = {T_VAR: np.array([0.25, 0.5], dtype=complex)}
+    assert e._tape is None
+    eval_batch(e, EMPTY_BINDING, env)
+    assert e._tape is False
+    eval_batch(e, EMPTY_BINDING, env)
+    kept = e._tape
+    eval_batch(e, EMPTY_BINDING, env)
+    assert e._tape is kept and kept
+
+
+def test_deep_expression_evaluates_without_recursion():
+    e = t()
+    for _ in range(2000):
+        e = func_app(SIN, [e]) + Fraction(1, 3)
+    vals, scale, unsafe = eval_batch(e, EMPTY_BINDING, {T_VAR: np.array([0.5, 1.5], dtype=complex)})
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(scale))
+    assert not unsafe.any()
