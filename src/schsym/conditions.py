@@ -34,7 +34,7 @@ from .fields import (
     GeneratorCoeffs,
     VectorField,
     absx2,
-    bracket_structural,
+    bracket_rows,
     coefficient_rows,
     rank_of_chi_block,
     _rank,
@@ -220,11 +220,10 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
             raise SpanError(f"{name} is missing from the span")
 
     if check_closure:
+        brows = bracket_rows(gs, binding, tvals, rows, slices)
         for i in range(len(gs)):
             for j in range(i + 1, len(gs)):
-                br = bracket_structural(gs[i], gs[j])
-                brow, _ = coefficient_rows([br], binding, tvals)
-                if not _row_in_span(rows, brow[0], max(tol, 1e-7)):
+                if not _row_in_span(rows, brows[i, j], max(tol, 1e-7)):
                     raise SpanError(f"span is not closed under the bracket "
                                     f"(generators {i} and {j})")
 

@@ -6,9 +6,11 @@ coefficients kappa_ab (a<b, multiplying J_ab = x_a d_b - x_b d_a),
 generalized-shift tuple chi(t), phase part sigma(t), scaling part rho(t)
 and an optional inhomogeneous part eta0(t, x).
 
-Brackets come in two flavors: the closed-form structural bracket on
-canonical data, and the generic commutator of first-order operators on
-(t, x, psi, psi*), used as an independent oracle for the former.
+Brackets come in three flavours: the closed-form structural bracket on
+canonical data; the generic commutator of first-order operators on
+(t, x, psi, psi*), used as an independent oracle for the former; and
+sampled bracket rows for span analysis, computed from the generators'
+sampled data and their t-derivatives without building the brackets.
 """
 from __future__ import annotations
 
@@ -220,6 +222,8 @@ def bracket_generic(f1: VectorField, f2: VectorField) -> VectorField:
 
 def _z_action(g: GeneratorCoeffs, zeta: Expr) -> Expr:
     """The listed [., Z(zeta)] rules, applied for a single generator g."""
+    if zeta is ZERO:
+        return ZERO
     n = g.n
     tau_t = diff(g.tau, T_VAR)
     out = g.tau * diff(zeta, T_VAR)
@@ -315,6 +319,45 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
         "rho": slice(m + npair + n * m + m, width),
     }
     return rows, slices
+
+
+def bracket_rows(gs: Sequence[GeneratorCoeffs], binding: Binding, tvals: np.ndarray,
+                 rows: np.ndarray, slices: dict) -> np.ndarray:
+    """Sampled rows of every bracket: out[i, j] is the row of [gs[i], gs[j]].
+
+    (rows, slices) is coefficient_rows(gs, binding, tvals).  The bracket's
+    canonical data are bilinear in the generators' data and their first
+    t-derivatives (the formulas of bracket_structural), so one more
+    coefficient_rows call, on the derivatives, gives every bracket row
+    without building the brackets.  Rows carry no eta0, so eta0 is ignored.
+    """
+    k, n, m = len(gs), gs[0].n, len(tvals)
+    kappa0 = zero_gen(n).kappa
+    derivs = [GeneratorCoeffs(n, diff(g.tau, T_VAR), kappa0,
+                              tuple(diff(c, T_VAR) for c in g.chi),
+                              diff(g.sigma, T_VAR), diff(g.rho, T_VAR)) for g in gs]
+    drows, _ = coefficient_rows(derivs, binding, tvals)
+
+    def skew(a, b):  # out[i, j] = a_i b_j - a_j b_i
+        p = a[:, None] * b[None, :]
+        return p - p.swapaxes(0, 1)
+
+    tau, dtau = rows[:, slices["tau"]], drows[:, slices["tau"]]
+    chi = rows[:, slices["chi"]].reshape(k, n, m)
+    dchi = drows[:, slices["chi"]].reshape(k, n, m)
+    K = np.array([g.kappa_matrix() for g in gs], dtype=float)
+    lo, hi = (np.array(_pairs(n), dtype=int).reshape(-1, 2) - 1).T
+    KK = K[None, :] @ K[:, None]  # KK[i, j] = K_j K_i
+    KC = K[:, None] @ chi[None, :]  # KC[i, j] = K_i chi_j
+    out = np.empty((k, k, rows.shape[1]))
+    out[..., slices["tau"]] = skew(tau, dtau)
+    out[..., slices["kappa"]] = (KK - KK.swapaxes(0, 1))[:, :, hi, lo]
+    out[..., slices["chi"]] = (skew(tau[:, None], dchi) - 0.5 * skew(dtau[:, None], chi)
+                               - (KC - KC.swapaxes(0, 1))).reshape(k, k, n * m)
+    out[..., slices["sigma"]] = (skew(tau, drows[:, slices["sigma"]])
+                                 + 0.5 * skew(chi, dchi).sum(axis=2))
+    out[..., slices["rho"]] = skew(tau, drows[:, slices["rho"]])
+    return out
 
 
 def _rank(mat: np.ndarray, tol: float) -> int:

@@ -124,9 +124,13 @@ def test_invariants_requires_kernel():
 
 def test_invariants_requires_closure():
     tv = var(T_VAR)
-    # D(1) and D(t)+J close onto J which is outside the span... use P pair
+    # [D(1) + J, D(t)] = D(1), which is outside the span
     gens = [M(1), Iop(1), D(1).add(J(1, 2)), D(tv)]
-    with pytest.raises(SpanError):
+    with pytest.raises(SpanError, match="generators 2 and 3"):
+        invariants(gens, rng=RNG)
+    # [P(1, 0), D(t^2)] = P(t, 0) is the first bracket outside the span
+    gens = [M(1), Iop(1), P(1, 0), P(0, 1), D(tv), D(int_pow(tv, 2))]
+    with pytest.raises(SpanError, match="generators 2 and 5"):
         invariants(gens, rng=RNG)
 
 

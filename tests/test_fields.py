@@ -6,9 +6,10 @@ from fractions import Fraction
 from schsym.closedform import exppoly_to_expr
 from schsym.expr import ONE, T_VAR, ZERO, const, func_app, int_pow, psi, t, var, x
 from schsym.fields import (D, GeneratorCoeffs, Iop, J, P, bracket_generic,
-                           bracket_structural, expand, rank_of_chi_block)
+                           bracket_rows, bracket_structural, coefficient_rows,
+                           expand, rank_of_chi_block)
 from schsym.funcbank import random_trig_poly
-from schsym.numeric import is_zero
+from schsym.numeric import EMPTY_BINDING, is_zero
 from schsym.parsing import parse
 
 RNG = np.random.default_rng(20)
@@ -136,3 +137,38 @@ def test_generator_validation():
         GeneratorCoeffs(2, x(1), (Fraction(0),), (ZERO, ZERO), ZERO, ZERO, None)
     with pytest.raises(ValueError):
         GeneratorCoeffs(2, ZERO, (Fraction(0),), (psi(2), ZERO), ZERO, ZERO, None)
+
+
+def _assert_bracket_rows_match_structural(gs, binding, rng):
+    tvals = rng.uniform(0.32, 1.68, size=13)
+    rows, slices = coefficient_rows(gs, binding, tvals)
+    got = bracket_rows(gs, binding, tvals, rows, slices)
+    for i in range(len(gs)):
+        for j in range(i + 1, len(gs)):
+            ref, _ = coefficient_rows([bracket_structural(gs[i], gs[j])], binding, tvals)
+            # a bracket that vanishes identically samples to rounding noise of
+            # the size of its bilinear operands, so that size joins the scale
+            scale = np.linalg.norm(ref[0]) + np.linalg.norm(rows[i]) * np.linalg.norm(rows[j])
+            assert np.linalg.norm(got[i, j] - ref[0]) <= 1e-12 * scale, (i, j)
+
+
+def test_bracket_rows_match_structural_on_table_cases():
+    from schsym.cases import instantiate, table
+
+    rng = np.random.default_rng(41)
+    for case in table().values():
+        inst = instantiate(case, rng)
+        _assert_bracket_rows_match_structural(inst.generators, inst.workspace.binding, rng)
+
+
+def test_bracket_rows_match_structural_with_rotations_at_n3():
+    # the kappa commutator vanishes identically at n = 2
+    rng = np.random.default_rng(43)
+
+    def fn():
+        return exppoly_to_expr(random_trig_poly(rng, "real"))
+
+    gs = [GeneratorCoeffs(3, fn(), tuple(Fraction(int(rng.integers(-2, 3)), 3) for _ in range(3)),
+                          (fn(), fn(), fn()), fn(), fn(), None) for _ in range(4)]
+    assert any(k != 0 for g in gs for k in g.kappa)
+    _assert_bracket_rows_match_structural(gs, EMPTY_BINDING, rng)
