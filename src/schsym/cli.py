@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,22 +102,28 @@ def _workspace(args) -> Workspace:
     return ws
 
 
+def _kappa(kap, n: int) -> tuple:
+    """Above-diagonal entries of kappa, row by row; a scalar is the first one."""
+    err = ValueError("kappa must be a scalar or an n x n matrix")
+    if not isinstance(kap, list):
+        entries = [kap] + [0] * (n * (n - 1) // 2 - 1)
+    elif len(kap) == n and all(isinstance(row, list) and len(row) == n for row in kap):
+        entries = [kap[a][b] for a in range(n) for b in range(a + 1, n)]
+    else:
+        raise err
+    if not all(isinstance(v, (int, str)) or (isinstance(v, float) and math.isfinite(v))
+               for v in entries):
+        raise err
+    return tuple(Fraction(v) for v in entries)
+
+
 def _load_generator(spec, table: SymbolTable, n: int) -> GeneratorCoeffs:
     """Field-spec dict: {tau, kappa, chi, sigma, rho, eta0}."""
     tau = parse(str(spec.get("tau", "0")), table, n)
     sigma = parse(str(spec.get("sigma", "0")), table, n)
     rho = parse(str(spec.get("rho", "0")), table, n)
     chi = tuple(parse(str(s), table, n) for s in spec.get("chi", ["0"] * n))
-    kap = spec.get("kappa", 0)
-    if isinstance(kap, list):
-        flat = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                flat.append(Fraction(kap[a][b]))
-        kappa = tuple(flat)
-    else:
-        kappa = (Fraction(kap),) if n == 2 else tuple(
-            [Fraction(kap)] + [Fraction(0)] * (n * (n - 1) // 2 - 1))
+    kappa = _kappa(spec.get("kappa", 0), n)
     eta0 = spec.get("eta0")
     eta = parse(str(eta0), table, n) if eta0 not in (None, "null") else None
     return GeneratorCoeffs(n, tau, kappa, chi, sigma, rho, eta)

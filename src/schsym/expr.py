@@ -400,7 +400,7 @@ def func_app(sym: FunctionSymbol, args: Iterable[Expr], didx: Optional[Sequence[
     didx = tuple(didx)
     if len(didx) != sym.arity or any(k < 0 for k in didx):
         raise ValueError("bad derivative multi-index")
-    key = ("f", sym, tuple(id(a) for a in args), didx)
+    key = ("f", sym, tuple(map(id, args)), didx)
     return _intern(key, lambda: FuncApp(sym, args, didx))
 
 
@@ -430,9 +430,16 @@ def _cpow(a, k: int):
             raise ZeroDivisionError("inverse of exact zero constant")
         a = (a[0] / d, -a[1] / d)
         k = -k
-    out = (Fraction(1), Fraction(0))
-    for _ in range(k):
-        out = _cmul(out, a)
+    if not a[1]:
+        return (a[0] ** k, _F0)
+    # exponentiation by squaring: O(log k) products instead of k
+    out = (_F1, _F0)
+    while k:
+        if k & 1:
+            out = _cmul(out, a)
+        k >>= 1
+        if k:
+            a = _cmul(a, a)
     return out
 
 
@@ -443,14 +450,38 @@ def _split_coeff(term: Expr):
     if isinstance(term, Product) and isinstance(term.factors[0], Const):
         c = term.factors[0]
         rest = term.factors[1:]
-        mono = rest[0] if len(rest) == 1 else _intern(("p", tuple(id(f) for f in rest)), lambda: Product(rest))
+        mono = rest[0] if len(rest) == 1 else _intern(("p", tuple(map(id, rest))), lambda: Product(rest))
         return (c.re, c.im), mono
     return (_F1, _F0), term
 
 
 def sum_(terms: Iterable[Expr]) -> Expr:
-    acc: dict[Expr, tuple] = {}
+    """Normalized, interned sum of `terms`.
+
+    Normal form of a Sum: its constant first (if nonzero), then one term per
+    distinct monomial in first-seen order, each carrying its coefficient as a
+    leading Const factor unless that coefficient is 1.  A monomial is what
+    `_split_coeff` leaves: a normalized non-constant product or factor, never
+    a Sum.  No term of a Sum is a Sum or a Product(c, Sum): nested sums are
+    flattened and a constant times a sum is distributed.
+    """
+    # monomial -> [coefficient, the input term it came from while that term
+    # is its only contribution]; such a term is returned as it is
+    acc: dict[Expr, list] = {}
     cacc = None
+
+    def add(coeff, mono, term):
+        nonlocal cacc
+        if mono is ONE:
+            cacc = coeff if cacc is None else _cadd(cacc, coeff)
+            return
+        got = acc.get(mono)
+        if got is None:
+            acc[mono] = [coeff, term]
+        else:
+            got[0] = _cadd(got[0], coeff)
+            got[1] = None
+
     stack = list(terms)
     stack.reverse()
     while stack:
@@ -461,47 +492,50 @@ def sum_(terms: Iterable[Expr]) -> Expr:
         if (isinstance(tm, Product) and len(tm.factors) == 2
                 and isinstance(tm.factors[0], Const)
                 and isinstance(tm.factors[1], Sum)):
-            c = tm.factors[0]
-            stack.extend(prod((c, u)) for u in reversed(tm.factors[1].terms))
+            # the Sum's terms are already normal: fold c into each coefficient
+            c = (tm.factors[0].re, tm.factors[0].im)
+            for u in tm.factors[1].terms:
+                cu, mono = _split_coeff(u)
+                add(_cmul(c, cu), mono, None)
             continue
         coeff, mono = _split_coeff(tm)
-        if mono is ONE:
-            cacc = coeff if cacc is None else _cadd(cacc, coeff)
-        else:
-            prev = acc.get(mono)
-            acc[mono] = _cadd(prev, coeff) if prev is not None else coeff
+        add(coeff, mono, tm)
     out: list[Expr] = []
     if cacc is not None and (cacc[0] or cacc[1]):
         out.append(const(*cacc))
-    for mono, coeff in acc.items():
-        if not coeff[0] and not coeff[1]:
+    for mono, (coeff, term) in acc.items():
+        if term is not None:
+            out.append(term)
+        elif not coeff[0] and not coeff[1]:
             continue
-        if coeff[0] == 1 and not coeff[1]:
+        elif coeff[0] == 1 and not coeff[1]:
             out.append(mono)
         else:
-            out.append(prod((const(*coeff), mono)))
+            # mono is normal, so prod((c, mono)) would return exactly this node
+            fs = (const(*coeff),) + (mono.factors if isinstance(mono, Product) else (mono,))
+            out.append(_intern(("p", tuple(map(id, fs))), lambda: Product(fs)))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    key = ("s", tuple(id(u) for u in out))
+    key = ("s", tuple(map(id, out)))
     tup = tuple(out)
     return _intern(key, lambda: Sum(tup))
 
 
 def prod(factors: Iterable[Expr]) -> Expr:
+    """Normalized, interned product of `factors`.
+
+    Normal form of a Product: its constant first (if not 1), then one factor
+    per distinct base in first-seen order: an integer power of the base, an
+    |base|^q power, or sgn(base).  Nested products are flattened; a zero
+    constant makes the whole product ZERO.
+    """
     cacc = (_F1, _F0)
-    ipow: dict[Expr, int] = {}
-    apow: dict[Expr, Fraction] = {}
-    spar: dict[Expr, int] = {}
-    order: list[tuple[str, Expr]] = []
-
-    def add_ipow(b: Expr, k: int):
-        if b not in ipow:
-            order.append(("i", b))
-            ipow[b] = 0
-        ipow[b] += k
-
+    cnode = None  # the Const whose value cacc holds, while there is one
+    # first-seen order of bases; keys are `base` for integer powers,
+    # ("a", base) for |base|^q and ("g", base) for sgn(base)
+    pows: dict = {}
     stack = list(factors)
     stack.reverse()
     while stack:
@@ -512,43 +546,42 @@ def prod(factors: Iterable[Expr]) -> Expr:
         if isinstance(f, Const):
             if f is ZERO:
                 return ZERO
-            cacc = (f.re, f.im) if cacc[0] is _F1 and not cacc[1] else _cmul(cacc, (f.re, f.im))
+            if cacc[0] is _F1 and not cacc[1]:
+                cacc, cnode = (f.re, f.im), f
+            else:
+                cacc, cnode = _cmul(cacc, (f.re, f.im)), None
         elif isinstance(f, IntPow):
-            add_ipow(f.base, f.k)
+            pows[f.base] = pows.get(f.base, 0) + f.k
         elif isinstance(f, AbsPow):
-            if f.base not in apow:
-                order.append(("a", f.base))
-                apow[f.base] = Fraction(0)
-            apow[f.base] += f.q
+            key = ("a", f.base)
+            pows[key] = pows.get(key, 0) + f.q
         elif isinstance(f, Sign):
-            if f.base not in spar:
-                order.append(("g", f.base))
-                spar[f.base] = 0
-            spar[f.base] += 1
+            key = ("g", f.base)
+            pows[key] = pows.get(key, 0) + 1
         else:
-            add_ipow(f, 1)
+            pows[f] = pows.get(f, 0) + 1
 
     out: list[Expr] = []
-    for tag, b in order:
-        if tag == "i":
-            piece = int_pow(b, ipow[b])
-        elif tag == "a":
-            piece = abs_pow(b, apow[b])
+    for key, k in pows.items():
+        if type(key) is not tuple:
+            piece = key if k == 1 else int_pow(key, k)
+        elif key[0] == "a":
+            piece = abs_pow(key[1], k)
         else:
-            piece = sign_of(b) if spar[b] % 2 else ONE
+            piece = sign_of(key[1]) if k % 2 else ONE
         if isinstance(piece, Const):
-            cacc = _cmul(cacc, (piece.re, piece.im))
+            cacc, cnode = _cmul(cacc, (piece.re, piece.im)), None
             if not cacc[0] and not cacc[1]:
                 return ZERO
         elif piece is not ONE:
             out.append(piece)
-    if not out:
-        return const(*cacc)
     if cacc[0] != 1 or cacc[1]:
-        out.insert(0, const(*cacc))
+        out.insert(0, cnode if cnode is not None else const(*cacc))
+    elif not out:
+        return ONE
     if len(out) == 1:
         return out[0]
-    key = ("p", tuple(id(u) for u in out))
+    key = ("p", tuple(map(id, out)))
     tup = tuple(out)
     return _intern(key, lambda: Product(tup))
 

@@ -12,6 +12,9 @@ FREE_FIELDS = ('[{"sigma":"1"},{"rho":"1"},{"chi":["1","0"]},{"chi":["t","0"]},'
                '{"tau":"t"},{"tau":"t^2","rho":"-t"}]')
 
 
+NONCLOSED_KAPPA = '[{{"sigma":"1"}},{{"rho":"1"}},{{"tau":"1","kappa":{}}},{{"tau":"t"}}]'
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -146,3 +149,42 @@ def test_console_entry_point():
                            "0", '{"rho": "1"}'], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "symmetry: yes" in proc.stdout
+
+
+def test_bracket_text_pins_normal_form_term_order(capsys):
+    # printed term order is the normal-form order of sum_/prod
+    g1 = ('{"tau":"t^2 + 1","kappa":"1","chi":["sin(t)","t*cos(t)"],'
+          '"sigma":"exp(t)","rho":"t^(1/3)"}')
+    g2 = ('{"tau":"exp(2*t)","kappa":"-2","chi":["cos(t)","t^(3/2)"],'
+          '"sigma":"sin(t)*t","rho":"cos(t)"}')
+    code, out = run_cli(capsys, "bracket", g1, g2)
+    assert code == 0
+    assert out == "; ".join([
+        "[g1, g2] = tau: 2*(1 + t^2)*exp[1](2*t) - 2*exp(2*t)*t",
+        "kappa: ['0']",
+        "chi: ['(1 + t^2)*cos[1](t) + t*cos(t) - exp(2*t)*sin[1](t)"
+        " + exp[1](2*t)*sin(t) + |t|^(3/2)', "
+        "'3/2*(1 + t^2)*|t|^(1/2)*sgn(t) - t*|t|^(3/2)"
+        " - exp(2*t)*(cos(t) + t*cos[1](t)) + exp[1](2*t)*t*cos(t) - cos(t) - 2*sin(t)']",
+        "sigma: (1 + t^2)*(sin[1](t)*t + sin(t)) - exp(2*t)*exp[1](t)"
+        " + 1/2*sin(t)*cos[1](t) - 1/2*cos(t)*sin[1](t) + 3/4*t*cos(t)*|t|^(1/2)*sgn(t)"
+        " - 1/2*|t|^(3/2)*(cos(t) + t*cos[1](t))",
+        "rho: (1 + t^2)*cos[1](t) - 1/3*exp(2*t)*|t|^(-2/3)*sgn(t)",
+    ]) + "\n"
+
+
+def test_malformed_kappa_exits_2(capsys):
+    for kappa in ('["1"]', '["1/3"]', "[[0, 1]]", "1e999"):
+        code = main(["invariants", NONCLOSED_KAPPA.format(kappa)])
+        err = capsys.readouterr().err
+        assert code == 2, kappa
+        assert err == "error: kappa must be a scalar or an n x n matrix\n"
+
+
+def test_kappa_matrix_matches_scalar(capsys):
+    code, out = run_cli(capsys, "invariants",
+                        FREE_FIELDS.replace('"kappa":"1"', '"kappa":[[0, 1], [-1, 0]]'),
+                        "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [payload[k] for k in ("k0", "k1", "k2", "k3", "r0")] == [2, 4, 1, 3, 2]

@@ -4,9 +4,11 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from schsym.expr import (ONE, T_VAR, ZERO, SymbolTable, abs_pow, conj_expr, const,
-                         diff, func_app, int_pow, jet_var, psi, psi_var, sign_of,
-                         subst, t, total_derivative, var, x, x_var)
+from schsym.expr import (ONE, T_VAR, ZERO, AbsPow, Const, IntPow, Product, Sign, Sum,
+                         SymbolTable, _cadd, _cmul, _cpow, _intern, _split_coeff,
+                         abs_pow, conj_expr, const, diff, func_app, int_pow, jet_var,
+                         prod, psi, psi_var, sign_of, subst, sum_, t, total_derivative,
+                         var, x, x_var)
 from schsym.funcbank import random_surrogate
 from schsym.numeric import Binding, SamplePoint, draw_env, eval_batch, eval_expr, is_zero
 from schsym.parsing import parse, to_text
@@ -108,7 +110,10 @@ def test_subst_replaces_vars(table):
 
 # -- property tests ---------------------------------------------------------
 
-def _expr_strategy(table, smooth=False):
+def _expr_strategy(table, smooth=False, normal_forms=False):
+    """Random expressions; `normal_forms` adds leaves and combinations that
+    reach every branch of `sum_` and `prod`: complex constants, |.|^q, sgn,
+    negative powers and constant multiples of sums."""
     leaves = st.sampled_from([
         t(), x(1), x(2), const(Fraction(1, 2)), const(2), const(0, 1),
         func_app(table.get("f"), [t()]),
@@ -117,10 +122,19 @@ def _expr_strategy(table, smooth=False):
     ])
     if not smooth:
         leaves = st.one_of(leaves, st.sampled_from([psi(2), int_pow(x(1), -1)]))
+    if normal_forms:
+        leaves = st.one_of(leaves, st.sampled_from([
+            const(Fraction(1, 2), -3), abs_pow(x(1), Fraction(1, 3)),
+            abs_pow(t(), Fraction(-1, 2)), sign_of(x(1))]))
 
     def combine(children):
         a, b = children
-        return st.sampled_from([a + b, a * b, a - b, int_pow(a, 2), conj_expr(a)])
+        out = [a + b, a * b, a - b, int_pow(a, 2), conj_expr(a)]
+        if normal_forms:
+            out += [const(Fraction(-1, 3)) * (a + b), const(Fraction(1, 2), -3) * (a - b)]
+            if a is not ZERO:
+                out.append(int_pow(a, -2))
+        return st.sampled_from(out)
 
     return st.recursive(leaves, lambda s: st.tuples(s, s).flatmap(combine), max_leaves=6)
 
@@ -184,3 +198,148 @@ def test_print_parse_round_trip(data):
     tbl.declare("f", 1, "real")
     e = data.draw(_expr_strategy(tbl))
     assert parse(to_text(e), tbl) is e
+
+
+# -- normalizing constructors against their plain definitions ---------------
+
+def _ref_sum(terms):
+    """`sum_` without its shortcuts: every term is re-normalized by `_ref_prod`."""
+    acc = {}
+    cacc = None
+    stack = list(terms)
+    stack.reverse()
+    while stack:
+        tm = stack.pop()
+        if isinstance(tm, Sum):
+            stack.extend(reversed(tm.terms))
+            continue
+        if (isinstance(tm, Product) and len(tm.factors) == 2
+                and isinstance(tm.factors[0], Const) and isinstance(tm.factors[1], Sum)):
+            stack.extend(_ref_prod((tm.factors[0], u)) for u in reversed(tm.factors[1].terms))
+            continue
+        coeff, mono = _split_coeff(tm)
+        if mono is ONE:
+            cacc = coeff if cacc is None else _cadd(cacc, coeff)
+        else:
+            prev = acc.get(mono)
+            acc[mono] = _cadd(prev, coeff) if prev is not None else coeff
+    out = []
+    if cacc is not None and (cacc[0] or cacc[1]):
+        out.append(const(*cacc))
+    for mono, coeff in acc.items():
+        if not coeff[0] and not coeff[1]:
+            continue
+        if coeff[0] == 1 and not coeff[1]:
+            out.append(mono)
+        else:
+            out.append(_ref_prod((const(*coeff), mono)))
+    if not out:
+        return ZERO
+    if len(out) == 1:
+        return out[0]
+    tup = tuple(out)
+    return _intern(("s", tuple(id(u) for u in out)), lambda: Sum(tup))
+
+
+def _ref_prod(factors):
+    """`prod` with one dict per kind of power and every power rebuilt."""
+    cacc = (Fraction(1), Fraction(0))
+    ipow, apow, spar = {}, {}, {}
+    order = []
+
+    def add_ipow(b, k):
+        if b not in ipow:
+            order.append(("i", b))
+            ipow[b] = 0
+        ipow[b] += k
+
+    stack = list(factors)
+    stack.reverse()
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Product):
+            stack.extend(reversed(f.factors))
+            continue
+        if isinstance(f, Const):
+            if f is ZERO:
+                return ZERO
+            cacc = _cmul(cacc, (f.re, f.im))
+        elif isinstance(f, IntPow):
+            add_ipow(f.base, f.k)
+        elif isinstance(f, AbsPow):
+            if f.base not in apow:
+                order.append(("a", f.base))
+                apow[f.base] = Fraction(0)
+            apow[f.base] += f.q
+        elif isinstance(f, Sign):
+            if f.base not in spar:
+                order.append(("g", f.base))
+                spar[f.base] = 0
+            spar[f.base] += 1
+        else:
+            add_ipow(f, 1)
+    out = []
+    for tag, b in order:
+        if tag == "i":
+            piece = int_pow(b, ipow[b])
+        elif tag == "a":
+            piece = abs_pow(b, apow[b])
+        else:
+            piece = sign_of(b) if spar[b] % 2 else ONE
+        if isinstance(piece, Const):
+            cacc = _cmul(cacc, (piece.re, piece.im))
+            if not cacc[0] and not cacc[1]:
+                return ZERO
+        elif piece is not ONE:
+            out.append(piece)
+    if not out:
+        return const(*cacc)
+    if cacc[0] != 1 or cacc[1]:
+        out.insert(0, const(*cacc))
+    if len(out) == 1:
+        return out[0]
+    tup = tuple(out)
+    return _intern(("p", tuple(id(u) for u in out)), lambda: Product(tup))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_normalizing_shortcuts_match_reference(data):
+    tbl = SymbolTable()
+    tbl.declare("U", 1, "complex")
+    tbl.declare("f", 1, "real")
+    exprs = _expr_strategy(tbl, normal_forms=True)
+    terms = data.draw(st.lists(exprs, max_size=5))
+    factors = data.draw(st.lists(exprs, max_size=4))
+    assert sum_(terms) is _ref_sum(terms)
+    assert prod(factors) is _ref_prod(factors)
+
+
+def _slow_cpow(a, k):
+    if k < 0:
+        d = a[0] * a[0] + a[1] * a[1]
+        a, k = (a[0] / d, -a[1] / d), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _cmul(out, a)
+    return out
+
+
+@pytest.mark.parametrize("base", [(Fraction(3, 2), Fraction(0)), (Fraction(-2, 7), Fraction(0)),
+                                  (Fraction(1), Fraction(1)), (Fraction(-1, 3), Fraction(5, 2)),
+                                  (Fraction(0), Fraction(-2))])
+def test_cpow_matches_repeated_products(base):
+    for k in range(-6, 7):
+        assert _cpow(base, k) == _slow_cpow(base, k)
+
+
+def test_cpow_exact_values_and_zero():
+    assert _cpow((Fraction(1), Fraction(1)), 8) == (16, 0)
+    assert _cpow((Fraction(0), Fraction(1)), -3) == (0, 1)
+    with pytest.raises(ZeroDivisionError):
+        _cpow((Fraction(0), Fraction(0)), -1)
+    assert _cpow((Fraction(0), Fraction(0)), 3) == (0, 0)
+
+
+def test_large_integer_power_of_a_constant_parses_exactly():
+    assert parse("(3/2)^100000") is const(Fraction(3, 2) ** 100000)
