@@ -7,6 +7,12 @@ residual for every listed generator, (ii) bracket closure of the span,
 (iii) the expected invariant tuple, (iv) the structural constraints every
 tuple must satisfy.
 
+The template strings are parsed once per verification, not once per draw:
+symbols compare by value and nodes are hash-consed, so every draw's parse
+would give the same DAGs.  A draw only declares and binds the symbols, runs
+the case's builder and evaluates kappa; the classifying residual of a
+generator is rebuilt only when its drawn kappa changes.
+
 The quadratic cases are instantiated in reverse: fundamental solutions of
 the shift equation are drawn in closed form and the potential coefficients
 are defined from them, which exercises exactly the listed algebra-potential
@@ -18,17 +24,18 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .closedform import expr_to_exppoly, exppoly_to_expr
 from .conditions import InvariantTuple, Potential, SpanError, classifying_residual, invariants
-from .expr import COS, SIN, T_VAR, abs_pow, const, diff, func_app, int_pow
+from .expr import (COS, SIN, T_VAR, Expr, SymbolTable, abs_pow, const, diff, func_app,
+                   int_pow)
 from .fields import GeneratorCoeffs
 from .funcbank import (ConstImpl, ExpPoly, ExpPolyImpl, random_positive_trig_poly,
                        random_surrogate)
-from .numeric import ExprImpl, Workspace, eval_batch, max_normalized_residual
+from .numeric import Binding, ExprImpl, Workspace, eval_batch, max_normalized_residual
 from .parsing import parse
 
 
@@ -105,8 +112,55 @@ def _draw_value(kind: str, rng) -> complex:
     raise ValueError(f"unknown draw kind {kind!r}")
 
 
-def instantiate(case: CaseEntry, rng: np.random.Generator) -> CaseInstance:
-    """Bind all declared symbols for one random draw of the case."""
+class GeneratorTemplate(NamedTuple):
+    """A generator's parsed coefficients; kappa is evaluated per draw."""
+
+    tau: Expr
+    chi: tuple[Expr, ...]
+    sigma: Expr
+    rho: Expr
+    kappa: Expr
+
+
+class CaseTemplate(NamedTuple):
+    """A case's strings parsed once; the draws bind their symbols."""
+
+    potential: Expr
+    generators: tuple[GeneratorTemplate, ...]
+    integrands: dict[str, Expr]  # antiderivative symbol name -> integrand
+
+
+def parse_template(case: CaseEntry) -> CaseTemplate:
+    """Parse the potential, generator and integrand strings of a case.
+
+    The parse declares the case's symbols in a table of its own; a draw's
+    workspace declares equal symbols, so the nodes are the ones a parse in
+    that workspace would give.
+    """
+    tab = SymbolTable()
+    for d in case.declarations:
+        tab.declare(d["name"], int(d["arity"]), d["codomain"])
+
+    def p(text: str) -> Expr:
+        return parse(text, tab, case.n)
+
+    gens = tuple(GeneratorTemplate(
+        p(spec.get("tau", "0")), tuple(p(c) for c in spec.get("chi", ["0"] * case.n)),
+        p(spec.get("sigma", "0")), p(spec.get("rho", "0")), p(spec.get("kappa", "0")))
+        for spec in case.generators)
+    integrands = {d["name"]: p(d["integrand"]) for d in case.declarations
+                  if d.get("draw") == "antiderivative"}
+    return CaseTemplate(p(case.potential), gens, integrands)
+
+
+def instantiate(case: CaseEntry, rng: np.random.Generator,
+                template: Optional[CaseTemplate] = None) -> CaseInstance:
+    """Bind all declared symbols for one random draw of the case.
+
+    `template` is parse_template(case); it is parsed here when not given.
+    """
+    if template is None:
+        template = parse_template(case)
     ws = Workspace()
     deferred = []
     for d in case.declarations:
@@ -119,37 +173,30 @@ def instantiate(case: CaseEntry, rng: np.random.Generator) -> CaseInstance:
         elif kind in ("real", "positive", "real_nonzero", "complex_nonzero"):
             ws.binding.bind(sym, ConstImpl(_draw_value(kind, rng)))
         elif kind == "antiderivative":
-            deferred.append((sym, d["integrand"]))
+            deferred.append(sym)
         elif kind == "builder":
             pass
         else:
             raise ValueError(f"unknown draw kind {kind!r}")
-    for sym, integrand_text in deferred:
-        integrand = parse(integrand_text, ws.table, case.n)
-        poly = expr_to_exppoly(integrand, ws.binding.impl_map())
+    for sym in deferred:
+        poly = expr_to_exppoly(template.integrands[sym.name], ws.binding.impl_map())
         ws.binding.bind(sym, ExpPolyImpl(poly.antiderivative()))
     notes: dict = {}
     if case.builder:
         _BUILDERS[case.builder](ws, rng, notes)
 
-    V = Potential(parse(case.potential, ws.table, case.n), case.n, ws.binding)
-    gens = [_parse_generator(spec, ws, case.n) for spec in case.generators]
+    V = Potential(template.potential, case.n, ws.binding)
+    gens = [GeneratorCoeffs(case.n, g.tau, _kappa_value(g.kappa, ws.binding), g.chi,
+                            g.sigma, g.rho, None) for g in template.generators]
     return CaseInstance(V, gens, ws, notes)
 
 
-def _parse_generator(spec: dict, ws: Workspace, n: int) -> GeneratorCoeffs:
-    tau = parse(spec.get("tau", "0"), ws.table, n)
-    sigma = parse(spec.get("sigma", "0"), ws.table, n)
-    rho = parse(spec.get("rho", "0"), ws.table, n)
-    chi = tuple(parse(s, ws.table, n) for s in spec.get("chi", ["0"] * n))
-    kappa_text = spec.get("kappa", "0")
-    kexpr = parse(kappa_text, ws.table, n)
-    vals, _, _ = eval_batch(kexpr, ws.binding, {}, count=1)
+def _kappa_value(kexpr: Expr, binding: Binding) -> tuple[Fraction]:
+    vals, _, _ = eval_batch(kexpr, binding, {}, count=1)
     kv = complex(vals.reshape(-1)[0])
     if abs(kv.imag) > 1e-12:
         raise ValueError("kappa must be real")
-    kappa = (Fraction(kv.real),)
-    return GeneratorCoeffs(n, tau, kappa, chi, sigma, rho, None)
+    return (Fraction(kv.real),)
 
 
 # -- builders for the quadratic cases -----------------------------------------
@@ -303,7 +350,7 @@ _BUILDERS: dict[str, Callable] = {
 # verification
 # ---------------------------------------------------------------------------
 
-def _check_side_conditions(case: CaseEntry, inst: CaseInstance, rng) -> list[dict]:
+def _check_side_conditions(case: CaseEntry, inst: CaseInstance) -> list[dict]:
     out = []
     for cond in case.side_conditions:
         if cond["kind"] == "prose":
@@ -351,10 +398,14 @@ def verify_case(case_id: int, draws: int = 5, rng: Optional[np.random.Generator]
         "constraints": {"passed": True, "violations": []},
         "side_conditions": [],
     }
+    template = parse_template(case)
+    residuals: dict = {}  # (generator index, kappa) -> classifying residual
     for draw in range(draws):
-        inst = instantiate(case, rng)
+        inst = instantiate(case, rng, template)
         for gi, g in enumerate(inst.generators):
-            res = classifying_residual(inst.V, g)
+            res = residuals.get((gi, g.kappa))
+            if res is None:
+                res = residuals[gi, g.kappa] = classifying_residual(inst.V, g)
             worst, witness = max_normalized_residual(
                 res, binding=inst.workspace.binding, trials=zero_trials,
                 points=points, rng=rng)
@@ -363,6 +414,8 @@ def verify_case(case_id: int, draws: int = 5, rng: Optional[np.random.Generator]
                 report["residuals"]["failures"].append(
                     {"draw": draw, "generator": gi, "max_residual": worst,
                      "witness": json_witness(witness)})
+        if draw == 0:
+            report["side_conditions"] = _check_side_conditions(case, inst)
         try:
             tup = invariants(inst.generators, inst.workspace.binding, rng, tol)
         except SpanError as err:
@@ -377,8 +430,6 @@ def verify_case(case_id: int, draws: int = 5, rng: Optional[np.random.Generator]
         if bad:
             report["constraints"]["passed"] = False
             report["constraints"]["violations"].append({"draw": draw, "violations": bad})
-        if draw == 0:
-            report["side_conditions"] = _check_side_conditions(case, inst, rng)
     side_ok = all(c.get("passed", True) for c in report["side_conditions"])
     report["passed"] = (report["residuals"]["passed"] and report["closure"]["passed"]
                         and report["invariants"]["passed"]

@@ -22,7 +22,7 @@ from . import groupoid as gp
 from .conditions import Potential, SpanError, classifying_residual, invariants
 from .expr import SymbolTable
 from .fields import GeneratorCoeffs, bracket_generic, bracket_structural, expand
-from .numeric import Workspace, is_zero, max_normalized_residual
+from .numeric import UnsafeSampleError, Workspace, is_zero, max_normalized_residual
 from .parsing import ParseError, load_declarations, parse, to_text
 
 
@@ -410,7 +410,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as err:
+    except (ValueError, KeyError, OSError, UnsafeSampleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

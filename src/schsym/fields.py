@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expr import (
+    Const,
     Expr,
     T_VAR,
     ZERO,
@@ -37,7 +38,7 @@ from .expr import (
     x,
     x_var,
 )
-from .numeric import Binding, EMPTY_BINDING, draw_env, eval_batch
+from .numeric import Binding, EMPTY_BINDING, UnsafeSampleError, eval_batch
 
 HALF = const(Fraction(1, 2))
 I8 = const(0, Fraction(1, 8))  # i/8
@@ -285,6 +286,8 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
 
     Returns (rows, slices): each row is the concatenation of tau samples,
     kappa entries, chi samples (componentwise), sigma and rho samples.
+    Raises UnsafeSampleError when a coefficient is singular or undefined at
+    a sampled time.
     """
     m = len(tvals)
     env = {T_VAR: np.asarray(tvals, dtype=complex)}
@@ -293,24 +296,17 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     width = m + npair + n * m + m + m
     rows = np.zeros((len(gs), width))
 
-    def sample(e: Expr) -> np.ndarray:
-        vals, _, _ = eval_batch(e, binding, env)
-        return np.real(np.broadcast_to(vals, (m,)))
+    def sample(out: np.ndarray, e: Expr, i: int, name: str) -> None:
+        if isinstance(e, Const):
+            out[:] = float(e.re)  # the real part eval_batch would give
+            return
+        vals, _, unsafe = eval_batch(e, binding, env)
+        if unsafe.any():
+            raise UnsafeSampleError(
+                f"generator {i}: {name} is singular or undefined at "
+                f"{int(unsafe.sum())} of {m} sampled times")
+        out[:] = np.real(np.broadcast_to(vals, (m,)))
 
-    for i, g in enumerate(gs):
-        if g.n != n:
-            raise ValueError("dimension mismatch in generator list")
-        col = 0
-        rows[i, col:col + m] = sample(g.tau)
-        col += m
-        rows[i, col:col + npair] = [float(k) for k in g.kappa]
-        col += npair
-        for a in range(n):
-            rows[i, col:col + m] = sample(g.chi[a])
-            col += m
-        rows[i, col:col + m] = sample(g.sigma)
-        col += m
-        rows[i, col:col + m] = sample(g.rho)
     slices = {
         "tau": slice(0, m),
         "kappa": slice(m, m + npair),
@@ -318,6 +314,17 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
         "sigma": slice(m + npair + n * m, m + npair + n * m + m),
         "rho": slice(m + npair + n * m + m, width),
     }
+    for i, g in enumerate(gs):
+        if g.n != n:
+            raise ValueError("dimension mismatch in generator list")
+        row = rows[i]
+        sample(row[slices["tau"]], g.tau, i, "tau")
+        row[slices["kappa"]] = [float(k) for k in g.kappa]
+        chi = row[slices["chi"]].reshape(n, m)
+        for a in range(n):
+            sample(chi[a], g.chi[a], i, f"chi{a + 1}")
+        sample(row[slices["sigma"]], g.sigma, i, "sigma")
+        sample(row[slices["rho"]], g.rho, i, "rho")
     return rows, slices
 
 

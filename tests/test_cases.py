@@ -2,10 +2,13 @@
 import numpy as np
 import pytest
 
-from schsym.cases import UnknownCaseError, instantiate, table, verify_case, verify_table
-from schsym.conditions import classifying_residual
+from schsym import cases
+from schsym.cases import (UnknownCaseError, instantiate, parse_template, table, verify_case,
+                          verify_table)
+from schsym.conditions import SpanError, classifying_residual
 from schsym.expr import T_VAR, diff, func_app, t, var
 from schsym.numeric import is_zero
+from schsym.parsing import parse
 
 
 def test_table_loads_all_twenty():
@@ -89,3 +92,78 @@ def test_strict_tolerance_reports_witness():
     assert rep["residuals"]["failures"]
     wit = rep["residuals"]["failures"][0]["witness"]
     assert "point" in wit and wit["point"]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_template_nodes_are_a_fresh_parse_in_each_draw(seed):
+    # the assumption behind parsing once per case: a parse in a draw's own
+    # workspace gives the very nodes of the template
+    for cid, case in table().items():
+        template = parse_template(case)
+        inst = instantiate(case, np.random.default_rng([seed, cid]), template)
+        tab = inst.workspace.table
+
+        def fresh(text):
+            return parse(text, tab, case.n)
+
+        assert inst.V.expr is template.potential is fresh(case.potential)
+        for g, gt, spec in zip(inst.generators, template.generators, case.generators):
+            assert g.tau is fresh(spec.get("tau", "0"))
+            assert g.sigma is fresh(spec.get("sigma", "0"))
+            assert g.rho is fresh(spec.get("rho", "0"))
+            chi = spec.get("chi", ["0"] * case.n)
+            assert len(g.chi) == len(chi)
+            assert all(c is fresh(text) for c, text in zip(g.chi, chi))
+            assert gt.kappa is fresh(spec.get("kappa", "0"))
+        for d in case.declarations:
+            if d.get("draw") == "antiderivative":
+                assert template.integrands[d["name"]] is fresh(d["integrand"])
+
+
+def _counting(monkeypatch, name):
+    seen = []
+    real = getattr(cases, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cases, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("cid", [3, 8])
+def test_parse_calls_do_not_depend_on_draws(monkeypatch, cid):
+    calls = _counting(monkeypatch, "parse")
+    counts = []
+    for draws in (1, 3):
+        calls.clear()
+        verify_case(cid, draws=draws, rng=np.random.default_rng(cid), points=30)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_residual_built_once_per_generator_and_kappa(monkeypatch):
+    built = _counting(monkeypatch, "classifying_residual")
+    rep = verify_case(2, draws=3, rng=np.random.default_rng(2), points=30)
+    assert rep["passed"]
+    assert len(built) == len(table()[2].generators) == 3
+    # case 3's fourth generator has kappa = beta, drawn afresh every draw
+    built.clear()
+    rep = verify_case(3, draws=3, rng=np.random.default_rng(3), points=30)
+    assert rep["passed"]
+    drawn = [g.kappa for _, g in built if g.kappa != (0,)]
+    assert len(built) == 3 + 3
+    assert len(set(drawn)) == len(drawn) == 3
+
+
+def test_side_conditions_checked_when_closure_fails(monkeypatch):
+    def no_span(*args, **kwargs):
+        raise SpanError("span is not closed")
+
+    monkeypatch.setattr(cases, "invariants", no_span)
+    rep = verify_case(3, draws=1, rng=np.random.default_rng(3), points=30)
+    assert not rep["closure"]["passed"]
+    checked = [c for c in rep["side_conditions"] if c["kind"] == "nonzero_slot_deriv"]
+    assert checked == [{"kind": "nonzero_slot_deriv", "symbol": "U",
+                        "checked": True, "passed": True}]

@@ -188,3 +188,17 @@ def test_kappa_matrix_matches_scalar(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [payload[k] for k in ("k0", "k1", "k2", "k3", "r0")] == [2, 4, 1, 3, 2]
+
+
+def test_unsafe_samples_exit_2(capsys):
+    # log is undefined at every sample: one error line, no traceback, and
+    # no generator silently dropped from the span
+    code = main(["invariants", '[{"sigma":"1"},{"rho":"1"},{"tau":"log(t-2)"}]'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: generator 2: tau is singular or undefined")
+    assert captured.err.count("\n") == 1
+    code = main(["residual", "log(-1-t^2)", '{"tau":"1"}'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

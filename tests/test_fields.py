@@ -9,7 +9,7 @@ from schsym.fields import (D, GeneratorCoeffs, Iop, J, P, bracket_generic,
                            bracket_rows, bracket_structural, coefficient_rows,
                            expand, rank_of_chi_block)
 from schsym.funcbank import random_trig_poly
-from schsym.numeric import EMPTY_BINDING, is_zero
+from schsym.numeric import EMPTY_BINDING, UnsafeSampleError, eval_batch, is_zero
 from schsym.parsing import parse
 
 RNG = np.random.default_rng(20)
@@ -172,3 +172,35 @@ def test_bracket_rows_match_structural_with_rotations_at_n3():
                           (fn(), fn(), fn()), fn(), fn(), None) for _ in range(4)]
     assert any(k != 0 for g in gs for k in g.kappa)
     _assert_bracket_rows_match_structural(gs, EMPTY_BINDING, rng)
+
+
+def _eval_batch_rows(gs, binding, tvals):
+    """coefficient_rows with every coefficient sampled through eval_batch."""
+    m = len(tvals)
+    env = {T_VAR: np.asarray(tvals, dtype=complex)}
+
+    def sample(e):
+        vals, _, _ = eval_batch(e, binding, env)
+        return np.real(np.broadcast_to(vals, (m,)))
+
+    return np.array([np.concatenate([sample(g.tau), [float(k) for k in g.kappa],
+                                     *(sample(c) for c in g.chi),
+                                     sample(g.sigma), sample(g.rho)]) for g in gs])
+
+
+def test_coefficient_rows_match_eval_batch_bitwise_on_table_cases():
+    from schsym.cases import instantiate, table
+
+    rng = np.random.default_rng(47)
+    for cid, case in table().items():
+        inst = instantiate(case, rng)
+        tvals = rng.uniform(0.32, 1.68, size=13)
+        rows, _ = coefficient_rows(inst.generators, inst.workspace.binding, tvals)
+        ref = _eval_batch_rows(inst.generators, inst.workspace.binding, tvals)
+        assert rows.tobytes() == ref.tobytes(), cid
+
+
+def test_coefficient_rows_reject_unsafe_samples():
+    gs = [Iop(1), D(parse("t")), P(ONE, parse("log(t - 2)"))]
+    with pytest.raises(UnsafeSampleError, match="generator 2: chi2"):
+        coefficient_rows(gs, EMPTY_BINDING, np.linspace(0.32, 1.68, 13))
