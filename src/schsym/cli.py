@@ -102,27 +102,64 @@ def _workspace(args) -> Workspace:
     return ws
 
 
+_FIELD_KEYS = ("tau", "kappa", "chi", "sigma", "rho", "eta0")
+_TRANSFORM_KEYS = ("T", "O", "X", "Sigma", "Upsilon")
+
+
+def _spec_object(spec, keys: tuple, what: str) -> dict:
+    """spec itself, if it is a JSON object whose keys are all among keys."""
+    expected = ", ".join(keys)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object with keys among {expected}")
+    for key in spec:
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r}; expected keys among {expected}")
+    return spec
+
+
+def _entries(spec: dict, key: str, n: int) -> list:
+    """The list under key (n zeros if absent); it must have n entries."""
+    vals = spec.get(key, ["0"] * n)
+    if not isinstance(vals, list) or len(vals) != n:
+        raise ValueError(f"{key} must be a list of n = {n} entries")
+    return vals
+
+
+def _rationals(entries: list, err: ValueError) -> tuple:
+    """Exact values of JSON integers, finite floats and rational strings."""
+    if not all(isinstance(v, (int, str)) or (isinstance(v, float) and math.isfinite(v))
+               for v in entries):
+        raise err
+    try:
+        return tuple(Fraction(v) for v in entries)
+    except (ValueError, ZeroDivisionError):
+        raise err from None
+
+
+def _rational_matrix(rows, n: int, err: ValueError) -> tuple:
+    """n x n tuple of Fractions from n JSON lists of n rationals."""
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)):
+        raise err
+    return tuple(_rationals(row, err) for row in rows)
+
+
 def _kappa(kap, n: int) -> tuple:
     """Above-diagonal entries of kappa, row by row; a scalar is the first one."""
     err = ValueError("kappa must be a scalar or an n x n matrix")
     if not isinstance(kap, list):
-        entries = [kap] + [0] * (n * (n - 1) // 2 - 1)
-    elif len(kap) == n and all(isinstance(row, list) and len(row) == n for row in kap):
-        entries = [kap[a][b] for a in range(n) for b in range(a + 1, n)]
-    else:
-        raise err
-    if not all(isinstance(v, (int, str)) or (isinstance(v, float) and math.isfinite(v))
-               for v in entries):
-        raise err
-    return tuple(Fraction(v) for v in entries)
+        return _rationals([kap] + [0] * (n * (n - 1) // 2 - 1), err)
+    K = _rational_matrix(kap, n, err)
+    return tuple(K[a][b] for a in range(n) for b in range(a + 1, n))
 
 
 def _load_generator(spec, table: SymbolTable, n: int) -> GeneratorCoeffs:
-    """Field-spec dict: {tau, kappa, chi, sigma, rho, eta0}."""
+    """Field-spec object: {tau, kappa, chi, sigma, rho, eta0}."""
+    spec = _spec_object(spec, _FIELD_KEYS, "field spec")
     tau = parse(str(spec.get("tau", "0")), table, n)
     sigma = parse(str(spec.get("sigma", "0")), table, n)
     rho = parse(str(spec.get("rho", "0")), table, n)
-    chi = tuple(parse(str(s), table, n) for s in spec.get("chi", ["0"] * n))
+    chi = tuple(parse(str(s), table, n) for s in _entries(spec, "chi", n))
     kappa = _kappa(spec.get("kappa", 0), n)
     eta0 = spec.get("eta0")
     eta = parse(str(eta0), table, n) if eta0 not in (None, "null") else None
@@ -254,14 +291,14 @@ def cmd_transform(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     try:
         V = Potential(parse(args.potential, ws.table, cfg.n), cfg.n, ws.binding)
-        spec = _read_spec(args.spec)
+        spec = _spec_object(_read_spec(args.spec), _TRANSFORM_KEYS,
+                            "transformation spec")
         T = parse(str(spec.get("T", "t")), ws.table, cfg.n)
         O = spec.get("O")
         if O is None:
             O = [[1 if i == j else 0 for j in range(cfg.n)] for i in range(cfg.n)]
-        O = tuple(tuple(Fraction(v) for v in row) for row in O)
-        X = tuple(parse(str(s), ws.table, cfg.n)
-                  for s in spec.get("X", ["0"] * cfg.n))
+        O = _rational_matrix(O, cfg.n, ValueError("O must be n lists of n finite rationals"))
+        X = tuple(parse(str(s), ws.table, cfg.n) for s in _entries(spec, "X", cfg.n))
         Sigma = parse(str(spec.get("Sigma", "0")), ws.table, cfg.n)
         Upsilon = parse(str(spec.get("Upsilon", "0")), ws.table, cfg.n)
     except ParseError as err:
@@ -300,6 +337,8 @@ def cmd_invariants(args) -> int:
     specs = _read_spec(args.fields)
     if isinstance(specs, dict):
         specs = [specs]
+    if not isinstance(specs, list):
+        raise ValueError("fields must be a field spec or a JSON list of field specs")
     gens = [_load_generator(s, ws.table, cfg.n) for s in specs]
     try:
         tup = invariants(gens, ws.binding, rng, cfg.tol)

@@ -5,9 +5,10 @@ reparameterization with T_t != 0, a constant orthogonal matrix, a
 time-dependent shift, phase and amplitude adjustments, and an optional
 solution summand (used only in groupoid fixtures; it does not act on the
 potential).  The action on potentials composes the closed-form target
-potential with the inverse variable map; inverse time maps are fresh
-function symbols evaluated by root finding with derivatives from series
-inversion.
+potential with the inverse variable map.  An inverse time map T^-1 is a
+fresh function symbol evaluated by root finding, with derivatives from
+series inversion; the one exception is the inverse of a map built by
+``invert``, which is the original T in closed form.
 """
 from __future__ import annotations
 
@@ -95,7 +96,7 @@ class EquivTransformation:
     binding: Binding = field(default_factory=Binding)
     bracket: tuple[float, float] = (-60.0, 60.0)
     eps: int = 0
-    _tinv_sym: object = None
+    _tinv: Optional[Expr] = None
 
     def __post_init__(self):
         if len(self.X) != self.n or len(self.O) != self.n:
@@ -177,15 +178,15 @@ class EquivTransformation:
         return self.T is t_expr()
 
     def tinv_app(self) -> Expr:
-        """FuncApp of the inverse time map applied to t."""
-        if self._tinv_sym is None:
+        """The inverse time map T^-1(t): given, or a root-solved FuncApp."""
+        if self._tinv is None:
             from .expr import FunctionSymbol
 
             name = f"Tinv{next(_TINV_COUNTER)}"
             sym = FunctionSymbol(name, 1, "real")
             self.binding.bind(sym, InverseImpl(self.T, self.binding, self.bracket))
-            self._tinv_sym = sym
-        return func_app(self._tinv_sym, [t_expr()])
+            self._tinv = func_app(sym, [t_expr()])
+        return self._tinv
 
     def elementary_kind(self) -> Optional[str]:
         nontrivial = []
@@ -359,8 +360,10 @@ def invert(t: AdmissibleTransformation, validate: bool = True, rng=None,
     Sigma_i = const(-eps) * comp(inner)
     Upsilon_i = const(-1) * comp(tr.Upsilon)
 
+    # the inverse of T^-1 is T itself, so its action needs no nested solve
     out = EquivTransformation(n, tinv, Oi, Xi, Sigma_i, Upsilon_i,
-                              binding=tr.binding, bracket=tr.bracket, eps=eps)
+                              binding=tr.binding, bracket=tr.bracket, eps=eps,
+                              _tinv=tr.T)
     result = AdmissibleTransformation(t.target, out, t.source)
     if validate:
         back = act_on_potential(t.target, out)

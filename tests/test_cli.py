@@ -202,3 +202,66 @@ def test_unsafe_samples_exit_2(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _assert_one_error_line(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_malformed_field_spec_exits_2(capsys):
+    # an unknown key used to be dropped, so the zero field was checked instead
+    err = _assert_one_error_line(capsys, main(["residual", "x1^2", '{"tua":"1"}']))
+    assert "'tua'" in err
+    for argv in (["residual", "x1^2", "[1]"], ["invariants", "[1]"],
+                 ["bracket", "[1]", "{}"], ["residual", "x1^2", '{"chi":"t"}'],
+                 ["invariants", '[{"sigma":"1"},{"rho":"1"},{"tau":"1","kappa":"1/0"}]']):
+        _assert_one_error_line(capsys, main(argv))
+
+
+def test_malformed_transform_spec_exits_2(capsys):
+    for spec in ('{"sigma":"t"}', "[1,2]", '{"O":1}', '{"O":[1,0]}',
+                 '{"O":[["1/0",0],[0,1]]}', '{"O":[["nan",0],[0,1]]}',
+                 '{"O":[[1,1],[0,1]]}', '{"X":["t"]}', '{"X":"t"}'):
+        _assert_one_error_line(capsys, main(["transform", "x1^2", spec]))
+
+
+PINNED_TRANSFORM_SPEC = ('{"T":"t + 3/10*sin(t)","X":["t","0"],'
+                         '"O":[["3/5","-4/5"],["4/5","3/5"]],'
+                         '"Sigma":"t^2","Upsilon":"cos(t)"}')
+PINNED_TRANSFORMED = "".join([
+    '(((3/5*x1 - 3/5*Tinv1(t) + 4/5*x2)*|1 + 3/10*sin[1](Tinv1(t))|^(-1/2))^2'
+    ' + Tinv1(t)*(-4/5*x1 + 4/5*Tinv1(t) + 3/5*x2)*|1 + '
+    '3/10*sin[1](Tinv1(t))|^(-1/2))*|1 + 3/10*sin[1](Tinv1(t))|^(-1) + '
+    '1/16*(3/5*sin[3](Tinv1(t))*(1 + 3/10*sin[1](Tinv1(t))) - '
+    '27/100*sin[2](Tinv1(t))^2)*(1 + 3/10*sin[1](Tinv1(t)))^(-3)*(((3/5*x1 - '
+    '3/5*Tinv1(t) + 4/5*x2)*|1 + 3/10*sin[1](Tinv1(t))|^(-1/2))^2 + ((-4/5*x1'
+    ' + 4/5*Tinv1(t) + 3/5*x2)*|1 + 3/10*sin[1](Tinv1(t))|^(-1/2))^2) - '
+    '3/20*|1 + 3/10*sin[1](Tinv1(t))|^(-1/2)*(1 + '
+    '3/10*sin[1](Tinv1(t)))^(-2)*sin[2](Tinv1(t))*(3/5*(3/5*x1 - 3/5*Tinv1(t)'
+    ' + 4/5*x2)*|1 + 3/10*sin[1](Tinv1(t))|^(-1/2) - 4/5*(-4/5*x1 + '
+    '4/5*Tinv1(t) + 3/5*x2)*|1 + 3/10*sin[1](Tinv1(t))|^(-1/2)) + (2*Tinv1(t)'
+    ' + (-i)*cos[1](Tinv1(t)))*(1 + 3/10*sin[1](Tinv1(t)))^(-1) - 1/4*(1 + '
+    '3/5*i*sin[2](Tinv1(t)))*(1 + 3/10*sin[1](Tinv1(t)))^(-2)'])
+# (t, x1, x2, Re value, Im value) of the five spot checks at --seed 0
+PINNED_SPOTS = [
+    (1.191746362250036, 1.6510223091108869, 1.2634142164861286, 3.077126582695833, 0.7795754416400505),
+    (0.6777013992694184, 0.42654310306871945, -1.9890459993194076, 1.9088696546274846, 0.44683712054512514),
+    (0.35736293351067255, 0.9179862439359936, 1.4296171063502774, 1.7197721023685593, 0.23582757317121986),
+    (0.3231386897399407, 0.17449996586169148, -1.8656576987781426, 1.4130593930027544, 0.2132491381091039),
+    (1.4385783348803813, 1.740289695151073, 0.9186217857197763, 2.934513365691436, 0.9304696964677922),
+]
+
+
+def test_transform_json_output_is_pinned():
+    # a fresh process, so the inverse map is the first one named (Tinv1)
+    proc = subprocess.run([sys.executable, "-m", "schsym.cli", "transform",
+                           "x1^2 + t*x2", PINNED_TRANSFORM_SPEC, "--format", "json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spots = [{"point": {"t": [t, 0.0], "x1": [x1, 0.0], "x2": [x2, 0.0]},
+              "value": [re, im]} for t, x1, x2, re, im in PINNED_SPOTS]
+    want = {"spot_checks": spots, "transformed": PINNED_TRANSFORMED}
+    assert proc.stdout == json.dumps(want, indent=2, sort_keys=True) + "\n"

@@ -97,6 +97,49 @@ def test_compose_and_invert_roundtrip(table):
     assert potentials_agree(again.target, t1.target, rng=rng)
 
 
+def test_inverse_of_inverse_time_map_is_t(table):
+    rng = np.random.default_rng(8)
+    a = AdmissibleTransformation.create(generic_potential(table),
+                                        random_transform(rng, Workspace()))
+    inv = invert(a, validate=False)
+    assert inv.map.tinv_app() is a.map.T
+    assert invert(inv, validate=False).map.T is a.map.T
+
+
+def test_invert_makes_no_nested_root_solve(table, monkeypatch):
+    import schsym.numeric as numeric
+
+    rng = np.random.default_rng(5)
+    a = AdmissibleTransformation.create(generic_potential(table),
+                                        random_transform(rng, Workspace()))
+    calls = []
+    inner = numeric.eval_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "eval_batch", counted)
+    invert(a, validate=True, rng=rng)
+    # 36 calls here; solving the inverse of T^-1 numerically, with a whole
+    # inner solve per Newton iterate, took 198
+    assert len(calls) <= 60
+
+
+def test_invert_round_trip_fails_loudly(table, monkeypatch):
+    import schsym.equivalence as equivalence
+
+    rng = np.random.default_rng(9)
+    tr = EquivTransformation(2, var(T_VAR) + small_fn(rng, amp=0.08),
+                             rational_rotation(Fraction(2, 7)),
+                             (small_fn(rng), small_fn(rng)), small_fn(rng),
+                             small_fn(rng), binding=Workspace().binding)
+    a = AdmissibleTransformation.create(generic_potential(table), tr)
+    monkeypatch.setattr(equivalence, "_o_transpose", lambda O: O)
+    with pytest.raises(ValueError, match="round trip"):
+        invert(a, validate=True, rng=rng)
+
+
 def test_sigma_shifts_compose_additively(table):
     rng = np.random.default_rng(12)
     V0 = Potential(ZERO, 2)
