@@ -8,10 +8,10 @@ passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,7 +26,7 @@ from .numeric import UnsafeSampleError, Workspace, is_zero, max_normalized_resid
 from .parsing import ParseError, load_declarations, parse, to_text
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Run parameters shared by all subcommands.
 
@@ -75,14 +75,29 @@ def _add_common(p: argparse.ArgumentParser):
                    help="JSON declarations file: [{name, arity, codomain}, ...]")
 
 
+# JSON values a --config key may take, by the type of its RunConfig field
+_CONFIG_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                 "str": ((str,), "a string")}
+
+
 def _apply_config(args):
-    if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-        for key, value in overrides.items():
-            if not hasattr(args, key):
-                raise SystemExit(f"unknown config key {key!r}")
-            setattr(args, key, value)
+    """Override flags from the --config file: a JSON object whose keys are
+    RunConfig fields, each with a value of that field's type."""
+    if not args.config:
+        return args
+    with open(args.config) as fh:
+        overrides = json.load(fh)
+    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    expected = ", ".join(kinds)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config must be a JSON object with keys among {expected}")
+    for key, value in overrides.items():
+        if key not in kinds:
+            raise ValueError(f"unknown config key {key!r}; expected keys among {expected}")
+        types, what = _CONFIG_TYPES[kinds[key]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config key {key!r} must be {what}")
+        setattr(args, key, value)
     return args
 
 
@@ -362,12 +377,7 @@ def cmd_groupoid(args) -> int:
         model = gp.load_fixture(args.model)
     else:
         with open(args.model) as fh:
-            data = json.load(fh)
-        try:
-            model = gp.model_from_json(data)
-        except gp.GroupoidError as err:
-            print(f"model error: {err}", file=sys.stderr)
-            return 2
+            model = gp.model_from_json(json.load(fh))
     if args.check == "all":
         payload = gp.run_all_checks(model)
         ok = all(payload.values())
@@ -442,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_config(args)
     try:
-        args.cfg = RunConfig.from_args(args)
+        args.cfg = RunConfig.from_args(_apply_config(args))
         return args.func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 Rat = Fraction
 Number = Union[int, float, Fraction]
 
@@ -229,18 +231,32 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("re", "im")
+    # _value: the complex128 value, converted on first evaluation, not at
+    # construction, so exact constants too large for a float still build
+    __slots__ = ("re", "im", "_value")
 
     def __init__(self, re: Fraction, im: Fraction):
         self.re = re
         self.im = im
+        self._value = None
         self._init_caches(im == 0)
 
     def _compute_vars(self):
         return frozenset()
 
-    def value(self) -> complex:
-        return complex(self.re, self.im)
+    def value(self) -> np.complex128:
+        """The constant as a complex128; ValueError if it overflows a float."""
+        v = self._value
+        if v is None:
+            try:
+                v = np.complex128(complex(self.re, self.im))
+            except OverflowError:
+                text = str(self)
+                if len(text) > 40:
+                    text = f"{text[:20]}... ({len(text)} characters)"
+                raise ValueError(f"constant {text} is too large for a float") from None
+            self._value = v
+        return v
 
 
 class Var(Expr):
@@ -724,7 +740,15 @@ def _diff(e: Expr, v: VarId) -> Expr:
             d = diff(f, v)
             if d is ZERO:
                 continue
-            terms.append(prod(fs[:i] + (d,) + fs[i + 1:]))
+            nf = fs[:i] + (d,) + fs[i + 1:]
+            if (type(d) is Sum or type(d) is FuncApp) and not any(
+                    g is d or (type(g) is IntPow and g.base is d)
+                    for j, g in enumerate(fs) if j != i):
+                # d is a new base of power 1 in f's place, so nf is already
+                # the normal form prod(nf) would build
+                terms.append(_intern(("p", tuple(map(id, nf))), lambda: Product(nf)))
+            else:
+                terms.append(prod(nf))
         return sum_(terms)
     if isinstance(e, IntPow):
         return prod((const(e.k), int_pow(e.base, e.k - 1), diff(e.base, v)))

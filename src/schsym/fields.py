@@ -298,7 +298,7 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
 
     def sample(out: np.ndarray, e: Expr, i: int, name: str) -> None:
         if isinstance(e, Const):
-            out[:] = float(e.re)  # the real part eval_batch would give
+            out[:] = e.value().real  # the real part eval_batch would give
             return
         vals, _, unsafe = eval_batch(e, binding, env)
         if unsafe.any():

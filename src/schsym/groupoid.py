@@ -386,23 +386,66 @@ def model_to_json(m: GroupoidModel) -> dict:
     }
 
 
+_MODEL_KEYS = ("objects", "arrows", "mult", "H", "N", "Hbar")
+
+
+def _check_model_shape(data) -> None:
+    """Raise GroupoidError naming the first missing or malformed field."""
+
+    def need(ok, what):
+        if not ok:
+            raise GroupoidError(f"malformed groupoid model file: {what}")
+
+    def strings(v):
+        return isinstance(v, list) and all(isinstance(u, str) for u in v)
+
+    need(isinstance(data, dict), "expected a JSON object with keys " + ", ".join(_MODEL_KEYS))
+    for key in _MODEL_KEYS[:-1]:
+        need(key in data, f"missing {key!r}")
+    for key in data:
+        need(key in _MODEL_KEYS, f"unknown key {key!r}")
+    objects = data["objects"]
+    need(strings(objects), "'objects' must be a list of strings")
+    arrows = data["arrows"]
+    need(isinstance(arrows, list), "'arrows' must be a list of {src, label, tgt} objects")
+    for i, a in enumerate(arrows):
+        need(isinstance(a, dict), f"arrow {i} must be an object with keys src, label, tgt")
+        for key in ("src", "label", "tgt"):
+            need(key in a, f"arrow {i} is missing {key!r}")
+            need(isinstance(a[key], str), f"arrow {i}: {key!r} must be a string")
+        need(a["src"] in objects and a["tgt"] in objects,
+             f"arrow {i} joins an object not in 'objects'")
+
+    def indices(v):
+        return isinstance(v, list) and all(type(u) is int and 0 <= u < len(arrows) for u in v)
+
+    mult = data["mult"]
+    need(isinstance(mult, list) and all(indices(m) and len(m) == 3 for m in mult),
+         "'mult' must be a list of [i, j, k] arrow-index triples")
+    need(indices(data["H"]), "'H' must be a list of arrow indices")
+    need(data.get("Hbar") is None or indices(data["Hbar"]),
+         "'Hbar' must be null or a list of arrow indices")
+    N = data["N"]
+    need(isinstance(N, dict) and all(obj in objects and strings(labels)
+                                     for obj, labels in N.items()),
+         "'N' must map objects to lists of arrow labels")
+
+
 def model_from_json(data) -> GroupoidModel:
     if isinstance(data, str):
         data = json.loads(data)
-    try:
-        arrows = [Arrow(d["src"], d["label"], d["tgt"]) for d in data["arrows"]]
-        mult = {(i, j): k for i, j, k in data["mult"]}
-        G = FiniteGroupoid(data["objects"], arrows, mult)
-        H = frozenset(data["H"])
-        N = {}
-        for obj, labels in data["N"].items():
-            wanted = set(labels)
-            N[obj] = frozenset(i for i in G.vertex_group(obj)
-                               if G.arrows[i].label in wanted)
-        hbar = data.get("Hbar")
-        return GroupoidModel(G, H, N, None if hbar is None else frozenset(hbar))
-    except KeyError as err:
-        raise GroupoidError(f"malformed groupoid model file: missing {err}") from None
+    _check_model_shape(data)
+    arrows = [Arrow(d["src"], d["label"], d["tgt"]) for d in data["arrows"]]
+    mult = {(i, j): k for i, j, k in data["mult"]}
+    G = FiniteGroupoid(data["objects"], arrows, mult)
+    H = frozenset(data["H"])
+    N = {}
+    for obj, labels in data["N"].items():
+        wanted = set(labels)
+        N[obj] = frozenset(i for i in G.vertex_group(obj)
+                           if G.arrows[i].label in wanted)
+    hbar = data.get("Hbar")
+    return GroupoidModel(G, H, N, None if hbar is None else frozenset(hbar))
 
 
 # ---------------------------------------------------------------------------

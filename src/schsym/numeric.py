@@ -8,7 +8,8 @@ where sgn/abs-power/log hit a near-zero base are rejected and redrawn.
 ``eval_batch`` runs a root's compiled tape: one iterative post-order
 program over the distinct nodes of its DAG, with children referenced by
 slot, so evaluation has no recursion and no depth limit.  A root keeps its
-tape from its second evaluation on.
+tape from its second evaluation on.  Constants are converted to
+``complex128`` once per node (``Const.value``), not once per tape.
 """
 from __future__ import annotations
 
@@ -182,46 +183,48 @@ _SUM, _PROD, _IPOW, _APOW, _SIGN, _CONJ, _FUNC = range(7)
 _FOLD_ELEMS = 1 << 16
 
 
-def _post_order(root: Expr) -> list[Expr]:
-    """Distinct nodes of the DAG below root, children first, left to right."""
-    seen = {root}
-    order = []
-    stack = [(root, iter(root.children()))]
-    while stack:
-        node, kids = stack[-1]
-        for c in kids:
-            if c not in seen:
-                seen.add(c)
-                stack.append((c, iter(c.children())))
-                break
-        else:
-            stack.pop()
-            order.append(node)
-    return order
-
-
 class _Tape:
     """Evaluation program for one root: the "tape" of Griewank & Walther,
     *Evaluating Derivatives* (SIAM 2008).
 
     Every distinct node is one slot.  Computed nodes come first, in post
     order, and own a row of one ``(rows, count)`` buffer; constant slots
-    hold ``complex128`` scalars (broadcast to arrays when a node other than
-    a sum or product reads them) and variable slots the env arrays as they
-    are.
+    hold each node's cached ``complex128`` value (broadcast to arrays when
+    a node other than a sum or product reads them) and variable slots the
+    env arrays as they are.
     """
 
     __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root")
 
     def __init__(self, root: Expr):
-        order = _post_order(root)
-        computed = [n for n in order if not isinstance(n, (Const, Var))]
-        consts = [n for n in order if isinstance(n, Const)]
-        variables = [n for n in order if isinstance(n, Var)]
-        slot = {n: i for i, n in enumerate(computed + consts + variables)}
+        # one post-order walk, children first and left to right, that sorts
+        # the distinct nodes into computed nodes, constants and variables
+        computed, consts, variables = [], [], []
+        seen = set()
+        stack = [(None, iter((root,)))]
+        while stack:
+            node, kids = stack[-1]
+            for c in kids:
+                if c in seen:
+                    continue
+                seen.add(c)
+                tc = type(c)
+                if tc is Const:
+                    consts.append(c)
+                elif tc is Var:
+                    variables.append(c)
+                else:
+                    stack.append((c, iter(c.children())))
+                    break
+            else:
+                stack.pop()
+                if node is not None:
+                    computed.append(node)
+        order = computed + consts + variables
+        slot = dict(zip(order, range(len(order))))
         self.rows = len(computed)
-        self.consts = [np.complex128(c.value()) for c in consts]
-        self.cmax = max((abs(c) for c in self.consts), default=0.0)
+        self.consts = [c.value() for c in consts]
+        self.cmax = max(map(abs, self.consts), default=0.0)
         self.vars = []
         for n in variables:
             v = n.vid
@@ -232,28 +235,29 @@ class _Tape:
         self.code = []
         for n in computed:
             out = slot[n]
-            if isinstance(n, Sum):
-                ins = (_SUM, out, tuple(slot[c] for c in n.terms))
-            elif isinstance(n, Product):
-                ins = (_PROD, out, tuple(slot[c] for c in n.factors))
+            tn = type(n)
+            if tn is Sum:
+                ins = (_SUM, out, tuple([slot[c] for c in n.terms]))
+            elif tn is Product:
+                ins = (_PROD, out, tuple([slot[c] for c in n.factors]))
             else:
                 # these read constants as arrays: numpy's scalar math can
                 # round differently from its array loops
-                array_consts.update(c for c in n.children() if isinstance(c, Const))
-                if isinstance(n, IntPow):
+                array_consts.update(c for c in n.children() if type(c) is Const)
+                if tn is IntPow:
                     ins = (_IPOW, out, slot[n.base], n.k)
-                elif isinstance(n, AbsPow):
+                elif tn is AbsPow:
                     ins = (_APOW, out, slot[n.base], float(n.q))
-                elif isinstance(n, Sign):
+                elif tn is Sign:
                     ins = (_SIGN, out, slot[n.base])
-                elif isinstance(n, Conj):
+                elif tn is Conj:
                     ins = (_CONJ, out, slot[n.arg])
-                elif isinstance(n, FuncApp):
-                    ins = (_FUNC, out, tuple(slot[a] for a in n.args), n.sym, n.didx)
+                elif tn is FuncApp:
+                    ins = (_FUNC, out, tuple([slot[a] for a in n.args]), n.sym, n.didx)
                 else:
-                    raise TypeError(f"cannot evaluate {type(n).__name__}")
+                    raise TypeError(f"cannot evaluate {tn.__name__}")
             self.code.append(ins)
-        self.bcast = [(slot[c], self.consts[slot[c] - self.rows]) for c in array_consts]
+        self.bcast = [(slot[c], c.value()) for c in array_consts]
 
     def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
         buf = np.empty((self.rows, count), dtype=complex)

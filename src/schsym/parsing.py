@@ -291,14 +291,35 @@ def parse(text: str, table: Optional[SymbolTable] = None, n: int = 2) -> Expr:
     return _Parser(text, table or SymbolTable(), n).parse()
 
 
+_DECL_KEYS = ("name", "arity", "codomain")
+
+
 def load_declarations(decls, table: SymbolTable) -> list:
-    """Declare symbols from a JSON-style list of {name, arity, codomain}."""
+    """Declare symbols from a JSON-style list of {name, arity, codomain}.
+
+    Every entry is checked before any symbol is declared; a malformed one
+    raises ValueError naming the entry and the field.
+    """
     if isinstance(decls, str):
         decls = json.loads(decls)
-    out = []
-    for d in decls:
-        out.append(table.declare(d["name"], int(d["arity"]), d["codomain"]))
-    return out
+    if not isinstance(decls, list):
+        raise ValueError("declarations must be a JSON list of {name, arity, codomain} objects")
+    for i, d in enumerate(decls):
+        if not isinstance(d, dict):
+            raise ValueError(f"declaration {i} must be an object with keys name, arity, codomain")
+        for key in _DECL_KEYS:
+            if key not in d:
+                raise ValueError(f"declaration {i} is missing {key!r}")
+        for key in d:
+            if key not in _DECL_KEYS:
+                raise ValueError(f"declaration {i} has unknown key {key!r}")
+        if not isinstance(d["name"], str) or not d["name"]:
+            raise ValueError(f"declaration {i}: 'name' must be a non-empty string")
+        if type(d["arity"]) is not int or d["arity"] < 0:
+            raise ValueError(f"declaration {i}: 'arity' must be a non-negative integer")
+        if d["codomain"] not in ("real", "complex"):
+            raise ValueError(f"declaration {i}: 'codomain' must be 'real' or 'complex'")
+    return [table.declare(d["name"], d["arity"], d["codomain"]) for d in decls]
 
 
 # ---------------------------------------------------------------------------

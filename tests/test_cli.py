@@ -265,3 +265,47 @@ def test_transform_json_output_is_pinned():
               "value": [re, im]} for t, x1, x2, re, im in PINNED_SPOTS]
     want = {"spot_checks": spots, "transformed": PINNED_TRANSFORMED}
     assert proc.stdout == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def test_constant_too_large_for_a_float_exits_2(capsys):
+    err = _assert_one_error_line(capsys, main(["residual", "10^400*x1*t", '{"tau":"1"}']))
+    assert "constant 1000" in err and "too large for a float" in err
+    err = _assert_one_error_line(capsys, main(["invariants", '[{"tau":"10^400"}]']))
+    assert "constant 1000" in err
+
+
+def test_malformed_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for text, needle in (("[1]", "JSON object"), ('{"trials":"five"}', "'trials' must be an integer"),
+                         ('{"trials": true}', "'trials'"), ('{"trials": 5', "delimiter"),
+                         ('{"bogus": 1}', "unknown config key 'bogus'")):
+        cfg.write_text(text)
+        err = _assert_one_error_line(capsys, main(["residual", "0", '{"tau":"1"}',
+                                                   "--config", str(cfg)]))
+        assert needle in err, text
+    err = _assert_one_error_line(capsys, main(["residual", "0", '{"tau":"1"}', "--config",
+                                               str(tmp_path / "missing.json")]))
+    assert "missing.json" in err
+
+
+def test_malformed_declarations_exit_2(tmp_path, capsys):
+    decls = tmp_path / "decls.json"
+    for text, needle in (('{"name":"f"}', "JSON list"), ("[1]", "declaration 0"),
+                         ('[{"name":"f","arity":1}]', "'codomain'"),
+                         ('[{"name":"f","arity":"one","codomain":"real"}]', "'arity'")):
+        decls.write_text(text)
+        err = _assert_one_error_line(capsys, main(["residual", "0", '{"tau":"1"}',
+                                                   "--declare", str(decls)]))
+        assert needle in err, text
+
+
+def test_malformed_groupoid_model_exits_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    for text, needle in (("[1]", "JSON object"), ('{"objects": ["a"]}', "missing 'arrows'"),
+                         ('{"objects":["a"],"arrows":[{"src":"a","label":"e"}],'
+                          '"mult":[],"H":[],"N":{}}', "arrow 0 is missing 'tgt'"),
+                         ('{"objects":["a"],"arrows":[{"src":"a","label":"e","tgt":"a"}],'
+                          '"mult":[[0,0,1]],"H":[0],"N":{}}', "'mult'")):
+        model.write_text(text)
+        err = _assert_one_error_line(capsys, main(["groupoid", str(model), "all"]))
+        assert needle in err, text

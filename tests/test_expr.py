@@ -4,8 +4,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from schsym.expr import (ONE, T_VAR, ZERO, AbsPow, Const, IntPow, Product, Sign, Sum,
-                         SymbolTable, _cadd, _cmul, _cpow, _intern, _split_coeff,
+from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Const, FuncApp, IntPow, Product,
+                         Sign, Sum, SymbolTable, _cadd, _cmul, _cpow, _intern, _split_coeff,
                          abs_pow, conj_expr, const, diff, func_app, int_pow, jet_var,
                          prod, psi, psi_var, sign_of, subst, sum_, t, total_derivative,
                          var, x, x_var)
@@ -343,3 +343,65 @@ def test_cpow_exact_values_and_zero():
 
 def test_large_integer_power_of_a_constant_parses_exactly():
     assert parse("(3/2)^100000") is const(Fraction(3, 2) ** 100000)
+
+
+# -- the product rule against its plain definition ---------------------------
+
+def _ref_product_rule(e, v):
+    """`diff` of a Product with every term built by `prod`."""
+    fs = e.factors
+    terms = []
+    for i, f in enumerate(fs):
+        d = diff(f, v)
+        if d is ZERO:
+            continue
+        terms.append(prod(fs[:i] + (d,) + fs[i + 1:]))
+    return sum_(terms)
+
+
+def _products_below(e):
+    seen, stack, out = set(), [e], []
+    while stack:
+        u = stack.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        if isinstance(u, Product):
+            out.append(u)
+        stack.extend(u.children())
+    return out
+
+
+# S = 1 + t^2 and G with G' = S, so S^2*G and S*G differentiate into a
+# product whose new factor S is already a base of another factor
+_S = t() * t() + 1
+_G = const(Fraction(1, 3)) * int_pow(t(), 3) + t()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_product_rule_matches_reference(data):
+    tbl = SymbolTable()
+    tbl.declare("U", 1, "complex")
+    tbl.declare("f", 1, "real")
+    colliding = st.sampled_from([_S, _G, func_app(COS, [t()]), func_app(COS, [t()], [1]),
+                                 func_app(tbl.get("f"), [t()], [1])])
+    e = data.draw(st.one_of(_expr_strategy(tbl, normal_forms=True),
+                            st.tuples(colliding, colliding, colliding).map(
+                                lambda fs: int_pow(fs[0], 2) * fs[1] * fs[2])))
+    v = data.draw(st.sampled_from([T_VAR, x_var(1), x_var(2)]))
+    for p in _products_below(e):
+        assert diff(p, v) is _ref_product_rule(p, v)
+
+
+def test_product_rule_collisions_and_direct_terms():
+    cos_t, sin_t = func_app(COS, [t()]), func_app(SIN, [t()])
+    dcos = func_app(COS, [t()], [1])
+    for e in (int_pow(_S, 2) * _G, _S * _G, cos_t * sin_t, cos_t * dcos):
+        assert isinstance(e, Product)
+        assert diff(e, T_VAR) is _ref_product_rule(e, T_VAR)
+    assert diff(_G, T_VAR) is _S and isinstance(_S, Sum)
+    # the colliding term folds into S^3, and cos'*cos' into a square
+    assert int_pow(_S, 3) in diff(int_pow(_S, 2) * _G, T_VAR).terms
+    assert int_pow(dcos, 2) in diff(cos_t * dcos, T_VAR).terms
+    assert isinstance(diff(cos_t, T_VAR), FuncApp)

@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from schsym.expr import (AbsPow, Conj, Const, FuncApp, IntPow, Product, SIN, Sign, Sum,
@@ -169,3 +170,25 @@ def test_deep_expression_evaluates_without_recursion():
     vals, scale, unsafe = eval_batch(e, EMPTY_BINDING, {T_VAR: np.array([0.5, 1.5], dtype=complex)})
     assert np.all(np.isfinite(vals)) and np.all(np.isfinite(scale))
     assert not unsafe.any()
+
+
+def test_constant_shared_by_two_roots_is_converted_once(monkeypatch):
+    c = const(Fraction(987654321, 1234567891))
+    calls = []
+    to_float = Fraction.__float__
+
+    def counting(self):
+        if self is c.re:
+            calls.append(self)
+        return to_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counting)
+    env = {T_VAR: np.array([0.25, 0.5], dtype=complex), x_var(1): np.array([1.0, -1.0], dtype=complex)}
+    for root in (c * x(1) + t(), func_app(SIN, [c * t()])):
+        _assert_matches_reference(root, EMPTY_BINDING, env)
+    assert len(calls) == 1
+
+
+def test_constant_too_large_for_a_float_names_itself():
+    with pytest.raises(ValueError, match=r"^constant 1000.* too large for a float"):
+        eval_batch(const(10 ** 400) * t(), EMPTY_BINDING, {T_VAR: np.array([0.5], dtype=complex)})
