@@ -30,8 +30,8 @@ import numpy as np
 
 from .closedform import expr_to_exppoly, exppoly_to_expr
 from .conditions import InvariantTuple, Potential, SpanError, classifying_residual, invariants
-from .expr import (COS, SIN, T_VAR, Expr, SymbolTable, abs_pow, const, diff, func_app,
-                   int_pow)
+from .expr import (COS, SIN, T_VAR, Const, Expr, SymbolTable, abs_pow, const, diff,
+                   func_app, int_pow)
 from .fields import GeneratorCoeffs
 from .funcbank import (ConstImpl, ExpPoly, ExpPolyImpl, random_positive_trig_poly,
                        random_surrogate)
@@ -192,8 +192,11 @@ def instantiate(case: CaseEntry, rng: np.random.Generator,
 
 
 def _kappa_value(kexpr: Expr, binding: Binding) -> tuple[Fraction]:
-    vals, _, _ = eval_batch(kexpr, binding, {}, count=1)
-    kv = complex(vals.reshape(-1)[0])
+    if isinstance(kexpr, Const):  # the complex128 eval_batch would return
+        kv = complex(kexpr.value())
+    else:
+        vals, _, _ = eval_batch(kexpr, binding, {}, count=1)
+        kv = complex(vals.reshape(-1)[0])
     if abs(kv.imag) > 1e-12:
         raise ValueError("kappa must be real")
     return (Fraction(kv.real),)

@@ -80,13 +80,22 @@ _CONFIG_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a numbe
                  "str": ((str,), "a string")}
 
 
+def _load_json_file(path: str):
+    """The JSON value in the file at path; a file that is not JSON raises a
+    ValueError that names it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
 def _apply_config(args):
     """Override flags from the --config file: a JSON object whose keys are
     RunConfig fields, each with a value of that field's type."""
     if not args.config:
         return args
-    with open(args.config) as fh:
-        overrides = json.load(fh)
+    overrides = _load_json_file(args.config)
     kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     expected = ", ".join(kinds)
     if not isinstance(overrides, dict):
@@ -112,8 +121,7 @@ def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
 def _workspace(args) -> Workspace:
     ws = Workspace()
     if args.declare:
-        with open(args.declare) as fh:
-            load_declarations(json.load(fh), ws.table)
+        load_declarations(_load_json_file(args.declare), ws.table)
     return ws
 
 
@@ -186,8 +194,7 @@ def _read_spec(source: str):
     text = source.strip()
     if text.startswith("{") or text.startswith("["):
         return json.loads(text)
-    with open(source) as fh:
-        return json.load(fh)
+    return _load_json_file(source)
 
 
 def cmd_verify_table(args) -> int:
@@ -376,8 +383,7 @@ def cmd_groupoid(args) -> int:
     if args.model in gp.FIXTURE_TRUTH_TABLE:
         model = gp.load_fixture(args.model)
     else:
-        with open(args.model) as fh:
-            model = gp.model_from_json(json.load(fh))
+        model = gp.model_from_json(_load_json_file(args.model))
     if args.check == "all":
         payload = gp.run_all_checks(model)
         ok = all(payload.values())

@@ -5,6 +5,12 @@ coefficients (tau, kappa, chi, sigma, rho) of a would-be symmetry; its
 residual vanishing (as a randomized identity) decides membership.  The
 second-prolongation residual built from total derivatives provides the
 independent oracle for the same decision.
+
+The invariant integers are rank decisions on sampled coefficient rows.
+One SVD of a draw's rows gives both the span's dimension and an
+orthonormal basis of its row space; the M and I probes and every bracket
+row are then tested against that basis in one projection each, with the
+residual threshold a least-squares solve would use.
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ from .fields import (
     bracket_rows,
     coefficient_rows,
     rank_of_chi_block,
+    sv_rank,
     _rank,
 )
 from .numeric import Binding, EMPTY_BINDING, is_zero
@@ -184,12 +191,24 @@ class SpanError(ValueError):
     """The generator list does not span an admissible algebra."""
 
 
-def _row_in_span(rows: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    if rows.shape[0] == 0:
-        return float(np.linalg.norm(b)) <= tol
-    sol, *_ = np.linalg.lstsq(rows.T, b, rcond=None)
-    resid = rows.T @ sol - b
-    return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(b)))
+def _row_space(rows: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """(rank, orthonormal basis of the row space) of rows, from one SVD.
+
+    The rank is fields.sv_rank's; the basis keeps the right singular
+    vectors above the cut numpy's least-squares solver makes by default
+    (rcond=None: eps * max(rows.shape) * s0), so projecting onto it leaves
+    the residual a least-squares solve against rows would leave.
+    """
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    return sv_rank(s, tol), vt[s > np.finfo(float).eps * max(rows.shape) * s[0]]
+
+
+def _first_outside(basis: np.ndarray, cand: np.ndarray, tol: float) -> Optional[int]:
+    """Index of the first row b of cand farther than tol * (1 + |b|) from the
+    span of basis's orthonormal rows, or None when every row is inside."""
+    resid = cand - (cand @ basis.T) @ basis
+    inside = np.linalg.norm(resid, axis=1) <= tol * (1.0 + np.linalg.norm(cand, axis=1))
+    return None if inside.all() else int(np.argmin(inside))
 
 
 def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
@@ -199,6 +218,12 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
 
     Requires the span to be closed under the bracket and to contain the
     phase-rotation and scaling generators; raises SpanError otherwise.
+
+    One SVD of the sampled rows gives the dimension and a basis of the row
+    space (_row_space).  A probe or bracket row b is in the span iff its
+    residual after projection onto that basis is at most
+    max(tol, 1e-7) * (1 + |b|).  The first row outside is reported: M,
+    then I, then the pairs (i, j), i < j, in row-major order.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -210,22 +235,23 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
         raise SpanError("invariants are defined for the essential part (eta0 = 0)")
     tvals = rng.uniform(0.32, 1.68, size=13)
     rows, slices = coefficient_rows(gs, binding, tvals)
-    dim = _rank(rows, tol)
+    dim, basis = _row_space(rows, tol)
+    span_tol = max(tol, 1e-7)
 
     from .fields import M as Mgen, Iop
 
-    for probe, name in ((Mgen(1, n), "M"), (Iop(1, n), "I")):
-        prow, _ = coefficient_rows([probe], binding, tvals)
-        if not _row_in_span(rows, prow[0], max(tol, 1e-7)):
-            raise SpanError(f"{name} is missing from the span")
+    probes, _ = coefficient_rows([Mgen(1, n), Iop(1, n)], binding, tvals)
+    miss = _first_outside(basis, probes, span_tol)
+    if miss is not None:
+        raise SpanError(f"{('M', 'I')[miss]} is missing from the span")
 
     if check_closure:
-        brows = bracket_rows(gs, binding, tvals, rows, slices)
-        for i in range(len(gs)):
-            for j in range(i + 1, len(gs)):
-                if not _row_in_span(rows, brows[i, j], max(tol, 1e-7)):
-                    raise SpanError(f"span is not closed under the bracket "
-                                    f"(generators {i} and {j})")
+        pairs = np.triu_indices(len(gs), 1)
+        brows = bracket_rows(gs, binding, tvals, rows, slices)[pairs]
+        miss = _first_outside(basis, brows, span_tol)
+        if miss is not None:
+            raise SpanError(f"span is not closed under the bracket "
+                            f"(generators {pairs[0][miss]} and {pairs[1][miss]})")
 
     rank_tau = _rank(rows[:, slices["tau"]], tol)
     rank_tau_kappa = _rank(np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]]]), tol)

@@ -367,13 +367,21 @@ def bracket_rows(gs: Sequence[GeneratorCoeffs], binding: Binding, tvals: np.ndar
     return out
 
 
-def _rank(mat: np.ndarray, tol: float) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+def sv_rank(s: np.ndarray, tol: float):
+    """The rank rule, on descending singular values s of shape (..., r).
+
+    0 if the largest singular value s0 is 0, else the number of singular
+    values above tol * max(1, s0): an int for one matrix, an int array for
+    a stack of them.
+    """
+    s0 = s[..., :1]
+    ranks = np.sum((s > tol * np.maximum(1.0, s0)) & (s0 > 0), axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
+
+
+def _rank(mat: np.ndarray, tol: float):
+    """sv_rank of a matrix, or of each matrix in a stack (..., k, n)."""
+    return sv_rank(np.linalg.svd(mat, compute_uv=False), tol)
 
 
 def nullspace_combos(mat: np.ndarray, tol: float) -> np.ndarray:
@@ -381,9 +389,7 @@ def nullspace_combos(mat: np.ndarray, tol: float) -> np.ndarray:
     if mat.shape[0] == 0:
         return np.zeros((0, 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=True)
-    smax = s[0] if len(s) and s[0] > 0 else 1.0
-    r = int(np.sum(s > tol * max(1.0, smax)))
-    return u[:, r:].T
+    return u[:, sv_rank(s, tol):].T
 
 
 def rank_of_chi_block(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
@@ -409,10 +415,6 @@ def rank_of_chi_block(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] 
     if combos.shape[0] == 0:
         return 0
     chi = combos @ rows[:, slices["chi"]]  # (k, n*m) with chi_a blocks of length m
-    k = chi.shape[0]
-    mlen = len(tvals)
-    best = 0
-    for j in range(mlen):
-        pointwise = np.stack([chi[:, a * mlen + j] for a in range(n)], axis=1)
-        best = max(best, _rank(pointwise, tol))
-    return best
+    # one (k x n) chi matrix per sampled time, ranked in one stacked SVD
+    pointwise = chi.reshape(chi.shape[0], n, len(tvals)).transpose(2, 0, 1)
+    return int(_rank(pointwise, tol).max())

@@ -3,7 +3,8 @@
     expr     := ['-'] term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
     factor   := atom ['^' exponent]
-    exponent := ['-'] (INT ['/' INT] | FLOAT) | '(' exponent ')'
+    exponent := ['-'] (INT | FLOAT) | '(' ratio ')'
+    ratio    := ['-'] (INT ['/' INT] | FLOAT) | '(' ratio ')'
     atom     := NUMBER | 'i' | 'pi' | '|' expr '|' | '(' expr ')'
               | 'conj' '(' expr ')' | 'sgn' '(' expr ')'
               | 'D' '(' expr (',' VAR)+ ')'
@@ -12,7 +13,8 @@
 
 Reserved identifiers: t, x1..xn, psi plus jet suffixes (psi_t, psi_1,
 psi_11, conj(psi_..) for conjugates), i, pi, conj, sgn, D.  A fractional
-power on a real base denotes |base|^q; `D(e, v, ...)` differentiates at
+power on a real base denotes |base|^q and is written in parentheses,
+t^(2/3) or t^(-1/2), so t^3/3 is (t^3)/3; `D(e, v, ...)` differentiates at
 parse time; `f[k1,..,km](args)` is the formal slot-derivative of f.
 
 print -> parse is the identity on the expression DAG.
@@ -164,14 +166,15 @@ class _Parser:
                 raise ParseError(str(err), pos) from None
         return e
 
-    def exponent(self) -> Fraction:
+    def exponent(self, parenthesized: bool = False) -> Fraction:
         if self.try_take("("):
-            q = self.exponent()
+            q = self.exponent(parenthesized=True)
             self.take(")")
             return q
         neg = self.try_take("-")
         q = self._number()
-        if self.try_take("/"):
+        # a ratio only inside parentheses: t^3/3 is (t^3)/3, not t^(3/3)
+        if parenthesized and self.try_take("/"):
             q = q / self._number()
         return -q if neg else q
 

@@ -309,3 +309,24 @@ def test_malformed_groupoid_model_exits_2(tmp_path, capsys):
         model.write_text(text)
         err = _assert_one_error_line(capsys, main(["groupoid", str(model), "all"]))
         assert needle in err, text
+
+
+def test_broken_json_file_is_named(tmp_path, capsys):
+    cfg, decls = tmp_path / "cfg.json", tmp_path / "decls.json"
+    good_cfg, good_decls = '{"trials": 2}', '[{"name": "g", "arity": 1, "codomain": "real"}]'
+    for broken, cfg_text, decl_text in ((cfg, '{"trials": 2', good_decls),
+                                        (decls, good_cfg, '[{"name": "g"')):
+        cfg.write_text(cfg_text)
+        decls.write_text(decl_text)
+        err = _assert_one_error_line(capsys, main(["residual", "0", '{"tau":"1"}',
+                                                   "--config", str(cfg),
+                                                   "--declare", str(decls)]))
+        assert err.startswith(f"error: {broken}: "), err
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"tau": ')
+    err = _assert_one_error_line(capsys, main(["residual", "0", str(spec)]))
+    assert err.startswith(f"error: {spec}: "), err
+    model = tmp_path / "model.json"
+    model.write_text('{"objects": ["a"],')
+    err = _assert_one_error_line(capsys, main(["groupoid", str(model), "all"]))
+    assert err.startswith(f"error: {model}: "), err

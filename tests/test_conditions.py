@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from schsym.conditions import (InvariantTuple, Potential, SpanError,
-                               classifying_residual, eta0_residual, invariants,
+from schsym.conditions import (InvariantTuple, Potential, SpanError, _first_outside,
+                               _row_space, classifying_residual, eta0_residual, invariants,
                                kernel_check, lemma_fixtures, prolonged_residual)
 from schsym.expr import EXP, SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x
-from schsym.fields import D, Iop, J, M, P, expand
-from schsym.numeric import is_zero
+from schsym.fields import D, Iop, J, M, P, _rank, bracket_rows, coefficient_rows, expand
+from schsym.numeric import EMPTY_BINDING, is_zero
 from schsym.parsing import parse
 
 RNG = np.random.default_rng(31)
@@ -150,3 +150,80 @@ def test_lemma_fixtures():
     assert rep["shift_pair"]["passed"]
     assert rep["polar_reduction"]["passed"]
     assert rep["passed"]
+
+
+# -- the span test against the least-squares test it replaced -------------------
+
+def _ref_row_in_span(rows, b, tol):
+    """The span test as one least-squares solve per candidate row."""
+    if rows.shape[0] == 0:
+        return float(np.linalg.norm(b)) <= tol
+    sol, *_ = np.linalg.lstsq(rows.T, b, rcond=None)
+    resid = rows.T @ sol - b
+    return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(b)))
+
+
+def _span_candidates(rng, rows, tol):
+    """Rows inside the span, far outside it, and at 0.5x and 2x the threshold."""
+    k, width = rows.shape
+    null = np.linalg.svd(rows)[2][np.linalg.matrix_rank(rows):]  # orthogonal to the span
+    cands = [c @ rows for c in rng.standard_normal((3, k))]
+    cands += list(rng.standard_normal((2, width)))
+    for scale in (0.0, 1.0, 30.0):
+        inside = scale * (rng.standard_normal(k) @ rows)
+        if null.shape[0] == 0:
+            continue
+        away = rng.standard_normal(null.shape[0]) @ null
+        away /= np.linalg.norm(away)
+        for c in (0.5, 2.0):
+            d = 0.0
+            for _ in range(4):  # d = c * tol * (1 + |inside + d * away|)
+                d = c * tol * (1.0 + np.hypot(np.linalg.norm(inside), d))
+            cands.append(inside + d * away)
+    return np.array(cands)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-4])
+def test_span_test_matches_least_squares_reference(tol):
+    rng = np.random.default_rng(61)
+    shapes = {"full rank": rng.standard_normal((6, 40)),
+              "rank deficient": rng.standard_normal((6, 3)) @ rng.standard_normal((3, 40)),
+              "wide span": rng.standard_normal((8, 5)),
+              "all zero": np.zeros((4, 40))}
+    for name, rows in shapes.items():
+        dim, basis = _row_space(rows, 1e-8)
+        assert dim == _rank(rows, 1e-8), name
+        cands = _span_candidates(rng, rows, tol)
+        want = [_ref_row_in_span(rows, b, tol) for b in cands]
+        got = [_first_outside(basis, b[None, :], tol) is None for b in cands]
+        assert got == want, name
+        assert _first_outside(basis, cands, tol) == (want.index(False) if False in want else None)
+        if name != "wide span":
+            assert want.count(True) >= 3 and want.count(False) >= 3, name
+
+
+def _ref_first_unclosed(gs, seed):
+    """The first pair (i, j), in row-major order, whose bracket row is outside the span."""
+    tvals = np.random.default_rng(seed).uniform(0.32, 1.68, size=13)
+    rows, slices = coefficient_rows(gs, EMPTY_BINDING, tvals)
+    brows = bracket_rows(gs, EMPTY_BINDING, tvals, rows, slices)
+    for i in range(len(gs)):
+        for j in range(i + 1, len(gs)):
+            if not _ref_row_in_span(rows, brows[i, j], 1e-7):
+                return i, j
+    return None
+
+
+def test_first_unclosed_pair_matches_reference():
+    tv = var(T_VAR)
+    t2 = int_pow(tv, 2)
+    # [P(0,1), P(0,t^2)] and [P(t,0), P(t^2,0)] leave the span, so the first
+    # pair in row-major order, (0, 3), differs from the first by column, (1, 2)
+    lists = [[P(0, 1), P(tv, 0), P(t2, 0), P(0, t2), M(1), Iop(1)],
+             [M(1), Iop(1), D(1).add(J(1, 2)), D(tv)],
+             [M(1), Iop(1), P(1, 0), P(0, 1), D(tv), D(t2)]]
+    want = [(0, 3), (2, 3), (2, 5)]
+    for seed, (gs, pair) in enumerate(zip(lists, want)):
+        assert _ref_first_unclosed(gs, seed) == pair
+        with pytest.raises(SpanError, match=rf"\(generators {pair[0]} and {pair[1]}\)$"):
+            invariants(gs, rng=np.random.default_rng(seed))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from schsym.closedform import exppoly_to_expr
 from schsym.expr import ONE, T_VAR, ZERO, const, func_app, int_pow, psi, t, var, x
-from schsym.fields import (D, GeneratorCoeffs, Iop, J, P, bracket_generic,
+from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, _rank, bracket_generic,
                            bracket_rows, bracket_structural, coefficient_rows,
                            expand, rank_of_chi_block)
 from schsym.funcbank import random_trig_poly
@@ -204,3 +204,83 @@ def test_coefficient_rows_reject_unsafe_samples():
     gs = [Iop(1), D(parse("t")), P(ONE, parse("log(t - 2)"))]
     with pytest.raises(UnsafeSampleError, match="generator 2: chi2"):
         coefficient_rows(gs, EMPTY_BINDING, np.linspace(0.32, 1.68, 13))
+
+
+# -- the rank rule against the per-matrix rule it replaced ----------------------
+
+def _ref_rank(mat, tol):
+    """The rank rule, one matrix per SVD call."""
+    if mat.size == 0:
+        return 0
+    s = np.linalg.svd(mat, compute_uv=False)
+    if len(s) == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > tol * max(1.0, s[0])))
+
+
+def _ref_rank_of_chi_block(gs, binding, rng, tol):
+    """rank_of_chi_block with one SVD per sampled time."""
+    n = gs[0].n
+    m = max(4, n + 2)
+    tvals = rng.uniform(0.3, 1.7, size=2 * m + 1)
+    rows, slices = coefficient_rows(gs, binding, tvals)
+    head = np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]]])
+    u, s, _ = np.linalg.svd(head, full_matrices=True)
+    smax = s[0] if len(s) and s[0] > 0 else 1.0
+    combos = u[:, int(np.sum(s > tol * max(1.0, smax))):].T
+    if combos.shape[0] == 0:
+        return 0
+    chi = combos @ rows[:, slices["chi"]]
+    mlen = len(tvals)
+    best = 0
+    for j in range(mlen):
+        pointwise = np.stack([chi[:, a * mlen + j] for a in range(n)], axis=1)
+        best = max(best, _ref_rank(pointwise, tol))
+    return best
+
+
+def _matrix_with_singular_values(rng, k, n, s):
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.zeros((k, n))
+    d[np.arange(len(s)), np.arange(len(s))] = s
+    return u @ d @ v.T
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3])
+def test_stacked_rank_matches_per_matrix_rank(tol):
+    rng = np.random.default_rng(53)
+    for k, n in ((3, 2), (2, 3), (5, 5), (1, 4)):
+        r = min(k, n)
+        mats = [np.zeros((k, n)), rng.standard_normal((k, n))]
+        for s0 in (1e-3, 1.0, 40.0):
+            cut = tol * max(1.0, s0)
+            for tail in (0.5 * cut, 2.0 * cut, 0.0):
+                s = [s0] + [tail] * (r - 1)
+                mats.append(_matrix_with_singular_values(rng, k, n, s))
+        rng.shuffle(mats)
+        stack = np.stack(mats)
+        want = [_ref_rank(mat, tol) for mat in mats]
+        assert _rank(stack, tol).tolist() == want
+        got = [_rank(mat, tol) for mat in mats]
+        assert got == want and all(type(g) is int for g in got)
+    assert _rank(np.zeros((0, 3)), tol) == 0 and _rank(np.zeros((2, 0, 3)), tol).tolist() == [0, 0]
+
+
+def test_rank_of_chi_block_matches_per_time_reference():
+    from schsym.cases import instantiate, table
+
+    tv = var(T_VAR)
+    rng = np.random.default_rng(59)
+    lists = [(inst.generators, inst.workspace.binding)
+             for inst in (instantiate(case, rng) for case in table().values())]
+    lists += [([M(1), Iop(1), P(1, 0), P(tv, 0), P(0, 1), P(0, tv)], EMPTY_BINDING),
+              ([P(1, 0).add(Iop(tv, 2)), P(tv, 0).add(Iop(int_pow(tv, 2), 2))], EMPTY_BINDING),
+              ([P(parse("cos(t)"), parse("sin(t)")), D(1), M(1)], EMPTY_BINDING),
+              ([M(1), Iop(1), D(1)], EMPTY_BINDING)]
+    ranks = set()
+    for i, (gs, binding) in enumerate(lists):
+        want = _ref_rank_of_chi_block(gs, binding, np.random.default_rng(i), 1e-8)
+        assert rank_of_chi_block(gs, binding, np.random.default_rng(i), 1e-8) == want, i
+        ranks.add(want)
+    assert ranks == {0, 1, 2}

@@ -83,3 +83,26 @@ def test_arity_mismatch(table):
 def test_declarations_reject_conflicts(table):
     with pytest.raises(ValueError):
         load_declarations([{"name": "U", "arity": 2, "codomain": "complex"}], table)
+
+
+def test_ratio_after_a_power_divides(table):
+    # an unparenthesized ratio after '^' used to be read as the exponent
+    assert parse("t^3/3", table) is parse("(t^3)/3", table)
+    assert parse("2^3/4", table) is parse("(2^3)/4", table) is const(2)
+    assert parse("t^2/3 + 1", table) is parse("((t^2)/3) + 1", table)
+    assert parse("t^-1/2", table) is parse("(t^(-1))/2", table)
+
+
+def test_parenthesized_exponents_unchanged(table):
+    assert to_text(parse("t^(2/3)", table)) == "|t|^(2/3)"
+    assert to_text(parse("t^(-1/2)", table)) == "|t|^(-1/2)"
+    assert to_text(parse("t^((2/3))", table)) == "|t|^(2/3)"
+    assert to_text(parse("t^-1", table)) == "t^(-1)"
+    assert parse("t^-1", table) is parse("t^(-1)", table)
+
+
+def test_rational_powers_round_trip(table):
+    for text in ("t^(2/3)", "(1 + t^2)^(-3/2)*g(t)^(5/7)", "x1^(1/3)/3 + |t|^(4/3)",
+                 "t^(3/2)/2", "t^1.5"):
+        e = parse(text, table)
+        assert parse(to_text(e), table) is e, text
