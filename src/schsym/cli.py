@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -19,11 +18,14 @@ import numpy as np
 
 from . import cases as case_mod
 from . import groupoid as gp
+from . import schema
 from .conditions import Potential, SpanError, classifying_residual, invariants
+from .equivalence import EquivTransformation, act_on_potential
 from .expr import SymbolTable
 from .fields import GeneratorCoeffs, bracket_generic, bracket_structural, expand
-from .numeric import UnsafeSampleError, Workspace, is_zero, max_normalized_residual
-from .parsing import ParseError, load_declarations, parse, to_text
+from .numeric import (UnsafeSampleError, Workspace, draw_env, eval_batch, is_zero,
+                      max_normalized_residual)
+from .parsing import ParseError, load_declarations, parse, to_text, var_name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,12 +53,6 @@ class RunConfig:
         if self.format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
 
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(n=args.n, trials=args.trials, bindings=args.bindings,
-                         points=args.points, tol=args.tol, seed=args.seed,
-                         format=args.format)
-
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=2, help="space dimension")
@@ -75,9 +71,10 @@ def _add_common(p: argparse.ArgumentParser):
                    help="JSON declarations file: [{name, arity, codomain}, ...]")
 
 
-# JSON values a --config key may take, by the type of its RunConfig field
-_CONFIG_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-                 "str": ((str,), "a string")}
+# the schema entry of a --config key, by the type of its RunConfig field
+_CONFIG_TYPES = {"int": (schema.integer, "an integer"),
+                 "float": (schema.finite, "a finite number"),
+                 "str": (schema.string, "a string")}
 
 
 def _load_json_file(path: str):
@@ -90,24 +87,15 @@ def _load_json_file(path: str):
             raise ValueError(f"{path}: {err}") from None
 
 
-def _apply_config(args):
-    """Override flags from the --config file: a JSON object whose keys are
-    RunConfig fields, each with a value of that field's type."""
-    if not args.config:
-        return args
-    overrides = _load_json_file(args.config)
-    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    expected = ", ".join(kinds)
-    if not isinstance(overrides, dict):
-        raise ValueError(f"config must be a JSON object with keys among {expected}")
-    for key, value in overrides.items():
-        if key not in kinds:
-            raise ValueError(f"unknown config key {key!r}; expected keys among {expected}")
-        types, what = _CONFIG_TYPES[kinds[key]]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"config key {key!r} must be {what}")
-        setattr(args, key, value)
-    return args
+def _run_config(args) -> RunConfig:
+    """The flags' values, overridden by the --config file: a JSON object whose
+    keys are RunConfig fields, each with a value of that field's type."""
+    fields = dataclasses.fields(RunConfig)
+    values = {f.name: getattr(args, f.name) for f in fields}
+    if args.config:
+        config = {f.name: _CONFIG_TYPES[f.type] for f in fields}
+        values.update(schema.check(_load_json_file(args.config), config, name="config"))
+    return RunConfig(**values)
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
@@ -125,65 +113,35 @@ def _workspace(args) -> Workspace:
     return ws
 
 
-_FIELD_KEYS = ("tau", "kappa", "chi", "sigma", "rho", "eta0")
-_TRANSFORM_KEYS = ("T", "O", "X", "Sigma", "Upsilon")
+_EXPR = (lambda v: schema.string(v) or schema.finite(v),
+         "an expression string or a number")
 
 
-def _spec_object(spec, keys: tuple, what: str) -> dict:
-    """spec itself, if it is a JSON object whose keys are all among keys."""
-    expected = ", ".join(keys)
-    if not isinstance(spec, dict):
-        raise ValueError(f"{what} must be a JSON object with keys among {expected}")
-    for key in spec:
-        if key not in keys:
-            raise ValueError(f"unknown {what} key {key!r}; expected keys among {expected}")
-    return spec
-
-
-def _entries(spec: dict, key: str, n: int) -> list:
-    """The list under key (n zeros if absent); it must have n entries."""
-    vals = spec.get(key, ["0"] * n)
-    if not isinstance(vals, list) or len(vals) != n:
-        raise ValueError(f"{key} must be a list of n = {n} entries")
-    return vals
-
-
-def _rationals(entries: list, err: ValueError) -> tuple:
-    """Exact values of JSON integers, finite floats and rational strings."""
-    if not all(isinstance(v, (int, str)) or (isinstance(v, float) and math.isfinite(v))
-               for v in entries):
-        raise err
-    try:
-        return tuple(Fraction(v) for v in entries)
-    except (ValueError, ZeroDivisionError):
-        raise err from None
-
-
-def _rational_matrix(rows, n: int, err: ValueError) -> tuple:
-    """n x n tuple of Fractions from n JSON lists of n rationals."""
-    if not (isinstance(rows, list) and len(rows) == n
-            and all(isinstance(row, list) and len(row) == n for row in rows)):
-        raise err
-    return tuple(_rationals(row, err) for row in rows)
-
-
-def _kappa(kap, n: int) -> tuple:
-    """Above-diagonal entries of kappa, row by row; a scalar is the first one."""
-    err = ValueError("kappa must be a scalar or an n x n matrix")
-    if not isinstance(kap, list):
-        return _rationals([kap] + [0] * (n * (n - 1) // 2 - 1), err)
-    K = _rational_matrix(kap, n, err)
-    return tuple(K[a][b] for a in range(n) for b in range(a + 1, n))
+def _spec_schemas(n: int) -> tuple[dict, dict]:
+    """The schemas of a field spec and of a transformation spec in dimension n."""
+    exprs = (schema.list_of(_EXPR[0], n), f"a list of n = {n} expression strings or numbers")
+    matrix = schema.list_of(schema.list_of(schema.rational, n), n)
+    field = {"tau": _EXPR,
+             "kappa": (lambda v: schema.rational(v) or matrix(v), "a scalar or an n x n matrix"),
+             "chi": exprs, "sigma": _EXPR, "rho": _EXPR,
+             "eta0": (lambda v: v is None or _EXPR[0](v), "null or " + _EXPR[1])}
+    transform = {"T": _EXPR, "O": (matrix, "n lists of n finite rationals"), "X": exprs,
+                 "Sigma": _EXPR, "Upsilon": _EXPR}
+    return field, transform
 
 
 def _load_generator(spec, table: SymbolTable, n: int) -> GeneratorCoeffs:
     """Field-spec object: {tau, kappa, chi, sigma, rho, eta0}."""
-    spec = _spec_object(spec, _FIELD_KEYS, "field spec")
+    spec = schema.check(spec, _spec_schemas(n)[0])
     tau = parse(str(spec.get("tau", "0")), table, n)
     sigma = parse(str(spec.get("sigma", "0")), table, n)
     rho = parse(str(spec.get("rho", "0")), table, n)
-    chi = tuple(parse(str(s), table, n) for s in _entries(spec, "chi", n))
-    kappa = _kappa(spec.get("kappa", 0), n)
+    chi = tuple(parse(str(s), table, n) for s in spec.get("chi", ["0"] * n))
+    kap = spec.get("kappa", 0)
+    if type(kap) is list:  # above-diagonal entries, row by row
+        kappa = tuple(Fraction(kap[a][b]) for a in range(n) for b in range(a + 1, n))
+    else:
+        kappa = (Fraction(kap),) + (Fraction(0),) * (n * (n - 1) // 2 - 1)
     eta0 = spec.get("eta0")
     eta = parse(str(eta0), table, n) if eta0 not in (None, "null") else None
     return GeneratorCoeffs(n, tau, kappa, chi, sigma, rho, eta)
@@ -245,12 +203,8 @@ def cmd_residual(args) -> int:
     cfg = args.cfg
     ws = _workspace(args)
     rng = np.random.default_rng(cfg.seed)
-    try:
-        V = Potential(parse(args.potential, ws.table, cfg.n), cfg.n, ws.binding)
-        g = _load_generator(_read_spec(args.field), ws.table, cfg.n)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
+    V = Potential(parse(args.potential, ws.table, cfg.n), cfg.n, ws.binding)
+    g = _load_generator(_read_spec(args.field), ws.table, cfg.n)
     res = classifying_residual(V, g)
     worst, witness = max_normalized_residual(
         res, binding=ws.binding, trials=cfg.trials,
@@ -307,35 +261,24 @@ def cmd_bracket(args) -> int:
 
 def cmd_transform(args) -> int:
     cfg = args.cfg
-    from .equivalence import EquivTransformation, act_on_potential
-
     ws = _workspace(args)
     rng = np.random.default_rng(cfg.seed)
-    try:
-        V = Potential(parse(args.potential, ws.table, cfg.n), cfg.n, ws.binding)
-        spec = _spec_object(_read_spec(args.spec), _TRANSFORM_KEYS,
-                            "transformation spec")
-        T = parse(str(spec.get("T", "t")), ws.table, cfg.n)
-        O = spec.get("O")
-        if O is None:
-            O = [[1 if i == j else 0 for j in range(cfg.n)] for i in range(cfg.n)]
-        O = _rational_matrix(O, cfg.n, ValueError("O must be n lists of n finite rationals"))
-        X = tuple(parse(str(s), ws.table, cfg.n) for s in _entries(spec, "X", cfg.n))
-        Sigma = parse(str(spec.get("Sigma", "0")), ws.table, cfg.n)
-        Upsilon = parse(str(spec.get("Upsilon", "0")), ws.table, cfg.n)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
+    V = Potential(parse(args.potential, ws.table, cfg.n), cfg.n, ws.binding)
+    spec = schema.check(_read_spec(args.spec), _spec_schemas(cfg.n)[1])
+    T = parse(str(spec.get("T", "t")), ws.table, cfg.n)
+    identity = [[int(i == j) for j in range(cfg.n)] for i in range(cfg.n)]
+    O = tuple(tuple(map(Fraction, row)) for row in spec.get("O", identity))
+    X = tuple(parse(str(s), ws.table, cfg.n) for s in spec.get("X", ["0"] * cfg.n))
+    Sigma = parse(str(spec.get("Sigma", "0")), ws.table, cfg.n)
+    Upsilon = parse(str(spec.get("Upsilon", "0")), ws.table, cfg.n)
     tr = EquivTransformation(cfg.n, T, O, X, Sigma, Upsilon, binding=ws.binding)
     Vt = act_on_potential(V, tr)
-    from .numeric import draw_env, eval_batch
-
     env = draw_env(Vt.expr.free_vars, 5, rng)
     vals, _, _ = eval_batch(Vt.expr, Vt.binding, env)
     vals = np.broadcast_to(vals, (5,))
     spots = []
     for i in range(len(vals)):
-        pt = {to_name(v): complex(env[v][i]) for v in env}
+        pt = {var_name(v): complex(env[v][i]) for v in env}
         spots.append({"point": {k: [float(c.real), float(c.imag)] for k, c in pt.items()},
                       "value": [float(vals[i].real), float(vals[i].imag)]})
     payload = {"transformed": to_text(Vt.expr), "spot_checks": spots}
@@ -346,21 +289,13 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def to_name(v) -> str:
-    from .parsing import var_name
-
-    return var_name(v)
-
-
 def cmd_invariants(args) -> int:
     cfg = args.cfg
     ws = _workspace(args)
     rng = np.random.default_rng(cfg.seed)
     specs = _read_spec(args.fields)
-    if isinstance(specs, dict):
+    if type(specs) is not list:
         specs = [specs]
-    if not isinstance(specs, list):
-        raise ValueError("fields must be a field spec or a JSON list of field specs")
     gens = [_load_generator(s, ws.table, cfg.n) for s in specs]
     try:
         tup = invariants(gens, ws.binding, rng, cfg.tol)
@@ -459,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.cfg = RunConfig.from_args(_apply_config(args))
+        args.cfg = _run_config(args)
         return args.func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from . import schema
+
 MAX_OBJECTS = 8
 MAX_ARROWS = 200
 
@@ -386,55 +388,44 @@ def model_to_json(m: GroupoidModel) -> dict:
     }
 
 
-_MODEL_KEYS = ("objects", "arrows", "mult", "H", "N", "Hbar")
+_INDICES = schema.list_of(schema.integer)
+_MODEL = {
+    "objects": (schema.list_of(schema.string), "a list of strings"),
+    "arrows": (lambda v: type(v) is list, "a list of {src, label, tgt} objects"),
+    "mult": (schema.list_of(schema.list_of(schema.integer, 3)),
+             "a list of [i, j, k] arrow-index triples"),
+    "H": (_INDICES, "a list of arrow indices"),
+    "N": (lambda v: type(v) is dict and all(map(schema.list_of(schema.string), v.values())),
+          "an object mapping objects to lists of arrow labels"),
+    "Hbar": (lambda v: v is None or _INDICES(v), "null or a list of arrow indices"),
+}
 
 
-def _check_model_shape(data) -> None:
-    """Raise GroupoidError naming the first missing or malformed field."""
-
-    def need(ok, what):
-        if not ok:
-            raise GroupoidError(f"malformed groupoid model file: {what}")
-
-    def strings(v):
-        return isinstance(v, list) and all(isinstance(u, str) for u in v)
-
-    need(isinstance(data, dict), "expected a JSON object with keys " + ", ".join(_MODEL_KEYS))
-    for key in _MODEL_KEYS[:-1]:
-        need(key in data, f"missing {key!r}")
-    for key in data:
-        need(key in _MODEL_KEYS, f"unknown key {key!r}")
-    objects = data["objects"]
-    need(strings(objects), "'objects' must be a list of strings")
-    arrows = data["arrows"]
-    need(isinstance(arrows, list), "'arrows' must be a list of {src, label, tgt} objects")
-    for i, a in enumerate(arrows):
-        need(isinstance(a, dict), f"arrow {i} must be an object with keys src, label, tgt")
-        for key in ("src", "label", "tgt"):
-            need(key in a, f"arrow {i} is missing {key!r}")
-            need(isinstance(a[key], str), f"arrow {i}: {key!r} must be a string")
-        need(a["src"] in objects and a["tgt"] in objects,
-             f"arrow {i} joins an object not in 'objects'")
-
-    def indices(v):
-        return isinstance(v, list) and all(type(u) is int and 0 <= u < len(arrows) for u in v)
-
-    mult = data["mult"]
-    need(isinstance(mult, list) and all(indices(m) and len(m) == 3 for m in mult),
-         "'mult' must be a list of [i, j, k] arrow-index triples")
-    need(indices(data["H"]), "'H' must be a list of arrow indices")
-    need(data.get("Hbar") is None or indices(data["Hbar"]),
-         "'Hbar' must be null or a list of arrow indices")
-    N = data["N"]
-    need(isinstance(N, dict) and all(obj in objects and strings(labels)
-                                     for obj, labels in N.items()),
-         "'N' must map objects to lists of arrow labels")
+def _check_model(data) -> None:
+    """Raise ValueError naming the first missing, malformed or dangling field."""
+    schema.check(data, _MODEL, required=list(_MODEL)[:-1], name="groupoid model")
+    objects = set(data["objects"])
+    end = (lambda v: schema.string(v) and v in objects, "one of 'objects'")
+    arrow = {"src": end, "label": (schema.string, "a string"), "tgt": end}
+    for i, a in enumerate(data["arrows"]):
+        schema.check(a, arrow, required=arrow, name=f"arrow {i}")
+    count = len(data["arrows"])
+    for key, ids in (("mult", [u for m in data["mult"] for u in m]), ("H", data["H"]),
+                     ("Hbar", data.get("Hbar") or [])):
+        if not all(0 <= u < count for u in ids):
+            raise ValueError(f"groupoid model key {key!r} has an index that is not one "
+                             f"of the {count} arrows")
+    if not objects.issuperset(data["N"]):
+        raise ValueError("groupoid model key 'N' has a key not in 'objects'")
 
 
 def model_from_json(data) -> GroupoidModel:
     if isinstance(data, str):
         data = json.loads(data)
-    _check_model_shape(data)
+    try:
+        _check_model(data)
+    except ValueError as err:
+        raise GroupoidError(str(err)) from None
     arrows = [Arrow(d["src"], d["label"], d["tgt"]) for d in data["arrows"]]
     mult = {(i, j): k for i, j, k in data["mult"]}
     G = FiniteGroupoid(data["objects"], arrows, mult)

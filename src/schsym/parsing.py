@@ -21,10 +21,11 @@ print -> parse is the identity on the expression DAG.
 """
 from __future__ import annotations
 
-import json
+import operator
 from fractions import Fraction
 from typing import Optional
 
+from . import schema
 from .expr import (
     AbsPow,
     Conj,
@@ -121,6 +122,15 @@ class _Parser:
             self.pos += 1
         return self.text[start:self.pos], start
 
+    @staticmethod
+    def _build(pos: int, op, *args):
+        """op(*args), raising its ValueError or exact division by zero as a
+        ParseError at pos."""
+        try:
+            return op(*args)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ParseError(str(err), pos) from None
+
     # -- grammar
 
     def parse(self) -> Expr:
@@ -149,7 +159,7 @@ class _Parser:
             if self.try_take("*"):
                 e = e * self.factor()
             elif self.try_take("/"):
-                e = e / self.factor()
+                e = self._build(self.pos, operator.truediv, e, self.factor())
             else:
                 return e
 
@@ -159,11 +169,8 @@ class _Parser:
             pos = self.pos
             q = self.exponent()
             if q.denominator == 1:
-                return int_pow(e, q.numerator)
-            try:
-                return abs_pow(e, q)
-            except ValueError as err:
-                raise ParseError(str(err), pos) from None
+                return self._build(pos, int_pow, e, q.numerator)
+            return self._build(pos, abs_pow, e, q)
         return e
 
     def exponent(self, parenthesized: bool = False) -> Fraction:
@@ -175,7 +182,7 @@ class _Parser:
         q = self._number()
         # a ratio only inside parentheses: t^3/3 is (t^3)/3, not t^(3/3)
         if parenthesized and self.try_take("/"):
-            q = q / self._number()
+            q = self._build(self.pos, operator.truediv, q, self._number())
         return -q if neg else q
 
     def atom(self) -> Expr:
@@ -194,11 +201,7 @@ class _Parser:
             self.take("|")
             e = self.expr()
             self.take("|")
-            pos = self.pos
-            try:
-                return abs_pow(e, Fraction(1))
-            except ValueError as err:
-                raise ParseError(str(err), pos) from None
+            return self._build(self.pos, abs_pow, e, Fraction(1))
         name, start = self._ident()
         if name == "i":
             return const(0, 1)
@@ -211,10 +214,7 @@ class _Parser:
             self.take("(")
             e = self.expr()
             self.take(")")
-            try:
-                return sign_of(e)
-            except ValueError as err:
-                raise ParseError(str(err), start) from None
+            return self._build(start, sign_of, e)
         if name == "D":
             self.take("(")
             e = self.expr()
@@ -248,10 +248,7 @@ class _Parser:
                 while self.try_take(","):
                     args.append(self.expr())
                 self.take(")")
-            try:
-                return func_app(sym, args, didx)
-            except ValueError as err:
-                raise ParseError(str(err), start) from None
+            return self._build(start, func_app, sym, args, didx)
         if sym.arity != 0:
             raise ParseError(f"symbol {name!r} expects arguments", start)
         return func_app(sym, ())
@@ -294,34 +291,23 @@ def parse(text: str, table: Optional[SymbolTable] = None, n: int = 2) -> Expr:
     return _Parser(text, table or SymbolTable(), n).parse()
 
 
-_DECL_KEYS = ("name", "arity", "codomain")
+_DECLARATION = {
+    "name": (lambda v: schema.string(v) and v != "", "a non-empty string"),
+    "arity": (lambda v: schema.integer(v) and v >= 0, "a non-negative integer"),
+    "codomain": (lambda v: v in ("real", "complex"), "'real' or 'complex'"),
+}
 
 
 def load_declarations(decls, table: SymbolTable) -> list:
-    """Declare symbols from a JSON-style list of {name, arity, codomain}.
+    """Declare symbols from a JSON list of {name, arity, codomain}.
 
     Every entry is checked before any symbol is declared; a malformed one
     raises ValueError naming the entry and the field.
     """
-    if isinstance(decls, str):
-        decls = json.loads(decls)
-    if not isinstance(decls, list):
+    if type(decls) is not list:
         raise ValueError("declarations must be a JSON list of {name, arity, codomain} objects")
     for i, d in enumerate(decls):
-        if not isinstance(d, dict):
-            raise ValueError(f"declaration {i} must be an object with keys name, arity, codomain")
-        for key in _DECL_KEYS:
-            if key not in d:
-                raise ValueError(f"declaration {i} is missing {key!r}")
-        for key in d:
-            if key not in _DECL_KEYS:
-                raise ValueError(f"declaration {i} has unknown key {key!r}")
-        if not isinstance(d["name"], str) or not d["name"]:
-            raise ValueError(f"declaration {i}: 'name' must be a non-empty string")
-        if type(d["arity"]) is not int or d["arity"] < 0:
-            raise ValueError(f"declaration {i}: 'arity' must be a non-negative integer")
-        if d["codomain"] not in ("real", "complex"):
-            raise ValueError(f"declaration {i}: 'codomain' must be 'real' or 'complex'")
+        schema.check(d, _DECLARATION, required=_DECLARATION, name=f"declaration {i}")
     return [table.declare(d["name"], d["arity"], d["codomain"]) for d in decls]
 
 

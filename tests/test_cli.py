@@ -1,9 +1,17 @@
 """CLI surface: subcommands, JSON output, determinism, exit codes."""
+import contextlib
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
+
+from schsym import cli
 from schsym.cli import main
+from schsym.groupoid import _MODEL, load_fixture, model_to_json
+from schsym.parsing import _DECLARATION
 
 CASE7_FIELD = '{"tau": "t^2", "rho": "-t"}'
 CASE7_POTENTIAL = "(1 + 2*i)*(x1^2 + x2^2)^(-1)"
@@ -330,3 +338,146 @@ def test_broken_json_file_is_named(tmp_path, capsys):
     model.write_text('{"objects": ["a"],')
     err = _assert_one_error_line(capsys, main(["groupoid", str(model), "all"]))
     assert err.startswith(f"error: {model}: "), err
+
+
+ZERO_DIVISORS = ("1/0", "t/0", "0^(-1)", "t^(1/0)", "|0|^(-1/2)")
+
+
+def test_exact_zero_divisor_exits_2(capsys):
+    # these used to exit 1 with a ZeroDivisionError traceback
+    for potential in ZERO_DIVISORS:
+        code = main(["residual", potential, '{"tau":"1"}'])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", potential
+        assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+
+
+def test_json_booleans_are_not_numbers(tmp_path, capsys):
+    # bool subclasses int: kappa = true and O = [[true, false], ...] used to
+    # be read as 1 and the identity, and exit 0
+    decls = tmp_path / "decls.json"
+    decls.write_text('[{"name": "f", "arity": true, "codomain": "real"}]')
+    model = model_to_json(load_fixture("normalized"))
+    model["H"] = [True]
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(model))
+    for argv in (["invariants", NONCLOSED_KAPPA.format("true")],
+                 ["transform", "x1^2", '{"O":[[true,false],[false,true]]}'],
+                 ["residual", "0", '{"tau":"1"}', "--declare", str(decls)],
+                 ["groupoid", str(model_file), "all"]):
+        _assert_one_error_line(capsys, main(argv))
+
+
+# Valid inputs; the fuzz test below breaks exactly one rule of one of them.
+VALID_FIELD = {"tau": "t", "kappa": "1", "chi": ["t", "0"], "sigma": "1", "rho": "t",
+               "eta0": None}
+VALID_TRANSFORM = {"T": "2*t", "O": [["3/5", "-4/5"], ["4/5", "3/5"]], "X": ["t", "0"],
+                   "Sigma": "t", "Upsilon": "1"}
+VALID_CONFIG = {"n": 2, "trials": 1, "bindings": 1, "points": 8, "tol": 1e-8, "seed": 1,
+                "format": "json"}
+VALID_DECLARATION = {"name": "U", "arity": 1, "codomain": "real"}
+# no key takes a boolean or a non-finite number
+ALWAYS_BAD = (True, False, float("nan"), float("inf"))
+# wrong types, nested and wrong-length lists and empty strings; every valid
+# number is left out, so no draw can ask for a huge trial count or exponent
+BAD_VALUES = ALWAYS_BAD + (None, {}, [], [[]], [["t"]], ["t"], ["t", "0", "0"],
+                           [[True, 0], [0, 1]], [[1, 0], [0]], "")
+UNKNOWN_KEYS = ("tua", "Tau", "", "kappa ")
+FUZZ_TARGETS = ("potential", "field", "bracket", "invariants", "transform", "config",
+                "declare", "groupoid")
+
+
+def _bad_value(data, test, grammar: bool):
+    """A value that fails test, or that no key takes; with grammar, also
+    strings that fail to parse."""
+    pool = [v for v in BAD_VALUES + ZERO_DIVISORS
+            if not test(v) or (grammar and isinstance(v, str))]
+    return data.draw(st.sampled_from(ALWAYS_BAD) | st.sampled_from(pool))
+
+
+def _break_object(data, obj: dict, schema: dict, required=(), grammar=False):
+    """obj with one rule of schema broken: a bad value, an unknown or missing
+    key, or the whole object replaced by a non-object."""
+    obj = dict(obj)
+    kind = data.draw(st.sampled_from(("value", "unknown", "whole")
+                                     + (("missing",) if required else ())))
+    if kind == "value":
+        key = data.draw(st.sampled_from(sorted(schema)))
+        obj[key] = _bad_value(data, schema[key][0], grammar)
+    elif kind == "unknown":
+        obj[data.draw(st.sampled_from([k for k in UNKNOWN_KEYS if k not in schema]))] = "1"
+    elif kind == "missing":
+        del obj[data.draw(st.sampled_from(sorted(required)))]
+    else:
+        return data.draw(st.sampled_from([v for v in BAD_VALUES if v != {}]))
+    return obj
+
+
+def _break_model(data, model: dict):
+    """The groupoid model with one shape rule or cross-reference broken."""
+    model = json.loads(json.dumps(model))
+    count = len(model["arrows"])
+    kind = data.draw(st.sampled_from(("shape", "endpoint", "arrow", "mult", "H", "Hbar", "N")))
+    if kind == "shape":
+        return _break_object(data, model, _MODEL, required=list(_MODEL)[:-1])
+    i = data.draw(st.integers(0, count - 1))
+    if kind == "endpoint":
+        model["arrows"][i][data.draw(st.sampled_from(("src", "tgt")))] = "zz"
+    elif kind == "arrow":
+        arrow = {key: (lambda v: isinstance(v, str), "") for key in ("src", "label", "tgt")}
+        model["arrows"][i] = _break_object(data, model["arrows"][i], arrow, required=arrow)
+    elif kind == "N":
+        model["N"]["zz"] = ["e"]
+    else:
+        bad = data.draw(st.sampled_from((count, -1)))
+        model[kind].append([i, i, bad] if kind == "mult" else bad)
+    return model
+
+
+def _broken_argv(data, target: str, tmp) -> list:
+    """Command-line arguments whose target input breaks one rule."""
+    field, transform = cli._spec_schemas(2)
+    fields = json.dumps(VALID_FIELD)
+    if target == "potential":
+        bad = data.draw(st.sampled_from(ZERO_DIVISORS + ("",)))
+        if data.draw(st.booleans()):
+            return ["residual", bad, fields]
+        return ["transform", bad, json.dumps(VALID_TRANSFORM)]
+    if target in ("field", "bracket", "invariants"):
+        spec = json.dumps(_break_object(data, VALID_FIELD, field, grammar=True))
+        pair = data.draw(st.permutations([fields, spec]))
+        return {"field": ["residual", "x1^2", spec], "bracket": ["bracket"] + pair,
+                "invariants": ["invariants", "[" + ",".join(pair) + "]"]}[target]
+    if target == "transform":
+        spec = _break_object(data, VALID_TRANSFORM, transform, grammar=True)
+        return ["transform", "x1^2", json.dumps(spec)]
+    if target == "config":
+        config = {f.name: cli._CONFIG_TYPES[f.type]
+                  for f in dataclasses.fields(cli.RunConfig)}
+        content = _break_object(data, VALID_CONFIG, config)
+    elif target == "declare":
+        decls = [VALID_DECLARATION, _break_object(data, VALID_DECLARATION, _DECLARATION,
+                                                  required=_DECLARATION)]
+        # or a lone declaration where the list belongs
+        content = data.draw(st.sampled_from((decls, VALID_DECLARATION)))
+    else:
+        content = _break_model(data, model_to_json(load_fixture("normalized")))
+    path = tmp / f"{target}.json"
+    path.write_text(json.dumps(content))
+    if target == "groupoid":
+        return ["groupoid", str(path), "all"]
+    return ["residual", "0", fields, f"--{target}", str(path)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_malformed_input_fuzz_exits_2(tmp_path_factory, data):
+    """Every input with one broken rule exits 2 with one stderr line."""
+    tmp = tmp_path_factory.getbasetemp()
+    for target in FUZZ_TARGETS:
+        argv = _broken_argv(data, target, tmp)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, argv
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (argv, err.getvalue())

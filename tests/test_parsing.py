@@ -106,3 +106,12 @@ def test_rational_powers_round_trip(table):
                  "t^(3/2)/2", "t^1.5"):
         e = parse(text, table)
         assert parse(to_text(e), table) is e, text
+
+
+def test_exact_zero_divisor_is_a_positioned_parse_error(table):
+    # these used to escape as ZeroDivisionError
+    for text, pos in (("1/0", 2), ("t/0", 2), ("0^(-1)", 2), ("t^(1/0)", 5),
+                      ("|0|^(-1/2)", 4)):
+        with pytest.raises(ParseError) as err:
+            parse(text, table)
+        assert err.value.pos == pos, text
