@@ -30,6 +30,7 @@ import numpy as np
 
 from .closedform import expr_to_exppoly, exppoly_to_expr
 from .conditions import InvariantTuple, Potential, SpanError, classifying_residual, invariants
+from .equivalence import rational_rotation
 from .expr import (COS, SIN, T_VAR, Const, Expr, SymbolTable, abs_pow, const, diff,
                    func_app, int_pow)
 from .fields import GeneratorCoeffs
@@ -225,8 +226,6 @@ def _liouville_pair(rng, ws: Workspace):
 
 
 def build_case16(ws: Workspace, rng, notes: dict) -> None:
-    from .equivalence import rational_rotation
-
     m = Fraction(int(rng.integers(-6, 7)), 13)
     Q = rational_rotation(m)
     u1, u2, d1, G1, F1 = _liouville_pair(rng, ws)

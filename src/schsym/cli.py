@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -50,6 +51,8 @@ class RunConfig:
             raise ValueError("n must be >= 1")
         if self.trials < 1 or self.bindings < 1 or self.points < 1:
             raise ValueError("trials, bindings and points must be >= 1")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be a finite number > 0")
         if self.format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
 

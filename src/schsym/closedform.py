@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import COS, EXP, Expr, SIN, ZERO, const, func_app, int_pow, t
-from .funcbank import ExpPoly
+from .expr import (COS, EXP, SIN, T_VAR, ZERO, Const, Expr, FuncApp, IntPow, Product, Sum,
+                   Var, const, func_app, int_pow, t)
+from .funcbank import ExpPoly, ExpPolyImpl
 
 
 def _poly_expr(coeffs, var_expr: Expr, real_part: bool) -> Expr:
@@ -77,9 +78,6 @@ def expr_to_exppoly(e: Expr, impls: dict) -> ExpPoly:
     an ExpPoly applied to a rational-affine function of t.  Used to give
     antiderivative-defined symbols exact implementations.
     """
-    from .expr import Const, FuncApp, IntPow, Product, Sum, T_VAR, Var
-    from .funcbank import ExpPolyImpl
-
     if isinstance(e, Const):
         if e.im != 0:
             return ExpPoly({0j: (complex(float(e.re), float(e.im)),)})
@@ -110,20 +108,20 @@ def expr_to_exppoly(e: Expr, impls: dict) -> ExpPoly:
         impl = impls.get(e.sym)
         if e.sym.name == "cos" or e.sym.name == "sin":
             arg = e.args[0]
-            a, b = _affine_in_t(arg)
+            a, b = expr_to_exppoly_linear(arg)
             k = e.didx[0]
             base = ExpPoly.cos(a, b) if e.sym.name == "cos" else ExpPoly.sin(a, b)
             for _ in range(k):
                 base = base.derivative()
             return base
         if e.sym.name == "exp":
-            a, b = _affine_in_t(e.args[0])
+            a, b = expr_to_exppoly_linear(e.args[0])
             base = ExpPoly({complex(a): (complex(np.exp(b)),)})
             for _ in range(e.didx[0]):
                 base = base.derivative()
             return base
         if isinstance(impl, ExpPolyImpl):
-            a, b = _affine_in_t(e.args[0])
+            a, b = expr_to_exppoly_linear(e.args[0])
             if (a, b) != (1.0, 0.0):
                 raise ValueError("symbol must be applied to t itself")
             f = impl.func
@@ -134,15 +132,7 @@ def expr_to_exppoly(e: Expr, impls: dict) -> ExpPoly:
     raise ValueError(f"{type(e).__name__} is not an exponential polynomial in t")
 
 
-def _affine_in_t(e: Expr) -> tuple[float, float]:
-    """Read e as a*t + b with numeric a, b."""
-    p = expr_to_exppoly_linear(e)
-    return p
-
-
 def expr_to_exppoly_linear(e: Expr) -> tuple[float, float]:
-    from .expr import Const, Product, Sum, T_VAR, Var
-
     if isinstance(e, Var) and e.vid == T_VAR:
         return (1.0, 0.0)
     if isinstance(e, Const):

@@ -19,15 +19,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .closedform import exppoly_to_expr
 from .conditions import Potential
 from .expr import (
     Expr,
+    FuncApp,
+    FunctionSymbol,
     T_VAR,
     ZERO,
     abs_pow,
     as_expr,
     conj_expr,
     const,
+    depends_only_on_t,
     diff,
     func_app,
     im_part,
@@ -35,11 +39,11 @@ from .expr import (
     subst,
     sum_,
     t as t_expr,
-    var,
     x,
     x_var,
 )
-from .fields import GeneratorCoeffs, _pairs
+from .fields import D, GeneratorCoeffs, Iop, J, M as Mgen, P, _pairs
+from .funcbank import random_trig_poly
 from .numeric import (
     Binding,
     InverseImpl,
@@ -101,8 +105,6 @@ class EquivTransformation:
     def __post_init__(self):
         if len(self.X) != self.n or len(self.O) != self.n:
             raise ValueError("dimension mismatch in transformation data")
-        from .expr import depends_only_on_t
-
         for name, e in (("T", self.T), ("Sigma", self.Sigma),
                         ("Upsilon", self.Upsilon),
                         *((f"X{i+1}", c) for i, c in enumerate(self.X))):
@@ -180,8 +182,6 @@ class EquivTransformation:
     def tinv_app(self) -> Expr:
         """The inverse time map T^-1(t): given, or a root-solved FuncApp."""
         if self._tinv is None:
-            from .expr import FunctionSymbol
-
             name = f"Tinv{next(_TINV_COUNTER)}"
             sym = FunctionSymbol(name, 1, "real")
             self.binding.bind(sym, InverseImpl(self.T, self.binding, self.bracket))
@@ -477,8 +477,6 @@ class EquivGenerator:
 
     def projection(self) -> GeneratorCoeffs:
         """Pushforward to the variable space: the matching canonical generator."""
-        from .fields import D, J, M as Mgen, Iop, P
-
         if self.kind == "D":
             return D(self.tau, self.n)
         if self.kind == "J":
@@ -575,9 +573,6 @@ def equiv_generator_check(gen: EquivGenerator, V: Potential,
 def standard_equiv_generators(rng: Optional[np.random.Generator] = None,
                               n: int = 2) -> list[EquivGenerator]:
     """One random representative per family of the equivalence algebra."""
-    from .closedform import exppoly_to_expr
-    from .funcbank import random_trig_poly
-
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -646,8 +641,6 @@ def is_free_reducible(V: Potential, rng: Optional[np.random.Generator] = None,
 
 
 def _funcapps(e: Expr):
-    from .expr import FuncApp
-
     seen = set()
     stack = [e]
     while stack:

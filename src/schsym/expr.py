@@ -133,6 +133,7 @@ def raise_jet(v: VarId, direction: int) -> VarId:
 # ---------------------------------------------------------------------------
 
 _INTERN: dict = {}
+_EMPTY: frozenset = frozenset()
 
 
 def _intern(key, build):
@@ -143,12 +144,23 @@ def _intern(key, build):
     return node
 
 
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, returned as a or b itself when that set holds the other, so a
+    node whose children add nothing new shares a child's set."""
+    if a is b or b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
 class Expr:
+    # is_real, free_vars and free_symbols are set once, by the constructor;
     # _tape: numeric's compiled evaluation program for this node as a root
-    __slots__ = ("is_real", "_jets", "_vars", "_syms", "_tape", "__weakref__")
+    __slots__ = ("is_real", "free_vars", "free_symbols", "_tape", "__weakref__")
 
     def __str__(self):
-        from . import parsing
+        from . import parsing  # parsing imports this module
 
         return parsing.to_text(self)
 
@@ -184,49 +196,21 @@ class Expr:
 
     @property
     def jet_vars(self) -> frozenset:
-        got = self._jets
-        if got is None:
-            got = frozenset(v for v in self.free_vars if v.is_jet)
-            self._jets = got
-        return got
-
-    @property
-    def free_vars(self) -> frozenset:
-        got = self._vars
-        if got is None:
-            got = self._compute_vars()
-            self._vars = got
-        return got
-
-    @property
-    def free_symbols(self) -> frozenset:
-        got = self._syms
-        if got is None:
-            got = self._compute_syms()
-            self._syms = got
-        return got
-
-    def _compute_vars(self) -> frozenset:
-        out: set = set()
-        for c in self.children():
-            out |= c.free_vars
-        return frozenset(out)
-
-    def _compute_syms(self) -> frozenset:
-        out: set = set()
-        for c in self.children():
-            out |= c.free_symbols
-        return frozenset(out)
+        return frozenset(v for v in self.free_vars if v.is_jet)
 
     def children(self) -> tuple["Expr", ...]:
         return ()
 
-    def _init_caches(self, is_real: bool):
-        # object.__setattr__ not needed; slots are plain attributes
+    def _init_facts(self, is_real: bool, kids: tuple, vid: Optional[VarId] = None,
+                    sym: Optional[FunctionSymbol] = None):
+        # children are built before their parents, so their facts exist
         self.is_real = is_real
-        self._jets = None
-        self._vars = None
-        self._syms = None
+        vs = syms = _EMPTY
+        for k in kids:
+            vs = _union(vs, k.free_vars)
+            syms = _union(syms, k.free_symbols)
+        self.free_vars = vs if vid is None else _union(vs, frozenset((vid,)))
+        self.free_symbols = syms if sym is None else _union(syms, frozenset((sym,)))
         self._tape = None
 
 
@@ -239,10 +223,7 @@ class Const(Expr):
         self.re = re
         self.im = im
         self._value = None
-        self._init_caches(im == 0)
-
-    def _compute_vars(self):
-        return frozenset()
+        self._init_facts(im == 0, ())
 
     def value(self) -> np.complex128:
         """The constant as a complex128; ValueError if it overflows a float."""
@@ -264,10 +245,7 @@ class Var(Expr):
 
     def __init__(self, vid: VarId):
         self.vid = vid
-        self._init_caches(not vid.is_jet)
-
-    def _compute_vars(self):
-        return frozenset((self.vid,))
+        self._init_facts(not vid.is_jet, (), vid=vid)
 
 
 class FuncApp(Expr):
@@ -277,16 +255,10 @@ class FuncApp(Expr):
         self.sym = sym
         self.args = args
         self.didx = didx
-        self._init_caches(sym.codomain == "real" and all(a.is_real for a in args))
+        self._init_facts(sym.codomain == "real" and all(a.is_real for a in args), args, sym=sym)
 
     def children(self):
         return self.args
-
-    def _compute_syms(self):
-        out = {self.sym}
-        for a in self.args:
-            out |= a.free_symbols
-        return frozenset(out)
 
 
 class Sum(Expr):
@@ -294,7 +266,7 @@ class Sum(Expr):
 
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
-        self._init_caches(all(t.is_real for t in terms))
+        self._init_facts(all(t.is_real for t in terms), terms)
 
     def children(self):
         return self.terms
@@ -305,7 +277,7 @@ class Product(Expr):
 
     def __init__(self, factors: tuple[Expr, ...]):
         self.factors = factors
-        self._init_caches(all(f.is_real for f in factors))
+        self._init_facts(all(f.is_real for f in factors), factors)
 
     def children(self):
         return self.factors
@@ -317,7 +289,7 @@ class IntPow(Expr):
     def __init__(self, base: Expr, k: int):
         self.base = base
         self.k = k
-        self._init_caches(base.is_real)
+        self._init_facts(base.is_real, (base,))
 
     def children(self):
         return (self.base,)
@@ -331,7 +303,7 @@ class AbsPow(Expr):
     def __init__(self, base: Expr, q: Fraction):
         self.base = base
         self.q = q
-        self._init_caches(True)
+        self._init_facts(True, (base,))
 
     def children(self):
         return (self.base,)
@@ -342,7 +314,7 @@ class Sign(Expr):
 
     def __init__(self, base: Expr):
         self.base = base
-        self._init_caches(True)
+        self._init_facts(True, (base,))
 
     def children(self):
         return (self.base,)
@@ -353,7 +325,7 @@ class Conj(Expr):
 
     def __init__(self, arg: Expr):
         self.arg = arg
-        self._init_caches(False)
+        self._init_facts(False, (arg,))
 
     def children(self):
         return (self.arg,)

@@ -14,7 +14,7 @@ sampled data and their t-derivatives without building the brackets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,7 +34,6 @@ from .expr import (
     jet_var,
     psi,
     sum_,
-    var,
     x,
     x_var,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from importlib import resources
 from typing import Iterable, Optional
 
 from . import schema
@@ -458,7 +459,5 @@ FIXTURE_TRUTH_TABLE = {
 
 def load_fixture(name: str) -> GroupoidModel:
     """A shipped model, read from its JSON file in ``schsym/data/groupoids``."""
-    from importlib import resources
-
     text = resources.files("schsym.data.groupoids").joinpath(f"{name}.json").read_text()
     return model_from_json(text)

@@ -39,6 +39,7 @@ from .expr import (
     diff,
     jet_var,
 )
+from .parsing import var_name
 
 T_RANGE = (0.3, 1.7)
 X_RANGE = (-2.0, 2.0)
@@ -428,7 +429,7 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
                 witness = {
                     "value": complex(vals.reshape(-1)[i]),
                     "normalized": float(normed[i]),
-                    "point": {str(_var_name(v)): complex(env[v][i]) for v in sorted(env, key=_var_sort_key)},
+                    "point": {var_name(v): complex(env[v][i]) for v in sorted(env, key=_var_sort_key)},
                 }
     return worst, witness
 
@@ -448,12 +449,6 @@ def is_zero(e: Expr, trials: int = 5, bindings_per_trial: int = 1,
         e, binding=binding, trials=trials, bindings_per_trial=bindings_per_trial,
         points=points, rng=rng, t_range=t_range)
     return worst < tol
-
-
-def _var_name(v: VarId) -> str:
-    from .parsing import var_name
-
-    return var_name(v)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,29 @@ def finite(v) -> bool:
     return type(v) is int or (type(v) is float and math.isfinite(v))
 
 
+# the largest decimal exponent a rational string may carry, in size:
+# Fraction expands the exponent exactly, and "1e10000000" takes seconds
+MAX_EXPONENT = 1000
+
+
 def rational(v) -> bool:
-    """A finite number, or a string such as "3/5" naming an exact rational."""
-    if type(v) is not str:
-        return finite(v)
-    try:
-        Fraction(v)
-    except (ValueError, ZeroDivisionError):
+    """A number, or a string such as "3/5" or "2.5e-3" naming an exact
+    rational, whose decimal exponent is at most MAX_EXPONENT in size and
+    whose value converts to a finite float."""
+    if type(v) is str:
+        _, e, exponent = v.lower().partition("e")
+        try:
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                return False
+            v = Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            return False
+    elif type(v) is not int and type(v) is not float:
         return False
-    return True
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
 
 
 def list_of(test, n=None):

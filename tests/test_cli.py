@@ -5,7 +5,9 @@ import io
 import json
 import subprocess
 import sys
+import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from schsym import cli
@@ -368,6 +370,36 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys):
         _assert_one_error_line(capsys, main(argv))
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_tol_out_of_range_exits_2(capsys, tol):
+    # --tol inf used to print "symmetry: yes" for a residual of 0.67
+    err = _assert_one_error_line(capsys, main(["residual", "t*x1", '{"tau":"1"}',
+                                               "--tol", tol]))
+    assert err == "error: tol must be a finite number > 0\n"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "-1" + "0" * 400])
+def test_config_tol_out_of_range_exits_2(tmp_path, capsys, tol):
+    # the flag's check; a JSON integer too large for a float is compared,
+    # not converted, so it cannot raise OverflowError
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"tol": {tol}}}')
+    err = _assert_one_error_line(capsys, main(["residual", "t*x1", '{"tau":"1"}',
+                                               "--config", str(config)]))
+    assert err == "error: tol must be a finite number > 0\n"
+
+
+def test_rationals_beyond_a_float_exit_2_at_once(capsys):
+    # a kappa or O entry of "1e400" used to end in an OverflowError
+    # traceback, and "1e10000000" took 12 s in Fraction before it passed
+    for value in ('"1e400"', '"-1e400"', '"1e10000000"', '"1e-10000000"', "1" + "0" * 399):
+        start = time.perf_counter()
+        _assert_one_error_line(capsys, main(["invariants", NONCLOSED_KAPPA.format(value)]))
+        O = f'{{"O": [[{value}, 0], [0, 1]]}}'
+        _assert_one_error_line(capsys, main(["transform", "x1^2", O]))
+        assert time.perf_counter() - start < 1, value
+
+
 # Valid inputs; the fuzz test below breaks exactly one rule of one of them.
 VALID_FIELD = {"tau": "t", "kappa": "1", "chi": ["t", "0"], "sigma": "1", "rho": "t",
                "eta0": None}
@@ -378,10 +410,12 @@ VALID_CONFIG = {"n": 2, "trials": 1, "bindings": 1, "points": 8, "tol": 1e-8, "s
 VALID_DECLARATION = {"name": "U", "arity": 1, "codomain": "real"}
 # no key takes a boolean or a non-finite number
 ALWAYS_BAD = (True, False, float("nan"), float("inf"))
-# wrong types, nested and wrong-length lists and empty strings; every valid
-# number is left out, so no draw can ask for a huge trial count or exponent
+# wrong types, nested and wrong-length lists, empty strings and rationals
+# beyond a float; a value is drawn only for keys that reject it, so no draw
+# can ask for a huge trial count or exponent
 BAD_VALUES = ALWAYS_BAD + (None, {}, [], [[]], [["t"]], ["t"], ["t", "0", "0"],
-                           [[True, 0], [0, 1]], [[1, 0], [0]], "")
+                           [[True, 0], [0, 1]], [[1, 0], [0]], "", "1e400", "1e10000000",
+                           10 ** 399)
 UNKNOWN_KEYS = ("tua", "Tau", "", "kappa ")
 FUZZ_TARGETS = ("potential", "field", "bracket", "invariants", "transform", "config",
                 "declare", "groupoid")

@@ -1,16 +1,19 @@
 """Expression engine: construction, differentiation, conjugation, round trips."""
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Const, FuncApp, IntPow, Product,
-                         Sign, Sum, SymbolTable, _cadd, _cmul, _cpow, _intern, _split_coeff,
+                         Sign, Sum, SymbolTable, Var, _cadd, _cmul, _cpow, _intern, _split_coeff,
                          abs_pow, conj_expr, const, diff, func_app, int_pow, jet_var,
                          prod, psi, psi_var, sign_of, subst, sum_, t, total_derivative,
                          var, x, x_var)
 from schsym.funcbank import random_surrogate
-from schsym.numeric import Binding, SamplePoint, draw_env, eval_batch, eval_expr, is_zero
+from schsym.numeric import (EMPTY_BINDING, Binding, SamplePoint, draw_env, eval_batch, eval_expr,
+                            is_zero, max_normalized_residual)
 from schsym.parsing import parse, to_text
 
 
@@ -405,3 +408,54 @@ def test_product_rule_collisions_and_direct_terms():
     assert int_pow(_S, 3) in diff(int_pow(_S, 2) * _G, T_VAR).terms
     assert int_pow(dcos, 2) in diff(cos_t * dcos, T_VAR).terms
     assert isinstance(diff(cos_t, T_VAR), FuncApp)
+
+
+# -- node facts against their recursive definition ---------------------------
+
+def _ref_facts(e):
+    """(free_vars, free_symbols) by recursion over the children."""
+    vs, syms = set(), set()
+    if isinstance(e, Var):
+        vs.add(e.vid)
+    if isinstance(e, FuncApp):
+        syms.add(e.sym)
+    for c in e.children():
+        cv, cs = _ref_facts(c)
+        vs |= cv
+        syms |= cs
+    return vs, syms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_node_facts_match_recursive_definition(data):
+    tbl = SymbolTable()
+    tbl.declare("U", 1, "complex")
+    tbl.declare("f", 1, "real")
+    e = data.draw(_expr_strategy(tbl, normal_forms=True))
+    vs, syms = _ref_facts(e)
+    assert e.free_vars == vs and e.free_symbols == syms
+    assert e.jet_vars == {v for v in vs if v.is_jet}
+    # a child's set that already holds the union is shared, not copied
+    for fact in ("free_vars", "free_symbols"):
+        own = getattr(e, fact)
+        if any(getattr(c, fact) == own for c in e.children()):
+            assert any(getattr(c, fact) is own for c in e.children())
+
+
+def test_facts_and_evaluation_do_not_recurse_at_depth_2000():
+    e = x(1)
+    for _ in range(2000):
+        e = func_app(SIN, [e]) / 2 + x(1)
+    assert e.free_vars == {x_var(1)} and e.free_symbols == {SIN} and not e.jet_vars
+    want = 0.3
+    for _ in range(2000):
+        want = math.sin(want) / 2 + 0.3
+    got = eval_expr(e, EMPTY_BINDING, SamplePoint(0.5, (0.3, 0.0)))
+    assert got == pytest.approx(want, rel=1e-12)
+    rng = np.random.default_rng(0)
+    assert not is_zero(e, rng=rng)
+    assert is_zero(e - e, rng=rng)
+    assert is_zero(int_pow(func_app(SIN, [e]), 2) + int_pow(func_app(COS, [e]), 2) - 1, rng=rng)
+    worst, witness = max_normalized_residual(e, rng=rng)
+    assert worst > 0.1 and set(witness["point"]) == {"x1"}
