@@ -47,10 +47,13 @@ class RunConfig:
     format: str = "text"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        # var_name writes one digit per jet direction, so n <= 9 reparses
+        if not 1 <= self.n <= 9:
+            raise ValueError("n must be between 1 and 9")
         if self.trials < 1 or self.bindings < 1 or self.points < 1:
             raise ValueError("trials, bindings and points must be >= 1")
+        if self.points > 100_000:
+            raise ValueError("points must be <= 100000")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be a finite number > 0")
         if self.format not in ("text", "json"):

@@ -36,6 +36,7 @@ from .expr import (
     func_app,
     im_part,
     int_pow,
+    post_order,
     subst,
     sum_,
     t as t_expr,
@@ -506,16 +507,9 @@ class EquivGenerator:
 def _rotation_float(angle: float):
     c = Fraction(float(np.cos(angle)))
     s = Fraction(float(np.sin(angle)))
-    # not exactly orthogonal; renormalize within 1e-12 by construction
-    r = (c * c + s * s)
-    return ((c, -s), (s, c)) if abs(float(r) - 1.0) < 1e-12 else _normalize_rot(c, s)
-
-
-def _normalize_rot(c: Fraction, s: Fraction):
-    norm = float(c * c + s * s) ** 0.5
-    cf = Fraction(float(c) / norm)
-    sf = Fraction(float(s) / norm)
-    return ((cf, -sf), (sf, cf))
+    # rounded cos and sin: c^2 + s^2 is 1 to within a few ulp, well inside
+    # the 1e-12 orthogonality check
+    return ((c, -s), (s, c))
 
 
 def pullback_along(Vt: Potential, tr: EquivTransformation) -> Expr:
@@ -611,11 +605,9 @@ def is_free_reducible(V: Potential, rng: Optional[np.random.Generator] = None,
     if rng is None:
         rng = np.random.default_rng(0)
     n = V.n
-    for sub in _funcapps(V.expr):
-        for arg in sub.args:
-            if any(v.kind == "x" for v in arg.free_vars):
-                raise UndecidableTemplate(
-                    f"potential applies {sub.sym.name} to space variables")
+    for sub in post_order(V.expr):
+        if isinstance(sub, FuncApp) and any(v.kind == "x" for v in sub.free_vars):
+            raise UndecidableTemplate(f"potential applies {sub.sym.name} to space variables")
 
     def zero(e: Expr) -> bool:
         return is_zero(e, trials=3, points=60, binding=V.binding, rng=rng, tol=tol)
@@ -638,16 +630,3 @@ def is_free_reducible(V: Potential, rng: Optional[np.random.Generator] = None,
         if not zero(im_part(diff(V.expr, x_var(a)))):
             return False
     return True
-
-
-def _funcapps(e: Expr):
-    seen = set()
-    stack = [e]
-    while stack:
-        u = stack.pop()
-        if id(u) in seen:
-            continue
-        seen.add(id(u))
-        if isinstance(u, FuncApp):
-            yield u
-        stack.extend(u.children())

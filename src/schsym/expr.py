@@ -7,6 +7,11 @@ deliberately small: sums, products, integer powers, |.|^q powers and sgn of
 real-valued subexpressions, complex conjugation, and applications of abstract
 function symbols carrying a formal derivative multi-index over their argument
 slots.
+
+Node facts are set at construction, and `diff`, `subst`, printing and the
+evaluation tape walk a DAG with one explicit-stack `post_order`, so none has
+a depth limit; only the parser, `conj_expr` and `closedform` recurse.  Each
+node keeps its derivatives once computed (`Expr._diffs`).
 """
 from __future__ import annotations
 
@@ -72,9 +77,6 @@ class SymbolTable:
 
     def __contains__(self, name: str) -> bool:
         return name in self._syms
-
-    def symbols(self) -> list[FunctionSymbol]:
-        return list(self._syms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +158,9 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 class Expr:
     # is_real, free_vars and free_symbols are set once, by the constructor;
-    # _tape: numeric's compiled evaluation program for this node as a root
-    __slots__ = ("is_real", "free_vars", "free_symbols", "_tape", "__weakref__")
+    # _tape: numeric's compiled evaluation program for this node as a root;
+    # _diffs: None until the node's first diff, then {VarId: derivative}
+    __slots__ = ("is_real", "free_vars", "free_symbols", "_tape", "_diffs", "__weakref__")
 
     def __str__(self):
         from . import parsing  # parsing imports this module
@@ -212,6 +215,37 @@ class Expr:
         self.free_vars = vs if vid is None else _union(vs, frozenset((vid,)))
         self.free_symbols = syms if sym is None else _union(syms, frozenset((sym,)))
         self._tape = None
+        self._diffs = None
+
+
+def post_order(root: Expr, enter=None) -> list[Expr]:
+    """The distinct nodes of root's DAG, children before parents and left to
+    right, by one explicit-stack walk.
+
+    A node for which `enter(node)` is false is left out, with every node
+    reachable only through it.
+    """
+    out: list[Expr] = []
+    seen = set()
+    stack = [(None, iter((root,)))]
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if c in seen:
+                continue
+            seen.add(c)
+            if enter is not None and not enter(c):
+                continue
+            if type(c) is Const or type(c) is Var:
+                out.append(c)  # a leaf needs no stack entry
+            else:
+                stack.append((c, iter(c.children())))
+                break
+        else:
+            stack.pop()
+            if node is not None:
+                out.append(node)
+    return out
 
 
 class Const(Expr):
@@ -672,39 +706,44 @@ def im_part(e: Expr) -> Expr:
 # differentiation / substitution
 # ---------------------------------------------------------------------------
 
-_DIFF_CACHE: dict = {}
-
-
-def _flip_if_jet(v: VarId) -> VarId:
-    if v.is_jet:
-        return jet_var(v.alpha, not v.conj)
-    return v
+# the node types the diff walk enters: not Sign, whose derivative is zero, nor
+# Conj, whose argument a nested diff differentiates by the conjugate jet
+_DIFF_WALKED = frozenset((Var, Sum, Product, IntPow, AbsPow, FuncApp))
 
 
 def diff(e: Expr, v: VarId) -> Expr:
     """Partial derivative of e with respect to the variable v.
 
     All VarIds are treated as independent; derivatives of function
-    applications raise the slot multi-index via the chain rule.
+    applications raise the slot multi-index via the chain rule.  Each
+    derivative is kept on its node, so a walk computes only those of the
+    nodes that contain v and lack one, children first.
     """
-    key = (id(e), v)
-    got = _DIFF_CACHE.get(key)
-    if got is not None:
-        return got
-    out = _diff(e, v)
-    _DIFF_CACHE[key] = out
-    return out
+    d = e._diffs and e._diffs.get(v)
+    if d is not None:
+        return d
+    if v not in e.free_vars or type(e) is Sign:
+        return ZERO
+
+    def enter(u):
+        return (v in u.free_vars and type(u) in _DIFF_WALKED
+                and (u._diffs is None or v not in u._diffs))
+
+    for u in (e,) if type(e) is Conj else post_order(e, enter):
+        d = _diff(u, v)
+        if u._diffs is None:
+            u._diffs = {v: d}
+        else:
+            u._diffs[v] = d
+    return d  # e's: it is the walk's last node
 
 
 def _diff(e: Expr, v: VarId) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
+    """e's derivative by the rule of its type; diff of a child is a lookup."""
     if isinstance(e, Var):
-        return ONE if e.vid == v else ZERO
-    if v not in e.free_vars:
-        return ZERO
+        return ONE  # only v itself is entered
     if isinstance(e, Sum):
-        return sum_(diff(tm, v) for tm in e.terms)
+        return sum_([diff(tm, v) for tm in e.terms])
     if isinstance(e, Product):
         fs = e.factors
         terms = []
@@ -726,21 +765,18 @@ def _diff(e: Expr, v: VarId) -> Expr:
         return prod((const(e.k), int_pow(e.base, e.k - 1), diff(e.base, v)))
     if isinstance(e, AbsPow):
         return prod((const(e.q), abs_pow(e.base, e.q - 1), sign_of(e.base), diff(e.base, v)))
-    if isinstance(e, Sign):
-        return ZERO
     if isinstance(e, Conj):
-        return conj_expr(diff(e.arg, _flip_if_jet(v)))
-    if isinstance(e, FuncApp):
-        terms = []
-        for s in range(e.sym.arity):
-            d = diff(e.args[s], v)
-            if d is ZERO:
-                continue
-            didx = list(e.didx)
-            didx[s] += 1
-            terms.append(prod((func_app(e.sym, e.args, didx), d)))
-        return sum_(terms)
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+        # conj(f)' is conj(f') by v with its jet flag flipped
+        return conj_expr(diff(e.arg, jet_var(v.alpha, not v.conj) if v.is_jet else v))
+    terms = []
+    for s in range(e.sym.arity):  # a FuncApp
+        d = diff(e.args[s], v)
+        if d is ZERO:
+            continue
+        didx = list(e.didx)
+        didx[s] += 1
+        terms.append(prod((func_app(e.sym, e.args, didx), d)))
+    return sum_(terms)
 
 
 def total_derivative(e: Expr, direction: int) -> Expr:
@@ -760,36 +796,28 @@ def total_derivative(e: Expr, direction: int) -> Expr:
 
 def subst(e: Expr, mapping: Mapping[VarId, Expr]) -> Expr:
     """Replace variables by expressions (no capture issues: vars are global)."""
-    memo: dict[int, Expr] = {}
-
-    def go(u: Expr) -> Expr:
-        got = memo.get(id(u))
-        if got is not None:
-            return got
+    keys = mapping.keys()
+    done: dict[Expr, Expr] = {}
+    get = done.get
+    for u in post_order(e, lambda u: not u.free_vars.isdisjoint(keys)):
         if isinstance(u, Var):
             out = mapping.get(u.vid, u)
-        elif not (u.free_vars & mapping.keys()):
-            out = u
         elif isinstance(u, Sum):
-            out = sum_(go(tm) for tm in u.terms)
+            out = sum_([get(tm, tm) for tm in u.terms])
         elif isinstance(u, Product):
-            out = prod(go(f) for f in u.factors)
+            out = prod([get(f, f) for f in u.factors])
         elif isinstance(u, IntPow):
-            out = int_pow(go(u.base), u.k)
+            out = int_pow(get(u.base, u.base), u.k)
         elif isinstance(u, AbsPow):
-            out = abs_pow(go(u.base), u.q)
+            out = abs_pow(get(u.base, u.base), u.q)
         elif isinstance(u, Sign):
-            out = sign_of(go(u.base))
+            out = sign_of(get(u.base, u.base))
         elif isinstance(u, Conj):
-            out = conj_expr(go(u.arg))
-        elif isinstance(u, FuncApp):
-            out = func_app(u.sym, tuple(go(a) for a in u.args), u.didx)
+            out = conj_expr(get(u.arg, u.arg))
         else:
-            out = u
-        memo[id(u)] = out
-        return out
-
-    return go(e)
+            out = func_app(u.sym, [get(a, a) for a in u.args], u.didx)
+        done[u] = out
+    return get(e, e)
 
 
 def depends_only_on_t(e: Expr) -> bool:

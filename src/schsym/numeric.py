@@ -38,6 +38,7 @@ from .expr import (
     ZERO,
     diff,
     jet_var,
+    post_order,
 )
 from .parsing import var_name
 
@@ -91,9 +92,6 @@ class Binding:
 
     def __contains__(self, sym: FunctionSymbol) -> bool:
         return sym in self._impls or sym.name in funcbank.BUILTIN_IMPLS
-
-    def symbols(self):
-        return list(self._impls)
 
     def impl_map(self) -> dict:
         return dict(self._impls)
@@ -198,29 +196,14 @@ class _Tape:
     __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root")
 
     def __init__(self, root: Expr):
-        # one post-order walk, children first and left to right, that sorts
-        # the distinct nodes into computed nodes, constants and variables
         computed, consts, variables = [], [], []
-        seen = set()
-        stack = [(None, iter((root,)))]
-        while stack:
-            node, kids = stack[-1]
-            for c in kids:
-                if c in seen:
-                    continue
-                seen.add(c)
-                tc = type(c)
-                if tc is Const:
-                    consts.append(c)
-                elif tc is Var:
-                    variables.append(c)
-                else:
-                    stack.append((c, iter(c.children())))
-                    break
+        for n in post_order(root):
+            if type(n) is Const:
+                consts.append(n)
+            elif type(n) is Var:
+                variables.append(n)
             else:
-                stack.pop()
-                if node is not None:
-                    computed.append(node)
+                computed.append(n)
         order = computed + consts + variables
         slot = dict(zip(order, range(len(order))))
         self.rows = len(computed)
@@ -455,8 +438,11 @@ def is_zero(e: Expr, trials: int = 5, bindings_per_trial: int = 1,
 # expression-backed and derived implementations
 # ---------------------------------------------------------------------------
 
-def _diff_t(e: Expr) -> Expr:
-    return diff(e, T_VAR)
+def _t_derivative(e: Expr, k: int) -> Expr:
+    """The k-th t-derivative of e; a step a node already holds is a lookup."""
+    for _ in range(k):
+        e = diff(e, T_VAR)
+    return e
 
 
 class ExprImpl(funcbank.FunctionImpl):
@@ -467,11 +453,11 @@ class ExprImpl(funcbank.FunctionImpl):
     """
 
     def __init__(self, expr_t: Expr, binding: Binding):
-        self._derivs = [expr_t]
+        self._expr = expr_t
         self._binding = binding
 
     def deriv(self, didx, args):
-        d = funcbank.nth_derivative(self._derivs, didx[0], _diff_t)
+        d = _t_derivative(self._expr, didx[0])
         env = {T_VAR: np.asarray(args[0], dtype=complex)}
         vals, _, unsafe = eval_batch(d, self._binding, env)
         return vals, unsafe
@@ -501,7 +487,6 @@ class InverseImpl(funcbank.FunctionImpl):
         self.T_expr = T_expr
         self._binding = binding
         self._bracket = bracket
-        self._derivs = [T_expr]
         self._memo: Optional[tuple[tuple, np.ndarray, np.ndarray]] = None
 
     def _T_at(self, s: np.ndarray, order: int, first: int = 0) -> list[np.ndarray]:
@@ -509,8 +494,7 @@ class InverseImpl(funcbank.FunctionImpl):
         env = {T_VAR: np.asarray(s, dtype=complex)}
         out = []
         for j in range(first, order + 1):
-            d = funcbank.nth_derivative(self._derivs, j, _diff_t)
-            vals, _, _ = eval_batch(d, self._binding, env)
+            vals, _, _ = eval_batch(_t_derivative(self.T_expr, j), self._binding, env)
             out.append(np.real(vals))
         return out
 
@@ -623,7 +607,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
     """
 
     def __init__(self, integrand: Expr, binding: Binding, base_point: float = 1.0):
-        self._derivs = [integrand]
+        self._integrand = integrand
         self._binding = binding
         self._base = base_point
 
@@ -649,7 +633,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
             nodes, weights = np.polynomial.legendre.leggauss(self.GAUSS_ORDER)
             half = 0.5 * (hi - lo)
             pts = (0.5 * (lo + hi)[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-            vals, _, unsafe = eval_batch(self._derivs[0], self._binding,
+            vals, _, unsafe = eval_batch(self._integrand, self._binding,
                                          {T_VAR: pts.astype(complex)})
             vals = vals.reshape(len(lo), self.GAUSS_ORDER)
             panel_ints = (vals * weights[None, :]).sum(axis=1) * half
@@ -670,6 +654,6 @@ class AntiderivImpl(funcbank.FunctionImpl):
         z = np.asarray(args[0], dtype=complex)
         if k == 0:
             return self._value(z)
-        d = funcbank.nth_derivative(self._derivs, k - 1, _diff_t)
+        d = _t_derivative(self._integrand, k - 1)
         vals, _, unsafe = eval_batch(d, self._binding, {T_VAR: z})
         return vals, unsafe

@@ -47,6 +47,7 @@ from .expr import (
     func_app,
     int_pow,
     jet_var,
+    post_order,
     sign_of,
     var,
     x_var,
@@ -355,7 +356,8 @@ def _wrap(s: str, prec: int, context: int) -> str:
     return f"({s})" if prec < context else s
 
 
-def _text(e: Expr) -> tuple[str, int]:
+def _text(e: Expr, done: dict) -> tuple[str, int]:
+    """(text, precedence) of e, given its children's in `done`."""
     if isinstance(e, Const):
         return _const_text(e)
     if isinstance(e, Var):
@@ -363,7 +365,7 @@ def _text(e: Expr) -> tuple[str, int]:
     if isinstance(e, Sum):
         parts = []
         for i, tm in enumerate(e.terms):
-            s, p = _text(tm)
+            s, p = done[tm]
             if i == 0:
                 parts.append(s)
             elif s.startswith("-"):
@@ -372,20 +374,22 @@ def _text(e: Expr) -> tuple[str, int]:
                 parts.append(f" + {s if p > _PREC_SUM else '(' + s + ')'}")
         return "".join(parts), _PREC_SUM
     if isinstance(e, Product):
+        parts = [_wrap(*done[f], _PREC_TERM) for f in e.factors]
         head = e.factors[0]
         if isinstance(head, Const) and head.im == 0 and head.re < 0:
             # pull the sign out so sums can print "a - b"
-            pos = const(-head.re)
-            rest = e.factors[1:] if pos.re == 1 else (pos,) + e.factors[1:]
-            body = "*".join(_wrap(*_text(f), _PREC_TERM) for f in rest)
-            return f"-{body}", _PREC_SUM
-        return "*".join(_wrap(*_text(f), _PREC_TERM) for f in e.factors), _PREC_TERM
+            if head.re == -1:
+                del parts[0]
+            else:
+                parts[0] = _frac(-head.re)
+            return "-" + "*".join(parts), _PREC_SUM
+        return "*".join(parts), _PREC_TERM
     if isinstance(e, IntPow):
-        b, p = _text(e.base)
+        b, p = done[e.base]
         exp = str(e.k) if e.k >= 0 else f"(-{-e.k})"
         return f"{_wrap(b, p, _PREC_ATOM)}^{exp}", _PREC_POW
     if isinstance(e, AbsPow):
-        b, _ = _text(e.base)
+        b, _ = done[e.base]
         if e.q == 1:
             return f"|{b}|", _PREC_ATOM
         q = e.q
@@ -395,22 +399,23 @@ def _text(e: Expr) -> tuple[str, int]:
             exp = f"({_frac(q)})"
         return f"|{b}|^{exp}", _PREC_POW
     if isinstance(e, Sign):
-        b, _ = _text(e.base)
-        return f"sgn({b})", _PREC_ATOM
+        return f"sgn({done[e.base][0]})", _PREC_ATOM
     if isinstance(e, Conj):
-        a, _ = _text(e.arg)
-        return f"conj({a})", _PREC_ATOM
+        return f"conj({done[e.arg][0]})", _PREC_ATOM
     if isinstance(e, FuncApp):
         name = e.sym.name
         if any(e.didx):
             name += "[" + ",".join(str(k) for k in e.didx) + "]"
         if e.sym.arity == 0:
             return name, _PREC_ATOM
-        args = ", ".join(_text(a)[0] for a in e.args)
+        args = ", ".join(done[a][0] for a in e.args)
         return f"{name}({args})", _PREC_ATOM
     raise TypeError(f"cannot print {type(e).__name__}")
 
 
 def to_text(e: Expr) -> str:
     """Render an expression in the grammar; reparsing gives the same DAG."""
-    return _text(e)[0]
+    done: dict = {}
+    for u in post_order(e):
+        done[u] = _text(u, done)
+    return done[e][0]

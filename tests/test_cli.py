@@ -389,6 +389,32 @@ def test_config_tol_out_of_range_exits_2(tmp_path, capsys, tol):
     assert err == "error: tol must be a finite number > 0\n"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 10, "n must be between 1 and 9"),
+    ("n", 100000000000, "n must be between 1 and 9"),
+    ("points", 100001, "points must be <= 100000"),
+    ("points", 100000000000, "points must be <= 100000")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_config_upper_bounds_exit_2(tmp_path, capsys, key, value, message, source):
+    # psi_10 does not reparse, and the huge values used to end in a
+    # MemoryError traceback
+    if source == "flag":
+        extra = [f"--{key}", str(value)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        extra = ["--config", str(config)]
+    err = _assert_one_error_line(capsys, main(["residual", "t*x1", '{"tau":"1"}', *extra]))
+    assert err == f"error: {message}\n"
+
+
+def test_residual_of_a_200_deep_potential_exits_0(capsys):
+    # diff used to recurse once per level and raise RecursionError here
+    potential = "sin(x1 + " * 200 + "t" + ")" * 200
+    code, out = run_cli(capsys, "residual", potential, '{"chi":["1","t"]}', "--format", "json")
+    assert code == 0 and json.loads(out)["potential"] == potential
+
+
 def test_rationals_beyond_a_float_exit_2_at_once(capsys):
     # a kappa or O entry of "1e400" used to end in an OverflowError
     # traceback, and "1e10000000" took 12 s in Fraction before it passed

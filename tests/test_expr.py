@@ -6,15 +6,17 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Const, FuncApp, IntPow, Product,
-                         Sign, Sum, SymbolTable, Var, _cadd, _cmul, _cpow, _intern, _split_coeff,
-                         abs_pow, conj_expr, const, diff, func_app, int_pow, jet_var,
-                         prod, psi, psi_var, sign_of, subst, sum_, t, total_derivative,
-                         var, x, x_var)
+from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Conj, Const, FuncApp, IntPow,
+                         Product, Sign, Sum, SymbolTable, Var, _cadd, _cmul, _cpow, _intern,
+                         _split_coeff, abs_pow, conj_expr, const, diff, func_app, int_pow,
+                         jet_var, post_order, prod, psi, psi_var, sign_of, subst, sum_, t,
+                         total_derivative, var, x, x_var)
 from schsym.funcbank import random_surrogate
 from schsym.numeric import (EMPTY_BINDING, Binding, SamplePoint, draw_env, eval_batch, eval_expr,
                             is_zero, max_normalized_residual)
-from schsym.parsing import parse, to_text
+from schsym.parsing import (_PREC_ATOM as ATOM, _PREC_POW as POW, _PREC_SUM as SUM,
+                            _PREC_TERM as TERM, _const_text, _frac, _wrap, parse, to_text,
+                            var_name)
 
 
 @pytest.fixture
@@ -362,19 +364,6 @@ def _ref_product_rule(e, v):
     return sum_(terms)
 
 
-def _products_below(e):
-    seen, stack, out = set(), [e], []
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        if isinstance(u, Product):
-            out.append(u)
-        stack.extend(u.children())
-    return out
-
-
 # S = 1 + t^2 and G with G' = S, so S^2*G and S*G differentiate into a
 # product whose new factor S is already a base of another factor
 _S = t() * t() + 1
@@ -393,8 +382,9 @@ def test_product_rule_matches_reference(data):
                             st.tuples(colliding, colliding, colliding).map(
                                 lambda fs: int_pow(fs[0], 2) * fs[1] * fs[2])))
     v = data.draw(st.sampled_from([T_VAR, x_var(1), x_var(2)]))
-    for p in _products_below(e):
-        assert diff(p, v) is _ref_product_rule(p, v)
+    for p in post_order(e):
+        if isinstance(p, Product):
+            assert diff(p, v) is _ref_product_rule(p, v)
 
 
 def test_product_rule_collisions_and_direct_terms():
@@ -408,6 +398,165 @@ def test_product_rule_collisions_and_direct_terms():
     assert int_pow(_S, 3) in diff(int_pow(_S, 2) * _G, T_VAR).terms
     assert int_pow(dcos, 2) in diff(cos_t * dcos, T_VAR).terms
     assert isinstance(diff(cos_t, T_VAR), FuncApp)
+
+
+# -- the walks against recursive definitions ----------------------------------
+
+def _ref_post_order(e, seen=None, out=None):
+    """Distinct nodes, children before parents and left to right, by recursion."""
+    seen, out = (set(), []) if seen is None else (seen, out)
+    if e not in seen:
+        seen.add(e)
+        for c in e.children():
+            _ref_post_order(c, seen, out)
+        out.append(e)
+    return out
+
+
+def _ref_diff(e, v, memo):
+    """`diff` by recursion, memoized in `memo`, not on the nodes."""
+    got = memo.get((e, v))
+    if got is not None:
+        return got
+    if v not in e.free_vars or isinstance(e, Sign):
+        out = ZERO
+    elif isinstance(e, Var):
+        out = ONE
+    elif isinstance(e, Sum):
+        out = sum_(_ref_diff(tm, v, memo) for tm in e.terms)
+    elif isinstance(e, Product):
+        fs = e.factors
+        out = sum_(prod(fs[:i] + (_ref_diff(f, v, memo),) + fs[i + 1:])
+                   for i, f in enumerate(fs) if _ref_diff(f, v, memo) is not ZERO)
+    elif isinstance(e, IntPow):
+        out = prod((const(e.k), int_pow(e.base, e.k - 1), _ref_diff(e.base, v, memo)))
+    elif isinstance(e, AbsPow):
+        out = prod((const(e.q), abs_pow(e.base, e.q - 1), sign_of(e.base),
+                    _ref_diff(e.base, v, memo)))
+    elif isinstance(e, Conj):
+        w = jet_var(v.alpha, not v.conj) if v.is_jet else v
+        out = conj_expr(_ref_diff(e.arg, w, memo))
+    else:
+        terms = []
+        for s, a in enumerate(e.args):
+            d = _ref_diff(a, v, memo)
+            if d is not ZERO:
+                didx = list(e.didx)
+                didx[s] += 1
+                terms.append(prod((func_app(e.sym, e.args, didx), d)))
+        out = sum_(terms)
+    memo[(e, v)] = out
+    return out
+
+
+def _ref_subst(e, mapping, memo):
+    """`subst` by recursion."""
+    got = memo.get(e)
+    if got is not None:
+        return got
+    if isinstance(e, Var):
+        out = mapping.get(e.vid, e)
+    elif not (e.free_vars & mapping.keys()):
+        out = e
+    elif isinstance(e, Sum):
+        out = sum_(_ref_subst(tm, mapping, memo) for tm in e.terms)
+    elif isinstance(e, Product):
+        out = prod(_ref_subst(f, mapping, memo) for f in e.factors)
+    elif isinstance(e, IntPow):
+        out = int_pow(_ref_subst(e.base, mapping, memo), e.k)
+    elif isinstance(e, AbsPow):
+        out = abs_pow(_ref_subst(e.base, mapping, memo), e.q)
+    elif isinstance(e, Sign):
+        out = sign_of(_ref_subst(e.base, mapping, memo))
+    elif isinstance(e, Conj):
+        out = conj_expr(_ref_subst(e.arg, mapping, memo))
+    else:
+        out = func_app(e.sym, [_ref_subst(a, mapping, memo) for a in e.args], e.didx)
+    memo[e] = out
+    return out
+
+
+def _ref_text(e):
+    """(text, precedence) of `to_text` by recursion."""
+    if isinstance(e, Const):
+        return _const_text(e)
+    if isinstance(e, Var):
+        return var_name(e.vid), ATOM
+    if isinstance(e, Sum):
+        parts = []
+        for i, tm in enumerate(e.terms):
+            s, p = _ref_text(tm)
+            if i == 0:
+                parts.append(s)
+            elif s.startswith("-"):
+                parts.append(f" - {s[1:]}")
+            else:
+                parts.append(f" + {s if p > SUM else '(' + s + ')'}")
+        return "".join(parts), SUM
+    if isinstance(e, Product):
+        head = e.factors[0]
+        if isinstance(head, Const) and head.im == 0 and head.re < 0:
+            pos = const(-head.re)
+            rest = e.factors[1:] if pos.re == 1 else (pos,) + e.factors[1:]
+            return "-" + "*".join(_wrap(*_ref_text(f), TERM) for f in rest), SUM
+        return "*".join(_wrap(*_ref_text(f), TERM) for f in e.factors), TERM
+    if isinstance(e, IntPow):
+        exp = str(e.k) if e.k >= 0 else f"(-{-e.k})"
+        return f"{_wrap(*_ref_text(e.base), ATOM)}^{exp}", POW
+    if isinstance(e, AbsPow):
+        b = _ref_text(e.base)[0]
+        if e.q == 1:
+            return f"|{b}|", ATOM
+        exp = str(e.q.numerator) if e.q.denominator == 1 and e.q >= 0 else f"({_frac(e.q)})"
+        return f"|{b}|^{exp}", POW
+    if isinstance(e, Sign):
+        return f"sgn({_ref_text(e.base)[0]})", ATOM
+    if isinstance(e, Conj):
+        return f"conj({_ref_text(e.arg)[0]})", ATOM
+    name = e.sym.name + ("[" + ",".join(map(str, e.didx)) + "]" if any(e.didx) else "")
+    if e.sym.arity == 0:
+        return name, ATOM
+    return f"{name}({', '.join(_ref_text(a)[0] for a in e.args)})", ATOM
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ZeroDivisionError, ValueError) as err:
+        return type(err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_walks_match_recursive_reference(data):
+    tbl = SymbolTable()
+    tbl.declare("U", 1, "complex")
+    tbl.declare("f", 1, "real")
+    tbl.declare("c", 0, "real")
+    e = data.draw(_expr_strategy(tbl, normal_forms=True))
+    # a Conj whose argument holds both jet flags, and an arity-0 symbol
+    w = conj_expr(func_app(tbl.get("U"), [psi(2) * psi(2, conj=True) + x(1)]))
+    mappings = ({T_VAR: t() + 1}, {x_var(1): x(2) * t(), T_VAR: const(2)},
+                {psi_var(2): x(1)}, {x_var(2): func_app(SIN, [t()]), x_var(1): x(1)})
+    for u in (e, e * w + func_app(tbl.get("c"), [])):
+        nodes = post_order(u)
+        assert nodes == _ref_post_order(u) and len(set(nodes)) == len(nodes)
+        for v in (T_VAR, x_var(1), x_var(2), psi_var(2), psi_var(2, conj=True)):
+            assert diff(u, v) is _ref_diff(u, v, {})
+        for m in mappings:
+            # a mapped constant can make a base an exact zero: both must raise
+            assert _outcome(subst, u, m) is _outcome(_ref_subst, u, m, {})
+        assert to_text(u) == _ref_text(u)[0]
+
+
+def test_post_order_enter_prunes_subtrees():
+    a, b = x(1) + t(), func_app(COS, [t()])
+    ab = a * b
+    e = ab + int_pow(b, 2)
+    # b is reachable outside a*b too, so it is still visited
+    got = post_order(e, lambda u: u is not ab)
+    assert got == [t(), b, int_pow(b, 2), e] and a not in got and x(1) not in got
+    assert post_order(e, lambda u: False) == [] and post_order(x(1)) == [x(1)]
 
 
 # -- node facts against their recursive definition ---------------------------
@@ -445,8 +594,10 @@ def test_node_facts_match_recursive_definition(data):
 
 def test_facts_and_evaluation_do_not_recurse_at_depth_2000():
     e = x(1)
+    in_t = t()
     for _ in range(2000):
         e = func_app(SIN, [e]) / 2 + x(1)
+        in_t = func_app(SIN, [in_t]) / 2 + t()
     assert e.free_vars == {x_var(1)} and e.free_symbols == {SIN} and not e.jet_vars
     want = 0.3
     for _ in range(2000):
@@ -459,3 +610,16 @@ def test_facts_and_evaluation_do_not_recurse_at_depth_2000():
     assert is_zero(int_pow(func_app(SIN, [e]), 2) + int_pow(func_app(COS, [e]), 2) - 1, rng=rng)
     worst, witness = max_normalized_residual(e, rng=rng)
     assert worst > 0.1 and set(witness["point"]) == {"x1"}
+    # diff, total_derivative, subst and printing walk with an explicit stack
+    d = diff(e, x_var(1))
+    assert total_derivative(e, 1) is d and diff(e, T_VAR) is ZERO and diff(d, T_VAR) is ZERO
+    dwant, y = 1.0, 0.3
+    for _ in range(2000):
+        dwant, y = math.cos(y) * dwant / 2 + 1, math.sin(y) / 2 + 0.3
+    got = eval_expr(d, EMPTY_BINDING, SamplePoint(0.5, (0.3, 0.0)))
+    assert got == pytest.approx(dwant, rel=1e-12)
+    assert subst(e, {x_var(1): t()}) is in_t and subst(in_t, {T_VAR: x(1)}) is e
+    text = "x1"
+    for _ in range(2000):
+        text = f"1/2*sin({text}) + x1"
+    assert to_text(e) == text and str(e) == text
