@@ -1,18 +1,16 @@
-"""Conversion of exponential-trigonometric functions to expression form.
+"""Conversion between exponential-trigonometric functions and expressions.
 
 Case instantiation builds potentials and generators whose time dependence
 is an exact ExpPoly; this module renders such a function as an Expr over
 cos/sin/exp so that formal differentiation and numeric evaluation agree to
-rounding.
+rounding, and reads an antiderivative's integrand back as an ExpPoly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-from .expr import (COS, EXP, SIN, T_VAR, ZERO, Const, Expr, FuncApp, IntPow, Product, Sum,
-                   Var, const, func_app, int_pow, t)
+from .expr import (COS, EXP, SIN, ZERO, Const, Expr, FuncApp, IntPow, Product, Sum, const,
+                   func_app, int_pow, post_order, t)
 from .funcbank import ExpPoly, ExpPolyImpl
 
 
@@ -74,92 +72,36 @@ def expr_to_exppoly(e: Expr, impls: dict) -> ExpPoly:
     """Interpret an expression in t within ExpPoly arithmetic.
 
     Supports constants, t, sums, products, non-negative integer powers, and
-    applications (with slot derivatives) of symbols whose implementation is
-    an ExpPoly applied to a rational-affine function of t.  Used to give
-    antiderivative-defined symbols exact implementations.
+    applications to t itself (with slot derivatives) of symbols whose
+    implementation is an ExpPoly, folded over the DAG children first.  Used
+    to give antiderivative-defined symbols exact implementations.
     """
-    if isinstance(e, Const):
-        if e.im != 0:
-            return ExpPoly({0j: (complex(float(e.re), float(e.im)),)})
-        return ExpPoly.constant(float(e.re))
-    if isinstance(e, Var):
-        if e.vid != T_VAR:
-            raise ValueError("only t allowed")
-        return ExpPoly.identity()
-    if isinstance(e, Sum):
-        out = ExpPoly()
-        for tm in e.terms:
-            out = out + expr_to_exppoly(tm, impls)
-        return out
-    if isinstance(e, Product):
-        out = ExpPoly.constant(1.0)
-        for f in e.factors:
-            out = out * expr_to_exppoly(f, impls)
-        return out
-    if isinstance(e, IntPow):
-        if e.k < 0:
-            raise ValueError("negative powers are not exponential polynomials")
-        out = ExpPoly.constant(1.0)
-        base = expr_to_exppoly(e.base, impls)
-        for _ in range(e.k):
-            out = out * base
-        return out
-    if isinstance(e, FuncApp):
-        impl = impls.get(e.sym)
-        if e.sym.name == "cos" or e.sym.name == "sin":
-            arg = e.args[0]
-            a, b = expr_to_exppoly_linear(arg)
-            k = e.didx[0]
-            base = ExpPoly.cos(a, b) if e.sym.name == "cos" else ExpPoly.sin(a, b)
-            for _ in range(k):
-                base = base.derivative()
-            return base
-        if e.sym.name == "exp":
-            a, b = expr_to_exppoly_linear(e.args[0])
-            base = ExpPoly({complex(a): (complex(np.exp(b)),)})
-            for _ in range(e.didx[0]):
-                base = base.derivative()
-            return base
-        if isinstance(impl, ExpPolyImpl):
-            a, b = expr_to_exppoly_linear(e.args[0])
-            if (a, b) != (1.0, 0.0):
-                raise ValueError("symbol must be applied to t itself")
-            f = impl.func
-            for _ in range(e.didx[0]):
-                f = f.derivative()
-            return f
-        raise ValueError(f"symbol {e.sym.name} has no exponential-polynomial meaning")
-    raise ValueError(f"{type(e).__name__} is not an exponential polynomial in t")
-
-
-def expr_to_exppoly_linear(e: Expr) -> tuple[float, float]:
-    if isinstance(e, Var) and e.vid == T_VAR:
-        return (1.0, 0.0)
-    if isinstance(e, Const):
-        if e.im != 0:
-            raise ValueError("affine form must be real")
-        return (0.0, float(e.re))
-    if isinstance(e, Sum):
-        a = b = 0.0
-        for tm in e.terms:
-            aa, bb = expr_to_exppoly_linear(tm)
-            a += aa
-            b += bb
-        return (a, b)
-    if isinstance(e, Product):
-        a, b = 0.0, 1.0
-        lin = None
-        coeff = 1.0
-        for f in e.factors:
-            if isinstance(f, Const):
-                if f.im != 0:
-                    raise ValueError("affine form must be real")
-                coeff *= float(f.re)
-            elif isinstance(f, Var) and f.vid == T_VAR and lin is None:
-                lin = f
-            else:
-                raise ValueError("not affine in t")
-        if lin is None:
-            return (0.0, coeff)
-        return (coeff, 0.0)
-    raise ValueError("not affine in t")
+    tv = t()
+    done: dict[Expr, ExpPoly] = {}
+    for u in post_order(e):
+        if isinstance(u, Const):
+            out = ExpPoly.constant(complex(float(u.re), float(u.im)))
+        elif u is tv:
+            out = ExpPoly.identity()
+        elif isinstance(u, Sum):
+            out = ExpPoly()
+            for tm in u.terms:
+                out = out + done[tm]
+        elif isinstance(u, Product):
+            out = ExpPoly.constant(1.0)
+            for f in u.factors:
+                out = out * done[f]
+        elif isinstance(u, IntPow) and u.k >= 0:
+            out = ExpPoly.constant(1.0)
+            for _ in range(u.k):
+                out = out * done[u.base]
+        elif isinstance(u, FuncApp) and isinstance(impls.get(u.sym), ExpPolyImpl):
+            if u.args[0] is not tv:
+                raise ValueError(f"symbol {u.sym.name} must be applied to t itself")
+            out = impls[u.sym].func
+            for _ in range(u.didx[0]):
+                out = out.derivative()
+        else:
+            raise ValueError(f"{u} is not an exponential polynomial in t")
+        done[u] = out
+    return done[e]

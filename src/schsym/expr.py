@@ -8,10 +8,10 @@ real-valued subexpressions, complex conjugation, and applications of abstract
 function symbols carrying a formal derivative multi-index over their argument
 slots.
 
-Node facts are set at construction, and `diff`, `subst`, printing and the
-evaluation tape walk a DAG with one explicit-stack `post_order`, so none has
-a depth limit; only the parser, `conj_expr` and `closedform` recurse.  Each
-node keeps its derivatives once computed (`Expr._diffs`).
+Node facts are set at construction, and `diff`, `subst`, `conj_expr`,
+printing and the evaluation tape walk a DAG with one explicit-stack
+`post_order`, so none has a depth limit.  Each node keeps its derivatives
+once computed (`Expr._diffs`).
 """
 from __future__ import annotations
 
@@ -677,25 +677,33 @@ def conj_expr(e: Expr) -> Expr:
     """Complex conjugate, distributed structurally.
 
     Conjugation flips the flag of jet variables and wraps irreducibly complex
-    function applications in a Conj node; Conj(Conj(e)) collapses to e.
+    function applications in a Conj node; Conj(Conj(e)) collapses to e.  Each
+    complex sum, product and power is rebuilt once, children first.
     """
-    if e.is_real:
-        return e
-    if isinstance(e, Const):
-        return const(e.re, -e.im)
-    if isinstance(e, Var):
-        v = e.vid
-        return var(jet_var(v.alpha, not v.conj))
-    if isinstance(e, Sum):
-        return sum_(conj_expr(tm) for tm in e.terms)
-    if isinstance(e, Product):
-        return prod(conj_expr(f) for f in e.factors)
-    if isinstance(e, IntPow):
-        return int_pow(conj_expr(e.base), e.k)
-    if isinstance(e, Conj):
-        return e.arg
-    key = ("cj", id(e))
-    return _intern(key, lambda: Conj(e))
+    done: dict[Expr, Expr] = {}
+
+    def conj(u):
+        c = done.get(u)
+        if c is not None:
+            return c
+        if u.is_real:
+            return u
+        if type(u) is Const:
+            return const(u.re, -u.im)
+        if type(u) is Var:
+            return var(jet_var(u.vid.alpha, not u.vid.conj))
+        if type(u) is Conj:
+            return u.arg
+        return _intern(("cj", id(u)), lambda: Conj(u))
+
+    for u in post_order(e, lambda u: not u.is_real and type(u) in _CONJ_WALKED):
+        if type(u) is Sum:
+            done[u] = sum_([conj(tm) for tm in u.terms])
+        elif type(u) is Product:
+            done[u] = prod([conj(f) for f in u.factors])
+        else:
+            done[u] = int_pow(conj(u.base), u.k)
+    return conj(e)
 
 
 def im_part(e: Expr) -> Expr:
@@ -709,6 +717,9 @@ def im_part(e: Expr) -> Expr:
 # the node types the diff walk enters: not Sign, whose derivative is zero, nor
 # Conj, whose argument a nested diff differentiates by the conjugate jet
 _DIFF_WALKED = frozenset((Var, Sum, Product, IntPow, AbsPow, FuncApp))
+# the node types conj_expr rebuilds from their children's conjugates; any other
+# complex node is conjugated where it is read
+_CONJ_WALKED = frozenset((Sum, Product, IntPow))
 
 
 def diff(e: Expr, v: VarId) -> Expr:

@@ -15,8 +15,11 @@ Reserved identifiers: t, x1..xn, psi plus jet suffixes (psi_t, psi_1,
 psi_11, conj(psi_..) for conjugates), i, pi, conj, sgn, D.  A fractional
 power on a real base denotes |base|^q and is written in parentheses,
 t^(2/3) or t^(-1/2), so t^3/3 is (t^3)/3; `D(e, v, ...)` differentiates at
-parse time; `f[k1,..,km](args)` is the formal slot-derivative of f.
+parse time; `f[k1,..,km](args)` is the formal slot-derivative of f.  An
+exponent above MAX_POWER in size, or a power of an exact constant whose
+value could exceed MAX_POWER_BITS bits, is a parse error.
 
+The rules run on one explicit stack, so nesting depth has no limit, and
 print -> parse is the identity on the expression DAG.
 """
 from __future__ import annotations
@@ -64,7 +67,11 @@ class UnknownSymbolError(ParseError):
     pass
 
 
-_RESERVED = {"i", "pi", "conj", "sgn", "D", "t"}
+# a larger power is a parse error: the size of the exponent, and |exponent|
+# times the bit length of an exact constant base, which bounds the size of
+# the power's exact value
+MAX_POWER = 100_000
+MAX_POWER_BITS = 2 ** 18
 
 
 def _is_ident_start(c: str) -> bool:
@@ -135,58 +142,80 @@ class _Parser:
     # -- grammar
 
     def parse(self) -> Expr:
-        e = self.expr()
+        # each rule is a generator that yields the rule of a nested phrase
+        # and is sent back its result, so nesting depth costs no Python frames
+        stack = [self.expr()]
+        value = None
+        while stack:
+            try:
+                rule = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                stack.append(rule())
+                value = None
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("unexpected trailing input", self.pos)
-        return e
+        return value
 
-    def expr(self) -> Expr:
+    def expr(self):
         neg = self.try_take("-")
-        e = self.term()
+        e = yield self.term
         if neg:
             e = -e
         while True:
             if self.try_take("+"):
-                e = e + self.term()
+                e = e + (yield self.term)
             elif self.try_take("-"):
-                e = e - self.term()
+                e = e - (yield self.term)
             else:
                 return e
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self):
+        e = yield self.factor
         while True:
             if self.try_take("*"):
-                e = e * self.factor()
+                e = e * (yield self.factor)
             elif self.try_take("/"):
-                e = self._build(self.pos, operator.truediv, e, self.factor())
+                pos = self.pos
+                e = self._build(pos, operator.truediv, e, (yield self.factor))
             else:
                 return e
 
-    def factor(self) -> Expr:
-        e = self.atom()
+    def factor(self):
+        e = yield self.atom
         if self.try_take("^"):
             pos = self.pos
             q = self.exponent()
+            if abs(q) > MAX_POWER:
+                raise ParseError(f"exponent {q} exceeds {MAX_POWER} in size", pos)
+            if type(e) is Const:
+                bits = max(n.bit_length() for n in (e.re.numerator, e.re.denominator,
+                                                    e.im.numerator, e.im.denominator))
+                if abs(q) * bits > MAX_POWER_BITS:
+                    raise ParseError(f"exponent {q} of a {bits}-bit constant exceeds "
+                                     f"{MAX_POWER_BITS} bits", pos)
             if q.denominator == 1:
                 return self._build(pos, int_pow, e, q.numerator)
             return self._build(pos, abs_pow, e, q)
         return e
 
-    def exponent(self, parenthesized: bool = False) -> Fraction:
-        if self.try_take("("):
-            q = self.exponent(parenthesized=True)
-            self.take(")")
-            return q
+    def exponent(self) -> Fraction:
+        depth = 0
+        while self.try_take("("):
+            depth += 1
         neg = self.try_take("-")
         q = self._number()
         # a ratio only inside parentheses: t^3/3 is (t^3)/3, not t^(3/3)
-        if parenthesized and self.try_take("/"):
+        if depth and self.try_take("/"):
             q = self._build(self.pos, operator.truediv, q, self._number())
+        for _ in range(depth):
+            self.take(")")
         return -q if neg else q
 
-    def atom(self) -> Expr:
+    def atom(self):
         self._skip_ws()
         if self.pos >= len(self.text):
             raise ParseError("unexpected end of input", self.pos)
@@ -195,12 +224,12 @@ class _Parser:
             return const(self._number())
         if c == "(":
             self.take("(")
-            e = self.expr()
+            e = yield self.expr
             self.take(")")
             return e
         if c == "|":
             self.take("|")
-            e = self.expr()
+            e = yield self.expr
             self.take("|")
             return self._build(self.pos, abs_pow, e, Fraction(1))
         name, start = self._ident()
@@ -208,17 +237,17 @@ class _Parser:
             return const(0, 1)
         if name == "conj":
             self.take("(")
-            e = self.expr()
+            e = yield self.expr
             self.take(")")
             return conj_expr(e)
         if name == "sgn":
             self.take("(")
-            e = self.expr()
+            e = yield self.expr
             self.take(")")
             return self._build(start, sign_of, e)
         if name == "D":
             self.take("(")
-            e = self.expr()
+            e = yield self.expr
             vs = []
             while self.try_take(","):
                 vs.append(self._varid())
@@ -245,9 +274,9 @@ class _Parser:
         if self.try_take("("):
             args = []
             if not self.try_take(")"):
-                args.append(self.expr())
+                args.append((yield self.expr))
                 while self.try_take(","):
-                    args.append(self.expr())
+                    args.append((yield self.expr))
                 self.take(")")
             return self._build(start, func_app, sym, args, didx)
         if sym.arity != 0:

@@ -5,8 +5,10 @@ import pytest
 from schsym import cases
 from schsym.cases import (UnknownCaseError, instantiate, parse_template, table, verify_case,
                           verify_table)
+from schsym.closedform import expr_to_exppoly
 from schsym.conditions import SpanError, classifying_residual
-from schsym.expr import T_VAR, diff, func_app, t, var
+from schsym.expr import T_VAR, SymbolTable, diff, func_app, t, var
+from schsym.funcbank import ExpPoly, ExpPolyImpl, random_positive_trig_poly
 from schsym.numeric import is_zero
 from schsym.parsing import parse
 
@@ -118,6 +120,23 @@ def test_template_nodes_are_a_fresh_parse_in_each_draw(seed):
         for d in case.declarations:
             if d.get("draw") == "antiderivative":
                 assert template.integrands[d["name"]] is fresh(d["integrand"])
+
+
+def test_integrands_read_as_exponential_polynomials():
+    # case 8's is the only shipped integrand; the other three have no exact
+    # reading
+    integrands = [d["integrand"] for c in table().values() for d in c.declarations
+                  if d.get("draw") == "antiderivative"]
+    assert integrands == ["t*D(G(t),t)"]
+    tbl = SymbolTable()
+    G = tbl.declare("G", 1, "real")
+    g = random_positive_trig_poly(np.random.default_rng(8))
+    impls = {G: ExpPolyImpl(g)}
+    got = expr_to_exppoly(parse(integrands[0], tbl), impls)
+    assert got.terms == (ExpPoly.identity() * g.derivative()).terms
+    for text in ("cos(t)", "G(2*t)", "t^(-1)"):
+        with pytest.raises(ValueError):
+            expr_to_exppoly(parse(text, tbl), impls)
 
 
 def _counting(monkeypatch, name):

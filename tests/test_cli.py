@@ -343,6 +343,8 @@ def test_broken_json_file_is_named(tmp_path, capsys):
 
 
 ZERO_DIVISORS = ("1/0", "t/0", "0^(-1)", "t^(1/0)", "|0|^(-1/2)")
+# powers beyond the parser's bound on the exponent and on an exact value
+HUGE_POWERS = ("(3/2)^100001", "t^-100001", "t^(200001/2)", "((3/2)^100000)^2")
 
 
 def test_exact_zero_divisor_exits_2(capsys):
@@ -409,10 +411,13 @@ def test_run_config_upper_bounds_exit_2(tmp_path, capsys, key, value, message, s
 
 
 def test_residual_of_a_200_deep_potential_exits_0(capsys):
-    # diff used to recurse once per level and raise RecursionError here
-    potential = "sin(x1 + " * 200 + "t" + ")" * 200
-    code, out = run_cli(capsys, "residual", potential, '{"chi":["1","t"]}', "--format", "json")
-    assert code == 0 and json.loads(out)["potential"] == potential
+    # diff used to recurse once per level and raise RecursionError at the
+    # first, and the parser near 250 levels at the other two
+    for potential, field in (("sin(x1 + " * 200 + "t" + ")" * 200, '{"chi":["1","t"]}'),
+                             ("(" * 5000 + "x1" + ")" * 5000, '{"chi":["1","0"]}'),
+                             ("sin(x1 + " * 1000 + "t" + ")" * 1000, '{"rho":"1"}')):
+        code, out = run_cli(capsys, "residual", potential, field, "--format", "json")
+        assert code == 0 and json.loads(out)["potential"] == potential
 
 
 def test_rationals_beyond_a_float_exit_2_at_once(capsys):
@@ -450,7 +455,7 @@ FUZZ_TARGETS = ("potential", "field", "bracket", "invariants", "transform", "con
 def _bad_value(data, test, grammar: bool):
     """A value that fails test, or that no key takes; with grammar, also
     strings that fail to parse."""
-    pool = [v for v in BAD_VALUES + ZERO_DIVISORS
+    pool = [v for v in BAD_VALUES + ZERO_DIVISORS + HUGE_POWERS
             if not test(v) or (grammar and isinstance(v, str))]
     return data.draw(st.sampled_from(ALWAYS_BAD) | st.sampled_from(pool))
 
@@ -499,7 +504,7 @@ def _broken_argv(data, target: str, tmp) -> list:
     field, transform = cli._spec_schemas(2)
     fields = json.dumps(VALID_FIELD)
     if target == "potential":
-        bad = data.draw(st.sampled_from(ZERO_DIVISORS + ("",)))
+        bad = data.draw(st.sampled_from(ZERO_DIVISORS + HUGE_POWERS + ("",)))
         if data.draw(st.booleans()):
             return ["residual", bad, fields]
         return ["transform", bad, json.dumps(VALID_TRANSFORM)]

@@ -6,9 +6,10 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+import schsym.expr as expr_module
 from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Conj, Const, FuncApp, IntPow,
                          Product, Sign, Sum, SymbolTable, Var, _cadd, _cmul, _cpow, _intern,
-                         _split_coeff, abs_pow, conj_expr, const, diff, func_app, int_pow,
+                         _split_coeff, abs_pow, conj_expr, const, diff, func_app, im_part, int_pow,
                          jet_var, post_order, prod, psi, psi_var, sign_of, subst, sum_, t,
                          total_derivative, var, x, x_var)
 from schsym.funcbank import random_surrogate
@@ -449,6 +450,25 @@ def _ref_diff(e, v, memo):
     return out
 
 
+def _ref_conj(e):
+    """conj_expr by recursion, without a memo."""
+    if e.is_real:
+        return e
+    if isinstance(e, Const):
+        return const(e.re, -e.im)
+    if isinstance(e, Var):
+        return var(jet_var(e.vid.alpha, not e.vid.conj))
+    if isinstance(e, Sum):
+        return sum_(_ref_conj(tm) for tm in e.terms)
+    if isinstance(e, Product):
+        return prod(_ref_conj(f) for f in e.factors)
+    if isinstance(e, IntPow):
+        return int_pow(_ref_conj(e.base), e.k)
+    if isinstance(e, Conj):
+        return e.arg
+    return _intern(("cj", id(e)), lambda: Conj(e))
+
+
 def _ref_subst(e, mapping, memo):
     """`subst` by recursion."""
     got = memo.get(e)
@@ -547,6 +567,23 @@ def test_walks_match_recursive_reference(data):
             # a mapped constant can make a base an exact zero: both must raise
             assert _outcome(subst, u, m) is _outcome(_ref_subst, u, m, {})
         assert to_text(u) == _ref_text(u)[0]
+        assert conj_expr(u) is _ref_conj(u)
+
+
+def test_conj_expr_rebuilds_each_shared_sum_once(monkeypatch):
+    # each level holds the one below twice, in e*psi and in e^2*psi_1, so a
+    # walk without a memo made 2^12 - 1 sum_ calls
+    e = psi(2)
+    for _ in range(12):
+        e = e * psi(2) + e * e * var(jet_var((0, 1, 0))) + const(0, 1)
+    sums = sum(type(u) is Sum for u in post_order(e))
+    calls = []
+    real_sum = expr_module.sum_
+    monkeypatch.setattr(expr_module, "sum_", lambda terms: calls.append(1) or real_sum(terms))
+    c = conj_expr(e)
+    assert sums == 12 and len(calls) <= sums
+    monkeypatch.undo()
+    assert conj_expr(c) is e and c is _ref_conj(e)
 
 
 def test_post_order_enter_prunes_subtrees():
@@ -622,4 +659,14 @@ def test_facts_and_evaluation_do_not_recurse_at_depth_2000():
     text = "x1"
     for _ in range(2000):
         text = f"1/2*sin({text}) + x1"
-    assert to_text(e) == text and str(e) == text
+    assert to_text(e) == text and str(e) == text and parse(text) is e
+    # conjugation walks with an explicit stack too
+    c = x(1)
+    for _ in range(2000):
+        c = int_pow(c + const(0, 1), 2) * x(1) / 4
+    got = eval_expr(c, EMPTY_BINDING, SamplePoint(0.5, (0.3, 0.0)))
+    assert conj_expr(conj_expr(c)) is c
+    assert eval_expr(conj_expr(c), EMPTY_BINDING, SamplePoint(0.5, (0.3, 0.0))) == pytest.approx(
+        got.conjugate(), rel=1e-12)
+    assert eval_expr(im_part(c), EMPTY_BINDING, SamplePoint(0.5, (0.3, 0.0))) == pytest.approx(
+        got.imag, rel=1e-12)

@@ -115,3 +115,13 @@ def test_exact_zero_divisor_is_a_positioned_parse_error(table):
         with pytest.raises(ParseError) as err:
             parse(text, table)
         assert err.value.pos == pos, text
+
+
+def test_exponent_bound_is_a_positioned_parse_error(table):
+    # (3/2)^10000000 used to take seconds and then fail to print
+    for text, pos in (("(3/2)^100001", 6), ("t^-100001", 2), ("t^(200001/2)", 2),
+                      ("((3/2)^100000)^2", 15)):
+        with pytest.raises(ParseError) as err:
+            parse(text, table)
+        assert err.value.pos == pos, text
+    assert parse("t^-100000", table) is parse("t^(-100000)", table)
