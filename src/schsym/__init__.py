@@ -19,8 +19,8 @@ from .groupoid import (FiniteGroupoid, GroupoidModel, frobenius_product,
                        is_disjointedly, is_semi_normalized, is_uniform,
                        load_fixture, model_from_json, model_to_json,
                        run_all_checks, verify_extension, verify_factorization)
-from .numeric import (Binding, SamplePoint, UnsafeSampleError, Workspace,
-                      eval_batch, eval_expr, is_zero, max_normalized_residual)
+from .numeric import (Binding, UnsafeSampleError, Workspace, eval_batch, is_zero,
+                      max_normalized_residual)
 from .parsing import ParseError, UnknownSymbolError, parse, to_text
 
 from .cases import table, verify_case, verify_table

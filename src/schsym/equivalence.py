@@ -74,17 +74,13 @@ def _identity_matrix(n: int):
                  for i in range(n))
 
 
-def rational_rotation(m: Fraction, n: int = 2, det: int = 1):
-    """Exactly orthogonal 2x2 matrix from a rational circle point.
-
-    (cos, sin) = ((1-m^2)/(1+m^2), 2m/(1+m^2)); det=-1 flips the second row.
-    """
+def rational_rotation(m: Fraction):
+    """Exactly orthogonal 2x2 rotation from a rational circle point:
+    (cos, sin) = ((1-m^2)/(1+m^2), 2m/(1+m^2))."""
     m = Fraction(m)
     c = (1 - m * m) / (1 + m * m)
     s = 2 * m / (1 + m * m)
-    if det == 1:
-        return ((c, -s), (s, c))
-    return ((c, -s), (-s, -c))
+    return ((c, -s), (s, c))
 
 
 @dataclass
@@ -140,11 +136,11 @@ class EquivTransformation:
                                    (ZERO,) * n, ZERO, ZERO)
 
     @staticmethod
-    def elementary_D(T: Expr, n: int = 2, ws: Optional[Workspace] = None,
-                     bracket=(-60.0, 60.0)) -> "EquivTransformation":
+    def elementary_D(T: Expr, n: int = 2,
+                     ws: Optional[Workspace] = None) -> "EquivTransformation":
         b = ws.binding if ws is not None else Binding()
         return EquivTransformation(n, T, _identity_matrix(n), (ZERO,) * n,
-                                   ZERO, ZERO, binding=b, bracket=bracket)
+                                   ZERO, ZERO, binding=b)
 
     @staticmethod
     def elementary_J(O, n: int = 2) -> "EquivTransformation":

@@ -10,11 +10,14 @@ program over the distinct nodes of its DAG, with children referenced by
 slot, so evaluation has no recursion and no depth limit.  A root keeps its
 tape from its second evaluation on.  Constants are converted to
 ``complex128`` once per node (``Const.value``), not once per tape.
+
+The expression-backed implementations (``ExprImpl``, ``AntiderivImpl``,
+``InverseImpl``) evaluate every expression in t through ``_at_t``: one
+``eval_batch`` call at the given points, returning values and unsafe mask.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -37,8 +40,10 @@ from .expr import (
     VarId,
     ZERO,
     diff,
+    int_pow,
     jet_var,
     post_order,
+    var,
 )
 from .parsing import var_name
 
@@ -122,30 +127,6 @@ class Workspace:
             self._fresh += 1
             name = f"{stem}_{self._fresh}"
         return name
-
-
-@dataclass
-class SamplePoint:
-    """One evaluation point: time, space coordinates, jet values."""
-
-    t: float
-    x: tuple[float, ...]
-    jets: dict[VarId, complex] = field(default_factory=dict)
-
-    def env(self, vars_needed: Iterable[VarId]) -> dict[VarId, np.ndarray]:
-        env: dict[VarId, np.ndarray] = {}
-        for v in vars_needed:
-            if v.kind == "t":
-                env[v] = np.array([self.t], dtype=complex)
-            elif v.kind == "x":
-                env[v] = np.array([self.x[v.a - 1]], dtype=complex)
-            else:
-                base = jet_var(v.alpha, False)
-                val = self.jets.get(base)
-                if val is None:
-                    raise KeyError(f"sample point does not assign jet {v}")
-                env[v] = np.array([val.conjugate() if v.conj else val], dtype=complex)
-        return env
 
 
 def draw_env(vars_needed: Iterable[VarId], count: int, rng: np.random.Generator,
@@ -344,15 +325,6 @@ def eval_batch(e: Expr, binding: Binding, env: Mapping[VarId, np.ndarray], count
     return tape.run(binding, env, count)
 
 
-def eval_expr(e: Expr, binding: Binding, point: SamplePoint) -> complex:
-    """Exact-closed-form evaluation at one sample point."""
-    env = point.env(e.free_vars)
-    vals, _, unsafe = eval_batch(e, binding, env)
-    if unsafe[0]:
-        raise UnsafeSampleError("sample point hits a singular subterm")
-    return complex(vals.reshape(-1)[0])
-
-
 # ---------------------------------------------------------------------------
 # randomized zero test
 # ---------------------------------------------------------------------------
@@ -445,6 +417,12 @@ def _t_derivative(e: Expr, k: int) -> Expr:
     return e
 
 
+def _at_t(e: Expr, binding: Binding, z) -> tuple[np.ndarray, np.ndarray]:
+    """Values and unsafe mask of an expression in t at the points z."""
+    vals, _, unsafe = eval_batch(e, binding, {T_VAR: np.asarray(z, dtype=complex)})
+    return vals, unsafe
+
+
 class ExprImpl(funcbank.FunctionImpl):
     """Arity-1 symbol whose value is a univariate expression in t.
 
@@ -457,25 +435,26 @@ class ExprImpl(funcbank.FunctionImpl):
         self._binding = binding
 
     def deriv(self, didx, args):
-        d = _t_derivative(self._expr, didx[0])
-        env = {T_VAR: np.asarray(args[0], dtype=complex)}
-        vals, _, unsafe = eval_batch(d, self._binding, env)
-        return vals, unsafe
+        return _at_t(_t_derivative(self._expr, didx[0]), self._binding, args[0])
 
 
 class InverseImpl(funcbank.FunctionImpl):
-    """Inverse of a monotone scalar map T given as an expression in t.
+    """Inverse g = T^-1 of a monotone scalar map T given as an expression in t.
 
     Values come from a safeguarded Newton solve ("rtsafe"): an expanding
     search finds a bracket [lo, hi] with a sign change of T - y, then each
     iteration narrows the bracket and takes the Newton step if it stays
     inside, else bisects, until every bracketed step is below 1e-13.
-    Derivatives follow from power-series inversion of T at the preimage.
+    Derivatives follow from the chain rule g' = 1/T'(g): g^(k) = H_k(g) with
+    H_1 = 1/T' and H_(k+1) = H_k' H_1 (W. P. Johnson, "The curious history
+    of Faa di Bruno's formula", Amer. Math. Monthly 109, 2002), so order k is
+    one evaluation of the expression H_k at the solved preimages.
 
     ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
-    residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T).  The
-    last solve is memoized by its points, so derivative orders 0..k on the
-    same points cost one root solve.
+    residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) and,
+    for k >= 1, points where evaluating H_k is unsafe (|T'(s)| < 1e-9, a
+    flat point of T).  The last solve is memoized by its points, so
+    derivative orders 0..k on the same points cost one root solve.
     """
 
     MAX_ORDER = 8
@@ -488,15 +467,18 @@ class InverseImpl(funcbank.FunctionImpl):
         self._binding = binding
         self._bracket = bracket
         self._memo: Optional[tuple[tuple, np.ndarray, np.ndarray]] = None
+        self._derivs: list[Expr] = []
 
-    def _T_at(self, s: np.ndarray, order: int, first: int = 0) -> list[np.ndarray]:
-        """Real values of T^(first) .. T^(order) at s."""
-        env = {T_VAR: np.asarray(s, dtype=complex)}
-        out = []
-        for j in range(first, order + 1):
-            vals, _, _ = eval_batch(_t_derivative(self.T_expr, j), self._binding, env)
-            out.append(np.real(vals))
-        return out
+    def _T_minus(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """T(s) - y for real s and y."""
+        return np.real(_at_t(self.T_expr, self._binding, s)[0]) - y
+
+    def _derivative(self, k: int) -> Expr:
+        """H_k, the k-th derivative of T^-1 in t = T^-1(y); H_0 = t is not evaluated."""
+        if not self._derivs:
+            self._derivs = [var(T_VAR), int_pow(diff(self.T_expr, T_VAR), -1)]
+        h1 = self._derivs[1]
+        return funcbank.nth_derivative(self._derivs, k, lambda h: diff(h, T_VAR) * h1)
 
     def _solve(self, args) -> tuple[np.ndarray, np.ndarray]:
         """Preimages s of args[0] and their residuals |T(s) - y|."""
@@ -507,8 +489,8 @@ class InverseImpl(funcbank.FunctionImpl):
         blo, bhi = self._bracket
         lo = np.clip(y - 0.5, blo, bhi)
         hi = np.clip(y + 0.5, blo, bhi)
-        flo = self._T_at(lo, 0)[0] - y
-        fhi = self._T_at(hi, 0)[0] - y
+        flo = self._T_minus(lo, y)
+        fhi = self._T_minus(hi, y)
         step = 1.0
         for _ in range(80):
             # a point pinned at both bracket limits cannot gain a sign change
@@ -517,8 +499,8 @@ class InverseImpl(funcbank.FunctionImpl):
                 break
             lo = np.where(bad, np.maximum(lo - step, blo), lo)
             hi = np.where(bad, np.minimum(hi + step, bhi), hi)
-            flo = self._T_at(lo, 0)[0] - y
-            fhi = self._T_at(hi, 0)[0] - y
+            flo = self._T_minus(lo, y)
+            fhi = self._T_minus(hi, y)
             step *= 1.6
             if step > 4.0 * (bhi - blo):
                 break
@@ -529,9 +511,10 @@ class InverseImpl(funcbank.FunctionImpl):
         swap = flo > 0
         lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
         s = 0.5 * (lo + hi)
+        T_t = diff(self.T_expr, T_VAR)
         for _ in range(self.MAX_ITER):
-            f, fp = self._T_at(s, 1)
-            f = f - y
+            f = self._T_minus(s, y)
+            fp = np.real(_at_t(T_t, self._binding, s)[0])
             below = f <= 0
             lo = np.where(below, s, lo)
             hi = np.where(below, hi, s)
@@ -544,7 +527,7 @@ class InverseImpl(funcbank.FunctionImpl):
             s = nxt
             if np.all(done | ~bracketed):
                 break
-        residual = np.abs(self._T_at(s, 0)[0] - y)
+        residual = np.abs(self._T_minus(s, y))
         self._memo = (key, s, residual)
         return s, residual
 
@@ -556,45 +539,8 @@ class InverseImpl(funcbank.FunctionImpl):
         unsafe = residual > self.RESIDUAL_TOL
         if k == 0:
             return s.astype(complex), unsafe
-        # Taylor coefficients a_j = T^(j)(s)/j! for j >= 1; invert the series
-        a = [None] + [tv / math.factorial(j)
-                      for j, tv in enumerate(self._T_at(s, k, first=1), start=1)]
-        b = _invert_series(a, k)  # b_j: g(y+h) = s + sum b_j h^j
-        return (b[k] * math.factorial(k)).astype(complex), unsafe
-
-
-def _invert_series(a: list[np.ndarray], order: int) -> list[np.ndarray]:
-    """Coefficients of the compositional inverse of f(h)=a1 h + a2 h^2 + ...
-
-    a[0] is ignored (series around the solved point).  Returns b with
-    b[0]=0 and f(g(h))=h up to the given order.
-    """
-    one = np.ones_like(a[1])
-    b = [np.zeros_like(a[1]), one / a[1]]
-    for m in range(2, order + 1):
-        # coefficient of h^m in sum_j a_j * (g(h))^j must vanish
-        acc = np.zeros_like(a[1])
-        for j in range(2, m + 1):
-            if j < len(a):
-                acc = acc + a[j] * _power_coeff(b, j, m)
-        b.append(-acc / a[1])
-    return b
-
-
-def _power_coeff(b: list[np.ndarray], j: int, m: int) -> np.ndarray:
-    """Coefficient of h^m in (sum_{i>=1} b_i h^i)^j, using known b_1..b_{m-1}."""
-    series = {i: b[i] for i in range(1, min(len(b), m + 1))}
-    acc: dict[int, np.ndarray] = {0: np.ones_like(b[1])}
-    for _ in range(j):
-        nxt: dict[int, np.ndarray] = {}
-        for d1, c1 in acc.items():
-            for d2, c2 in series.items():
-                d = d1 + d2
-                if d > m:
-                    continue
-                nxt[d] = nxt.get(d, 0) + c1 * c2
-        acc = nxt
-    return acc.get(m, np.zeros_like(b[1]))
+        vals, bad = _at_t(self._derivative(k), self._binding, s)
+        return vals, unsafe | bad
 
 
 class AntiderivImpl(funcbank.FunctionImpl):
@@ -633,8 +579,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
             nodes, weights = np.polynomial.legendre.leggauss(self.GAUSS_ORDER)
             half = 0.5 * (hi - lo)
             pts = (0.5 * (lo + hi)[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-            vals, _, unsafe = eval_batch(self._integrand, self._binding,
-                                         {T_VAR: pts.astype(complex)})
+            vals, unsafe = _at_t(self._integrand, self._binding, pts)
             vals = vals.reshape(len(lo), self.GAUSS_ORDER)
             panel_ints = (vals * weights[None, :]).sum(axis=1) * half
             # the panel that ends at each knot after the lowest
@@ -654,6 +599,4 @@ class AntiderivImpl(funcbank.FunctionImpl):
         z = np.asarray(args[0], dtype=complex)
         if k == 0:
             return self._value(z)
-        d = _t_derivative(self._integrand, k - 1)
-        vals, _, unsafe = eval_batch(d, self._binding, {T_VAR: z})
-        return vals, unsafe
+        return _at_t(_t_derivative(self._integrand, k - 1), self._binding, z)

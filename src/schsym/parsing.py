@@ -17,7 +17,8 @@ power on a real base denotes |base|^q and is written in parentheses,
 t^(2/3) or t^(-1/2), so t^3/3 is (t^3)/3; `D(e, v, ...)` differentiates at
 parse time; `f[k1,..,km](args)` is the formal slot-derivative of f.  An
 exponent above MAX_POWER in size, or a power of an exact constant whose
-value could exceed MAX_POWER_BITS bits, is a parse error.
+value could exceed MAX_POWER_BITS bits, is a parse error, and so is a
+number of more than MAX_DIGITS digits.
 
 The rules run on one explicit stack, so nesting depth has no limit, and
 print -> parse is the identity on the expression DAG.
@@ -72,6 +73,9 @@ class UnknownSymbolError(ParseError):
 # the power's exact value
 MAX_POWER = 100_000
 MAX_POWER_BITS = 2 ** 18
+# a longer numeric literal is a parse error: Python's default limit on
+# int-string conversion, which Fraction enforces on integers
+MAX_DIGITS = 4300
 
 
 def _is_ident_start(c: str) -> bool:
@@ -119,7 +123,11 @@ class _Parser:
                 self.pos += 1
         if self.pos == start or self.text[start] == ".":
             raise ParseError("expected a number", start)
-        return Fraction(self.text[start:self.pos])
+        literal = self.text[start:self.pos]
+        digits = len(literal) - literal.count(".")
+        if digits > MAX_DIGITS:
+            raise ParseError(f"number of {digits} digits exceeds {MAX_DIGITS}", start)
+        return Fraction(literal)
 
     def _ident(self) -> tuple[str, int]:
         self._skip_ws()

@@ -343,8 +343,10 @@ def test_broken_json_file_is_named(tmp_path, capsys):
 
 
 ZERO_DIVISORS = ("1/0", "t/0", "0^(-1)", "t^(1/0)", "|0|^(-1/2)")
-# powers beyond the parser's bound on the exponent and on an exact value
-HUGE_POWERS = ("(3/2)^100001", "t^-100001", "t^(200001/2)", "((3/2)^100000)^2")
+# powers beyond the parser's bound on the exponent and on an exact value,
+# and literals beyond its bound on digits
+HUGE_POWERS = ("(3/2)^100001", "t^-100001", "t^(200001/2)", "((3/2)^100000)^2",
+               "1" * 4301, "1" * 4000 + "." + "1" * 301)
 
 
 def test_exact_zero_divisor_exits_2(capsys):

@@ -1,18 +1,28 @@
 """Randomized evaluation: exactness, the zero test, unsafe-sample handling."""
+import math
+
 import numpy as np
 import pytest
 
-from schsym.expr import SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x
+from schsym.expr import SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x, x_var
 from schsym.funcbank import ExpPoly, ExpPolyImpl
 from schsym.numeric import (AntiderivImpl, Binding, EMPTY_BINDING, ExprImpl, InverseImpl,
-                            SamplePoint, UnsafeSampleError, draw_env, eval_batch,
-                            eval_expr, is_zero, max_normalized_residual)
+                            UnsafeSampleError, draw_env, eval_batch, is_zero,
+                            max_normalized_residual)
 from schsym.parsing import parse
+
+
+def at_point(e, binding, t0, xs=()):
+    """(value, unsafe) of e at the one point t = t0, x = xs."""
+    env = {T_VAR: np.array([t0], dtype=complex)}
+    env.update({x_var(a): np.array([v], dtype=complex) for a, v in enumerate(xs, 1)})
+    vals, _, unsafe = eval_batch(e, binding, env)
+    return complex(vals[0]), bool(unsafe[0])
 
 
 def test_eval_omega_at_origin_time():
     w1 = parse("x1*cos(t) + x2*sin(t)")
-    assert eval_expr(w1, EMPTY_BINDING, SamplePoint(0.0, (3.0, 5.0))) == pytest.approx(3.0)
+    assert at_point(w1, EMPTY_BINDING, 0.0, (3.0, 5.0)) == (pytest.approx(3.0), False)
 
 
 def test_eval_bound_derivative():
@@ -20,8 +30,8 @@ def test_eval_bound_derivative():
     f = tbl.declare("f", 1, "real")
     binding = Binding({f: ExpPolyImpl(ExpPoly.cos(2.0))})
     df = diff(func_app(f, [t()]), T_VAR)
-    assert eval_expr(df, binding, SamplePoint(0.0, ())) == pytest.approx(0.0)
-    assert eval_expr(df, binding, SamplePoint(0.25, ())) == pytest.approx(-2 * np.sin(0.5))
+    assert at_point(df, binding, 0.0) == (pytest.approx(0.0), False)
+    assert at_point(df, binding, 0.25) == (pytest.approx(-2 * np.sin(0.5)), False)
 
 
 def test_is_zero_trig_identity():
@@ -81,10 +91,11 @@ def test_inverse_impl_roundtrip_and_derivatives():
     binding = Binding({tinv_sym: impl})
     app = func_app(tinv_sym, [t()])
     y0 = 1.3
-    s0 = eval_expr(app, binding, SamplePoint(y0, ())).real
-    assert abs(s0 + 0.3 * np.sin(s0) - y0) < 1e-12
-    d1 = eval_expr(diff(app, T_VAR), binding, SamplePoint(y0, ())).real
-    assert d1 == pytest.approx(1.0 / (1.0 + 0.3 * np.cos(s0)), rel=1e-10)
+    s0, unsafe = at_point(app, binding, y0)
+    assert abs(s0.real + 0.3 * np.sin(s0.real) - y0) < 1e-12 and not unsafe
+    d1, unsafe = at_point(diff(app, T_VAR), binding, y0)
+    assert d1.real == pytest.approx(1.0 / (1.0 + 0.3 * np.cos(s0.real)), rel=1e-10)
+    assert not unsafe
 
 
 def test_antideriv_impl_matches_closed_form():
@@ -175,9 +186,9 @@ def test_inverse_impl_out_of_range_is_unsafe(monkeypatch):
     sym = tbl.declare("Ti", 1, "real")
     app = func_app(sym, [t()])
     binding = Binding({sym: impl})
-    assert eval_expr(app, binding, SamplePoint(0.5, ())).real == pytest.approx(np.tan(0.5))
-    with pytest.raises(UnsafeSampleError):
-        eval_expr(app, binding, SamplePoint(2.0, ()))
+    assert at_point(app, binding, 0.5) == (pytest.approx(np.tan(0.5)), False)
+    # 2.0 is outside the range of atan: flagged, not solved
+    assert at_point(app, binding, 2.0)[1]
 
 
 def test_inverse_impl_reuses_solve_across_orders(monkeypatch):
@@ -203,3 +214,72 @@ def test_inverse_impl_unsafe_mask_follows_its_args():
     impl.deriv((0,), (y2,))
     assert impl.deriv((0,), (y1,))[1].tolist() == [True, False]
     assert impl.deriv((0,), (y2,))[1].tolist() == [False, False]
+
+
+def test_inverse_impl_flat_point_is_unsafe():
+    # T'(0) = 0 for T = t^3, so no derivative of T^-1 exists at y = 0
+    impl = InverseImpl(parse("t^3"), EMPTY_BINDING)
+    y = np.array([0.0, 8.0])
+    d1, unsafe1 = impl.deriv((1,), (y,))
+    d2, unsafe2 = impl.deriv((2,), (y,))
+    assert unsafe1.tolist() == unsafe2.tolist() == [True, False]
+    assert d1[1] == pytest.approx(1 / 12, rel=1e-12)
+    assert d2[1] == pytest.approx(-1 / 144, rel=1e-12)
+
+
+# reference: the power-series inversion the chain rule replaced
+
+
+def _invert_series(a: list[np.ndarray], order: int) -> list[np.ndarray]:
+    """Coefficients of the compositional inverse of f(h)=a1 h + a2 h^2 + ...
+
+    a[0] is ignored (series around the solved point).  Returns b with
+    b[0]=0 and f(g(h))=h up to the given order.
+    """
+    one = np.ones_like(a[1])
+    b = [np.zeros_like(a[1]), one / a[1]]
+    for m in range(2, order + 1):
+        # coefficient of h^m in sum_j a_j * (g(h))^j must vanish
+        acc = np.zeros_like(a[1])
+        for j in range(2, m + 1):
+            if j < len(a):
+                acc = acc + a[j] * _power_coeff(b, j, m)
+        b.append(-acc / a[1])
+    return b
+
+
+def _power_coeff(b: list[np.ndarray], j: int, m: int) -> np.ndarray:
+    """Coefficient of h^m in (sum_{i>=1} b_i h^i)^j, using known b_1..b_{m-1}."""
+    series = {i: b[i] for i in range(1, min(len(b), m + 1))}
+    acc: dict[int, np.ndarray] = {0: np.ones_like(b[1])}
+    for _ in range(j):
+        nxt: dict[int, np.ndarray] = {}
+        for d1, c1 in acc.items():
+            for d2, c2 in series.items():
+                d = d1 + d2
+                if d > m:
+                    continue
+                nxt[d] = nxt.get(d, 0) + c1 * c2
+        acc = nxt
+    return acc.get(m, np.zeros_like(b[1]))
+
+
+@pytest.mark.parametrize("T", ["t + 3/10*sin(t)", "t^3 + t/1000",
+                               "2*t + sin(t)/4 + cos(3*t)/20", "-t - sin(t)/4"])
+def test_inverse_impl_chain_rule_matches_series_inversion(T):
+    order = InverseImpl.MAX_ORDER
+    impl = InverseImpl(parse(T), EMPTY_BINDING)
+    y = np.linspace(-2.0, 2.0, 41)
+    s, unsafe = impl.deriv((0,), (y,))
+    assert not unsafe.any()
+    # Taylor coefficients a_j = T^(j)(s)/j! of T at the preimages
+    a, d = [None], parse(T)
+    for j in range(1, order + 1):
+        d = diff(d, T_VAR)
+        a.append(np.real(eval_batch(d, EMPTY_BINDING, {T_VAR: s})[0]) / math.factorial(j))
+    b = _invert_series(a, order)  # b_j: g(y+h) = s + sum b_j h^j
+    for k in range(1, order + 1):
+        ref = b[k] * math.factorial(k)
+        got, unsafe = impl.deriv((k,), (y,))
+        assert not unsafe.any()
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), k

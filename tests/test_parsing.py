@@ -1,7 +1,7 @@
 """Grammar coverage and parse diagnostics."""
 import pytest
 
-from schsym.expr import SymbolTable, const, jet_var, var
+from schsym.expr import Const, SymbolTable, const, jet_var, var
 from schsym.parsing import ParseError, UnknownSymbolError, load_declarations, parse, to_text
 
 
@@ -125,3 +125,14 @@ def test_exponent_bound_is_a_positioned_parse_error(table):
             parse(text, table)
         assert err.value.pos == pos, text
     assert parse("t^-100000", table) is parse("t^(-100000)", table)
+
+
+def test_literal_length_bound_is_a_positioned_parse_error(table):
+    # an integer this long used to escape as Python's int-string limit error
+    for literal in ("1" * 4301, "1" * 4000 + "." + "1" * 301):
+        with pytest.raises(ParseError) as err:
+            parse("t + " + literal, table)
+        assert err.value.pos == 4, literal[:8]
+        assert str(err.value) == "number of 4301 digits exceeds 4300 (at position 4)"
+    assert parse("1" * 4300, table) is const(int("1" * 4300))
+    assert type(parse("0." + "5" * 4299, table)) is Const
