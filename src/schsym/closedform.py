@@ -7,30 +7,30 @@ rounding, and reads an antiderivative's integrand back as an ExpPoly.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .expr import (COS, EXP, SIN, ZERO, Const, Expr, FuncApp, IntPow, Product, Sum, const,
-                   func_app, int_pow, post_order, t)
+from .expr import (COS, EXP, SIN, Const, Expr, FuncApp, IntPow, Product, Sum, const, func_app,
+                   int_pow, post_order, sum_, t)
 from .funcbank import ExpPoly, ExpPolyImpl
 
 
 def _poly_expr(coeffs, var_expr: Expr, real_part: bool) -> Expr:
-    out = ZERO
+    terms = []
     for i, c in enumerate(coeffs):
         v = c.real if real_part else c.imag
         if v == 0.0:
             continue
-        term = const(Fraction(v))
-        if i >= 1:
-            term = term * int_pow(var_expr, i)
-        out = out + term
-    return out
+        term = const(v)  # the float's exact binary value
+        terms.append(term * int_pow(var_expr, i) if i >= 1 else term)
+    return sum_(terms)
 
 
 def exppoly_to_expr(f: ExpPoly, tol: float = 1e-13) -> Expr:
-    """Render a real-valued ExpPoly as an Expr in t (exact to rounding)."""
+    """Render a real-valued ExpPoly as an Expr in t (exact to rounding).
+
+    Each frequency gives its own monomials, so the terms are collected and
+    summed once.
+    """
     tv = t()
-    out = ZERO
+    terms = []
     seen: set[complex] = set()
     for lam, coeffs in f.terms.items():
         if lam in seen:
@@ -42,8 +42,8 @@ def exppoly_to_expr(f: ExpPoly, tol: float = 1e-13) -> Expr:
                 raise ValueError("ExpPoly is not real-valued")
             body = _poly_expr(coeffs, tv, real_part=True)
             if a != 0.0:
-                body = body * func_app(EXP, [const(Fraction(a)) * tv])
-            out = out + body
+                body = body * func_app(EXP, [const(a) * tv])
+            terms.append(body)
             seen.add(lam)
             continue
         # complex pair: p e^(lam t) + conj(p) e^(conj(lam) t)
@@ -59,13 +59,13 @@ def exppoly_to_expr(f: ExpPoly, tol: float = 1e-13) -> Expr:
         # 2 Re[p(t) e^(a t) (cos bt + i sin bt)]
         re_p = _poly_expr([2 * c for c in coeffs], tv, real_part=True)
         im_p = _poly_expr([2 * c for c in coeffs], tv, real_part=False)
-        phase_c = func_app(COS, [const(Fraction(b)) * tv])
-        phase_s = func_app(SIN, [const(Fraction(b)) * tv])
+        phase_c = func_app(COS, [const(b) * tv])
+        phase_s = func_app(SIN, [const(b) * tv])
         body = re_p * phase_c - im_p * phase_s
         if a != 0.0:
-            body = body * func_app(EXP, [const(Fraction(a)) * tv])
-        out = out + body
-    return out
+            body = body * func_app(EXP, [const(a) * tv])
+        terms.append(body)
+    return sum_(terms)
 
 
 def expr_to_exppoly(e: Expr, impls: dict) -> ExpPoly:
@@ -80,7 +80,7 @@ def expr_to_exppoly(e: Expr, impls: dict) -> ExpPoly:
     done: dict[Expr, ExpPoly] = {}
     for u in post_order(e):
         if isinstance(u, Const):
-            out = ExpPoly.constant(complex(float(u.re), float(u.im)))
+            out = ExpPoly.constant(complex(u.value()))
         elif u is tv:
             out = ExpPoly.identity()
         elif isinstance(u, Sum):

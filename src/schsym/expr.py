@@ -1,12 +1,14 @@
 """Immutable expression DAG for symbolic work on (1+n)-dimensional wave operators.
 
 Nodes are hash-consed: structurally equal expressions are the *same* object,
-so `a is b` is structural equality.  Constants are exact rationals (complex
-rationals), floating point enters only at evaluation time.  The node set is
-deliberately small: sums, products, integer powers, |.|^q powers and sgn of
-real-valued subexpressions, complex conjugation, and applications of abstract
-function symbols carrying a formal derivative multi-index over their argument
-slots.
+so `a is b` is structural equality.  Constants are exact complex rationals,
+held as reduced integer pairs (re_num, re_den, im_num, im_den) on which
+`sum_`, `prod` and the powers fold coefficients with `schsym.rational`; a
+constant's `.re` and `.im` are `Fraction` views built when read.  Floating
+point enters only at evaluation time.  The node set is deliberately small:
+sums, products, integer powers, |.|^q powers and sgn of real-valued
+subexpressions, complex conjugation, and applications of abstract function
+symbols carrying a formal derivative multi-index over their argument slots.
 
 Node facts are set at construction, and `diff`, `subst`, `conj_expr`,
 printing and the evaluation tape walk a DAG with one explicit-stack
@@ -20,6 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+from .rational import cadd, cmul, cpow
 
 Rat = Fraction
 Number = Union[int, float, Fraction]
@@ -249,22 +253,34 @@ def post_order(root: Expr, enter=None) -> list[Expr]:
 
 
 class Const(Expr):
-    # _value: the complex128 value, converted on first evaluation, not at
-    # construction, so exact constants too large for a float still build
-    __slots__ = ("re", "im", "_value")
+    # coeff: the value as reduced ints (re_num, re_den, im_num, im_den), both
+    # denominators > 0, the one source of truth; .re and .im are Fraction
+    # views built when read.  _value: the complex128 value, converted on first
+    # evaluation, not at construction, so exact constants too large for a
+    # float still build
+    __slots__ = ("coeff", "_value")
 
-    def __init__(self, re: Fraction, im: Fraction):
-        self.re = re
-        self.im = im
+    def __init__(self, coeff: tuple[int, int, int, int]):
+        self.coeff = coeff
         self._value = None
-        self._init_facts(im == 0, ())
+        self._init_facts(coeff[2] == 0, ())
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.coeff[0], self.coeff[1])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.coeff[2], self.coeff[3])
 
     def value(self) -> np.complex128:
         """The constant as a complex128; ValueError if it overflows a float."""
         v = self._value
         if v is None:
+            rn, rd, jn, jd = self.coeff
             try:
-                v = np.complex128(complex(self.re, self.im))
+                # int / int rounds exactly as Fraction.__float__ does
+                v = np.complex128(complex(rn / rd, jn / jd))
             except OverflowError:
                 text = str(self)
                 if len(text) > 40:
@@ -369,14 +385,30 @@ class Conj(Expr):
 # constructors (normalizing, interning)
 # ---------------------------------------------------------------------------
 
+def _const(c: tuple[int, int, int, int]) -> Const:
+    """The interned Const of reduced ints c; its key is c itself, the only
+    intern key that is not led by a tag string."""
+    node = _INTERN.get(c)
+    if node is None:
+        node = _INTERN[c] = Const(c)
+    return node
+
+
+def _ratio(q: Number) -> tuple[int, int]:
+    """(numerator, denominator) of q in lowest terms, denominator > 0."""
+    if type(q) is int:
+        return q, 1
+    if type(q) is float:
+        return q.as_integer_ratio()  # the float's exact binary value
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
 def const(re: Number = 0, im: Number = 0) -> Const:
-    if type(re) is not Fraction:
-        re = Fraction(re)
-    if type(im) is not Fraction:
-        im = Fraction(im)
-    # integer keys: hashing a Fraction is far slower than hashing its parts
-    key = ("c", re.numerator, re.denominator, im.numerator, im.denominator)
-    return _intern(key, lambda: Const(re, im))
+    if type(re) is int and type(im) is int:
+        return _const((re, 1, im, 1))
+    return _const(_ratio(re) + _ratio(im))
 
 
 ZERO = const(0)
@@ -388,12 +420,10 @@ I_UNIT = const(0, 1)
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction, float)):
         return const(x)
-    if isinstance(x, float):
-        return const(Fraction(x))
     if isinstance(x, complex):
-        return const(Fraction(x.real), Fraction(x.imag))
+        return const(x.real, x.imag)
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
 
 
@@ -426,55 +456,19 @@ def func_app(sym: FunctionSymbol, args: Iterable[Expr], didx: Optional[Sequence[
     return _intern(key, lambda: FuncApp(sym, args, didx))
 
 
-# -- complex rational helpers for coefficient folding; most coefficients are
-# real, so the real case skips the imaginary-part arithmetic
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _cadd(a, b):
-    if a[1] or b[1]:
-        return (a[0] + b[0], a[1] + b[1])
-    return (a[0] + b[0], _F0)
-
-
-def _cmul(a, b):
-    if a[1] or b[1]:
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-    return (a[0] * b[0], _F0)
-
-
-def _cpow(a, k: int):
-    if k < 0:
-        d = a[0] * a[0] + a[1] * a[1]
-        if d == 0:
-            raise ZeroDivisionError("inverse of exact zero constant")
-        a = (a[0] / d, -a[1] / d)
-        k = -k
-    if not a[1]:
-        return (a[0] ** k, _F0)
-    # exponentiation by squaring: O(log k) products instead of k
-    out = (_F1, _F0)
-    while k:
-        if k & 1:
-            out = _cmul(out, a)
-        k >>= 1
-        if k:
-            a = _cmul(a, a)
-    return out
+# coefficients are schsym.rational tuples; prod's accumulator starts as _C1
+_C1 = ONE.coeff
 
 
 def _split_coeff(term: Expr):
     """Split a term into (complex rational coefficient, monomial part)."""
     if isinstance(term, Const):
-        return (term.re, term.im), ONE
+        return term.coeff, ONE
     if isinstance(term, Product) and isinstance(term.factors[0], Const):
-        c = term.factors[0]
         rest = term.factors[1:]
         mono = rest[0] if len(rest) == 1 else _intern(("p", tuple(map(id, rest))), lambda: Product(rest))
-        return (c.re, c.im), mono
-    return (_F1, _F0), term
+        return term.factors[0].coeff, mono
+    return _C1, term
 
 
 def sum_(terms: Iterable[Expr]) -> Expr:
@@ -495,13 +489,13 @@ def sum_(terms: Iterable[Expr]) -> Expr:
     def add(coeff, mono, term):
         nonlocal cacc
         if mono is ONE:
-            cacc = coeff if cacc is None else _cadd(cacc, coeff)
+            cacc = coeff if cacc is None else cadd(cacc, coeff)
             return
         got = acc.get(mono)
         if got is None:
             acc[mono] = [coeff, term]
         else:
-            got[0] = _cadd(got[0], coeff)
+            got[0] = cadd(got[0], coeff)
             got[1] = None
 
     stack = list(terms)
@@ -515,26 +509,26 @@ def sum_(terms: Iterable[Expr]) -> Expr:
                 and isinstance(tm.factors[0], Const)
                 and isinstance(tm.factors[1], Sum)):
             # the Sum's terms are already normal: fold c into each coefficient
-            c = (tm.factors[0].re, tm.factors[0].im)
+            c = tm.factors[0].coeff
             for u in tm.factors[1].terms:
                 cu, mono = _split_coeff(u)
-                add(_cmul(c, cu), mono, None)
+                add(cmul(c, cu), mono, None)
             continue
         coeff, mono = _split_coeff(tm)
         add(coeff, mono, tm)
     out: list[Expr] = []
-    if cacc is not None and (cacc[0] or cacc[1]):
-        out.append(const(*cacc))
+    if cacc is not None and (cacc[0] or cacc[2]):
+        out.append(_const(cacc))
     for mono, (coeff, term) in acc.items():
         if term is not None:
             out.append(term)
-        elif not coeff[0] and not coeff[1]:
+        elif not coeff[0] and not coeff[2]:
             continue
-        elif coeff[0] == 1 and not coeff[1]:
+        elif coeff == _C1:
             out.append(mono)
         else:
             # mono is normal, so prod((c, mono)) would return exactly this node
-            fs = (const(*coeff),) + (mono.factors if isinstance(mono, Product) else (mono,))
+            fs = (_const(coeff),) + (mono.factors if isinstance(mono, Product) else (mono,))
             out.append(_intern(("p", tuple(map(id, fs))), lambda: Product(fs)))
     if not out:
         return ZERO
@@ -553,7 +547,7 @@ def prod(factors: Iterable[Expr]) -> Expr:
     |base|^q power, or sgn(base).  Nested products are flattened; a zero
     constant makes the whole product ZERO.
     """
-    cacc = (_F1, _F0)
+    cacc = _C1
     cnode = None  # the Const whose value cacc holds, while there is one
     # first-seen order of bases; keys are `base` for integer powers,
     # ("a", base) for |base|^q and ("g", base) for sgn(base)
@@ -568,10 +562,10 @@ def prod(factors: Iterable[Expr]) -> Expr:
         if isinstance(f, Const):
             if f is ZERO:
                 return ZERO
-            if cacc[0] is _F1 and not cacc[1]:
-                cacc, cnode = (f.re, f.im), f
+            if cacc is _C1:
+                cacc, cnode = f.coeff, f
             else:
-                cacc, cnode = _cmul(cacc, (f.re, f.im)), None
+                cacc, cnode = cmul(cacc, f.coeff), None
         elif isinstance(f, IntPow):
             pows[f.base] = pows.get(f.base, 0) + f.k
         elif isinstance(f, AbsPow):
@@ -592,13 +586,13 @@ def prod(factors: Iterable[Expr]) -> Expr:
         else:
             piece = sign_of(key[1]) if k % 2 else ONE
         if isinstance(piece, Const):
-            cacc, cnode = _cmul(cacc, (piece.re, piece.im)), None
-            if not cacc[0] and not cacc[1]:
+            cacc, cnode = cmul(cacc, piece.coeff), None
+            if not cacc[0] and not cacc[2]:
                 return ZERO
         elif piece is not ONE:
             out.append(piece)
-    if cacc[0] != 1 or cacc[1]:
-        out.insert(0, cnode if cnode is not None else const(*cacc))
+    if cacc != _C1:
+        out.insert(0, cnode if cnode is not None else _const(cacc))
     elif not out:
         return ONE
     if len(out) == 1:
@@ -615,7 +609,7 @@ def int_pow(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     if isinstance(base, Const):
-        return const(*_cpow((base.re, base.im), k))
+        return _const(cpow(base.coeff, k))
     if isinstance(base, IntPow):
         return int_pow(base.base, base.k * k)
     if isinstance(base, AbsPow):
@@ -639,16 +633,14 @@ def abs_pow(base: Expr, q: Number) -> Expr:
     if isinstance(base, Sign):
         return ONE
     if isinstance(base, Const):
-        v = abs(base.re)
+        n, d = abs(base.coeff[0]), base.coeff[1]
+        if not n and q < 0:
+            raise ZeroDivisionError("|0|^q with negative q")
         if q.denominator == 1:
-            if v == 0 and q < 0:
-                raise ZeroDivisionError("|0|^q with negative q")
-            return const(v ** q.numerator if q >= 0 else Fraction(1) / v ** (-q.numerator))
-        if v == 0:
-            if q < 0:
-                raise ZeroDivisionError("|0|^q with negative q")
+            return _const(cpow((n, d, 0, 1), q.numerator))
+        if not n:
             return ZERO
-        if v == 1:
+        if n == d:
             return ONE
     if q.denominator == 1 and q.numerator % 2 == 0:
         return int_pow(base, q.numerator)
@@ -660,9 +652,9 @@ def sign_of(base: Expr) -> Expr:
     if not base.is_real:
         raise ValueError("sgn requires a real-valued base")
     if isinstance(base, Const):
-        if base.re == 0:
+        if not base.coeff[0]:
             raise ValueError("sgn of exact zero")
-        return ONE if base.re > 0 else MINUS_ONE
+        return ONE if base.coeff[0] > 0 else MINUS_ONE
     if isinstance(base, Sign):
         return base
     if isinstance(base, AbsPow):
@@ -689,7 +681,8 @@ def conj_expr(e: Expr) -> Expr:
         if u.is_real:
             return u
         if type(u) is Const:
-            return const(u.re, -u.im)
+            rn, rd, jn, jd = u.coeff
+            return _const((rn, rd, -jn, jd))
         if type(u) is Var:
             return var(jet_var(u.vid.alpha, not u.vid.conj))
         if type(u) is Conj:
@@ -707,7 +700,7 @@ def conj_expr(e: Expr) -> Expr:
 
 
 def im_part(e: Expr) -> Expr:
-    return const(0, Fraction(-1, 2)) * (e - conj_expr(e))
+    return _const((0, 1, -1, 2)) * (e - conj_expr(e))
 
 
 # ---------------------------------------------------------------------------

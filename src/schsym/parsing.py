@@ -200,8 +200,7 @@ class _Parser:
             if abs(q) > MAX_POWER:
                 raise ParseError(f"exponent {q} exceeds {MAX_POWER} in size", pos)
             if type(e) is Const:
-                bits = max(n.bit_length() for n in (e.re.numerator, e.re.denominator,
-                                                    e.im.numerator, e.im.denominator))
+                bits = max(n.bit_length() for n in e.coeff)
                 if abs(q) * bits > MAX_POWER_BITS:
                     raise ParseError(f"exponent {q} of a {bits}-bit constant exceeds "
                                      f"{MAX_POWER_BITS} bits", pos)
@@ -369,24 +368,28 @@ def var_name(v: VarId) -> str:
     return f"conj({name})" if v.conj else name
 
 
+def _ratio_text(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return _ratio_text(q.numerator, q.denominator)
 
 
 def _const_text(e: Const) -> tuple[str, int]:
-    if e.im == 0:
-        s = _frac(e.re)
-        prec = _PREC_ATOM if e.re >= 0 and e.re.denominator == 1 else (
-            _PREC_SUM if e.re < 0 else _PREC_TERM)
-        return s, prec
-    if e.re == 0:
-        if e.im == 1:
-            return "i", _PREC_ATOM
-        if e.im == -1:
-            return "-i", _PREC_SUM
-        return f"{_frac(e.im)}*i", _PREC_SUM if e.im < 0 else _PREC_TERM
-    im = f"{_frac(e.im)}*i" if e.im != 1 else "i"
-    return f"({_frac(e.re)} + {im})" if e.im > 0 else f"({_frac(e.re)} - {_frac(-e.im)}*i)", _PREC_ATOM
+    rn, rd, jn, jd = e.coeff
+    if not jn:
+        prec = _PREC_ATOM if rn >= 0 and rd == 1 else (_PREC_SUM if rn < 0 else _PREC_TERM)
+        return _ratio_text(rn, rd), prec
+    unit = jd == 1 and abs(jn) == 1  # the imaginary part is +-1
+    if not rn:
+        if unit:
+            return ("i", _PREC_ATOM) if jn > 0 else ("-i", _PREC_SUM)
+        return f"{_ratio_text(jn, jd)}*i", _PREC_SUM if jn < 0 else _PREC_TERM
+    real = _ratio_text(rn, rd)
+    if jn > 0:
+        return f"({real} + {'i' if unit else _ratio_text(jn, jd) + '*i'})", _PREC_ATOM
+    return f"({real} - {_ratio_text(-jn, jd)}*i)", _PREC_ATOM
 
 
 def _wrap(s: str, prec: int, context: int) -> str:
@@ -413,12 +416,13 @@ def _text(e: Expr, done: dict) -> tuple[str, int]:
     if isinstance(e, Product):
         parts = [_wrap(*done[f], _PREC_TERM) for f in e.factors]
         head = e.factors[0]
-        if isinstance(head, Const) and head.im == 0 and head.re < 0:
+        if isinstance(head, Const) and not head.coeff[2] and head.coeff[0] < 0:
             # pull the sign out so sums can print "a - b"
-            if head.re == -1:
+            rn, rd = head.coeff[:2]
+            if rn == -1 and rd == 1:
                 del parts[0]
             else:
-                parts[0] = _frac(-head.re)
+                parts[0] = _ratio_text(-rn, rd)
             return "-" + "*".join(parts), _PREC_SUM
         return "*".join(parts), _PREC_TERM
     if isinstance(e, IntPow):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import schsym.expr as expr_module
 from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Conj, Const, FuncApp, IntPow,
-                         Product, Sign, Sum, SymbolTable, Var, _cadd, _cmul, _cpow, _intern,
-                         _split_coeff, abs_pow, conj_expr, const, diff, func_app, im_part, int_pow,
-                         jet_var, post_order, prod, psi, psi_var, sign_of, subst, sum_, t,
+                         Product, Sign, Sum, SymbolTable, Var, _const, _intern, abs_pow,
+                         conj_expr, const, diff, func_app, im_part, int_pow, jet_var,
+                         post_order, prod, psi, psi_var, sign_of, subst, sum_, t,
                          total_derivative, var, x, x_var)
 from schsym.funcbank import random_surrogate
 from schsym.numeric import (EMPTY_BINDING, Binding, draw_env, eval_batch, is_zero,
@@ -18,6 +18,7 @@ from schsym.numeric import (EMPTY_BINDING, Binding, draw_env, eval_batch, is_zer
 from schsym.parsing import (_PREC_ATOM as ATOM, _PREC_POW as POW, _PREC_SUM as SUM,
                             _PREC_TERM as TERM, _const_text, _frac, _wrap, parse, to_text,
                             var_name)
+from schsym.rational import cadd, cmul, cpow
 
 
 def safe_value(e, binding, t0, xs=()):
@@ -217,6 +218,62 @@ def test_print_parse_round_trip(data):
 
 # -- normalizing constructors against their plain definitions ---------------
 
+# The coefficient helpers on Fraction pairs (re, im) that the integer pairs
+# replaced, kept as the reference they are checked against.
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+def _ref_cadd(a, b):
+    if a[1] or b[1]:
+        return (a[0] + b[0], a[1] + b[1])
+    return (a[0] + b[0], _F0)
+
+
+def _ref_cmul(a, b):
+    if a[1] or b[1]:
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    return (a[0] * b[0], _F0)
+
+
+def _ref_cpow(a, k: int):
+    if k < 0:
+        d = a[0] * a[0] + a[1] * a[1]
+        if d == 0:
+            raise ZeroDivisionError("inverse of exact zero constant")
+        a = (a[0] / d, -a[1] / d)
+        k = -k
+    if not a[1]:
+        return (a[0] ** k, _F0)
+    # exponentiation by squaring: O(log k) products instead of k
+    out = (_F1, _F0)
+    while k:
+        if k & 1:
+            out = _ref_cmul(out, a)
+        k >>= 1
+        if k:
+            a = _ref_cmul(a, a)
+    return out
+
+
+def _ref_split_coeff(term):
+    """Split a term into (complex rational coefficient, monomial part)."""
+    if isinstance(term, Const):
+        return (term.re, term.im), ONE
+    if isinstance(term, Product) and isinstance(term.factors[0], Const):
+        c = term.factors[0]
+        rest = term.factors[1:]
+        mono = rest[0] if len(rest) == 1 else _intern(("p", tuple(map(id, rest))), lambda: Product(rest))
+        return (c.re, c.im), mono
+    return (_F1, _F0), term
+
+
+def _ints(a):
+    """The reduced ints (re_num, re_den, im_num, im_den) of a Fraction pair."""
+    return (a[0].numerator, a[0].denominator, a[1].numerator, a[1].denominator)
+
+
 def _ref_sum(terms):
     """`sum_` without its shortcuts: every term is re-normalized by `_ref_prod`."""
     acc = {}
@@ -232,12 +289,12 @@ def _ref_sum(terms):
                 and isinstance(tm.factors[0], Const) and isinstance(tm.factors[1], Sum)):
             stack.extend(_ref_prod((tm.factors[0], u)) for u in reversed(tm.factors[1].terms))
             continue
-        coeff, mono = _split_coeff(tm)
+        coeff, mono = _ref_split_coeff(tm)
         if mono is ONE:
-            cacc = coeff if cacc is None else _cadd(cacc, coeff)
+            cacc = coeff if cacc is None else _ref_cadd(cacc, coeff)
         else:
             prev = acc.get(mono)
-            acc[mono] = _cadd(prev, coeff) if prev is not None else coeff
+            acc[mono] = _ref_cadd(prev, coeff) if prev is not None else coeff
     out = []
     if cacc is not None and (cacc[0] or cacc[1]):
         out.append(const(*cacc))
@@ -278,7 +335,7 @@ def _ref_prod(factors):
         if isinstance(f, Const):
             if f is ZERO:
                 return ZERO
-            cacc = _cmul(cacc, (f.re, f.im))
+            cacc = _ref_cmul(cacc, (f.re, f.im))
         elif isinstance(f, IntPow):
             add_ipow(f.base, f.k)
         elif isinstance(f, AbsPow):
@@ -302,7 +359,7 @@ def _ref_prod(factors):
         else:
             piece = sign_of(b) if spar[b] % 2 else ONE
         if isinstance(piece, Const):
-            cacc = _cmul(cacc, (piece.re, piece.im))
+            cacc = _ref_cmul(cacc, (piece.re, piece.im))
             if not cacc[0] and not cacc[1]:
                 return ZERO
         elif piece is not ONE:
@@ -336,7 +393,7 @@ def _slow_cpow(a, k):
         a, k = (a[0] / d, -a[1] / d), -k
     out = (Fraction(1), Fraction(0))
     for _ in range(k):
-        out = _cmul(out, a)
+        out = _ref_cmul(out, a)
     return out
 
 
@@ -345,15 +402,70 @@ def _slow_cpow(a, k):
                                   (Fraction(0), Fraction(-2))])
 def test_cpow_matches_repeated_products(base):
     for k in range(-6, 7):
-        assert _cpow(base, k) == _slow_cpow(base, k)
+        want = _slow_cpow(base, k)
+        assert _ref_cpow(base, k) == want
+        got = cpow(_ints(base), k)
+        assert got == _ints(want) and _const(got) is const(*want)
 
 
 def test_cpow_exact_values_and_zero():
-    assert _cpow((Fraction(1), Fraction(1)), 8) == (16, 0)
-    assert _cpow((Fraction(0), Fraction(1)), -3) == (0, 1)
+    assert _ref_cpow((Fraction(1), Fraction(1)), 8) == (16, 0)
+    assert cpow((1, 1, 1, 1), 8) == (16, 1, 0, 1)
+    assert _ref_cpow((Fraction(0), Fraction(1)), -3) == (0, 1)
+    assert cpow((0, 1, 1, 1), -3) == (0, 1, 1, 1)
     with pytest.raises(ZeroDivisionError):
-        _cpow((Fraction(0), Fraction(0)), -1)
-    assert _cpow((Fraction(0), Fraction(0)), 3) == (0, 0)
+        _ref_cpow((Fraction(0), Fraction(0)), -1)
+    with pytest.raises(ZeroDivisionError):
+        cpow((0, 1, 0, 1), -1)
+    assert _ref_cpow((Fraction(0), Fraction(0)), 3) == (0, 0)
+    assert cpow((0, 1, 0, 1), 3) == (0, 1, 0, 1)
+
+
+# rationals with 0, +-1, negative and above-2^64 parts, and complex pairs of them
+_BIG = 2 ** 64
+_numerators = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-1000, 1000),
+                        st.integers(_BIG, 8 * _BIG), st.integers(-8 * _BIG, -_BIG))
+_denominators = st.one_of(st.just(1), st.integers(1, 1000), st.integers(_BIG, 8 * _BIG))
+_rationals = st.builds(Fraction, _numerators, _denominators)
+_complex_rationals = st.tuples(_rationals, st.one_of(st.just(Fraction(0)), _rationals))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_complex_rationals, _complex_rationals, st.integers(-4, 4))
+def test_integer_pair_arithmetic_matches_fraction(a, b, k):
+    ai, bi = _ints(a), _ints(b)
+    assert cadd(ai, bi) == _ints(_ref_cadd(a, b))
+    assert cmul(ai, bi) == _ints(_ref_cmul(a, b))
+    if not a[0] and not a[1] and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            cpow(ai, k)
+    else:
+        assert cpow(ai, k) == _ints(_ref_cpow(a, k))
+    # every way of building a constant gives the one node, and its views
+    node = _const(ai)
+    assert const(*a) is node and node.re == a[0] and node.im == a[1]
+    assert type(node.re) is Fraction and type(node.im) is Fraction
+    if a[0].denominator == 1 and a[1].denominator == 1:
+        assert const(a[0].numerator, a[1].numerator) is node
+        if not a[1]:
+            assert const(a[0].numerator) is node
+
+
+def test_subtraction_builds_no_fraction(monkeypatch):
+    # negating b's coefficients is a sign flip on integer pairs
+    b = parse("3/4 + 1/3*x2 + 2/5*t - 7/9*x1*t + (1/2 - 5/6*i)*x1^2")
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    d = x(1) - b
+    monkeypatch.undo()
+    assert built == []
+    assert d is parse("-3/4 + x1 - 1/3*x2 - 2/5*t + 7/9*x1*t + (-1/2 + 5/6*i)*x1^2")
 
 
 def test_large_integer_power_of_a_constant_parses_exactly():

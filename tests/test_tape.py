@@ -172,17 +172,20 @@ def test_deep_expression_evaluates_without_recursion():
     assert not unsafe.any()
 
 
-def test_constant_shared_by_two_roots_is_converted_once(monkeypatch):
-    c = const(Fraction(987654321, 1234567891))
-    calls = []
-    to_float = Fraction.__float__
+class _CountingInt(int):
+    """An int that records each division of itself, so a constant with it as
+    numerator counts its conversions to a float."""
 
-    def counting(self):
-        if self is c.re:
-            calls.append(self)
-        return to_float(self)
+    def __truediv__(self, other):
+        self.divisions.append(other)
+        return int.__truediv__(self, other)
 
-    monkeypatch.setattr(Fraction, "__float__", counting)
+
+def test_constant_shared_by_two_roots_is_converted_once():
+    numerator = _CountingInt(987654321)
+    numerator.divisions = calls = []
+    # a node of its own, not interned, so no other constant shares the count
+    c = Const((numerator, 1234567891, 0, 1))
     env = {T_VAR: np.array([0.25, 0.5], dtype=complex), x_var(1): np.array([1.0, -1.0], dtype=complex)}
     for root in (c * x(1) + t(), func_app(SIN, [c * t()])):
         _assert_matches_reference(root, EMPTY_BINDING, env)
