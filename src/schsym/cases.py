@@ -84,7 +84,7 @@ def table() -> dict[int, CaseEntry]:
 
 
 class UnknownCaseError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,8 @@ class RunConfig:
             raise ValueError("points must be <= 100000")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be a finite number > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
 

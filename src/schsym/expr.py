@@ -1,14 +1,17 @@
 """Immutable expression DAG for symbolic work on (1+n)-dimensional wave operators.
 
 Nodes are hash-consed: structurally equal expressions are the *same* object,
-so `a is b` is structural equality.  Constants are exact complex rationals,
-held as reduced integer pairs (re_num, re_den, im_num, im_den) on which
-`sum_`, `prod` and the powers fold coefficients with `schsym.rational`; a
-constant's `.re` and `.im` are `Fraction` views built when read.  Floating
-point enters only at evaluation time.  The node set is deliberately small:
-sums, products, integer powers, |.|^q powers and sgn of real-valued
-subexpressions, complex conjugation, and applications of abstract function
-symbols carrying a formal derivative multi-index over their argument slots.
+so `a is b` is structural equality.  A node is interned under its type tag
+(its class) and its own children, a constant under its coefficient ints, so
+a key pins its children and can never alias a freed node's `id()`.
+Constants are exact complex rationals, held as reduced integer pairs
+(re_num, re_den, im_num, im_den) on which `sum_`, `prod` and the powers fold
+coefficients with `schsym.rational`; a constant's `.re` and `.im` are
+`Fraction` views built when read.  Floating point enters only at evaluation
+time.  The node set is deliberately small: sums, products, integer powers,
+|.|^q powers and sgn of real-valued subexpressions, complex conjugation, and
+applications of abstract function symbols carrying a formal derivative
+multi-index over their argument slots.
 
 Node facts are set at construction, and `diff`, `subst`, `conj_expr`,
 printing and the evaluation tape walk a DAG with one explicit-stack
@@ -138,16 +141,12 @@ def raise_jet(v: VarId, direction: int) -> VarId:
 # nodes
 # ---------------------------------------------------------------------------
 
+# every node, keyed by its type tag (its class) and the children and
+# parameters it stores itself, e.g. (IntPow, base, k), or a Const by its
+# coefficient ints; as Expr defines no __eq__ or __hash__, a key compares its
+# children by identity, and as it holds them, it never aliases a freed id()
 _INTERN: dict = {}
 _EMPTY: frozenset = frozenset()
-
-
-def _intern(key, build):
-    node = _INTERN.get(key)
-    if node is None:
-        node = build()
-        _INTERN[key] = node
-    return node
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -210,12 +209,14 @@ class Expr:
 
     def _init_facts(self, is_real: bool, kids: tuple, vid: Optional[VarId] = None,
                     sym: Optional[FunctionSymbol] = None):
-        # children are built before their parents, so their facts exist
-        self.is_real = is_real
+        # children are built before their parents, so their facts exist; the
+        # node is real if is_real holds and every child is real
         vs = syms = _EMPTY
         for k in kids:
             vs = _union(vs, k.free_vars)
             syms = _union(syms, k.free_symbols)
+            is_real = is_real and k.is_real
+        self.is_real = is_real
         self.free_vars = vs if vid is None else _union(vs, frozenset((vid,)))
         self.free_symbols = syms if sym is None else _union(syms, frozenset((sym,)))
         self._tape = None
@@ -305,7 +306,7 @@ class FuncApp(Expr):
         self.sym = sym
         self.args = args
         self.didx = didx
-        self._init_facts(sym.codomain == "real" and all(a.is_real for a in args), args, sym=sym)
+        self._init_facts(sym.codomain == "real", args, sym=sym)
 
     def children(self):
         return self.args
@@ -316,7 +317,7 @@ class Sum(Expr):
 
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
-        self._init_facts(all(t.is_real for t in terms), terms)
+        self._init_facts(True, terms)
 
     def children(self):
         return self.terms
@@ -327,7 +328,7 @@ class Product(Expr):
 
     def __init__(self, factors: tuple[Expr, ...]):
         self.factors = factors
-        self._init_facts(all(f.is_real for f in factors), factors)
+        self._init_facts(True, factors)
 
     def children(self):
         return self.factors
@@ -339,7 +340,7 @@ class IntPow(Expr):
     def __init__(self, base: Expr, k: int):
         self.base = base
         self.k = k
-        self._init_facts(base.is_real, (base,))
+        self._init_facts(True, (base,))
 
     def children(self):
         return (self.base,)
@@ -385,9 +386,17 @@ class Conj(Expr):
 # constructors (normalizing, interning)
 # ---------------------------------------------------------------------------
 
+def _node(*key) -> Expr:
+    """The interned node key[0](*key[1:]): every node but a Const is built by
+    this one helper, under its class and its constructor arguments."""
+    node = _INTERN.get(key)
+    if node is None:
+        node = _INTERN[key] = key[0](*key[1:])
+    return node
+
+
 def _const(c: tuple[int, int, int, int]) -> Const:
-    """The interned Const of reduced ints c; its key is c itself, the only
-    intern key that is not led by a tag string."""
+    """The interned Const of reduced ints c, keyed by c itself."""
     node = _INTERN.get(c)
     if node is None:
         node = _INTERN[c] = Const(c)
@@ -428,7 +437,7 @@ def as_expr(x) -> Expr:
 
 
 def var(vid: VarId) -> Var:
-    return _intern(("v", vid), lambda: Var(vid))
+    return _node(Var, vid)
 
 
 def t() -> Var:
@@ -452,23 +461,11 @@ def func_app(sym: FunctionSymbol, args: Iterable[Expr], didx: Optional[Sequence[
     didx = tuple(didx)
     if len(didx) != sym.arity or any(k < 0 for k in didx):
         raise ValueError("bad derivative multi-index")
-    key = ("f", sym, tuple(map(id, args)), didx)
-    return _intern(key, lambda: FuncApp(sym, args, didx))
+    return _node(FuncApp, sym, args, didx)
 
 
 # coefficients are schsym.rational tuples; prod's accumulator starts as _C1
 _C1 = ONE.coeff
-
-
-def _split_coeff(term: Expr):
-    """Split a term into (complex rational coefficient, monomial part)."""
-    if isinstance(term, Const):
-        return term.coeff, ONE
-    if isinstance(term, Product) and isinstance(term.factors[0], Const):
-        rest = term.factors[1:]
-        mono = rest[0] if len(rest) == 1 else _intern(("p", tuple(map(id, rest))), lambda: Product(rest))
-        return term.factors[0].coeff, mono
-    return _C1, term
 
 
 def sum_(terms: Iterable[Expr]) -> Expr:
@@ -476,49 +473,49 @@ def sum_(terms: Iterable[Expr]) -> Expr:
 
     Normal form of a Sum: its constant first (if nonzero), then one term per
     distinct monomial in first-seen order, each carrying its coefficient as a
-    leading Const factor unless that coefficient is 1.  A monomial is what
-    `_split_coeff` leaves: a normalized non-constant product or factor, never
-    a Sum.  No term of a Sum is a Sum or a Product(c, Sum): nested sums are
-    flattened and a constant times a sum is distributed.
+    leading Const factor unless that coefficient is 1.  A term's monomial is
+    what is left without that factor: a normalized non-constant product or
+    factor, never a Sum.  No term of a Sum is a Sum or a Product(c, Sum):
+    nested sums are flattened and a constant times a sum is distributed.
     """
     # monomial -> [coefficient, the input term it came from while that term
-    # is its only contribution]; such a term is returned as it is
+    # is its only contribution]; such a term is returned as it is.  The
+    # constant is kept under ONE
     acc: dict[Expr, list] = {}
-    cacc = None
-
-    def add(coeff, mono, term):
-        nonlocal cacc
-        if mono is ONE:
-            cacc = coeff if cacc is None else cadd(cacc, coeff)
-            return
-        got = acc.get(mono)
-        if got is None:
-            acc[mono] = [coeff, term]
-        else:
-            got[0] = cadd(got[0], coeff)
-            got[1] = None
-
     stack = list(terms)
     stack.reverse()
     while stack:
         tm = stack.pop()
-        if isinstance(tm, Sum):
+        if (tt := type(tm)) is Sum:
             stack.extend(reversed(tm.terms))
             continue
-        if (isinstance(tm, Product) and len(tm.factors) == 2
-                and isinstance(tm.factors[0], Const)
-                and isinstance(tm.factors[1], Sum)):
-            # the Sum's terms are already normal: fold c into each coefficient
-            c = tm.factors[0].coeff
-            for u in tm.factors[1].terms:
-                cu, mono = _split_coeff(u)
-                add(cmul(c, cu), mono, None)
-            continue
-        coeff, mono = _split_coeff(tm)
-        add(coeff, mono, tm)
+        c = None
+        if tt is tuple:  # (c, u): a term u of a Sum that c multiplies
+            c, tm = tm
+            tt = type(tm)
+        if tt is Const:
+            coeff, mono = tm.coeff, ONE
+        elif tt is Product and type(tm.factors[0]) is Const:
+            fs = tm.factors
+            if len(fs) == 2 and type(fs[1]) is Sum:
+                # the Sum's terms are already normal: fold c into each coefficient
+                stack.extend([(fs[0].coeff, u) for u in reversed(fs[1].terms)])
+                continue
+            coeff, mono = fs[0].coeff, fs[1] if len(fs) == 2 else _node(Product, fs[1:])
+        else:
+            coeff, mono = _C1, tm
+        if c is not None:
+            coeff, tm = cmul(c, coeff), None
+        got = acc.get(mono)
+        if got is None:
+            acc[mono] = [coeff, tm]
+        else:
+            got[0] = cadd(got[0], coeff)
+            got[1] = None
     out: list[Expr] = []
-    if cacc is not None and (cacc[0] or cacc[2]):
-        out.append(_const(cacc))
+    got = acc.pop(ONE, None)
+    if got is not None and (got[0][0] or got[0][2]):
+        out.append(_const(got[0]))
     for mono, (coeff, term) in acc.items():
         if term is not None:
             out.append(term)
@@ -529,14 +526,12 @@ def sum_(terms: Iterable[Expr]) -> Expr:
         else:
             # mono is normal, so prod((c, mono)) would return exactly this node
             fs = (_const(coeff),) + (mono.factors if isinstance(mono, Product) else (mono,))
-            out.append(_intern(("p", tuple(map(id, fs))), lambda: Product(fs)))
+            out.append(_node(Product, fs))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    key = ("s", tuple(map(id, out)))
-    tup = tuple(out)
-    return _intern(key, lambda: Sum(tup))
+    return _node(Sum, tuple(out))
 
 
 def prod(factors: Iterable[Expr]) -> Expr:
@@ -556,22 +551,22 @@ def prod(factors: Iterable[Expr]) -> Expr:
     stack.reverse()
     while stack:
         f = stack.pop()
-        if isinstance(f, Product):
+        if (tf := type(f)) is Product:
             stack.extend(reversed(f.factors))
             continue
-        if isinstance(f, Const):
+        if tf is Const:
             if f is ZERO:
                 return ZERO
             if cacc is _C1:
                 cacc, cnode = f.coeff, f
             else:
                 cacc, cnode = cmul(cacc, f.coeff), None
-        elif isinstance(f, IntPow):
+        elif tf is IntPow:
             pows[f.base] = pows.get(f.base, 0) + f.k
-        elif isinstance(f, AbsPow):
+        elif tf is AbsPow:
             key = ("a", f.base)
             pows[key] = pows.get(key, 0) + f.q
-        elif isinstance(f, Sign):
+        elif tf is Sign:
             key = ("g", f.base)
             pows[key] = pows.get(key, 0) + 1
         else:
@@ -585,7 +580,7 @@ def prod(factors: Iterable[Expr]) -> Expr:
             piece = abs_pow(key[1], k)
         else:
             piece = sign_of(key[1]) if k % 2 else ONE
-        if isinstance(piece, Const):
+        if type(piece) is Const:
             cacc, cnode = cmul(cacc, piece.coeff), None
             if not cacc[0] and not cacc[2]:
                 return ZERO
@@ -597,9 +592,7 @@ def prod(factors: Iterable[Expr]) -> Expr:
         return ONE
     if len(out) == 1:
         return out[0]
-    key = ("p", tuple(map(id, out)))
-    tup = tuple(out)
-    return _intern(key, lambda: Product(tup))
+    return _node(Product, tuple(out))
 
 
 def int_pow(base: Expr, k: int) -> Expr:
@@ -616,8 +609,7 @@ def int_pow(base: Expr, k: int) -> Expr:
         return abs_pow(base.base, base.q * k)
     if isinstance(base, Sign):
         return sign_of(base.base) if k % 2 else ONE
-    key = ("ip", id(base), k)
-    return _intern(key, lambda: IntPow(base, k))
+    return _node(IntPow, base, k)
 
 
 def abs_pow(base: Expr, q: Number) -> Expr:
@@ -644,8 +636,7 @@ def abs_pow(base: Expr, q: Number) -> Expr:
             return ONE
     if q.denominator == 1 and q.numerator % 2 == 0:
         return int_pow(base, q.numerator)
-    key = ("ap", id(base), q)
-    return _intern(key, lambda: AbsPow(base, q))
+    return _node(AbsPow, base, q)
 
 
 def sign_of(base: Expr) -> Expr:
@@ -661,8 +652,7 @@ def sign_of(base: Expr) -> Expr:
         return ONE
     if isinstance(base, IntPow):
         return sign_of(base.base) if base.k % 2 else ONE
-    key = ("sg", id(base))
-    return _intern(key, lambda: Sign(base))
+    return _node(Sign, base)
 
 
 def conj_expr(e: Expr) -> Expr:
@@ -687,7 +677,7 @@ def conj_expr(e: Expr) -> Expr:
             return var(jet_var(u.vid.alpha, not u.vid.conj))
         if type(u) is Conj:
             return u.arg
-        return _intern(("cj", id(u)), lambda: Conj(u))
+        return _node(Conj, u)
 
     for u in post_order(e, lambda u: not u.is_real and type(u) in _CONJ_WALKED):
         if type(u) is Sum:
@@ -761,7 +751,7 @@ def _diff(e: Expr, v: VarId) -> Expr:
                     for j, g in enumerate(fs) if j != i):
                 # d is a new base of power 1 in f's place, so nf is already
                 # the normal form prod(nf) would build
-                terms.append(_intern(("p", tuple(map(id, nf))), lambda: Product(nf)))
+                terms.append(_node(Product, nf))
             else:
                 terms.append(prod(nf))
         return sum_(terms)

@@ -61,6 +61,7 @@ class UnsafeSampleError(RuntimeError):
 
 class UnboundSymbolError(KeyError):
     """A function symbol has no implementation in the binding."""
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
 
 
 class Binding:

@@ -154,6 +154,20 @@ def test_config_override(tmp_path, capsys):
     assert payload["draws"] == 1 and payload["seed"] == 12
 
 
+@pytest.mark.parametrize("argv", [["verify-case", "99"], ["verify-table", "--cases", "99"]])
+def test_unknown_case_error_line_is_unquoted(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown case id 99\n"
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for argv in (["--seed", "-1"], ["--config", str(cfg)]):
+        assert main(["verify-case", "1"] + argv) == 2, argv
+        assert capsys.readouterr().err == "error: seed must be >= 0\n", argv
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "schsym.cli", "residual",
                            "0", '{"rho": "1"}'], capture_output=True, text=True)
@@ -161,13 +175,28 @@ def test_console_entry_point():
     assert "symmetry: yes" in proc.stdout
 
 
+# the field specs G1 and G2 of the CI workflow's pinned bracket outputs
+G1 = ('{"tau":"t^2 + 1","kappa":"1","chi":["sin(t)","t*cos(t)"],'
+      '"sigma":"exp(t)","rho":"t^(1/3)"}')
+G2 = ('{"tau":"exp(2*t)","kappa":"-2","chi":["cos(t)","t^(3/2)"],'
+      '"sigma":"sin(t)*t","rho":"cos(t)"}')
+
+
+def test_generic_bracket_interns_a_pinned_node_count():
+    """A change of intern key that splits or merges nodes changes this count."""
+    code = ("import json; from schsym import cli, expr; from schsym.fields import "
+            "bracket_generic, expand; tbl = expr.SymbolTable(); "
+            f"g1, g2 = (cli._load_generator(json.loads(s), tbl, 2) for s in ({G1!r}, {G2!r})); "
+            "n = len(expr._INTERN); bracket_generic(expand(g1), expand(g2)); "
+            "print(len(expr._INTERN) - n)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "260\n"
+
+
 def test_bracket_text_pins_normal_form_term_order(capsys):
     # printed term order is the normal-form order of sum_/prod
-    g1 = ('{"tau":"t^2 + 1","kappa":"1","chi":["sin(t)","t*cos(t)"],'
-          '"sigma":"exp(t)","rho":"t^(1/3)"}')
-    g2 = ('{"tau":"exp(2*t)","kappa":"-2","chi":["cos(t)","t^(3/2)"],'
-          '"sigma":"sin(t)*t","rho":"cos(t)"}')
-    code, out = run_cli(capsys, "bracket", g1, g2)
+    code, out = run_cli(capsys, "bracket", G1, G2)
     assert code == 0
     assert out == "; ".join([
         "[g1, g2] = tau: 2*(1 + t^2)*exp[1](2*t) - 2*exp(2*t)*t",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import schsym.expr as expr_module
 from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Conj, Const, FuncApp, IntPow,
-                         Product, Sign, Sum, SymbolTable, Var, _const, _intern, abs_pow,
+                         Product, Sign, Sum, SymbolTable, Var, _const, _node, abs_pow,
                          conj_expr, const, diff, func_app, im_part, int_pow, jet_var,
                          post_order, prod, psi, psi_var, sign_of, subst, sum_, t,
                          total_derivative, var, x, x_var)
@@ -264,7 +264,7 @@ def _ref_split_coeff(term):
     if isinstance(term, Product) and isinstance(term.factors[0], Const):
         c = term.factors[0]
         rest = term.factors[1:]
-        mono = rest[0] if len(rest) == 1 else _intern(("p", tuple(map(id, rest))), lambda: Product(rest))
+        mono = rest[0] if len(rest) == 1 else _node(Product, rest)
         return (c.re, c.im), mono
     return (_F1, _F0), term
 
@@ -309,8 +309,7 @@ def _ref_sum(terms):
         return ZERO
     if len(out) == 1:
         return out[0]
-    tup = tuple(out)
-    return _intern(("s", tuple(id(u) for u in out)), lambda: Sum(tup))
+    return _node(Sum, tuple(out))
 
 
 def _ref_prod(factors):
@@ -370,8 +369,7 @@ def _ref_prod(factors):
         out.insert(0, const(*cacc))
     if len(out) == 1:
         return out[0]
-    tup = tuple(out)
-    return _intern(("p", tuple(id(u) for u in out)), lambda: Product(tup))
+    return _node(Product, tuple(out))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -587,7 +585,7 @@ def _ref_conj(e):
         return int_pow(_ref_conj(e.base), e.k)
     if isinstance(e, Conj):
         return e.arg
-    return _intern(("cj", id(e)), lambda: Conj(e))
+    return _node(Conj, e)
 
 
 def _ref_subst(e, mapping, memo):

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+import schsym.expr as expr_module
 from schsym.closedform import exppoly_to_expr
-from schsym.expr import ONE, T_VAR, ZERO, const, func_app, int_pow, psi, t, var, x
+from schsym.expr import (ONE, T_VAR, ZERO, AbsPow, Conj, Const, Expr, FuncApp, IntPow,
+                         Product, Sign, Sum, Var, const, func_app, int_pow, psi, t, var, x)
 from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, _rank, bracket_generic,
                            bracket_rows, bracket_structural, coefficient_rows,
                            expand, rank_of_chi_block)
@@ -76,6 +78,32 @@ def test_generic_matches_structural_with_eta0():
     dvf = expand(bracket_structural(g1, g2)).sub(bracket_generic(expand(g1), expand(g2)))
     for comp in dvf.components():
         assert is_zero(comp, trials=2, points=40, rng=RNG)
+
+
+# the stored fields an interned node's key holds after its class
+_KEY_FIELDS = {Sum: ("terms",), Product: ("factors",), FuncApp: ("sym", "args", "didx"),
+               IntPow: ("base", "k"), AbsPow: ("base", "q"), Sign: ("base",),
+               Conj: ("arg",), Var: ("vid",)}
+
+
+def test_intern_keys_hold_the_nodes_own_children():
+    g1, g2, g3 = (rand_gen(np.random.default_rng(300 + k), with_eta=k == 0) for k in range(3))
+    g3 = g3.add(Iop(parse("t^(1/3)")))  # |t|^q and sgn(t) nodes
+    jacobi = bracket_structural(g1, bracket_structural(g2, g3)) \
+        .add(bracket_structural(g2, bracket_structural(g3, g1))) \
+        .add(bracket_structural(g3, bracket_structural(g1, g2)))
+    expand(jacobi).sub(bracket_generic(expand(g1), expand(bracket_structural(g2, g3))))
+    kinds = set()
+    for key, node in expr_module._INTERN.items():
+        if type(node) is Const:
+            assert key is node.coeff and all(type(v) is int for v in key)
+            continue
+        kinds.add(type(node))
+        stored = tuple(getattr(node, f) for f in _KEY_FIELDS[type(node)])
+        assert key[0] is type(node) and len(key) == 1 + len(stored)
+        assert all(k is v for k, v in zip(key[1:], stored)), key
+        assert all(isinstance(c, Expr) for c in node.children())
+    assert {Sum, Product, FuncApp, IntPow, AbsPow, Sign, Var} <= kinds
 
 
 def test_generic_bracket_simple():

@@ -7,8 +7,8 @@ import pytest
 from schsym.expr import SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x, x_var
 from schsym.funcbank import ExpPoly, ExpPolyImpl
 from schsym.numeric import (AntiderivImpl, Binding, EMPTY_BINDING, ExprImpl, InverseImpl,
-                            UnsafeSampleError, draw_env, eval_batch, is_zero,
-                            max_normalized_residual)
+                            UnboundSymbolError, UnsafeSampleError, draw_env, eval_batch,
+                            is_zero, max_normalized_residual)
 from schsym.parsing import parse
 
 
@@ -18,6 +18,13 @@ def at_point(e, binding, t0, xs=()):
     env.update({x_var(a): np.array([v], dtype=complex) for a, v in enumerate(xs, 1)})
     vals, _, unsafe = eval_batch(e, binding, env)
     return complex(vals[0]), bool(unsafe[0])
+
+
+def test_unbound_symbol_error_reads_as_its_message():
+    f = SymbolTable().declare("f", 1, "real")
+    with pytest.raises(UnboundSymbolError) as info:
+        Binding().lookup(f)
+    assert str(info.value) == "no implementation bound for symbol 'f'"
 
 
 def test_eval_omega_at_origin_time():
