@@ -31,12 +31,13 @@ import numpy as np
 from .closedform import expr_to_exppoly, exppoly_to_expr
 from .conditions import InvariantTuple, Potential, SpanError, classifying_residual, invariants
 from .equivalence import rational_rotation
-from .expr import (COS, SIN, T_VAR, Const, Expr, SymbolTable, abs_pow, const, diff,
+from .expr import (COS, HALF, SIN, T_VAR, Const, Expr, SymbolTable, abs_pow, const, diff,
                    func_app, int_pow)
 from .fields import GeneratorCoeffs
 from .funcbank import (ConstImpl, ExpPoly, ExpPolyImpl, random_positive_trig_poly,
                        random_surrogate)
-from .numeric import Binding, ExprImpl, Workspace, eval_batch, max_normalized_residual
+from .numeric import (Binding, DEFAULT_TOL, ExprImpl, Workspace, eval_batch,
+                      max_normalized_residual)
 from .parsing import parse
 
 
@@ -221,7 +222,7 @@ def _liouville_pair(rng, ws: Workspace):
     Gp = diff(G_expr, T_VAR)
     Gpp = diff(Gp, T_VAR)
     d = const(Fraction(3, 4)) * Gp * Gp * int_pow(G_expr, -2) \
-        - const(Fraction(1, 2)) * Gpp * int_pow(G_expr, -1) - G_expr * G_expr
+        - HALF * Gpp * int_pow(G_expr, -1) - G_expr * G_expr
     return u1, u2, d, G_expr, F_expr
 
 
@@ -374,7 +375,7 @@ def _check_side_conditions(case: CaseEntry, inst: CaseInstance) -> list[dict]:
 
 
 def verify_case(case_id: int, draws: int = 5, rng: Optional[np.random.Generator] = None,
-                points: int = 100, zero_trials: int = 1, tol: float = 1e-8) -> dict:
+                points: int = 100, zero_trials: int = 1, tol: float = DEFAULT_TOL) -> dict:
     """Verify one classification case over several random instantiations.
 
     Per draw: every listed generator must have numerically zero classifying
@@ -452,7 +453,7 @@ def json_witness(witness) -> dict:
 
 
 def verify_table(draws: int = 5, seed: int = 0, points: int = 100,
-                 zero_trials: int = 1, tol: float = 1e-8,
+                 zero_trials: int = 1, tol: float = DEFAULT_TOL,
                  case_ids: Optional[list[int]] = None) -> dict:
     """Run verify_case over the whole table with per-case seed substreams."""
     ids = sorted(table()) if case_ids is None else sorted(case_ids)

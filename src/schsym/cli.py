@@ -24,8 +24,8 @@ from .conditions import Potential, SpanError, classifying_residual, invariants
 from .equivalence import EquivTransformation, act_on_potential
 from .expr import SymbolTable
 from .fields import GeneratorCoeffs, bracket_generic, bracket_structural, expand
-from .numeric import (UnsafeSampleError, Workspace, draw_env, eval_batch, is_zero,
-                      max_normalized_residual)
+from .numeric import (DEFAULT_TOL, UnsafeSampleError, Workspace, draw_env, eval_batch,
+                      is_zero, max_normalized_residual)
 from .parsing import ParseError, load_declarations, parse, to_text, var_name
 
 
@@ -42,7 +42,7 @@ class RunConfig:
     trials: int = 5
     bindings: int = 1
     points: int = 100
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
     seed: int = 0
     format: str = "text"
 
@@ -63,16 +63,17 @@ class RunConfig:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=2, help="space dimension")
-    p.add_argument("--trials", type=int, default=5,
+    d = RunConfig()
+    p.add_argument("--n", type=int, default=d.n, help="space dimension")
+    p.add_argument("--trials", type=int, default=d.trials,
                    help="random instantiations per case / zero-test trials")
-    p.add_argument("--bindings", type=int, default=1,
+    p.add_argument("--bindings", type=int, default=d.bindings,
                    help="fresh surrogate bindings per zero-test trial")
-    p.add_argument("--points", type=int, default=100,
+    p.add_argument("--points", type=int, default=d.points,
                    help="sample points per zero-test batch")
-    p.add_argument("--tol", type=float, default=1e-8, help="normalized tolerance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--tol", type=float, default=d.tol, help="normalized tolerance")
+    p.add_argument("--seed", type=int, default=d.seed, help="RNG seed")
+    p.add_argument("--format", choices=("text", "json"), default=d.format)
     p.add_argument("--config", default=None,
                    help="JSON file whose keys override the flags above")
     p.add_argument("--declare", default=None,
@@ -148,7 +149,11 @@ def _load_generator(spec, table: SymbolTable, n: int) -> GeneratorCoeffs:
     kap = spec.get("kappa", 0)
     if type(kap) is list:  # above-diagonal entries, row by row
         kappa = tuple(Fraction(kap[a][b]) for a in range(n) for b in range(a + 1, n))
-    else:
+    elif n == 1:  # no rotation pairs
+        if Fraction(kap) != 0:
+            raise ValueError("kappa must be 0 at n = 1, which has no rotations")
+        kappa = ()
+    else:  # the rotation in the (x1, x2) plane
         kappa = (Fraction(kap),) + (Fraction(0),) * (n * (n - 1) // 2 - 1)
     eta0 = spec.get("eta0")
     eta = parse(str(eta0), table, n) if eta0 not in (None, "null") else None

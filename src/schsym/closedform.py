@@ -23,7 +23,7 @@ def _poly_expr(coeffs, var_expr: Expr, real_part: bool) -> Expr:
     return sum_(terms)
 
 
-def exppoly_to_expr(f: ExpPoly, tol: float = 1e-13) -> Expr:
+def exppoly_to_expr(f: ExpPoly) -> Expr:
     """Render a real-valued ExpPoly as an Expr in t (exact to rounding).
 
     Each frequency gives its own monomials, so the terms are collected and
@@ -36,7 +36,7 @@ def exppoly_to_expr(f: ExpPoly, tol: float = 1e-13) -> Expr:
         if lam in seen:
             continue
         a, b = lam.real, lam.imag
-        if abs(b) <= tol:
+        if abs(b) <= 1e-13:
             # real lambda: polynomial times exp(a t); coefficients must be real
             if any(abs(c.imag) > 1e-9 * (1 + abs(c)) for c in coeffs):
                 raise ValueError("ExpPoly is not real-valued")

@@ -24,6 +24,8 @@ from .closedform import exppoly_to_expr
 from .expr import (
     Expr,
     FunctionSymbol,
+    HALF,
+    I_UNIT,
     T_VAR,
     ZERO,
     abs_pow,
@@ -58,10 +60,7 @@ from .fields import (
     _rank,
 )
 from .funcbank import ExpPoly, ExpPolyImpl, random_positive_trig_poly, random_trig_poly
-from .numeric import AntiderivImpl, Binding, EMPTY_BINDING, Workspace, is_zero
-
-HALF = const(Fraction(1, 2))
-I_U = const(0, 1)
+from .numeric import AntiderivImpl, Binding, DEFAULT_TOL, EMPTY_BINDING, Workspace, is_zero
 
 
 @dataclass
@@ -101,14 +100,14 @@ def classifying_residual(V: Potential, g: GeneratorCoeffs) -> Expr:
     res = res - const(Fraction(1, 8)) * tau_ttt * absx2(n)
     for a in range(1, n + 1):
         res = res - HALF * diff(diff(g.chi[a - 1], T_VAR), T_VAR) * x(a)
-    res = res - diff(g.sigma, T_VAR) + I_U * diff(g.rho, T_VAR)
+    res = res - diff(g.sigma, T_VAR) + I_UNIT * diff(g.rho, T_VAR)
     res = res + const(0, Fraction(n, 4)) * tau_tt
     return res
 
 
 def eta0_residual(V: Potential, eta0: Expr) -> Expr:
     """i eta0_t + eta0_aa + V eta0: zero iff eta0 solves the equation."""
-    res = I_U * diff(eta0, T_VAR)
+    res = I_UNIT * diff(eta0, T_VAR)
     for a in range(1, V.n + 1):
         res = res + diff(diff(eta0, x_var(a)), x_var(a))
     return res + V.expr * eta0
@@ -155,12 +154,12 @@ def prolonged_residual(V: Potential, f: VectorField) -> Expr:
     for a in range(1, n + 1):
         drift = drift + f.coef_x[a - 1] * diff(V.expr, x_var(a))
 
-    res = I_U * eta_t + eta_lap + drift * psi0 + V.expr * f.coef_psi
+    res = I_UNIT * eta_t + eta_lap + drift * psi0 + V.expr * f.coef_psi
 
     lap = sum_(jet(a, a) for a in range(1, n + 1))
     lap_c = conj_expr(lap)
     repl = {
-        jet_var([1] + [0] * n): I_U * lap + I_U * V.expr * psi0,
+        jet_var([1] + [0] * n): I_UNIT * lap + I_UNIT * V.expr * psi0,
         jet_var([1] + [0] * n, conj=True):
             const(0, -1) * lap_c + const(0, -1) * conj_expr(V.expr) * psi(n, conj=True),
     }
@@ -224,8 +223,8 @@ def _first_outside(basis: np.ndarray, cand: np.ndarray, tol: float) -> Optional[
 
 
 def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
-               rng: Optional[np.random.Generator] = None, tol: float = 1e-8,
-               check_closure: bool = True) -> InvariantTuple:
+               rng: Optional[np.random.Generator] = None,
+               tol: float = DEFAULT_TOL) -> InvariantTuple:
     """Invariant integers (k0, k1, k2, k3, r0) of the span of gs.
 
     Requires the span to be closed under the bracket and to contain the
@@ -255,13 +254,12 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     if miss is not None:
         raise SpanError(f"{('M', 'I')[miss]} is missing from the span")
 
-    if check_closure:
-        pairs = np.triu_indices(len(gs), 1)
-        brows = bracket_rows(gs, binding, tvals, rows, slices)[pairs]
-        miss = _first_outside(basis, brows, span_tol)
-        if miss is not None:
-            raise SpanError(f"span is not closed under the bracket "
-                            f"(generators {pairs[0][miss]} and {pairs[1][miss]})")
+    pairs = np.triu_indices(len(gs), 1)
+    brows = bracket_rows(gs, binding, tvals, rows, slices)[pairs]
+    miss = _first_outside(basis, brows, span_tol)
+    if miss is not None:
+        raise SpanError(f"span is not closed under the bracket "
+                        f"(generators {pairs[0][miss]} and {pairs[1][miss]})")
 
     rank_tau = _rank(rows[:, slices["tau"]], tol)
     rank_tau_kappa = _rank(np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]]]), tol)
@@ -280,9 +278,10 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
 # ---------------------------------------------------------------------------
 
 def kernel_check(rng: Optional[np.random.Generator] = None, n: int = 2,
-                 potentials: int = 4, tol: float = 1e-8) -> bool:
+                 tol: float = DEFAULT_TOL) -> bool:
     """True iff M and I annihilate the classifying residual for random
-    potentials while no other single elementary generator does."""
+    potentials while no other single elementary generator does (each has
+    four draws in which to leave a nonzero residual)."""
     if rng is None:
         rng = np.random.default_rng(0)
     sym = FunctionSymbol("V_probe", n + 1, "complex")
@@ -300,7 +299,7 @@ def kernel_check(rng: Optional[np.random.Generator] = None, n: int = 2,
     for bad in others:
         res = classifying_residual(V, bad)
         ok_somewhere = False
-        for _ in range(potentials):
+        for _ in range(4):
             if not is_zero(res, trials=1, points=40, rng=rng, tol=tol):
                 ok_somewhere = True
                 break
@@ -309,7 +308,7 @@ def kernel_check(rng: Optional[np.random.Generator] = None, n: int = 2,
     return True
 
 
-def lemma_fixtures(rng: Optional[np.random.Generator] = None, tol: float = 1e-8) -> dict:
+def lemma_fixtures(rng: Optional[np.random.Generator] = None, tol: float = DEFAULT_TOL) -> dict:
     """Two structural facts about generalized-shift generators at n=2.
 
     1. If P(1,0) + rho1 I is a symmetry of V = U(t, x2) - i rho1' x1, then
@@ -332,7 +331,7 @@ def lemma_fixtures(rng: Optional[np.random.Generator] = None, tol: float = 1e-8)
     r2 = ws.declare("rho2", 1, "real", ExpPolyImpl(integrand.antiderivative()))
     Usym = ws.declare("U_l8", 2, "complex")
     r1_app = func_app(r1, [t_expr()])
-    Vexpr = func_app(Usym, [t_expr(), x(2)]) - I_U * diff(r1_app, T_VAR) * x(1)
+    Vexpr = func_app(Usym, [t_expr(), x(2)]) - I_UNIT * diff(r1_app, T_VAR) * x(1)
     V = Potential(Vexpr, 2, ws.binding)
     g1 = P(1, 0).add(Iop(r1_app, 2))
     g2 = P(var(T_VAR), 0).add(Iop(func_app(r2, [t_expr()]), 2))
@@ -362,8 +361,7 @@ def lemma_fixtures(rng: Optional[np.random.Generator] = None, tol: float = 1e-8)
     h2_til = subst(abs_pow(diff(theta_expr, T_VAR), 1) * h_expr * h_expr,
                    {T_VAR: tinv_app})
     lam_integrand = const(-2) * sig_til * int_pow(h2_til, -1)
-    lam = ws2.declare(ws2.fresh_name("lam"), 1, "real",
-                      AntiderivImpl(lam_integrand, ws2.binding))
+    lam = ws2.declare("lam_1", 1, "real", AntiderivImpl(lam_integrand, ws2.binding))
     lam_app = func_app(lam, [t_expr()])
     Xshift = (lam_app * g_mid.chi[0], lam_app * g_mid.chi[1])
     trP = eq.EquivTransformation.elementary_P(Xshift, 2, ws2)
@@ -373,7 +371,7 @@ def lemma_fixtures(rng: Optional[np.random.Generator] = None, tol: float = 1e-8)
     sin_t = func_app(ws2.table.get("sin"), [t_expr()])
     form = g_out.chi[0] * sin_t - g_out.chi[1] * cos_t
     ok_form = is_zero(form, binding=ws2.binding, rng=rng, tol=tol)
-    ok_sigma = is_zero(g_out.sigma, binding=ws2.binding, rng=rng, tol=max(tol, 1e-8))
+    ok_sigma = is_zero(g_out.sigma, binding=ws2.binding, rng=rng, tol=max(tol, DEFAULT_TOL))
     ok_tau = g_out.tau is ZERO and all(k == 0 for k in g_out.kappa)
     report["polar_reduction"] = {"target_form": ok_form, "sigma_killed": ok_sigma,
                                  "no_tau_kappa": ok_tau,

@@ -25,6 +25,8 @@ from .expr import (
     Expr,
     FuncApp,
     FunctionSymbol,
+    HALF,
+    I_UNIT,
     T_VAR,
     ZERO,
     abs_pow,
@@ -47,6 +49,7 @@ from .fields import D, GeneratorCoeffs, Iop, J, M as Mgen, P, _pairs
 from .funcbank import random_trig_poly
 from .numeric import (
     Binding,
+    DEFAULT_TOL,
     InverseImpl,
     T_RANGE,
     Workspace,
@@ -54,9 +57,6 @@ from .numeric import (
     eval_batch,
     is_zero,
 )
-
-HALF = const(Fraction(1, 2))
-I_U = const(0, 1)
 
 _TINV_COUNTER = itertools.count(1)
 
@@ -250,7 +250,7 @@ def act_on_potential(V: Potential, tr: EquivTransformation) -> Potential:
                    for a in range(1, n + 1) if tr.O[b - 1][a - 1] != 0)
         shift = shift + rate * row
     out = out + const(Fraction(eps, 2)) * abs_pow(Tt, Fraction(-1, 2)) * shift
-    out = out + (diff(tr.Sigma, T_VAR) - I_U * diff(tr.Upsilon, T_VAR)) * inv_tt
+    out = out + (diff(tr.Sigma, T_VAR) - I_UNIT * diff(tr.Upsilon, T_VAR)) * inv_tt
     xdots = sum_(diff(c, T_VAR) * diff(c, T_VAR) for c in tr.X)
     out = out - (xdots + const(0, n) * Ttt) * const(Fraction(1, 4)) * int_pow(Tt, -2)
 
@@ -281,15 +281,15 @@ class AdmissibleTransformation:
         return AdmissibleTransformation(source, tr, act_on_potential(source, tr))
 
 
-def potentials_agree(V1: Potential, V2: Potential, rng=None, tol: float = 1e-8,
-                     points: int = 60) -> bool:
+def potentials_agree(V1: Potential, V2: Potential, rng=None,
+                     tol: float = DEFAULT_TOL) -> bool:
     d = V1.expr - V2.expr
-    return is_zero(d, trials=2, points=points, tol=tol,
+    return is_zero(d, trials=2, points=60, tol=tol,
                    binding=V1.binding.merged(V2.binding), rng=rng)
 
 
 def compose(t1: AdmissibleTransformation, t2: AdmissibleTransformation,
-            validate: bool = True, rng=None, tol: float = 1e-8) -> AdmissibleTransformation:
+            validate: bool = True, rng=None, tol: float = DEFAULT_TOL) -> AdmissibleTransformation:
     """Parameter-level composition (apply t1, then t2)."""
     tr1, tr2 = t1.map, t2.map
     n = tr1.n
@@ -331,7 +331,7 @@ def compose(t1: AdmissibleTransformation, t2: AdmissibleTransformation,
 
 
 def invert(t: AdmissibleTransformation, validate: bool = True, rng=None,
-           tol: float = 1e-8) -> AdmissibleTransformation:
+           tol: float = DEFAULT_TOL) -> AdmissibleTransformation:
     """Inverse admissible transformation with swapped source and target."""
     tr = t.map
     n = tr.n
@@ -526,17 +526,17 @@ def pullback_along(Vt: Potential, tr: EquivTransformation) -> Expr:
 
 def equiv_generator_check(gen: EquivGenerator, V: Potential,
                           rng: Optional[np.random.Generator] = None,
-                          delta: float = 1e-5, tol: float = 1e-4,
-                          points: int = 24) -> bool:
+                          tol: float = 1e-4) -> bool:
     """Finite-difference dV coefficient versus the closed form.
 
-    Central difference, along the one-parameter family at delta = 0, of the
-    transformed potential evaluated at the flowed point (so the variable
-    transport does not enter), compared with the closed-form dV coefficient
-    at random sample points with relative tolerance tol.
+    Central difference (step delta = 1e-5) along the one-parameter family at
+    delta = 0, of the transformed potential evaluated at the flowed point (so
+    the variable transport does not enter), compared with the closed-form dV
+    coefficient at 24 random sample points with relative tolerance tol.
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    delta = 1e-5
     ws = Workspace()
     ws.binding = ws.binding.merged(V.binding)
     trp = gen.family(+delta, ws)
@@ -547,7 +547,7 @@ def equiv_generator_check(gen: EquivGenerator, V: Potential,
     em = pullback_along(minus, trm)
     theta = gen.theta(V)
     vars_needed = ep.free_vars | em.free_vars | theta.free_vars
-    env = draw_env(vars_needed, points, rng)
+    env = draw_env(vars_needed, 24, rng)
     vp, _, up = eval_batch(ep, plus.binding, env)
     vm, _, um = eval_batch(em, minus.binding, env)
     th, _, ut = eval_batch(theta, V.binding, env)
@@ -584,7 +584,7 @@ def standard_equiv_generators(rng: Optional[np.random.Generator] = None,
 
 def is_real_admissible(tr: EquivTransformation, n: int,
                        rng: Optional[np.random.Generator] = None,
-                       tol: float = 1e-8) -> bool:
+                       tol: float = DEFAULT_TOL) -> bool:
     """True iff Upsilon_t + n T_tt / (4 T_t) vanishes on the sample domain."""
     Tt = diff(tr.T, T_VAR)
     expr = diff(tr.Upsilon, T_VAR) * Tt + const(Fraction(n, 4)) * diff(Tt, T_VAR)
@@ -592,7 +592,7 @@ def is_real_admissible(tr: EquivTransformation, n: int,
 
 
 def is_free_reducible(V: Potential, rng: Optional[np.random.Generator] = None,
-                      tol: float = 1e-8) -> bool:
+                      tol: float = DEFAULT_TOL) -> bool:
     """Whether V has the quadratic-in-x shape mappable to the free equation.
 
     Raises UndecidableTemplate when V contains function symbols applied to

@@ -28,7 +28,6 @@ import numpy as np
 
 from .rational import cadd, cmul, cpow
 
-Rat = Fraction
 Number = Union[int, float, Fraction]
 
 
@@ -423,6 +422,7 @@ def const(re: Number = 0, im: Number = 0) -> Const:
 ZERO = const(0)
 ONE = const(1)
 MINUS_ONE = const(-1)
+HALF = const(Fraction(1, 2))
 I_UNIT = const(0, 1)
 
 

@@ -23,6 +23,8 @@ import numpy as np
 from .expr import (
     Const,
     Expr,
+    HALF,
+    I_UNIT,
     T_VAR,
     ZERO,
     as_expr,
@@ -37,12 +39,10 @@ from .expr import (
     x,
     x_var,
 )
-from .numeric import Binding, EMPTY_BINDING, UnsafeSampleError, eval_batch
+from .numeric import Binding, DEFAULT_TOL, EMPTY_BINDING, UnsafeSampleError, eval_batch
 
-HALF = const(Fraction(1, 2))
 I8 = const(0, Fraction(1, 8))  # i/8
 I2 = const(0, Fraction(1, 2))  # i/2
-IU = const(0, 1)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -201,7 +201,7 @@ def expand(g: GeneratorCoeffs) -> VectorField:
     q = I8 * tau_tt * absx2(n)
     for a in range(1, n + 1):
         q = q + I2 * diff(g.chi[a - 1], T_VAR) * x(a)
-    q = q + g.rho + IU * g.sigma
+    q = q + g.rho + I_UNIT * g.sigma
     coef_psi = q * psi(n) + g.eta0_or_zero()
     coef_psi_star = conj_expr(q) * psi(n, conj=True) + conj_expr(g.eta0_or_zero())
     return VectorField(n, g.tau, coef_x, coef_psi, coef_psi_star)
@@ -235,7 +235,7 @@ def _z_action(g: GeneratorCoeffs, zeta: Expr) -> Expr:
         out = out + xi_rot[a - 1] * diff(zeta, x_var(a))
         out = out + g.chi[a - 1] * diff(zeta, x_var(a))
         out = out - I2 * diff(g.chi[a - 1], T_VAR) * x(a) * zeta
-    out = out - IU * g.sigma * zeta - g.rho * zeta
+    out = out - I_UNIT * g.sigma * zeta - g.rho * zeta
     return out
 
 
@@ -393,7 +393,7 @@ def nullspace_combos(mat: np.ndarray, tol: float) -> np.ndarray:
 
 def rank_of_chi_block(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
                       rng: Optional[np.random.Generator] = None,
-                      tol: float = 1e-8) -> int:
+                      tol: float = DEFAULT_TOL) -> int:
     """Functional rank of the chi tuples of the pure-(P, M, I) part of the span.
 
     The rank is over the field of functions of t: the largest r such that at

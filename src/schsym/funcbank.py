@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 _HALF_PI = math.pi / 2.0
+TRIG_DEGREE = 3
 
 
 class FunctionImpl:
@@ -155,16 +156,6 @@ class ExpPoly:
             out._add_term(lam, tuple(q))
         return out
 
-    def conjugate(self) -> "ExpPoly":
-        out = ExpPoly()
-        for lam, p in self.terms.items():
-            out._add_term(lam.conjugate(), tuple(c.conjugate() for c in p))
-        return out
-
-    def is_real(self, tol=1e-12) -> bool:
-        d = self - self.conjugate()
-        return all(abs(c) < tol for p in d.terms.values() for c in p)
-
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
@@ -217,25 +208,25 @@ class TrigPolyND(FunctionImpl):
         return total, None
 
 
-def random_trig_poly(rng, codomain: str = "real", degree: int = 3) -> ExpPoly:
-    """Random univariate trig polynomial with frequencies 1..degree, coeffs in [-1,1]."""
+def random_trig_poly(rng, codomain: str = "real") -> ExpPoly:
+    """Random univariate trig polynomial with frequencies 1..TRIG_DEGREE, coeffs in [-1,1]."""
     def coeff():
         if codomain == "complex":
             return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         return complex(rng.uniform(-1, 1))
 
     f = ExpPoly.constant(coeff())
-    for k in range(1, degree + 1):
+    for k in range(1, TRIG_DEGREE + 1):
         f = f + ExpPoly.cos(float(k)).scale(coeff()) + ExpPoly.sin(float(k)).scale(coeff())
     return f
 
 
-def random_positive_trig_poly(rng, low=1.5, high=2.5, ripple=0.3, degree: int = 3) -> ExpPoly:
-    """Random real trig polynomial bounded away from zero (>= low - degree*ripple > 0)."""
+def random_positive_trig_poly(rng, low=1.5, high=2.5, ripple=0.3) -> ExpPoly:
+    """Random real trig polynomial bounded away from zero (>= low - 2*ripple > 0)."""
     f = ExpPoly.constant(rng.uniform(low, high))
-    for k in range(1, degree + 1):
-        f = f + ExpPoly.cos(float(k)).scale(rng.uniform(-1, 1) * ripple / degree)
-        f = f + ExpPoly.sin(float(k)).scale(rng.uniform(-1, 1) * ripple / degree)
+    for k in range(1, TRIG_DEGREE + 1):
+        f = f + ExpPoly.cos(float(k)).scale(rng.uniform(-1, 1) * ripple / TRIG_DEGREE)
+        f = f + ExpPoly.sin(float(k)).scale(rng.uniform(-1, 1) * ripple / TRIG_DEGREE)
     return f
 
 

@@ -142,8 +142,9 @@ class FiniteGroupoid:
     def compose(self, i: int, j: int) -> Optional[int]:
         return self.mult.get((i, j))
 
-    def is_subgroupoid(self, ids: frozenset[int], wide: bool = True) -> bool:
-        if wide and any(self.unit[obj] not in ids for obj in self.objects):
+    def is_subgroupoid(self, ids: frozenset[int]) -> bool:
+        """Whether ids is a wide subgroupoid: closed, with every unit."""
+        if any(self.unit[obj] not in ids for obj in self.objects):
             return False
         for i in ids:
             if self.inv[i] not in ids:
@@ -207,13 +208,13 @@ class GroupoidModel:
     Hbar: Optional[frozenset[int]] = None
 
     def __post_init__(self):
-        if not self.G.is_subgroupoid(self.H, wide=True):
+        if not self.G.is_subgroupoid(self.H):
             raise GroupoidError("H is not a wide subgroupoid")
         for obj in self.G.objects:
             ids = self.N.get(obj, frozenset())
             if not self.G.is_subgroup_at(obj, ids):
                 raise GroupoidError(f"N[{obj}] is not a subgroup of the vertex group")
-        if self.Hbar is not None and not self.G.is_subgroupoid(self.Hbar, wide=True):
+        if self.Hbar is not None and not self.G.is_subgroupoid(self.Hbar):
             raise GroupoidError("Hbar is not a wide subgroupoid")
 
     def n_f(self) -> frozenset[int]:
@@ -244,12 +245,11 @@ def is_semi_normalized(m: GroupoidModel, H: Optional[frozenset[int]] = None) -> 
     return frobenius_product(m.G, m.n_f(), H) == m.G.all_arrows()
 
 
-def is_disjointedly(m: GroupoidModel, H: Optional[frozenset[int]] = None) -> bool:
+def is_disjointedly(m: GroupoidModel) -> bool:
     """N_theta intersects the projected subgroup only in the identity."""
-    H = m.H if H is None else H
-    if not is_uniform(m, H):
+    if not is_uniform(m):
         raise ModelNotUniform("the symmetry family is not uniform for this action")
-    h_labels = m.G.labels(H)
+    h_labels = m.G.labels(m.H)
     for obj in m.G.objects:
         shared = m.G.labels(m.N[obj]) & h_labels
         if shared != {m.G.unit_label}:
@@ -323,7 +323,7 @@ def verify_extension(m: GroupoidModel, Hbar: Optional[frozenset[int]] = None) ->
     Hbar = m.Hbar if Hbar is None else Hbar
     if Hbar is None:
         Hbar = m.H
-    if not G.is_subgroupoid(Hbar, wide=True):
+    if not G.is_subgroupoid(Hbar):
         raise GroupoidError("Hbar is not a wide subgroupoid")
     if not (m.H <= Hbar):
         raise GroupoidError("Hbar does not contain H")

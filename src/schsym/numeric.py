@@ -78,15 +78,12 @@ class Binding:
     def bind(self, sym: FunctionSymbol, impl: funcbank.FunctionImpl) -> None:
         self._impls[sym] = impl
 
-    def extended(self, extra: Mapping[FunctionSymbol, funcbank.FunctionImpl]) -> "Binding":
-        out = Binding(self._impls)
-        out._impls.update(extra)
-        return out
-
     def merged(self, other: Optional["Binding"]) -> "Binding":
         if other is None:
             return self
-        return self.extended(other._impls)
+        out = Binding(self._impls)
+        out._impls.update(other._impls)
+        return out
 
     def lookup(self, sym: FunctionSymbol) -> funcbank.FunctionImpl:
         impl = self._impls.get(sym)
@@ -112,7 +109,6 @@ class Workspace:
     def __init__(self):
         self.table = SymbolTable()
         self.binding = Binding()
-        self._fresh = 0
 
     def declare(self, name: str, arity: int, codomain: str,
                 impl: Optional[funcbank.FunctionImpl] = None) -> FunctionSymbol:
@@ -121,25 +117,17 @@ class Workspace:
             self.binding.bind(sym, impl)
         return sym
 
-    def fresh_name(self, stem: str) -> str:
-        self._fresh += 1
-        name = f"{stem}_{self._fresh}"
-        while name in self.table:
-            self._fresh += 1
-            name = f"{stem}_{self._fresh}"
-        return name
 
-
-def draw_env(vars_needed: Iterable[VarId], count: int, rng: np.random.Generator,
-             t_range=T_RANGE, x_range=X_RANGE) -> dict[VarId, np.ndarray]:
+def draw_env(vars_needed: Iterable[VarId], count: int,
+             rng: np.random.Generator) -> dict[VarId, np.ndarray]:
     """Random sample arrays; conjugated jets share values with their base jet."""
     env: dict[VarId, np.ndarray] = {}
     bases: dict[VarId, np.ndarray] = {}
     for v in sorted(vars_needed, key=_var_sort_key):
         if v.kind == "t":
-            env[v] = rng.uniform(*t_range, size=count).astype(complex)
+            env[v] = rng.uniform(*T_RANGE, size=count).astype(complex)
         elif v.kind == "x":
-            env[v] = rng.uniform(*x_range, size=count).astype(complex)
+            env[v] = rng.uniform(*X_RANGE, size=count).astype(complex)
         else:
             base = jet_var(v.alpha, False)
             if base not in bases:
@@ -335,14 +323,13 @@ def _fill_surrogates(e: Expr, binding: Binding, rng: np.random.Generator) -> Bin
     for sym in sorted(e.free_symbols, key=lambda s: s.name):
         if sym not in binding:
             extra[sym] = funcbank.random_surrogate(rng, sym.arity, sym.codomain)
-    return binding.extended(extra) if extra else binding
+    return binding.merged(Binding(extra)) if extra else binding
 
 
-def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Generator,
-                     t_range=T_RANGE):
+def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Generator):
     """Evaluate at `points` safe random points, redrawing unsafe ones."""
     vars_needed = e.free_vars
-    env = draw_env(vars_needed, points, rng, t_range=t_range)
+    env = draw_env(vars_needed, points, rng)
     vals, scale, unsafe = eval_batch(e, binding, env)
     budget = RETRY_BUDGET
     while unsafe.any():
@@ -352,7 +339,7 @@ def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Gene
                 f"after {RETRY_BUDGET} redraws")
         budget -= 1
         k = int(unsafe.sum())
-        fresh = draw_env(vars_needed, k, rng, t_range=t_range)
+        fresh = draw_env(vars_needed, k, rng)
         for v in env:
             env[v] = env[v].copy()
             env[v][unsafe] = fresh[v]
@@ -362,8 +349,7 @@ def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Gene
 
 def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
                             trials: int = 5, bindings_per_trial: int = 1,
-                            points: int = 100, rng: Optional[np.random.Generator] = None,
-                            t_range=T_RANGE):
+                            points: int = 100, rng: Optional[np.random.Generator] = None):
     """Max of |e| / (1 + max|subterm|) over random bindings and points.
 
     Returns (max value, witness dict) where the witness records the worst
@@ -377,7 +363,7 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
     for _ in range(trials):
         for _ in range(bindings_per_trial):
             full = _fill_surrogates(e, binding, rng)
-            vals, scale, env = _eval_resampling(e, full, points, rng, t_range=t_range)
+            vals, scale, env = _eval_resampling(e, full, points, rng)
             normed = np.abs(vals) / (1.0 + scale)
             i = int(np.argmax(normed))
             if normed[i] >= worst:
@@ -393,7 +379,7 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
 def is_zero(e: Expr, trials: int = 5, bindings_per_trial: int = 1,
             tol: float = DEFAULT_TOL, *, points: int = 100,
             binding: Optional[Binding] = None,
-            rng: Optional[np.random.Generator] = None, t_range=T_RANGE) -> bool:
+            rng: Optional[np.random.Generator] = None) -> bool:
     """Probabilistic identity test: true iff |e| < tol at every sampled point.
 
     Each trial draws fresh surrogate bindings for unbound symbols and fresh
@@ -403,7 +389,7 @@ def is_zero(e: Expr, trials: int = 5, bindings_per_trial: int = 1,
         return True
     worst, _ = max_normalized_residual(
         e, binding=binding, trials=trials, bindings_per_trial=bindings_per_trial,
-        points=points, rng=rng, t_range=t_range)
+        points=points, rng=rng)
     return worst < tol
 
 
@@ -553,11 +539,11 @@ class AntiderivImpl(funcbank.FunctionImpl):
     integrand is unsafe anywhere in a panel between the base point and it.
     """
 
-    def __init__(self, integrand: Expr, binding: Binding, base_point: float = 1.0):
+    def __init__(self, integrand: Expr, binding: Binding):
         self._integrand = integrand
         self._binding = binding
-        self._base = base_point
 
+    BASE_POINT = 1.0
     GAUSS_ORDER = 24
     MAX_PANEL = 0.25
 
@@ -568,7 +554,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
         integrands containing root-finding inverses affordable.
         """
         flat = np.real(z).reshape(-1)
-        knots = np.unique(np.concatenate([[self._base], flat]))
+        knots = np.unique(np.concatenate([[self.BASE_POINT], flat]))
         # integral and number of unsafe panels from the lowest knot to each knot
         integral = np.zeros(len(knots), dtype=complex)
         bad_panels = np.zeros(len(knots), dtype=int)
@@ -590,7 +576,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
             bad_panels[1:] = np.cumsum(bad)[ends]
         # knots below the base point integrate with negative orientation
         i = np.searchsorted(knots, flat)
-        b = np.searchsorted(knots, self._base)
+        b = np.searchsorted(knots, self.BASE_POINT)
         out = integral[i] - integral[b]
         mask = bad_panels[i] != bad_panels[b]
         return out.reshape(z.shape), mask.reshape(z.shape)

@@ -36,6 +36,7 @@ from .expr import (
     Const,
     Expr,
     FuncApp,
+    I_UNIT,
     IntPow,
     Product,
     Sign,
@@ -241,7 +242,7 @@ class _Parser:
             return self._build(self.pos, abs_pow, e, Fraction(1))
         name, start = self._ident()
         if name == "i":
-            return const(0, 1)
+            return I_UNIT
         if name == "conj":
             self.take("(")
             e = yield self.expr

@@ -229,6 +229,39 @@ def test_kappa_matrix_matches_scalar(capsys):
     assert [payload[k] for k in ("k0", "k1", "k2", "k3", "r0")] == [2, 4, 1, 3, 2]
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_field_specs_load_at_n_1_and_3(capsys, n):
+    zeros, flag = ["0"] * (n - 1), ("--n", str(n))
+    code, out = run_cli(capsys, "residual", "x1^2", '{"tau":"1"}', *flag)
+    assert code == 0 and "symmetry: yes" in out
+    g2 = json.dumps({"tau": "t", "chi": ["t"] + zeros})
+    code, out = run_cli(capsys, "bracket", '{"tau":"1"}', g2, "--check", *flag)
+    assert code == 0 and "agrees" in out
+    # M, I, P(1) and D(1): the span of a time-independent potential
+    fields = json.dumps([{"sigma": "1"}, {"rho": "1"}, {"chi": ["1"] + zeros}, {"tau": "1"}])
+    code, out = run_cli(capsys, "invariants", fields, "--format", "json", *flag)
+    assert code == 0
+    assert [json.loads(out)[k] for k in ("k0", "k1", "k2", "k3", "r0")] == [2, 1, 0, 1, 1]
+
+
+def test_nonzero_scalar_kappa_at_n_1_exits_2(capsys):
+    code = main(["residual", "x1^2", '{"kappa":1}', "--n", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: kappa must be 0 at n = 1, which has no rotations\n"
+
+
+# the required arguments of every subcommand
+REQUIRED_ARGS = {"verify-table": [], "verify-case": ["1"], "residual": ["0", "{}"],
+                 "bracket": ["{}", "{}"], "transform": ["0", "{}"], "invariants": ["[]"],
+                 "groupoid": ["normalized", "all"]}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_flag_defaults_are_run_config_defaults(command):
+    args = cli.build_parser().parse_args([command] + REQUIRED_ARGS[command])
+    assert cli._run_config(args) == cli.RunConfig()
+
+
 def test_unsafe_samples_exit_2(capsys):
     # log is undefined at every sample: one error line, no traceback, and
     # no generator silently dropped from the span
