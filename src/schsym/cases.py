@@ -36,8 +36,8 @@ from .expr import (COS, HALF, SIN, T_VAR, Const, Expr, SymbolTable, abs_pow, con
 from .fields import GeneratorCoeffs
 from .funcbank import (ConstImpl, ExpPoly, ExpPolyImpl, random_positive_trig_poly,
                        random_surrogate)
-from .numeric import (Binding, DEFAULT_TOL, ExprImpl, Workspace, eval_batch,
-                      max_normalized_residual)
+from .numeric import (Binding, DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
+                      ExprImpl, Workspace, eval_batch, max_normalized_residual)
 from .parsing import parse
 
 
@@ -374,8 +374,9 @@ def _check_side_conditions(case: CaseEntry, inst: CaseInstance) -> list[dict]:
     return out
 
 
-def verify_case(case_id: int, draws: int = 5, rng: Optional[np.random.Generator] = None,
-                points: int = 100, zero_trials: int = 1, tol: float = DEFAULT_TOL) -> dict:
+def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
+                rng: Optional[np.random.Generator] = None, points: int = DEFAULT_POINTS,
+                zero_trials: int = DEFAULT_BINDINGS, tol: float = DEFAULT_TOL) -> dict:
     """Verify one classification case over several random instantiations.
 
     Per draw: every listed generator must have numerically zero classifying
@@ -452,8 +453,8 @@ def json_witness(witness) -> dict:
     return out
 
 
-def verify_table(draws: int = 5, seed: int = 0, points: int = 100,
-                 zero_trials: int = 1, tol: float = DEFAULT_TOL,
+def verify_table(draws: int = DEFAULT_TRIALS, seed: int = 0, points: int = DEFAULT_POINTS,
+                 zero_trials: int = DEFAULT_BINDINGS, tol: float = DEFAULT_TOL,
                  case_ids: Optional[list[int]] = None) -> dict:
     """Run verify_case over the whole table with per-case seed substreams."""
     ids = sorted(table()) if case_ids is None else sorted(case_ids)

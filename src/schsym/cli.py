@@ -24,8 +24,9 @@ from .conditions import Potential, SpanError, classifying_residual, invariants
 from .equivalence import EquivTransformation, act_on_potential
 from .expr import SymbolTable
 from .fields import GeneratorCoeffs, bracket_generic, bracket_structural, expand
-from .numeric import (DEFAULT_TOL, UnsafeSampleError, Workspace, draw_env, eval_batch,
-                      is_zero, max_normalized_residual)
+from .numeric import (DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
+                      UnsafeSampleError, Workspace, draw_env, eval_batch, is_zero,
+                      max_normalized_residual)
 from .parsing import ParseError, load_declarations, parse, to_text, var_name
 
 
@@ -39,9 +40,9 @@ class RunConfig:
     """
 
     n: int = 2
-    trials: int = 5
-    bindings: int = 1
-    points: int = 100
+    trials: int = DEFAULT_TRIALS
+    bindings: int = DEFAULT_BINDINGS
+    points: int = DEFAULT_POINTS
     tol: float = DEFAULT_TOL
     seed: int = 0
     format: str = "text"
@@ -160,6 +161,14 @@ def _load_generator(spec, table: SymbolTable, n: int) -> GeneratorCoeffs:
     return GeneratorCoeffs(n, tau, kappa, chi, sigma, rho, eta)
 
 
+def _only_n2(args) -> None:
+    """The case table is fixed at n = 2 and groupoid models have no space
+    dimension, so verify-table, verify-case and groupoid reject any other n
+    instead of ignoring it."""
+    if args.cfg.n != 2:
+        raise ValueError(f"{args.command} runs at n = 2 only, not n = {args.cfg.n}")
+
+
 def _read_spec(source: str):
     """A JSON literal or a path to a JSON file."""
     text = source.strip()
@@ -169,6 +178,7 @@ def _read_spec(source: str):
 
 
 def cmd_verify_table(args) -> int:
+    _only_n2(args)
     cfg = args.cfg
     report = case_mod.verify_table(draws=cfg.trials, seed=cfg.seed,
                                    points=cfg.points, zero_trials=cfg.bindings,
@@ -197,6 +207,7 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_verify_case(args) -> int:
+    _only_n2(args)
     cfg = args.cfg
     rng = np.random.default_rng([cfg.seed, 1000 + args.case])
     rep = case_mod.verify_case(args.case, draws=cfg.trials, rng=rng,
@@ -327,6 +338,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_groupoid(args) -> int:
+    _only_n2(args)
     cfg = args.cfg
     if args.model in gp.FIXTURE_TRUTH_TABLE:
         model = gp.load_fixture(args.model)

@@ -9,11 +9,20 @@ where sgn/abs-power/log hit a near-zero base are rejected and redrawn.
 program over the distinct nodes of its DAG, with children referenced by
 slot, so evaluation has no recursion and no depth limit.  A root keeps its
 tape from its second evaluation on.  Constants are converted to
-``complex128`` once per node (``Const.value``), not once per tape.
+``complex128`` once per node (``Const.value``), not once per tape.  The
+rules of each operation (the ``EPS_UNSAFE`` cuts, scalar or array
+constants, function masks, non-finite values) live in ``_execute``,
+``_Tape`` and ``_nonfinite``, which every evaluation runs.
 
-The expression-backed implementations (``ExprImpl``, ``AntiderivImpl``,
-``InverseImpl``) evaluate every expression in t through ``_at_t``: one
-``eval_batch`` call at the given points, returning values and unsafe mask.
+``ExprImpl`` evaluates through its binding's node table (``_shared_at_t``):
+the row and sub-DAG unsafe mask of every node computed at one point set,
+shared by all the binding's ``ExprImpl`` symbols, whose expressions and
+derivatives overlap (case 16's seventeen coefficient functions come from
+two Liouville pairs), so only nodes the table lacks are compiled and run.
+``InverseImpl`` and ``AntiderivImpl`` evaluate through ``_at_t``, one
+``eval_batch`` call with the root's kept tape: Newton steps and quadrature
+evaluate at fresh points on every call, so a table would share almost
+nothing.
 """
 from __future__ import annotations
 
@@ -51,7 +60,12 @@ T_RANGE = (0.3, 1.7)
 X_RANGE = (-2.0, 2.0)
 JET_RADIUS = 1.0
 EPS_UNSAFE = 1e-9
+# run defaults, read by cases and by the CLI's RunConfig: zero-test
+# tolerance, trials (random draws), bindings per trial, points per batch
 DEFAULT_TOL = 1e-8
+DEFAULT_TRIALS = 5
+DEFAULT_BINDINGS = 1
+DEFAULT_POINTS = 100
 RETRY_BUDGET = 12
 
 
@@ -74,9 +88,13 @@ class Binding:
         self._impls: dict[FunctionSymbol, funcbank.FunctionImpl] = {}
         if impls:
             self._impls.update(impls)
+        # node values at one point set, shared by every evaluation through
+        # _shared_at_t: (key of the points, {node: (row, mask or None)})
+        self._node_table: Optional[tuple[tuple, dict]] = None
 
     def bind(self, sym: FunctionSymbol, impl: funcbank.FunctionImpl) -> None:
         self._impls[sym] = impl
+        self._node_table = None  # values may depend on what sym was bound to
 
     def merged(self, other: Optional["Binding"]) -> "Binding":
         if other is None:
@@ -160,22 +178,33 @@ class _Tape:
     order, and own a row of one ``(rows, count)`` buffer; constant slots
     hold each node's cached ``complex128`` value (broadcast to arrays when
     a node other than a sum or product reads them) and variable slots the
-    env arrays as they are.
+    env arrays as they are.  Given ``known``, nodes whose rows are already
+    computed, the walk stops at each known node and makes it an input slot,
+    after the variables, so the program computes only the other nodes.
     """
 
-    __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root")
+    __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "nodes", "inputs")
 
-    def __init__(self, root: Expr):
-        computed, consts, variables = [], [], []
-        for n in post_order(root):
+    def __init__(self, root: Expr, known: Optional[Mapping[Expr, tuple]] = None):
+        computed, consts, variables, inputs = [], [], [], []
+
+        def unknown(n):
+            if n in known:
+                inputs.append(n)
+                return False
+            return True
+
+        for n in post_order(root, None if known is None else unknown):
             if type(n) is Const:
                 consts.append(n)
             elif type(n) is Var:
                 variables.append(n)
             else:
                 computed.append(n)
-        order = computed + consts + variables
+        order = computed + consts + variables + inputs
         slot = dict(zip(order, range(len(order))))
+        self.nodes = computed
+        self.inputs = inputs
         self.rows = len(computed)
         self.consts = [c.value() for c in consts]
         self.cmax = max(map(abs, self.consts), default=0.0)
@@ -213,8 +242,9 @@ class _Tape:
             self.code.append(ins)
         self.bcast = [(slot[c], c.value()) for c in array_consts]
 
-    def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
-        buf = np.empty((self.rows, count), dtype=complex)
+    def load(self, buf: np.ndarray, env: Mapping[VarId, np.ndarray], count: int):
+        """The slot values over buf's rows, up to the inputs, and the
+        variables' values."""
         vals = list(buf)
         vals += self.consts
         for s, c in self.bcast:
@@ -226,53 +256,13 @@ class _Tape:
                 x = np.conj(env[base])
             var_vals.append(x)
         vals += var_vals
+        return vals, var_vals
+
+    def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
+        buf = np.empty((self.rows, count), dtype=complex)
+        vals, var_vals = self.load(buf, env, count)
         unsafe = np.zeros(count, dtype=bool)
-        for ins in self.code:
-            op = ins[0]
-            out = vals[ins[1]]
-            if op == _PROD:
-                fs = ins[2]
-                np.multiply(vals[fs[0]], vals[fs[1]], out=out)
-                for f in fs[2:]:
-                    np.multiply(out, vals[f], out=out)
-            elif op == _SUM:
-                ts = ins[2]
-                np.add(vals[ts[0]], vals[ts[1]], out=out)
-                for tm in ts[2:]:
-                    np.add(out, vals[tm], out=out)
-            elif op == _FUNC:
-                got, mask = binding.lookup(ins[3]).deriv(
-                    ins[4], tuple(vals[a] for a in ins[2]))
-                out[...] = got
-                if mask is not None and np.any(mask):
-                    unsafe |= mask
-            elif op == _IPOW:
-                b = vals[ins[2]]
-                k = ins[3]
-                if k < 0:
-                    bad = np.abs(b) < EPS_UNSAFE
-                    if bad.any():
-                        unsafe |= bad
-                        b = np.where(bad, 1.0, b)
-                # operator form: ndarray.__pow__ has fast paths np.power lacks
-                out[...] = b ** k
-            elif op == _APOW:
-                a = np.abs(np.real(vals[ins[2]]))
-                q = ins[3]
-                if q < 0:
-                    bad = a < EPS_UNSAFE
-                    if bad.any():
-                        unsafe |= bad
-                        a = np.where(bad, 1.0, a)
-                out[...] = a ** q
-            elif op == _SIGN:
-                b = np.real(vals[ins[2]])
-                bad = np.abs(b) < EPS_UNSAFE
-                if bad.any():
-                    unsafe |= bad
-                out[...] = np.sign(np.where(bad, 1.0, b))
-            else:
-                np.conj(vals[ins[2]], out=out)
+        _execute(self.code, vals, binding, [unsafe] * self.rows)
         # subterm scale and non-finite check, a block of rows at a time
         scale = np.full(count, self.cmax)
         step = max(1, _FOLD_ELEMS // max(count, 1))
@@ -287,12 +277,74 @@ class _Tape:
         return np.asarray(vals[self.root]), scale, unsafe
 
 
+def _execute(code: list, vals: list, binding: Binding, flags) -> None:
+    """Run tape instructions, writing each computed node's row in place.
+
+    The points where a node's own operation is unsafe (a near-zero base of
+    a negative power or a sign, a function's mask) are or-ed into
+    ``flags[row]``: one shared mask, or one mask per row.
+    """
+    for ins in code:
+        op = ins[0]
+        out = vals[ins[1]]
+        if op == _PROD:
+            fs = ins[2]
+            np.multiply(vals[fs[0]], vals[fs[1]], out=out)
+            for f in fs[2:]:
+                np.multiply(out, vals[f], out=out)
+        elif op == _SUM:
+            ts = ins[2]
+            np.add(vals[ts[0]], vals[ts[1]], out=out)
+            for tm in ts[2:]:
+                np.add(out, vals[tm], out=out)
+        elif op == _FUNC:
+            got, mask = binding.lookup(ins[3]).deriv(
+                ins[4], tuple(vals[a] for a in ins[2]))
+            out[...] = got
+            if mask is not None and np.any(mask):
+                flags[ins[1]] |= mask
+        elif op == _IPOW:
+            b = vals[ins[2]]
+            k = ins[3]
+            if k < 0:
+                bad = np.abs(b) < EPS_UNSAFE
+                if bad.any():
+                    flags[ins[1]] |= bad
+                    b = np.where(bad, 1.0, b)
+            # operator form: ndarray.__pow__ has fast paths np.power lacks
+            out[...] = b ** k
+        elif op == _APOW:
+            a = np.abs(np.real(vals[ins[2]]))
+            q = ins[3]
+            if q < 0:
+                bad = a < EPS_UNSAFE
+                if bad.any():
+                    flags[ins[1]] |= bad
+                    a = np.where(bad, 1.0, a)
+            out[...] = a ** q
+        elif op == _SIGN:
+            b = np.real(vals[ins[2]])
+            bad = np.abs(b) < EPS_UNSAFE
+            if bad.any():
+                flags[ins[1]] |= bad
+            out[...] = np.sign(np.where(bad, 1.0, b))
+        else:
+            np.conj(vals[ins[2]], out=out)
+
+
+def _nonfinite(mag: np.ndarray) -> Optional[np.ndarray]:
+    """Where a block of magnitudes is not finite, or None if it all is: a
+    point with a non-finite value anywhere in its evaluation is unsafe."""
+    finite = np.isfinite(mag)
+    return None if finite.all() else ~finite
+
+
 def _fold(mag: np.ndarray, scale: np.ndarray, unsafe: np.ndarray) -> None:
     """Fold a (rows, count) block of magnitudes into scale and unsafe."""
-    finite = np.isfinite(mag)
-    if not finite.all():
-        unsafe |= ~finite.all(axis=0)
-        mag[~finite] = 0.0
+    bad = _nonfinite(mag)
+    if bad is not None:
+        unsafe |= bad.any(axis=0)
+        mag[bad] = 0.0
     np.maximum(scale, mag.max(axis=0), out=scale)
 
 
@@ -348,8 +400,10 @@ def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Gene
 
 
 def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
-                            trials: int = 5, bindings_per_trial: int = 1,
-                            points: int = 100, rng: Optional[np.random.Generator] = None):
+                            trials: int = DEFAULT_TRIALS,
+                            bindings_per_trial: int = DEFAULT_BINDINGS,
+                            points: int = DEFAULT_POINTS,
+                            rng: Optional[np.random.Generator] = None):
     """Max of |e| / (1 + max|subterm|) over random bindings and points.
 
     Returns (max value, witness dict) where the witness records the worst
@@ -376,8 +430,8 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
     return worst, witness
 
 
-def is_zero(e: Expr, trials: int = 5, bindings_per_trial: int = 1,
-            tol: float = DEFAULT_TOL, *, points: int = 100,
+def is_zero(e: Expr, trials: int = DEFAULT_TRIALS, bindings_per_trial: int = DEFAULT_BINDINGS,
+            tol: float = DEFAULT_TOL, *, points: int = DEFAULT_POINTS,
             binding: Optional[Binding] = None,
             rng: Optional[np.random.Generator] = None) -> bool:
     """Probabilistic identity test: true iff |e| < tol at every sampled point.
@@ -410,11 +464,72 @@ def _at_t(e: Expr, binding: Binding, z) -> tuple[np.ndarray, np.ndarray]:
     return vals, unsafe
 
 
+def _shared_at_t(e: Expr, binding: Binding, z) -> tuple[np.ndarray, np.ndarray]:
+    """``_at_t(e, binding, z)``, bit for bit, through the binding's node table.
+
+    The table holds, for one point set keyed by its bytes, each node's row
+    and the unsafe mask of the node's whole sub-DAG; a node met again at the
+    same points is read, not recomputed.  Points that differ from the
+    table's replace it.  Its rows and masks are read-only, so a caller that
+    writes into a returned array cannot change an entry.
+    """
+    z = np.asarray(z, dtype=complex)
+    count = len(z)
+    if type(e) is Const:
+        return np.full(count, e.value()), np.zeros(count, dtype=bool)
+    key = (z.shape, z.tobytes())
+    table = binding._node_table
+    if table is None or table[0] != key:
+        t = z.copy()  # the caller may change z later; the key holds its bytes
+        t.flags.writeable = False
+        bad = _nonfinite(np.abs(t))
+        if bad is not None:
+            bad.flags.writeable = False
+        table = binding._node_table = (key, {var(T_VAR): (t, bad)})
+    # a nested evaluation at other points may replace the binding's table
+    # while this one runs; this one goes on filling the table it started on
+    known = table[1]
+    if e not in known:
+        _extend(e, known, binding, count)
+    row, mask = known[e]
+    return row, np.zeros(count, dtype=bool) if mask is None else mask
+
+
+def _extend(root: Expr, known: dict, binding: Binding, count: int) -> None:
+    """Evaluate the nodes of root's DAG that `known` lacks and add them."""
+    tape = _Tape(root, known)
+    buf = np.empty((tape.rows, count), dtype=complex)
+    vals, _ = tape.load(buf, {}, count)
+    vals += [known[n][0] for n in tape.inputs]
+    flags = np.zeros((tape.rows, count), dtype=bool)  # each node's own unsafe points
+    _execute(tape.code, vals, binding, flags)
+    bad = _nonfinite(np.abs(buf))
+    if bad is not None:
+        flags |= bad
+    buf.flags.writeable = flags.flags.writeable = False
+    # a node's mask is its own flags or-ed with its children's masks
+    masks = {n: known[n][1] for n in tape.inputs if known[n][1] is not None}
+    for n, row, own, hit in zip(tape.nodes, buf, flags, flags.any(axis=1)):
+        parts = [masks[c] for c in n.children() if c in masks] if masks else []
+        if hit:
+            parts.append(own)
+        mask = parts[0] if parts else None
+        if len(parts) > 1:
+            mask = np.logical_or.reduce(parts)
+            mask.flags.writeable = False
+        if mask is not None:
+            masks[n] = mask
+        known[n] = (row, mask)
+
+
 class ExprImpl(funcbank.FunctionImpl):
     """Arity-1 symbol whose value is a univariate expression in t.
 
     Derivatives are obtained by formal differentiation of the expression;
-    the unsafe mask is that of evaluating the derivative expression.
+    the unsafe mask is that of evaluating the derivative expression.  Every
+    ExprImpl evaluating in one binding shares that binding's node table
+    (``_shared_at_t``), so the sub-DAGs their expressions and derivatives
+    have in common are computed once per point set.
     """
 
     def __init__(self, expr_t: Expr, binding: Binding):
@@ -422,7 +537,7 @@ class ExprImpl(funcbank.FunctionImpl):
         self._binding = binding
 
     def deriv(self, didx, args):
-        return _at_t(_t_derivative(self._expr, didx[0]), self._binding, args[0])
+        return _shared_at_t(_t_derivative(self._expr, didx[0]), self._binding, args[0])
 
 
 class InverseImpl(funcbank.FunctionImpl):

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON output, determinism, exit codes."""
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import subprocess
@@ -10,9 +11,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schsym import cases as case_mod
 from schsym import cli
 from schsym.cli import main
 from schsym.groupoid import _MODEL, load_fixture, model_to_json
+from schsym.numeric import is_zero, max_normalized_residual
 from schsym.parsing import _DECLARATION
 
 CASE7_FIELD = '{"tau": "t^2", "rho": "-t"}'
@@ -256,10 +259,57 @@ REQUIRED_ARGS = {"verify-table": [], "verify-case": ["1"], "residual": ["0", "{}
                  "groupoid": ["normalized", "all"]}
 
 
+# each command's library call and the RunConfig field behind each default
+LIBRARY_DEFAULTS = {
+    "verify-table": (case_mod.verify_table, {"draws": "trials", "seed": "seed", "points": "points",
+                                             "zero_trials": "bindings", "tol": "tol"}),
+    "verify-case": (case_mod.verify_case, {"draws": "trials", "points": "points",
+                                           "zero_trials": "bindings", "tol": "tol"}),
+    "residual": (max_normalized_residual, {"trials": "trials", "bindings_per_trial": "bindings",
+                                           "points": "points"}),
+    "bracket": (is_zero, {"trials": "trials", "bindings_per_trial": "bindings", "tol": "tol",
+                          "points": "points"}),
+}
+
+
 @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
 def test_flag_defaults_are_run_config_defaults(command):
     args = cli.build_parser().parse_args([command] + REQUIRED_ARGS[command])
     assert cli._run_config(args) == cli.RunConfig()
+    # the library functions the command calls default to the same values
+    fn, fields = LIBRARY_DEFAULTS.get(command, (None, {}))
+    for param, field in fields.items():
+        default = inspect.signature(fn).parameters[param].default
+        assert default == getattr(cli.RunConfig(), field), (fn.__name__, param)
+
+
+@pytest.mark.parametrize("command", ["verify-table", "verify-case", "groupoid"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fixed_dimension_commands_reject_other_n(tmp_path, capsys, command, source):
+    # verify-case 1 --n 3 used to print the n = 2 case's verdict and exit 0
+    argv = {"verify-table": ["verify-table", "--cases", "1"], "verify-case": ["verify-case", "1"],
+            "groupoid": ["groupoid", "normalized", "all"]}[command] + ["--trials", "1"]
+    if source == "flag":
+        argv += ["--n", "3"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text('{"n": 3}')
+        argv += ["--config", str(config)]
+    err = _assert_one_error_line(capsys, main(argv))
+    assert err == f"error: {command} runs at n = 2 only, not n = 3\n"
+
+
+def test_report_does_not_depend_on_process_history(capsys):
+    # node tables, kept tapes and derivatives on nodes outlive a command and
+    # may change its speed only; this failing report prints residual floats
+    # and witness points
+    argv = ["verify-case", "16", "--trials", "2", "--tol", "1e-30", "--format", "json"]
+    fresh = subprocess.run([sys.executable, "-m", "schsym.cli", *argv],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 1, fresh.stderr
+    run_cli(capsys, "verify-table", "--cases", "3")
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == (1, fresh.stdout)
 
 
 def test_unsafe_samples_exit_2(capsys):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schsym.expr import (AbsPow, Conj, Const, FuncApp, IntPow, Product, SIN, Sign, Sum,
-                         SymbolTable, T_VAR, Var, abs_pow, const, func_app, int_pow,
-                         jet_var, psi, psi_var, sign_of, t, x, x_var)
-from schsym.funcbank import random_surrogate
-from schsym.numeric import EMPTY_BINDING, EPS_UNSAFE, Binding, draw_env, eval_batch
+from schsym.expr import (AbsPow, Conj, Const, FuncApp, IntPow, LOG, Product, SIN, Sign, Sum,
+                         SymbolTable, T_VAR, Var, ZERO, abs_pow, conj_expr, const, diff,
+                         func_app, int_pow, jet_var, post_order, psi, psi_var, sign_of, t, x,
+                         x_var)
+from schsym.funcbank import FunctionImpl, random_surrogate
+from schsym.numeric import (EMPTY_BINDING, EPS_UNSAFE, Binding, ExprImpl, draw_env,
+                            eval_batch)
 from test_expr import _expr_strategy
 
 
@@ -195,3 +197,131 @@ def test_constant_shared_by_two_roots_is_converted_once():
 def test_constant_too_large_for_a_float_names_itself():
     with pytest.raises(ValueError, match=r"^constant 1000.* too large for a float"):
         eval_batch(const(10 ** 400) * t(), EMPTY_BINDING, {T_VAR: np.array([0.5], dtype=complex)})
+
+
+# -- the node table that ExprImpls evaluating in one binding share ------------
+
+# t <= 0 for log, zero bases of 1/t, |t - 1|^(-1/2) and sgn(t - 1), a square
+# that overflows, and a non-finite point
+SHARED_POINTS = np.array([-1.0, 0.0, 1.0, 0.5, 1.3, 2.0, 1e200, np.inf], dtype=complex)
+
+
+def _t_dag_strategy(f):
+    """Random expressions in t alone over the leaves that make points unsafe."""
+    tt = t()
+    leaves = st.sampled_from([
+        tt, const(Fraction(1, 2)), const(0, 1), tt * tt * Fraction(1, 2), int_pow(tt, 3),
+        func_app(LOG, [tt]), func_app(SIN, [tt * 2]), func_app(f, [tt]), int_pow(tt, -1),
+        abs_pow(tt - 1, Fraction(-1, 2)), sign_of(tt - 1)])
+
+    def combine(children):
+        a, b = children
+        out = [a + b, a * b, a - b, int_pow(a, 2), conj_expr(a)]
+        if a is not ZERO:
+            out.append(int_pow(a, -1))
+        return st.sampled_from(out)
+
+    return st.recursive(leaves, lambda s: st.tuples(s, s).flatmap(combine), max_leaves=6)
+
+
+def _assert_bitwise(got, want):
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(np.ascontiguousarray(got[0]).view(np.uint64),
+                          np.ascontiguousarray(want[0]).view(np.uint64))
+    assert np.array_equal(got[1], want[1])
+
+
+def _diff_t(e, k):
+    for _ in range(k):
+        e = diff(e, T_VAR)
+    return e
+
+
+def _reference_at_t(e, binding, z):
+    vals, _, unsafe = _reference_eval(e, binding, {T_VAR: z})
+    return vals, unsafe
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_node_table_matches_recursive_reference_bitwise(data):
+    tbl = SymbolTable()
+    f = tbl.declare("f", 1, "real")
+    e = data.draw(_t_dag_strategy(f))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    binding = Binding({f: random_surrogate(rng, 1, "real")})
+    z = data.draw(st.sampled_from([SHARED_POINTS, SHARED_POINTS[3:6]]))
+    # orders 0..3 of e reach a constant or bare t for polynomial leaves; the
+    # sub-nodes of e are roots that later roots share
+    roots = [(e, k) for k in range(4)] + [(n, 0) for n in post_order(e)]
+    roots += [(t() * t() * Fraction(1, 2), k) for k in range(4)]
+    impls = {}
+    with np.errstate(all="ignore"):
+        for root, k in data.draw(st.permutations(roots)):
+            impl = impls.setdefault(root, ExprImpl(root, binding))
+            want = _reference_at_t(_diff_t(root, k), binding, z)
+            _assert_bitwise(impl.deriv((k,), (z,)), want)
+
+
+class _ReferenceExprImpl(FunctionImpl):
+    """ExprImpl evaluated by the recursive reference, with no shared table."""
+
+    def __init__(self, expr_t, binding):
+        self._expr, self._binding = expr_t, binding
+
+    def deriv(self, didx, args):
+        return _reference_at_t(_diff_t(self._expr, didx[0]), self._binding, args[0])
+
+
+def _sibling_pair(impl_class, g_expr, g_arg):
+    """A binding with g bound to g_expr, and an impl applying g at g_arg."""
+    tbl = SymbolTable()
+    g = tbl.declare("g", 1, "real")
+    binding = Binding()
+    binding.bind(g, impl_class(g_expr, binding))
+    e = func_app(g, [g_arg]) * t() + func_app(SIN, [t()])
+    return impl_class(e, binding), binding, g
+
+
+def test_sibling_applied_at_other_points_switches_the_table_mid_walk():
+    # g(2t) replaces the binding's one point set while the evaluation at t
+    # is under way, and g shares sin(t) with the caller's expression
+    g_expr = func_app(SIN, [t()]) * t() + func_app(LOG, [t()]) + int_pow(t(), -1)
+    shared = _sibling_pair(ExprImpl, g_expr, t() * 2)[0]
+    reference = _sibling_pair(_ReferenceExprImpl, g_expr, t() * 2)[0]
+    with np.errstate(all="ignore"):
+        for k in (0, 1, 0, 2, 1):
+            _assert_bitwise(shared.deriv((k,), (SHARED_POINTS,)),
+                            reference.deriv((k,), (SHARED_POINTS,)))
+            _assert_bitwise(shared.deriv((k,), (2 * SHARED_POINTS,)),
+                            reference.deriv((k,), (2 * SHARED_POINTS,)))
+
+
+def test_bind_after_an_evaluation_drops_the_table():
+    shared, binding, g = _sibling_pair(ExprImpl, func_app(SIN, [t()]), t())
+    z = SHARED_POINTS[3:6]
+    before = shared.deriv((1,), (z,))
+    new_g = t() * t()
+    binding.bind(g, ExprImpl(new_g, binding))
+    reference, ref_binding, ref_g = _sibling_pair(_ReferenceExprImpl, func_app(SIN, [t()]), t())
+    ref_binding.bind(ref_g, _ReferenceExprImpl(new_g, ref_binding))
+    after = shared.deriv((1,), (z,))
+    _assert_bitwise(after, reference.deriv((1,), (z,)))
+    assert not np.array_equal(before[0], after[0])
+
+
+def test_writes_by_a_caller_leave_the_table_intact():
+    binding = Binding()
+    impl = ExprImpl(func_app(LOG, [t()]) + t() * t(), binding)
+    z = SHARED_POINTS[:6].copy()
+    want = _reference_at_t(impl._expr, binding, z.copy())
+    with np.errstate(all="ignore"):
+        vals, mask = impl.deriv((0,), (z,))
+        assert mask.any()  # log at t <= 0: the mask is the table's own entry
+        for arr, value in ((vals, 99.0), (mask, False)):
+            try:
+                arr[...] = value
+            except ValueError:
+                pass  # a table entry is read-only
+        z[:] = 7.0  # the caller reuses its points array
+        _assert_bitwise(impl.deriv((0,), (SHARED_POINTS[:6],)), want)
