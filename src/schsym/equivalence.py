@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closedform import exppoly_to_expr
 from .conditions import Potential
 from .expr import (
     Expr,
@@ -46,7 +45,6 @@ from .expr import (
     x_var,
 )
 from .fields import D, GeneratorCoeffs, Iop, J, M as Mgen, P, _pairs
-from .funcbank import random_trig_poly
 from .numeric import (
     Binding,
     DEFAULT_TOL,
@@ -558,24 +556,6 @@ def equiv_generator_check(gen: EquivGenerator, V: Potential,
     err = np.abs(fd - th)[good]
     ref = 1.0 + np.abs(th)[good]
     return bool(np.max(err / ref) < tol)
-
-
-def standard_equiv_generators(rng: Optional[np.random.Generator] = None,
-                              n: int = 2) -> list[EquivGenerator]:
-    """One random representative per family of the equivalence algebra."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    def fn():
-        return exppoly_to_expr(random_trig_poly(rng, "real"))
-
-    return [
-        EquivGenerator("D", n, tau=fn()),
-        EquivGenerator("J", n),
-        EquivGenerator("P", n, chi=tuple(fn() for _ in range(n))),
-        EquivGenerator("M", n, sigma=fn()),
-        EquivGenerator("I", n, rho=fn()),
-    ]
 
 
 # ---------------------------------------------------------------------------

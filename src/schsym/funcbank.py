@@ -21,7 +21,8 @@ class FunctionImpl:
     """Base protocol: ``deriv(didx, args) -> (values, unsafe_mask)``.
 
     ``values`` is the mixed partial derivative of order ``didx`` as a complex
-    ndarray broadcast over ``args``.  ``unsafe_mask`` is a boolean array
+    ndarray broadcast over ``args`` (the builtin cos and sin give float64
+    values for float64 arguments).  ``unsafe_mask`` is a boolean array
     marking the points where those values cannot be trusted (a singular
     base, a branch cut, a failed root solve), or None when every point is
     safe.  An implementation may substitute harmless values at unsafe
@@ -258,16 +259,19 @@ def random_surrogate(rng, arity: int, codomain: str) -> FunctionImpl:
 # builtins
 # ---------------------------------------------------------------------------
 
+# cos and sin keep a float64 argument real: their values are then the real
+# parts of the complex ones, bit for bit, at a fraction of the cost
+
 class _CosImpl(FunctionImpl):
     def deriv(self, didx, args):
         k = didx[0]
-        return np.cos(np.asarray(args[0], dtype=complex) + k * _HALF_PI), None
+        return np.cos(np.asarray(args[0]) + k * _HALF_PI), None
 
 
 class _SinImpl(FunctionImpl):
     def deriv(self, didx, args):
         k = didx[0]
-        return np.sin(np.asarray(args[0], dtype=complex) + k * _HALF_PI), None
+        return np.sin(np.asarray(args[0]) + k * _HALF_PI), None
 
 
 class _ExpImpl(FunctionImpl):

@@ -52,33 +52,6 @@ class FiniteGroupoid:
             raise GroupoidError("duplicate arrows")
         self._validate()
 
-    # -- construction helpers
-
-    @staticmethod
-    def from_label_action(objects: list[str], labels: list[str],
-                          compose: dict[tuple[str, str], str],
-                          action: dict[str, dict[str, str]],
-                          arrow_set: Iterable[tuple[str, str]]) -> "FiniteGroupoid":
-        """Build a groupoid from a label group acting on objects.
-
-        compose[(l1, l2)] is the label of 'first l1 then l2'; action[l] maps
-        each object to its image; arrow_set lists (src, label) pairs.
-        """
-        arrows = [Arrow(src, lab, action[lab][src]) for src, lab in arrow_set]
-        index = {(a.src, a.label): i for i, a in enumerate(arrows)}
-        mult = {}
-        for i, a in enumerate(arrows):
-            for j, b in enumerate(arrows):
-                if a.tgt != b.src:
-                    continue
-                lab = compose[(a.label, b.label)]
-                k = index.get((a.src, lab))
-                if k is None:
-                    raise GroupoidError(
-                        f"arrow set not closed: {a} * {b} needs label {lab} at {a.src}")
-                mult[(i, j)] = k
-        return FiniteGroupoid(objects, arrows, mult)
-
     # -- validation (exhaustive)
 
     def _validate(self):
@@ -167,24 +140,6 @@ class FiniteGroupoid:
                 if self.mult[(i, j)] not in ids:
                     return False
         return True
-
-    def connected_components(self, arrow_ids: frozenset[int]) -> list[set[str]]:
-        parent = {o: o for o in self.objects}
-
-        def find(o):
-            while parent[o] != o:
-                parent[o] = parent[parent[o]]
-                o = parent[o]
-            return o
-
-        for i in arrow_ids:
-            a, b = find(self.arrows[i].src), find(self.arrows[i].tgt)
-            if a != b:
-                parent[a] = b
-        comps: dict[str, set[str]] = {}
-        for o in self.objects:
-            comps.setdefault(find(o), set()).add(o)
-        return list(comps.values())
 
 
 def frobenius_product(G: FiniteGroupoid, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:

@@ -19,10 +19,20 @@ the row and sub-DAG unsafe mask of every node computed at one point set,
 shared by all the binding's ``ExprImpl`` symbols, whose expressions and
 derivatives overlap (case 16's seventeen coefficient functions come from
 two Liouville pairs), so only nodes the table lacks are compiled and run.
-``InverseImpl`` and ``AntiderivImpl`` evaluate through ``_at_t``, one
-``eval_batch`` call with the root's kept tape: Newton steps and quadrature
-evaluate at fresh points on every call, so a table would share almost
-nothing.
+``InverseImpl`` and ``AntiderivImpl`` evaluate at fresh points on every
+call (Newton steps, quadrature nodes), so a table would share almost
+nothing.  ``AntiderivImpl`` evaluates through ``_at_t``, one ``eval_batch``
+call.  ``InverseImpl`` owns the tapes of T, T' and each chain-rule root
+H_k, so each compiles once per impl.  Its root solve reads only real values
+of T and T', so a real T whose functions are builtins runs on a float64
+buffer (``_Tape.run_real``) through the same ``_execute`` rules, with no
+subterm scale and no mask.  That run is the real part of the complex one
+bit for bit: at real points every imaginary part of the complex run is a
+zero, so float sums and products, the real cos and sin, and the real
+parts of integer powers and the other functions taken in complex round as
+the complex run does.  Only a zero's sign, or a non-finite value, can tell
+them apart, and there (a zero root, a non-finite row) the complex program
+runs instead.  H_k values, quadrature and the zero tests stay complex.
 """
 from __future__ import annotations
 
@@ -244,11 +254,12 @@ class _Tape:
 
     def load(self, buf: np.ndarray, env: Mapping[VarId, np.ndarray], count: int):
         """The slot values over buf's rows, up to the inputs, and the
-        variables' values."""
+        variables' values; a float64 buf loads the constants' real parts."""
         vals = list(buf)
-        vals += self.consts
+        real = buf.dtype != complex
+        vals += [c.real for c in self.consts] if real else self.consts
         for s, c in self.bcast:
-            vals[s] = np.broadcast_to(c, (count,))
+            vals[s] = np.broadcast_to(c.real if real else c, (count,))
         var_vals = []
         for v, base in self.vars:
             x = env.get(v) if base is not None else env[v]
@@ -258,11 +269,25 @@ class _Tape:
         vals += var_vals
         return vals, var_vals
 
-    def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
-        buf = np.empty((self.rows, count), dtype=complex)
+    def _evaluate(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int, dtype):
+        """Run the program on a new buffer of dtype; returns the buffer, the
+        slot values, the variables' values and the nodes' own unsafe points."""
+        buf = np.empty((self.rows, count), dtype=dtype)
         vals, var_vals = self.load(buf, env, count)
         unsafe = np.zeros(count, dtype=bool)
         _execute(self.code, vals, binding, [unsafe] * self.rows)
+        return buf, vals, var_vals, unsafe
+
+    def _root(self, buf: np.ndarray, vals: list, count: int) -> np.ndarray:
+        if self.root < self.rows:
+            return buf[self.root].copy()
+        if self.root < self.rows + len(self.consts):
+            return np.full(count, vals[self.root])
+        return np.asarray(vals[self.root])
+
+    def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
+        """The root's values, subterm scale and unsafe mask."""
+        buf, vals, var_vals, unsafe = self._evaluate(binding, env, count, complex)
         # subterm scale and non-finite check, a block of rows at a time
         scale = np.full(count, self.cmax)
         step = max(1, _FOLD_ELEMS // max(count, 1))
@@ -270,11 +295,20 @@ class _Tape:
             _fold(np.abs(buf[i:i + step]), scale, unsafe)
         if var_vals:
             _fold(np.abs(var_vals), scale, unsafe)
-        if self.root < self.rows:
-            return buf[self.root].copy(), scale, unsafe
-        if self.root < self.rows + len(self.consts):
-            return np.full(count, self.consts[self.root - self.rows]), scale, unsafe
-        return np.asarray(vals[self.root]), scale, unsafe
+        return self._root(buf, vals, count), scale, unsafe
+
+    def run_real(self, binding: Binding, env: Mapping[VarId, np.ndarray],
+                 count: int) -> Optional[np.ndarray]:
+        """The root's values on a float64 buffer, with no scale and no mask:
+        for a real root whose functions are builtins, at real points, the
+        real parts of ``run``'s values bit for bit (see the module
+        docstring), or None where that may fail: at a zero root, whose sign
+        a float row may flip (``cos(2) * 0.0`` is -0.0, the real part of the
+        complex product +0.0), or after a non-finite row (``inf * 0`` makes
+        a complex product's imaginary part NaN)."""
+        buf, vals, _, _ = self._evaluate(binding, env, count, float)
+        root = self._root(buf, vals, count)
+        return root if np.count_nonzero(root) == count and np.isfinite(buf).all() else None
 
 
 def _execute(code: list, vals: list, binding: Binding, flags) -> None:
@@ -283,6 +317,12 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
     The points where a node's own operation is unsafe (a near-zero base of
     a negative power or a sign, a function's mask) are or-ed into
     ``flags[row]``: one shared mask, or one mask per row.
+
+    Rows are ``complex128``, or ``float64`` for a real program: there sums,
+    products, signs, absolute powers, conjugates, cos and sin compute in
+    float, while an integer power is raised in complex and the other
+    functions give complex values, and the row keeps the real part (libm's
+    ``pow`` and ``exp`` round differently from the complex ones).
     """
     for ins in code:
         op = ins[0]
@@ -299,8 +339,8 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
                 np.add(out, vals[tm], out=out)
         elif op == _FUNC:
             got, mask = binding.lookup(ins[3]).deriv(
-                ins[4], tuple(vals[a] for a in ins[2]))
-            out[...] = got
+                ins[4], tuple([vals[a] for a in ins[2]]))
+            out[...] = got.real if out.dtype == float else got
             if mask is not None and np.any(mask):
                 flags[ins[1]] |= mask
         elif op == _IPOW:
@@ -312,7 +352,8 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
                     flags[ins[1]] |= bad
                     b = np.where(bad, 1.0, b)
             # operator form: ndarray.__pow__ has fast paths np.power lacks
-            out[...] = b ** k
+            p = np.asarray(b, dtype=complex) ** k
+            out[...] = p.real if out.dtype == float else p
         elif op == _APOW:
             a = np.abs(np.real(vals[ins[2]]))
             q = ins[3]
@@ -552,6 +593,12 @@ class InverseImpl(funcbank.FunctionImpl):
     of Faa di Bruno's formula", Amer. Math. Monthly 109, 2002), so order k is
     one evaluation of the expression H_k at the solved preimages.
 
+    The impl owns the tapes of T, T' and each H_k, so each compiles once.
+    The solve runs T and T' on float64 buffers (``_Tape.run_real``) when
+    ``_runs_real`` holds at its start, so a later ``Binding.bind`` is seen,
+    and in complex otherwise or where that run declines; H_k runs in
+    complex.
+
     ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
     residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) and,
     for k >= 1, points where evaluating H_k is unsafe (|T'(s)| < 1e-9, a
@@ -570,10 +617,33 @@ class InverseImpl(funcbank.FunctionImpl):
         self._bracket = bracket
         self._memo: Optional[tuple[tuple, np.ndarray, np.ndarray]] = None
         self._derivs: list[Expr] = []
+        self._tapes: dict[Expr, _Tape] = {}  # T, T' and each H_k evaluated
 
-    def _T_minus(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """T(s) - y for real s and y."""
-        return np.real(_at_t(self.T_expr, self._binding, s)[0]) - y
+    def _tape(self, e: Expr) -> _Tape:
+        tape = self._tapes.get(e)
+        if tape is None:
+            tape = self._tapes[e] = _Tape(e)
+        return tape
+
+    def _runs_real(self, e: Expr) -> bool:
+        """Whether e may run on a float64 buffer: e is real, each of its
+        functions is a builtin, and each integer power is one that numpy
+        takes of a complex base by multiplication (from |k| = 100 on it
+        takes exp and log, which give a negative base an imaginary part)."""
+        return (e.is_real
+                and all(self._binding.lookup(f) is funcbank.BUILTIN_IMPLS.get(f.name)
+                        for f in e.free_symbols)
+                and all(ins[0] != _IPOW or abs(ins[3]) < 100 for ins in self._tape(e).code))
+
+    def _real_at(self, e: Expr, s: np.ndarray, real: bool) -> np.ndarray:
+        """The real parts of e's values at the real points s."""
+        tape = self._tape(e)
+        count = len(s)
+        if real:
+            got = tape.run_real(self._binding, {T_VAR: s}, count)
+            if got is not None:
+                return got
+        return np.real(tape.run(self._binding, {T_VAR: s.astype(complex)}, count)[0])
 
     def _derivative(self, k: int) -> Expr:
         """H_k, the k-th derivative of T^-1 in t = T^-1(y); H_0 = t is not evaluated."""
@@ -588,11 +658,17 @@ class InverseImpl(funcbank.FunctionImpl):
         key = (y.shape, y.tobytes())
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1], self._memo[2]
+        T, T_t = self.T_expr, diff(self.T_expr, T_VAR)
+        real, real_t = self._runs_real(T), self._runs_real(T_t)
+
+        def T_minus(s):
+            return self._real_at(T, s, real) - y
+
         blo, bhi = self._bracket
         lo = np.clip(y - 0.5, blo, bhi)
         hi = np.clip(y + 0.5, blo, bhi)
-        flo = self._T_minus(lo, y)
-        fhi = self._T_minus(hi, y)
+        flo = T_minus(lo)
+        fhi = T_minus(hi)
         step = 1.0
         for _ in range(80):
             # a point pinned at both bracket limits cannot gain a sign change
@@ -601,8 +677,8 @@ class InverseImpl(funcbank.FunctionImpl):
                 break
             lo = np.where(bad, np.maximum(lo - step, blo), lo)
             hi = np.where(bad, np.minimum(hi + step, bhi), hi)
-            flo = self._T_minus(lo, y)
-            fhi = self._T_minus(hi, y)
+            flo = T_minus(lo)
+            fhi = T_minus(hi)
             step *= 1.6
             if step > 4.0 * (bhi - blo):
                 break
@@ -613,10 +689,9 @@ class InverseImpl(funcbank.FunctionImpl):
         swap = flo > 0
         lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
         s = 0.5 * (lo + hi)
-        T_t = diff(self.T_expr, T_VAR)
         for _ in range(self.MAX_ITER):
-            f = self._T_minus(s, y)
-            fp = np.real(_at_t(T_t, self._binding, s)[0])
+            f = T_minus(s)
+            fp = self._real_at(T_t, s, real_t)
             below = f <= 0
             lo = np.where(below, s, lo)
             hi = np.where(below, hi, s)
@@ -629,7 +704,7 @@ class InverseImpl(funcbank.FunctionImpl):
             s = nxt
             if np.all(done | ~bracketed):
                 break
-        residual = np.abs(self._T_minus(s, y))
+        residual = np.abs(T_minus(s))
         self._memo = (key, s, residual)
         return s, residual
 
@@ -641,7 +716,8 @@ class InverseImpl(funcbank.FunctionImpl):
         unsafe = residual > self.RESIDUAL_TOL
         if k == 0:
             return s.astype(complex), unsafe
-        vals, bad = _at_t(self._derivative(k), self._binding, s)
+        vals, _, bad = self._tape(self._derivative(k)).run(
+            self._binding, {T_VAR: s.astype(complex)}, len(s))
         return vals, unsafe | bad
 
 

@@ -21,7 +21,7 @@ from schsym.conditions import Potential, classifying_residual, invariants, prolo
 from schsym.equivalence import (AdmissibleTransformation, EquivTransformation,
                                 act_on_potential, compose, equiv_generator_check,
                                 invert, potentials_agree, pushforward,
-                                rational_rotation, standard_equiv_generators)
+                                rational_rotation)
 from schsym.expr import LOG, SymbolTable, T_VAR, ZERO, const, diff, func_app, im_part, t, var, x
 from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, bracket_generic,
                            bracket_structural, expand)
@@ -29,6 +29,7 @@ from schsym.funcbank import random_surrogate, random_trig_poly
 from schsym.groupoid import FIXTURE_TRUTH_TABLE, load_fixture, run_all_checks
 from schsym.numeric import Workspace, is_zero
 from schsym.parsing import parse
+from test_equivalence import standard_equiv_generators
 
 TOL = 1e-8
 

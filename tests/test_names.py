@@ -1,4 +1,5 @@
-"""Every module-level name of the package is read somewhere."""
+"""Every module-level name of the package is read by the package or the
+benchmark: a name that only tests read is a test helper."""
 import ast
 import pathlib
 import re
@@ -7,7 +8,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "schsym"
-SOURCES = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+SOURCES = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _module_names(path: pathlib.Path) -> list[str]:

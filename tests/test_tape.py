@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schsym.expr import (AbsPow, Conj, Const, FuncApp, IntPow, LOG, Product, SIN, Sign, Sum,
-                         SymbolTable, T_VAR, Var, ZERO, abs_pow, conj_expr, const, diff,
-                         func_app, int_pow, jet_var, post_order, psi, psi_var, sign_of, t, x,
-                         x_var)
+from schsym.expr import (ATAN, AbsPow, COS, Conj, Const, EXP, FuncApp, IntPow, LOG, PI, Product,
+                         SIN, Sign, Sum, SymbolTable, T_VAR, Var, ZERO, abs_pow, conj_expr,
+                         const, diff, func_app, int_pow, jet_var, post_order, psi, psi_var,
+                         sign_of, t, x, x_var)
 from schsym.funcbank import FunctionImpl, random_surrogate
-from schsym.numeric import (EMPTY_BINDING, EPS_UNSAFE, Binding, ExprImpl, draw_env,
-                            eval_batch)
+from schsym.numeric import (EMPTY_BINDING, EPS_UNSAFE, Binding, ExprImpl, InverseImpl, _Tape,
+                            draw_env, eval_batch)
+from schsym.parsing import parse
 from test_expr import _expr_strategy
 
 
@@ -80,6 +81,12 @@ def _reference_eval(e, binding, env, count=1):
     return np.asarray(ev(e)), scale, unsafe
 
 
+def _bits(a):
+    """The bytes of a float or complex array as uint64s: signed zeros and NaN
+    payloads count."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def _assert_matches_reference(e, binding, env, count=1):
     want = _reference_eval(e, binding, env, count)
     # the first evaluation compiles a throwaway tape, the second keeps one
@@ -88,6 +95,8 @@ def _assert_matches_reference(e, binding, env, count=1):
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g, w, equal_nan=True)
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(_bits(g), _bits(w))
     return got
 
 
@@ -226,8 +235,7 @@ def _t_dag_strategy(f):
 
 def _assert_bitwise(got, want):
     assert got[0].shape == want[0].shape
-    assert np.array_equal(np.ascontiguousarray(got[0]).view(np.uint64),
-                          np.ascontiguousarray(want[0]).view(np.uint64))
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
     assert np.array_equal(got[1], want[1])
 
 
@@ -325,3 +333,162 @@ def test_writes_by_a_caller_leave_the_table_intact():
                 pass  # a table entry is read-only
         z[:] = 7.0  # the caller reuses its points array
         _assert_bitwise(impl.deriv((0,), (SHARED_POINTS[:6],)), want)
+
+
+# -- the float64 program that InverseImpl runs for T and T' -------------------
+
+REAL_POINTS = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+def _real_t_strategy():
+    """Random real expressions in t: the builtin functions at derivative
+    orders 0-3, integer powers -4..5, absolute powers, signs and constants."""
+    leaves = st.sampled_from([t(), t(), t() - 1, const(Fraction(-3, 2)), const(Fraction(1, 3)),
+                              func_app(PI, [])])
+
+    def unary(a):
+        ops = [st.tuples(st.sampled_from([COS, SIN, EXP, LOG, ATAN]), st.integers(0, 3))
+               .map(lambda fk: func_app(fk[0], [a], [fk[1]]))]
+        if a is ZERO:  # no negative power or sign of an exact zero
+            return st.one_of(ops)
+        return st.one_of(ops + [
+            st.integers(-4, 5).map(lambda k: int_pow(a, k)),
+            st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-1, 3)])
+            .map(lambda q: abs_pow(a, q)),
+            st.just(sign_of(a))])
+
+    def binary(ab):
+        a, b = ab
+        return st.sampled_from([a + b, a * b, a - b])
+
+    return st.recursive(
+        leaves, lambda s: st.one_of(s.flatmap(unary), st.tuples(s, s).flatmap(binary)),
+        max_leaves=6)
+
+
+def _real_part_of_complex_run(e, binding, z):
+    vals, _, unsafe = eval_batch(e, binding, {T_VAR: z.astype(complex)})
+    return np.real(vals), unsafe
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_real_program_matches_the_complex_real_part_bitwise(data):
+    e = data.draw(_real_t_strategy())
+    extra = data.draw(st.lists(st.floats(-3.0, 3.0), max_size=4))
+    z = np.concatenate([REAL_POINTS, extra])
+    impl = InverseImpl(e, EMPTY_BINDING)  # here only the owner of e's programs
+    assert impl._runs_real(e)
+    tape = _Tape(e)
+    with np.errstate(all="ignore"):
+        # the batch, and each point alone, so one zero does not hide the rest
+        for pts in [z] + [z[i:i + 1] for i in range(len(z))]:
+            want, unsafe = _real_part_of_complex_run(e, EMPTY_BINDING, pts)
+            got = tape.run_real(EMPTY_BINDING, {T_VAR: pts}, len(pts))
+            if got is None:
+                # the real program declines only a zero root or a non-finite row
+                assert (want == 0).any() or unsafe.any()
+            else:
+                assert np.array_equal(_bits(got), _bits(want))
+            # the owner answers every point, from the complex program where declined
+            assert np.array_equal(_bits(impl._real_at(e, pts, True)), _bits(want))
+
+
+def test_zero_root_and_non_finite_row_decline_the_real_program():
+    # a zero's sign: cos(2) < 0, so t*cos(t + 2) at t = 0 is -0.0 in float,
+    # while the complex product's zero imaginary parts give +0.0
+    assert np.signbit(np.cos(2.0) * 0.0)
+    assert not np.signbit((np.cos(2 + 0j) * 0j).real)
+    zero_root = t() * func_app(COS, [t() + 2])
+    # exp(exp(7)) overflows: 1/inf is 0 in float, while inf * 2 in complex
+    # has a NaN imaginary part, so the complex value at t = 7 is NaN
+    overflow = int_pow(func_app(EXP, [func_app(EXP, [t()])]) * 2, -1) + t()
+    for e, z in ((zero_root, np.array([0.0, 1.0])), (overflow, np.array([7.0, 1.0]))):
+        with np.errstate(all="ignore"):
+            assert _Tape(e).run_real(EMPTY_BINDING, {T_VAR: z}, 2) is None
+            want, _ = _real_part_of_complex_run(e, EMPTY_BINDING, z)
+            got = InverseImpl(e, EMPTY_BINDING)._real_at(e, z, True)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert want[0] == 0 and not np.signbit(want[0]) if e is zero_root else np.isnan(want[0])
+
+
+def _reference_solve(T, binding, y, bracket=(-60.0, 60.0)):
+    """InverseImpl's root solve, every evaluation through eval_batch."""
+    def T_at(e, s):
+        return np.real(eval_batch(e, binding, {T_VAR: s.astype(complex)})[0])
+
+    blo, bhi = bracket
+    lo, hi = np.clip(y - 0.5, blo, bhi), np.clip(y + 0.5, blo, bhi)
+    flo, fhi = T_at(T, lo) - y, T_at(T, hi) - y
+    step = 1.0
+    for _ in range(80):
+        bad = (flo * fhi > 0) & ((lo > blo) | (hi < bhi))
+        if not bad.any():
+            break
+        lo = np.where(bad, np.maximum(lo - step, blo), lo)
+        hi = np.where(bad, np.minimum(hi + step, bhi), hi)
+        flo, fhi = T_at(T, lo) - y, T_at(T, hi) - y
+        step *= 1.6
+        if step > 4.0 * (bhi - blo):
+            break
+    bracketed = flo * fhi <= 0
+    swap = flo > 0
+    lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    s = 0.5 * (lo + hi)
+    for _ in range(InverseImpl.MAX_ITER):
+        f = T_at(T, s) - y
+        fp = T_at(diff(T, T_VAR), s)
+        below = f <= 0
+        lo, hi = np.where(below, s, lo), np.where(below, hi, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = s - f / fp
+        inside = (newton >= np.minimum(lo, hi)) & (newton <= np.maximum(lo, hi))
+        nxt = np.where(inside, newton, 0.5 * (lo + hi))
+        done = np.abs(nxt - s) < InverseImpl.STEP_TOL
+        s = nxt
+        if np.all(done | ~bracketed):
+            break
+    return s, np.abs(T_at(T, s) - y)
+
+
+def _assert_solve_matches_reference(impl, y):
+    got = impl._solve((y,))
+    want = _reference_solve(impl.T_expr, impl._binding, y)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("T", [
+    "t", "2*t", "t + 3/10*sin(t)", "-t - sin(t)/4", "atan(t)", "t^3", "t^3 + t/1000",
+    "t + exp(t)/10 + 1/(t^2 + 4)", "t + t^(3/2)/4 + log(t^2 + 1)/9"])
+def test_solve_matches_a_reference_solve_on_eval_batch(T):
+    # zeros, values outside the range of atan, and the flat point of t^3
+    y = np.concatenate([[0.0, 0.5, -0.5, 2.0, -3.0, 1e-9],
+                        np.random.default_rng(4).uniform(-3.0, 3.0, 40)])
+    impl = InverseImpl(parse(T), Binding())
+    assert impl._runs_real(impl.T_expr)
+    with np.errstate(all="ignore"):
+        _assert_solve_matches_reference(impl, y)
+
+
+def test_ineligible_time_maps_run_the_complex_program(monkeypatch):
+    real_runs = []
+    run_real = _Tape.run_real
+    monkeypatch.setattr(_Tape, "run_real",
+                        lambda self, *args: real_runs.append(1) or run_real(self, *args))
+    y = np.linspace(0.5, 1.5, 7)
+    # a symbol bound to a random surrogate
+    tbl = SymbolTable()
+    f = tbl.declare("f", 1, "real")
+    binding = Binding({f: random_surrogate(np.random.default_rng(3), 1, "real")})
+    _assert_solve_matches_reference(InverseImpl(parse("t + f(t)/10", tbl), binding), y)
+    assert not real_runs
+    # a builtin rebound after a solve: the next solve sees the new binding
+    binding = Binding()
+    impl = InverseImpl(parse("t + sin(t)/4"), binding)
+    _assert_solve_matches_reference(impl, y)
+    assert real_runs
+    binding.bind(SIN, random_surrogate(np.random.default_rng(5), 1, "real"))
+    del real_runs[:]
+    _assert_solve_matches_reference(impl, y + 0.25)  # other points: no memo hit
+    assert not real_runs
