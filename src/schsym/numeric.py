@@ -23,14 +23,15 @@ two Liouville pairs), so only nodes the table lacks are compiled and run.
 call (Newton steps, quadrature nodes), so a table would share almost
 nothing.  ``AntiderivImpl`` evaluates through ``_at_t``, one ``eval_batch``
 call.  ``InverseImpl`` owns the tapes of T, T' and each chain-rule root
-H_k, so each compiles once per impl.  Its root solve reads only real values
-of T and T', so a real T whose functions are builtins runs on a float64
-buffer (``_Tape.run_real``) through the same ``_execute`` rules, with no
-subterm scale and no mask.  That run is the real part of the complex one
-bit for bit: at real points every imaginary part of the complex run is a
-zero, so float sums and products, the real cos and sin, and the real
-parts of integer powers and the other functions taken in complex round as
-the complex run does.  Only a zero's sign, or a non-finite value, can tell
+H_k, so each compiles once per impl, and runs them through ``eval_batch``.
+Its root solve reads only real values of T and T', so a real T whose
+functions are builtins runs at float64 points, on a float64 buffer
+(``_Tape.run_real``), through the same ``_execute`` rules, with no subterm
+scale and no mask.  That run is the real part of the complex one bit for
+bit: at real points every imaginary part of the complex run is a zero, so
+float sums and products, the real cos and sin, and the real parts of
+integer powers and the other functions taken in complex round as the
+complex run does.  Only a zero's sign, or a non-finite value, can tell
 them apart, and there (a zero root, a non-finite row) the complex program
 runs instead.  H_k values, quadrature and the zero tests stay complex.
 """
@@ -339,7 +340,7 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
                 np.add(out, vals[tm], out=out)
         elif op == _FUNC:
             got, mask = binding.lookup(ins[3]).deriv(
-                ins[4], tuple([vals[a] for a in ins[2]]))
+                ins[4], tuple(vals[a] for a in ins[2]))
             out[...] = got.real if out.dtype == float else got
             if mask is not None and np.any(mask):
                 flags[ins[1]] |= mask
@@ -389,21 +390,38 @@ def _fold(mag: np.ndarray, scale: np.ndarray, unsafe: np.ndarray) -> None:
     np.maximum(scale, mag.max(axis=0), out=scale)
 
 
-def eval_batch(e: Expr, binding: Binding, env: Mapping[VarId, np.ndarray], count: int = 1):
+def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray],
+               count: int = 1):
     """Evaluate over a batch; returns (values, subterm scale, unsafe mask).
 
-    A root's first evaluation compiles a tape and drops it; the second
-    compiles it again and keeps it on the node for every later one, so
-    expressions evaluated once hold no program.
+    ``e`` is a root, or a ``_Tape`` that its caller compiled and keeps
+    (``InverseImpl`` keeps its own).  A root's first evaluation compiles a
+    tape and drops it; the second compiles it again and keeps it on the
+    node for every later one, so expressions evaluated once hold no program.
+
+    A kept tape at float64 points runs on a float64 buffer
+    (``_Tape.run_real``), for a caller that has checked that its root may
+    (``InverseImpl._runs_real``): the values are the real parts of the
+    complex run's, with no scale and no mask (both None).  Where that run
+    declines, the complex program runs and returns all three.
     """
-    if env:
-        count = len(next(iter(env.values())))
-    tape = e._tape
-    if not tape:
-        # None: never evaluated; False: evaluated once, tape not kept
-        seen = tape is False
-        tape = _Tape(e)
-        e._tape = tape if seen else False
+    first = next(iter(env.values()), None)
+    if first is not None:
+        count = len(first)
+    if type(e) is _Tape:
+        tape = e
+        if first is not None and first.dtype == float:
+            got = tape.run_real(binding, env, count)
+            if got is not None:
+                return got, None, None
+            env = {v: x.astype(complex) for v, x in env.items()}
+    else:
+        tape = e._tape
+        if not tape:
+            # None: never evaluated; False: evaluated once, tape not kept
+            seen = tape is False
+            tape = _Tape(e)
+            e._tape = tape if seen else False
     return tape.run(binding, env, count)
 
 
@@ -593,11 +611,10 @@ class InverseImpl(funcbank.FunctionImpl):
     of Faa di Bruno's formula", Amer. Math. Monthly 109, 2002), so order k is
     one evaluation of the expression H_k at the solved preimages.
 
-    The impl owns the tapes of T, T' and each H_k, so each compiles once.
-    The solve runs T and T' on float64 buffers (``_Tape.run_real``) when
-    ``_runs_real`` holds at its start, so a later ``Binding.bind`` is seen,
-    and in complex otherwise or where that run declines; H_k runs in
-    complex.
+    The impl owns the tapes of T, T' and each H_k, so each compiles once,
+    and runs them through ``eval_batch``: T and T' at float64 points when
+    ``_runs_real`` holds at the start of a solve (so a later
+    ``Binding.bind`` is seen), H_k at complex ones.
 
     ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
     residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) and,
@@ -628,8 +645,12 @@ class InverseImpl(funcbank.FunctionImpl):
     def _runs_real(self, e: Expr) -> bool:
         """Whether e may run on a float64 buffer: e is real, each of its
         functions is a builtin, and each integer power is one that numpy
-        takes of a complex base by multiplication (from |k| = 100 on it
-        takes exp and log, which give a negative base an imaginary part)."""
+        takes of a complex base by multiplication.  numpy's complex
+        ``power`` loop (``nc_pow`` in numpy/_core/src/umath/funcs.inc.src)
+        multiplies for integer exponents -100 < k < 100; from |k| = 100 on
+        it calls ``npy_cpow``, whose exp and log give a negative base an
+        imaginary part, and a later cos or sin turns that into a change of
+        the real part."""
         return (e.is_real
                 and all(self._binding.lookup(f) is funcbank.BUILTIN_IMPLS.get(f.name)
                         for f in e.free_symbols)
@@ -637,13 +658,8 @@ class InverseImpl(funcbank.FunctionImpl):
 
     def _real_at(self, e: Expr, s: np.ndarray, real: bool) -> np.ndarray:
         """The real parts of e's values at the real points s."""
-        tape = self._tape(e)
-        count = len(s)
-        if real:
-            got = tape.run_real(self._binding, {T_VAR: s}, count)
-            if got is not None:
-                return got
-        return np.real(tape.run(self._binding, {T_VAR: s.astype(complex)}, count)[0])
+        env = {T_VAR: s if real else s.astype(complex)}
+        return np.real(eval_batch(self._tape(e), self._binding, env)[0])
 
     def _derivative(self, k: int) -> Expr:
         """H_k, the k-th derivative of T^-1 in t = T^-1(y); H_0 = t is not evaluated."""
@@ -716,8 +732,8 @@ class InverseImpl(funcbank.FunctionImpl):
         unsafe = residual > self.RESIDUAL_TOL
         if k == 0:
             return s.astype(complex), unsafe
-        vals, _, bad = self._tape(self._derivative(k)).run(
-            self._binding, {T_VAR: s.astype(complex)}, len(s))
+        vals, _, bad = eval_batch(self._tape(self._derivative(k)), self._binding,
+                                  {T_VAR: s.astype(complex)})
         return vals, unsafe | bad
 
 

@@ -126,16 +126,16 @@ def test_invert_makes_no_nested_root_solve(table, monkeypatch):
     a = AdmissibleTransformation.create(generic_potential(table),
                                         random_transform(rng, Workspace()))
     calls = []
-    inner = numeric._execute
+    inner = numeric.eval_batch
 
     def counted(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(numeric, "_execute", counted)
+    monkeypatch.setattr(numeric, "eval_batch", counted)
     invert(a, validate=True, rng=rng)
-    # 30 program runs here; solving the inverse of T^-1 numerically, with a
-    # whole inner solve per Newton iterate, took 198
+    # 30 calls here; solving the inverse of T^-1 numerically, with a whole
+    # inner solve per Newton iterate, took 198
     assert len(calls) <= 60
 
 

@@ -145,16 +145,18 @@ def test_expr_impl_reports_unsafe_points():
     assert vals1[1] == pytest.approx(0.5)
 
 
-def _counting_solver_evaluations(monkeypatch):
-    """Record each evaluation of T or T' in an InverseImpl root solve."""
+def _counting_eval_batch(monkeypatch):
+    """Record the root or tape of each eval_batch call."""
+    import schsym.numeric as numeric
+
     calls = []
-    orig = InverseImpl._real_at
+    orig = numeric.eval_batch
 
-    def counted(*args):
-        calls.append(1)
-        return orig(*args)
+    def counted(e, *args, **kwargs):
+        calls.append(e)
+        return orig(e, *args, **kwargs)
 
-    monkeypatch.setattr(InverseImpl, "_real_at", counted)
+    monkeypatch.setattr(numeric, "eval_batch", counted)
     return calls
 
 
@@ -182,7 +184,7 @@ def test_inverse_impl_out_of_range_is_unsafe(monkeypatch):
     tbl = SymbolTable()
     impl = InverseImpl(parse("atan(t)", tbl), EMPTY_BINDING)
     y = np.array([0.5, 2.0, -3.0, 1.0])
-    calls = _counting_solver_evaluations(monkeypatch)
+    calls = _counting_eval_batch(monkeypatch)
     _, unsafe = impl.deriv((0,), (y,))
     # unbracketed points stop the bracket search once pinned at both limits
     # and do not hold the Newton loop open to its cap
@@ -200,13 +202,13 @@ def test_inverse_impl_out_of_range_is_unsafe(monkeypatch):
 def test_inverse_impl_reuses_solve_across_orders(monkeypatch):
     impl = InverseImpl(parse("t + 3/10*sin(t)"), EMPTY_BINDING)
     y = np.random.default_rng(6).uniform(-3.0, 3.0, 100)
-    calls = _counting_solver_evaluations(monkeypatch)
+    calls = _counting_eval_batch(monkeypatch)
     impl.deriv((0,), (y,))
     assert len(calls) <= 20
     for k in range(1, 4):
         del calls[:]
         impl.deriv((k,), (y,))  # one evaluation of H_k at the solved points
-        assert not calls
+        assert calls == [impl._tapes[impl._derivative(k)]]
     del calls[:]
     assert not impl.deriv((0,), (y,))[1].any()
     assert not calls

@@ -475,8 +475,14 @@ def test_ineligible_time_maps_run_the_complex_program(monkeypatch):
     real_runs = []
     run_real = _Tape.run_real
     monkeypatch.setattr(_Tape, "run_real",
-                        lambda self, *args: real_runs.append(1) or run_real(self, *args))
+                        lambda self, *args: real_runs.append(self) or run_real(self, *args))
     y = np.linspace(0.5, 1.5, 7)
+    # an integer power of 100, which numpy raises by exp and log: T runs
+    # complex, while T' = 1 + 25*((t - 2)/4)^99 runs real
+    impl = InverseImpl(parse("t + ((t - 2)/4)^100"), Binding())
+    _assert_solve_matches_reference(impl, y)
+    assert real_runs and impl._tapes[impl.T_expr] not in real_runs
+    del real_runs[:]
     # a symbol bound to a random surrogate
     tbl = SymbolTable()
     f = tbl.declare("f", 1, "real")
@@ -492,3 +498,21 @@ def test_ineligible_time_maps_run_the_complex_program(monkeypatch):
     del real_runs[:]
     _assert_solve_matches_reference(impl, y + 0.25)  # other points: no memo hit
     assert not real_runs
+
+
+def test_integer_powers_from_100_on_keep_the_complex_program():
+    # the bound in InverseImpl._runs_real: numpy multiplies up to |k| = 99,
+    # so a negative base keeps a zero imaginary part, and from 100 on it
+    # takes exp and log, which leave a small nonzero one
+    b = np.array([-1.2 + 0j])
+    assert (b ** 99).imag == 0 and (b ** -99).imag == 0
+    assert (b ** 100).imag != 0 and (b ** -100).imag != 0
+    # a later cos turns it into a change of the real part, which a float64
+    # program, holding only real parts, would miss
+    e = parse("cos((t - 3)^100)")
+    assert not InverseImpl(e, EMPTY_BINDING)._runs_real(e)
+    assert InverseImpl(e, EMPTY_BINDING)._runs_real(parse("cos((t - 3)^99)"))
+    z = np.array([1.8, 2.5])
+    want, _ = _real_part_of_complex_run(e, EMPTY_BINDING, z)
+    got = _Tape(e).run_real(EMPTY_BINDING, {T_VAR: z}, 2)
+    assert got[0] != want[0]
