@@ -8,7 +8,7 @@ rounding, and reads an antiderivative's integrand back as an ExpPoly.
 from __future__ import annotations
 
 from .expr import (COS, EXP, SIN, Const, Expr, FuncApp, IntPow, Product, Sum, const, func_app,
-                   int_pow, post_order, sum_, t)
+                   int_pow, post_order, prod, sum_, t)
 from .funcbank import ExpPoly, ExpPolyImpl
 
 
@@ -27,7 +27,8 @@ def exppoly_to_expr(f: ExpPoly) -> Expr:
     """Render a real-valued ExpPoly as an Expr in t (exact to rounding).
 
     Each frequency gives its own monomials, so the terms are collected and
-    summed once.
+    summed once; a constant pair of conjugate frequencies adds its cos and
+    sin terms to that list directly, not as a Sum of their own.
     """
     tv = t()
     terms = []
@@ -57,10 +58,19 @@ def exppoly_to_expr(f: ExpPoly) -> Expr:
             coeffs = f.terms[lam]
             a, b = lam.real, lam.imag
         # 2 Re[p(t) e^(a t) (cos bt + i sin bt)]
-        re_p = _poly_expr([2 * c for c in coeffs], tv, real_part=True)
-        im_p = _poly_expr([2 * c for c in coeffs], tv, real_part=False)
         phase_c = func_app(COS, [const(b) * tv])
         phase_s = func_app(SIN, [const(b) * tv])
+        if len(coeffs) == 1 and a == 0.0:
+            # 2 Re(c) cos bt - 2 Im(c) sin bt, whose two terms the final
+            # sum would take out of their own Sum
+            c = 2 * coeffs[0]
+            if c.real != 0.0:
+                terms.append(prod((const(c.real), phase_c)))
+            if c.imag != 0.0:
+                terms.append(prod((const(-c.imag), phase_s)))
+            continue
+        re_p = _poly_expr([2 * c for c in coeffs], tv, real_part=True)
+        im_p = _poly_expr([2 * c for c in coeffs], tv, real_part=False)
         body = re_p * phase_c - im_p * phase_s
         if a != 0.0:
             body = body * func_app(EXP, [const(a) * tv])

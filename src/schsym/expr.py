@@ -733,7 +733,8 @@ def diff(e: Expr, v: VarId) -> Expr:
 
 
 def _diff(e: Expr, v: VarId) -> Expr:
-    """e's derivative by the rule of its type; diff of a child is a lookup."""
+    """e's derivative by the rule of its type; diff of a child is a lookup.
+    A product or chain rule that yields one term returns it as sum_ would."""
     if isinstance(e, Var):
         return ONE  # only v itself is entered
     if isinstance(e, Sum):
@@ -754,7 +755,7 @@ def _diff(e: Expr, v: VarId) -> Expr:
                 terms.append(_node(Product, nf))
             else:
                 terms.append(prod(nf))
-        return sum_(terms)
+        return _sum_of(terms)
     if isinstance(e, IntPow):
         return prod((const(e.k), int_pow(e.base, e.k - 1), diff(e.base, v)))
     if isinstance(e, AbsPow):
@@ -770,6 +771,19 @@ def _diff(e: Expr, v: VarId) -> Expr:
         didx = list(e.didx)
         didx[s] += 1
         terms.append(prod((func_app(e.sym, e.args, didx), d)))
+    return _sum_of(terms)
+
+
+def _sum_of(terms: list) -> Expr:
+    """sum_(terms), without its walk when the one term is its own sum: a
+    normal term that is neither a Sum nor a Const times a Sum, which sum_
+    would take apart and build again."""
+    if len(terms) == 1:
+        tm = terms[0]
+        if type(tm) is not Sum and not (type(tm) is Product and len(tm.factors) == 2
+                                        and type(tm.factors[1]) is Sum
+                                        and type(tm.factors[0]) is Const):
+            return tm
     return sum_(terms)
 
 

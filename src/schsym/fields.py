@@ -34,6 +34,7 @@ from .expr import (
     diff,
     has_complex_symbols,
     jet_var,
+    prod,
     psi,
     sum_,
     x,
@@ -191,17 +192,20 @@ def absx2(n: int) -> Expr:
 
 
 def expand(g: GeneratorCoeffs) -> VectorField:
-    """Canonical data to the explicit first-order operator."""
+    """Canonical data to the explicit first-order operator.
+
+    Each coefficient is one n-ary sum_: its summands share no monomial, so
+    it is the node the chain of binary sums would build.
+    """
     n = g.n
     tau_t = diff(g.tau, T_VAR)
     tau_tt = diff(tau_t, T_VAR)
     xi_rot = g.rotation_xi()
-    coef_x = tuple(HALF * tau_t * x(a) + xi_rot[a - 1] + g.chi[a - 1]
+    coef_x = tuple(sum_((prod((HALF, tau_t, x(a))), xi_rot[a - 1], g.chi[a - 1]))
                    for a in range(1, n + 1))
-    q = I8 * tau_tt * absx2(n)
-    for a in range(1, n + 1):
-        q = q + I2 * diff(g.chi[a - 1], T_VAR) * x(a)
-    q = q + g.rho + I_UNIT * g.sigma
+    q = sum_((prod((I8, tau_tt, absx2(n))),
+              *(prod((I2, diff(g.chi[a - 1], T_VAR), x(a))) for a in range(1, n + 1)),
+              g.rho, I_UNIT * g.sigma))
     coef_psi = q * psi(n) + g.eta0_or_zero()
     coef_psi_star = conj_expr(q) * psi(n, conj=True) + conj_expr(g.eta0_or_zero())
     return VectorField(n, g.tau, coef_x, coef_psi, coef_psi_star)
@@ -240,7 +244,14 @@ def _z_action(g: GeneratorCoeffs, zeta: Expr) -> Expr:
 
 
 def bracket_structural(g1: GeneratorCoeffs, g2: GeneratorCoeffs) -> GeneratorCoeffs:
-    """Closed-form bracket from the commutation table of the canonical fields."""
+    """Closed-form bracket from the commutation table of the canonical fields.
+
+    Each chi component is a chain of sums, one step per group of summands.
+    A step adds its group's summands straight into the running sum, which
+    builds the node the group's own Sum would.  Steps stay apart: a
+    monomial that cancels at one step and comes back at a later one would
+    move in the term order.
+    """
     if g1.n != g2.n:
         raise ValueError("dimension mismatch")
     n = g1.n
@@ -257,9 +268,9 @@ def bracket_structural(g1: GeneratorCoeffs, g2: GeneratorCoeffs) -> GeneratorCoe
     chi = []
     for a in range(n):
         c = t1 * diff(g2.chi[a], T_VAR) - HALF * t1t * g2.chi[a]
-        c = c - (t2 * diff(g1.chi[a], T_VAR) - HALF * t2t * g1.chi[a])
-        c = c - sum_(const(K1[a][b]) * g2.chi[b] for b in range(n))
-        c = c + sum_(const(K2[a][b]) * g1.chi[b] for b in range(n))
+        c = sum_((c, -(t2 * diff(g1.chi[a], T_VAR)), prod((HALF, t2t, g1.chi[a]))))
+        c = sum_((c, *(const(-K1[a][b]) * g2.chi[b] for b in range(n))))
+        c = sum_((c, *(const(K2[a][b]) * g1.chi[b] for b in range(n))))
         chi.append(c)
 
     sigma = t1 * diff(g2.sigma, T_VAR) - t2 * diff(g1.sigma, T_VAR)

@@ -209,6 +209,28 @@ class TrigPolyND(FunctionImpl):
         return total, None
 
 
+def _trig_poly(c0, coeff: Callable[[], complex]) -> ExpPoly:
+    """c0 + sum_k (c_k cos(k z) + s_k sin(k z)) for k = 1..TRIG_DEGREE, where
+    each c_k and then s_k is the next ``coeff()``.
+
+    Fills one terms dict with the values, keys and key order that
+    ``ExpPoly.constant(c0) + ExpPoly.cos(k).scale(c_k) + ExpPoly.sin(k).scale(s_k)
+    + ...`` gives, bit for bit, without building those polynomials.
+    """
+    eb = complex(math.cos(0.0), math.sin(0.0))  # e^(i b) of ExpPoly.cos and .sin at b = 0
+    f = ExpPoly()
+    f._add_term(0.0 + 0.0j, (complex(c0),))
+    for k in range(1, TRIG_DEGREE + 1):
+        a = float(k)
+        c = complex(coeff())
+        f._add_term(1j * a, (eb / 2 * c,))
+        f._add_term(-1j * a, (eb.conjugate() / 2 * c,))
+        s = complex(coeff())
+        f._add_term(1j * a, (eb / 2j * s,))
+        f._add_term(-1j * a, (-eb.conjugate() / 2j * s,))
+    return f
+
+
 def random_trig_poly(rng, codomain: str = "real") -> ExpPoly:
     """Random univariate trig polynomial with frequencies 1..TRIG_DEGREE, coeffs in [-1,1]."""
     def coeff():
@@ -216,19 +238,12 @@ def random_trig_poly(rng, codomain: str = "real") -> ExpPoly:
             return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         return complex(rng.uniform(-1, 1))
 
-    f = ExpPoly.constant(coeff())
-    for k in range(1, TRIG_DEGREE + 1):
-        f = f + ExpPoly.cos(float(k)).scale(coeff()) + ExpPoly.sin(float(k)).scale(coeff())
-    return f
+    return _trig_poly(coeff(), coeff)
 
 
 def random_positive_trig_poly(rng, low=1.5, high=2.5, ripple=0.3) -> ExpPoly:
     """Random real trig polynomial bounded away from zero (>= low - 2*ripple > 0)."""
-    f = ExpPoly.constant(rng.uniform(low, high))
-    for k in range(1, TRIG_DEGREE + 1):
-        f = f + ExpPoly.cos(float(k)).scale(rng.uniform(-1, 1) * ripple / TRIG_DEGREE)
-        f = f + ExpPoly.sin(float(k)).scale(rng.uniform(-1, 1) * ripple / TRIG_DEGREE)
-    return f
+    return _trig_poly(rng.uniform(low, high), lambda: rng.uniform(-1, 1) * ripple / TRIG_DEGREE)
 
 
 def random_surrogate(rng, arity: int, codomain: str) -> FunctionImpl:

@@ -37,6 +37,7 @@ runs instead.  H_k values, quadrature and the zero tests stay complex.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Mapping, Optional
 
@@ -102,10 +103,15 @@ class Binding:
         # node values at one point set, shared by every evaluation through
         # _shared_at_t: (key of the points, {node: (row, mask or None)})
         self._node_table: Optional[tuple[tuple, dict]] = None
+        # the number of binds so far: a value cached outside the node table
+        # (InverseImpl's last solve) keys on it, so a bind makes it stale
+        self._binds = 0
 
     def bind(self, sym: FunctionSymbol, impl: funcbank.FunctionImpl) -> None:
         self._impls[sym] = impl
-        self._node_table = None  # values may depend on what sym was bound to
+        # values may depend on what sym was bound to
+        self._node_table = None
+        self._binds += 1
 
     def merged(self, other: Optional["Binding"]) -> "Binding":
         if other is None:
@@ -619,8 +625,10 @@ class InverseImpl(funcbank.FunctionImpl):
     ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
     residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) and,
     for k >= 1, points where evaluating H_k is unsafe (|T'(s)| < 1e-9, a
-    flat point of T).  The last solve is memoized by its points, so
-    derivative orders 0..k on the same points cost one root solve.
+    flat point of T).  The last solve is memoized by its points and by the
+    binding's count of binds, so derivative orders 0..k on the same points
+    cost one root solve, and a ``Binding.bind`` (which may change T) makes
+    the memo stale.
     """
 
     MAX_ORDER = 8
@@ -671,7 +679,7 @@ class InverseImpl(funcbank.FunctionImpl):
     def _solve(self, args) -> tuple[np.ndarray, np.ndarray]:
         """Preimages s of args[0] and their residuals |T(s) - y|."""
         y = np.real(np.asarray(args[0], dtype=complex))
-        key = (y.shape, y.tobytes())
+        key = (self._binding._binds, y.shape, y.tobytes())
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1], self._memo[2]
         T, T_t = self.T_expr, diff(self.T_expr, T_VAR)
@@ -737,6 +745,27 @@ class InverseImpl(funcbank.FunctionImpl):
         return vals, unsafe | bad
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d float array, bit for bit, by numpy's own sort
+    path: NaNs sort last and only the first is kept.  ``np.unique`` itself
+    imports ``numpy.ma`` on its first call, a cost every fresh process
+    would pay at its first quadrature."""
+    a = np.sort(a)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    keep[1:] = (a[1:] != a[:-1]) & ~np.isnan(a[:-1])
+    return a[keep]
+
+
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per process."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 class AntiderivImpl(funcbank.FunctionImpl):
     """Symbol defined by its derivative expression; values by quadrature.
 
@@ -761,7 +790,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
         integrands containing root-finding inverses affordable.
         """
         flat = np.real(z).reshape(-1)
-        knots = np.unique(np.concatenate([[self.BASE_POINT], flat]))
+        knots = _sorted_distinct(np.concatenate([[self.BASE_POINT], flat]))
         # integral and number of unsafe panels from the lowest knot to each knot
         integral = np.zeros(len(knots), dtype=complex)
         bad_panels = np.zeros(len(knots), dtype=int)
@@ -770,7 +799,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
                      for a, b in zip(knots[:-1], knots[1:])]
             lo = np.concatenate([e[:-1] for e in edges])
             hi = np.concatenate([e[1:] for e in edges])
-            nodes, weights = np.polynomial.legendre.leggauss(self.GAUSS_ORDER)
+            nodes, weights = _gauss_legendre(self.GAUSS_ORDER)
             half = 0.5 * (hi - lo)
             pts = (0.5 * (lo + hi)[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
             vals, unsafe = _at_t(self._integrand, self._binding, pts)

@@ -194,7 +194,7 @@ def test_generic_bracket_interns_a_pinned_node_count():
             "print(len(expr._INTERN) - n)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "260\n"
+    assert proc.stdout == "249\n"
 
 
 def test_bracket_text_pins_normal_form_term_order(capsys):

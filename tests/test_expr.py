@@ -520,6 +520,23 @@ def test_product_rule_collisions_and_direct_terms():
     assert isinstance(diff(cos_t, T_VAR), FuncApp)
 
 
+def test_one_term_rules_return_what_sum_would():
+    """diff's product and chain rules skip sum_ for one term; the term must
+    be the node sum_([term]) builds, and a Sum or a constant times a Sum,
+    which sum_ takes apart, must still go through it."""
+    tv, x1 = t(), x(1)
+    cos_t = func_app(COS, [tv])
+    s = tv * tv + 1
+    terms = [ZERO, ONE, const(3), tv, cos_t, s, const(2) * s, tv * s, const(2) * tv * x1,
+             const(2) * x1 * s, int_pow(s, 2), prod((const(-1), cos_t)), s * cos_t]
+    assert isinstance(const(2) * s, Product) and len((const(2) * s).factors) == 2
+    for tm in terms:
+        assert expr_module._sum_of([tm]) is sum_([tm]), tm
+    # the chain rule of cos(t*x1) by t yields one term
+    e = func_app(COS, [tv * x1])
+    assert diff(e, T_VAR) is sum_([prod((func_app(COS, [tv * x1], [1]), x1))])
+
+
 # -- the walks against recursive definitions ----------------------------------
 
 def _ref_post_order(e, seen=None, out=None):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import schsym.expr as expr_module
 from schsym.closedform import exppoly_to_expr
-from schsym.expr import (ONE, T_VAR, ZERO, AbsPow, Conj, Const, Expr, FuncApp, IntPow,
-                         Product, Sign, Sum, Var, const, func_app, int_pow, psi, t, var, x)
-from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, _rank, bracket_generic,
-                           bracket_rows, bracket_structural, coefficient_rows,
-                           expand, rank_of_chi_block)
+from schsym.expr import (HALF, I_UNIT, ONE, T_VAR, ZERO, AbsPow, Conj, Const, Expr, FuncApp,
+                         IntPow, Product, Sign, Sum, Var, const, diff, func_app, int_pow, psi,
+                         sum_, t, var, x)
+from schsym.fields import (I2, I8, D, GeneratorCoeffs, Iop, J, M, P, _rank, absx2,
+                           bracket_generic, bracket_rows, bracket_structural,
+                           coefficient_rows, expand, rank_of_chi_block)
 from schsym.funcbank import random_trig_poly
 from schsym.numeric import EMPTY_BINDING, UnsafeSampleError, eval_batch, is_zero
 from schsym.parsing import parse
@@ -78,6 +79,60 @@ def test_generic_matches_structural_with_eta0():
     dvf = expand(bracket_structural(g1, g2)).sub(bracket_generic(expand(g1), expand(g2)))
     for comp in dvf.components():
         assert is_zero(comp, trials=2, points=40, rng=RNG)
+
+
+# expand and the chi part of bracket_structural, as chains of binary + and *
+def _ref_expand_x_and_q(g):
+    n = g.n
+    tau_t = diff(g.tau, T_VAR)
+    xi_rot = g.rotation_xi()
+    coef_x = tuple(HALF * tau_t * x(a) + xi_rot[a - 1] + g.chi[a - 1] for a in range(1, n + 1))
+    q = I8 * diff(tau_t, T_VAR) * absx2(n)
+    for a in range(1, n + 1):
+        q = q + I2 * diff(g.chi[a - 1], T_VAR) * x(a)
+    return coef_x, q + g.rho + I_UNIT * g.sigma
+
+
+def _ref_structural_chi(g1, g2):
+    n = g1.n
+    t1, t2 = g1.tau, g2.tau
+    t1t, t2t = diff(t1, T_VAR), diff(t2, T_VAR)
+    K1, K2 = g1.kappa_matrix(), g2.kappa_matrix()
+    chi = []
+    for a in range(n):
+        c = t1 * diff(g2.chi[a], T_VAR) - HALF * t1t * g2.chi[a]
+        c = c - (t2 * diff(g1.chi[a], T_VAR) - HALF * t2t * g1.chi[a])
+        c = c - sum_(const(K1[a][b]) * g2.chi[b] for b in range(n))
+        c = c + sum_(const(K2[a][b]) * g1.chi[b] for b in range(n))
+        chi.append(c)
+    return tuple(chi)
+
+
+def test_expand_and_structural_chi_match_binary_chains():
+    """One n-ary sum_ builds the node the chain builds: the summands of
+    expand share no monomial, and bracket_structural adds only one group
+    of summands per step."""
+    tv = t()
+    f = parse("cos(t) + 2*sin(3*t)")
+    g = parse("t^2/2 + t")
+    gens = [D(1), D(tv), D(g), J(1, 2), P(1, 0), P(tv, tv * tv), M(f), Iop(g),
+            # rotations and chis whose terms cancel between the summands
+            GeneratorCoeffs(2, ONE, (Fraction(1),), (f, f + 1), g, f),
+            GeneratorCoeffs(2, g, (Fraction(-2, 3),), (f, f), f, ZERO),
+            GeneratorCoeffs(2, -tv * tv / 2, (Fraction(0),), (-g, tv), ZERO, g),
+            # a pair whose chi_2 would reorder if two chi steps were one sum
+            GeneratorCoeffs(2, tv, (Fraction(1),), (2 * tv, ZERO), ZERO, ZERO),
+            GeneratorCoeffs(2, ZERO, (Fraction(2),), (tv - parse("cos(t)"), 2 * tv), ZERO, ZERO)]
+    rng = np.random.default_rng(23)
+    gens += [rand_gen(rng) for _ in range(6)]
+    for g1 in gens:
+        coef_x, q = _ref_expand_x_and_q(g1)
+        e = expand(g1)
+        assert all(u is v for u, v in zip(e.coef_x, coef_x))
+        assert e.coef_psi is q * psi(2) + g1.eta0_or_zero()
+        for g2 in gens:
+            got = bracket_structural(g1, g2).chi
+            assert all(u is v for u, v in zip(got, _ref_structural_chi(g1, g2)))
 
 
 # the stored fields an interned node's key holds after its class

@@ -1,5 +1,7 @@
 """Randomized evaluation: exactness, the zero test, unsafe-sample handling."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ import pytest
 from schsym.expr import SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x, x_var
 from schsym.funcbank import ExpPoly, ExpPolyImpl
 from schsym.numeric import (AntiderivImpl, Binding, EMPTY_BINDING, ExprImpl, InverseImpl,
-                            UnboundSymbolError, UnsafeSampleError, draw_env, eval_batch,
-                            is_zero, max_normalized_residual)
+                            UnboundSymbolError, UnsafeSampleError, _sorted_distinct, draw_env,
+                            eval_batch, is_zero, max_normalized_residual)
 from schsym.parsing import parse
 
 
@@ -116,6 +118,28 @@ def test_antideriv_impl_matches_closed_form():
     assert np.allclose(got1, np.cos(np.real(z)))
 
 
+def test_sorted_distinct_is_np_unique_bitwise():
+    rng = np.random.default_rng(3)
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, 1.0])
+    for n in (1, 2, 5, 40):
+        for _ in range(50):
+            a = rng.choice(np.concatenate([specials, rng.uniform(-2, 2, 4)]), size=n)
+            got, want = _sorted_distinct(a), np.unique(a)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), a
+
+
+def test_quadrature_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which every fresh process would pay
+    code = ("import sys, numpy as np\n"
+            "from schsym.numeric import AntiderivImpl, EMPTY_BINDING\n"
+            "from schsym.parsing import parse\n"
+            "AntiderivImpl(parse('cos(t)'), EMPTY_BINDING).deriv((0,), (np.array([0.4, 2.5]),))\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_antideriv_impl_value_reports_unsafe_panels():
     # log(t) is unsafe for t <= 0, which lies between the base point 1 and -1
     impl = AntiderivImpl(parse("log(t)"), EMPTY_BINDING)
@@ -212,6 +236,19 @@ def test_inverse_impl_reuses_solve_across_orders(monkeypatch):
     del calls[:]
     assert not impl.deriv((0,), (y,))[1].any()
     assert not calls
+
+
+def test_inverse_impl_solves_again_after_a_bind():
+    # T = t + f(t) reads f through the binding, so rebinding f changes T^-1
+    tbl = SymbolTable()
+    f = tbl.declare("f", 1, "real")
+    binding = Binding({f: ExpPolyImpl(ExpPoly.constant(0.0))})
+    impl = InverseImpl(parse("t + f(t)", tbl), binding)
+    y = np.array([0.5, 1.0])
+    assert impl.deriv((0,), (y,))[0].real.tolist() == [0.5, 1.0]
+    binding.bind(f, ExpPolyImpl(ExpPoly.constant(1.0)))
+    s, unsafe = impl.deriv((0,), (y,))
+    assert s.real.tolist() == [-0.5, 0.0] and not unsafe.any()
 
 
 def test_inverse_impl_unsafe_mask_follows_its_args():
