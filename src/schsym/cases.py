@@ -404,6 +404,7 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     }
     template = parse_template(case)
     residuals: dict = {}  # (generator index, kappa) -> classifying residual
+    tapes: dict = {}  # residual and coefficient roots -> tapes, for every draw
     for draw in range(draws):
         inst = instantiate(case, rng, template)
         for gi, g in enumerate(inst.generators):
@@ -412,7 +413,7 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
                 res = residuals[gi, g.kappa] = classifying_residual(inst.V, g)
             worst, witness = max_normalized_residual(
                 res, binding=inst.workspace.binding, trials=zero_trials,
-                points=points, rng=rng)
+                points=points, rng=rng, tapes=tapes)
             if worst >= tol:
                 report["residuals"]["passed"] = False
                 report["residuals"]["failures"].append(
@@ -421,7 +422,7 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
         if draw == 0:
             report["side_conditions"] = _check_side_conditions(case, inst)
         try:
-            tup = invariants(inst.generators, inst.workspace.binding, rng, tol)
+            tup = invariants(inst.generators, inst.workspace.binding, rng, tol, tapes)
         except SpanError as err:
             report["closure"]["passed"] = False
             report["closure"]["failures"].append({"draw": draw, "error": str(err)})

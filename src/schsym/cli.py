@@ -21,7 +21,7 @@ from . import cases as case_mod
 from . import groupoid as gp
 from . import schema
 from .conditions import Potential, SpanError, classifying_residual, invariants
-from .equivalence import EquivTransformation, act_on_potential
+from .equivalence import EquivTransformation, act_on_potential, restart_inverse_names
 from .expr import SymbolTable
 from .fields import GeneratorCoeffs, bracket_generic, bracket_structural, expand
 from .numeric import (DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
@@ -418,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    restart_inverse_names()
     try:
         args.cfg = _run_config(args)
         return args.func(args)

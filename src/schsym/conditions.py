@@ -224,7 +224,7 @@ def _first_outside(basis: np.ndarray, cand: np.ndarray, tol: float) -> Optional[
 
 def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
                rng: Optional[np.random.Generator] = None,
-               tol: float = DEFAULT_TOL) -> InvariantTuple:
+               tol: float = DEFAULT_TOL, tapes: Optional[dict] = None) -> InvariantTuple:
     """Invariant integers (k0, k1, k2, k3, r0) of the span of gs.
 
     Requires the span to be closed under the bracket and to contain the
@@ -235,6 +235,8 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     residual after projection onto that basis is at most
     max(tol, 1e-7) * (1 + |b|).  The first row outside is reported: M,
     then I, then the pairs (i, j), i < j, in row-major order.
+
+    ``tapes`` is handed to every ``coefficient_rows`` call.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -245,17 +247,17 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     if any(g.eta0 is not None for g in gs):
         raise SpanError("invariants are defined for the essential part (eta0 = 0)")
     tvals = rng.uniform(0.32, 1.68, size=13)
-    rows, slices = coefficient_rows(gs, binding, tvals)
+    rows, slices = coefficient_rows(gs, binding, tvals, tapes)
     dim, basis = _row_space(rows, tol)
     span_tol = max(tol, 1e-7)
 
-    probes, _ = coefficient_rows([Mgen(1, n), Iop(1, n)], binding, tvals)
+    probes, _ = coefficient_rows([Mgen(1, n), Iop(1, n)], binding, tvals, tapes)
     miss = _first_outside(basis, probes, span_tol)
     if miss is not None:
         raise SpanError(f"{('M', 'I')[miss]} is missing from the span")
 
     pairs = np.triu_indices(len(gs), 1)
-    brows = bracket_rows(gs, binding, tvals, rows, slices)[pairs]
+    brows = bracket_rows(gs, binding, tvals, rows, slices, tapes)[pairs]
     miss = _first_outside(basis, brows, span_tol)
     if miss is not None:
         raise SpanError(f"span is not closed under the bracket "
@@ -269,7 +271,7 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     k1 = (dim - rank_tau_kappa) - k0
     k2 = (dim - rank_tau) - k1 - k0
     k3 = rank_tau
-    r0 = rank_of_chi_block(gs, binding, rng, tol)
+    r0 = rank_of_chi_block(gs, binding, rng, tol, tapes)
     return InvariantTuple(k0, k1, k2, k3, r0)
 
 

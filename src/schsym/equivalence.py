@@ -56,7 +56,15 @@ from .numeric import (
     is_zero,
 )
 
-_TINV_COUNTER = itertools.count(1)
+# numbers the inverse time maps Tinv1, Tinv2, ...: FunctionSymbol compares by
+# name and compose merges bindings, so one command's names must differ
+_tinv_numbers = itertools.count(1)
+
+
+def restart_inverse_names() -> None:
+    """Name the next inverse time map Tinv1, as each CLI command does."""
+    global _tinv_numbers
+    _tinv_numbers = itertools.count(1)
 
 
 class NonElementaryError(ValueError):
@@ -177,7 +185,7 @@ class EquivTransformation:
     def tinv_app(self) -> Expr:
         """The inverse time map T^-1(t): given, or a root-solved FuncApp."""
         if self._tinv is None:
-            name = f"Tinv{next(_TINV_COUNTER)}"
+            name = f"Tinv{next(_tinv_numbers)}"
             sym = FunctionSymbol(name, 1, "real")
             self.binding.bind(sym, InverseImpl(self.T, self.binding, self.bracket))
             self._tinv = func_app(sym, [t_expr()])

@@ -160,9 +160,8 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 class Expr:
     # is_real, free_vars and free_symbols are set once, by the constructor;
-    # _tape: numeric's compiled evaluation program for this node as a root;
     # _diffs: None until the node's first diff, then {VarId: derivative}
-    __slots__ = ("is_real", "free_vars", "free_symbols", "_tape", "_diffs", "__weakref__")
+    __slots__ = ("is_real", "free_vars", "free_symbols", "_diffs", "__weakref__")
 
     def __str__(self):
         from . import parsing  # parsing imports this module
@@ -218,7 +217,6 @@ class Expr:
         self.is_real = is_real
         self.free_vars = vs if vid is None else _union(vs, frozenset((vid,)))
         self.free_symbols = syms if sym is None else _union(syms, frozenset((sym,)))
-        self._tape = None
         self._diffs = None
 
 

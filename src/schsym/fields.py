@@ -40,7 +40,8 @@ from .expr import (
     x,
     x_var,
 )
-from .numeric import Binding, DEFAULT_TOL, EMPTY_BINDING, UnsafeSampleError, eval_batch
+from .numeric import (Binding, DEFAULT_TOL, EMPTY_BINDING, UnsafeSampleError, eval_batch,
+                      owned_tape)
 
 I8 = const(0, Fraction(1, 8))  # i/8
 I2 = const(0, Fraction(1, 2))  # i/2
@@ -291,13 +292,14 @@ def bracket_structural(g1: GeneratorCoeffs, g2: GeneratorCoeffs) -> GeneratorCoe
 # ---------------------------------------------------------------------------
 
 def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
-                     tvals: np.ndarray):
+                     tvals: np.ndarray, tapes: Optional[dict] = None):
     """Sampled coefficient matrix of the canonical data.
 
     Returns (rows, slices): each row is the concatenation of tau samples,
     kappa entries, chi samples (componentwise), sigma and rho samples.
     Raises UnsafeSampleError when a coefficient is singular or undefined at
-    a sampled time.
+    a sampled time.  Tapes are kept in ``tapes``, a caller's dict
+    (``numeric.owned_tape``), or else in one for this call.
     """
     m = len(tvals)
     env = {T_VAR: np.asarray(tvals, dtype=complex)}
@@ -305,17 +307,18 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     npair = len(_pairs(n))
     width = m + npair + n * m + m + m
     rows = np.zeros((len(gs), width))
+    tapes = {} if tapes is None else tapes
 
     def sample(out: np.ndarray, e: Expr, i: int, name: str) -> None:
         if isinstance(e, Const):
             out[:] = e.value().real  # the real part eval_batch would give
             return
-        vals, _, unsafe = eval_batch(e, binding, env)
+        vals, _, unsafe = eval_batch(owned_tape(tapes, e), binding, env)
         if unsafe.any():
             raise UnsafeSampleError(
                 f"generator {i}: {name} is singular or undefined at "
                 f"{int(unsafe.sum())} of {m} sampled times")
-        out[:] = np.real(np.broadcast_to(vals, (m,)))
+        out[:] = np.real(vals)
 
     slices = {
         "tau": slice(0, m),
@@ -339,10 +342,10 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
 
 
 def bracket_rows(gs: Sequence[GeneratorCoeffs], binding: Binding, tvals: np.ndarray,
-                 rows: np.ndarray, slices: dict) -> np.ndarray:
+                 rows: np.ndarray, slices: dict, tapes: Optional[dict] = None) -> np.ndarray:
     """Sampled rows of every bracket: out[i, j] is the row of [gs[i], gs[j]].
 
-    (rows, slices) is coefficient_rows(gs, binding, tvals).  The bracket's
+    (rows, slices) is coefficient_rows(gs, binding, tvals, tapes).  The bracket's
     canonical data are bilinear in the generators' data and their first
     t-derivatives (the formulas of bracket_structural), so one more
     coefficient_rows call, on the derivatives, gives every bracket row
@@ -353,7 +356,7 @@ def bracket_rows(gs: Sequence[GeneratorCoeffs], binding: Binding, tvals: np.ndar
     derivs = [GeneratorCoeffs(n, diff(g.tau, T_VAR), kappa0,
                               tuple(diff(c, T_VAR) for c in g.chi),
                               diff(g.sigma, T_VAR), diff(g.rho, T_VAR)) for g in gs]
-    drows, _ = coefficient_rows(derivs, binding, tvals)
+    drows, _ = coefficient_rows(derivs, binding, tvals, tapes)
 
     def skew(a, b):  # out[i, j] = a_i b_j - a_j b_i
         p = a[:, None] * b[None, :]
@@ -404,7 +407,7 @@ def nullspace_combos(mat: np.ndarray, tol: float) -> np.ndarray:
 
 def rank_of_chi_block(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
                       rng: Optional[np.random.Generator] = None,
-                      tol: float = DEFAULT_TOL) -> int:
+                      tol: float = DEFAULT_TOL, tapes: Optional[dict] = None) -> int:
     """Functional rank of the chi tuples of the pure-(P, M, I) part of the span.
 
     The rank is over the field of functions of t: the largest r such that at
@@ -419,7 +422,7 @@ def rank_of_chi_block(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] 
     n = gs[0].n
     m = max(4, n + 2)
     tvals = rng.uniform(0.3, 1.7, size=2 * m + 1)
-    rows, slices = coefficient_rows(gs, binding, tvals)
+    rows, slices = coefficient_rows(gs, binding, tvals, tapes)
     head = np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]]])
     combos = nullspace_combos(head, tol)
     if combos.shape[0] == 0:

@@ -164,7 +164,10 @@ class ExpPoly:
             pv = np.zeros_like(z)
             for c in reversed(p):
                 pv = pv * z + c
-            out = out + pv * np.exp(lam * z)
+            # pv times exp, in that order at every size: numpy computes a
+            # product with a large temporary right operand as exp * pv,
+            # and complex multiply is not bitwise commutative
+            out = out + np.multiply(pv, np.exp(lam * z))
         return out
 
 

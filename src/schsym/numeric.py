@@ -7,8 +7,11 @@ where sgn/abs-power/log hit a near-zero base are rejected and redrawn.
 
 ``eval_batch`` runs a root's compiled tape: one iterative post-order
 program over the distinct nodes of its DAG, with children referenced by
-slot, so evaluation has no recursion and no depth limit.  A root keeps its
-tape from its second evaluation on.  Constants are converted to
+slot, so evaluation has no recursion and no depth limit.  ``eval_batch``
+keeps nothing; a caller that evaluates a root again owns its tapes in a
+plain dict (``owned_tape``), as ``cases.verify_case`` does across its
+draws, and hands the tape in.  One running column max gives a run's
+subterm scale and non-finite check.  Constants are converted to
 ``complex128`` once per node (``Const.value``), not once per tape.  The
 rules of each operation (the ``EPS_UNSAFE`` cuts, scalar or array
 constants, function masks, non-finite values) live in ``_execute``,
@@ -18,22 +21,24 @@ constants, function masks, non-finite values) live in ``_execute``,
 the row and sub-DAG unsafe mask of every node computed at one point set,
 shared by all the binding's ``ExprImpl`` symbols, whose expressions and
 derivatives overlap (case 16's seventeen coefficient functions come from
-two Liouville pairs), so only nodes the table lacks are compiled and run.
-``InverseImpl`` and ``AntiderivImpl`` evaluate at fresh points on every
-call (Newton steps, quadrature nodes), so a table would share almost
-nothing.  ``AntiderivImpl`` evaluates through ``_at_t``, one ``eval_batch``
-call.  ``InverseImpl`` owns the tapes of T, T' and each chain-rule root
-H_k, so each compiles once per impl, and runs them through ``eval_batch``.
-Its root solve reads only real values of T and T', so a real T whose
-functions are builtins runs at float64 points, on a float64 buffer
-(``_Tape.run_real``), through the same ``_execute`` rules, with no subterm
-scale and no mask.  That run is the real part of the complex one bit for
-bit: at real points every imaginary part of the complex run is a zero, so
-float sums and products, the real cos and sin, and the real parts of
-integer powers and the other functions taken in complex round as the
-complex run does.  Only a zero's sign, or a non-finite value, can tell
-them apart, and there (a zero root, a non-finite row) the complex program
-runs instead.  H_k values, quadrature and the zero tests stay complex.
+two Liouville pairs), so only nodes the table lacks are compiled and run;
+the binding keeps each such partial tape and runs it again at a draw's
+later point sets.  ``InverseImpl`` and ``AntiderivImpl`` evaluate at fresh
+points on every call (Newton steps, quadrature nodes), so a table would
+share almost nothing.  ``AntiderivImpl`` owns the tapes of its integrand
+and its t-derivatives, ``InverseImpl`` those of T, T' and each chain-rule
+root H_k, so each compiles once per impl, and runs them through
+``eval_batch``.  ``InverseImpl``'s root solve reads only real values of T
+and T', so a real T whose functions are builtins runs at float64 points, on
+a float64 buffer (``_Tape.run_real``), through the same ``_execute`` rules,
+with no subterm scale and no mask.  That run is the real part of the
+complex one bit for bit: at real points every imaginary part of the complex
+run is a zero, so float sums and products, the real cos and sin, and the
+real parts of integer powers and the other functions taken in complex round
+as the complex run does.  Only a zero's sign, or a non-finite value, can
+tell them apart, and there (a zero root, a non-finite row) the complex
+program runs instead.  H_k values, quadrature and the zero tests stay
+complex.
 """
 from __future__ import annotations
 
@@ -103,6 +108,8 @@ class Binding:
         # node values at one point set, shared by every evaluation through
         # _shared_at_t: (key of the points, {node: (row, mask or None)})
         self._node_table: Optional[tuple[tuple, dict]] = None
+        # _extend's partial tape of each root, run again at later point sets
+        self._partial_tapes: dict[Expr, _Tape] = {}
         # the number of binds so far: a value cached outside the node table
         # (InverseImpl's last solve) keys on it, so a bind makes it stale
         self._binds = 0
@@ -293,15 +300,29 @@ class _Tape:
         return np.asarray(vals[self.root])
 
     def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
-        """The root's values, subterm scale and unsafe mask."""
+        """The root's values, subterm scale and unsafe mask.
+
+        The scale is one running column max of |value| over the constants,
+        blocks of rows and the variables.  NaN and inf carry through it, so
+        one test shows whether every value is finite; only where one is not
+        are the blocks folded again, marking each point with a non-finite
+        value unsafe and leaving that value out of its scale.
+        """
         buf, vals, var_vals, unsafe = self._evaluate(binding, env, count, complex)
-        # subterm scale and non-finite check, a block of rows at a time
-        scale = np.full(count, self.cmax)
         step = max(1, _FOLD_ELEMS // max(count, 1))
+        scale = np.full(count, self.cmax)
         for i in range(0, self.rows, step):
-            _fold(np.abs(buf[i:i + step]), scale, unsafe)
-        if var_vals:
-            _fold(np.abs(var_vals), scale, unsafe)
+            np.maximum(scale, np.abs(buf[i:i + step]).max(axis=0), out=scale)
+        for x in var_vals:
+            np.maximum(scale, np.abs(x), out=scale)
+        if not math.isfinite(scale.max(initial=0.0)):
+            scale[...] = self.cmax
+            blocks = [buf[i:i + step] for i in range(0, self.rows, step)]
+            for mag in map(np.abs, blocks + [var_vals] if var_vals else blocks):
+                bad = ~np.isfinite(mag)
+                unsafe |= bad.any(axis=0)
+                mag[bad] = 0.0
+                np.maximum(scale, mag.max(axis=0), out=scale)
         return self._root(buf, vals, count), scale, unsafe
 
     def run_real(self, binding: Binding, env: Mapping[VarId, np.ndarray],
@@ -330,6 +351,9 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
     float, while an integer power is raised in complex and the other
     functions give complex values, and the row keeps the real part (libm's
     ``pow`` and ``exp`` round differently from the complex ones).
+
+    Factor order is part of the bits: numpy's complex multiply is not
+    bitwise commutative, so a product multiplies left to right.
     """
     for ins in code:
         op = ins[0]
@@ -387,25 +411,23 @@ def _nonfinite(mag: np.ndarray) -> Optional[np.ndarray]:
     return None if finite.all() else ~finite
 
 
-def _fold(mag: np.ndarray, scale: np.ndarray, unsafe: np.ndarray) -> None:
-    """Fold a (rows, count) block of magnitudes into scale and unsafe."""
-    bad = _nonfinite(mag)
-    if bad is not None:
-        unsafe |= bad.any(axis=0)
-        mag[bad] = 0.0
-    np.maximum(scale, mag.max(axis=0), out=scale)
+def owned_tape(tapes: dict, e: Expr) -> _Tape:
+    """e's tape in an owner's dict ``{root: tape}``, compiled on first use."""
+    tape = tapes.get(e)
+    if tape is None:
+        tape = tapes[e] = _Tape(e)
+    return tape
 
 
 def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray],
                count: int = 1):
     """Evaluate over a batch; returns (values, subterm scale, unsafe mask).
 
-    ``e`` is a root, or a ``_Tape`` that its caller compiled and keeps
-    (``InverseImpl`` keeps its own).  A root's first evaluation compiles a
-    tape and drops it; the second compiles it again and keeps it on the
-    node for every later one, so expressions evaluated once hold no program.
+    ``e`` is a root, whose tape is compiled for this call and dropped, or a
+    ``_Tape`` that its caller owns (``owned_tape``).  The run folds the
+    subterm scale and the non-finite check in one pass (``_Tape.run``).
 
-    A kept tape at float64 points runs on a float64 buffer
+    An owned tape at float64 points runs on a float64 buffer
     (``_Tape.run_real``), for a caller that has checked that its root may
     (``InverseImpl._runs_real``): the values are the real parts of the
     complex run's, with no scale and no mask (both None).  Where that run
@@ -422,12 +444,7 @@ def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray
                 return got, None, None
             env = {v: x.astype(complex) for v, x in env.items()}
     else:
-        tape = e._tape
-        if not tape:
-            # None: never evaluated; False: evaluated once, tape not kept
-            seen = tape is False
-            tape = _Tape(e)
-            e._tape = tape if seen else False
+        tape = _Tape(e)
     return tape.run(binding, env, count)
 
 
@@ -443,11 +460,13 @@ def _fill_surrogates(e: Expr, binding: Binding, rng: np.random.Generator) -> Bin
     return binding.merged(Binding(extra)) if extra else binding
 
 
-def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Generator):
+def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Generator,
+                     tapes: dict):
     """Evaluate at `points` safe random points, redrawing unsafe ones."""
+    tape = owned_tape(tapes, e)
     vars_needed = e.free_vars
     env = draw_env(vars_needed, points, rng)
-    vals, scale, unsafe = eval_batch(e, binding, env)
+    vals, scale, unsafe = eval_batch(tape, binding, env)
     budget = RETRY_BUDGET
     while unsafe.any():
         if budget == 0:
@@ -460,7 +479,7 @@ def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Gene
         for v in env:
             env[v] = env[v].copy()
             env[v][unsafe] = fresh[v]
-        vals, scale, unsafe = eval_batch(e, binding, env)
+        vals, scale, unsafe = eval_batch(tape, binding, env)
     return vals, scale, env
 
 
@@ -468,21 +487,24 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
                             trials: int = DEFAULT_TRIALS,
                             bindings_per_trial: int = DEFAULT_BINDINGS,
                             points: int = DEFAULT_POINTS,
-                            rng: Optional[np.random.Generator] = None):
+                            rng: Optional[np.random.Generator] = None,
+                            tapes: Optional[dict] = None):
     """Max of |e| / (1 + max|subterm|) over random bindings and points.
 
     Returns (max value, witness dict) where the witness records the worst
-    sample point.
+    sample point.  e's tape is kept in ``tapes``, a caller's dict
+    (``owned_tape``), or else in one for this call.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     binding = binding or EMPTY_BINDING
+    tapes = {} if tapes is None else tapes
     worst = 0.0
     witness = None
     for _ in range(trials):
         for _ in range(bindings_per_trial):
             full = _fill_surrogates(e, binding, rng)
-            vals, scale, env = _eval_resampling(e, full, points, rng)
+            vals, scale, env = _eval_resampling(e, full, points, rng, tapes)
             normed = np.abs(vals) / (1.0 + scale)
             i = int(np.argmax(normed))
             if normed[i] >= worst:
@@ -523,14 +545,9 @@ def _t_derivative(e: Expr, k: int) -> Expr:
     return e
 
 
-def _at_t(e: Expr, binding: Binding, z) -> tuple[np.ndarray, np.ndarray]:
-    """Values and unsafe mask of an expression in t at the points z."""
-    vals, _, unsafe = eval_batch(e, binding, {T_VAR: np.asarray(z, dtype=complex)})
-    return vals, unsafe
-
-
 def _shared_at_t(e: Expr, binding: Binding, z) -> tuple[np.ndarray, np.ndarray]:
-    """``_at_t(e, binding, z)``, bit for bit, through the binding's node table.
+    """The values and unsafe mask of ``eval_batch`` of e at t = z, bit for
+    bit, through the binding's node table.
 
     The table holds, for one point set keyed by its bytes, each node's row
     and the unsafe mask of the node's whole sub-DAG; a node met again at the
@@ -561,8 +578,15 @@ def _shared_at_t(e: Expr, binding: Binding, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extend(root: Expr, known: dict, binding: Binding, count: int) -> None:
-    """Evaluate the nodes of root's DAG that `known` lacks and add them."""
-    tape = _Tape(root, known)
+    """Evaluate the nodes of root's DAG that `known` lacks and add them.
+
+    The binding keeps root's partial tape and runs it again while all of its
+    inputs are known; a node of it known by then is computed again, to the
+    same bits."""
+    tapes = binding._partial_tapes
+    tape = tapes.get(root)
+    if tape is None or not all(n in known for n in tape.inputs):
+        tape = tapes[root] = _Tape(root, known)
     buf = np.empty((tape.rows, count), dtype=complex)
     vals, _ = tape.load(buf, {}, count)
     vals += [known[n][0] for n in tape.inputs]
@@ -644,12 +668,6 @@ class InverseImpl(funcbank.FunctionImpl):
         self._derivs: list[Expr] = []
         self._tapes: dict[Expr, _Tape] = {}  # T, T' and each H_k evaluated
 
-    def _tape(self, e: Expr) -> _Tape:
-        tape = self._tapes.get(e)
-        if tape is None:
-            tape = self._tapes[e] = _Tape(e)
-        return tape
-
     def _runs_real(self, e: Expr) -> bool:
         """Whether e may run on a float64 buffer: e is real, each of its
         functions is a builtin, and each integer power is one that numpy
@@ -662,12 +680,13 @@ class InverseImpl(funcbank.FunctionImpl):
         return (e.is_real
                 and all(self._binding.lookup(f) is funcbank.BUILTIN_IMPLS.get(f.name)
                         for f in e.free_symbols)
-                and all(ins[0] != _IPOW or abs(ins[3]) < 100 for ins in self._tape(e).code))
+                and all(ins[0] != _IPOW or abs(ins[3]) < 100
+                        for ins in owned_tape(self._tapes, e).code))
 
     def _real_at(self, e: Expr, s: np.ndarray, real: bool) -> np.ndarray:
         """The real parts of e's values at the real points s."""
         env = {T_VAR: s if real else s.astype(complex)}
-        return np.real(eval_batch(self._tape(e), self._binding, env)[0])
+        return np.real(eval_batch(owned_tape(self._tapes, e), self._binding, env)[0])
 
     def _derivative(self, k: int) -> Expr:
         """H_k, the k-th derivative of T^-1 in t = T^-1(y); H_0 = t is not evaluated."""
@@ -740,8 +759,8 @@ class InverseImpl(funcbank.FunctionImpl):
         unsafe = residual > self.RESIDUAL_TOL
         if k == 0:
             return s.astype(complex), unsafe
-        vals, _, bad = eval_batch(self._tape(self._derivative(k)), self._binding,
-                                  {T_VAR: s.astype(complex)})
+        vals, _, bad = eval_batch(owned_tape(self._tapes, self._derivative(k)),
+                                  self._binding, {T_VAR: s.astype(complex)})
         return vals, unsafe | bad
 
 
@@ -778,6 +797,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
     def __init__(self, integrand: Expr, binding: Binding):
         self._integrand = integrand
         self._binding = binding
+        self._tapes: dict[Expr, _Tape] = {}  # the integrand and its t-derivatives
 
     BASE_POINT = 1.0
     GAUSS_ORDER = 24
@@ -802,7 +822,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
             nodes, weights = _gauss_legendre(self.GAUSS_ORDER)
             half = 0.5 * (hi - lo)
             pts = (0.5 * (lo + hi)[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-            vals, unsafe = _at_t(self._integrand, self._binding, pts)
+            vals, unsafe = self._at_t(self._integrand, pts)
             vals = vals.reshape(len(lo), self.GAUSS_ORDER)
             panel_ints = (vals * weights[None, :]).sum(axis=1) * half
             # the panel that ends at each knot after the lowest
@@ -817,9 +837,15 @@ class AntiderivImpl(funcbank.FunctionImpl):
         mask = bad_panels[i] != bad_panels[b]
         return out.reshape(z.shape), mask.reshape(z.shape)
 
+    def _at_t(self, e: Expr, z) -> tuple[np.ndarray, np.ndarray]:
+        """Values and unsafe mask of an expression in t at the points z."""
+        vals, _, unsafe = eval_batch(owned_tape(self._tapes, e), self._binding,
+                                     {T_VAR: np.asarray(z, dtype=complex)})
+        return vals, unsafe
+
     def deriv(self, didx, args):
         k = didx[0]
         z = np.asarray(args[0], dtype=complex)
         if k == 0:
             return self._value(z)
-        return _at_t(_t_derivative(self._integrand, k - 1), self._binding, z)
+        return self._at_t(_t_derivative(self._integrand, k - 1), z)

@@ -300,16 +300,23 @@ def test_fixed_dimension_commands_reject_other_n(tmp_path, capsys, command, sour
 
 
 def test_report_does_not_depend_on_process_history(capsys):
-    # node tables, kept tapes and derivatives on nodes outlive a command and
-    # may change its speed only; this failing report prints residual floats
-    # and witness points
-    argv = ["verify-case", "16", "--trials", "2", "--tol", "1e-30", "--format", "json"]
-    fresh = subprocess.run([sys.executable, "-m", "schsym.cli", *argv],
-                           capture_output=True, text=True)
-    assert fresh.returncode == 1, fresh.stderr
-    run_cli(capsys, "verify-table", "--cases", "3")
-    for _ in range(2):
-        assert run_cli(capsys, *argv) == (1, fresh.stdout)
+    # interned nodes and their derivatives outlive a command and may change
+    # its speed only, and the inverse time maps made before it may not
+    # change its names
+    commands = [
+        # a failing report prints residual floats and witness points
+        (["verify-case", "16", "--trials", "2", "--tol", "1e-30", "--format", "json"], 1),
+        # the potential names its inverse time map Tinv1
+        (["transform", "x1^2 + t*x2", '{"T":"2*t + sin(t)/4"}', "--format", "json"], 0),
+    ]
+    for argv, code in commands:
+        fresh = subprocess.run([sys.executable, "-m", "schsym.cli", *argv],
+                               capture_output=True, text=True)
+        assert fresh.returncode == code, fresh.stderr
+        run_cli(capsys, "verify-table", "--cases", "3")
+        run_cli(capsys, "transform", "x1", '{"T":"t + t^3/3"}')
+        for _ in range(2):
+            assert run_cli(capsys, *argv) == (code, fresh.stdout)
 
 
 def test_unsafe_samples_exit_2(capsys):

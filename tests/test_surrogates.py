@@ -104,3 +104,12 @@ def test_exppoly_to_expr_matches_the_pairwise_construction():
                            if lam != 0})]
     for f in polys:
         assert exppoly_to_expr(f) is _ref_exppoly_to_expr(f), f.terms
+
+
+def test_exppoly_values_do_not_depend_on_batch_size():
+    # numpy evaluates a product whose right operand is a temporary of 256 KiB
+    # or more as right * left, and complex multiply is not bitwise commutative
+    f = random_trig_poly(np.random.default_rng(11), "complex")
+    z = np.random.default_rng(12).uniform(0.3, 1.7, 20_000).astype(complex)
+    chunks = np.concatenate([f(z[i:i + 40]) for i in range(0, len(z), 40)])
+    assert np.array_equal(f(z).view(np.uint64), chunks.view(np.uint64))

@@ -1,17 +1,21 @@
 """Compiled evaluation tape: bitwise agreement with a recursive reference."""
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schsym.expr import (ATAN, AbsPow, COS, Conj, Const, EXP, FuncApp, IntPow, LOG, PI, Product,
-                         SIN, Sign, Sum, SymbolTable, T_VAR, Var, ZERO, abs_pow, conj_expr,
-                         const, diff, func_app, int_pow, jet_var, post_order, psi, psi_var,
-                         sign_of, t, x, x_var)
+from schsym import numeric
+from schsym.cases import verify_case
+from schsym.expr import (ATAN, AbsPow, COS, Conj, Const, EXP, Expr, FuncApp, IntPow, LOG, PI,
+                         Product, SIN, Sign, Sum, SymbolTable, T_VAR, Var, ZERO, abs_pow,
+                         conj_expr, const, diff, func_app, int_pow, jet_var, post_order, psi,
+                         psi_var, sign_of, t, x, x_var)
 from schsym.funcbank import FunctionImpl, random_surrogate
-from schsym.numeric import (EMPTY_BINDING, EPS_UNSAFE, Binding, ExprImpl, InverseImpl, _Tape,
-                            draw_env, eval_batch)
+from schsym.numeric import (_FOLD_ELEMS, EMPTY_BINDING, EPS_UNSAFE, Binding, ExprImpl,
+                            InverseImpl, _Tape, draw_env, eval_batch)
 from schsym.parsing import parse
 from test_expr import _expr_strategy
 
@@ -89,9 +93,10 @@ def _bits(a):
 
 def _assert_matches_reference(e, binding, env, count=1):
     want = _reference_eval(e, binding, env, count)
-    # the first evaluation compiles a throwaway tape, the second keeps one
-    for _ in range(2):
-        got = eval_batch(e, binding, env, count)
+    # a root's tape, compiled for the call, and a tape run a second time
+    tape = _Tape(e)
+    for arg in (e, tape, tape):
+        got = eval_batch(arg, binding, env, count)
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g, w, equal_nan=True)
@@ -162,16 +167,55 @@ def test_infinite_variable_is_unsafe_at_the_variable():
     assert scale.tolist() == [1.0, 3.0]
 
 
-def test_tape_is_kept_from_the_second_evaluation():
+def _record_compiles(monkeypatch):
+    """Record (partial, owner, root) for each tape compiled.  The owner is
+    the dict that keeps the tape: the binding's partial tapes (``_extend``),
+    a caller's dict (``owned_tape``), or None for a tape compiled for one
+    call."""
+    compiled = []
+    init = _Tape.__init__
+
+    def counted(self, root, known=None):
+        caller = sys._getframe(1).f_locals
+        if known is None:
+            compiled.append((False, caller.get("tapes"), root))
+        else:
+            compiled.append((True, caller["binding"]._partial_tapes, root))
+        init(self, root, known)
+
+    monkeypatch.setattr(_Tape, "__init__", counted)
+    return compiled
+
+
+def test_eval_batch_keeps_no_tape(monkeypatch):
+    compiled = _record_compiles(monkeypatch)
     e = func_app(SIN, [t() * Fraction(3, 7)]) + Fraction(1, 9)
     env = {T_VAR: np.array([0.25, 0.5], dtype=complex)}
-    assert e._tape is None
-    eval_batch(e, EMPTY_BINDING, env)
-    assert e._tape is False
-    eval_batch(e, EMPTY_BINDING, env)
-    kept = e._tape
-    eval_batch(e, EMPTY_BINDING, env)
-    assert e._tape is kept and kept
+    for _ in range(3):
+        eval_batch(e, EMPTY_BINDING, env)
+    assert compiled == [(False, None, e)] * 3
+    assert "_tape" not in Expr.__slots__
+
+
+def test_verify_case_compiles_each_root_once_per_owner(monkeypatch):
+    compiled = _record_compiles(monkeypatch)
+    extends = []
+    extend = numeric._extend
+    monkeypatch.setattr(numeric, "_extend",
+                        lambda root, *rest: extends.append(root) or extend(root, *rest))
+    assert verify_case(16, rng=np.random.default_rng(7))["passed"]
+    owned = [(id(owner), root) for partial, owner, root in compiled if not partial]
+    # residual and coefficient roots: one dict, verify_case's, for every
+    # draw, so each compiles once; no tape is compiled for one call
+    assert len({owner for owner, _ in owned}) == 1
+    assert None not in [owner for partial, owner, _ in compiled]
+    assert len(owned) == len(set(owned)) > 0
+    # each draw's binding runs its partial tapes again at later point sets;
+    # a root compiles again only where the table lacks one of its inputs
+    # (190 compiles for 380 table misses here, 380 when each miss compiled)
+    partial = Counter((id(owner), root) for p, owner, root in compiled if p)
+    assert max(partial.values()) <= 2
+    assert 0 < sum(partial.values()) < 0.6 * len(extends)
 
 
 def test_deep_expression_evaluates_without_recursion():
@@ -206,6 +250,54 @@ def test_constant_shared_by_two_roots_is_converted_once():
 def test_constant_too_large_for_a_float_names_itself():
     with pytest.raises(ValueError, match=r"^constant 1000.* too large for a float"):
         eval_batch(const(10 ** 400) * t(), EMPTY_BINDING, {T_VAR: np.array([0.5], dtype=complex)})
+
+
+# -- the subterm scale: one running max per run ------------------------------
+
+def _block_fold_reference(tape, binding, env, count):
+    """``_Tape.run`` as it folded before: each block of rows, then the
+    variables, tested for non-finite magnitudes and folded in turn."""
+    buf, vals, var_vals, unsafe = tape._evaluate(binding, env, count, complex)
+    scale = np.full(count, tape.cmax)
+    step = max(1, _FOLD_ELEMS // max(count, 1))
+    mags = [np.abs(buf[i:i + step]) for i in range(0, tape.rows, step)]
+    if var_vals:
+        mags.append(np.abs(var_vals))
+    for mag in mags:
+        bad = ~np.isfinite(mag)
+        if bad.any():
+            unsafe |= bad.any(axis=0)
+            mag[bad] = 0.0
+        np.maximum(scale, mag.max(axis=0), out=scale)
+    return tape._root(buf, vals, count), scale, unsafe
+
+
+@pytest.mark.parametrize("count", [13, 20_000])
+def test_one_fold_matches_the_block_by_block_fold_bitwise(count):
+    # exp(exp(t)) overflows at t = 7 and cos of it is NaN; x1 is 0, inf or
+    # NaN at some points; 20 000 points take several blocks of rows
+    tt = t()
+    big = func_app(EXP, [func_app(EXP, [tt])])
+    roots = [big * x(1),
+             func_app(COS, [big]) * x(1) + int_pow(x(1), -1) * tt + big,
+             func_app(SIN, [tt]) * Fraction(5, 2) + tt]
+    rng = np.random.default_rng(count)
+    env = {T_VAR: rng.uniform(0.3, 1.7, count).astype(complex),
+           x_var(1): rng.uniform(-2.0, 2.0, count).astype(complex)}
+    env[T_VAR][::7] = 7.0
+    env[x_var(1)][1::11] = 0.0
+    env[x_var(1)][2::13] = np.inf
+    env[x_var(1)][3::17] = np.nan
+    for root in roots:
+        tape = _Tape(root)
+        with np.errstate(all="ignore"):
+            got = tape.run(EMPTY_BINDING, env, count)
+            want = _block_fold_reference(tape, EMPTY_BINDING, env, count)
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(_bits(g), _bits(w))
+        assert np.array_equal(got[2], want[2])
+        assert got[2].any() != (root is roots[2])
+    assert _Tape(roots[1]).rows * 20_000 > 2 * _FOLD_ELEMS
 
 
 # -- the node table that ExprImpls evaluating in one binding share ------------
@@ -333,6 +425,23 @@ def test_writes_by_a_caller_leave_the_table_intact():
                 pass  # a table entry is read-only
         z[:] = 7.0  # the caller reuses its points array
         _assert_bitwise(impl.deriv((0,), (SHARED_POINTS[:6],)), want)
+
+
+def test_binding_runs_a_partial_tape_again_at_later_point_sets(monkeypatch):
+    compiled = _record_compiles(monkeypatch)
+    g_expr = func_app(SIN, [t()]) * t() + func_app(LOG, [t()]) + int_pow(t(), -1)
+    shared, binding, _ = _sibling_pair(ExprImpl, g_expr, t() * 2)
+    reference = _sibling_pair(_ReferenceExprImpl, g_expr, t() * 2)[0]
+    with np.errstate(all="ignore"):
+        for z in (SHARED_POINTS, SHARED_POINTS[3:6], 1.5 * SHARED_POINTS):
+            for k in (0, 1, 2):
+                _assert_bitwise(shared.deriv((k,), (z,)), reference.deriv((k,), (z,)))
+            if z is SHARED_POINTS:
+                first = list(compiled)
+    # the first point set compiled every partial tape; the later ones ran them
+    assert compiled == first
+    assert all(partial for partial, _, _ in first)
+    assert [root for _, _, root in first] == list(binding._partial_tapes)
 
 
 # -- the float64 program that InverseImpl runs for T and T' -------------------
