@@ -13,8 +13,7 @@ from .expr import (Expr, FunctionSymbol, SymbolTable, VarId, conj_expr, const,
                    diff, func_app, jet_var, psi_var, subst, t, total_derivative,
                    var, x, x_var)
 from .fields import (D, GeneratorCoeffs, Iop, J, M, P, VectorField, Z,
-                     bracket_generic, bracket_structural, expand,
-                     rank_of_chi_block)
+                     bracket_generic, bracket_structural, expand)
 from .groupoid import (FiniteGroupoid, GroupoidModel, frobenius_product,
                        is_disjointedly, is_semi_normalized, is_uniform,
                        load_fixture, model_from_json, model_to_json,

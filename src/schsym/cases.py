@@ -457,7 +457,10 @@ def json_witness(witness) -> dict:
 def verify_table(draws: int = DEFAULT_TRIALS, seed: int = 0, points: int = DEFAULT_POINTS,
                  zero_trials: int = DEFAULT_BINDINGS, tol: float = DEFAULT_TOL,
                  case_ids: Optional[list[int]] = None) -> dict:
-    """Run verify_case over the whole table with per-case seed substreams."""
+    """Run verify_case over the table, or over case_ids (not empty), with
+    per-case seed substreams."""
+    if case_ids is not None and not case_ids:
+        raise ValueError("case_ids is empty: no case to verify")
     ids = sorted(table()) if case_ids is None else sorted(case_ids)
     reports = []
     for cid in ids:

@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-table", help="verify all classification cases")
-    p.add_argument("--cases", type=int, nargs="*", default=None)
+    p.add_argument("--cases", type=int, nargs="+", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify_table)
 

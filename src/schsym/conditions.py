@@ -6,11 +6,13 @@ residual vanishing (as a randomized identity) decides membership.  The
 second-prolongation residual built from total derivatives provides the
 independent oracle for the same decision.
 
-The invariant integers are rank decisions on sampled coefficient rows.
-One SVD of a draw's rows gives both the span's dimension and an
-orthonormal basis of its row space; the M and I probes and every bracket
-row are then tested against that basis in one projection each, with the
-residual threshold a least-squares solve would use.
+The invariant integers are rank decisions on one draw's sampled
+coefficient rows, all made here by one rank rule (sv_rank).  One SVD of
+the rows gives both the span's dimension and an orthonormal basis of its
+row space; the M and I probes and every bracket row are then tested
+against that basis in one projection each, with the residual threshold a
+least-squares solve would use.  One SVD of the tau/kappa columns gives
+both k1 and r0.
 """
 from __future__ import annotations
 
@@ -55,9 +57,6 @@ from .fields import (
     absx2,
     bracket_rows,
     coefficient_rows,
-    rank_of_chi_block,
-    sv_rank,
-    _rank,
 )
 from .funcbank import ExpPoly, ExpPolyImpl, random_positive_trig_poly, random_trig_poly
 from .numeric import AntiderivImpl, Binding, DEFAULT_TOL, EMPTY_BINDING, Workspace, is_zero
@@ -202,10 +201,27 @@ class SpanError(ValueError):
     """The generator list does not span an admissible algebra."""
 
 
+def sv_rank(s: np.ndarray, tol: float):
+    """The rank rule, on descending singular values s of shape (..., r).
+
+    0 if the largest singular value s0 is 0, else the number of singular
+    values above tol * max(1, s0): an int for one matrix, an int array for
+    a stack of them.
+    """
+    s0 = s[..., :1]
+    ranks = np.sum((s > tol * np.maximum(1.0, s0)) & (s0 > 0), axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
+
+
+def _rank(mat: np.ndarray, tol: float):
+    """sv_rank of a matrix, or of each matrix in a stack (..., k, n)."""
+    return sv_rank(np.linalg.svd(mat, compute_uv=False), tol)
+
+
 def _row_space(rows: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     """(rank, orthonormal basis of the row space) of rows, from one SVD.
 
-    The rank is fields.sv_rank's; the basis keeps the right singular
+    The rank is sv_rank's; the basis keeps the right singular
     vectors above the cut numpy's least-squares solver makes by default
     (rcond=None: eps * max(rows.shape) * s0), so projecting onto it leaves
     the residual a least-squares solve against rows would leave.
@@ -230,11 +246,15 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     Requires the span to be closed under the bracket and to contain the
     phase-rotation and scaling generators; raises SpanError otherwise.
 
-    One SVD of the sampled rows gives the dimension and a basis of the row
-    space (_row_space).  A probe or bracket row b is in the span iff its
+    The generators are sampled once, at 13 times drawn from rng.  One SVD
+    of the rows gives the dimension and a basis of the row space
+    (_row_space).  A probe or bracket row b is in the span iff its
     residual after projection onto that basis is at most
     max(tol, 1e-7) * (1 + |b|).  The first row outside is reported: M,
-    then I, then the pairs (i, j), i < j, in row-major order.
+    then I, then the pairs (i, j), i < j, in row-major order.  The left
+    singular vectors of the tau/kappa columns past their rank are the
+    tau- and kappa-free combinations; r0 is the largest rank of their chi
+    tuples at one sampled time.
 
     ``tapes`` is handed to every ``coefficient_rows`` call.
     """
@@ -263,15 +283,18 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
         raise SpanError(f"span is not closed under the bracket "
                         f"(generators {pairs[0][miss]} and {pairs[1][miss]})")
 
+    # columns run tau, kappa, chi, sigma, rho, so each head block is a prefix
     rank_tau = _rank(rows[:, slices["tau"]], tol)
-    rank_tau_kappa = _rank(np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]]]), tol)
-    rank_tkc = _rank(np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]],
-                                rows[:, slices["chi"]]]), tol)
+    u, s, _ = np.linalg.svd(rows[:, :slices["kappa"].stop], full_matrices=True)
+    rank_tau_kappa = sv_rank(s, tol)
+    rank_tkc = _rank(rows[:, :slices["chi"].stop], tol)
+    # one (k x n) chi matrix per sampled time, ranked in one stacked SVD
+    chi = u[:, rank_tau_kappa:].T @ rows[:, slices["chi"]]
+    r0 = int(_rank(chi.reshape(len(chi), n, len(tvals)).transpose(2, 0, 1), tol).max())
     k0 = dim - rank_tkc
     k1 = (dim - rank_tau_kappa) - k0
     k2 = (dim - rank_tau) - k1 - k0
     k3 = rank_tau
-    r0 = rank_of_chi_block(gs, binding, rng, tol, tapes)
     return InvariantTuple(k0, k1, k2, k3, r0)
 
 

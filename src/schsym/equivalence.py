@@ -44,7 +44,7 @@ from .expr import (
     x,
     x_var,
 )
-from .fields import D, GeneratorCoeffs, Iop, J, M as Mgen, P, _pairs
+from .fields import D, GeneratorCoeffs, Iop, J, M as Mgen, P, _pairs, absx2
 from .numeric import (
     Binding,
     DEFAULT_TOL,
@@ -244,7 +244,7 @@ def act_on_potential(V: Potential, tr: EquivTransformation) -> Potential:
     inv_tt = int_pow(Tt, -1)
 
     Vhat = V.expr if eps > 0 else conj_expr(V.expr)
-    x2 = sum_(x(a) * x(a) for a in range(1, n + 1))
+    x2 = absx2(n)
 
     out = Vhat * int_pow(abs_tt, -1)
     out = out + const(Fraction(eps, 16)) * (2 * Tttt * Tt - 3 * Ttt * Ttt) \
@@ -464,7 +464,7 @@ class EquivGenerator:
             tau_t = diff(self.tau, T_VAR)
             tau_tt = diff(tau_t, T_VAR)
             tau_ttt = diff(tau_tt, T_VAR)
-            x2 = sum_(x(a) * x(a) for a in range(1, n + 1))
+            x2 = absx2(n)
             return const(-1) * tau_t * V.expr + const(Fraction(1, 8)) * tau_ttt * x2 \
                 - const(0, Fraction(n, 4)) * tau_tt
         if self.kind == "J":

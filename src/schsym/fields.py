@@ -11,6 +11,7 @@ canonical data; the generic commutator of first-order operators on
 (t, x, psi, psi*), used as an independent oracle for the former; and
 sampled bracket rows for span analysis, computed from the generators'
 sampled data and their t-derivatives without building the brackets.
+Every rank decision on sampled rows is made in ``conditions``.
 """
 from __future__ import annotations
 
@@ -40,8 +41,7 @@ from .expr import (
     x,
     x_var,
 )
-from .numeric import (Binding, DEFAULT_TOL, EMPTY_BINDING, UnsafeSampleError, eval_batch,
-                      owned_tape)
+from .numeric import Binding, UnsafeSampleError, eval_batch, owned_tape
 
 I8 = const(0, Fraction(1, 8))  # i/8
 I2 = const(0, Fraction(1, 2))  # i/2
@@ -378,56 +378,3 @@ def bracket_rows(gs: Sequence[GeneratorCoeffs], binding: Binding, tvals: np.ndar
                                  + 0.5 * skew(chi, dchi).sum(axis=2))
     out[..., slices["rho"]] = skew(tau, drows[:, slices["rho"]])
     return out
-
-
-def sv_rank(s: np.ndarray, tol: float):
-    """The rank rule, on descending singular values s of shape (..., r).
-
-    0 if the largest singular value s0 is 0, else the number of singular
-    values above tol * max(1, s0): an int for one matrix, an int array for
-    a stack of them.
-    """
-    s0 = s[..., :1]
-    ranks = np.sum((s > tol * np.maximum(1.0, s0)) & (s0 > 0), axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
-
-
-def _rank(mat: np.ndarray, tol: float):
-    """sv_rank of a matrix, or of each matrix in a stack (..., k, n)."""
-    return sv_rank(np.linalg.svd(mat, compute_uv=False), tol)
-
-
-def nullspace_combos(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Rows c with c @ mat ~ 0, one per nullspace dimension."""
-    if mat.shape[0] == 0:
-        return np.zeros((0, 0))
-    u, s, _ = np.linalg.svd(mat, full_matrices=True)
-    return u[:, sv_rank(s, tol):].T
-
-
-def rank_of_chi_block(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
-                      rng: Optional[np.random.Generator] = None,
-                      tol: float = DEFAULT_TOL, tapes: Optional[dict] = None) -> int:
-    """Functional rank of the chi tuples of the pure-(P, M, I) part of the span.
-
-    The rank is over the field of functions of t: the largest r such that at
-    some sampled time the chi tuples of the tau- and kappa-free combinations
-    span an r-dimensional subspace of R^n.
-    """
-    if not gs:
-        return 0
-    if rng is None:
-        rng = np.random.default_rng(0)
-    binding = binding or EMPTY_BINDING
-    n = gs[0].n
-    m = max(4, n + 2)
-    tvals = rng.uniform(0.3, 1.7, size=2 * m + 1)
-    rows, slices = coefficient_rows(gs, binding, tvals, tapes)
-    head = np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]]])
-    combos = nullspace_combos(head, tol)
-    if combos.shape[0] == 0:
-        return 0
-    chi = combos @ rows[:, slices["chi"]]  # (k, n*m) with chi_a blocks of length m
-    # one (k x n) chi matrix per sampled time, ranked in one stacked SVD
-    pointwise = chi.reshape(chi.shape[0], n, len(tvals)).transpose(2, 0, 1)
-    return int(_rank(pointwise, tol).max())

@@ -112,9 +112,6 @@ class FiniteGroupoid:
     def labels(self, arrow_ids: Iterable[int]) -> frozenset[str]:
         return frozenset(self.arrows[i].label for i in arrow_ids)
 
-    def compose(self, i: int, j: int) -> Optional[int]:
-        return self.mult.get((i, j))
-
     def is_subgroupoid(self, ids: frozenset[int]) -> bool:
         """Whether ids is a wide subgroupoid: closed, with every unit."""
         if any(self.unit[obj] not in ids for obj in self.objects):

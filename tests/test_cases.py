@@ -82,6 +82,12 @@ def test_verify_table_smoke():
     assert [r["case"] for r in rep["cases"]] == [0, 5, 12, 19]
 
 
+def test_verify_table_rejects_empty_case_list():
+    # an empty list used to verify nothing and pass
+    with pytest.raises(ValueError, match="case_ids is empty"):
+        verify_table(case_ids=[])
+
+
 def test_verify_table_deterministic():
     r1 = verify_table(draws=1, seed=6, points=40, case_ids=[2, 14])
     r2 = verify_table(draws=1, seed=6, points=40, case_ids=[2, 14])

@@ -25,6 +25,8 @@ FREE_FIELDS = ('[{"sigma":"1"},{"rho":"1"},{"chi":["1","0"]},{"chi":["t","0"]},'
                '{"tau":"t"},{"tau":"t^2","rho":"-t"}]')
 
 
+R0_TWO_SPAN = ('[{"sigma":"1"},{"rho":"1"},{"chi":["1","0"]},{"chi":["0","1"]},'
+               '{"chi":["t","0"]},{"chi":["0","t"]}]')
 NONCLOSED_KAPPA = '[{{"sigma":"1"}},{{"rho":"1"}},{{"tau":"1","kappa":{}}},{{"tau":"t"}}]'
 
 
@@ -161,6 +163,14 @@ def test_config_override(tmp_path, capsys):
 def test_unknown_case_error_line_is_unquoted(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: unknown case id 99\n"
+
+
+def test_cases_needs_at_least_one_id(capsys):
+    # "--cases" with no id used to verify no case and pass with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-table", "--cases"])
+    assert exc.value.code == 2
+    assert "--cases" in capsys.readouterr().err
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
@@ -308,6 +318,13 @@ def test_report_does_not_depend_on_process_history(capsys):
         (["verify-case", "16", "--trials", "2", "--tol", "1e-30", "--format", "json"], 1),
         # the potential names its inverse time map Tinv1
         (["transform", "x1^2 + t*x2", '{"T":"2*t + sin(t)/4"}', "--format", "json"], 0),
+        # the rank layer: integers only, from one sample of the span
+        (["invariants", R0_TWO_SPAN, "--format", "json"], 0),
+        # a witness point and residual floats
+        (["residual", "t*x1 + x2^2", CASE7_FIELD, "--format", "json"], 0),
+        # exact bracket text and the generic oracle's verdict
+        (["bracket", '{"tau":"t^2","chi":["sin(t)","t"]}', '{"tau":"exp(t)","rho":"t"}',
+          "--check", "--format", "json"], 0),
     ]
     for argv, code in commands:
         fresh = subprocess.run([sys.executable, "-m", "schsym.cli", *argv],

@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from schsym.conditions import (InvariantTuple, Potential, SpanError, _first_outside,
+from schsym.conditions import (InvariantTuple, Potential, SpanError, _first_outside, _rank,
                                _row_space, classifying_residual, eta0_residual, invariants,
                                kernel_check, lemma_fixtures, prolonged_residual)
 from schsym.expr import EXP, SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x
-from schsym.fields import D, Iop, J, M, P, _rank, bracket_rows, coefficient_rows, expand
+from schsym.fields import D, Iop, J, M, P, bracket_rows, coefficient_rows, expand
 from schsym.numeric import EMPTY_BINDING, is_zero
 from schsym.parsing import parse
 
@@ -115,6 +115,27 @@ def test_invariants_counts_blocks():
     tv = var(T_VAR)
     gens = [M(1), Iop(1), D(1), D(tv).add(J(1, 2).scale(Fraction(3, 7)))]
     assert invariants(gens, rng=RNG) == InvariantTuple(2, 0, 0, 2, 0)
+
+
+def test_invariants_samples_each_draw_once(monkeypatch):
+    # generators, the M/I probes and the derivatives for the bracket rows;
+    # r0 reads the generators' rows instead of sampling them again
+    import schsym.conditions as conditions_module
+    import schsym.fields as fields_module
+
+    calls = []
+    real = fields_module.coefficient_rows
+
+    def counted(gs, binding, tvals, tapes=None):
+        calls.append(len(tvals))
+        return real(gs, binding, tvals, tapes)
+
+    monkeypatch.setattr(fields_module, "coefficient_rows", counted)
+    monkeypatch.setattr(conditions_module, "coefficient_rows", counted)
+    tv = var(T_VAR)
+    gens = [M(1), Iop(1), P(1, 0), P(tv, 0), P(0, 1), P(0, tv), D(1)]
+    assert invariants(gens, rng=np.random.default_rng(0)) == InvariantTuple(2, 4, 0, 1, 2)
+    assert calls == [13, 13, 13]
 
 
 def test_invariants_requires_kernel():

@@ -8,9 +8,10 @@ from schsym.closedform import exppoly_to_expr
 from schsym.expr import (HALF, I_UNIT, ONE, T_VAR, ZERO, AbsPow, Conj, Const, Expr, FuncApp,
                          IntPow, Product, Sign, Sum, Var, const, diff, func_app, int_pow, psi,
                          sum_, t, var, x)
-from schsym.fields import (I2, I8, D, GeneratorCoeffs, Iop, J, M, P, _rank, absx2,
+from schsym.conditions import _rank, invariants
+from schsym.fields import (I2, I8, D, GeneratorCoeffs, Iop, J, M, P, absx2,
                            bracket_generic, bracket_rows, bracket_structural,
-                           coefficient_rows, expand, rank_of_chi_block)
+                           coefficient_rows, expand)
 from schsym.funcbank import random_trig_poly
 from schsym.numeric import EMPTY_BINDING, UnsafeSampleError, eval_batch, is_zero
 from schsym.parsing import parse
@@ -204,15 +205,29 @@ def test_expand_injective_on_canonical_data():
     assert all(c is ZERO for c in same.components())
 
 
-def test_rank_of_chi_block_examples():
+def _closed_spans():
+    """Bracket-closed hand-built spans with M and I, and their r0."""
     tv = var(T_VAR)
-    one_rank = rank_of_chi_block([P(1, 0).add(Iop(tv, 2)),
-                                  P(tv, 0).add(Iop(int_pow(tv, 2), 2))])
-    assert one_rank == 1
-    assert rank_of_chi_block([P(1, 0), P(0, 1)]) == 2
-    assert rank_of_chi_block([]) == 0
-    # a rotating tuple still has functional rank 1
-    assert rank_of_chi_block([P(parse("cos(t)"), parse("sin(t)"))]) == 1
+    cos, sin = parse("cos(t)"), parse("sin(t)")
+    return [
+        ([M(1), Iop(1), P(1, 0), P(0, 1), P(tv, 0), P(0, tv)], 2),
+        # more generators than tau/kappa columns (13 + 1): every left
+        # singular vector past the rank counts, not only the first 14
+        ([M(1), Iop(1), *[P(1, 0)] * 12, P(0, 1)], 2),
+        ([M(1), Iop(1), D(1), P(cos, sin), P(sin, -cos)], 2),
+        ([M(1), Iop(1), P(1, 0).add(Iop(tv, 2)), P(tv, 0).add(Iop(int_pow(tv, 2), 2))], 1),
+        # a rotating tuple still has functional rank 1
+        ([M(1), Iop(1), P(cos, sin)], 1),
+        ([M(1), Iop(1), D(1), D(tv)], 0),
+        # the shift rides on D(1): no tau-free combination carries a chi
+        ([M(1), Iop(1), D(1).add(P(1, 0))], 0),
+        ([M(1), Iop(1)], 0),
+    ]
+
+
+def test_invariants_r0_examples():
+    for i, (gs, r0) in enumerate(_closed_spans()):
+        assert invariants(gs, rng=np.random.default_rng(i)).r0 == r0, i
 
 
 def test_generator_validation():
@@ -301,11 +316,10 @@ def _ref_rank(mat, tol):
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def _ref_rank_of_chi_block(gs, binding, rng, tol):
-    """rank_of_chi_block with one SVD per sampled time."""
+def _ref_r0(gs, binding, rng, tol):
+    """r0 on the rows invariants samples, with one SVD per sampled time."""
     n = gs[0].n
-    m = max(4, n + 2)
-    tvals = rng.uniform(0.3, 1.7, size=2 * m + 1)
+    tvals = rng.uniform(0.32, 1.68, size=13)
     rows, slices = coefficient_rows(gs, binding, tvals)
     head = np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]]])
     u, s, _ = np.linalg.svd(head, full_matrices=True)
@@ -350,20 +364,16 @@ def test_stacked_rank_matches_per_matrix_rank(tol):
     assert _rank(np.zeros((0, 3)), tol) == 0 and _rank(np.zeros((2, 0, 3)), tol).tolist() == [0, 0]
 
 
-def test_rank_of_chi_block_matches_per_time_reference():
+def test_invariants_r0_matches_per_time_reference():
     from schsym.cases import instantiate, table
 
-    tv = var(T_VAR)
     rng = np.random.default_rng(59)
     lists = [(inst.generators, inst.workspace.binding)
              for inst in (instantiate(case, rng) for case in table().values())]
-    lists += [([M(1), Iop(1), P(1, 0), P(tv, 0), P(0, 1), P(0, tv)], EMPTY_BINDING),
-              ([P(1, 0).add(Iop(tv, 2)), P(tv, 0).add(Iop(int_pow(tv, 2), 2))], EMPTY_BINDING),
-              ([P(parse("cos(t)"), parse("sin(t)")), D(1), M(1)], EMPTY_BINDING),
-              ([M(1), Iop(1), D(1)], EMPTY_BINDING)]
+    lists += [(gs, EMPTY_BINDING) for gs, _ in _closed_spans()]
     ranks = set()
     for i, (gs, binding) in enumerate(lists):
-        want = _ref_rank_of_chi_block(gs, binding, np.random.default_rng(i), 1e-8)
-        assert rank_of_chi_block(gs, binding, np.random.default_rng(i), 1e-8) == want, i
+        want = _ref_r0(gs, binding, np.random.default_rng(i), 1e-8)
+        assert invariants(gs, binding, np.random.default_rng(i), 1e-8).r0 == want, i
         ranks.add(want)
     assert ranks == {0, 1, 2}
