@@ -5,10 +5,10 @@ underlying factorization theory."""
 from .conditions import (InvariantTuple, Potential, classifying_residual,
                          eta0_residual, invariants, kernel_check,
                          lemma_fixtures, prolonged_residual)
-from .equivalence import (AdmissibleTransformation, EquivGenerator,
-                          EquivTransformation, act_on_potential, compose,
-                          equiv_generator_check, invert, is_free_reducible,
-                          is_real_admissible, pushforward)
+from .equivalence import (AdmissibleTransformation, EquivTransformation,
+                          act_on_potential, compose, equiv_generator_check,
+                          invert, is_free_reducible, is_real_admissible,
+                          pushforward)
 from .expr import (Expr, FunctionSymbol, SymbolTable, VarId, conj_expr, const,
                    diff, func_app, jet_var, psi_var, subst, t, total_derivative,
                    var, x, x_var)

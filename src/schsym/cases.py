@@ -97,7 +97,6 @@ class CaseInstance:
     V: Potential
     generators: list[GeneratorCoeffs]
     workspace: Workspace
-    notes: dict
 
 
 def _draw_value(kind: str, rng) -> complex:
@@ -183,14 +182,13 @@ def instantiate(case: CaseEntry, rng: np.random.Generator,
     for sym in deferred:
         poly = expr_to_exppoly(template.integrands[sym.name], ws.binding.impl_map())
         ws.binding.bind(sym, ExpPolyImpl(poly.antiderivative()))
-    notes: dict = {}
     if case.builder:
-        _BUILDERS[case.builder](ws, rng, notes)
+        _BUILDERS[case.builder](ws, rng)
 
     V = Potential(template.potential, case.n, ws.binding)
     gens = [GeneratorCoeffs(case.n, g.tau, _kappa_value(g.kappa, ws.binding), g.chi,
                             g.sigma, g.rho, None) for g in template.generators]
-    return CaseInstance(V, gens, ws, notes)
+    return CaseInstance(V, gens, ws)
 
 
 def _kappa_value(kexpr: Expr, binding: Binding) -> tuple[Fraction]:
@@ -226,7 +224,7 @@ def _liouville_pair(rng, ws: Workspace):
     return u1, u2, d, G_expr, F_expr
 
 
-def build_case16(ws: Workspace, rng, notes: dict) -> None:
+def build_case16(ws: Workspace, rng) -> None:
     m = Fraction(int(rng.integers(-6, 7)), 13)
     Q = rational_rotation(m)
     u1, u2, d1, G1, F1 = _liouville_pair(rng, ws)
@@ -257,10 +255,9 @@ def build_case16(ws: Workspace, rng, notes: dict) -> None:
     }
     for name, e in cexprs.items():
         ws.binding.bind(ws.table.get(name), ExprImpl(e, ws.binding))
-    notes["rotation"] = [float(Q[0][0]), float(Q[1][0])]
 
 
-def build_case17(ws: Workspace, rng, notes: dict) -> None:
+def build_case17(ws: Workspace, rng) -> None:
     while True:
         al = float(rng.uniform(-2.0, 2.0))
         be = float(rng.uniform(-2.0, 2.0))
@@ -287,10 +284,9 @@ def build_case17(ws: Workspace, rng, notes: dict) -> None:
         ws.binding.bind(ws.table.get(name), ExpPolyImpl(u))
         rho = u.scale(-nu).antiderivative()
         ws.binding.bind(ws.table.get(f"r{i}"), ExpPolyImpl(rho))
-    notes["al"], notes["be"] = al, be
 
 
-def build_case18(ws: Workspace, rng, notes: dict) -> None:
+def build_case18(ws: Workspace, rng) -> None:
     while True:
         al = float(rng.uniform(-2.0, 2.0))
         be = float(rng.uniform(-2.0, 2.0))
@@ -339,7 +335,6 @@ def build_case18(ws: Workspace, rng, notes: dict) -> None:
         ws.binding.bind(ws.table.get(f"c{p}2"), ExpPolyImpl(chi2))
         rho = (th1.scale(-n1) + th2.scale(-n2)).antiderivative()
         ws.binding.bind(ws.table.get(f"r{p}"), ExpPolyImpl(rho))
-    notes["roots"] = [complex(r) for r in roots]
 
 
 _BUILDERS: dict[str, Callable] = {
@@ -461,7 +456,7 @@ def verify_table(draws: int = DEFAULT_TRIALS, seed: int = 0, points: int = DEFAU
     per-case seed substreams."""
     if case_ids is not None and not case_ids:
         raise ValueError("case_ids is empty: no case to verify")
-    ids = sorted(table()) if case_ids is None else sorted(case_ids)
+    ids = sorted(table()) if case_ids is None else sorted(set(case_ids))
     reports = []
     for cid in ids:
         rng = np.random.default_rng([seed, 1000 + cid])

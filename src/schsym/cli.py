@@ -25,7 +25,7 @@ from .equivalence import EquivTransformation, act_on_potential, restart_inverse_
 from .expr import SymbolTable
 from .fields import GeneratorCoeffs, bracket_generic, bracket_structural, expand
 from .numeric import (DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
-                      UnsafeSampleError, Workspace, draw_env, eval_batch, is_zero,
+                      UnsafeSampleError, Workspace, eval_resampling, is_zero,
                       max_normalized_residual)
 from .parsing import ParseError, load_declarations, parse, to_text, var_name
 
@@ -297,8 +297,7 @@ def cmd_transform(args) -> int:
     Upsilon = parse(str(spec.get("Upsilon", "0")), ws.table, cfg.n)
     tr = EquivTransformation(cfg.n, T, O, X, Sigma, Upsilon, binding=ws.binding)
     Vt = act_on_potential(V, tr)
-    env = draw_env(Vt.expr.free_vars, 5, rng)
-    vals, _, _ = eval_batch(Vt.expr, Vt.binding, env)
+    vals, _, env = eval_resampling(Vt.expr, Vt.binding, 5, rng, {})
     vals = np.broadcast_to(vals, (5,))
     spots = []
     for i in range(len(vals)):

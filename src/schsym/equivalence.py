@@ -3,12 +3,14 @@
 A transformation is the tuple (T, O, X, Sigma, Upsilon, Lambda): a time
 reparameterization with T_t != 0, a constant orthogonal matrix, a
 time-dependent shift, phase and amplitude adjustments, and an optional
-solution summand (used only in groupoid fixtures; it does not act on the
+solution summand (only a test builds one; it does not act on the
 potential).  The action on potentials composes the closed-form target
 potential with the inverse variable map.  An inverse time map T^-1 is a
-fresh function symbol evaluated by root finding, with derivatives from
-series inversion; the one exception is the inverse of a map built by
-``invert``, which is the original T in closed form.
+fresh function symbol evaluated by root finding, with derivatives from the
+chain-rule expressions H_k; the one exception is the inverse of a map built
+by ``invert``, which is the original T in closed form.  A generator of the
+equivalence algebra is its ``GeneratorCoeffs``: ``dv_coefficient`` is its dV
+component, and ``flow`` a map tangent to its flow.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .expr import (
     x,
     x_var,
 )
-from .fields import D, GeneratorCoeffs, Iop, J, M as Mgen, P, _pairs, absx2
+from .fields import GeneratorCoeffs, _pairs, absx2
 from .numeric import (
     Binding,
     DEFAULT_TOL,
@@ -124,7 +126,9 @@ class EquivTransformation:
     def _infer_eps(self) -> int:
         tt = diff(self.T, T_VAR)
         env = {T_VAR: np.linspace(*T_RANGE, 33).astype(complex)}
-        vals, _, _ = eval_batch(tt, self.binding, env)
+        vals, _, unsafe = eval_batch(tt, self.binding, env)
+        if unsafe.any():
+            raise ValueError("T_t is singular on the sample domain")
         r = np.real(vals)
         if np.min(np.abs(r)) < 1e-9:
             raise ValueError("T_t vanishes on the sample domain")
@@ -138,49 +142,33 @@ class EquivTransformation:
 
     @staticmethod
     def identity(n: int = 2) -> "EquivTransformation":
-        return EquivTransformation(n, t_expr(), _identity_matrix(n),
-                                   (ZERO,) * n, ZERO, ZERO)
+        return _elementary(n, None)
 
     @staticmethod
     def elementary_D(T: Expr, n: int = 2,
                      ws: Optional[Workspace] = None) -> "EquivTransformation":
-        b = ws.binding if ws is not None else Binding()
-        return EquivTransformation(n, T, _identity_matrix(n), (ZERO,) * n,
-                                   ZERO, ZERO, binding=b)
+        return _elementary(n, ws, T=T)
 
     @staticmethod
     def elementary_J(O, n: int = 2) -> "EquivTransformation":
-        return EquivTransformation(n, t_expr(), tuple(tuple(row) for row in O),
-                                   (ZERO,) * n, ZERO, ZERO)
+        return _elementary(n, None, O=O)
 
     @staticmethod
     def elementary_P(X: Sequence[Expr], n: int = 2,
                      ws: Optional[Workspace] = None) -> "EquivTransformation":
-        # the elementary shift carries the canonical phase Sigma = X . X_t / 4,
-        # which is what makes the closed-form pushforward rules exact
-        b = ws.binding if ws is not None else Binding()
-        Xe = tuple(as_expr(c) for c in X)
-        return EquivTransformation(n, t_expr(), _identity_matrix(n), Xe,
-                                   _canonical_shift_sigma(Xe), ZERO, binding=b)
+        return _elementary(n, ws, X=X)
 
     @staticmethod
     def elementary_M(Sigma: Expr, n: int = 2,
                      ws: Optional[Workspace] = None) -> "EquivTransformation":
-        b = ws.binding if ws is not None else Binding()
-        return EquivTransformation(n, t_expr(), _identity_matrix(n), (ZERO,) * n,
-                                   as_expr(Sigma), ZERO, binding=b)
+        return _elementary(n, ws, Sigma=as_expr(Sigma))
 
     @staticmethod
     def elementary_I(Upsilon: Expr, n: int = 2,
                      ws: Optional[Workspace] = None) -> "EquivTransformation":
-        b = ws.binding if ws is not None else Binding()
-        return EquivTransformation(n, t_expr(), _identity_matrix(n), (ZERO,) * n,
-                                   ZERO, as_expr(Upsilon), binding=b)
+        return _elementary(n, ws, Upsilon=as_expr(Upsilon))
 
     # -- derived data
-
-    def is_trivial_T(self) -> bool:
-        return self.T is t_expr()
 
     def tinv_app(self) -> Expr:
         """The inverse time map T^-1(t): given, or a root-solved FuncApp."""
@@ -193,7 +181,7 @@ class EquivTransformation:
 
     def elementary_kind(self) -> Optional[str]:
         nontrivial = []
-        if not self.is_trivial_T():
+        if self.T is not t_expr():
             nontrivial.append("D")
         if self.O != _identity_matrix(self.n):
             nontrivial.append("J")
@@ -206,6 +194,20 @@ class EquivTransformation:
         if len(nontrivial) > 1:
             return None
         return nontrivial[0] if nontrivial else "id"
+
+
+def _elementary(n: int, ws: Optional[Workspace], T: Optional[Expr] = None, O=None,
+                X: Optional[Sequence[Expr]] = None, Sigma: Optional[Expr] = None,
+                Upsilon: Expr = ZERO) -> EquivTransformation:
+    """The map with the given parts and the identity's everywhere else.  An
+    omitted Sigma is the shift's canonical phase X . X_t / 4, the convention
+    under which the closed-form pushforward rules are exact."""
+    X = (ZERO,) * n if X is None else tuple(as_expr(c) for c in X)
+    return EquivTransformation(
+        n, t_expr() if T is None else T,
+        _identity_matrix(n) if O is None else tuple(map(tuple, O)), X,
+        _canonical_shift_sigma(X) if Sigma is None else Sigma, Upsilon,
+        binding=ws.binding if ws is not None else Binding())
 
 
 def _canonical_shift_sigma(X: Sequence[Expr]) -> Expr:
@@ -250,11 +252,8 @@ def act_on_potential(V: Potential, tr: EquivTransformation) -> Potential:
     out = out + const(Fraction(eps, 16)) * (2 * Tttt * Tt - 3 * Ttt * Ttt) \
         * int_pow(Tt, -3) * x2
     shift = ZERO
-    for b in range(1, n + 1):
-        rate = diff(diff(tr.X[b - 1], T_VAR) * inv_tt, T_VAR)
-        row = sum_(const(tr.O[b - 1][a - 1]) * x(a)
-                   for a in range(1, n + 1) if tr.O[b - 1][a - 1] != 0)
-        shift = shift + rate * row
+    for c, row in zip(tr.X, _o_apply(tr.O, tuple(x(a) for a in range(1, n + 1)))):
+        shift = shift + diff(diff(c, T_VAR) * inv_tt, T_VAR) * row
     out = out + const(Fraction(eps, 2)) * abs_pow(Tt, Fraction(-1, 2)) * shift
     out = out + (diff(tr.Sigma, T_VAR) - I_UNIT * diff(tr.Upsilon, T_VAR)) * inv_tt
     xdots = sum_(diff(c, T_VAR) * diff(c, T_VAR) for c in tr.X)
@@ -446,64 +445,30 @@ def pushforward(g: GeneratorCoeffs, tr: EquivTransformation) -> GeneratorCoeffs:
 # the equivalence-algebra generators and their infinitesimal check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EquivGenerator:
-    """One family of equivalence-algebra generators with its dV coefficient."""
+def dv_coefficient(g: GeneratorCoeffs, V: Potential) -> Expr:
+    """The dV component of g's equivalence generator on V, linear in g:
+    -tau_t V + tau_ttt |x|^2 / 8 - i (n/4) tau_tt + sum_a chi_a'' x_a / 2
+    + sigma_t - i rho_t.  The rotation part adds nothing."""
+    tau_t = diff(g.tau, T_VAR)
+    tau_tt = diff(tau_t, T_VAR)
+    return const(-1) * tau_t * V.expr \
+        + const(Fraction(1, 8)) * diff(tau_tt, T_VAR) * absx2(g.n) \
+        - const(0, Fraction(g.n, 4)) * tau_tt \
+        + HALF * sum_(diff(diff(c, T_VAR), T_VAR) * x(a) for a, c in enumerate(g.chi, 1)) \
+        + diff(g.sigma, T_VAR) - I_UNIT * diff(g.rho, T_VAR)
 
-    kind: str  # 'D' | 'J' | 'P' | 'M' | 'I'
-    n: int
-    tau: Expr = ZERO
-    chi: tuple[Expr, ...] = ()
-    sigma: Expr = ZERO
-    rho: Expr = ZERO
 
-    def theta(self, V: Potential) -> Expr:
-        """The dV coefficient evaluated on a potential V."""
-        n = self.n
-        if self.kind == "D":
-            tau_t = diff(self.tau, T_VAR)
-            tau_tt = diff(tau_t, T_VAR)
-            tau_ttt = diff(tau_tt, T_VAR)
-            x2 = absx2(n)
-            return const(-1) * tau_t * V.expr + const(Fraction(1, 8)) * tau_ttt * x2 \
-                - const(0, Fraction(n, 4)) * tau_tt
-        if self.kind == "J":
-            return ZERO
-        if self.kind == "P":
-            return HALF * sum_(diff(diff(self.chi[a - 1], T_VAR), T_VAR) * x(a)
-                               for a in range(1, n + 1))
-        if self.kind == "M":
-            return diff(self.sigma, T_VAR)
-        if self.kind == "I":
-            return const(0, -1) * diff(self.rho, T_VAR)
-        raise ValueError(self.kind)
-
-    def projection(self) -> GeneratorCoeffs:
-        """Pushforward to the variable space: the matching canonical generator."""
-        if self.kind == "D":
-            return D(self.tau, self.n)
-        if self.kind == "J":
-            return J(1, 2, self.n)
-        if self.kind == "P":
-            return P(*self.chi, n=self.n)
-        if self.kind == "M":
-            return Mgen(self.sigma, self.n)
-        return Iop(self.rho, self.n)
-
-    def family(self, delta: float, ws: Workspace) -> EquivTransformation:
-        """The one-parameter transformation family at parameter value delta."""
-        n = self.n
-        d = const(Fraction(delta))
-        if self.kind == "D":
-            return EquivTransformation.elementary_D(t_expr() + d * self.tau, n, ws)
-        if self.kind == "J":
-            O = _rotation_float(delta)
-            return EquivTransformation.elementary_J(O, n)
-        if self.kind == "P":
-            return EquivTransformation.elementary_P(tuple(d * c for c in self.chi), n, ws)
-        if self.kind == "M":
-            return EquivTransformation.elementary_M(d * self.sigma, n, ws)
-        return EquivTransformation.elementary_I(d * self.rho, n, ws)
+def flow(g: GeneratorCoeffs, delta: float, ws: Workspace) -> EquivTransformation:
+    """A map tangent to g's flow at delta = 0: T = t + delta tau, O the
+    rotation by delta kappa, X = delta chi, Sigma = X . X_t / 4 + delta sigma,
+    Upsilon = delta rho."""
+    if g.n != 2 and any(g.kappa):
+        raise ValueError("rotation flows are defined at n = 2 only")
+    d = const(Fraction(delta))
+    X = tuple(d * c for c in g.chi)
+    return _elementary(g.n, ws, T=t_expr() + d * g.tau,
+                       O=_rotation_float(delta * float(g.kappa[0])) if g.n == 2 else None,
+                       X=X, Sigma=_canonical_shift_sigma(X) + d * g.sigma, Upsilon=d * g.rho)
 
 
 def _rotation_float(angle: float):
@@ -519,39 +484,34 @@ def pullback_along(Vt: Potential, tr: EquivTransformation) -> Expr:
     forward variable map (t, x) -> (T, |T_t|^(1/2) O x + X)."""
     n = tr.n
     s = abs_pow(diff(tr.T, T_VAR), Fraction(1, 2))
-    fwd = {}
-    for a in range(1, n + 1):
-        acc = ZERO
-        for b in range(1, n + 1):
-            if tr.O[a - 1][b - 1] != 0:
-                acc = acc + const(tr.O[a - 1][b - 1]) * x(b)
-        fwd[x_var(a)] = s * acc + tr.X[a - 1]
+    ox = _o_apply(tr.O, tuple(x(b) for b in range(1, n + 1)))
+    fwd = {x_var(a): s * ox[a - 1] + tr.X[a - 1] for a in range(1, n + 1)}
     out = subst(Vt.expr, fwd)
     return subst(out, {T_VAR: tr.T})
 
 
-def equiv_generator_check(gen: EquivGenerator, V: Potential,
+def equiv_generator_check(g: GeneratorCoeffs, V: Potential,
                           rng: Optional[np.random.Generator] = None,
                           tol: float = 1e-4) -> bool:
     """Finite-difference dV coefficient versus the closed form.
 
-    Central difference (step delta = 1e-5) along the one-parameter family at
-    delta = 0, of the transformed potential evaluated at the flowed point (so
-    the variable transport does not enter), compared with the closed-form dV
-    coefficient at 24 random sample points with relative tolerance tol.
+    Central difference (step delta = 1e-5) along g's ``flow`` at delta = 0,
+    of the transformed potential evaluated at the flowed point (so the
+    variable transport does not enter), compared with ``dv_coefficient`` at
+    24 random sample points with relative tolerance tol.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     delta = 1e-5
     ws = Workspace()
     ws.binding = ws.binding.merged(V.binding)
-    trp = gen.family(+delta, ws)
-    trm = gen.family(-delta, ws)
+    trp = flow(g, +delta, ws)
+    trm = flow(g, -delta, ws)
     plus = act_on_potential(V, trp)
     minus = act_on_potential(V, trm)
     ep = pullback_along(plus, trp)
     em = pullback_along(minus, trm)
-    theta = gen.theta(V)
+    theta = dv_coefficient(g, V)
     vars_needed = ep.free_vars | em.free_vars | theta.free_vars
     env = draw_env(vars_needed, 24, rng)
     vp, _, up = eval_batch(ep, plus.binding, env)

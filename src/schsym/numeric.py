@@ -460,8 +460,8 @@ def _fill_surrogates(e: Expr, binding: Binding, rng: np.random.Generator) -> Bin
     return binding.merged(Binding(extra)) if extra else binding
 
 
-def _eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Generator,
-                     tapes: dict):
+def eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Generator,
+                    tapes: dict):
     """Evaluate at `points` safe random points, redrawing unsafe ones."""
     tape = owned_tape(tapes, e)
     vars_needed = e.free_vars
@@ -504,7 +504,7 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
     for _ in range(trials):
         for _ in range(bindings_per_trial):
             full = _fill_surrogates(e, binding, rng)
-            vals, scale, env = _eval_resampling(e, full, points, rng, tapes)
+            vals, scale, env = eval_resampling(e, full, points, rng, tapes)
             normed = np.abs(vals) / (1.0 + scale)
             i = int(np.argmax(normed))
             if normed[i] >= worst:

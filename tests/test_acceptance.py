@@ -202,8 +202,8 @@ def test_criterion_5_equivalence_algebra():
         sym = ws.declare(f"Ue{seed}", 3, "complex",
                          random_surrogate(np.random.default_rng(seed), 3, "complex"))
         V = Potential(func_app(sym, [t(), x(1), x(2)]), 2, ws.binding)
-        for gen in standard_equiv_generators(rng):
-            ok.append((gen.kind, equiv_generator_check(gen, V, rng=rng, tol=1e-4)))
+        for family, g in standard_equiv_generators(rng):
+            ok.append((family, equiv_generator_check(g, V, rng=rng, tol=1e-4)))
     passed = all(flag for _, flag in ok)
     report(5, "equivalence-algebra generators vs finite differences", passed,
            ", ".join(f"{k}:{'ok' if f else 'BAD'}" for k, f in ok))

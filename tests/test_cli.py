@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,6 +172,13 @@ def test_cases_needs_at_least_one_id(capsys):
         main(["verify-table", "--cases"])
     assert exc.value.code == 2
     assert "--cases" in capsys.readouterr().err
+
+
+def test_repeated_case_id_is_verified_once(capsys):
+    code, out = run_cli(capsys, "verify-table", "--cases", "3", "3", "--trials", "1")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("case")] == \
+        ["case  3 [pass] logarithmic-spiral profile invariants=(2, 0, 0, 2, 0)"]
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
@@ -411,6 +419,48 @@ def test_transform_json_output_is_pinned():
               "value": [re, im]} for t, x1, x2, re, im in PINNED_SPOTS]
     want = {"spot_checks": spots, "transformed": PINNED_TRANSFORMED}
     assert proc.stdout == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+N3_TRANSFORM_SPEC = ('{"X":["sin(t)","-sin(t)/2","sin(t) + cos(t)"],'
+                     '"O":[["1/3","2/3","2/3"],["2/3","1/3","-2/3"],["2/3","-2/3","1/3"]]}')
+# in the inverse map's x1 row sin(t) cancels at the second step of the
+# binary chain and comes back at the third: one n-ary sum prints otherwise
+N3_TRANSFORMED = "".join([
+    '5/3*x1 + 1/3*x2 + 1/3*x3 - 11/6*sin(Tinv1(t)) - 1/3*cos(Tinv1(t)) + '
+    '1/2*sin[2](Tinv1(t))*(x1 - sin(Tinv1(t))) - 1/4*sin[2](Tinv1(t))*(x2 + '
+    '1/2*sin(Tinv1(t))) + 1/2*(sin[2](Tinv1(t)) + cos[2](Tinv1(t)))*(x3 - '
+    'sin(Tinv1(t)) - cos(Tinv1(t))) - 5/16*sin[1](Tinv1(t))^2 - '
+    '1/4*(sin[1](Tinv1(t)) + cos[1](Tinv1(t)))^2'])
+
+
+def test_n3_transform_text_is_pinned(capsys):
+    code, out = run_cli(capsys, "transform", "x1 + x2 + x3", N3_TRANSFORM_SPEC,
+                        "--n", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["transformed"] == N3_TRANSFORMED
+
+
+def test_transform_spot_checks_lie_in_the_range_of_T(capsys):
+    # T = atan(t)/2 ends at pi/4, so a later t has no preimage under T;
+    # such spot points used to be printed with meaningless values
+    for seed in (0, 3, 7):
+        code, out = run_cli(capsys, "transform", "x1^2 + t*x2", '{"T":"atan(t)/2"}',
+                            "--seed", str(seed), "--format", "json")
+        assert code == 0
+        ts = [s["point"]["t"][0] for s in json.loads(out)["spot_checks"]]
+        assert len(ts) == 5 and max(ts) < np.pi / 4, seed
+
+
+def test_transform_with_no_safe_spot_point_exits_2(capsys):
+    err = _assert_one_error_line(capsys, main(["transform", "log(-1 - t^2)", "{}"]))
+    assert "remained unsafe" in err
+
+
+def test_time_map_singular_on_the_sample_domain_exits_2(capsys):
+    # the pole at t = 1 is a grid point of the orientation test
+    err = _assert_one_error_line(capsys, main(["transform", "x1^2 + t*x2",
+                                               '{"T":"t - 1/(t - 1)"}']))
+    assert "T_t is singular on the sample domain" in err
 
 
 def test_constant_too_large_for_a_float_exits_2(capsys):

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 from schsym.closedform import exppoly_to_expr
 from schsym.conditions import Potential, classifying_residual
-from schsym.equivalence import (AdmissibleTransformation, EquivGenerator,
-                                EquivTransformation, NonElementaryError,
-                                UndecidableTemplate, act_on_potential, compose,
-                                equiv_generator_check, invert, is_free_reducible,
-                                is_real_admissible, potentials_agree, pushforward,
-                                rational_rotation, _identity_matrix)
-from schsym.expr import (LOG, SymbolTable, T_VAR, ZERO, conj_expr, const, diff,
-                         func_app, im_part, int_pow, t, var, x)
-from schsym.fields import D, J, P
+from schsym import equivalence
+from schsym.equivalence import (AdmissibleTransformation, EquivTransformation,
+                                NonElementaryError, UndecidableTemplate,
+                                act_on_potential, compose, dv_coefficient,
+                                equiv_generator_check, flow, invert,
+                                is_free_reducible, is_real_admissible,
+                                potentials_agree, pushforward, rational_rotation,
+                                _identity_matrix)
+from schsym.expr import (HALF, LOG, SymbolTable, T_VAR, ZERO, conj_expr, const,
+                         diff, func_app, im_part, int_pow, sum_, t, var, x)
+from schsym.fields import D, GeneratorCoeffs, Iop, J, M, P, absx2
 from schsym.funcbank import random_surrogate, random_trig_poly
 from schsym.numeric import Binding, Workspace, is_zero
 from schsym.parsing import parse
@@ -21,18 +23,38 @@ from schsym.parsing import parse
 RNG = np.random.default_rng(41)
 
 
-def standard_equiv_generators(rng, n=2) -> list[EquivGenerator]:
-    """One random representative per family of the equivalence algebra."""
+def standard_equiv_generators(rng, n=2) -> list[tuple[str, GeneratorCoeffs]]:
+    """One random representative per family of the equivalence algebra,
+    labelled by its family."""
     def fn():
         return exppoly_to_expr(random_trig_poly(rng, "real"))
 
     return [
-        EquivGenerator("D", n, tau=fn()),
-        EquivGenerator("J", n),
-        EquivGenerator("P", n, chi=tuple(fn() for _ in range(n))),
-        EquivGenerator("M", n, sigma=fn()),
-        EquivGenerator("I", n, rho=fn()),
+        ("D", D(fn(), n)),
+        ("J", J(1, 2, n)),
+        ("P", P(*(fn() for _ in range(n)), n=n)),
+        ("M", M(fn(), n)),
+        ("I", Iop(fn(), n)),
     ]
+
+
+def _theta_D(g, V):
+    tau_t = diff(g.tau, T_VAR)
+    tau_tt = diff(tau_t, T_VAR)
+    tau_ttt = diff(tau_tt, T_VAR)
+    return const(-1) * tau_t * V.expr + const(Fraction(1, 8)) * tau_ttt * absx2(g.n) \
+        - const(0, Fraction(g.n, 4)) * tau_tt
+
+
+# the dV coefficient of each family, one closed form per family
+REFERENCE_THETA = {
+    "D": _theta_D,
+    "J": lambda g, V: ZERO,
+    "P": lambda g, V: HALF * sum_(diff(diff(g.chi[a - 1], T_VAR), T_VAR) * x(a)
+                                  for a in range(1, g.n + 1)),
+    "M": lambda g, V: diff(g.sigma, T_VAR),
+    "I": lambda g, V: const(0, -1) * diff(g.rho, T_VAR),
+}
 
 
 @pytest.fixture
@@ -247,23 +269,50 @@ def test_equiv_generator_families(table):
     rng = np.random.default_rng(9)
     U3 = ws.declare("U3", 3, "complex", random_surrogate(rng, 3, "complex"))
     V = Potential(func_app(U3, [t(), x(1), x(2)]), 2, ws.binding)
-    for gen in standard_equiv_generators(rng):
-        assert equiv_generator_check(gen, V, rng=rng), gen.kind
-        # the projection drops the dV part and matches the canonical generator
-        proj = gen.projection()
-        assert proj.n == 2
+    for family, g in standard_equiv_generators(rng):
+        assert equiv_generator_check(g, V, rng=rng), family
 
 
-def test_equiv_generator_check_detects_wrong_coefficient(table):
+def test_dv_coefficient_matches_per_family_reference():
+    ws = Workspace()
+    rng = np.random.default_rng(12)
+    U3 = ws.declare("U3d", 3, "complex", random_surrogate(rng, 3, "complex"))
+    V = Potential(func_app(U3, [t(), x(1), x(2)]), 2, ws.binding)
+    gens = standard_equiv_generators(rng)
+    for family, g in gens:
+        diff_ = dv_coefficient(g, V) - REFERENCE_THETA[family](g, V)
+        assert is_zero(diff_, trials=2, binding=V.binding, rng=rng), family
+    # linear in g: D(tau) + M(sigma) gives the sum of the two closed forms
+    mixed = gens[0][1].add(gens[3][1])
+    ref = REFERENCE_THETA["D"](mixed, V) + REFERENCE_THETA["M"](mixed, V)
+    assert is_zero(dv_coefficient(mixed, V) - ref, trials=2, binding=V.binding, rng=rng)
+    # and the mixed generator passes the finite-difference check
+    assert equiv_generator_check(mixed, V, rng=rng)
+
+
+def test_rotation_flows_are_defined_at_n_2():
+    ws = Workspace()
+    tr = flow(J(1, 2), 0.25, ws)
+    assert tr.elementary_kind() == "J"
+    assert float(tr.O[1][0]) == pytest.approx(np.sin(0.25))
+    for a, b in ((1, 2), (2, 3)):
+        with pytest.raises(ValueError, match="n = 2"):
+            flow(J(a, b, 3), 0.25, ws)
+    # a rotation-free generator flows at any n
+    assert flow(D(t(), 3), 0.25, ws).elementary_kind() == "D"
+
+
+def test_equiv_generator_check_detects_wrong_coefficient(table, monkeypatch):
     ws = Workspace()
     rng = np.random.default_rng(10)
     U3 = ws.declare("U3b", 3, "complex", random_surrogate(rng, 3, "complex"))
     V = Potential(func_app(U3, [t(), x(1), x(2)]), 2, ws.binding)
-    gen = EquivGenerator("M", 2, sigma=parse("t^2"))
-    assert equiv_generator_check(gen, V, rng=rng)
-    wrong = EquivGenerator("M", 2, sigma=parse("t^2 + t"))
-    wrong.family = gen.family  # flow from sigma = t^2, coefficient from t^2 + t
-    assert not equiv_generator_check(wrong, V, rng=rng)
+    g = M(parse("t^2"))
+    assert equiv_generator_check(g, V, rng=rng)
+    # flow from sigma = t^2, coefficient from t^2 + t
+    true_flow = equivalence.flow
+    monkeypatch.setattr(equivalence, "flow", lambda _, delta, ws: true_flow(g, delta, ws))
+    assert not equiv_generator_check(M(parse("t^2 + t")), V, rng=rng)
 
 
 def test_real_admissibility(table):
