@@ -7,15 +7,16 @@ solution summand (only a test builds one; it does not act on the
 potential).  The action on potentials composes the closed-form target
 potential with the inverse variable map.  An inverse time map T^-1 is a
 fresh function symbol evaluated by root finding, with derivatives from the
-chain-rule expressions H_k; the one exception is the inverse of a map built
-by ``invert``, which is the original T in closed form.  A generator of the
-equivalence algebra is its ``GeneratorCoeffs``: ``dv_coefficient`` is its dV
-component, and ``flow`` a map tangent to its flow.
+chain-rule expressions H_k, except for a map built by ``invert``, whose
+inverse is the original T.  A generator of the equivalence algebra is its
+``GeneratorCoeffs``: ``pushforward`` moves it along any map, one closed-form
+rule per elementary factor, ``dv_coefficient`` is its dV component, and
+``flow`` a map tangent to its flow.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -67,10 +68,6 @@ def restart_inverse_names() -> None:
     """Name the next inverse time map Tinv1, as each CLI command does."""
     global _tinv_numbers
     _tinv_numbers = itertools.count(1)
-
-
-class NonElementaryError(ValueError):
-    """pushforward requires a single-parameter elementary transformation."""
 
 
 class UndecidableTemplate(ValueError):
@@ -179,29 +176,12 @@ class EquivTransformation:
             self._tinv = func_app(sym, [t_expr()])
         return self._tinv
 
-    def elementary_kind(self) -> Optional[str]:
-        nontrivial = []
-        if self.T is not t_expr():
-            nontrivial.append("D")
-        if self.O != _identity_matrix(self.n):
-            nontrivial.append("J")
-        if any(c is not ZERO for c in self.X):
-            nontrivial.append("P")
-        if self.Sigma is not _canonical_shift_sigma(self.X):
-            nontrivial.append("M")
-        if self.Upsilon is not ZERO:
-            nontrivial.append("I")
-        if len(nontrivial) > 1:
-            return None
-        return nontrivial[0] if nontrivial else "id"
-
 
 def _elementary(n: int, ws: Optional[Workspace], T: Optional[Expr] = None, O=None,
                 X: Optional[Sequence[Expr]] = None, Sigma: Optional[Expr] = None,
                 Upsilon: Expr = ZERO) -> EquivTransformation:
-    """The map with the given parts and the identity's everywhere else.  An
-    omitted Sigma is the shift's canonical phase X . X_t / 4, the convention
-    under which the closed-form pushforward rules are exact."""
+    """The map with the given parts and the identity's everywhere else; an
+    omitted Sigma is the shift's canonical phase X . X_t / 4."""
     X = (ZERO,) * n if X is None else tuple(as_expr(c) for c in X)
     return EquivTransformation(
         n, t_expr() if T is None else T,
@@ -375,70 +355,89 @@ def invert(t: AdmissibleTransformation, validate: bool = True, rng=None,
 
 
 # ---------------------------------------------------------------------------
-# pushforwards of canonical generators by elementary transformations
+# pushforwards: one closed-form rule per elementary factor
 # ---------------------------------------------------------------------------
 
 def pushforward(g: GeneratorCoeffs, tr: EquivTransformation) -> GeneratorCoeffs:
-    """Closed-form image of a canonical generator under one elementary map."""
+    """Image of g under tr, folded over tr's factors.  By ``compose``, tr is
+    I(Upsilon), then M(Sigma_hat), P(X_hat) (canonical phase), J(O) and D(T),
+    with X_hat = O^T X / |T_t|^(1/2) and Sigma_hat = eps (Sigma - T_tt |X_hat|^2
+    / (8 |T_t|)) - X_hat . X_hat_t / 4; only D needs T^-1.  A factor whose
+    parameter is ZERO, t or the identity matrix is skipped."""
     if g.eta0 is not None:
         raise ValueError("pushforward is defined for the essential part (eta0 = 0)")
-    kind = tr.elementary_kind()
-    if kind is None:
-        raise NonElementaryError("transformation mixes several elementary kinds")
-    n = g.n
-    if kind == "id":
-        return g
-    if kind == "D":
-        tinv = tr.tinv_app()
+    x_hat = None  # no shift factor
+    sigma_hat = tr.Sigma if tr.eps > 0 else -tr.Sigma
+    if any(c is not ZERO for c in tr.X):
         Tt = diff(tr.T, T_VAR)
+        s_inv = abs_pow(Tt, Fraction(-1, 2))
+        x_hat = tuple(c * s_inv for c in _o_apply(_o_transpose(tr.O), tr.X))
+        quad = const(Fraction(-tr.eps, 8)) * diff(Tt, T_VAR) * abs_pow(Tt, -1)
+        sigma_hat = sum_((sigma_hat, quad * _dot(x_hat, x_hat), -_canonical_shift_sigma(x_hat)))
+    if tr.Upsilon is not ZERO:
+        g = _push_I(g, tr.Upsilon)
+    if sigma_hat is not ZERO:
+        g = _push_M(g, sigma_hat)
+    if x_hat is not None:
+        g = _push_P(g, x_hat)
+    if tr.O != _identity_matrix(tr.n):
+        g = _push_J(g, tr.O)
+    if tr.T is not t_expr():
+        g = _push_D(g, tr.T, tr.tinv_app(), tr.eps)
+    return g
 
-        def comp(e: Expr) -> Expr:
-            return subst(e, {T_VAR: tinv})
 
-        tau = comp(Tt * g.tau)
-        chi = tuple(comp(abs_pow(Tt, Fraction(1, 2)) * c) for c in g.chi)
-        return GeneratorCoeffs(n, tau, g.kappa, chi, comp(g.sigma), comp(g.rho), None)
-    if kind == "J":
-        O = tr.O
-        chi = _o_apply(O, g.chi)
-        K = g.kappa_matrix()
-        OK = [[sum(O[a][c] * K[c][b] for c in range(n)) for b in range(n)]
-              for a in range(n)]
-        OKOt = [[sum(OK[a][c] * O[b][c] for c in range(n)) for b in range(n)]
-                for a in range(n)]
-        kappa = tuple(OKOt[b - 1][a - 1] for a, b in _pairs(n))
-        return GeneratorCoeffs(n, g.tau, kappa, chi, g.sigma, g.rho, None)
-    if kind == "P":
-        X = tr.X
-        Xt = tuple(diff(c, T_VAR) for c in X)
-        Xtt = tuple(diff(c, T_VAR) for c in Xt)
-        tau_t = diff(g.tau, T_VAR)
-        tau_tt = diff(tau_t, T_VAR)
-        chi = list(g.chi)
-        sigma = g.sigma
-        # D(tau) part
-        for a in range(n):
-            chi[a] = chi[a] + g.tau * Xt[a] - HALF * tau_t * X[a]
-        sigma = sigma + const(Fraction(1, 8)) * tau_tt * _dot(X, X) \
-            - const(Fraction(1, 4)) * tau_t * _dot(X, Xt) \
-            - const(Fraction(1, 4)) * g.tau * (_dot(X, Xtt) - _dot(Xt, Xt))
-        # J part: the shift tuple picks up -K X (hat-X of the listed rule)
-        K = g.kappa_matrix()
-        for a in range(n):
-            chi[a] = chi[a] - sum_(const(K[a][b]) * X[b] for b in range(n))
-        for (a, b), kab in zip(_pairs(n), g.kappa):
-            if kab != 0:
-                sigma = sigma - const(kab) * HALF * (X[a - 1] * Xt[b - 1] - X[b - 1] * Xt[a - 1])
-        # P part
-        sigma = sigma + HALF * (_dot(g.chi, Xt) - _dot(tuple(diff(c, T_VAR) for c in g.chi), X))
-        return GeneratorCoeffs(n, g.tau, g.kappa, tuple(chi), sigma, g.rho, None)
-    if kind == "M":
-        return GeneratorCoeffs(n, g.tau, g.kappa, g.chi,
-                               g.sigma + g.tau * diff(tr.Sigma, T_VAR), g.rho, None)
-    if kind == "I":
-        return GeneratorCoeffs(n, g.tau, g.kappa, g.chi, g.sigma,
-                               g.rho + g.tau * diff(tr.Upsilon, T_VAR), None)
-    raise NonElementaryError(kind)
+def _push_D(g: GeneratorCoeffs, T: Expr, tinv: Expr, eps: int) -> GeneratorCoeffs:
+    # a decreasing T conjugates psi: sigma changes sign, rho does not
+    Tt = diff(T, T_VAR)
+    at = {T_VAR: tinv}
+    return replace(g, tau=subst(Tt * g.tau, at),
+                   chi=tuple(subst(abs_pow(Tt, Fraction(1, 2)) * c, at) for c in g.chi),
+                   sigma=subst(g.sigma if eps > 0 else -g.sigma, at), rho=subst(g.rho, at))
+
+
+def _push_J(g: GeneratorCoeffs, O) -> GeneratorCoeffs:
+    n = g.n
+    K = g.kappa_matrix()
+    OK = [[sum(O[a][c] * K[c][b] for c in range(n)) for b in range(n)]
+          for a in range(n)]
+    OKOt = [[sum(OK[a][c] * O[b][c] for c in range(n)) for b in range(n)]
+            for a in range(n)]
+    return replace(g, kappa=tuple(OKOt[b - 1][a - 1] for a, b in _pairs(n)),
+                   chi=_o_apply(O, g.chi))
+
+
+def _push_P(g: GeneratorCoeffs, X: Sequence[Expr]) -> GeneratorCoeffs:
+    n = g.n
+    Xt = tuple(diff(c, T_VAR) for c in X)
+    Xtt = tuple(diff(c, T_VAR) for c in Xt)
+    tau_t = diff(g.tau, T_VAR)
+    tau_tt = diff(tau_t, T_VAR)
+    chi = list(g.chi)
+    # D(tau) part
+    for a in range(n):
+        chi[a] = chi[a] + g.tau * Xt[a] - HALF * tau_t * X[a]
+    sigma = g.sigma + const(Fraction(1, 8)) * tau_tt * _dot(X, X) \
+        - const(Fraction(1, 4)) * tau_t * _dot(X, Xt) \
+        - const(Fraction(1, 4)) * g.tau * (_dot(X, Xtt) - _dot(Xt, Xt))
+    # J part: the shift tuple picks up -K X (hat-X of the listed rule)
+    K = g.kappa_matrix()
+    for a in range(n):
+        chi[a] = chi[a] - sum_(const(K[a][b]) * X[b] for b in range(n))
+    for (a, b), kab in zip(_pairs(n), g.kappa):
+        if kab != 0:
+            sigma = sigma - const(kab) * HALF * (X[a - 1] * Xt[b - 1] - X[b - 1] * Xt[a - 1])
+    # P part
+    sigma = sigma + HALF * (_dot(g.chi, Xt) - _dot(tuple(diff(c, T_VAR) for c in g.chi), X))
+    return replace(g, chi=tuple(chi), sigma=sigma)
+
+
+def _push_M(g: GeneratorCoeffs, Sigma: Expr) -> GeneratorCoeffs:
+    return replace(g, sigma=g.sigma + g.tau * diff(Sigma, T_VAR))
+
+
+def _push_I(g: GeneratorCoeffs, Upsilon: Expr) -> GeneratorCoeffs:
+    return replace(g, rho=g.rho + g.tau * diff(Upsilon, T_VAR))
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,9 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
     sample point.  e's tape is kept in ``tapes``, a caller's dict
     (``owned_tape``), or else in one for this call.
     """
+    if e is ZERO:  # answered as sampling it would: it draws nothing and reads 0
+        return 0.0, ({"value": 0j, "normalized": 0.0, "point": {}}
+                     if trials > 0 and bindings_per_trial > 0 else None)
     if rng is None:
         rng = np.random.default_rng(0)
     binding = binding or EMPTY_BINDING
@@ -526,12 +529,9 @@ def is_zero(e: Expr, trials: int = DEFAULT_TRIALS, bindings_per_trial: int = DEF
     Each trial draws fresh surrogate bindings for unbound symbols and fresh
     sample points; `tol` applies to values normalized by (1 + max|subterm|).
     """
-    if e is ZERO:
-        return True
-    worst, _ = max_normalized_residual(
+    return max_normalized_residual(
         e, binding=binding, trials=trials, bindings_per_trial=bindings_per_trial,
-        points=points, rng=rng)
-    return worst < tol
+        points=points, rng=rng)[0] < tol
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,14 @@ from schsym.closedform import exppoly_to_expr
 from schsym.conditions import Potential, classifying_residual
 from schsym import equivalence
 from schsym.equivalence import (AdmissibleTransformation, EquivTransformation,
-                                NonElementaryError, UndecidableTemplate,
-                                act_on_potential, compose, dv_coefficient,
-                                equiv_generator_check, flow, invert,
-                                is_free_reducible, is_real_admissible,
+                                UndecidableTemplate, act_on_potential, compose,
+                                dv_coefficient, equiv_generator_check, flow,
+                                invert, is_free_reducible, is_real_admissible,
                                 potentials_agree, pushforward, rational_rotation,
-                                _identity_matrix)
-from schsym.expr import (HALF, LOG, SymbolTable, T_VAR, ZERO, conj_expr, const,
-                         diff, func_app, im_part, int_pow, sum_, t, var, x)
-from schsym.fields import D, GeneratorCoeffs, Iop, J, M, P, absx2
+                                _dot, _identity_matrix, _o_apply)
+from schsym.expr import (HALF, LOG, SIN, SymbolTable, T_VAR, ZERO, abs_pow, conj_expr,
+                         const, diff, func_app, im_part, int_pow, subst, sum_, t, var, x)
+from schsym.fields import D, GeneratorCoeffs, Iop, J, M, P, _pairs, absx2
 from schsym.funcbank import random_surrogate, random_trig_poly
 from schsym.numeric import Binding, Workspace, is_zero
 from schsym.parsing import parse
@@ -234,11 +233,131 @@ def test_pushforward_listed_rules():
     assert img4.kappa == (Fraction(1),)
 
 
-def test_pushforward_requires_elementary():
+def _reference_pushforward(g, tr, kind):
+    """The closed-form rule of one elementary kind, applied to the whole map
+    as the single-kind pushforward did: the oracle for factored pushforward
+    on elementary maps."""
+    n = g.n
+    if kind == "D":
+        tinv = tr.tinv_app()
+        Tt = diff(tr.T, T_VAR)
+
+        def comp(e):
+            return subst(e, {T_VAR: tinv})
+
+        tau = comp(Tt * g.tau)
+        chi = tuple(comp(abs_pow(Tt, Fraction(1, 2)) * c) for c in g.chi)
+        return GeneratorCoeffs(n, tau, g.kappa, chi, comp(g.sigma), comp(g.rho), None)
+    if kind == "J":
+        O = tr.O
+        K = g.kappa_matrix()
+        OK = [[sum(O[a][c] * K[c][b] for c in range(n)) for b in range(n)]
+              for a in range(n)]
+        OKOt = [[sum(OK[a][c] * O[b][c] for c in range(n)) for b in range(n)]
+                for a in range(n)]
+        kappa = tuple(OKOt[b - 1][a - 1] for a, b in _pairs(n))
+        return GeneratorCoeffs(n, g.tau, kappa, _o_apply(O, g.chi), g.sigma, g.rho, None)
+    if kind == "P":
+        X = tr.X
+        Xt = tuple(diff(c, T_VAR) for c in X)
+        Xtt = tuple(diff(c, T_VAR) for c in Xt)
+        tau_t = diff(g.tau, T_VAR)
+        tau_tt = diff(tau_t, T_VAR)
+        chi = list(g.chi)
+        sigma = g.sigma
+        for a in range(n):
+            chi[a] = chi[a] + g.tau * Xt[a] - HALF * tau_t * X[a]
+        sigma = sigma + const(Fraction(1, 8)) * tau_tt * _dot(X, X) \
+            - const(Fraction(1, 4)) * tau_t * _dot(X, Xt) \
+            - const(Fraction(1, 4)) * g.tau * (_dot(X, Xtt) - _dot(Xt, Xt))
+        K = g.kappa_matrix()
+        for a in range(n):
+            chi[a] = chi[a] - sum_(const(K[a][b]) * X[b] for b in range(n))
+        for (a, b), kab in zip(_pairs(n), g.kappa):
+            if kab != 0:
+                sigma = sigma - const(kab) * HALF * (X[a - 1] * Xt[b - 1] - X[b - 1] * Xt[a - 1])
+        sigma = sigma + HALF * (_dot(g.chi, Xt) - _dot(tuple(diff(c, T_VAR) for c in g.chi), X))
+        return GeneratorCoeffs(n, g.tau, g.kappa, tuple(chi), sigma, g.rho, None)
+    if kind == "M":
+        return GeneratorCoeffs(n, g.tau, g.kappa, g.chi,
+                               g.sigma + g.tau * diff(tr.Sigma, T_VAR), g.rho, None)
+    assert kind == "I"
+    return GeneratorCoeffs(n, g.tau, g.kappa, g.chi, g.sigma,
+                           g.rho + g.tau * diff(tr.Upsilon, T_VAR), None)
+
+
+def criterion_4_generators():
+    tv = var(T_VAR)
+    return [D(1), D(tv), D(tv * tv).add(Iop(-tv, 2)), J(1, 2)]
+
+
+def criterion_4_maps(rng):
+    """The six elementary maps of criterion 4, each with its kind."""
+    def small():
+        return exppoly_to_expr(random_trig_poly(rng, "real").scale(0.2))
+
+    return [("D", EquivTransformation.elementary_D(parse("4*t"), 2)),
+            ("D", EquivTransformation.elementary_D(
+                var(T_VAR) + exppoly_to_expr(random_trig_poly(rng, "real").scale(0.08)), 2)),
+            ("J", EquivTransformation.elementary_J(rational_rotation(Fraction(2, 5)), 2)),
+            ("P", EquivTransformation.elementary_P((small(), small()), 2)),
+            ("M", EquivTransformation.elementary_M(small(), 2)),
+            ("I", EquivTransformation.elementary_I(small(), 2))]
+
+
+def assert_equivariant(V, g, tr, rng):
+    # the image of a symmetry of V is a symmetry of V's image
+    Vt = act_on_potential(V, tr)
+    res = classifying_residual(Vt, pushforward(g, tr))
+    assert is_zero(res, trials=2, points=50, binding=Vt.binding, rng=rng), (g, tr)
+
+
+def test_pushforward_on_elementary_maps_is_the_single_kind_rule():
+    # the factored fold builds the very nodes of each kind's rule
+    rng = np.random.default_rng(400)
+    for kind, tr in criterion_4_maps(rng):
+        for g in criterion_4_generators():
+            got = pushforward(g, tr)
+            want = _reference_pushforward(g, tr, kind)
+            assert got.tau is want.tau and got.sigma is want.sigma \
+                and got.rho is want.rho, (kind, g)
+            assert all(a is b for a, b in zip(got.chi, want.chi)), (kind, g)
+            assert got.kappa == want.kappa, (kind, g)
+
+
+def test_pushforward_along_a_mixed_map(table):
+    # D(4t) with a shift whose Sigma is not the canonical phase
     tr = EquivTransformation(2, parse("4*t"), _identity_matrix(2),
                              (parse("t"), ZERO), ZERO, ZERO)
-    with pytest.raises(NonElementaryError):
-        pushforward(D(1), tr)
+    assert_equivariant(inverse_square(table), D(1), tr, np.random.default_rng(13))
+
+
+def test_pushforward_along_any_map(table):
+    rng = np.random.default_rng(14)
+    ws = Workspace()
+    V = inverse_square(table)
+    maps = [random_transform(rng, ws) for _ in range(3)]
+    r = random_transform(rng, ws)
+    decreasing = EquivTransformation(2, -r.T, r.O, r.X, r.Sigma, r.Upsilon,
+                                     binding=ws.binding)
+    assert decreasing.eps == -1
+    a1 = AdmissibleTransformation.create(V, maps[0])
+    a2 = AdmissibleTransformation.create(a1.target, decreasing)
+    maps += [decreasing, compose(a1, a2, validate=False).map,
+             flow(P(t(), func_app(SIN, [t()])), 0.25, ws)]
+    for tr in maps:
+        for g in criterion_4_generators():
+            assert_equivariant(V, g, tr, rng)
+
+
+def test_pushforward_along_a_decreasing_time_map():
+    # sigma changes sign with the orientation of T; rho does not
+    rng = np.random.default_rng(15)
+    for T in ("-t", "-2*t - sin(t)/10"):
+        tr = EquivTransformation.elementary_D(parse(T), 2)
+        assert tr.eps == -1
+        assert_equivariant(Potential(parse("2*t"), 2), D(1).add(M(parse("2*t"))), tr, rng)
+        assert_equivariant(Potential(parse("2*i*t"), 2), D(1).add(Iop(parse("-2*t"))), tr, rng)
 
 
 def test_pushforward_equivariance(table):
@@ -255,11 +374,7 @@ def test_pushforward_equivariance(table):
     checked = 0
     for g in gens:
         for tr in trs:
-            Vt = act_on_potential(V, tr)
-            gt = pushforward(g, tr)
-            res = classifying_residual(Vt, gt)
-            assert is_zero(res, trials=2, points=50, binding=Vt.binding, rng=rng), \
-                (tr.elementary_kind(),)
+            assert_equivariant(V, g, tr, rng)
             checked += 1
     assert checked >= 18
 
@@ -293,13 +408,14 @@ def test_dv_coefficient_matches_per_family_reference():
 def test_rotation_flows_are_defined_at_n_2():
     ws = Workspace()
     tr = flow(J(1, 2), 0.25, ws)
-    assert tr.elementary_kind() == "J"
+    assert tr.T is t() and tr.X == (ZERO, ZERO) and tr.Sigma is ZERO
     assert float(tr.O[1][0]) == pytest.approx(np.sin(0.25))
     for a, b in ((1, 2), (2, 3)):
         with pytest.raises(ValueError, match="n = 2"):
             flow(J(a, b, 3), 0.25, ws)
     # a rotation-free generator flows at any n
-    assert flow(D(t(), 3), 0.25, ws).elementary_kind() == "D"
+    tr = flow(D(t(), 3), 0.25, ws)
+    assert tr.O == _identity_matrix(3) and tr.X == (ZERO,) * 3 and tr.Sigma is ZERO
 
 
 def test_equiv_generator_check_detects_wrong_coefficient(table, monkeypatch):

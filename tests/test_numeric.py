@@ -84,6 +84,22 @@ def test_witness_records_worst_point():
     assert "t" in witness["point"] and "x1" in witness["point"]
 
 
+def test_zero_is_answered_as_sampling_it_would(monkeypatch):
+    import schsym.numeric as numeric
+
+    def run(**kw):
+        rng = np.random.default_rng(6)
+        got = max_normalized_residual(ZERO, rng=rng, **kw)
+        return got, rng.bit_generator.state
+
+    settings = [{}, {"trials": 2, "points": 7}, {"trials": 0}, {"bindings_per_trial": 0}]
+    answered = [run(**kw) for kw in settings]
+    # with the short-circuit disabled, ZERO is sampled
+    monkeypatch.setattr(numeric, "ZERO", None)
+    assert answered == [run(**kw) for kw in settings]
+    assert answered[0][1] == np.random.default_rng(6).bit_generator.state
+
+
 def test_conjugated_jets_sample_consistently():
     p = parse("psi*conj(psi)")
     env = draw_env(p.free_vars, 32, np.random.default_rng(5))

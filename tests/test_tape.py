@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schsym import numeric
 from schsym.cases import verify_case
@@ -481,26 +481,29 @@ def _real_part_of_complex_run(e, binding, z):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_real_program_matches_the_complex_real_part_bitwise(data):
-    e = data.draw(_real_t_strategy())
-    extra = data.draw(st.lists(st.floats(-3.0, 3.0), max_size=4))
+@given(e=_real_t_strategy(), extra=st.lists(st.floats(-3.0, 3.0), max_size=4))
+# nested integer powers fold to t^100, which numpy's complex power does not
+# take by multiplication
+@example(e=int_pow(int_pow(int_pow(t(), 5), 5), 4), extra=[])
+def test_real_program_matches_the_complex_real_part_bitwise(e, extra):
     z = np.concatenate([REAL_POINTS, extra])
     impl = InverseImpl(e, EMPTY_BINDING)  # here only the owner of e's programs
-    assert impl._runs_real(e)
+    real = impl._runs_real(e)
+    assert real == all(abs(n.k) < 100 for n in post_order(e) if isinstance(n, IntPow))
     tape = _Tape(e)
     with np.errstate(all="ignore"):
         # the batch, and each point alone, so one zero does not hide the rest
         for pts in [z] + [z[i:i + 1] for i in range(len(z))]:
             want, unsafe = _real_part_of_complex_run(e, EMPTY_BINDING, pts)
-            got = tape.run_real(EMPTY_BINDING, {T_VAR: pts}, len(pts))
+            got = tape.run_real(EMPTY_BINDING, {T_VAR: pts}, len(pts)) if real else None
             if got is None:
                 # the real program declines only a zero root or a non-finite row
-                assert (want == 0).any() or unsafe.any()
+                assert not real or (want == 0).any() or unsafe.any()
             else:
                 assert np.array_equal(_bits(got), _bits(want))
-            # the owner answers every point, from the complex program where declined
-            assert np.array_equal(_bits(impl._real_at(e, pts, True)), _bits(want))
+            # the owner answers every point, by its route, from the complex
+            # program where the real one declines
+            assert np.array_equal(_bits(impl._real_at(e, pts, real)), _bits(want))
 
 
 def test_zero_root_and_non_finite_row_decline_the_real_program():
