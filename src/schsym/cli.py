@@ -1,7 +1,9 @@
 """Batch verification entry point.
 
 Subcommands: verify-table, verify-case, residual, bracket, transform,
-invariants, groupoid.  All outputs are valid JSON under --format json and
+invariants, groupoid.  Each offers only the flags that can change its
+output (_OPTIONS), plus --format and --config; any other flag, or config
+key, exits 2.  All outputs are valid JSON under --format json and
 byte-identical under a fixed seed; the exit code is 0 iff every check
 passed.
 """
@@ -32,7 +34,8 @@ from .parsing import ParseError, load_declarations, parse, to_text, var_name
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Run parameters shared by all subcommands.
+    """Run parameters of all subcommands; a field that a command does not
+    offer keeps its default.
 
     A fixed seed makes every report byte-identical: randomness flows only
     through seeded generators, and table runs give each case its own seed
@@ -63,22 +66,36 @@ class RunConfig:
             raise ValueError("format must be 'text' or 'json'")
 
 
-def _add_common(p: argparse.ArgumentParser):
+# every command flag: one per RunConfig field, --declare and --config
+_FLAGS = {
+    "n": dict(type=int, help="space dimension"),
+    "trials": dict(type=int, help="random instantiations per case / zero-test trials"),
+    "bindings": dict(type=int, help="fresh surrogate bindings per zero test"),
+    "points": dict(type=int, help="sample points per zero-test batch"),
+    "tol": dict(type=float, help="normalized tolerance"),
+    "seed": dict(type=int, help="RNG seed"),
+    "declare": dict(help="JSON declarations file: [{name, arity, codomain}, ...]"),
+    "format": dict(choices=("text", "json")),
+    "config": dict(help="JSON file whose keys override the flags above"),
+}
+
+# the flags each command offers besides --format and --config, which all
+# commands offer: only the ones that can change its output
+_OPTIONS = {
+    "verify-table": ("trials", "bindings", "points", "tol", "seed"),
+    "verify-case": ("trials", "bindings", "points", "tol", "seed"),
+    "residual": ("n", "trials", "points", "tol", "seed", "declare"),
+    "bracket": ("n", "trials", "points", "tol", "seed", "declare"),
+    "transform": ("n", "seed", "declare"),
+    "invariants": ("n", "tol", "seed", "declare"),
+    "groupoid": (),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, names: tuple[str, ...]):
     d = RunConfig()
-    p.add_argument("--n", type=int, default=d.n, help="space dimension")
-    p.add_argument("--trials", type=int, default=d.trials,
-                   help="random instantiations per case / zero-test trials")
-    p.add_argument("--bindings", type=int, default=d.bindings,
-                   help="fresh surrogate bindings per zero-test trial")
-    p.add_argument("--points", type=int, default=d.points,
-                   help="sample points per zero-test batch")
-    p.add_argument("--tol", type=float, default=d.tol, help="normalized tolerance")
-    p.add_argument("--seed", type=int, default=d.seed, help="RNG seed")
-    p.add_argument("--format", choices=("text", "json"), default=d.format)
-    p.add_argument("--config", default=None,
-                   help="JSON file whose keys override the flags above")
-    p.add_argument("--declare", default=None,
-                   help="JSON declarations file: [{name, arity, codomain}, ...]")
+    for name in names + ("format", "config"):
+        p.add_argument(f"--{name}", default=getattr(d, name, None), **_FLAGS[name])
 
 
 # the schema entry of a --config key, by the type of its RunConfig field
@@ -99,8 +116,10 @@ def _load_json_file(path: str):
 
 def _run_config(args) -> RunConfig:
     """The flags' values, overridden by the --config file: a JSON object whose
-    keys are RunConfig fields, each with a value of that field's type."""
-    fields = dataclasses.fields(RunConfig)
+    keys are the command's RunConfig fields, each with a value of that
+    field's type.  A field the command does not offer keeps its default."""
+    offered = _OPTIONS[args.command] + ("format",)
+    fields = [f for f in dataclasses.fields(RunConfig) if f.name in offered]
     values = {f.name: getattr(args, f.name) for f in fields}
     if args.config:
         config = {f.name: _CONFIG_TYPES[f.type] for f in fields}
@@ -161,14 +180,6 @@ def _load_generator(spec, table: SymbolTable, n: int) -> GeneratorCoeffs:
     return GeneratorCoeffs(n, tau, kappa, chi, sigma, rho, eta)
 
 
-def _only_n2(args) -> None:
-    """The case table is fixed at n = 2 and groupoid models have no space
-    dimension, so verify-table, verify-case and groupoid reject any other n
-    instead of ignoring it."""
-    if args.cfg.n != 2:
-        raise ValueError(f"{args.command} runs at n = 2 only, not n = {args.cfg.n}")
-
-
 def _read_spec(source: str):
     """A JSON literal or a path to a JSON file."""
     text = source.strip()
@@ -178,7 +189,6 @@ def _read_spec(source: str):
 
 
 def cmd_verify_table(args) -> int:
-    _only_n2(args)
     cfg = args.cfg
     report = case_mod.verify_table(draws=cfg.trials, seed=cfg.seed,
                                    points=cfg.points, zero_trials=cfg.bindings,
@@ -207,7 +217,6 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_verify_case(args) -> int:
-    _only_n2(args)
     cfg = args.cfg
     rng = np.random.default_rng([cfg.seed, 1000 + args.case])
     rep = case_mod.verify_case(args.case, draws=cfg.trials, rng=rng,
@@ -231,8 +240,7 @@ def cmd_residual(args) -> int:
     g = _load_generator(_read_spec(args.field), ws.table, cfg.n)
     res = classifying_residual(V, g)
     worst, witness = max_normalized_residual(
-        res, binding=ws.binding, trials=cfg.trials,
-        bindings_per_trial=cfg.bindings, points=cfg.points, rng=rng)
+        res, binding=ws.binding, trials=cfg.trials, points=cfg.points, rng=rng)
     zero = worst < cfg.tol
     payload = {
         "potential": args.potential,
@@ -268,8 +276,8 @@ def cmd_bracket(args) -> int:
     if args.check:
         gen = bracket_generic(expand(g1), expand(g2))
         dvf = expand(br).sub(gen)
-        ok = all(is_zero(c, trials=cfg.trials, bindings_per_trial=cfg.bindings,
-                         tol=cfg.tol, points=cfg.points, binding=ws.binding, rng=rng)
+        ok = all(is_zero(c, trials=cfg.trials, tol=cfg.tol, points=cfg.points,
+                         binding=ws.binding, rng=rng)
                  for c in dvf.components())
         payload["generic_cross_check"] = ok
     lines = [f"[g1, g2] = tau: {payload['tau']}; kappa: {payload['kappa']}; "
@@ -337,7 +345,6 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_groupoid(args) -> int:
-    _only_n2(args)
     cfg = args.cfg
     if args.model in gp.FIXTURE_TRUTH_TABLE:
         model = gp.load_fixture(args.model)
@@ -373,18 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-table", help="verify all classification cases")
     p.add_argument("--cases", type=int, nargs="+", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_verify_table)
 
     p = sub.add_parser("verify-case", help="verify one classification case")
     p.add_argument("case", type=int)
-    _add_common(p)
     p.set_defaults(func=cmd_verify_case)
 
     p = sub.add_parser("residual", help="classifying residual of (potential, field)")
     p.add_argument("potential", help="potential expression")
     p.add_argument("field", help="field-spec JSON (inline or a file path)")
-    _add_common(p)
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("bracket", help="structural bracket of two fields")
@@ -392,26 +396,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g2")
     p.add_argument("--check", action="store_true",
                    help="cross-check against the generic commutator")
-    _add_common(p)
     p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("transform", help="act a transformation on a potential")
     p.add_argument("potential")
     p.add_argument("spec", help="transformation-spec JSON (inline or file)")
-    _add_common(p)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("invariants", help="invariant integers of a generator list")
     p.add_argument("fields", help="JSON list of field specs (inline or file)")
-    _add_common(p)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("groupoid", help="finite-groupoid checks")
     p.add_argument("model", help="fixture name or model JSON file")
     p.add_argument("check", choices=("all", "uniform", "semi-normalized",
                                      "disjoint", "factorization", "extension"))
-    _add_common(p)
     p.set_defaults(func=cmd_groupoid)
+    for name, p in sub.choices.items():
+        _add_common(p, _OPTIONS[name])
     return ap
 
 

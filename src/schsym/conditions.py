@@ -1,8 +1,10 @@
 """Determining equations, classifying condition and invariant integers.
 
 The classifying condition couples a potential V(t, x) with the canonical
-coefficients (tau, kappa, chi, sigma, rho) of a would-be symmetry; its
-residual vanishing (as a randomized identity) decides membership.  The
+coefficients (tau, kappa, chi, sigma, rho) of a would-be symmetry: g's
+equivalence generator must be tangent to V, so its dV component
+(dv_coefficient) equals g's derivative of V along (t, x).  The residual
+vanishing (as a randomized identity) decides membership.  The
 second-prolongation residual built from total derivatives provides the
 independent oracle for the same decision.
 
@@ -78,30 +80,36 @@ class Potential:
                 raise ValueError("potential uses a space variable beyond dimension n")
 
 
-def classifying_residual(V: Potential, g: GeneratorCoeffs) -> Expr:
-    """LHS - RHS of the single classifying condition; zero iff g is admissible.
+def dv_coefficient(g: GeneratorCoeffs, V: Potential) -> Expr:
+    """The dV component of g's equivalence generator on V, linear in g:
+    -tau_t V + tau_ttt |x|^2 / 8 - i (n/4) tau_tt + sum_a chi_a'' x_a / 2
+    + sigma_t - i rho_t.  The rotation part adds nothing."""
+    tau_t = diff(g.tau, T_VAR)
+    tau_tt = diff(tau_t, T_VAR)
+    return sum_([const(-1) * tau_t * V.expr,
+                 const(Fraction(1, 8)) * diff(tau_tt, T_VAR) * absx2(g.n),
+                 const(0, Fraction(-g.n, 4)) * tau_tt,
+                 *(HALF * diff(diff(c, T_VAR), T_VAR) * x(a) for a, c in enumerate(g.chi, 1)),
+                 diff(g.sigma, T_VAR), -I_UNIT * diff(g.rho, T_VAR)])
 
-    tau V_t + (tau_t x_a / 2 + rotation + chi_a) V_a + tau_t V
-      = tau_ttt |x|^2 / 8 + chi_a'' x_a / 2 + sigma_t - i rho_t - i (n/4) tau_tt
+
+def classifying_residual(V: Potential, g: GeneratorCoeffs) -> Expr:
+    """The classifying condition's residual, zero iff g is admissible:
+    g's equivalence generator is tangent to V exactly when its dV component
+    equals g's derivative of V along (t, x),
+
+    tau V_t + xi_a V_a - dv_coefficient(g, V),
+    xi_a = tau_t x_a / 2 + (rotation)_a + chi_a.
+
     (g.eta0 is ignored; it is constrained by the separate linear equation.)
     """
     if V.n != g.n:
         raise ValueError("dimension mismatch between potential and generator")
-    n = g.n
-    tau_t = diff(g.tau, T_VAR)
-    tau_tt = diff(tau_t, T_VAR)
-    tau_ttt = diff(tau_tt, T_VAR)
-    xi_rot = g.rotation_xi()
-    res = g.tau * diff(V.expr, T_VAR) + tau_t * V.expr
-    for a in range(1, n + 1):
-        xi_a = HALF * tau_t * x(a) + xi_rot[a - 1] + g.chi[a - 1]
-        res = res + xi_a * diff(V.expr, x_var(a))
-    res = res - const(Fraction(1, 8)) * tau_ttt * absx2(n)
-    for a in range(1, n + 1):
-        res = res - HALF * diff(diff(g.chi[a - 1], T_VAR), T_VAR) * x(a)
-    res = res - diff(g.sigma, T_VAR) + I_UNIT * diff(g.rho, T_VAR)
-    res = res + const(0, Fraction(n, 4)) * tau_tt
-    return res
+    half_tau_t = HALF * diff(g.tau, T_VAR)
+    return sum_([g.tau * diff(V.expr, T_VAR),
+                 *((half_tau_t * x(a) + rot + chi) * diff(V.expr, x_var(a))
+                   for a, (rot, chi) in enumerate(zip(g.rotation_xi(), g.chi), 1)),
+                 -dv_coefficient(g, V)])
 
 
 def eta0_residual(V: Potential, eta0: Expr) -> Expr:

@@ -10,8 +10,8 @@ fresh function symbol evaluated by root finding, with derivatives from the
 chain-rule expressions H_k, except for a map built by ``invert``, whose
 inverse is the original T.  A generator of the equivalence algebra is its
 ``GeneratorCoeffs``: ``pushforward`` moves it along any map, one closed-form
-rule per elementary factor, ``dv_coefficient`` is its dV component, and
-``flow`` a map tangent to its flow.
+rule per elementary factor, and ``flow`` is a map tangent to its flow,
+checked against its dV component ``conditions.dv_coefficient``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conditions import Potential
+from .conditions import Potential, dv_coefficient
 from .expr import (
     Expr,
     FuncApp,
@@ -443,19 +443,6 @@ def _push_I(g: GeneratorCoeffs, Upsilon: Expr) -> GeneratorCoeffs:
 # ---------------------------------------------------------------------------
 # the equivalence-algebra generators and their infinitesimal check
 # ---------------------------------------------------------------------------
-
-def dv_coefficient(g: GeneratorCoeffs, V: Potential) -> Expr:
-    """The dV component of g's equivalence generator on V, linear in g:
-    -tau_t V + tau_ttt |x|^2 / 8 - i (n/4) tau_tt + sum_a chi_a'' x_a / 2
-    + sigma_t - i rho_t.  The rotation part adds nothing."""
-    tau_t = diff(g.tau, T_VAR)
-    tau_tt = diff(tau_t, T_VAR)
-    return const(-1) * tau_t * V.expr \
-        + const(Fraction(1, 8)) * diff(tau_tt, T_VAR) * absx2(g.n) \
-        - const(0, Fraction(g.n, 4)) * tau_tt \
-        + HALF * sum_(diff(diff(c, T_VAR), T_VAR) * x(a) for a, c in enumerate(g.chi, 1)) \
-        + diff(g.sigma, T_VAR) - I_UNIT * diff(g.rho, T_VAR)
-
 
 def flow(g: GeneratorCoeffs, delta: float, ws: Workspace) -> EquivTransformation:
     """A map tangent to g's flow at delta = 0: T = t + delta tau, O the

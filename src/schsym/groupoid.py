@@ -225,20 +225,15 @@ def verify_factorization(m: GroupoidModel) -> dict:
     trivial-intersection and unique-decomposition strengthenings.
     """
     G = m.G
-    try:
-        semi = is_semi_normalized(m)
-    except ModelNotUniform:
+    if not is_uniform(m):
         return {"applicable": False, "reason": "family is not uniform",
                 "passed": False}
-    if not semi:
+    if not is_semi_normalized(m):
         return {"applicable": False, "reason": "model is not semi-normalized",
                 "passed": False}
     h_labels = G.labels(m.H)
     report = {"applicable": True, "objects": {}, "passed": True}
-    try:
-        disjoint = is_disjointedly(m)
-    except ModelNotUniform:
-        disjoint = False
+    disjoint = is_disjointedly(m)
     for obj in G.objects:
         vertex = G.vertex_group(obj)
         n_ids = m.N[obj]
@@ -279,10 +274,7 @@ def verify_extension(m: GroupoidModel, Hbar: Optional[frozenset[int]] = None) ->
         raise GroupoidError("Hbar is not a wide subgroupoid")
     if not (m.H <= Hbar):
         raise GroupoidError("Hbar does not contain H")
-    try:
-        if not is_semi_normalized(m, Hbar):
-            return False
-    except ModelNotUniform:
+    if not (is_uniform(m, Hbar) and is_semi_normalized(m, Hbar)):
         return False
     klabels = kernel_labels(G)
     nbar = {}
@@ -294,24 +286,15 @@ def verify_extension(m: GroupoidModel, Hbar: Optional[frozenset[int]] = None) ->
             return False
         nbar[obj] = prod
     mbar = GroupoidModel(G, m.H, nbar)
-    try:
-        return is_semi_normalized(mbar, Hbar)
-    except ModelNotUniform:
-        return False
+    return is_uniform(mbar, Hbar) and is_semi_normalized(mbar, Hbar)
 
 
 def run_all_checks(m: GroupoidModel) -> dict:
     """The documented truth table entries for one model."""
-    out = {}
-    out["uniform"] = is_uniform(m)
-    try:
-        out["semi_normalized"] = is_semi_normalized(m)
-    except ModelNotUniform:
-        out["semi_normalized"] = False
-    try:
-        out["disjoint"] = is_disjointedly(m)
-    except ModelNotUniform:
-        out["disjoint"] = False
+    uniform = is_uniform(m)
+    out = {"uniform": uniform,
+           "semi_normalized": uniform and is_semi_normalized(m),
+           "disjoint": uniform and is_disjointedly(m)}
     fact = verify_factorization(m)
     out["factorization"] = bool(fact.get("applicable") and fact["passed"])
     out["splitting"] = bool(

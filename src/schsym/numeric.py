@@ -231,7 +231,7 @@ class _Tape:
         self.inputs = inputs
         self.rows = len(computed)
         self.consts = [c.value() for c in consts]
-        self.cmax = max(map(abs, self.consts), default=0.0)
+        self.cmax = np.abs(self.consts).max(initial=0.0)
         self.vars = []
         for n in variables:
             v = n.vid
@@ -491,8 +491,10 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
                             tapes: Optional[dict] = None):
     """Max of |e| / (1 + max|subterm|) over random bindings and points.
 
-    Returns (max value, witness dict) where the witness records the worst
-    sample point.  e's tape is kept in ``tapes``, a caller's dict
+    Each of the trials * bindings_per_trial draws binds e's unbound symbols
+    to fresh surrogates and then samples fresh points, so only the product
+    counts.  Returns (max value, witness dict) where the witness records the
+    worst sample point.  e's tape is kept in ``tapes``, a caller's dict
     (``owned_tape``), or else in one for this call.
     """
     if e is ZERO:  # answered as sampling it would: it draws nothing and reads 0
@@ -504,34 +506,31 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
     tapes = {} if tapes is None else tapes
     worst = 0.0
     witness = None
-    for _ in range(trials):
-        for _ in range(bindings_per_trial):
-            full = _fill_surrogates(e, binding, rng)
-            vals, scale, env = eval_resampling(e, full, points, rng, tapes)
-            normed = np.abs(vals) / (1.0 + scale)
-            i = int(np.argmax(normed))
-            if normed[i] >= worst:
-                worst = float(normed[i])
-                witness = {
-                    "value": complex(vals.reshape(-1)[i]),
-                    "normalized": float(normed[i]),
-                    "point": {var_name(v): complex(env[v][i]) for v in sorted(env, key=_var_sort_key)},
-                }
+    for _ in range(trials * bindings_per_trial):
+        full = _fill_surrogates(e, binding, rng)
+        vals, scale, env = eval_resampling(e, full, points, rng, tapes)
+        normed = np.abs(vals) / (1.0 + scale)
+        i = int(np.argmax(normed))
+        if normed[i] >= worst:
+            worst = float(normed[i])
+            witness = {
+                "value": complex(vals.reshape(-1)[i]),
+                "normalized": float(normed[i]),
+                "point": {var_name(v): complex(env[v][i]) for v in sorted(env, key=_var_sort_key)},
+            }
     return worst, witness
 
 
-def is_zero(e: Expr, trials: int = DEFAULT_TRIALS, bindings_per_trial: int = DEFAULT_BINDINGS,
-            tol: float = DEFAULT_TOL, *, points: int = DEFAULT_POINTS,
-            binding: Optional[Binding] = None,
+def is_zero(e: Expr, trials: int = DEFAULT_TRIALS, tol: float = DEFAULT_TOL, *,
+            points: int = DEFAULT_POINTS, binding: Optional[Binding] = None,
             rng: Optional[np.random.Generator] = None) -> bool:
     """Probabilistic identity test: true iff |e| < tol at every sampled point.
 
     Each trial draws fresh surrogate bindings for unbound symbols and fresh
     sample points; `tol` applies to values normalized by (1 + max|subterm|).
     """
-    return max_normalized_residual(
-        e, binding=binding, trials=trials, bindings_per_trial=bindings_per_trial,
-        points=points, rng=rng)[0] < tol
+    return max_normalized_residual(e, binding=binding, trials=trials, points=points,
+                                   rng=rng)[0] < tol
 
 
 # ---------------------------------------------------------------------------

@@ -283,10 +283,8 @@ LIBRARY_DEFAULTS = {
                                              "zero_trials": "bindings", "tol": "tol"}),
     "verify-case": (case_mod.verify_case, {"draws": "trials", "points": "points",
                                            "zero_trials": "bindings", "tol": "tol"}),
-    "residual": (max_normalized_residual, {"trials": "trials", "bindings_per_trial": "bindings",
-                                           "points": "points"}),
-    "bracket": (is_zero, {"trials": "trials", "bindings_per_trial": "bindings", "tol": "tol",
-                          "points": "points"}),
+    "residual": (max_normalized_residual, {"trials": "trials", "points": "points"}),
+    "bracket": (is_zero, {"trials": "trials", "tol": "tol", "points": "points"}),
 }
 
 
@@ -304,17 +302,66 @@ def test_flag_defaults_are_run_config_defaults(command):
 @pytest.mark.parametrize("command", ["verify-table", "verify-case", "groupoid"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_fixed_dimension_commands_reject_other_n(tmp_path, capsys, command, source):
-    # verify-case 1 --n 3 used to print the n = 2 case's verdict and exit 0
+    # verify-case 1 --n 3 used to print the n = 2 case's verdict and exit 0;
+    # the case table is fixed at n = 2 and groupoid models have no space
+    # dimension, so these commands offer no n
     argv = {"verify-table": ["verify-table", "--cases", "1"], "verify-case": ["verify-case", "1"],
-            "groupoid": ["groupoid", "normalized", "all"]}[command] + ["--trials", "1"]
+            "groupoid": ["groupoid", "normalized", "all"]}[command]
     if source == "flag":
-        argv += ["--n", "3"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text('{"n": 3}')
-        argv += ["--config", str(config)]
-    err = _assert_one_error_line(capsys, main(argv))
-    assert err == f"error: {command} runs at n = 2 only, not n = 3\n"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+        return
+    config = tmp_path / "config.json"
+    config.write_text('{"n": 3}')
+    err = _assert_one_error_line(capsys, main(argv + ["--config", str(config)]))
+    keys = "format" if command == "groupoid" else "trials, bindings, points, tol, seed, format"
+    assert err == f"error: unknown config key 'n'; expected keys among {keys}\n"
+
+
+# every per-command option, and the ones each command offers besides
+# --format and --config: those that can change its output
+ALL_OPTIONS = ("n", "trials", "bindings", "points", "tol", "seed", "format", "config", "declare")
+OFFERED = {"verify-table": {"trials", "bindings", "points", "tol", "seed"},
+           "verify-case": {"trials", "bindings", "points", "tol", "seed"},
+           "residual": {"n", "trials", "points", "tol", "seed", "declare"},
+           "bracket": {"n", "trials", "points", "tol", "seed", "declare"},
+           "transform": {"n", "seed", "declare"},
+           "invariants": {"n", "tol", "seed", "declare"},
+           "groupoid": set()}
+# a valid value of each option, as a flag argument and as a config value
+OPTION_VALUES = {"n": 2, "trials": 1, "bindings": 1, "points": 8, "tol": 1e-8, "seed": 1,
+                 "format": "json", "config": None, "declare": None}
+
+
+def test_each_command_offers_only_the_options_it_reads(tmp_path, capsys):
+    # --declare on verify-case and --points on transform used to be read
+    # by no one: verify-case 1 --declare /nonexistent.json exited 0
+    config, decls = tmp_path / "config.json", tmp_path / "decls.json"
+    config.write_text("{}")
+    decls.write_text("[]")
+    files = {"config": str(config), "declare": str(decls)}
+    parser = cli.build_parser()
+    pairs = [(command, name) for command in REQUIRED_ARGS for name in ALL_OPTIONS]
+    offered = [pair for pair in pairs if pair[1] in OFFERED[pair[0]] | {"format", "config"}]
+    assert (len(pairs), len(offered)) == (63, 43)
+    for command, name in pairs:
+        value = files.get(name, OPTION_VALUES[name])
+        argv = [command, *REQUIRED_ARGS[command], f"--{name}", str(value)]
+        if (command, name) in offered:
+            args = parser.parse_args(argv)
+            assert cli._run_config(args).format in ("text", "json")
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
+        unknown = tmp_path / "unknown.json"
+        unknown.write_text(json.dumps({name: value}))
+        err = _assert_one_error_line(capsys, main([command, *REQUIRED_ARGS[command],
+                                                   "--config", str(unknown)]))
+        assert err.startswith(f"error: unknown config key {name!r}"), (command, err)
 
 
 def test_report_does_not_depend_on_process_history(capsys):
@@ -322,6 +369,8 @@ def test_report_does_not_depend_on_process_history(capsys):
     # its speed only, and the inverse time maps made before it may not
     # change its names
     commands = [
+        # the table's verdicts, ranks and side conditions
+        (["verify-table", "--cases", "1", "13", "--trials", "1", "--format", "json"], 0),
         # a failing report prints residual floats and witness points
         (["verify-case", "16", "--trials", "2", "--tol", "1e-30", "--format", "json"], 1),
         # the potential names its inverse time map Tinv1
@@ -333,6 +382,8 @@ def test_report_does_not_depend_on_process_history(capsys):
         # exact bracket text and the generic oracle's verdict
         (["bracket", '{"tau":"t^2","chi":["sin(t)","t"]}', '{"tau":"exp(t)","rho":"t"}',
           "--check", "--format", "json"], 0),
+        # every groupoid check of one fixture
+        (["groupoid", "non_disjoint_semi", "all", "--format", "json"], 1),
     ]
     for argv, code in commands:
         fresh = subprocess.run([sys.executable, "-m", "schsym.cli", *argv],
@@ -624,8 +675,8 @@ VALID_FIELD = {"tau": "t", "kappa": "1", "chi": ["t", "0"], "sigma": "1", "rho":
                "eta0": None}
 VALID_TRANSFORM = {"T": "2*t", "O": [["3/5", "-4/5"], ["4/5", "3/5"]], "X": ["t", "0"],
                    "Sigma": "t", "Upsilon": "1"}
-VALID_CONFIG = {"n": 2, "trials": 1, "bindings": 1, "points": 8, "tol": 1e-8, "seed": 1,
-                "format": "json"}
+# the config of the residual command, whose --config the fuzz test breaks
+VALID_CONFIG = {"n": 2, "trials": 1, "points": 8, "tol": 1e-8, "seed": 1, "format": "json"}
 VALID_DECLARATION = {"name": "U", "arity": 1, "codomain": "real"}
 # no key takes a boolean or a non-finite number
 ALWAYS_BAD = (True, False, float("nan"), float("inf"))
@@ -706,7 +757,7 @@ def _broken_argv(data, target: str, tmp) -> list:
         return ["transform", "x1^2", json.dumps(spec)]
     if target == "config":
         config = {f.name: cli._CONFIG_TYPES[f.type]
-                  for f in dataclasses.fields(cli.RunConfig)}
+                  for f in dataclasses.fields(cli.RunConfig) if f.name in VALID_CONFIG}
         content = _break_object(data, VALID_CONFIG, config)
     elif target == "declare":
         decls = [VALID_DECLARATION, _break_object(data, VALID_DECLARATION, _DECLARATION,

@@ -3,11 +3,14 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from schsym.cases import instantiate, table as case_table
 from schsym.conditions import (InvariantTuple, Potential, SpanError, _first_outside, _rank,
                                _row_space, classifying_residual, eta0_residual, invariants,
                                kernel_check, lemma_fixtures, prolonged_residual)
-from schsym.expr import EXP, SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x
-from schsym.fields import D, Iop, J, M, P, bracket_rows, coefficient_rows, expand
+from schsym.expr import (EXP, HALF, I_UNIT, SymbolTable, T_VAR, ZERO, const, diff, func_app,
+                         int_pow, t, var, x, x_var)
+from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, absx2, bracket_rows,
+                           coefficient_rows, expand)
 from schsym.numeric import EMPTY_BINDING, is_zero
 from schsym.parsing import parse
 
@@ -49,6 +52,42 @@ def test_dimension_mismatch(table):
     V3 = Potential(parse("x3", n=3), 3)
     with pytest.raises(ValueError):
         classifying_residual(V3, D(1, 2))
+
+
+def _written_out_residual(V, g):
+    """The classifying condition term by term, LHS - RHS, kept as the reference:
+    tau V_t + (tau_t x_a / 2 + rotation + chi_a) V_a + tau_t V
+      = tau_ttt |x|^2 / 8 + chi_a'' x_a / 2 + sigma_t - i rho_t - i (n/4) tau_tt"""
+    n = g.n
+    tau_t = diff(g.tau, T_VAR)
+    tau_tt = diff(tau_t, T_VAR)
+    xi_rot = g.rotation_xi()
+    res = g.tau * diff(V.expr, T_VAR) + tau_t * V.expr
+    for a in range(1, n + 1):
+        xi_a = HALF * tau_t * x(a) + xi_rot[a - 1] + g.chi[a - 1]
+        res = res + xi_a * diff(V.expr, x_var(a))
+    res = res - const(Fraction(1, 8)) * diff(tau_tt, T_VAR) * absx2(n)
+    for a in range(1, n + 1):
+        res = res - HALF * diff(diff(g.chi[a - 1], T_VAR), T_VAR) * x(a)
+    res = res - diff(g.sigma, T_VAR) + I_UNIT * diff(g.rho, T_VAR)
+    return res + const(0, Fraction(n, 4)) * tau_tt
+
+
+def test_classifying_residual_is_the_written_out_condition():
+    # tau V_t + xi . grad V - dv_coefficient(g, V), checked on every table
+    # case's generators and on rotations in three planes at n = 3
+    for case in case_table().values():
+        inst = instantiate(case, np.random.default_rng(80 + case.id))
+        for g in inst.generators:
+            d = classifying_residual(inst.V, g) - _written_out_residual(inst.V, g)
+            assert is_zero(d, trials=1, points=20, binding=inst.workspace.binding,
+                           rng=np.random.default_rng(case.id)), case.id
+    V = Potential(parse("sin(t)*x1^2 + x2*x3/(1 + t^2) + exp(t)*x3", n=3), 3)
+    g = GeneratorCoeffs(3, parse("t^3 + cos(t)"), (Fraction(1), Fraction(-2), Fraction(1, 3)),
+                        (parse("t^2"), parse("sin(t)"), parse("exp(t)")), parse("t*cos(t)"),
+                        parse("t^2/3"), None)
+    d = classifying_residual(V, g) - _written_out_residual(V, g)
+    assert is_zero(d, trials=2, points=40, rng=np.random.default_rng(3))
 
 
 def test_eta0_residual_free_equation(table):

@@ -100,6 +100,18 @@ def test_zero_is_answered_as_sampling_it_would(monkeypatch):
     assert answered[0][1] == np.random.default_rng(6).bit_generator.state
 
 
+def test_draws_do_not_depend_on_how_trials_and_bindings_split():
+    # each draw takes fresh surrogates and then fresh points, so only the
+    # product trials * bindings_per_trial can change the result
+    tbl = SymbolTable()
+    tbl.declare("f", 1, "real")
+    e = parse("f(t)*x1 + x2^2", tbl)
+    got = [max_normalized_residual(e, trials=a, bindings_per_trial=b, points=9,
+                                   rng=np.random.default_rng(4))
+           for a, b in ((6, 1), (3, 2), (2, 3), (1, 6))]
+    assert got[0][0] > 0 and all(g == got[0] for g in got)
+
+
 def test_conjugated_jets_sample_consistently():
     p = parse("psi*conj(psi)")
     env = draw_env(p.free_vars, 32, np.random.default_rng(5))

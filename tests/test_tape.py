@@ -127,6 +127,22 @@ def test_constant_root():
     assert not unsafe.any()
 
 
+def test_complex_constant_scale_is_the_array_magnitude():
+    # the constants' share of the scale took Python's abs of each numpy
+    # complex, which rounds 1 ulp away from the np.abs loop behind every
+    # other magnitude for about a third of complex constants, 3/2 + i among
+    # them; the recursive reference test drew this now and then
+    tbl = SymbolTable()
+    env = {x_var(1): np.array([-1.5, -1.5 - 1j, 0.25j])}  # |x1 + c| < |c| at each point
+    _assert_matches_reference(parse("x1 + (3/2 + i)", tbl), EMPTY_BINDING, env)
+    _assert_matches_reference(parse("-3/2 - 1*i", tbl), EMPTY_BINDING, {}, 3)
+    rng = np.random.default_rng(0)
+    for re, im in rng.integers(-99, 100, (500, 2)):
+        c = const(Fraction(int(re), 7), Fraction(int(im), 3))
+        _, scale, _ = eval_batch(c, EMPTY_BINDING, {}, 4)
+        assert np.array_equal(_bits(scale), _bits(np.abs(np.full(4, c.value())))), c
+
+
 def test_variable_root():
     env = {x_var(1): np.array([2.0, -0.5j])}
     vals, scale, _ = _assert_matches_reference(x(1), EMPTY_BINDING, env)
