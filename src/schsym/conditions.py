@@ -9,12 +9,13 @@ second-prolongation residual built from total derivatives provides the
 independent oracle for the same decision.
 
 The invariant integers are rank decisions on one draw's sampled
-coefficient rows, all made here by one rank rule (sv_rank).  One SVD of
-the rows gives both the span's dimension and an orthonormal basis of its
-row space; the M and I probes and every bracket row are then tested
-against that basis in one projection each, with the residual threshold a
-least-squares solve would use.  One SVD of the tau/kappa columns gives
-both k1 and r0.
+coefficient rows, all made here by one rank rule (sv_rank).  One program
+run samples the rows and their t-derivatives (``coefficient_rows``).  One
+SVD of the rows gives both the span's dimension and an orthonormal basis
+of its row space; the M and I probes (constant rows) and every bracket
+row are then tested against that basis in one projection each, with the
+residual threshold a least-squares solve would use.  One SVD of the
+tau/kappa columns gives both k1 and r0.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from .fields import (
     GeneratorCoeffs,
     Iop,
     J,
-    M as Mgen,
+    M,
     P,
     VectorField,
     absx2,
@@ -254,17 +255,20 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     Requires the span to be closed under the bracket and to contain the
     phase-rotation and scaling generators; raises SpanError otherwise.
 
-    The generators are sampled once, at 13 times drawn from rng.  One SVD
-    of the rows gives the dimension and a basis of the row space
+    The generators and their first t-derivatives are sampled once, at 13
+    times drawn from rng, in one run of the tape of all their non-constant
+    coefficients (``coefficient_rows``; ``tapes`` keeps that tape, so a
+    caller that hands the same dict in on every draw compiles it once).
+    One SVD of the rows gives the dimension and a basis of the row space
     (_row_space).  A probe or bracket row b is in the span iff its
     residual after projection onto that basis is at most
-    max(tol, 1e-7) * (1 + |b|).  The first row outside is reported: M,
-    then I, then the pairs (i, j), i < j, in row-major order.  The left
-    singular vectors of the tau/kappa columns past their rank are the
-    tau- and kappa-free combinations; r0 is the largest rank of their chi
-    tuples at one sampled time.
-
-    ``tapes`` is handed to every ``coefficient_rows`` call.
+    max(tol, 1e-7) * (1 + |b|).  The probes are the constant rows of M and
+    I: ones in the sigma or the rho samples.  The bracket rows are read
+    from the samples (``bracket_rows``).  The first row outside is
+    reported: M, then I, then the pairs (i, j), i < j, in row-major order.
+    The left singular vectors of the tau/kappa columns past their rank are
+    the tau- and kappa-free combinations; r0 is the largest rank of their
+    chi tuples at one sampled time.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -275,17 +279,18 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     if any(g.eta0 is not None for g in gs):
         raise SpanError("invariants are defined for the essential part (eta0 = 0)")
     tvals = rng.uniform(0.32, 1.68, size=13)
-    rows, slices = coefficient_rows(gs, binding, tvals, tapes)
+    rows, drows, slices = coefficient_rows(gs, binding, tvals, tapes)
     dim, basis = _row_space(rows, tol)
     span_tol = max(tol, 1e-7)
 
-    probes, _ = coefficient_rows([Mgen(1, n), Iop(1, n)], binding, tvals, tapes)
+    probes = np.zeros((2, rows.shape[1]))
+    probes[0, slices["sigma"]] = probes[1, slices["rho"]] = 1.0
     miss = _first_outside(basis, probes, span_tol)
     if miss is not None:
         raise SpanError(f"{('M', 'I')[miss]} is missing from the span")
 
     pairs = np.triu_indices(len(gs), 1)
-    brows = bracket_rows(gs, binding, tvals, rows, slices, tapes)[pairs]
+    brows = bracket_rows(gs, rows, drows, slices)[pairs]
     miss = _first_outside(basis, brows, span_tol)
     if miss is not None:
         raise SpanError(f"span is not closed under the bracket "
@@ -321,7 +326,7 @@ def kernel_check(rng: Optional[np.random.Generator] = None, n: int = 2,
     Vexpr = func_app(sym, (t_expr(),) + tuple(x(a) for a in range(1, n + 1)))
     V = Potential(Vexpr, n)
 
-    for good in (Mgen(1, n), Iop(1, n)):
+    for good in (M(1, n), Iop(1, n)):
         res = classifying_residual(V, good)
         if not is_zero(res, trials=3, points=60, rng=rng, tol=tol):
             return False

@@ -220,16 +220,17 @@ class Expr:
         self._diffs = None
 
 
-def post_order(root: Expr, enter=None) -> list[Expr]:
+def post_order(root: Expr | tuple[Expr, ...], enter=None) -> list[Expr]:
     """The distinct nodes of root's DAG, children before parents and left to
-    right, by one explicit-stack walk.
+    right, by one explicit-stack walk; a tuple of roots is walked left to
+    right with one set of nodes seen, so a node they share comes once.
 
     A node for which `enter(node)` is false is left out, with every node
     reachable only through it.
     """
     out: list[Expr] = []
     seen = set()
-    stack = [(None, iter((root,)))]
+    stack = [(None, iter(root if type(root) is tuple else (root,)))]
     while stack:
         node, kids = stack[-1]
         for c in kids:

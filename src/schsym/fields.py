@@ -293,70 +293,77 @@ def bracket_structural(g1: GeneratorCoeffs, g2: GeneratorCoeffs) -> GeneratorCoe
 
 def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
                      tvals: np.ndarray, tapes: Optional[dict] = None):
-    """Sampled coefficient matrix of the canonical data.
+    """Sampled coefficient matrices of the canonical data and of its first
+    t-derivatives.
 
-    Returns (rows, slices): each row is the concatenation of tau samples,
-    kappa entries, chi samples (componentwise), sigma and rho samples.
-    Raises UnsafeSampleError when a coefficient is singular or undefined at
-    a sampled time.  Tapes are kept in ``tapes``, a caller's dict
-    (``numeric.owned_tape``), or else in one for this call.
+    Returns (rows, drows, slices): row i of rows is the concatenation of
+    gs[i]'s tau samples, kappa entries, chi samples (componentwise), sigma
+    and rho samples; drows holds the same samples of the t-derivatives,
+    whose kappa entries are zeros.  One program samples every coefficient
+    and derivative that is not a constant: the tape of the tuple of those
+    roots, kept in ``tapes``, a caller's dict (``numeric.owned_tape``), or
+    else in one for this call.  Where a node of that run is unsafe, the
+    roots are sampled one by one, the coefficients of every generator
+    first and then the derivatives, and the first unsafe one raises
+    UnsafeSampleError: singular or undefined at a sampled time.
     """
-    m = len(tvals)
+    m, n, k = len(tvals), gs[0].n, len(gs)
+    if any(g.n != n for g in gs):
+        raise ValueError("dimension mismatch in generator list")
+    names = ("tau", *(f"chi{a}" for a in range(1, n + 1)), "sigma", "rho")
+    coeffs = [e for g in gs for e in (g.tau, *g.chi, g.sigma, g.rho)]
+    exprs = coeffs + [diff(e, T_VAR) for e in coeffs]
     env = {T_VAR: np.asarray(tvals, dtype=complex)}
-    n = gs[0].n
-    npair = len(_pairs(n))
-    width = m + npair + n * m + m + m
-    rows = np.zeros((len(gs), width))
     tapes = {} if tapes is None else tapes
+    roots = tuple(dict.fromkeys(e for e in exprs if type(e) is not Const))
+    sampled = {}
+    if roots:
+        vals, _, unsafe = eval_batch(owned_tape(tapes, roots), binding, env)
+        if not unsafe.any():
+            sampled = dict(zip(roots, np.real(vals)))
+    samples = np.empty((len(exprs), m))
+    for p, e in enumerate(exprs):
+        if type(e) is Const:
+            samples[p] = e.value().real  # the real part eval_batch would give
+        elif e in sampled:
+            samples[p] = sampled[e]
+        else:
+            vals, _, unsafe = eval_batch(owned_tape(tapes, e), binding, env)
+            if unsafe.any():
+                i, field = divmod(p % len(coeffs), len(names))
+                raise UnsafeSampleError(
+                    f"generator {i}: {names[field]} is singular or undefined at "
+                    f"{int(unsafe.sum())} of {m} sampled times")
+            samples[p] = np.real(vals)
+    samples = samples.reshape(2, k, n + 3, m)
+    kappa = np.array([[float(c) for c in g.kappa] for g in gs])
 
-    def sample(out: np.ndarray, e: Expr, i: int, name: str) -> None:
-        if isinstance(e, Const):
-            out[:] = e.value().real  # the real part eval_batch would give
-            return
-        vals, _, unsafe = eval_batch(owned_tape(tapes, e), binding, env)
-        if unsafe.any():
-            raise UnsafeSampleError(
-                f"generator {i}: {name} is singular or undefined at "
-                f"{int(unsafe.sum())} of {m} sampled times")
-        out[:] = np.real(vals)
+    def layout(s, kap):  # (k, n + 3, m) samples and kappa entries to rows
+        return np.hstack([s[:, 0], kap, s[:, 1:].reshape(k, (n + 2) * m)])
 
+    rows, drows = layout(samples[0], kappa), layout(samples[1], np.zeros_like(kappa))
+    npair = kappa.shape[1]
     slices = {
         "tau": slice(0, m),
         "kappa": slice(m, m + npair),
         "chi": slice(m + npair, m + npair + n * m),
         "sigma": slice(m + npair + n * m, m + npair + n * m + m),
-        "rho": slice(m + npair + n * m + m, width),
+        "rho": slice(m + npair + n * m + m, rows.shape[1]),
     }
-    for i, g in enumerate(gs):
-        if g.n != n:
-            raise ValueError("dimension mismatch in generator list")
-        row = rows[i]
-        sample(row[slices["tau"]], g.tau, i, "tau")
-        row[slices["kappa"]] = [float(k) for k in g.kappa]
-        chi = row[slices["chi"]].reshape(n, m)
-        for a in range(n):
-            sample(chi[a], g.chi[a], i, f"chi{a + 1}")
-        sample(row[slices["sigma"]], g.sigma, i, "sigma")
-        sample(row[slices["rho"]], g.rho, i, "rho")
-    return rows, slices
+    return rows, drows, slices
 
 
-def bracket_rows(gs: Sequence[GeneratorCoeffs], binding: Binding, tvals: np.ndarray,
-                 rows: np.ndarray, slices: dict, tapes: Optional[dict] = None) -> np.ndarray:
+def bracket_rows(gs: Sequence[GeneratorCoeffs], rows: np.ndarray, drows: np.ndarray,
+                 slices: dict) -> np.ndarray:
     """Sampled rows of every bracket: out[i, j] is the row of [gs[i], gs[j]].
 
-    (rows, slices) is coefficient_rows(gs, binding, tvals, tapes).  The bracket's
+    (rows, drows, slices) is coefficient_rows(gs, ...).  The bracket's
     canonical data are bilinear in the generators' data and their first
-    t-derivatives (the formulas of bracket_structural), so one more
-    coefficient_rows call, on the derivatives, gives every bracket row
-    without building the brackets.  Rows carry no eta0, so eta0 is ignored.
+    t-derivatives (the formulas of bracket_structural), so the sampled
+    derivatives give every bracket row without building the brackets.
+    Rows carry no eta0, so eta0 is ignored.
     """
-    k, n, m = len(gs), gs[0].n, len(tvals)
-    kappa0 = zero_gen(n).kappa
-    derivs = [GeneratorCoeffs(n, diff(g.tau, T_VAR), kappa0,
-                              tuple(diff(c, T_VAR) for c in g.chi),
-                              diff(g.sigma, T_VAR), diff(g.rho, T_VAR)) for g in gs]
-    drows, _ = coefficient_rows(derivs, binding, tvals, tapes)
+    k, n, m = len(gs), gs[0].n, slices["tau"].stop
 
     def skew(a, b):  # out[i, j] = a_i b_j - a_j b_i
         p = a[:, None] * b[None, :]

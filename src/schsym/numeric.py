@@ -7,15 +7,18 @@ where sgn/abs-power/log hit a near-zero base are rejected and redrawn.
 
 ``eval_batch`` runs a root's compiled tape: one iterative post-order
 program over the distinct nodes of its DAG, with children referenced by
-slot, so evaluation has no recursion and no depth limit.  ``eval_batch``
-keeps nothing; a caller that evaluates a root again owns its tapes in a
-plain dict (``owned_tape``), as ``cases.verify_case`` does across its
-draws, and hands the tape in.  One running column max gives a run's
-subterm scale and non-finite check.  Constants are converted to
-``complex128`` once per node (``Const.value``), not once per tape.  The
-rules of each operation (the ``EPS_UNSAFE`` cuts, scalar or array
-constants, function masks, non-finite values) live in ``_execute``,
-``_Tape`` and ``_nonfinite``, which every evaluation runs.
+slot, so evaluation has no recursion and no depth limit.  A tape of a
+tuple of roots is one program over the union of their DAGs, each shared
+node computed once, and gives every root's row in one run
+(``fields.coefficient_rows`` samples a draw's coefficients and their
+t-derivatives this way).  ``eval_batch`` keeps nothing; a caller that
+evaluates a root again owns its tapes in a plain dict (``owned_tape``), as
+``cases.verify_case`` does across its draws, and hands the tape in.  One
+running column max gives a run's subterm scale and non-finite check.
+Constants are converted to ``complex128`` once per node (``Const.value``),
+not once per tape.  The rules of each operation (the ``EPS_UNSAFE`` cuts,
+scalar or array constants, function masks, non-finite values) live in
+``_execute``, ``_Tape`` and ``_nonfinite``, which every evaluation runs.
 
 ``ExprImpl`` evaluates through its binding's node table (``_shared_at_t``):
 the row and sub-DAG unsafe mask of every node computed at one point set,
@@ -195,21 +198,28 @@ _FOLD_ELEMS = 1 << 16
 
 
 class _Tape:
-    """Evaluation program for one root: the "tape" of Griewank & Walther,
-    *Evaluating Derivatives* (SIAM 2008).
+    """Evaluation program for one root, or for a tuple of roots: the "tape"
+    of Griewank & Walther, *Evaluating Derivatives* (SIAM 2008).
 
-    Every distinct node is one slot.  Computed nodes come first, in post
-    order, and own a row of one ``(rows, count)`` buffer; constant slots
+    Every distinct node is one slot, however many roots reach it.
+    Computed nodes come first, in post order, and own a row of one
+    ``(rows, count)`` buffer; constant slots
     hold each node's cached ``complex128`` value (broadcast to arrays when
     a node other than a sum or product reads them) and variable slots the
     env arrays as they are.  Given ``known``, nodes whose rows are already
     computed, the walk stops at each known node and makes it an input slot,
     after the variables, so the program computes only the other nodes.
+    A tuple's program gives each root's values as one row of a
+    ``(roots, count)`` array, bit for bit the values of that root's own
+    tape: a constant that one root's sum or product reads may reach it as
+    an array, because another root's node reads it as one, and numpy adds
+    and multiplies a broadcast array as it does a scalar.
     """
 
     __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "nodes", "inputs")
 
-    def __init__(self, root: Expr, known: Optional[Mapping[Expr, tuple]] = None):
+    def __init__(self, root: Expr | tuple[Expr, ...],
+                 known: Optional[Mapping[Expr, tuple]] = None):
         computed, consts, variables, inputs = [], [], [], []
 
         def unknown(n):
@@ -237,7 +247,7 @@ class _Tape:
             v = n.vid
             base = jet_var(v.alpha, False) if v.is_jet and v.conj else None
             self.vars.append((v, base))
-        self.root = slot[root]
+        self.root = tuple(slot[r] for r in root) if type(root) is tuple else slot[root]
         array_consts = set()
         self.code = []
         for n in computed:
@@ -293,11 +303,16 @@ class _Tape:
         return buf, vals, var_vals, unsafe
 
     def _root(self, buf: np.ndarray, vals: list, count: int) -> np.ndarray:
-        if self.root < self.rows:
-            return buf[self.root].copy()
-        if self.root < self.rows + len(self.consts):
-            return np.full(count, vals[self.root])
-        return np.asarray(vals[self.root])
+        if type(self.root) is tuple:
+            return np.array([self._slot(s, buf, vals, count) for s in self.root])
+        return self._slot(self.root, buf, vals, count)
+
+    def _slot(self, s: int, buf: np.ndarray, vals: list, count: int) -> np.ndarray:
+        if s < self.rows:
+            return buf[s].copy()
+        if s < self.rows + len(self.consts):
+            return np.full(count, vals[s])
+        return np.asarray(vals[s])
 
     def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
         """The root's values, subterm scale and unsafe mask.
@@ -336,7 +351,7 @@ class _Tape:
         a complex product's imaginary part NaN)."""
         buf, vals, _, _ = self._evaluate(binding, env, count, float)
         root = self._root(buf, vals, count)
-        return root if np.count_nonzero(root) == count and np.isfinite(buf).all() else None
+        return root if np.count_nonzero(root) == root.size and np.isfinite(buf).all() else None
 
 
 def _execute(code: list, vals: list, binding: Binding, flags) -> None:
@@ -411,8 +426,9 @@ def _nonfinite(mag: np.ndarray) -> Optional[np.ndarray]:
     return None if finite.all() else ~finite
 
 
-def owned_tape(tapes: dict, e: Expr) -> _Tape:
-    """e's tape in an owner's dict ``{root: tape}``, compiled on first use."""
+def owned_tape(tapes: dict, e: Expr | tuple[Expr, ...]) -> _Tape:
+    """e's tape in an owner's dict ``{root: tape}``, compiled on first use;
+    e is a root or a tuple of roots."""
     tape = tapes.get(e)
     if tape is None:
         tape = tapes[e] = _Tape(e)
@@ -426,6 +442,8 @@ def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray
     ``e`` is a root, whose tape is compiled for this call and dropped, or a
     ``_Tape`` that its caller owns (``owned_tape``).  The run folds the
     subterm scale and the non-finite check in one pass (``_Tape.run``).
+    The tape of a tuple of roots gives one row of values per root, with
+    one scale and one mask over the nodes of all of them.
 
     An owned tape at float64 points runs on a float64 buffer
     (``_Tape.run_real``), for a caller that has checked that its root may
@@ -495,11 +513,15 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
     to fresh surrogates and then samples fresh points, so only the product
     counts.  Returns (max value, witness dict) where the witness records the
     worst sample point.  e's tape is kept in ``tapes``, a caller's dict
-    (``owned_tape``), or else in one for this call.
+    (``owned_tape``), or else in one for this call.  ValueError if there
+    is no draw or no point to sample: a test that samples nothing would
+    pass anything.
     """
+    if trials * bindings_per_trial < 1 or points < 1:
+        raise ValueError(f"a zero test needs at least one draw and one point, got "
+                         f"{trials} * {bindings_per_trial} draws of {points} points")
     if e is ZERO:  # answered as sampling it would: it draws nothing and reads 0
-        return 0.0, ({"value": 0j, "normalized": 0.0, "point": {}}
-                     if trials > 0 and bindings_per_trial > 0 else None)
+        return 0.0, {"value": 0j, "normalized": 0.0, "point": {}}
     if rng is None:
         rng = np.random.default_rng(0)
     binding = binding or EMPTY_BINDING
@@ -528,6 +550,7 @@ def is_zero(e: Expr, trials: int = DEFAULT_TRIALS, tol: float = DEFAULT_TOL, *,
 
     Each trial draws fresh surrogate bindings for unbound symbols and fresh
     sample points; `tol` applies to values normalized by (1 + max|subterm|).
+    ValueError if trials or points is below 1 (``max_normalized_residual``).
     """
     return max_normalized_residual(e, binding=binding, trials=trials, points=points,
                                    rng=rng)[0] < tol

@@ -11,7 +11,8 @@ from schsym.expr import (EXP, HALF, I_UNIT, SymbolTable, T_VAR, ZERO, const, dif
                          int_pow, t, var, x, x_var)
 from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, absx2, bracket_rows,
                            coefficient_rows, expand)
-from schsym.numeric import EMPTY_BINDING, is_zero
+from schsym.funcbank import FunctionImpl
+from schsym.numeric import EMPTY_BINDING, UnsafeSampleError, Workspace, _Tape, is_zero
 from schsym.parsing import parse
 
 RNG = np.random.default_rng(31)
@@ -157,24 +158,61 @@ def test_invariants_counts_blocks():
 
 
 def test_invariants_samples_each_draw_once(monkeypatch):
-    # generators, the M/I probes and the derivatives for the bracket rows;
-    # r0 reads the generators' rows instead of sampling them again
-    import schsym.conditions as conditions_module
+    # one run of the tape of every non-constant coefficient and derivative,
+    # compiled once in the caller's dict; the M/I probes are constant rows
+    # and r0 reads the generators' rows instead of sampling them again
     import schsym.fields as fields_module
 
-    calls = []
-    real = fields_module.coefficient_rows
+    runs = []
+    real = fields_module.eval_batch
 
-    def counted(gs, binding, tvals, tapes=None):
-        calls.append(len(tvals))
-        return real(gs, binding, tvals, tapes)
+    def counted(e, binding, env, count=1):
+        runs.append((e.root if type(e) is _Tape else e, len(env[T_VAR])))
+        return real(e, binding, env, count)
 
-    monkeypatch.setattr(fields_module, "coefficient_rows", counted)
-    monkeypatch.setattr(conditions_module, "coefficient_rows", counted)
+    monkeypatch.setattr(fields_module, "eval_batch", counted)
     tv = var(T_VAR)
     gens = [M(1), Iop(1), P(1, 0), P(tv, 0), P(0, 1), P(0, tv), D(1)]
-    assert invariants(gens, rng=np.random.default_rng(0)) == InvariantTuple(2, 4, 0, 1, 2)
-    assert calls == [13, 13, 13]
+    tapes = {}
+    for seed in (0, 1):
+        assert invariants(gens, rng=np.random.default_rng(seed),
+                          tapes=tapes) == InvariantTuple(2, 4, 0, 1, 2)
+    assert list(tapes) == [(tv,)]
+    assert runs == [(tapes[tv,].root, 13)] * 2 and type(runs[0][0]) is tuple
+    # with every coefficient constant there is nothing to run
+    runs.clear()
+    gens = [M(1), Iop(1), P(1, 0), P(0, 1), D(1)]
+    assert invariants(gens, rng=np.random.default_rng(0)) == InvariantTuple(2, 2, 0, 1, 2)
+    assert runs == []
+
+
+class _Masked(FunctionImpl):
+    """f(t) = t, its derivatives of the orders in ``masked`` unsafe at t > 1."""
+
+    def __init__(self, masked):
+        self.masked = masked
+
+    def deriv(self, didx, args):
+        z, k = np.asarray(args[0], dtype=complex), didx[0]
+        vals = z if k == 0 else np.ones_like(z) if k == 1 else np.zeros_like(z)
+        return vals, (z.real > 1.0) if k in self.masked else None
+
+
+def test_unsafe_samples_raise_root_by_root():
+    # the union run is unsafe, so the roots are sampled one by one: every
+    # generator's coefficients first, then the derivatives; 5 of the 13
+    # times drawn from seed 5 exceed 1
+    ws = Workspace()
+    f = func_app(ws.declare("f", 1, "real", _Masked({1})), [t()])  # f' unsafe
+    g = func_app(ws.declare("g", 1, "real", _Masked({0})), [t()])  # g unsafe
+    msg = r"^generator 2: chi1 is singular or undefined at 5 of 13 sampled times$"
+    with pytest.raises(UnsafeSampleError, match=msg):
+        invariants([M(1), Iop(1), P(f, 0)], ws.binding, np.random.default_rng(5))
+    with pytest.raises(UnsafeSampleError, match=r"^generator 3: chi2 is singular"):
+        invariants([M(1), Iop(1), P(0, f), P(0, g)], ws.binding, np.random.default_rng(5))
+    # an unsafe derivative is found before any span test
+    with pytest.raises(UnsafeSampleError, match=r"^generator 0: chi1 is singular"):
+        invariants([P(f, 0)], ws.binding, np.random.default_rng(5))
 
 
 def test_invariants_requires_kernel():
@@ -265,8 +303,8 @@ def test_span_test_matches_least_squares_reference(tol):
 def _ref_first_unclosed(gs, seed):
     """The first pair (i, j), in row-major order, whose bracket row is outside the span."""
     tvals = np.random.default_rng(seed).uniform(0.32, 1.68, size=13)
-    rows, slices = coefficient_rows(gs, EMPTY_BINDING, tvals)
-    brows = bracket_rows(gs, EMPTY_BINDING, tvals, rows, slices)
+    rows, drows, slices = coefficient_rows(gs, EMPTY_BINDING, tvals)
+    brows = bracket_rows(gs, rows, drows, slices)
     for i in range(len(gs)):
         for j in range(i + 1, len(gs)):
             if not _ref_row_in_span(rows, brows[i, j], 1e-7):

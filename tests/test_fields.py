@@ -13,7 +13,7 @@ from schsym.fields import (I2, I8, D, GeneratorCoeffs, Iop, J, M, P, absx2,
                            bracket_generic, bracket_rows, bracket_structural,
                            coefficient_rows, expand)
 from schsym.funcbank import random_trig_poly
-from schsym.numeric import EMPTY_BINDING, UnsafeSampleError, eval_batch, is_zero
+from schsym.numeric import EMPTY_BINDING, UnsafeSampleError, _Tape, eval_batch, is_zero
 from schsym.parsing import parse
 
 RNG = np.random.default_rng(20)
@@ -239,11 +239,11 @@ def test_generator_validation():
 
 def _assert_bracket_rows_match_structural(gs, binding, rng):
     tvals = rng.uniform(0.32, 1.68, size=13)
-    rows, slices = coefficient_rows(gs, binding, tvals)
-    got = bracket_rows(gs, binding, tvals, rows, slices)
+    rows, drows, slices = coefficient_rows(gs, binding, tvals)
+    got = bracket_rows(gs, rows, drows, slices)
     for i in range(len(gs)):
         for j in range(i + 1, len(gs)):
-            ref, _ = coefficient_rows([bracket_structural(gs[i], gs[j])], binding, tvals)
+            ref, _, _ = coefficient_rows([bracket_structural(gs[i], gs[j])], binding, tvals)
             # a bracket that vanishes identically samples to rounding noise of
             # the size of its bilinear operands, so that size joins the scale
             scale = np.linalg.norm(ref[0]) + np.linalg.norm(rows[i]) * np.linalg.norm(rows[j])
@@ -272,18 +272,26 @@ def test_bracket_rows_match_structural_with_rotations_at_n3():
     _assert_bracket_rows_match_structural(gs, EMPTY_BINDING, rng)
 
 
-def _eval_batch_rows(gs, binding, tvals):
-    """coefficient_rows with every coefficient sampled through eval_batch."""
+def _eval_batch_rows(gs, binding, tvals, order):
+    """coefficient_rows' rows (order 0) or drows (order 1), with every
+    coefficient or derivative sampled through its own eval_batch call."""
     m = len(tvals)
     env = {T_VAR: np.asarray(tvals, dtype=complex)}
 
     def sample(e):
-        vals, _, _ = eval_batch(e, binding, env)
+        vals, _, _ = eval_batch(diff(e, T_VAR) if order else e, binding, env)
         return np.real(np.broadcast_to(vals, (m,)))
 
-    return np.array([np.concatenate([sample(g.tau), [float(k) for k in g.kappa],
+    return np.array([np.concatenate([sample(g.tau), [0.0 if order else float(k) for k in g.kappa],
                                      *(sample(c) for c in g.chi),
                                      sample(g.sigma), sample(g.rho)]) for g in gs])
+
+
+def _assert_rows_match_eval_batch_bitwise(gs, binding, tvals, label):
+    """Each row of the union run is its root's own eval_batch real part."""
+    rows, drows, _ = coefficient_rows(gs, binding, tvals)
+    assert rows.tobytes() == _eval_batch_rows(gs, binding, tvals, 0).tobytes(), label
+    assert drows.tobytes() == _eval_batch_rows(gs, binding, tvals, 1).tobytes(), label
 
 
 def test_coefficient_rows_match_eval_batch_bitwise_on_table_cases():
@@ -293,9 +301,28 @@ def test_coefficient_rows_match_eval_batch_bitwise_on_table_cases():
     for cid, case in table().items():
         inst = instantiate(case, rng)
         tvals = rng.uniform(0.32, 1.68, size=13)
-        rows, _ = coefficient_rows(inst.generators, inst.workspace.binding, tvals)
-        ref = _eval_batch_rows(inst.generators, inst.workspace.binding, tvals)
-        assert rows.tobytes() == ref.tobytes(), cid
+        _assert_rows_match_eval_batch_bitwise(inst.generators, inst.workspace.binding, tvals, cid)
+
+    def fn():
+        return exppoly_to_expr(random_trig_poly(rng, "real"))
+
+    # rotations at n = 3
+    gs = [GeneratorCoeffs(3, fn(), tuple(Fraction(int(rng.integers(-2, 3)), 3) for _ in range(3)),
+                          (fn(), fn(), fn()), fn(), fn(), None) for _ in range(4)]
+    tvals = rng.uniform(0.32, 1.68, size=13)
+    _assert_rows_match_eval_batch_bitwise(gs, EMPTY_BINDING, tvals, "n3")
+    # 3/7 is read by a sum in tau, by products in chi2 and rho and by cos in
+    # chi1: the union tape hands it to all of them as an array, while tau's,
+    # chi2's and rho's own tapes read it as a scalar
+    c = const(Fraction(3, 7))
+    gs = [M(1), Iop(1), P(parse("t*cos(3/7)"), parse("3/7*sin(t)")),
+          GeneratorCoeffs(2, parse("t^2 + 3/7"), (Fraction(1),), (ZERO, parse("sin(t)")), ZERO,
+                          parse("exp(t) + 3/7*t"), None)]
+    roots = (gs[2].chi[0], gs[2].chi[1], gs[3].tau, gs[3].rho)
+    assert c.value() in [v for _, v in _Tape(roots).bcast]
+    assert all(not _Tape(e).bcast for e in roots[1:])
+    tvals = rng.uniform(0.32, 1.68, size=13)
+    _assert_rows_match_eval_batch_bitwise(gs, EMPTY_BINDING, tvals, "bcast")
 
 
 def test_coefficient_rows_reject_unsafe_samples():
@@ -320,7 +347,7 @@ def _ref_r0(gs, binding, rng, tol):
     """r0 on the rows invariants samples, with one SVD per sampled time."""
     n = gs[0].n
     tvals = rng.uniform(0.32, 1.68, size=13)
-    rows, slices = coefficient_rows(gs, binding, tvals)
+    rows, _, slices = coefficient_rows(gs, binding, tvals)
     head = np.hstack([rows[:, slices["tau"]], rows[:, slices["kappa"]]])
     u, s, _ = np.linalg.svd(head, full_matrices=True)
     smax = s[0] if len(s) and s[0] > 0 else 1.0

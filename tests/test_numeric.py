@@ -92,12 +92,24 @@ def test_zero_is_answered_as_sampling_it_would(monkeypatch):
         got = max_normalized_residual(ZERO, rng=rng, **kw)
         return got, rng.bit_generator.state
 
-    settings = [{}, {"trials": 2, "points": 7}, {"trials": 0}, {"bindings_per_trial": 0}]
+    settings = [{}, {"trials": 2, "points": 7}, {"trials": 3, "bindings_per_trial": 2}]
     answered = [run(**kw) for kw in settings]
     # with the short-circuit disabled, ZERO is sampled
     monkeypatch.setattr(numeric, "ZERO", None)
     assert answered == [run(**kw) for kw in settings]
     assert answered[0][1] == np.random.default_rng(6).bit_generator.state
+
+
+@pytest.mark.parametrize("e", [x(1), ZERO])
+@pytest.mark.parametrize("kw", [{"trials": 0}, {"points": 0}, {"trials": -1},
+                                {"bindings_per_trial": 0}])
+def test_zero_test_that_samples_nothing_raises(e, kw):
+    # no draw or no point would pass anything, x1 and ZERO alike
+    with pytest.raises(ValueError, match="at least one draw and one point"):
+        max_normalized_residual(e, rng=np.random.default_rng(0), **kw)
+    if "bindings_per_trial" not in kw:
+        with pytest.raises(ValueError, match="at least one draw and one point"):
+            is_zero(e, rng=np.random.default_rng(0), **kw)
 
 
 def test_draws_do_not_depend_on_how_trials_and_bindings_split():
