@@ -377,6 +377,10 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     Per draw: every listed generator must have numerically zero classifying
     residual, the span must be bracket-closed, the invariant tuple must match
     the expected one, and the tuple must satisfy the structural constraints.
+    A draw's distinct residuals are zero-tested in one call, on one shared
+    point set (``max_normalized_residual`` of their tuple): one compiled
+    program per case, kept in ``tapes`` across the draws, and one node
+    table per draw's binding for the coefficient functions they share.
     """
     tab = table()
     if case_id not in tab:
@@ -399,16 +403,21 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     }
     template = parse_template(case)
     residuals: dict = {}  # (generator index, kappa) -> classifying residual
-    tapes: dict = {}  # residual and coefficient roots -> tapes, for every draw
+    tapes: dict = {}  # residual and coefficient tuples -> tapes, for every draw
     for draw in range(draws):
         inst = instantiate(case, rng, template)
+        res = []
         for gi, g in enumerate(inst.generators):
-            res = residuals.get((gi, g.kappa))
-            if res is None:
-                res = residuals[gi, g.kappa] = classifying_residual(inst.V, g)
-            worst, witness = max_normalized_residual(
-                res, binding=inst.workspace.binding, trials=zero_trials,
-                points=points, rng=rng, tapes=tapes)
+            r = residuals.get((gi, g.kappa))
+            if r is None:
+                r = residuals[gi, g.kappa] = classifying_residual(inst.V, g)
+            res.append(r)
+        roots = tuple(dict.fromkeys(res))
+        tested = dict(zip(roots, max_normalized_residual(
+            roots, binding=inst.workspace.binding, trials=zero_trials,
+            points=points, rng=rng, tapes=tapes)))
+        for gi, r in enumerate(res):
+            worst, witness = tested[r]
             if worst >= tol:
                 report["residuals"]["passed"] = False
                 report["residuals"]["failures"].append(

@@ -276,10 +276,9 @@ def cmd_bracket(args) -> int:
     if args.check:
         gen = bracket_generic(expand(g1), expand(g2))
         dvf = expand(br).sub(gen)
-        ok = all(is_zero(c, trials=cfg.trials, tol=cfg.tol, points=cfg.points,
-                         binding=ws.binding, rng=rng)
-                 for c in dvf.components())
-        payload["generic_cross_check"] = ok
+        payload["generic_cross_check"] = is_zero(dvf.components(), trials=cfg.trials,
+                                                 tol=cfg.tol, points=cfg.points,
+                                                 binding=ws.binding, rng=rng)
     lines = [f"[g1, g2] = tau: {payload['tau']}; kappa: {payload['kappa']}; "
              f"chi: {payload['chi']}; sigma: {payload['sigma']}; rho: {payload['rho']}"]
     if args.check:

@@ -19,6 +19,7 @@ tau/kappa columns gives both k1 and r0.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -289,12 +290,10 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     if miss is not None:
         raise SpanError(f"{('M', 'I')[miss]} is missing from the span")
 
-    pairs = np.triu_indices(len(gs), 1)
-    brows = bracket_rows(gs, rows, drows, slices)[pairs]
-    miss = _first_outside(basis, brows, span_tol)
+    miss = _first_outside(basis, bracket_rows(gs, rows, drows, slices), span_tol)
     if miss is not None:
-        raise SpanError(f"span is not closed under the bracket "
-                        f"(generators {pairs[0][miss]} and {pairs[1][miss]})")
+        i, j = list(itertools.combinations(range(len(gs)), 2))[miss]
+        raise SpanError(f"span is not closed under the bracket (generators {i} and {j})")
 
     # columns run tau, kappa, chi, sigma, rho, so each head block is a prefix
     rank_tau = _rank(rows[:, slices["tau"]], tol)

@@ -15,6 +15,7 @@ Every rank decision on sampled rows is made in ``conditions``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -302,7 +303,8 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     whose kappa entries are zeros.  One program samples every coefficient
     and derivative that is not a constant: the tape of the tuple of those
     roots, kept in ``tapes``, a caller's dict (``numeric.owned_tape``), or
-    else in one for this call.  Where a node of that run is unsafe, the
+    else in one for this call, run without a subterm scale, which rows do
+    not read.  Where a node of that run is unsafe, the
     roots are sampled one by one, the coefficients of every generator
     first and then the derivatives, and the first unsafe one raises
     UnsafeSampleError: singular or undefined at a sampled time.
@@ -318,7 +320,7 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     roots = tuple(dict.fromkeys(e for e in exprs if type(e) is not Const))
     sampled = {}
     if roots:
-        vals, _, unsafe = eval_batch(owned_tape(tapes, roots), binding, env)
+        vals, _, unsafe = eval_batch(owned_tape(tapes, roots), binding, env, scale=False)
         if not unsafe.any():
             sampled = dict(zip(roots, np.real(vals)))
     samples = np.empty((len(exprs), m))
@@ -328,7 +330,7 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
         elif e in sampled:
             samples[p] = sampled[e]
         else:
-            vals, _, unsafe = eval_batch(owned_tape(tapes, e), binding, env)
+            vals, _, unsafe = eval_batch(owned_tape(tapes, e), binding, env, scale=False)
             if unsafe.any():
                 i, field = divmod(p % len(coeffs), len(names))
                 raise UnsafeSampleError(
@@ -353,35 +355,48 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     return rows, drows, slices
 
 
+@functools.cache
+def _pair_index(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of the pairs i < j of k items, in
+    row-major order (``_pairs(k)``, from 0)."""
+    i, j = (np.array(_pairs(k), dtype=np.intp).reshape(-1, 2) - 1).T
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def bracket_rows(gs: Sequence[GeneratorCoeffs], rows: np.ndarray, drows: np.ndarray,
                  slices: dict) -> np.ndarray:
-    """Sampled rows of every bracket: out[i, j] is the row of [gs[i], gs[j]].
+    """Sampled rows of the brackets [gs[i], gs[j]], i < j, one row per pair
+    in row-major order: (0, 1), (0, 2), ..., (1, 2), ...
 
     (rows, drows, slices) is coefficient_rows(gs, ...).  The bracket's
     canonical data are bilinear in the generators' data and their first
     t-derivatives (the formulas of bracket_structural), so the sampled
-    derivatives give every bracket row without building the brackets.
-    Rows carry no eta0, so eta0 is ignored.
+    derivatives give every bracket row without building the brackets; the
+    rotation matrices K come from the rows' kappa entries.  Rows carry no
+    eta0, so eta0 is ignored.
     """
     k, n, m = len(gs), gs[0].n, slices["tau"].stop
+    i, j = _pair_index(k)
 
-    def skew(a, b):  # out[i, j] = a_i b_j - a_j b_i
-        p = a[:, None] * b[None, :]
-        return p - p.swapaxes(0, 1)
+    def skew(a, b):  # a_i b_j - a_j b_i for each pair
+        return a[i] * b[j] - a[j] * b[i]
 
     tau, dtau = rows[:, slices["tau"]], drows[:, slices["tau"]]
     chi = rows[:, slices["chi"]].reshape(k, n, m)
     dchi = drows[:, slices["chi"]].reshape(k, n, m)
-    K = np.array([g.kappa_matrix() for g in gs], dtype=float)
-    lo, hi = (np.array(_pairs(n), dtype=int).reshape(-1, 2) - 1).T
-    KK = K[None, :] @ K[:, None]  # KK[i, j] = K_j K_i
-    KC = K[:, None] @ chi[None, :]  # KC[i, j] = K_i chi_j
-    out = np.empty((k, k, rows.shape[1]))
-    out[..., slices["tau"]] = skew(tau, dtau)
-    out[..., slices["kappa"]] = (KK - KK.swapaxes(0, 1))[:, :, hi, lo]
-    out[..., slices["chi"]] = (skew(tau[:, None], dchi) - 0.5 * skew(dtau[:, None], chi)
-                               - (KC - KC.swapaxes(0, 1))).reshape(k, k, n * m)
-    out[..., slices["sigma"]] = (skew(tau, drows[:, slices["sigma"]])
-                                 + 0.5 * skew(chi, dchi).sum(axis=2))
-    out[..., slices["rho"]] = skew(tau, drows[:, slices["rho"]])
+    lo, hi = _pair_index(n)
+    kappa = rows[:, slices["kappa"]]
+    K = np.zeros((k, n, n))  # K[:, b, a] = kappa_ab, K[:, a, b] = -kappa_ab
+    K[:, hi, lo] = kappa
+    K[:, lo, hi] = 0.0 - kappa  # a zero entry stays +0.0
+    KK = K[j] @ K[i] - K[i] @ K[j]
+    out = np.empty((len(i), rows.shape[1]))
+    out[:, slices["tau"]] = skew(tau, dtau)
+    out[:, slices["kappa"]] = KK[:, hi, lo]
+    out[:, slices["chi"]] = (skew(tau[:, None], dchi) - 0.5 * skew(dtau[:, None], chi)
+                             - (K[i] @ chi[j] - K[j] @ chi[i])).reshape(-1, n * m)
+    out[:, slices["sigma"]] = (skew(tau, drows[:, slices["sigma"]])
+                               + 0.5 * skew(chi, dchi).sum(axis=1))
+    out[:, slices["rho"]] = skew(tau, drows[:, slices["rho"]])
     return out

@@ -9,12 +9,17 @@ where sgn/abs-power/log hit a near-zero base are rejected and redrawn.
 program over the distinct nodes of its DAG, with children referenced by
 slot, so evaluation has no recursion and no depth limit.  A tape of a
 tuple of roots is one program over the union of their DAGs, each shared
-node computed once, and gives every root's row in one run
-(``fields.coefficient_rows`` samples a draw's coefficients and their
-t-derivatives this way).  ``eval_batch`` keeps nothing; a caller that
-evaluates a root again owns its tapes in a plain dict (``owned_tape``), as
-``cases.verify_case`` does across its draws, and hands the tape in.  One
-running column max gives a run's subterm scale and non-finite check.
+node computed once, and one run gives every root's row and its own
+subterm scale (``fields.coefficient_rows`` samples a draw's coefficients
+and their t-derivatives this way, without the scales).  The zero test
+takes a tuple of roots too: one draw of surrogates and points over the
+union of their symbols and variables, redrawn where any root is unsafe,
+and one run of their tape, whose rows and scales give each root its own
+worst value and witness (``cases.verify_case`` tests a draw's residuals
+so).  ``eval_batch`` keeps nothing; a caller that evaluates a root again
+owns its tapes in a plain dict (``owned_tape``), as ``cases.verify_case``
+does across its draws, and hands the tape in.  One running column max
+gives a single root's subterm scale and non-finite check.
 Constants are converted to ``complex128`` once per node (``Const.value``),
 not once per tape.  The rules of each operation (the ``EPS_UNSAFE`` cuts,
 scalar or array constants, function masks, non-finite values) live in
@@ -213,10 +218,14 @@ class _Tape:
     ``(roots, count)`` array, bit for bit the values of that root's own
     tape: a constant that one root's sum or product reads may reach it as
     an array, because another root's node reads it as one, and numpy adds
-    and multiplies a broadcast array as it does a scalar.
+    and multiplies a broadcast array as it does a scalar.  ``parts`` holds,
+    per root, the rows, the largest constant magnitude and the variables
+    of its own sub-DAG, from which a run folds each root's own subterm
+    scale.
     """
 
-    __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "nodes", "inputs")
+    __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "nodes", "inputs",
+                 "parts")
 
     def __init__(self, root: Expr | tuple[Expr, ...],
                  known: Optional[Mapping[Expr, tuple]] = None):
@@ -248,6 +257,17 @@ class _Tape:
             base = jet_var(v.alpha, False) if v.is_jet and v.conj else None
             self.vars.append((v, base))
         self.root = tuple(slot[r] for r in root) if type(root) is tuple else slot[root]
+        self.parts = None
+        if type(root) is tuple:
+            first_var = len(computed) + len(consts)
+            self.parts = []
+            for r in root:
+                own = post_order(r)
+                self.parts.append((
+                    np.array([slot[n] for n in own if type(n) is not Const and type(n) is not Var],
+                             dtype=np.intp),
+                    np.abs([n.value() for n in own if type(n) is Const]).max(initial=0.0),
+                    [slot[n] - first_var for n in own if type(n) is Var]))
         array_consts = set()
         self.code = []
         for n in computed:
@@ -303,9 +323,11 @@ class _Tape:
         return buf, vals, var_vals, unsafe
 
     def _root(self, buf: np.ndarray, vals: list, count: int) -> np.ndarray:
-        if type(self.root) is tuple:
-            return np.array([self._slot(s, buf, vals, count) for s in self.root])
-        return self._slot(self.root, buf, vals, count)
+        if type(self.root) is not tuple:
+            return self._slot(self.root, buf, vals, count)
+        if max(self.root, default=-1) < self.rows:  # every root is a computed row
+            return buf[list(self.root)]
+        return np.array([self._slot(s, buf, vals, count) for s in self.root])
 
     def _slot(self, s: int, buf: np.ndarray, vals: list, count: int) -> np.ndarray:
         if s < self.rows:
@@ -314,16 +336,27 @@ class _Tape:
             return np.full(count, vals[s])
         return np.asarray(vals[s])
 
-    def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int):
+    def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int,
+            scale: bool = True):
         """The root's values, subterm scale and unsafe mask.
 
         The scale is one running column max of |value| over the constants,
         blocks of rows and the variables.  NaN and inf carry through it, so
         one test shows whether every value is finite; only where one is not
-        are the blocks folded again, marking each point with a non-finite
-        value unsafe and leaving that value out of its scale.
+        are the magnitudes taken again (``_magnitudes``), marking each point
+        with a non-finite value unsafe and leaving that value out of its
+        scale.
+
+        A tuple's run gives one scale per root, each over the root's own
+        sub-DAG (``parts``), and one mask over all the roots.  With
+        ``scale`` false the run folds no scale (None) and marks the same
+        points unsafe.
         """
         buf, vals, var_vals, unsafe = self._evaluate(binding, env, count, complex)
+        if not scale or self.parts is not None:
+            mag, var_mag = _magnitudes(buf, var_vals, unsafe)
+            return (self._root(buf, vals, count),
+                    self._scales(mag, var_mag) if scale else None, unsafe)
         step = max(1, _FOLD_ELEMS // max(count, 1))
         scale = np.full(count, self.cmax)
         for i in range(0, self.rows, step):
@@ -331,14 +364,23 @@ class _Tape:
         for x in var_vals:
             np.maximum(scale, np.abs(x), out=scale)
         if not math.isfinite(scale.max(initial=0.0)):
-            scale[...] = self.cmax
-            blocks = [buf[i:i + step] for i in range(0, self.rows, step)]
-            for mag in map(np.abs, blocks + [var_vals] if var_vals else blocks):
-                bad = ~np.isfinite(mag)
-                unsafe |= bad.any(axis=0)
-                mag[bad] = 0.0
-                np.maximum(scale, mag.max(axis=0), out=scale)
+            mag, var_mag = _magnitudes(buf, var_vals, unsafe)
+            scale = np.maximum(mag.max(axis=0, initial=self.cmax),
+                               var_mag.max(axis=0, initial=0.0))
         return self._root(buf, vals, count), scale, unsafe
+
+    def _scales(self, mag: np.ndarray, var_mag: np.ndarray) -> np.ndarray:
+        """Each root's subterm scale, a ``(roots, count)`` array: the column
+        max of the magnitudes of its own constants, rows and variables, the
+        max its own tape's run folds."""
+        out = np.empty((len(self.parts), mag.shape[1]))
+        for s, (rows, cmax, var_ix) in zip(out, self.parts):
+            s[...] = cmax
+            if len(rows):
+                np.maximum(s, mag[rows].max(axis=0), out=s)
+            for i in var_ix:
+                np.maximum(s, var_mag[i], out=s)
+        return out
 
     def run_real(self, binding: Binding, env: Mapping[VarId, np.ndarray],
                  count: int) -> Optional[np.ndarray]:
@@ -419,6 +461,19 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
             np.conj(vals[ins[2]], out=out)
 
 
+def _magnitudes(buf: np.ndarray, var_vals: list, unsafe: np.ndarray):
+    """|value| of every row of buf and of every variable, as two arrays; a
+    point where one is not finite is or-ed into ``unsafe``, and that
+    magnitude reads 0."""
+    mags = np.abs(buf), np.abs(np.reshape(var_vals, (len(var_vals), len(unsafe))))
+    for mag in mags:
+        bad = _nonfinite(mag)
+        if bad is not None:
+            unsafe |= bad.any(axis=0)
+            mag[bad] = 0.0
+    return mags
+
+
 def _nonfinite(mag: np.ndarray) -> Optional[np.ndarray]:
     """Where a block of magnitudes is not finite, or None if it all is: a
     point with a non-finite value anywhere in its evaluation is unsafe."""
@@ -436,14 +491,16 @@ def owned_tape(tapes: dict, e: Expr | tuple[Expr, ...]) -> _Tape:
 
 
 def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray],
-               count: int = 1):
+               count: int = 1, *, scale: bool = True):
     """Evaluate over a batch; returns (values, subterm scale, unsafe mask).
 
     ``e`` is a root, whose tape is compiled for this call and dropped, or a
     ``_Tape`` that its caller owns (``owned_tape``).  The run folds the
     subterm scale and the non-finite check in one pass (``_Tape.run``).
-    The tape of a tuple of roots gives one row of values per root, with
-    one scale and one mask over the nodes of all of them.
+    The tape of a tuple of roots gives one row of values and one row of
+    scale per root, each bit for bit what the root's own tape gives, and
+    one mask over the nodes of all of them.  With ``scale`` false no scale
+    is folded (None), for a caller that reads only values and mask.
 
     An owned tape at float64 points runs on a float64 buffer
     (``_Tape.run_real``), for a caller that has checked that its root may
@@ -463,26 +520,35 @@ def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray
             env = {v: x.astype(complex) for v, x in env.items()}
     else:
         tape = _Tape(e)
-    return tape.run(binding, env, count)
+    return tape.run(binding, env, count, scale)
 
 
 # ---------------------------------------------------------------------------
 # randomized zero test
 # ---------------------------------------------------------------------------
 
-def _fill_surrogates(e: Expr, binding: Binding, rng: np.random.Generator) -> Binding:
+def _union(e: Expr | tuple[Expr, ...], attr: str) -> frozenset:
+    """A root's free_vars or free_symbols, or the union over a tuple of roots."""
+    return getattr(e, attr) if type(e) is not tuple else frozenset().union(
+        *(getattr(r, attr) for r in e))
+
+
+def _fill_surrogates(e: Expr | tuple[Expr, ...], binding: Binding,
+                     rng: np.random.Generator) -> Binding:
     extra = {}
-    for sym in sorted(e.free_symbols, key=lambda s: s.name):
+    for sym in sorted(_union(e, "free_symbols"), key=lambda s: s.name):
         if sym not in binding:
             extra[sym] = funcbank.random_surrogate(rng, sym.arity, sym.codomain)
     return binding.merged(Binding(extra)) if extra else binding
 
 
-def eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Generator,
-                    tapes: dict):
-    """Evaluate at `points` safe random points, redrawing unsafe ones."""
+def eval_resampling(e: Expr | tuple[Expr, ...], binding: Binding, points: int,
+                    rng: np.random.Generator, tapes: dict):
+    """Evaluate at `points` safe random points, redrawing unsafe ones; a
+    tuple of roots is drawn over the union of their variables and redrawn
+    where any root is unsafe."""
     tape = owned_tape(tapes, e)
-    vars_needed = e.free_vars
+    vars_needed = _union(e, "free_vars")
     env = draw_env(vars_needed, points, rng)
     vals, scale, unsafe = eval_batch(tape, binding, env)
     budget = RETRY_BUDGET
@@ -501,7 +567,7 @@ def eval_resampling(e: Expr, binding: Binding, points: int, rng: np.random.Gener
     return vals, scale, env
 
 
-def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
+def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Binding] = None,
                             trials: int = DEFAULT_TRIALS,
                             bindings_per_trial: int = DEFAULT_BINDINGS,
                             points: int = DEFAULT_POINTS,
@@ -516,44 +582,76 @@ def max_normalized_residual(e: Expr, *, binding: Optional[Binding] = None,
     (``owned_tape``), or else in one for this call.  ValueError if there
     is no draw or no point to sample: a test that samples nothing would
     pass anything.
+
+    For a tuple of roots, returns one (max value, witness) pair per root.
+    Each draw binds the surrogates of the union of the roots' symbols and
+    samples one point set over the union of their variables, redrawn where
+    any root is unsafe, and one run of the tape of the distinct roots
+    gives every root's values and its own subterm scale (``eval_batch``).
+    Each root's pair is then what its own test would give at those
+    points, its witness over its own variables; the Schwartz-Zippel bound
+    holds for each root on shared points.  ``ZERO``, alone or in a tuple,
+    is answered as sampling it would (value 0 and no variables) without a
+    draw; a 1-tuple draws as its root does.
     """
     if trials * bindings_per_trial < 1 or points < 1:
         raise ValueError(f"a zero test needs at least one draw and one point, got "
                          f"{trials} * {bindings_per_trial} draws of {points} points")
-    if e is ZERO:  # answered as sampling it would: it draws nothing and reads 0
-        return 0.0, {"value": 0j, "normalized": 0.0, "point": {}}
-    if rng is None:
-        rng = np.random.default_rng(0)
-    binding = binding or EMPTY_BINDING
-    tapes = {} if tapes is None else tapes
-    worst = 0.0
-    witness = None
-    for _ in range(trials * bindings_per_trial):
-        full = _fill_surrogates(e, binding, rng)
-        vals, scale, env = eval_resampling(e, full, points, rng, tapes)
-        normed = np.abs(vals) / (1.0 + scale)
-        i = int(np.argmax(normed))
-        if normed[i] >= worst:
-            worst = float(normed[i])
-            witness = {
-                "value": complex(vals.reshape(-1)[i]),
-                "normalized": float(normed[i]),
-                "point": {var_name(v): complex(env[v][i]) for v in sorted(env, key=_var_sort_key)},
-            }
-    return worst, witness
+    args = (binding or EMPTY_BINDING, trials * bindings_per_trial, points,
+            np.random.default_rng(0) if rng is None else rng, {} if tapes is None else tapes)
+    if type(e) is not tuple:  # a single root runs its own tape
+        return _zero_residual() if e is ZERO else _worst_points(e, (e,), *args)[0]
+    live = tuple(dict.fromkeys(r for r in e if r is not ZERO))
+    got = dict(zip(live, _worst_points(live, live, *args))) if live else {}
+    return tuple(_zero_residual() if r is ZERO else got[r] for r in e)
 
 
-def is_zero(e: Expr, trials: int = DEFAULT_TRIALS, tol: float = DEFAULT_TOL, *,
-            points: int = DEFAULT_POINTS, binding: Optional[Binding] = None,
+def _zero_residual():
+    """ZERO's answer, as sampling it would give: it draws nothing and reads 0."""
+    return 0.0, {"value": 0j, "normalized": 0.0, "point": {}}
+
+
+def _worst_points(target, live: tuple, binding: Binding, draws: int, points: int,
+                  rng: np.random.Generator, tapes: dict) -> list:
+    """(worst normalized value, witness) of each root in live over the
+    draws; target, whose tape runs, is live's one root or live itself."""
+    worst = [0.0] * len(live)
+    witness = [None] * len(live)
+    for _ in range(draws):
+        full = _fill_surrogates(target, binding, rng)
+        vals, scale, env = eval_resampling(target, full, points, rng, tapes)
+        normed = (np.abs(vals) / (1.0 + scale)).reshape(len(live), -1)
+        vals = vals.reshape(normed.shape)
+        for j, r in enumerate(live):
+            i = int(normed[j].argmax())
+            top = float(normed[j, i])
+            if top >= worst[j]:
+                worst[j] = top
+                witness[j] = {
+                    "value": complex(vals[j, i]),
+                    "normalized": top,
+                    "point": {var_name(v): complex(env[v][i])
+                              for v in sorted(r.free_vars, key=_var_sort_key)},
+                }
+    return list(zip(worst, witness))
+
+
+def is_zero(e: Expr | tuple[Expr, ...], trials: int = DEFAULT_TRIALS,
+            tol: float = DEFAULT_TOL, *, points: int = DEFAULT_POINTS,
+            binding: Optional[Binding] = None,
             rng: Optional[np.random.Generator] = None) -> bool:
     """Probabilistic identity test: true iff |e| < tol at every sampled point.
 
     Each trial draws fresh surrogate bindings for unbound symbols and fresh
     sample points; `tol` applies to values normalized by (1 + max|subterm|).
-    ValueError if trials or points is below 1 (``max_normalized_residual``).
+    A tuple of roots is tested on shared draws (``max_normalized_residual``)
+    and passes iff every root does.  ValueError if trials or points is
+    below 1.
     """
-    return max_normalized_residual(e, binding=binding, trials=trials, points=points,
-                                   rng=rng)[0] < tol
+    got = max_normalized_residual(e, binding=binding, trials=trials, points=points, rng=rng)
+    if type(e) is not tuple:
+        return got[0] < tol
+    return all(worst < tol for worst, _ in got)
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,9 @@ def test_invariants_samples_each_draw_once(monkeypatch):
     runs = []
     real = fields_module.eval_batch
 
-    def counted(e, binding, env, count=1):
+    def counted(e, binding, env, count=1, **kw):
         runs.append((e.root if type(e) is _Tape else e, len(env[T_VAR])))
-        return real(e, binding, env, count)
+        return real(e, binding, env, count, **kw)
 
     monkeypatch.setattr(fields_module, "eval_batch", counted)
     tv = var(T_VAR)
@@ -305,10 +305,10 @@ def _ref_first_unclosed(gs, seed):
     tvals = np.random.default_rng(seed).uniform(0.32, 1.68, size=13)
     rows, drows, slices = coefficient_rows(gs, EMPTY_BINDING, tvals)
     brows = bracket_rows(gs, rows, drows, slices)
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            if not _ref_row_in_span(rows, brows[i, j], 1e-7):
-                return i, j
+    pairs = [(i, j) for i in range(len(gs)) for j in range(i + 1, len(gs))]
+    for pair, row in zip(pairs, brows, strict=True):
+        if not _ref_row_in_span(rows, row, 1e-7):
+            return pair
     return None
 
 

@@ -1,4 +1,6 @@
 """Canonical fields: expansion, both brackets, span ranks."""
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -9,7 +11,7 @@ from schsym.expr import (HALF, I_UNIT, ONE, T_VAR, ZERO, AbsPow, Conj, Const, Ex
                          IntPow, Product, Sign, Sum, Var, const, diff, func_app, int_pow, psi,
                          sum_, t, var, x)
 from schsym.conditions import _rank, invariants
-from schsym.fields import (I2, I8, D, GeneratorCoeffs, Iop, J, M, P, absx2,
+from schsym.fields import (I2, I8, D, GeneratorCoeffs, Iop, J, M, P, _pairs, absx2,
                            bracket_generic, bracket_rows, bracket_structural,
                            coefficient_rows, expand)
 from schsym.funcbank import random_trig_poly
@@ -237,17 +239,49 @@ def test_generator_validation():
         GeneratorCoeffs(2, ZERO, (Fraction(0),), (psi(2), ZERO), ZERO, ZERO, None)
 
 
+def _full_bracket_rows(gs, rows, drows, slices):
+    """The k x k bracket rows as bracket_rows computed them before it kept
+    only the pairs i < j, with K from each generator's Fraction
+    kappa_matrix: out[i, j] is the row of [gs[i], gs[j]]."""
+    k, n, m = len(gs), gs[0].n, slices["tau"].stop
+
+    def skew(a, b):  # out[i, j] = a_i b_j - a_j b_i
+        p = a[:, None] * b[None, :]
+        return p - p.swapaxes(0, 1)
+
+    tau, dtau = rows[:, slices["tau"]], drows[:, slices["tau"]]
+    chi = rows[:, slices["chi"]].reshape(k, n, m)
+    dchi = drows[:, slices["chi"]].reshape(k, n, m)
+    K = np.array([g.kappa_matrix() for g in gs], dtype=float)
+    lo, hi = (np.array(_pairs(n), dtype=int).reshape(-1, 2) - 1).T
+    KK = K[None, :] @ K[:, None]  # KK[i, j] = K_j K_i
+    KC = K[:, None] @ chi[None, :]  # KC[i, j] = K_i chi_j
+    out = np.empty((k, k, rows.shape[1]))
+    out[..., slices["tau"]] = skew(tau, dtau)
+    out[..., slices["kappa"]] = (KK - KK.swapaxes(0, 1))[:, :, hi, lo]
+    out[..., slices["chi"]] = (skew(tau[:, None], dchi) - 0.5 * skew(dtau[:, None], chi)
+                               - (KC - KC.swapaxes(0, 1))).reshape(k, k, n * m)
+    out[..., slices["sigma"]] = (skew(tau, drows[:, slices["sigma"]])
+                                 + 0.5 * skew(chi, dchi).sum(axis=2))
+    out[..., slices["rho"]] = skew(tau, drows[:, slices["rho"]])
+    return out
+
+
 def _assert_bracket_rows_match_structural(gs, binding, rng):
     tvals = rng.uniform(0.32, 1.68, size=13)
     rows, drows, slices = coefficient_rows(gs, binding, tvals)
     got = bracket_rows(gs, rows, drows, slices)
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            ref, _, _ = coefficient_rows([bracket_structural(gs[i], gs[j])], binding, tvals)
-            # a bracket that vanishes identically samples to rounding noise of
-            # the size of its bilinear operands, so that size joins the scale
-            scale = np.linalg.norm(ref[0]) + np.linalg.norm(rows[i]) * np.linalg.norm(rows[j])
-            assert np.linalg.norm(got[i, j] - ref[0]) <= 1e-12 * scale, (i, j)
+    pairs = list(itertools.combinations(range(len(gs)), 2))
+    assert got.shape == (len(pairs), rows.shape[1])
+    # the pairs i < j of the k x k rows, row-major, to the bit
+    full = _full_bracket_rows(gs, rows, drows, slices)
+    assert got.tobytes() == full[tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)].tobytes()
+    for (i, j), row in zip(pairs, got):
+        ref, _, _ = coefficient_rows([bracket_structural(gs[i], gs[j])], binding, tvals)
+        # a bracket that vanishes identically samples to rounding noise of
+        # the size of its bilinear operands, so that size joins the scale
+        scale = np.linalg.norm(ref[0]) + np.linalg.norm(rows[i]) * np.linalg.norm(rows[j])
+        assert np.linalg.norm(row - ref[0]) <= 1e-12 * scale, (i, j)
 
 
 def test_bracket_rows_match_structural_on_table_cases():
@@ -323,6 +357,22 @@ def test_coefficient_rows_match_eval_batch_bitwise_on_table_cases():
     assert all(not _Tape(e).bcast for e in roots[1:])
     tvals = rng.uniform(0.32, 1.68, size=13)
     _assert_rows_match_eval_batch_bitwise(gs, EMPTY_BINDING, tvals, "bcast")
+
+
+def test_coefficient_rows_fold_no_scale(monkeypatch):
+    # rows read values and the mask only: neither the union run nor a
+    # root-by-root run folds a subterm scale
+    from schsym.cases import instantiate, table
+
+    runs, run = [], _Tape.run
+    monkeypatch.setattr(_Tape, "run", lambda self, *a: runs.append(a[3:]) or run(self, *a))
+    monkeypatch.setattr(_Tape, "_scales", None)
+    inst = instantiate(table()[16], np.random.default_rng(3))
+    coefficient_rows(inst.generators, inst.workspace.binding, np.linspace(0.32, 1.68, 13))
+    gs = [Iop(1), D(parse("t")), P(ONE, parse("log(t - 2)"))]
+    with pytest.raises(UnsafeSampleError):
+        coefficient_rows(gs, EMPTY_BINDING, np.linspace(0.32, 1.68, 13))
+    assert len(runs) > 2 and set(runs) == {(False,)}
 
 
 def test_coefficient_rows_reject_unsafe_samples():

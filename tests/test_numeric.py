@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from schsym.expr import SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x, x_var
-from schsym.funcbank import ExpPoly, ExpPolyImpl
+from schsym.funcbank import ExpPoly, ExpPolyImpl, FunctionImpl
 from schsym.numeric import (AntiderivImpl, Binding, EMPTY_BINDING, ExprImpl, InverseImpl,
-                            UnboundSymbolError, UnsafeSampleError, _sorted_distinct, draw_env,
-                            eval_batch, is_zero, max_normalized_residual)
-from schsym.parsing import parse
+                            UnboundSymbolError, UnsafeSampleError, Workspace, _sorted_distinct,
+                            draw_env, eval_batch, is_zero, max_normalized_residual)
+from schsym.parsing import parse, var_name
 
 
 def at_point(e, binding, t0, xs=()):
@@ -122,6 +122,103 @@ def test_draws_do_not_depend_on_how_trials_and_bindings_split():
                                    rng=np.random.default_rng(4))
            for a, b in ((6, 1), (3, 2), (2, 3), (1, 6))]
     assert got[0][0] > 0 and all(g == got[0] for g in got)
+
+
+# -- the tuple form: one draw and one point set for several roots ------------
+
+def _recorded_draws(monkeypatch):
+    """(variable names, count) of each draw_env call."""
+    import schsym.numeric as numeric
+
+    calls = []
+    real = numeric.draw_env
+
+    def recorded(vars_needed, count, rng):
+        calls.append((sorted(var_name(v) for v in vars_needed), count))
+        return real(vars_needed, count, rng)
+
+    monkeypatch.setattr(numeric, "draw_env", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_tuple_rejects_when_any_root_fails_and_its_witness_names_it(at):
+    good = [parse("cos(t)^2 + sin(t)^2 - 1"), parse("x2*(x1 + 1) - x1*x2 - x2")]
+    bad = parse("t*x1")
+    roots = tuple(good[:at] + [bad] + good[at:])
+    got = max_normalized_residual(roots, trials=2, points=30, rng=np.random.default_rng(8))
+    assert [worst >= 1e-8 for worst, _ in got] == [r is bad for r in roots]
+    # each witness is over its own root's variables
+    assert [sorted(w["point"]) for _, w in got] == [
+        sorted(var_name(v) for v in r.free_vars) for r in roots]
+    assert got[at][1]["normalized"] == got[at][0] > 1e-3
+    assert not is_zero(roots, trials=2, points=30, rng=np.random.default_rng(8))
+    assert is_zero(tuple(good), trials=2, points=30, rng=np.random.default_rng(8))
+
+
+def test_root_unsafe_at_a_point_redraws_it_for_every_root(monkeypatch):
+    calls = _recorded_draws(monkeypatch)
+    ws = Workspace()
+
+    class Masked(FunctionImpl):  # f(t) = t, unsafe at t > 1
+        def deriv(self, didx, args):
+            z = np.asarray(args[0], dtype=complex)
+            return z, z.real > 1.0
+
+    f = ws.declare("f", 1, "real", Masked())
+    roots = (func_app(f, [t()]) * x(1) - x(1) * t(), parse("cos(x2)^2 + sin(x2)^2 - 1"))
+    got = max_normalized_residual(roots, binding=ws.binding, trials=1, points=40,
+                                  rng=np.random.default_rng(9))
+    assert all(worst < 1e-12 for worst, _ in got) and got[0][1]["point"]["t"].real <= 1.0
+    # one draw over the union of the variables, then redraws of the points
+    # where the first root is unsafe, for every variable of both roots
+    names = ["t", "x1", "x2"]
+    assert calls[0] == (names, 40) and len(calls) > 1
+    assert all(c[0] == names and 0 < c[1] < 40 for c in calls[1:])
+    # a root that stays unsafe exhausts the budget of the tuple
+    always = ws.declare("g", 1, "real", type("Always", (FunctionImpl,), {
+        "deriv": lambda self, didx, args: (args[0], np.ones(len(args[0]), dtype=bool))})())
+    with pytest.raises(UnsafeSampleError, match="of 40 sample points remained unsafe"):
+        max_normalized_residual((x(2), func_app(always, [t()])), binding=ws.binding, trials=1,
+                                points=40, rng=np.random.default_rng(9))
+
+
+def test_tuple_of_zeros_draws_nothing_and_a_1_tuple_draws_as_its_root(monkeypatch):
+    calls = _recorded_draws(monkeypatch)
+    rng = np.random.default_rng(10)
+    zero = max_normalized_residual(ZERO, rng=rng)
+    assert max_normalized_residual((ZERO, ZERO), rng=rng) == (zero, zero)
+    assert calls == [] and rng.bit_generator.state == np.random.default_rng(10).bit_generator.state
+    tbl = SymbolTable()
+    tbl.declare("f", 1, "real")
+    e = parse("f(t)*x1 + x2^2", tbl)
+
+    def run(arg):
+        rng = np.random.default_rng(11)
+        got = max_normalized_residual(arg, trials=3, points=9, rng=rng)
+        return got, rng.bit_generator.state
+
+    (one,), state = run((e,))
+    assert (one, state) == run(e)
+    # ZERO and a repeated root cost no draw of their own
+    calls.clear()
+    got, state_mixed = run((e, ZERO, e))
+    assert got == (one, zero, one) and state_mixed == state and len(calls) == 3
+    assert is_zero((ZERO,)) and is_zero(()) and not is_zero((ZERO, e))
+
+
+def test_verify_table_verdicts_match_at_seeds_0_to_9():
+    # every case passes every check at these seeds, as it did when each
+    # generator's residual drew its own points
+    from schsym.cases import verify_table
+
+    for seed in range(10):
+        rep = verify_table(seed=seed)
+        for case in rep["cases"]:
+            checks = [case[key]["passed"]
+                      for key in ("residuals", "closure", "invariants", "constraints")]
+            assert case["passed"] and all(checks), (seed, case["case"])
+        assert rep["passed"] and len(rep["cases"]) == 20
 
 
 def test_conjugated_jets_sample_consistently():
