@@ -19,7 +19,6 @@ tau/kappa columns gives both k1 and r0.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -58,6 +57,7 @@ from .fields import (
     M,
     P,
     VectorField,
+    _pair_index,
     absx2,
     bracket_rows,
     coefficient_rows,
@@ -292,8 +292,9 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
 
     miss = _first_outside(basis, bracket_rows(gs, rows, drows, slices), span_tol)
     if miss is not None:
-        i, j = list(itertools.combinations(range(len(gs)), 2))[miss]
-        raise SpanError(f"span is not closed under the bracket (generators {i} and {j})")
+        i, j = _pair_index(len(gs))
+        raise SpanError(f"span is not closed under the bracket "
+                        f"(generators {i[miss]} and {j[miss]})")
 
     # columns run tau, kappa, chi, sigma, rho, so each head block is a prefix
     rank_tau = _rank(rows[:, slices["tau"]], tol)

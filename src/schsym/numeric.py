@@ -218,14 +218,14 @@ class _Tape:
     ``(roots, count)`` array, bit for bit the values of that root's own
     tape: a constant that one root's sum or product reads may reach it as
     an array, because another root's node reads it as one, and numpy adds
-    and multiplies a broadcast array as it does a scalar.  ``parts`` holds,
-    per root, the rows, the largest constant magnitude and the variables
-    of its own sub-DAG, from which a run folds each root's own subterm
-    scale.
+    and multiplies a broadcast array as it does a scalar.  ``parts``,
+    built on a tuple's first run that folds a scale, holds per root the
+    largest constant magnitude and the rows and variables of its own
+    sub-DAG, from which that run folds each root's own subterm scale.
     """
 
     __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "nodes", "inputs",
-                 "parts")
+                 "exprs", "parts")
 
     def __init__(self, root: Expr | tuple[Expr, ...],
                  known: Optional[Mapping[Expr, tuple]] = None):
@@ -257,17 +257,8 @@ class _Tape:
             base = jet_var(v.alpha, False) if v.is_jet and v.conj else None
             self.vars.append((v, base))
         self.root = tuple(slot[r] for r in root) if type(root) is tuple else slot[root]
+        self.exprs = root
         self.parts = None
-        if type(root) is tuple:
-            first_var = len(computed) + len(consts)
-            self.parts = []
-            for r in root:
-                own = post_order(r)
-                self.parts.append((
-                    np.array([slot[n] for n in own if type(n) is not Const and type(n) is not Var],
-                             dtype=np.intp),
-                    np.abs([n.value() for n in own if type(n) is Const]).max(initial=0.0),
-                    [slot[n] - first_var for n in own if type(n) is Var]))
         array_consts = set()
         self.code = []
         for n in computed:
@@ -343,20 +334,19 @@ class _Tape:
         The scale is one running column max of |value| over the constants,
         blocks of rows and the variables.  NaN and inf carry through it, so
         one test shows whether every value is finite; only where one is not
-        are the magnitudes taken again (``_magnitudes``), marking each point
-        with a non-finite value unsafe and leaving that value out of its
-        scale.
+        are the blocks folded again (``_magnitude_blocks``), marking each
+        point with a non-finite value unsafe and leaving that value out of
+        its scale.
 
         A tuple's run gives one scale per root, each over the root's own
-        sub-DAG (``parts``), and one mask over all the roots.  With
+        sub-DAG (``_scales``), and one mask over all the roots.  With
         ``scale`` false the run folds no scale (None) and marks the same
         points unsafe.
         """
         buf, vals, var_vals, unsafe = self._evaluate(binding, env, count, complex)
-        if not scale or self.parts is not None:
-            mag, var_mag = _magnitudes(buf, var_vals, unsafe)
+        if not scale or type(self.root) is tuple:
             return (self._root(buf, vals, count),
-                    self._scales(mag, var_mag) if scale else None, unsafe)
+                    self._scales(buf, var_vals, unsafe, scale), unsafe)
         step = max(1, _FOLD_ELEMS // max(count, 1))
         scale = np.full(count, self.cmax)
         for i in range(0, self.rows, step):
@@ -364,23 +354,43 @@ class _Tape:
         for x in var_vals:
             np.maximum(scale, np.abs(x), out=scale)
         if not math.isfinite(scale.max(initial=0.0)):
-            mag, var_mag = _magnitudes(buf, var_vals, unsafe)
-            scale = np.maximum(mag.max(axis=0, initial=self.cmax),
-                               var_mag.max(axis=0, initial=0.0))
+            scale[...] = self.cmax
+            for _, mag in _magnitude_blocks(buf, var_vals, unsafe):
+                np.maximum(scale, mag.max(axis=0), out=scale)
         return self._root(buf, vals, count), scale, unsafe
 
-    def _scales(self, mag: np.ndarray, var_mag: np.ndarray) -> np.ndarray:
+    def _scales(self, buf: np.ndarray, var_vals: list, unsafe: np.ndarray,
+                fold: bool) -> Optional[np.ndarray]:
         """Each root's subterm scale, a ``(roots, count)`` array: the column
         max of the magnitudes of its own constants, rows and variables, the
-        max its own tape's run folds."""
-        out = np.empty((len(self.parts), mag.shape[1]))
-        for s, (rows, cmax, var_ix) in zip(out, self.parts):
+        max its own tape's run folds, taken block by block.  Without
+        ``fold`` only the blocks' non-finite values are marked unsafe, and
+        the scale is None."""
+        parts = self._parts() if fold else ()
+        out = np.empty((len(parts), len(unsafe)))
+        for s, (cmax, _) in zip(out, parts):
             s[...] = cmax
-            if len(rows):
-                np.maximum(s, mag[rows].max(axis=0), out=s)
-            for i in var_ix:
-                np.maximum(s, var_mag[i], out=s)
-        return out
+        for first, mag in _magnitude_blocks(buf, var_vals, unsafe):
+            for s, (_, own) in zip(out, parts):
+                lo, hi = own.searchsorted((first, first + len(mag)))
+                if lo < hi:
+                    np.maximum(s, mag[own[lo:hi] - first].max(axis=0), out=s)
+        return out if fold else None
+
+    def _parts(self) -> list:
+        """Per root of the tuple, its own largest constant magnitude and the
+        sorted rows of its own computed nodes and variables, the variables
+        numbered after the buffer's rows as ``_magnitude_blocks`` does."""
+        if self.parts is None:
+            row = {n: i for i, n in enumerate(self.nodes)}
+            row.update((var(v), self.rows + i) for i, (v, _) in enumerate(self.vars))
+            self.parts = []
+            for r in self.exprs:
+                own = post_order(r)
+                cmax = np.abs([n.value() for n in own if type(n) is Const]).max(initial=0.0)
+                self.parts.append((cmax, np.array(
+                    sorted(row[n] for n in own if type(n) is not Const), dtype=np.intp)))
+        return self.parts
 
     def run_real(self, binding: Binding, env: Mapping[VarId, np.ndarray],
                  count: int) -> Optional[np.ndarray]:
@@ -461,17 +471,22 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
             np.conj(vals[ins[2]], out=out)
 
 
-def _magnitudes(buf: np.ndarray, var_vals: list, unsafe: np.ndarray):
-    """|value| of every row of buf and of every variable, as two arrays; a
-    point where one is not finite is or-ed into ``unsafe``, and that
-    magnitude reads 0."""
-    mags = np.abs(buf), np.abs(np.reshape(var_vals, (len(var_vals), len(unsafe))))
-    for mag in mags:
+def _magnitude_blocks(buf: np.ndarray, var_vals: list, unsafe: np.ndarray):
+    """|value| of buf's rows, ``_FOLD_ELEMS`` elements at a time, then of the
+    variables, as (first row, magnitudes) with the variables numbered after
+    the rows; a point where one is not finite is or-ed into ``unsafe``, and
+    that magnitude reads 0."""
+    step = max(1, _FOLD_ELEMS // max(len(unsafe), 1))
+    blocks = [(i, buf[i:i + step]) for i in range(0, len(buf), step)]
+    if var_vals:
+        blocks.append((len(buf), var_vals))
+    for first, block in blocks:
+        mag = np.abs(block)
         bad = _nonfinite(mag)
         if bad is not None:
             unsafe |= bad.any(axis=0)
             mag[bad] = 0.0
-    return mags
+        yield first, mag
 
 
 def _nonfinite(mag: np.ndarray) -> Optional[np.ndarray]:
@@ -599,11 +614,11 @@ def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Bin
                          f"{trials} * {bindings_per_trial} draws of {points} points")
     args = (binding or EMPTY_BINDING, trials * bindings_per_trial, points,
             np.random.default_rng(0) if rng is None else rng, {} if tapes is None else tapes)
-    if type(e) is not tuple:  # a single root runs its own tape
-        return _zero_residual() if e is ZERO else _worst_points(e, (e,), *args)[0]
+    if type(e) is not tuple:
+        return _worst_points((e,), *args)[0] if e is not ZERO else _zero_residual()
     live = tuple(dict.fromkeys(r for r in e if r is not ZERO))
-    got = dict(zip(live, _worst_points(live, live, *args))) if live else {}
-    return tuple(_zero_residual() if r is ZERO else got[r] for r in e)
+    got = dict(zip(live, _worst_points(live, *args))) if live else {}
+    return tuple(got[r] if r is not ZERO else _zero_residual() for r in e)
 
 
 def _zero_residual():
@@ -611,24 +626,26 @@ def _zero_residual():
     return 0.0, {"value": 0j, "normalized": 0.0, "point": {}}
 
 
-def _worst_points(target, live: tuple, binding: Binding, draws: int, points: int,
+def _worst_points(roots: tuple, binding: Binding, draws: int, points: int,
                   rng: np.random.Generator, tapes: dict) -> list:
-    """(worst normalized value, witness) of each root in live over the
-    draws; target, whose tape runs, is live's one root or live itself."""
-    worst = [0.0] * len(live)
-    witness = [None] * len(live)
+    """(worst normalized value, witness) of each of the distinct roots over
+    the draws; one root runs its own tape, several the tape of the tuple."""
+    target = roots[0] if len(roots) == 1 else roots
+    worst = [0.0] * len(roots)
+    witness = [None] * len(roots)
     for _ in range(draws):
         full = _fill_surrogates(target, binding, rng)
         vals, scale, env = eval_resampling(target, full, points, rng, tapes)
-        normed = (np.abs(vals) / (1.0 + scale)).reshape(len(live), -1)
-        vals = vals.reshape(normed.shape)
-        for j, r in enumerate(live):
+        normed = np.abs(vals) / (1.0 + scale)
+        if target is not roots:
+            vals, normed = (vals,), (normed,)
+        for j, r in enumerate(roots):
             i = int(normed[j].argmax())
-            top = float(normed[j, i])
+            top = float(normed[j][i])
             if top >= worst[j]:
                 worst[j] = top
                 witness[j] = {
-                    "value": complex(vals[j, i]),
+                    "value": complex(vals[j][i]),
                     "normalized": top,
                     "point": {var_name(v): complex(env[v][i])
                               for v in sorted(r.free_vars, key=_var_sort_key)},
@@ -649,9 +666,7 @@ def is_zero(e: Expr | tuple[Expr, ...], trials: int = DEFAULT_TRIALS,
     below 1.
     """
     got = max_normalized_residual(e, binding=binding, trials=trials, points=points, rng=rng)
-    if type(e) is not tuple:
-        return got[0] < tol
-    return all(worst < tol for worst, _ in got)
+    return all(worst < tol for worst, _ in got) if type(e) is tuple else got[0] < tol
 
 
 # ---------------------------------------------------------------------------

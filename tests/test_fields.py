@@ -366,7 +366,7 @@ def test_coefficient_rows_fold_no_scale(monkeypatch):
 
     runs, run = [], _Tape.run
     monkeypatch.setattr(_Tape, "run", lambda self, *a: runs.append(a[3:]) or run(self, *a))
-    monkeypatch.setattr(_Tape, "_scales", None)
+    monkeypatch.setattr(_Tape, "_parts", None)
     inst = instantiate(table()[16], np.random.default_rng(3))
     coefficient_rows(inst.generators, inst.workspace.binding, np.linspace(0.32, 1.68, 13))
     gs = [Iop(1), D(parse("t")), P(ONE, parse("log(t - 2)"))]

@@ -233,11 +233,12 @@ def test_verify_case_compiles_each_root_once_per_owner(monkeypatch):
     assert len({id(known) for known in extends}) == 2 * 5
     # each draw's binding runs its partial tapes again at later point sets;
     # a root compiles again only where the table lacks one of its inputs
-    # (190 compiles for 245 table misses here; a compile per miss would
-    # make them equal)
+    # (190 compiles for 245 table misses here, a ratio near 0.78 at other
+    # seeds too; a compile per miss would make them equal)
     partial = Counter((id(owner), root) for p, owner, root in compiled if p)
     assert max(partial.values()) <= 2
-    assert 0 < sum(partial.values()) < len(extends)
+    assert 0 < sum(partial.values()) <= 190
+    assert sum(partial.values()) < 0.85 * len(extends)
 
 
 def test_deep_expression_evaluates_without_recursion():
@@ -320,6 +321,11 @@ def test_one_fold_matches_the_block_by_block_fold_bitwise(count):
         assert np.array_equal(got[2], want[2])
         assert got[2].any() != (root is roots[2])
     assert _Tape(roots[1]).rows * 20_000 > 2 * _FOLD_ELEMS
+    # a tuple folds each root's scale over the same blocks
+    with np.errstate(all="ignore"):
+        _assert_tuple_matches_each_root(tuple(roots), EMPTY_BINDING, env)
+        assert np.array_equal(eval_batch(_Tape(tuple(roots)), EMPTY_BINDING, env, scale=False)[2],
+                              eval_batch(_Tape(tuple(roots)), EMPTY_BINDING, env)[2])
 
 
 # -- a tuple of roots: each root's values and scale, bit for bit -------------
