@@ -412,12 +412,10 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
             if r is None:
                 r = residuals[gi, g.kappa] = classifying_residual(inst.V, g)
             res.append(r)
-        roots = tuple(dict.fromkeys(res))
-        tested = dict(zip(roots, max_normalized_residual(
-            roots, binding=inst.workspace.binding, trials=zero_trials,
-            points=points, rng=rng, tapes=tapes)))
-        for gi, r in enumerate(res):
-            worst, witness = tested[r]
+        tested = max_normalized_residual(
+            tuple(res), binding=inst.workspace.binding, trials=zero_trials,
+            points=points, rng=rng, tapes=tapes)
+        for gi, (worst, witness) in enumerate(tested):
             if worst >= tol:
                 report["residuals"]["passed"] = False
                 report["residuals"]["failures"].append(

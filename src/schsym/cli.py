@@ -304,8 +304,7 @@ def cmd_transform(args) -> int:
     Upsilon = parse(str(spec.get("Upsilon", "0")), ws.table, cfg.n)
     tr = EquivTransformation(cfg.n, T, O, X, Sigma, Upsilon, binding=ws.binding)
     Vt = act_on_potential(V, tr)
-    vals, _, env = eval_resampling(Vt.expr, Vt.binding, 5, rng, {})
-    vals = np.broadcast_to(vals, (5,))
+    (vals,), _, env = eval_resampling((Vt.expr,), Vt.binding, 5, rng, {})
     spots = []
     for i in range(len(vals)):
         pt = {var_name(v): complex(env[v][i]) for v in env}

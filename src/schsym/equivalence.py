@@ -2,10 +2,10 @@
 
 A transformation is the tuple (T, O, X, Sigma, Upsilon, Lambda): a time
 reparameterization with T_t != 0, a constant orthogonal matrix, a
-time-dependent shift, phase and amplitude adjustments, and an optional
-solution summand (only a test builds one; it does not act on the
-potential).  The action on potentials composes the closed-form target
-potential with the inverse variable map.  An inverse time map T^-1 is a
+time-dependent shift, phase and amplitude adjustments, and a solution
+summand.  Lambda is not stored, since it does not act on the potential.
+The action on potentials composes the closed-form target potential with
+the inverse variable map.  An inverse time map T^-1 is a
 fresh function symbol evaluated by root finding, with derivatives from the
 chain-rule expressions H_k, except for a map built by ``invert``, whose
 inverse is the original T.  A generator of the equivalence algebra is its
@@ -90,7 +90,7 @@ def rational_rotation(m: Fraction):
 
 @dataclass
 class EquivTransformation:
-    """One admissible-map candidate (T, O, X, Sigma, Upsilon, Lambda)."""
+    """One admissible-map candidate (T, O, X, Sigma, Upsilon)."""
 
     n: int
     T: Expr
@@ -98,7 +98,6 @@ class EquivTransformation:
     X: tuple[Expr, ...]
     Sigma: Expr
     Upsilon: Expr
-    Lam: Optional[Expr] = None
     binding: Binding = field(default_factory=Binding)
     bracket: tuple[float, float] = (-60.0, 60.0)
     eps: int = 0
@@ -112,8 +111,6 @@ class EquivTransformation:
                         *((f"X{i+1}", c) for i, c in enumerate(self.X))):
             if not depends_only_on_t(e) or not e.is_real:
                 raise ValueError(f"{name} must be a real-valued function of t")
-        if self.Lam is not None and self.Lam.jet_vars:
-            raise ValueError("Lam must be a function of (t, x)")
         Om = np.array([[float(v) for v in row] for row in self.O])
         if np.max(np.abs(Om @ Om.T - np.eye(self.n))) > 1e-12:
             raise ValueError("O is not orthogonal")
@@ -278,8 +275,6 @@ def compose(t1: AdmissibleTransformation, t2: AdmissibleTransformation,
     """Parameter-level composition (apply t1, then t2)."""
     tr1, tr2 = t1.map, t2.map
     n = tr1.n
-    if tr1.Lam is not None or tr2.Lam is not None:
-        raise ValueError("composition with solution summands is not supported")
     if validate and not potentials_agree(t1.target, t2.source, rng=rng, tol=max(tol, 1e-7)):
         raise ValueError("transformations are not composable: target != source")
 
@@ -320,8 +315,6 @@ def invert(t: AdmissibleTransformation, validate: bool = True, rng=None,
     """Inverse admissible transformation with swapped source and target."""
     tr = t.map
     n = tr.n
-    if tr.Lam is not None:
-        raise ValueError("inversion with solution summands is not supported")
     tinv = tr.tinv_app()
     Tt = diff(tr.T, T_VAR)
     abs_tt = abs_pow(Tt, 1)

@@ -16,7 +16,7 @@ Every rank decision on sampled rows is made in ``conditions``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -127,37 +127,30 @@ def zero_gen(n: int) -> GeneratorCoeffs:
 
 
 def D(tau, n: int = 2) -> GeneratorCoeffs:
-    g = zero_gen(n)
-    return GeneratorCoeffs(n, as_expr(tau), g.kappa, g.chi, ZERO, ZERO, None)
+    return replace(zero_gen(n), tau=as_expr(tau))
 
 
 def J(a: int, b: int, n: int = 2) -> GeneratorCoeffs:
     kap = [Fraction(0)] * len(_pairs(n))
     kap[_pairs(n).index((a, b))] = Fraction(1)
-    g = zero_gen(n)
-    return GeneratorCoeffs(n, ZERO, tuple(kap), g.chi, ZERO, ZERO, None)
+    return replace(zero_gen(n), kappa=tuple(kap))
 
 
 def P(*chi, n: Optional[int] = None) -> GeneratorCoeffs:
     chis = tuple(as_expr(c) for c in chi)
-    n = n if n is not None else len(chis)
-    g = zero_gen(n)
-    return GeneratorCoeffs(n, ZERO, g.kappa, chis, ZERO, ZERO, None)
+    return replace(zero_gen(len(chis) if n is None else n), chi=chis)
 
 
 def M(sigma=1, n: int = 2) -> GeneratorCoeffs:
-    g = zero_gen(n)
-    return GeneratorCoeffs(n, ZERO, g.kappa, g.chi, as_expr(sigma), ZERO, None)
+    return replace(zero_gen(n), sigma=as_expr(sigma))
 
 
 def Iop(rho=1, n: int = 2) -> GeneratorCoeffs:
-    g = zero_gen(n)
-    return GeneratorCoeffs(n, ZERO, g.kappa, g.chi, ZERO, as_expr(rho), None)
+    return replace(zero_gen(n), rho=as_expr(rho))
 
 
 def Z(eta0: Expr, n: int = 2) -> GeneratorCoeffs:
-    g = zero_gen(n)
-    return GeneratorCoeffs(n, ZERO, g.kappa, g.chi, ZERO, ZERO, eta0)
+    return replace(zero_gen(n), eta0=eta0)
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,22 @@ with random surrogate functions bound to abstract symbols.  Values are
 normalized by (1 + max |subterm|) so the tolerance is scale-free.  Points
 where sgn/abs-power/log hit a near-zero base are rejected and redrawn.
 
-``eval_batch`` runs a root's compiled tape: one iterative post-order
-program over the distinct nodes of its DAG, with children referenced by
-slot, so evaluation has no recursion and no depth limit.  A tape of a
-tuple of roots is one program over the union of their DAGs, each shared
-node computed once, and one run gives every root's row and its own
-subterm scale (``fields.coefficient_rows`` samples a draw's coefficients
-and their t-derivatives this way, without the scales).  The zero test
-takes a tuple of roots too: one draw of surrogates and points over the
-union of their symbols and variables, redrawn where any root is unsafe,
-and one run of their tape, whose rows and scales give each root its own
-worst value and witness (``cases.verify_case`` tests a draw's residuals
-so).  ``eval_batch`` keeps nothing; a caller that evaluates a root again
-owns its tapes in a plain dict (``owned_tape``), as ``cases.verify_case``
-does across its draws, and hands the tape in.  One running column max
-gives a single root's subterm scale and non-finite check.
+``eval_batch`` runs the compiled tape of a tuple of roots: one iterative
+post-order program over the distinct nodes of the union of their DAGs,
+each shared node computed once, with children referenced by slot, so
+evaluation has no recursion and no depth limit.  A bare root is the
+1-tuple of itself, whose run gives 1-d values and scale.  One run gives
+every root's row and its own subterm scale (``fields.coefficient_rows``
+samples a draw's coefficients and their t-derivatives this way, without
+the scales), and every run folds its scales and its non-finite check in
+one function, ``_fold``.  The zero test takes a tuple of roots, a bare
+root as its 1-tuple: one draw of surrogates and points over the union of
+their symbols and variables, redrawn where any root is unsafe, and one
+run of their tape, whose rows and scales give each root its own worst
+value and witness (``cases.verify_case`` tests a draw's residuals so).
+``eval_batch`` keeps nothing; a caller that evaluates a root again owns
+its tapes in a plain dict (``owned_tape``), as ``cases.verify_case`` does
+across its draws, and hands the tape in.
 Constants are converted to ``complex128`` once per node (``Const.value``),
 not once per tape.  The rules of each operation (the ``EPS_UNSAFE`` cuts,
 scalar or array constants, function masks, non-finite values) live in
@@ -56,7 +57,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from . import funcbank
+from . import expr, funcbank
 from .expr import (
     AbsPow,
     Conj,
@@ -203,8 +204,10 @@ _FOLD_ELEMS = 1 << 16
 
 
 class _Tape:
-    """Evaluation program for one root, or for a tuple of roots: the "tape"
-    of Griewank & Walther, *Evaluating Derivatives* (SIAM 2008).
+    """Evaluation program for a tuple of roots: the "tape" of Griewank &
+    Walther, *Evaluating Derivatives* (SIAM 2008).  A bare root compiles as
+    the 1-tuple of itself, with ``single`` set so that its run returns 1-d
+    values and scale (a variable root its env array itself).
 
     Every distinct node is one slot, however many roots reach it.
     Computed nodes come first, in post order, and own a row of one
@@ -214,21 +217,24 @@ class _Tape:
     env arrays as they are.  Given ``known``, nodes whose rows are already
     computed, the walk stops at each known node and makes it an input slot,
     after the variables, so the program computes only the other nodes.
-    A tuple's program gives each root's values as one row of a
-    ``(roots, count)`` array, bit for bit the values of that root's own
-    tape: a constant that one root's sum or product reads may reach it as
-    an array, because another root's node reads it as one, and numpy adds
-    and multiplies a broadcast array as it does a scalar.  ``parts``,
-    built on a tuple's first run that folds a scale, holds per root the
+    The program gives each root's values as one row of a ``(roots, count)``
+    array, bit for bit the values of that root's own tape: a constant that
+    one root's sum or product reads may reach it as an array, because
+    another root's node reads it as one, and numpy adds and multiplies a
+    broadcast array as it does a scalar.  ``parts`` holds per root the
     largest constant magnitude and the rows and variables of its own
-    sub-DAG, from which that run folds each root's own subterm scale.
+    sub-DAG (``_fold``), built on the first run that folds a scale; the
+    one part of a tape of one root, which owns every row, is set when
+    compiled.
     """
 
-    __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "nodes", "inputs",
-                 "exprs", "parts")
+    __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "single", "nodes",
+                 "inputs", "exprs", "parts")
 
     def __init__(self, root: Expr | tuple[Expr, ...],
                  known: Optional[Mapping[Expr, tuple]] = None):
+        self.single = type(root) is not tuple
+        roots = (root,) if self.single else root
         computed, consts, variables, inputs = [], [], [], []
 
         def unknown(n):
@@ -237,7 +243,7 @@ class _Tape:
                 return False
             return True
 
-        for n in post_order(root, None if known is None else unknown):
+        for n in post_order(roots, None if known is None else unknown):
             if type(n) is Const:
                 consts.append(n)
             elif type(n) is Var:
@@ -256,9 +262,9 @@ class _Tape:
             v = n.vid
             base = jet_var(v.alpha, False) if v.is_jet and v.conj else None
             self.vars.append((v, base))
-        self.root = tuple(slot[r] for r in root) if type(root) is tuple else slot[root]
-        self.exprs = root
-        self.parts = None
+        self.root = tuple([slot[r] for r in roots])
+        self.exprs = roots
+        self.parts = [(self.cmax, None, None)] if len(roots) == 1 else None
         array_consts = set()
         self.code = []
         for n in computed:
@@ -314,10 +320,10 @@ class _Tape:
         return buf, vals, var_vals, unsafe
 
     def _root(self, buf: np.ndarray, vals: list, count: int) -> np.ndarray:
-        if type(self.root) is not tuple:
-            return self._slot(self.root, buf, vals, count)
-        if max(self.root, default=-1) < self.rows:  # every root is a computed row
-            return buf[list(self.root)]
+        if self.single:
+            return self._slot(self.root[0], buf, vals, count)
+        if max(self.root) < self.rows:  # every root is a computed row
+            return buf.take(self.root, axis=0)
         return np.array([self._slot(s, buf, vals, count) for s in self.root])
 
     def _slot(self, s: int, buf: np.ndarray, vals: list, count: int) -> np.ndarray:
@@ -329,67 +335,34 @@ class _Tape:
 
     def run(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int,
             scale: bool = True):
-        """The root's values, subterm scale and unsafe mask.
-
-        The scale is one running column max of |value| over the constants,
-        blocks of rows and the variables.  NaN and inf carry through it, so
-        one test shows whether every value is finite; only where one is not
-        are the blocks folded again (``_magnitude_blocks``), marking each
-        point with a non-finite value unsafe and leaving that value out of
-        its scale.
-
-        A tuple's run gives one scale per root, each over the root's own
-        sub-DAG (``_scales``), and one mask over all the roots.  With
-        ``scale`` false the run folds no scale (None) and marks the same
-        points unsafe.
-        """
+        """The roots' values, subterm scales and unsafe mask (``_fold``):
+        each root's scale over its own sub-DAG, one mask over all the roots.
+        With ``scale`` false the run folds no scale (None) and marks the
+        same points unsafe."""
         buf, vals, var_vals, unsafe = self._evaluate(binding, env, count, complex)
-        if not scale or type(self.root) is tuple:
-            return (self._root(buf, vals, count),
-                    self._scales(buf, var_vals, unsafe, scale), unsafe)
-        step = max(1, _FOLD_ELEMS // max(count, 1))
-        scale = np.full(count, self.cmax)
-        for i in range(0, self.rows, step):
-            np.maximum(scale, np.abs(buf[i:i + step]).max(axis=0), out=scale)
-        for x in var_vals:
-            np.maximum(scale, np.abs(x), out=scale)
-        if not math.isfinite(scale.max(initial=0.0)):
-            scale[...] = self.cmax
-            for _, mag in _magnitude_blocks(buf, var_vals, unsafe):
-                np.maximum(scale, mag.max(axis=0), out=scale)
-        return self._root(buf, vals, count), scale, unsafe
-
-    def _scales(self, buf: np.ndarray, var_vals: list, unsafe: np.ndarray,
-                fold: bool) -> Optional[np.ndarray]:
-        """Each root's subterm scale, a ``(roots, count)`` array: the column
-        max of the magnitudes of its own constants, rows and variables, the
-        max its own tape's run folds, taken block by block.  Without
-        ``fold`` only the blocks' non-finite values are marked unsafe, and
-        the scale is None."""
-        parts = self._parts() if fold else ()
-        out = np.empty((len(parts), len(unsafe)))
-        for s, (cmax, _) in zip(out, parts):
-            s[...] = cmax
-        for first, mag in _magnitude_blocks(buf, var_vals, unsafe):
-            for s, (_, own) in zip(out, parts):
-                lo, hi = own.searchsorted((first, first + len(mag)))
-                if lo < hi:
-                    np.maximum(s, mag[own[lo:hi] - first].max(axis=0), out=s)
-        return out if fold else None
+        parts = self._parts() if scale else [(self.cmax, None, None)]
+        got = _fold(parts, buf, var_vals, count)
+        if not math.isfinite(got.max(initial=0.0)):
+            got = _fold(parts, buf, var_vals, count, unsafe)
+        values = self._root(buf, vals, count)
+        if not scale:
+            return values, None, unsafe
+        return values, got[0] if self.single else got, unsafe
 
     def _parts(self) -> list:
-        """Per root of the tuple, its own largest constant magnitude and the
-        sorted rows of its own computed nodes and variables, the variables
-        numbered after the buffer's rows as ``_magnitude_blocks`` does."""
+        """Per root, its own largest constant magnitude, the sorted rows of
+        its own computed nodes and the indices of its own variables, as
+        ``_fold`` reads them; a tape of one root has one part, set when
+        compiled, that owns every row and variable (None)."""
         if self.parts is None:
             row = {n: i for i, n in enumerate(self.nodes)}
-            row.update((var(v), self.rows + i) for i, (v, _) in enumerate(self.vars))
+            col = {var(v): i for i, (v, _) in enumerate(self.vars)}
             self.parts = []
             for r in self.exprs:
                 own = post_order(r)
                 cmax = np.abs([n.value() for n in own if type(n) is Const]).max(initial=0.0)
-                self.parts.append((cmax, np.array(
-                    sorted(row[n] for n in own if type(n) is not Const), dtype=np.intp)))
+                rows = np.array(sorted(row[n] for n in own if n in row), dtype=np.intp)
+                self.parts.append((cmax, rows, tuple(col[n] for n in own if n in col)))
         return self.parts
 
     def run_real(self, binding: Binding, env: Mapping[VarId, np.ndarray],
@@ -436,10 +409,9 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
             for tm in ts[2:]:
                 np.add(out, vals[tm], out=out)
         elif op == _FUNC:
-            got, mask = binding.lookup(ins[3]).deriv(
-                ins[4], tuple(vals[a] for a in ins[2]))
+            got, mask = binding.lookup(ins[3]).deriv(ins[4], tuple([vals[a] for a in ins[2]]))
             out[...] = got.real if out.dtype == float else got
-            if mask is not None and np.any(mask):
+            if mask is not None and mask.any():
                 flags[ins[1]] |= mask
         elif op == _IPOW:
             b = vals[ins[2]]
@@ -471,22 +443,51 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
             np.conj(vals[ins[2]], out=out)
 
 
-def _magnitude_blocks(buf: np.ndarray, var_vals: list, unsafe: np.ndarray):
-    """|value| of buf's rows, ``_FOLD_ELEMS`` elements at a time, then of the
-    variables, as (first row, magnitudes) with the variables numbered after
-    the rows; a point where one is not finite is or-ed into ``unsafe``, and
-    that magnitude reads 0."""
-    step = max(1, _FOLD_ELEMS // max(len(unsafe), 1))
-    blocks = [(i, buf[i:i + step]) for i in range(0, len(buf), step)]
-    if var_vals:
-        blocks.append((len(buf), var_vals))
-    for first, block in blocks:
-        mag = np.abs(block)
+def _fold(parts: list, buf: np.ndarray, var_vals: list, count: int,
+          unsafe: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each part's subterm scale, a ``(parts, count)`` array: the column max
+    of the part's largest constant magnitude and of |value| over its own
+    rows of buf and its own variables, by one running max over blocks of
+    ``_FOLD_ELEMS`` elements of buf, then over each variable.  A part whose
+    rows and variables are None owns every one.
+
+    NaN and inf carry through the max, so one test of the result shows
+    whether every value is finite; only where one is not does the caller
+    fold again, given ``unsafe``: a point with a non-finite value is or-ed
+    into it, and that magnitude reads 0.
+    """
+    out = np.empty((len(parts), count))
+    for j, (cmax, _, _) in enumerate(parts):
+        out[j] = cmax
+    step = max(1, _FOLD_ELEMS // max(count, 1))
+    for first in range(0, len(buf), step):
+        mag = _magnitudes(buf[first:first + step], unsafe)
+        for j, (_, rows, _) in enumerate(parts):
+            if rows is not None:
+                lo, hi = rows.searchsorted((first, first + len(mag)))
+                if lo == hi:
+                    continue
+            s = out[j]
+            np.maximum(s, (mag if rows is None else mag[rows[lo:hi] - first]).max(axis=0), out=s)
+    mags = [_magnitudes(x, unsafe) for x in var_vals]
+    for j, (_, _, own) in enumerate(parts):
+        s = out[j]
+        for mag in mags if own is None else [mags[i] for i in own]:
+            np.maximum(s, mag, out=s)
+    return out
+
+
+def _magnitudes(block: np.ndarray, unsafe: Optional[np.ndarray]) -> np.ndarray:
+    """|block|, a block of rows or one variable's values; given ``unsafe``,
+    a point where one is not finite is or-ed into it, and that magnitude
+    reads 0."""
+    mag = np.abs(block)
+    if unsafe is not None:
         bad = _nonfinite(mag)
         if bad is not None:
-            unsafe |= bad.any(axis=0)
+            unsafe |= bad.any(axis=0) if bad.ndim > 1 else bad
             mag[bad] = 0.0
-        yield first, mag
+    return mag
 
 
 def _nonfinite(mag: np.ndarray) -> Optional[np.ndarray]:
@@ -510,12 +511,12 @@ def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray
     """Evaluate over a batch; returns (values, subterm scale, unsafe mask).
 
     ``e`` is a root, whose tape is compiled for this call and dropped, or a
-    ``_Tape`` that its caller owns (``owned_tape``).  The run folds the
-    subterm scale and the non-finite check in one pass (``_Tape.run``).
-    The tape of a tuple of roots gives one row of values and one row of
-    scale per root, each bit for bit what the root's own tape gives, and
-    one mask over the nodes of all of them.  With ``scale`` false no scale
-    is folded (None), for a caller that reads only values and mask.
+    ``_Tape`` that its caller owns (``owned_tape``).  The tape of a tuple
+    of roots gives one row of values and one row of scale per root, each
+    bit for bit what the root's own tape gives, and one mask over the
+    nodes of all of them; a bare root's gives 1-d values and scale.  With
+    ``scale`` false no scale is folded (None), for a caller that reads only
+    values and mask.  ``count`` is the number of points when env is empty.
 
     An owned tape at float64 points runs on a float64 buffer
     (``_Tape.run_real``), for a caller that has checked that its root may
@@ -542,30 +543,28 @@ def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray
 # randomized zero test
 # ---------------------------------------------------------------------------
 
-def _union(e: Expr | tuple[Expr, ...], attr: str) -> frozenset:
-    """A root's free_vars or free_symbols, or the union over a tuple of roots."""
-    return getattr(e, attr) if type(e) is not tuple else frozenset().union(
-        *(getattr(r, attr) for r in e))
+def _union(roots: tuple, attr: str) -> frozenset:
+    """The union of the roots' free_vars or free_symbols; one root's own set."""
+    return functools.reduce(expr._union, [getattr(r, attr) for r in roots])
 
 
-def _fill_surrogates(e: Expr | tuple[Expr, ...], binding: Binding,
-                     rng: np.random.Generator) -> Binding:
+def _fill_surrogates(roots: tuple, binding: Binding, rng: np.random.Generator) -> Binding:
     extra = {}
-    for sym in sorted(_union(e, "free_symbols"), key=lambda s: s.name):
+    for sym in sorted(_union(roots, "free_symbols"), key=lambda s: s.name):
         if sym not in binding:
             extra[sym] = funcbank.random_surrogate(rng, sym.arity, sym.codomain)
     return binding.merged(Binding(extra)) if extra else binding
 
 
-def eval_resampling(e: Expr | tuple[Expr, ...], binding: Binding, points: int,
+def eval_resampling(roots: tuple, binding: Binding, points: int,
                     rng: np.random.Generator, tapes: dict):
-    """Evaluate at `points` safe random points, redrawing unsafe ones; a
-    tuple of roots is drawn over the union of their variables and redrawn
-    where any root is unsafe."""
-    tape = owned_tape(tapes, e)
-    vars_needed = _union(e, "free_vars")
+    """The roots' values and scales, one row per root, at `points` safe
+    random points drawn over the union of their variables and redrawn where
+    any root is unsafe, and the env of those points."""
+    tape = owned_tape(tapes, roots)
+    vars_needed = _union(roots, "free_vars")
     env = draw_env(vars_needed, points, rng)
-    vals, scale, unsafe = eval_batch(tape, binding, env)
+    vals, scale, unsafe = eval_batch(tape, binding, env, points)
     budget = RETRY_BUDGET
     while unsafe.any():
         if budget == 0:
@@ -578,7 +577,7 @@ def eval_resampling(e: Expr | tuple[Expr, ...], binding: Binding, points: int,
         for v in env:
             env[v] = env[v].copy()
             env[v][unsafe] = fresh[v]
-        vals, scale, unsafe = eval_batch(tape, binding, env)
+        vals, scale, unsafe = eval_batch(tape, binding, env, points)
     return vals, scale, env
 
 
@@ -598,59 +597,51 @@ def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Bin
     is no draw or no point to sample: a test that samples nothing would
     pass anything.
 
-    For a tuple of roots, returns one (max value, witness) pair per root.
-    Each draw binds the surrogates of the union of the roots' symbols and
-    samples one point set over the union of their variables, redrawn where
-    any root is unsafe, and one run of the tape of the distinct roots
-    gives every root's values and its own subterm scale (``eval_batch``).
-    Each root's pair is then what its own test would give at those
-    points, its witness over its own variables; the Schwartz-Zippel bound
-    holds for each root on shared points.  ``ZERO``, alone or in a tuple,
-    is answered as sampling it would (value 0 and no variables) without a
-    draw; a 1-tuple draws as its root does.
+    For a tuple of roots, returns one (max value, witness) pair per root;
+    a bare root is tested as the 1-tuple of itself.  Each draw binds the
+    surrogates of the union of the roots' symbols and samples one point set
+    over the union of their variables, redrawn where any root is unsafe,
+    and one run of the tape of the distinct roots gives every root's values
+    and its own subterm scale (``eval_batch``).  Each root's pair is then
+    what its own test would give at those points, its witness over its own
+    variables; the Schwartz-Zippel bound holds for each root on shared
+    points.  ``ZERO``, alone or in a tuple, is answered as sampling it would
+    (value 0 and no variables) without a draw.
     """
     if trials * bindings_per_trial < 1 or points < 1:
         raise ValueError(f"a zero test needs at least one draw and one point, got "
                          f"{trials} * {bindings_per_trial} draws of {points} points")
-    args = (binding or EMPTY_BINDING, trials * bindings_per_trial, points,
-            np.random.default_rng(0) if rng is None else rng, {} if tapes is None else tapes)
-    if type(e) is not tuple:
-        return _worst_points((e,), *args)[0] if e is not ZERO else _zero_residual()
-    live = tuple(dict.fromkeys(r for r in e if r is not ZERO))
-    got = dict(zip(live, _worst_points(live, *args))) if live else {}
-    return tuple(got[r] if r is not ZERO else _zero_residual() for r in e)
+    roots = e if type(e) is tuple else (e,)
+    live = tuple({r: None for r in roots if r is not ZERO})
+    binding = binding or EMPTY_BINDING
+    rng = np.random.default_rng(0) if rng is None else rng
+    tapes = {} if tapes is None else tapes
+    worst = [0.0] * len(live)
+    witness = [None] * len(live)
+    for _ in range(trials * bindings_per_trial if live else 0):
+        full = _fill_surrogates(live, binding, rng)
+        vals, scale, env = eval_resampling(live, full, points, rng, tapes)
+        normed = np.abs(vals) / (1.0 + scale)
+        for j, r in enumerate(live):
+            row = normed[j]
+            i = int(row.argmax())
+            top = float(row[i])
+            if top >= worst[j]:
+                worst[j] = top
+                witness[j] = {
+                    "value": complex(vals[j, i]),
+                    "normalized": top,
+                    "point": {var_name(v): complex(env[v][i])
+                              for v in sorted(r.free_vars, key=_var_sort_key)},
+                }
+    got = dict(zip(live, zip(worst, witness)))
+    got = tuple([got[r] if r is not ZERO else _zero_residual() for r in roots])
+    return got if type(e) is tuple else got[0]
 
 
 def _zero_residual():
     """ZERO's answer, as sampling it would give: it draws nothing and reads 0."""
     return 0.0, {"value": 0j, "normalized": 0.0, "point": {}}
-
-
-def _worst_points(roots: tuple, binding: Binding, draws: int, points: int,
-                  rng: np.random.Generator, tapes: dict) -> list:
-    """(worst normalized value, witness) of each of the distinct roots over
-    the draws; one root runs its own tape, several the tape of the tuple."""
-    target = roots[0] if len(roots) == 1 else roots
-    worst = [0.0] * len(roots)
-    witness = [None] * len(roots)
-    for _ in range(draws):
-        full = _fill_surrogates(target, binding, rng)
-        vals, scale, env = eval_resampling(target, full, points, rng, tapes)
-        normed = np.abs(vals) / (1.0 + scale)
-        if target is not roots:
-            vals, normed = (vals,), (normed,)
-        for j, r in enumerate(roots):
-            i = int(normed[j].argmax())
-            top = float(normed[j][i])
-            if top >= worst[j]:
-                worst[j] = top
-                witness[j] = {
-                    "value": complex(vals[j][i]),
-                    "normalized": top,
-                    "point": {var_name(v): complex(env[v][i])
-                              for v in sorted(r.free_vars, key=_var_sort_key)},
-                }
-    return list(zip(worst, witness))
 
 
 def is_zero(e: Expr | tuple[Expr, ...], trials: int = DEFAULT_TRIALS,
@@ -665,8 +656,9 @@ def is_zero(e: Expr | tuple[Expr, ...], trials: int = DEFAULT_TRIALS,
     and passes iff every root does.  ValueError if trials or points is
     below 1.
     """
-    got = max_normalized_residual(e, binding=binding, trials=trials, points=points, rng=rng)
-    return all(worst < tol for worst, _ in got) if type(e) is tuple else got[0] < tol
+    got = max_normalized_residual(e if type(e) is tuple else (e,), binding=binding,
+                                  trials=trials, points=points, rng=rng)
+    return all(worst < tol for worst, _ in got)
 
 
 # ---------------------------------------------------------------------------

@@ -465,23 +465,6 @@ def test_free_reducibility(table):
         is_free_reducible(generic_potential(table), rng)
 
 
-def test_solution_summand_is_data_only(table):
-    # Lam must solve the source equation; it never changes the target potential
-    from schsym.conditions import eta0_residual
-    from schsym.expr import EXP
-
-    V0 = Potential(ZERO, 2)
-    lam = func_app(EXP, [parse("i*x1 - i*t")])
-    assert is_zero(eta0_residual(V0, lam), rng=RNG)
-    tr = EquivTransformation(2, var(T_VAR), _identity_matrix(2), (ZERO, ZERO),
-                             ZERO, ZERO, Lam=lam)
-    Vt = act_on_potential(V0, tr)
-    assert potentials_agree(Vt, V0, rng=RNG)
-    adm = AdmissibleTransformation.create(V0, tr)
-    with pytest.raises(ValueError):
-        invert(adm)
-
-
 def test_transformation_validation():
     with pytest.raises(ValueError):
         EquivTransformation(2, var(T_VAR), ((Fraction(1), Fraction(1)),

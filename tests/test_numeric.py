@@ -2,15 +2,18 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from schsym.expr import SymbolTable, T_VAR, ZERO, diff, func_app, int_pow, t, var, x, x_var
+from schsym.expr import (COS, SymbolTable, T_VAR, ZERO, const, diff, func_app, int_pow, t, var,
+                         x, x_var)
 from schsym.funcbank import ExpPoly, ExpPolyImpl, FunctionImpl
 from schsym.numeric import (AntiderivImpl, Binding, EMPTY_BINDING, ExprImpl, InverseImpl,
                             UnboundSymbolError, UnsafeSampleError, Workspace, _sorted_distinct,
-                            draw_env, eval_batch, is_zero, max_normalized_residual)
+                            draw_env, eval_batch, eval_resampling, is_zero,
+                            max_normalized_residual)
 from schsym.parsing import parse, var_name
 
 
@@ -205,6 +208,17 @@ def test_tuple_of_zeros_draws_nothing_and_a_1_tuple_draws_as_its_root(monkeypatc
     got, state_mixed = run((e, ZERO, e))
     assert got == (one, zero, one) and state_mixed == state and len(calls) == 3
     assert is_zero((ZERO,)) and is_zero(()) and not is_zero((ZERO, e))
+
+
+def test_roots_without_variables_are_resampled_at_every_point():
+    # no variable means an empty env, so only the count gives the points
+    rng = np.random.default_rng(12)
+    roots = (const(3), const(Fraction(1, 2)) * func_app(COS, [const(2)]))
+    vals, scale, env = eval_resampling(roots, EMPTY_BINDING, 5, rng, {})
+    assert vals.shape == scale.shape == (2, 5) and env == {}
+    assert vals[0].tolist() == [3] * 5 and len(set(vals[1].tolist())) == 1
+    (vals,), _, _ = eval_resampling(roots[:1], EMPTY_BINDING, 5, rng, {})
+    assert vals.tolist() == [3] * 5
 
 
 def test_verify_table_verdicts_match_at_seeds_0_to_9():

@@ -275,7 +275,8 @@ def test_constant_too_large_for_a_float_names_itself():
         eval_batch(const(10 ** 400) * t(), EMPTY_BINDING, {T_VAR: np.array([0.5], dtype=complex)})
 
 
-# -- the subterm scale: one running max per run ------------------------------
+# -- the subterm scale: every run folds its scales and finiteness check in one
+#    function, a bare root as the 1-tuple of itself ---------------------------
 
 def _block_fold_reference(tape, binding, env, count):
     """``_Tape.run`` as it folded before: each block of rows, then the
@@ -316,9 +317,13 @@ def test_one_fold_matches_the_block_by_block_fold_bitwise(count):
         with np.errstate(all="ignore"):
             got = tape.run(EMPTY_BINDING, env, count)
             want = _block_fold_reference(tape, EMPTY_BINDING, env, count)
+            one = _Tape((root,)).run(EMPTY_BINDING, env, count)
         for g, w in zip(got[:2], want[:2]):
             assert np.array_equal(_bits(g), _bits(w))
-        assert np.array_equal(got[2], want[2])
+        # the root as a 1-tuple: one row of the same bits, the same mask
+        for g, w in zip(one[:2], want[:2]):
+            assert g.shape == (1, count) and np.array_equal(_bits(g[0]), _bits(w))
+        assert np.array_equal(got[2], want[2]) and np.array_equal(one[2], want[2])
         assert got[2].any() != (root is roots[2])
     assert _Tape(roots[1]).rows * 20_000 > 2 * _FOLD_ELEMS
     # a tuple folds each root's scale over the same blocks
