@@ -90,7 +90,12 @@ def rational_rotation(m: Fraction):
 
 @dataclass
 class EquivTransformation:
-    """One admissible-map candidate (T, O, X, Sigma, Upsilon)."""
+    """One admissible-map candidate (T, O, X, Sigma, Upsilon).
+
+    The map keeps the target expression of each source expression it has
+    acted on (``act_on_potential``), as it keeps its inverse time map; the
+    table takes no part in equality or repr.
+    """
 
     n: int
     T: Expr
@@ -102,6 +107,8 @@ class EquivTransformation:
     bracket: tuple[float, float] = (-60.0, 60.0)
     eps: int = 0
     _tinv: Optional[Expr] = None
+    _targets: dict[Expr, Expr] = field(default_factory=dict, init=False,
+                                       compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.X) != self.n or len(self.O) != self.n:
@@ -211,10 +218,20 @@ def act_on_potential(V: Potential, tr: EquivTransformation) -> Potential:
 
     The closed-form target value at the source point is composed with the
     inverse variable map; the source potential is conjugated when T_t < 0.
+    The map keeps the target expression of each source expression it has
+    acted on, so a repeat builds nothing; the binding is merged per call.
     """
     n = V.n
     if n != tr.n:
         raise ValueError("dimension mismatch")
+    out = tr._targets.get(V.expr)
+    if out is None:
+        out = tr._targets[V.expr] = _target_expr(V.expr, tr)
+    return Potential(out, n, V.binding.merged(tr.binding))
+
+
+def _target_expr(src: Expr, tr: EquivTransformation) -> Expr:
+    n = tr.n
     Tt = diff(tr.T, T_VAR)
     Ttt = diff(Tt, T_VAR)
     Tttt = diff(Ttt, T_VAR)
@@ -222,7 +239,7 @@ def act_on_potential(V: Potential, tr: EquivTransformation) -> Potential:
     abs_tt = abs_pow(Tt, 1)
     inv_tt = int_pow(Tt, -1)
 
-    Vhat = V.expr if eps > 0 else conj_expr(V.expr)
+    Vhat = src if eps > 0 else conj_expr(src)
     x2 = absx2(n)
 
     out = Vhat * int_pow(abs_tt, -1)
@@ -246,8 +263,7 @@ def act_on_potential(V: Potential, tr: EquivTransformation) -> Potential:
                 acc = acc + const(tr.O[a - 1][b - 1]) * (x(a) - tr.X[a - 1])
         xmap[x_var(b)] = acc * s_inv
     out = subst(out, xmap)
-    out = subst(out, {T_VAR: tr.tinv_app()})
-    return Potential(out, n, V.binding.merged(tr.binding))
+    return subst(out, {T_VAR: tr.tinv_app()})
 
 
 @dataclass

@@ -1,4 +1,6 @@
 """Transformations: action, groupoid laws, pushforwards, algebra generators."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -211,6 +213,54 @@ def test_functoriality(table):
     lhs = act_on_potential(V, comp.map)
     rhs = act_on_potential(act_on_potential(V, t1.map), t2.map)
     assert potentials_agree(lhs, rhs, rng=rng, tol=1e-7)
+
+
+def _tinv_names(e):
+    return {s.name for s in e.free_symbols if s.name.startswith("Tinv")}
+
+
+def test_a_map_builds_each_target_once(table, monkeypatch):
+    rng = np.random.default_rng(13)
+    tr = random_transform(rng, Workspace())
+    V = generic_potential(table)
+    calls = []
+    inner = equivalence.subst
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "subst", counted)
+    first = act_on_potential(V, tr)
+    assert len(calls) == 2  # the x map, then t -> Tinv(t)
+    again = act_on_potential(V, tr)
+    assert len(calls) == 2
+    assert again.expr is first.expr
+    assert _tinv_names(again.expr) == _tinv_names(first.expr) == {tr.tinv_app().sym.name}
+    # a map with equal fields keeps its own table, which takes no part in
+    # equality or repr
+    copy = replace(tr)
+    assert copy == tr and repr(copy) == repr(tr)
+    assert act_on_potential(V, copy).expr is first.expr
+    assert len(calls) == 4
+
+
+def test_a_map_keeps_expressions_not_bindings():
+    rng = np.random.default_rng(14)
+    tr = random_transform(rng, Workspace())
+    results = []
+    for seed in (1, 2):
+        ws = Workspace()
+        impl = random_surrogate(np.random.default_rng(seed), 3, "complex")
+        W = ws.declare("W", 3, "complex", impl)
+        V = Potential(func_app(W, [t(), x(1), x(2)]), 2, ws.binding)
+        Vt = act_on_potential(V, tr)
+        assert Vt.binding.lookup(W) is impl
+        fresh = act_on_potential(V, random_transform(np.random.default_rng(14), Workspace()))
+        assert potentials_agree(Vt, fresh, rng=rng, tol=1e-7)
+        results.append(Vt)
+    # one symbol W, so one source expression and one cached target
+    assert results[0].expr is results[1].expr
 
 
 def test_pushforward_listed_rules():
