@@ -16,7 +16,9 @@ generator is rebuilt only when its drawn kappa changes.
 The quadratic cases are instantiated in reverse: fundamental solutions of
 the shift equation are drawn in closed form and the potential coefficients
 are defined from them, which exercises exactly the listed algebra-potential
-relations without numerical ODE solving.
+relations without numerical ODE solving.  Case 16's definitions are
+expressions over arity-0 symbols, inlined into its template; its builder
+binds only those numbers in each draw, as case 17's binds al, be, n1, n2.
 """
 from __future__ import annotations
 
@@ -28,16 +30,16 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .closedform import expr_to_exppoly, exppoly_to_expr
+from .closedform import expr_to_exppoly
 from .conditions import InvariantTuple, Potential, SpanError, classifying_residual, invariants
 from .equivalence import rational_rotation
-from .expr import (COS, HALF, SIN, T_VAR, Const, Expr, SymbolTable, abs_pow, const, diff,
-                   func_app, int_pow)
+from .expr import (COS, HALF, SIN, T_VAR, Const, Expr, FunctionSymbol, SymbolTable, abs_pow,
+                   const, diff, func_app, inline, int_pow, sum_, t)
 from .fields import GeneratorCoeffs
-from .funcbank import (ConstImpl, ExpPoly, ExpPolyImpl, random_positive_trig_poly,
-                       random_surrogate)
+from .funcbank import (TRIG_DEGREE, ConstImpl, ExpPoly, ExpPolyImpl,
+                       random_positive_trig_coeffs, random_positive_trig_poly, random_surrogate)
 from .numeric import (Binding, DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
-                      ExprImpl, Workspace, eval_batch, max_normalized_residual)
+                      Workspace, eval_batch, max_normalized_residual)
 from .parsing import parse
 
 
@@ -124,7 +126,8 @@ class GeneratorTemplate(NamedTuple):
 
 
 class CaseTemplate(NamedTuple):
-    """A case's strings parsed once; the draws bind their symbols."""
+    """A case's strings parsed once, with the coefficient functions that its
+    builder defines inlined; the draws bind their symbols."""
 
     potential: Expr
     generators: tuple[GeneratorTemplate, ...]
@@ -136,14 +139,18 @@ def parse_template(case: CaseEntry) -> CaseTemplate:
 
     The parse declares the case's symbols in a table of its own; a draw's
     workspace declares equal symbols, so the nodes are the ones a parse in
-    that workspace would give.
+    that workspace would give.  Case 16's coefficient functions are
+    inlined in each parse (``case16_definitions``), so its draws share the
+    template's nodes and bind only numbers.
     """
     tab = SymbolTable()
     for d in case.declarations:
         tab.declare(d["name"], int(d["arity"]), d["codomain"])
+    defs = case16_definitions(tab) if case.builder == "case16" else {}
 
     def p(text: str) -> Expr:
-        return parse(text, tab, case.n)
+        e = parse(text, tab, case.n)
+        return inline(e, defs) if defs else e
 
     gens = tuple(GeneratorTemplate(
         p(spec.get("tau", "0")), tuple(p(c) for c in spec.get("chi", ["0"] * case.n)),
@@ -204,57 +211,70 @@ def _kappa_value(kexpr: Expr, binding: Binding) -> tuple[Fraction]:
 
 # -- builders for the quadratic cases -----------------------------------------
 
-def _liouville_pair(rng, ws: Workspace):
+def _liouville_pair(num: Callable[[str], Expr], p: int):
     """A scalar pair u1, u2 with u'' = d u, constant unit Wronskian.
 
     u1 = G^(-1/2) cos F, u2 = G^(-1/2) sin F with F' = G > 0, and
-    d = 3/4 (G'/G)^2 - 1/2 G''/G - G^2, all in closed form.
+    d = 3/4 (G'/G)^2 - 1/2 G''/G - G^2, all in closed form.  G is the trig
+    polynomial gp0 + sum_k gp(2k-1) cos(k t) + gp(2k) sin(k t) over the
+    numbers num(name) drawn by ``build_case16``: the derivative of F, its
+    antiderivative with no constant term.
     """
-    G = random_positive_trig_poly(rng, low=0.9, high=1.6, ripple=0.25)
-    F = G.antiderivative()
-    G_expr = exppoly_to_expr(G)
-    F_expr = exppoly_to_expr(F)
-    amp = abs_pow(G_expr, Fraction(-1, 2))
-    u1 = amp * func_app(COS, [F_expr])
-    u2 = amp * func_app(SIN, [F_expr])
-    Gp = diff(G_expr, T_VAR)
+    tv = t()
+    g = [num(f"g{p}{j}") for j in range(2 * TRIG_DEGREE + 1)]
+    F = sum_([g[0] * tv] + [
+        const(Fraction(1, k)) * (g[2 * k - 1] * func_app(SIN, [k * tv])
+                                 - g[2 * k] * func_app(COS, [k * tv]))
+        for k in range(1, TRIG_DEGREE + 1)])
+    G = diff(F, T_VAR)
+    amp = abs_pow(G, Fraction(-1, 2))
+    Gp = diff(G, T_VAR)
     Gpp = diff(Gp, T_VAR)
-    d = const(Fraction(3, 4)) * Gp * Gp * int_pow(G_expr, -2) \
-        - HALF * Gpp * int_pow(G_expr, -1) - G_expr * G_expr
-    return u1, u2, d, G_expr, F_expr
+    d = const(Fraction(3, 4)) * Gp * Gp * int_pow(G, -2) \
+        - HALF * Gpp * int_pow(G, -1) - G * G
+    return amp * func_app(COS, [F]), amp * func_app(SIN, [F]), d, G, F
+
+
+def case16_definitions(tab: SymbolTable) -> dict[FunctionSymbol, Expr]:
+    """Case 16's 17 coefficient functions as expressions in t, defined in
+    reverse from a fundamental system of the shift equation.
+
+    The system is the rotation Q = (qc, -qs; qs, qc) of two Liouville pairs
+    (u1, u2 with d1, v1, v2 with d2): h = Q diag(d1, d2) Q^T, the chi tuples
+    u Q[:, 0] and v Q[:, 1], h0 = Q (c1 G1^(3/2), c2 G2^(3/2)) and the r's
+    from c1 and c2.  The numbers are arity-0 real symbols, declared in tab,
+    that ``build_case16`` binds in each draw.
+    """
+    def num(name: str) -> Expr:
+        return func_app(tab.declare(name, 0, "real"), [])
+
+    qc, qs, c1, c2 = num("qc"), num("qs"), num("c1"), num("c2")
+    u1, u2, d1, G1, F1 = _liouville_pair(num, 1)
+    v1, v2, d2, G2, F2 = _liouville_pair(num, 2)
+    g1_32 = abs_pow(G1, Fraction(3, 2))
+    g2_32 = abs_pow(G2, Fraction(3, 2))
+    defs = {
+        "c11": qc * u1, "c12": qs * u1, "c21": qc * u2, "c22": qs * u2,
+        "c31": -qs * v1, "c32": qc * v1, "c41": -qs * v2, "c42": qc * v2,
+        "h11": qc * qc * d1 + qs * qs * d2, "h12": qc * qs * (d1 - d2),
+        "h22": qs * qs * d1 + qc * qc * d2,
+        "h01": c1 * qc * g1_32 - c2 * qs * g2_32, "h02": c1 * qs * g1_32 + c2 * qc * g2_32,
+        "r1": -c1 * func_app(SIN, [F1]), "r2": c1 * func_app(COS, [F1]),
+        "r3": -c2 * func_app(SIN, [F2]), "r4": c2 * func_app(COS, [F2]),
+    }
+    return {tab.get(name): e for name, e in defs.items()}
 
 
 def build_case16(ws: Workspace, rng) -> None:
-    m = Fraction(int(rng.integers(-6, 7)), 13)
-    Q = rational_rotation(m)
-    u1, u2, d1, G1, F1 = _liouville_pair(rng, ws)
-    v1, v2, d2, G2, F2 = _liouville_pair(rng, ws)
-    c1 = float(rng.uniform(0.3, 1.0)) * (1 if rng.random() < 0.5 else -1)
-    c2 = float(rng.uniform(0.3, 1.0)) * (1 if rng.random() < 0.5 else -1)
-
-    q00, q01 = Q[0]
-    q10, q11 = Q[1]
-    h11 = const(q00 * q00) * d1 + const(q01 * q01) * d2
-    h12 = const(q00 * q10) * d1 + const(q01 * q11) * d2
-    h22 = const(q10 * q10) * d1 + const(q11 * q11) * d2
-    g1_32 = abs_pow(G1, Fraction(3, 2))
-    g2_32 = abs_pow(G2, Fraction(3, 2))
-    h01 = const(Fraction(c1)) * const(q00) * g1_32 + const(Fraction(c2)) * const(q01) * g2_32
-    h02 = const(Fraction(c1)) * const(q10) * g1_32 + const(Fraction(c2)) * const(q11) * g2_32
-
-    cexprs = {
-        "c11": const(q00) * u1, "c12": const(q10) * u1,
-        "c21": const(q00) * u2, "c22": const(q10) * u2,
-        "c31": const(q01) * v1, "c32": const(q11) * v1,
-        "c41": const(q01) * v2, "c42": const(q11) * v2,
-        "h11": h11, "h12": h12, "h22": h22, "h01": h01, "h02": h02,
-        "r1": const(Fraction(-c1)) * func_app(SIN, [F1]),
-        "r2": const(Fraction(c1)) * func_app(COS, [F1]),
-        "r3": const(Fraction(-c2)) * func_app(SIN, [F2]),
-        "r4": const(Fraction(c2)) * func_app(COS, [F2]),
-    }
-    for name, e in cexprs.items():
-        ws.binding.bind(ws.table.get(name), ExprImpl(e, ws.binding))
+    """Bind the numbers of ``case16_definitions`` for one draw: Q's entries
+    from a rational circle point, G1's and G2's coefficients, c1 and c2."""
+    (qc, _), (qs, _) = rational_rotation(Fraction(int(rng.integers(-6, 7)), 13))
+    values = [("qc", qc), ("qs", qs)]
+    values += [(f"g{p}{j}", v) for p in (1, 2)
+               for j, v in enumerate(random_positive_trig_coeffs(rng, 0.9, 1.6, 0.25))]
+    values += [(c, rng.uniform(0.3, 1.0) * (1 if rng.random() < 0.5 else -1)) for c in ("c1", "c2")]
+    for name, v in values:
+        ws.declare(name, 0, "real", ConstImpl(float(v)))
 
 
 def build_case17(ws: Workspace, rng) -> None:
@@ -379,8 +399,8 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     the expected one, and the tuple must satisfy the structural constraints.
     A draw's distinct residuals are zero-tested in one call, on one shared
     point set (``max_normalized_residual`` of their tuple): one compiled
-    program per case, kept in ``tapes`` across the draws, and one node
-    table per draw's binding for the coefficient functions they share.
+    program per case, kept in ``tapes`` across the draws, as is the one
+    program of the coefficients that ``invariants`` samples.
     """
     tab = table()
     if case_id not in tab:

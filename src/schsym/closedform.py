@@ -1,6 +1,6 @@
 """Conversion between exponential-trigonometric functions and expressions.
 
-Case instantiation builds potentials and generators whose time dependence
+The lemma fixtures build potentials and generators whose time dependence
 is an exact ExpPoly; this module renders such a function as an Expr over
 cos/sin/exp so that formal differentiation and numeric evaluation agree to
 rounding, and reads an antiderivative's integrand back as an ExpPoly.

@@ -804,12 +804,30 @@ def total_derivative(e: Expr, direction: int) -> Expr:
 def subst(e: Expr, mapping: Mapping[VarId, Expr]) -> Expr:
     """Replace variables by expressions (no capture issues: vars are global)."""
     keys = mapping.keys()
-    done: dict[Expr, Expr] = {}
+    return _rebuild(e, {var(v): x for v, x in mapping.items()},
+                    lambda u: not u.free_vars.isdisjoint(keys))
+
+
+def inline(e: Expr, defs: Mapping[FunctionSymbol, Expr]) -> Expr:
+    """Replace each application f(t) of a symbol f that defs defines by f's
+    definition, an expression in t.  ValueError where a defined symbol is
+    left applied otherwise (at another argument, or differentiated)."""
+    done = {func_app(f, [t()]): d for f, d in defs.items()}
+    out = _rebuild(e, done, lambda u: u not in done and not u.free_symbols.isdisjoint(defs))
+    left = sorted(f.name for f in out.free_symbols if f in defs)
+    if left:
+        raise ValueError(f"{', '.join(left)} applied other than at t")
+    return out
+
+
+def _rebuild(e: Expr, done: dict, enter) -> Expr:
+    """e with each node for which `enter` holds rebuilt from its children's
+    images, children first.  `done` comes holding the images the rebuild
+    starts from (of each variable `enter` admits, and of each node it
+    keeps out whose image is not itself) and gets the rebuilt nodes'."""
     get = done.get
-    for u in post_order(e, lambda u: not u.free_vars.isdisjoint(keys)):
-        if isinstance(u, Var):
-            out = mapping.get(u.vid, u)
-        elif isinstance(u, Sum):
+    for u in post_order(e, enter):
+        if isinstance(u, Sum):
             out = sum_([get(tm, tm) for tm in u.terms])
         elif isinstance(u, Product):
             out = prod([get(f, f) for f in u.factors])
@@ -821,8 +839,10 @@ def subst(e: Expr, mapping: Mapping[VarId, Expr]) -> Expr:
             out = sign_of(get(u.base, u.base))
         elif isinstance(u, Conj):
             out = conj_expr(get(u.arg, u.arg))
-        else:
+        elif isinstance(u, FuncApp):
             out = func_app(u.sym, [get(a, a) for a in u.args], u.didx)
+        else:
+            continue  # a variable, whose image done holds
         done[u] = out
     return get(e, e)
 

@@ -212,9 +212,9 @@ class TrigPolyND(FunctionImpl):
         return total, None
 
 
-def _trig_poly(c0, coeff: Callable[[], complex]) -> ExpPoly:
-    """c0 + sum_k (c_k cos(k z) + s_k sin(k z)) for k = 1..TRIG_DEGREE, where
-    each c_k and then s_k is the next ``coeff()``.
+def _trig_poly(coeffs: Sequence[complex]) -> ExpPoly:
+    """c0 + sum_k (c_k cos(k z) + s_k sin(k z)) for k = 1..TRIG_DEGREE, of
+    coeffs = [c0, c_1, s_1, c_2, s_2, ...].
 
     Fills one terms dict with the values, keys and key order that
     ``ExpPoly.constant(c0) + ExpPoly.cos(k).scale(c_k) + ExpPoly.sin(k).scale(s_k)
@@ -222,13 +222,13 @@ def _trig_poly(c0, coeff: Callable[[], complex]) -> ExpPoly:
     """
     eb = complex(math.cos(0.0), math.sin(0.0))  # e^(i b) of ExpPoly.cos and .sin at b = 0
     f = ExpPoly()
-    f._add_term(0.0 + 0.0j, (complex(c0),))
+    f._add_term(0.0 + 0.0j, (complex(coeffs[0]),))
     for k in range(1, TRIG_DEGREE + 1):
         a = float(k)
-        c = complex(coeff())
+        c = complex(coeffs[2 * k - 1])
         f._add_term(1j * a, (eb / 2 * c,))
         f._add_term(-1j * a, (eb.conjugate() / 2 * c,))
-        s = complex(coeff())
+        s = complex(coeffs[2 * k])
         f._add_term(1j * a, (eb / 2j * s,))
         f._add_term(-1j * a, (-eb.conjugate() / 2j * s,))
     return f
@@ -241,12 +241,19 @@ def random_trig_poly(rng, codomain: str = "real") -> ExpPoly:
             return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         return complex(rng.uniform(-1, 1))
 
-    return _trig_poly(coeff(), coeff)
+    return _trig_poly([coeff() for _ in range(2 * TRIG_DEGREE + 1)])
 
 
-def random_positive_trig_poly(rng, low=1.5, high=2.5, ripple=0.3) -> ExpPoly:
-    """Random real trig polynomial bounded away from zero (>= low - 2*ripple > 0)."""
-    return _trig_poly(rng.uniform(low, high), lambda: rng.uniform(-1, 1) * ripple / TRIG_DEGREE)
+def random_positive_trig_coeffs(rng, low, high, ripple) -> list[float]:
+    """c0, then c_k and s_k for k = 1..TRIG_DEGREE, of a random real trig
+    polynomial bounded away from zero (>= low - 2*ripple > 0)."""
+    return [rng.uniform(low, high)] + [rng.uniform(-1, 1) * ripple / TRIG_DEGREE
+                                       for _ in range(2 * TRIG_DEGREE)]
+
+
+def random_positive_trig_poly(rng) -> ExpPoly:
+    """The trig polynomial of ``random_positive_trig_coeffs``."""
+    return _trig_poly(random_positive_trig_coeffs(rng, 1.5, 2.5, 0.3))
 
 
 def random_surrogate(rng, arity: int, codomain: str) -> FunctionImpl:

@@ -24,30 +24,21 @@ across its draws, and hands the tape in.
 Constants are converted to ``complex128`` once per node (``Const.value``),
 not once per tape.  The rules of each operation (the ``EPS_UNSAFE`` cuts,
 scalar or array constants, function masks, non-finite values) live in
-``_execute``, ``_Tape`` and ``_nonfinite``, which every evaluation runs.
+``_execute``, ``_Tape`` and ``_magnitudes``, which every evaluation runs.
 
-``ExprImpl`` evaluates through its binding's node table (``_shared_at_t``):
-the row and sub-DAG unsafe mask of every node computed at one point set,
-shared by all the binding's ``ExprImpl`` symbols, whose expressions and
-derivatives overlap (case 16's seventeen coefficient functions come from
-two Liouville pairs), so only nodes the table lacks are compiled and run;
-the binding keeps each such partial tape and runs it again at a draw's
-later point sets.  ``InverseImpl`` and ``AntiderivImpl`` evaluate at fresh
-points on every call (Newton steps, quadrature nodes), so a table would
-share almost nothing.  ``AntiderivImpl`` owns the tapes of its integrand
-and its t-derivatives, ``InverseImpl`` those of T, T' and each chain-rule
-root H_k, so each compiles once per impl, and runs them through
-``eval_batch``.  ``InverseImpl``'s root solve reads only real values of T
-and T', so a real T whose functions are builtins runs at float64 points, on
-a float64 buffer (``_Tape.run_real``), through the same ``_execute`` rules,
-with no subterm scale and no mask.  That run is the real part of the
-complex one bit for bit: at real points every imaginary part of the complex
-run is a zero, so float sums and products, the real cos and sin, and the
-real parts of integer powers and the other functions taken in complex round
-as the complex run does.  Only a zero's sign, or a non-finite value, can
-tell them apart, and there (a zero root, a non-finite row) the complex
-program runs instead.  H_k values, quadrature and the zero tests stay
-complex.
+``ExprImpl`` and ``AntiderivImpl`` own the tapes of their expression and
+its t-derivatives, ``InverseImpl`` those of T, T' and each chain-rule root
+H_k, so each compiles once per impl, and run them through ``eval_batch``.
+``InverseImpl``'s root solve reads only real values of T and T', so a real
+T whose functions are builtins runs at float64 points, on a float64 buffer
+(``_Tape.run_real``), through the same ``_execute`` rules, with no subterm
+scale and no mask.  That run is the real part of the complex one bit for
+bit: at real points every imaginary part of the complex run is a zero, so
+float sums and products, the real cos and sin, and the real parts of
+integer powers and the other functions taken in complex round as the
+complex run does.  Only a zero's sign, or a non-finite value, can tell
+them apart, and there (a zero root, a non-finite row) the complex program
+runs instead.  H_k values, quadrature and the zero tests stay complex.
 """
 from __future__ import annotations
 
@@ -114,19 +105,12 @@ class Binding:
         self._impls: dict[FunctionSymbol, funcbank.FunctionImpl] = {}
         if impls:
             self._impls.update(impls)
-        # node values at one point set, shared by every evaluation through
-        # _shared_at_t: (key of the points, {node: (row, mask or None)})
-        self._node_table: Optional[tuple[tuple, dict]] = None
-        # _extend's partial tape of each root, run again at later point sets
-        self._partial_tapes: dict[Expr, _Tape] = {}
-        # the number of binds so far: a value cached outside the node table
-        # (InverseImpl's last solve) keys on it, so a bind makes it stale
+        # the number of binds so far: a value cached by an impl (InverseImpl's
+        # last solve) keys on it, so a bind makes it stale
         self._binds = 0
 
     def bind(self, sym: FunctionSymbol, impl: funcbank.FunctionImpl) -> None:
         self._impls[sym] = impl
-        # values may depend on what sym was bound to
-        self._node_table = None
         self._binds += 1
 
     def merged(self, other: Optional["Binding"]) -> "Binding":
@@ -214,10 +198,8 @@ class _Tape:
     ``(rows, count)`` buffer; constant slots
     hold each node's cached ``complex128`` value (broadcast to arrays when
     a node other than a sum or product reads them) and variable slots the
-    env arrays as they are.  Given ``known``, nodes whose rows are already
-    computed, the walk stops at each known node and makes it an input slot,
-    after the variables, so the program computes only the other nodes.
-    The program gives each root's values as one row of a ``(roots, count)``
+    env arrays as they are.  The program gives each root's values as one
+    row of a ``(roots, count)``
     array, bit for bit the values of that root's own tape: a constant that
     one root's sum or product reads may reach it as an array, because
     another root's node reads it as one, and numpy adds and multiplies a
@@ -229,31 +211,22 @@ class _Tape:
     """
 
     __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "single", "nodes",
-                 "inputs", "exprs", "parts")
+                 "exprs", "parts")
 
-    def __init__(self, root: Expr | tuple[Expr, ...],
-                 known: Optional[Mapping[Expr, tuple]] = None):
+    def __init__(self, root: Expr | tuple[Expr, ...]):
         self.single = type(root) is not tuple
         roots = (root,) if self.single else root
-        computed, consts, variables, inputs = [], [], [], []
-
-        def unknown(n):
-            if n in known:
-                inputs.append(n)
-                return False
-            return True
-
-        for n in post_order(roots, None if known is None else unknown):
+        computed, consts, variables = [], [], []
+        for n in post_order(roots):
             if type(n) is Const:
                 consts.append(n)
             elif type(n) is Var:
                 variables.append(n)
             else:
                 computed.append(n)
-        order = computed + consts + variables + inputs
+        order = computed + consts + variables
         slot = dict(zip(order, range(len(order))))
         self.nodes = computed
-        self.inputs = inputs
         self.rows = len(computed)
         self.consts = [c.value() for c in consts]
         self.cmax = np.abs(self.consts).max(initial=0.0)
@@ -293,11 +266,13 @@ class _Tape:
             self.code.append(ins)
         self.bcast = [(slot[c], c.value()) for c in array_consts]
 
-    def load(self, buf: np.ndarray, env: Mapping[VarId, np.ndarray], count: int):
-        """The slot values over buf's rows, up to the inputs, and the
-        variables' values; a float64 buf loads the constants' real parts."""
+    def _evaluate(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int, dtype):
+        """Run the program on a new buffer of dtype, which for float64 loads
+        the constants' real parts; returns the buffer, the slot values, the
+        variables' values and the nodes' own unsafe points."""
+        buf = np.empty((self.rows, count), dtype=dtype)
         vals = list(buf)
-        real = buf.dtype != complex
+        real = dtype != complex
         vals += [c.real for c in self.consts] if real else self.consts
         for s, c in self.bcast:
             vals[s] = np.broadcast_to(c.real if real else c, (count,))
@@ -308,15 +283,8 @@ class _Tape:
                 x = np.conj(env[base])
             var_vals.append(x)
         vals += var_vals
-        return vals, var_vals
-
-    def _evaluate(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int, dtype):
-        """Run the program on a new buffer of dtype; returns the buffer, the
-        slot values, the variables' values and the nodes' own unsafe points."""
-        buf = np.empty((self.rows, count), dtype=dtype)
-        vals, var_vals = self.load(buf, env, count)
         unsafe = np.zeros(count, dtype=bool)
-        _execute(self.code, vals, binding, [unsafe] * self.rows)
+        _execute(self.code, vals, binding, unsafe)
         return buf, vals, var_vals, unsafe
 
     def _root(self, buf: np.ndarray, vals: list, count: int) -> np.ndarray:
@@ -379,12 +347,12 @@ class _Tape:
         return root if np.count_nonzero(root) == root.size and np.isfinite(buf).all() else None
 
 
-def _execute(code: list, vals: list, binding: Binding, flags) -> None:
+def _execute(code: list, vals: list, binding: Binding, unsafe: np.ndarray) -> None:
     """Run tape instructions, writing each computed node's row in place.
 
     The points where a node's own operation is unsafe (a near-zero base of
     a negative power or a sign, a function's mask) are or-ed into
-    ``flags[row]``: one shared mask, or one mask per row.
+    ``unsafe``.
 
     Rows are ``complex128``, or ``float64`` for a real program: there sums,
     products, signs, absolute powers, conjugates, cos and sin compute in
@@ -412,14 +380,14 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
             got, mask = binding.lookup(ins[3]).deriv(ins[4], tuple([vals[a] for a in ins[2]]))
             out[...] = got.real if out.dtype == float else got
             if mask is not None and mask.any():
-                flags[ins[1]] |= mask
+                unsafe |= mask
         elif op == _IPOW:
             b = vals[ins[2]]
             k = ins[3]
             if k < 0:
                 bad = np.abs(b) < EPS_UNSAFE
                 if bad.any():
-                    flags[ins[1]] |= bad
+                    unsafe |= bad
                     b = np.where(bad, 1.0, b)
             # operator form: ndarray.__pow__ has fast paths np.power lacks
             p = np.asarray(b, dtype=complex) ** k
@@ -430,14 +398,14 @@ def _execute(code: list, vals: list, binding: Binding, flags) -> None:
             if q < 0:
                 bad = a < EPS_UNSAFE
                 if bad.any():
-                    flags[ins[1]] |= bad
+                    unsafe |= bad
                     a = np.where(bad, 1.0, a)
             out[...] = a ** q
         elif op == _SIGN:
             b = np.real(vals[ins[2]])
             bad = np.abs(b) < EPS_UNSAFE
             if bad.any():
-                flags[ins[1]] |= bad
+                unsafe |= bad
             out[...] = np.sign(np.where(bad, 1.0, b))
         else:
             np.conj(vals[ins[2]], out=out)
@@ -479,22 +447,14 @@ def _fold(parts: list, buf: np.ndarray, var_vals: list, count: int,
 
 def _magnitudes(block: np.ndarray, unsafe: Optional[np.ndarray]) -> np.ndarray:
     """|block|, a block of rows or one variable's values; given ``unsafe``,
-    a point where one is not finite is or-ed into it, and that magnitude
-    reads 0."""
+    a point with a non-finite value anywhere in its evaluation is or-ed
+    into it, and that magnitude reads 0."""
     mag = np.abs(block)
     if unsafe is not None:
-        bad = _nonfinite(mag)
-        if bad is not None:
-            unsafe |= bad.any(axis=0) if bad.ndim > 1 else bad
-            mag[bad] = 0.0
+        bad = ~np.isfinite(mag)
+        unsafe |= bad.any(axis=0) if bad.ndim > 1 else bad
+        mag[bad] = 0.0
     return mag
-
-
-def _nonfinite(mag: np.ndarray) -> Optional[np.ndarray]:
-    """Where a block of magnitudes is not finite, or None if it all is: a
-    point with a non-finite value anywhere in its evaluation is unsafe."""
-    finite = np.isfinite(mag)
-    return None if finite.all() else ~finite
 
 
 def owned_tape(tapes: dict, e: Expr | tuple[Expr, ...]) -> _Tape:
@@ -672,88 +632,20 @@ def _t_derivative(e: Expr, k: int) -> Expr:
     return e
 
 
-def _shared_at_t(e: Expr, binding: Binding, z) -> tuple[np.ndarray, np.ndarray]:
-    """The values and unsafe mask of ``eval_batch`` of e at t = z, bit for
-    bit, through the binding's node table.
-
-    The table holds, for one point set keyed by its bytes, each node's row
-    and the unsafe mask of the node's whole sub-DAG; a node met again at the
-    same points is read, not recomputed.  Points that differ from the
-    table's replace it.  Its rows and masks are read-only, so a caller that
-    writes into a returned array cannot change an entry.
-    """
-    z = np.asarray(z, dtype=complex)
-    count = len(z)
-    if type(e) is Const:
-        return np.full(count, e.value()), np.zeros(count, dtype=bool)
-    key = (z.shape, z.tobytes())
-    table = binding._node_table
-    if table is None or table[0] != key:
-        t = z.copy()  # the caller may change z later; the key holds its bytes
-        t.flags.writeable = False
-        bad = _nonfinite(np.abs(t))
-        if bad is not None:
-            bad.flags.writeable = False
-        table = binding._node_table = (key, {var(T_VAR): (t, bad)})
-    # a nested evaluation at other points may replace the binding's table
-    # while this one runs; this one goes on filling the table it started on
-    known = table[1]
-    if e not in known:
-        _extend(e, known, binding, count)
-    row, mask = known[e]
-    return row, np.zeros(count, dtype=bool) if mask is None else mask
-
-
-def _extend(root: Expr, known: dict, binding: Binding, count: int) -> None:
-    """Evaluate the nodes of root's DAG that `known` lacks and add them.
-
-    The binding keeps root's partial tape and runs it again while all of its
-    inputs are known; a node of it known by then is computed again, to the
-    same bits."""
-    tapes = binding._partial_tapes
-    tape = tapes.get(root)
-    if tape is None or not all(n in known for n in tape.inputs):
-        tape = tapes[root] = _Tape(root, known)
-    buf = np.empty((tape.rows, count), dtype=complex)
-    vals, _ = tape.load(buf, {}, count)
-    vals += [known[n][0] for n in tape.inputs]
-    flags = np.zeros((tape.rows, count), dtype=bool)  # each node's own unsafe points
-    _execute(tape.code, vals, binding, flags)
-    bad = _nonfinite(np.abs(buf))
-    if bad is not None:
-        flags |= bad
-    buf.flags.writeable = flags.flags.writeable = False
-    # a node's mask is its own flags or-ed with its children's masks
-    masks = {n: known[n][1] for n in tape.inputs if known[n][1] is not None}
-    for n, row, own, hit in zip(tape.nodes, buf, flags, flags.any(axis=1)):
-        parts = [masks[c] for c in n.children() if c in masks] if masks else []
-        if hit:
-            parts.append(own)
-        mask = parts[0] if parts else None
-        if len(parts) > 1:
-            mask = np.logical_or.reduce(parts)
-            mask.flags.writeable = False
-        if mask is not None:
-            masks[n] = mask
-        known[n] = (row, mask)
-
-
 class ExprImpl(funcbank.FunctionImpl):
-    """Arity-1 symbol whose value is a univariate expression in t.
-
-    Derivatives are obtained by formal differentiation of the expression;
-    the unsafe mask is that of evaluating the derivative expression.  Every
-    ExprImpl evaluating in one binding shares that binding's node table
-    (``_shared_at_t``), so the sub-DAGs their expressions and derivatives
-    have in common are computed once per point set.
-    """
+    """Arity-1 symbol whose value is an expression in t: each derivative and
+    its unsafe mask are those of the expression's formal t-derivative, whose
+    tape the impl owns."""
 
     def __init__(self, expr_t: Expr, binding: Binding):
         self._expr = expr_t
         self._binding = binding
+        self._tapes: dict[Expr, _Tape] = {}
 
     def deriv(self, didx, args):
-        return _shared_at_t(_t_derivative(self._expr, didx[0]), self._binding, args[0])
+        vals, _, unsafe = eval_batch(owned_tape(self._tapes, _t_derivative(self._expr, didx[0])),
+                                     self._binding, {T_VAR: np.asarray(args[0], dtype=complex)})
+        return vals, unsafe
 
 
 class InverseImpl(funcbank.FunctionImpl):

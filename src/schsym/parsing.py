@@ -456,8 +456,21 @@ def _text(e: Expr, done: dict) -> tuple[str, int]:
 
 
 def to_text(e: Expr) -> str:
-    """Render an expression in the grammar; reparsing gives the same DAG."""
+    """Render an expression in the grammar; reparsing gives the same DAG.
+
+    A node's text is dropped once the last of its distinct parents has
+    printed, so a chain whose every level holds the text of the one below
+    keeps two levels' texts, not all of them."""
+    order = post_order(e)
+    parents: dict = {}  # node -> distinct parents still to print
+    for u in order:
+        for c in set(u.children()):
+            parents[c] = parents.get(c, 0) + 1
     done: dict = {}
-    for u in post_order(e):
+    for u in order:
         done[u] = _text(u, done)
+        for c in set(u.children()):
+            parents[c] -= 1
+            if not parents[c]:
+                del done[c]
     return done[e][0]

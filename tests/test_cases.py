@@ -7,7 +7,7 @@ from schsym.cases import (UnknownCaseError, instantiate, parse_template, table, 
                           verify_table)
 from schsym.closedform import expr_to_exppoly
 from schsym.conditions import SpanError, classifying_residual
-from schsym.expr import T_VAR, SymbolTable, diff, func_app, t, var
+from schsym.expr import T_VAR, SymbolTable, diff, inline, var
 from schsym.funcbank import ExpPoly, ExpPolyImpl, random_positive_trig_poly
 from schsym.numeric import is_zero
 from schsym.parsing import parse
@@ -41,23 +41,55 @@ def test_unknown_case():
 
 
 def test_reverse_instantiation_satisfies_ode_relations():
-    # case 16: each chi tuple solves chi'' = h chi and rho' = -h0 . chi
+    # case 16: each chi tuple solves chi'' = h chi and rho' = -h0 . chi, in
+    # the definitions the template inlines, under one draw's binding of
+    # their numbers
     case = table()[16]
     rng = np.random.default_rng(55)
     inst = instantiate(case, rng)
     ws = inst.workspace
-    h = {name: func_app(ws.table.get(name), [t()])
-         for name in ("h11", "h12", "h22", "h01", "h02")}
+    defs = cases.case16_definitions(ws.table)
+    # every number is the draw's own: no symbol is left to a surrogate
+    assert all(s in ws.binding for e in defs.values() for s in e.free_symbols)
+
+    def f(name):
+        return defs[ws.table.get(name)]
+
+    h = {name: f(name) for name in ("h11", "h12", "h22", "h01", "h02")}
     for p in range(1, 5):
-        c1 = func_app(ws.table.get(f"c{p}1"), [t()])
-        c2 = func_app(ws.table.get(f"c{p}2"), [t()])
-        r = func_app(ws.table.get(f"r{p}"), [t()])
+        c1, c2, r = f(f"c{p}1"), f(f"c{p}2"), f(f"r{p}")
         ode1 = diff(diff(c1, T_VAR), T_VAR) - h["h11"] * c1 - h["h12"] * c2
         ode2 = diff(diff(c2, T_VAR), T_VAR) - h["h12"] * c1 - h["h22"] * c2
         rho_rel = diff(r, T_VAR) + h["h01"] * c1 + h["h02"] * c2
         for e in (ode1, ode2, rho_rel):
             assert is_zero(e, trials=2, points=40, binding=ws.binding,
                            rng=np.random.default_rng(66))
+
+
+def test_case16_passes_where_the_rotation_is_the_identity():
+    # the substream's first draw has m = 0: the rotation's off-diagonal
+    # number is bound to 0.0, where exact zeros once folded those terms away
+    inst = instantiate(table()[16], np.random.default_rng([38, 1016]))
+    assert inst.workspace.binding.lookup(inst.workspace.table.get("qs")).value == 0
+    rep = verify_case(16, rng=np.random.default_rng([38, 1016]))
+    assert rep["passed"], rep
+
+
+def test_case16_wrong_definition_fails_the_residuals(monkeypatch):
+    # r1 with its sign flipped: the inlined residuals must catch it, in the
+    # one generator whose rho it is
+    define = cases.case16_definitions
+
+    def flipped(tab):
+        defs = define(tab)
+        r1 = tab.get("r1")
+        defs[r1] = -defs[r1]
+        return defs
+
+    monkeypatch.setattr(cases, "case16_definitions", flipped)
+    rep = verify_case(16, draws=2, rng=np.random.default_rng(16))
+    assert not rep["residuals"]["passed"]
+    assert {f["generator"] for f in rep["residuals"]["failures"]} == {2}
 
 
 def test_case10_generator_sign_is_forced():
@@ -105,14 +137,16 @@ def test_strict_tolerance_reports_witness():
 @pytest.mark.parametrize("seed", [11, 12])
 def test_template_nodes_are_a_fresh_parse_in_each_draw(seed):
     # the assumption behind parsing once per case: a parse in a draw's own
-    # workspace gives the very nodes of the template
+    # workspace gives the very nodes of the template; case 16's parse has
+    # its builder's definitions inlined, built in that workspace
     for cid, case in table().items():
         template = parse_template(case)
         inst = instantiate(case, np.random.default_rng([seed, cid]), template)
         tab = inst.workspace.table
+        defs = cases.case16_definitions(tab) if cid == 16 else {}
 
         def fresh(text):
-            return parse(text, tab, case.n)
+            return inline(parse(text, tab, case.n), defs)
 
         assert inst.V.expr is template.potential is fresh(case.potential)
         for g, gt, spec in zip(inst.generators, template.generators, case.generators):

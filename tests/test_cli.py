@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -657,6 +658,20 @@ def test_residual_of_a_200_deep_potential_exits_0(capsys):
                              ("sin(x1 + " * 1000 + "t" + ")" * 1000, '{"rho":"1"}')):
         code, out = run_cli(capsys, "residual", potential, field, "--format", "json")
         assert code == 0 and json.loads(out)["potential"] == potential
+
+
+def test_printing_a_400_deep_residual_peaks_near_its_output_size(capsys):
+    # the printer kept the text of every node, each holding the text of the
+    # level below: a peak of about 270 times the 0.81 MB it printed
+    potential = "sin(x1 + " * 400 + "t" + ")" * 400
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "residual", potential, '{"chi":["1","t"]}', "--format", "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(out) > 800_000
+    assert peak < 20 * len(out)
 
 
 def test_rationals_beyond_a_float_exit_2_at_once(capsys):

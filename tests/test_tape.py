@@ -1,6 +1,5 @@
 """Compiled evaluation tape: bitwise agreement with a recursive reference."""
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -184,20 +183,15 @@ def test_infinite_variable_is_unsafe_at_the_variable():
 
 
 def _record_compiles(monkeypatch):
-    """Record (partial, owner, root) for each tape compiled.  The owner is
-    the dict that keeps the tape: the binding's partial tapes (``_extend``),
-    a caller's dict (``owned_tape``), or None for a tape compiled for one
-    call."""
+    """Record (owner, root) for each tape compiled.  The owner is the dict
+    that keeps the tape, a caller's dict (``owned_tape``), or None for a
+    tape compiled for one call."""
     compiled = []
     init = _Tape.__init__
 
-    def counted(self, root, known=None):
-        caller = sys._getframe(1).f_locals
-        if known is None:
-            compiled.append((False, caller.get("tapes"), root))
-        else:
-            compiled.append((True, caller["binding"]._partial_tapes, root))
-        init(self, root, known)
+    def counted(self, root):
+        compiled.append((sys._getframe(1).f_locals.get("tapes"), root))
+        init(self, root)
 
     monkeypatch.setattr(_Tape, "__init__", counted)
     return compiled
@@ -209,36 +203,20 @@ def test_eval_batch_keeps_no_tape(monkeypatch):
     env = {T_VAR: np.array([0.25, 0.5], dtype=complex)}
     for _ in range(3):
         eval_batch(e, EMPTY_BINDING, env)
-    assert compiled == [(False, None, e)] * 3
+    assert compiled == [(None, e)] * 3
     assert "_tape" not in Expr.__slots__
 
 
 def test_verify_case_compiles_each_root_once_per_owner(monkeypatch):
     compiled = _record_compiles(monkeypatch)
-    extends = []
-    extend = numeric._extend
-    monkeypatch.setattr(numeric, "_extend",
-                        lambda root, known, *rest: extends.append(known) or
-                        extend(root, known, *rest))
     assert verify_case(16, rng=np.random.default_rng(7))["passed"]
-    owned = [(id(owner), root) for partial, owner, root in compiled if not partial]
-    # residual and coefficient roots: one dict, verify_case's, for every
-    # draw, so each compiles once; no tape is compiled for one call
-    assert len({owner for owner, _ in owned}) == 1
-    assert None not in [owner for partial, owner, _ in compiled]
-    assert len(owned) == len(set(owned)) > 0
-    # each of the 5 draws builds one node table per point set: the points
-    # its four residuals share and its 13 coefficient times (25 tables
-    # when each residual drew its own points)
-    assert len({id(known) for known in extends}) == 2 * 5
-    # each draw's binding runs its partial tapes again at later point sets;
-    # a root compiles again only where the table lacks one of its inputs
-    # (190 compiles for 245 table misses here, a ratio near 0.78 at other
-    # seeds too; a compile per miss would make them equal)
-    partial = Counter((id(owner), root) for p, owner, root in compiled if p)
-    assert max(partial.values()) <= 2
-    assert 0 < sum(partial.values()) <= 190
-    assert sum(partial.values()) < 0.85 * len(extends)
+    # case 16's draws bind only numbers, so they share one residual tuple
+    # and one coefficient tuple: two tapes, both in verify_case's one dict,
+    # for all 5 draws (192 when each draw bound expressions of its own)
+    assert len(compiled) == 2
+    assert len({id(owner) for owner, _ in compiled}) == 1
+    assert None not in [owner for owner, _ in compiled]
+    assert all(type(root) is tuple for _, root in compiled)
 
 
 def test_deep_expression_evaluates_without_recursion():
@@ -401,7 +379,7 @@ def test_tuple_without_scale_gives_the_same_values_and_mask():
     assert got[2].tolist() == want[2].tolist() == [False, True, True, True]
 
 
-# -- the node table that ExprImpls evaluating in one binding share ------------
+# -- ExprImpl, against the recursive reference ---------------------------------
 
 # t <= 0 for log, zero bases of 1/t, |t - 1|^(-1/2) and sgn(t - 1), a square
 # that overflows, and a non-finite point
@@ -445,7 +423,7 @@ def _reference_at_t(e, binding, z):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_shared_node_table_matches_recursive_reference_bitwise(data):
+def test_expr_impl_matches_recursive_reference_bitwise(data):
     tbl = SymbolTable()
     f = tbl.declare("f", 1, "real")
     e = data.draw(_t_dag_strategy(f))
@@ -465,7 +443,7 @@ def test_shared_node_table_matches_recursive_reference_bitwise(data):
 
 
 class _ReferenceExprImpl(FunctionImpl):
-    """ExprImpl evaluated by the recursive reference, with no shared table."""
+    """ExprImpl evaluated by the recursive reference."""
 
     def __init__(self, expr_t, binding):
         self._expr, self._binding = expr_t, binding
@@ -484,9 +462,9 @@ def _sibling_pair(impl_class, g_expr, g_arg):
     return impl_class(e, binding), binding, g
 
 
-def test_sibling_applied_at_other_points_switches_the_table_mid_walk():
-    # g(2t) replaces the binding's one point set while the evaluation at t
-    # is under way, and g shares sin(t) with the caller's expression
+def test_sibling_applied_at_other_points_matches_the_reference():
+    # g(2t) evaluates at other points while the evaluation at t is under
+    # way, and g shares sin(t) with the caller's expression
     g_expr = func_app(SIN, [t()]) * t() + func_app(LOG, [t()]) + int_pow(t(), -1)
     shared = _sibling_pair(ExprImpl, g_expr, t() * 2)[0]
     reference = _sibling_pair(_ReferenceExprImpl, g_expr, t() * 2)[0]
@@ -498,7 +476,7 @@ def test_sibling_applied_at_other_points_switches_the_table_mid_walk():
                             reference.deriv((k,), (2 * SHARED_POINTS,)))
 
 
-def test_bind_after_an_evaluation_drops_the_table():
+def test_bind_after_an_evaluation_is_seen():
     shared, binding, g = _sibling_pair(ExprImpl, func_app(SIN, [t()]), t())
     z = SHARED_POINTS[3:6]
     before = shared.deriv((1,), (z,))
@@ -511,38 +489,21 @@ def test_bind_after_an_evaluation_drops_the_table():
     assert not np.array_equal(before[0], after[0])
 
 
-def test_writes_by_a_caller_leave_the_table_intact():
+def test_writes_by_a_caller_leave_later_values_intact():
     binding = Binding()
     impl = ExprImpl(func_app(LOG, [t()]) + t() * t(), binding)
     z = SHARED_POINTS[:6].copy()
     want = _reference_at_t(impl._expr, binding, z.copy())
     with np.errstate(all="ignore"):
         vals, mask = impl.deriv((0,), (z,))
-        assert mask.any()  # log at t <= 0: the mask is the table's own entry
+        assert mask.any()  # log at t <= 0
         for arr, value in ((vals, 99.0), (mask, False)):
             try:
                 arr[...] = value
             except ValueError:
-                pass  # a table entry is read-only
+                pass  # a read-only array keeps its values
         z[:] = 7.0  # the caller reuses its points array
         _assert_bitwise(impl.deriv((0,), (SHARED_POINTS[:6],)), want)
-
-
-def test_binding_runs_a_partial_tape_again_at_later_point_sets(monkeypatch):
-    compiled = _record_compiles(monkeypatch)
-    g_expr = func_app(SIN, [t()]) * t() + func_app(LOG, [t()]) + int_pow(t(), -1)
-    shared, binding, _ = _sibling_pair(ExprImpl, g_expr, t() * 2)
-    reference = _sibling_pair(_ReferenceExprImpl, g_expr, t() * 2)[0]
-    with np.errstate(all="ignore"):
-        for z in (SHARED_POINTS, SHARED_POINTS[3:6], 1.5 * SHARED_POINTS):
-            for k in (0, 1, 2):
-                _assert_bitwise(shared.deriv((k,), (z,)), reference.deriv((k,), (z,)))
-            if z is SHARED_POINTS:
-                first = list(compiled)
-    # the first point set compiled every partial tape; the later ones ran them
-    assert compiled == first
-    assert all(partial for partial, _, _ in first)
-    assert [root for _, _, root in first] == list(binding._partial_tapes)
 
 
 # -- the float64 program that InverseImpl runs for T and T' -------------------
