@@ -47,7 +47,7 @@ from .expr import (
     x,
     x_var,
 )
-from .fields import GeneratorCoeffs, _pairs, absx2
+from .fields import GeneratorCoeffs, _matmul, _pairs, absx2
 from .numeric import (
     Binding,
     DEFAULT_TOL,
@@ -299,8 +299,7 @@ def compose(t1: AdmissibleTransformation, t2: AdmissibleTransformation,
 
     T2t = diff(tr2.T, T_VAR)
     T = after1(tr2.T)
-    O = tuple(tuple(sum(tr2.O[a][c] * tr1.O[c][b] for c in range(n))
-                    for b in range(n)) for a in range(n))
+    O = _matmul(tr2.O, tr1.O)
     s2_c = after1(abs_pow(T2t, Fraction(1, 2)))
     o2x1 = _o_apply(tr2.O, tr1.X)
     X = tuple(s2_c * o2x1[a] + after1(tr2.X[a]) for a in range(n))
@@ -406,13 +405,8 @@ def _push_D(g: GeneratorCoeffs, T: Expr, tinv: Expr, eps: int) -> GeneratorCoeff
 
 
 def _push_J(g: GeneratorCoeffs, O) -> GeneratorCoeffs:
-    n = g.n
-    K = g.kappa_matrix()
-    OK = [[sum(O[a][c] * K[c][b] for c in range(n)) for b in range(n)]
-          for a in range(n)]
-    OKOt = [[sum(OK[a][c] * O[b][c] for c in range(n)) for b in range(n)]
-            for a in range(n)]
-    return replace(g, kappa=tuple(OKOt[b - 1][a - 1] for a, b in _pairs(n)),
+    OKOt = _matmul(_matmul(O, g.kappa_matrix()), tuple(zip(*O)))
+    return replace(g, kappa=tuple(OKOt[b - 1][a - 1] for a, b in _pairs(g.n)),
                    chi=_o_apply(O, g.chi))
 
 

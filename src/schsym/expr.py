@@ -663,29 +663,24 @@ def conj_expr(e: Expr) -> Expr:
     """
     done: dict[Expr, Expr] = {}
 
-    def conj(u):
-        c = done.get(u)
-        if c is not None:
-            return c
+    def enter(u):
+        # a real node is its own conjugate; a complex one not walked gets
+        # its conjugate here
         if u.is_real:
-            return u
-        if type(u) is Const:
+            return False
+        tu = type(u)
+        if tu in _CONJ_WALKED:
+            return True
+        if tu is Const:
             rn, rd, jn, jd = u.coeff
-            return _const((rn, rd, -jn, jd))
-        if type(u) is Var:
-            return var(jet_var(u.vid.alpha, not u.vid.conj))
-        if type(u) is Conj:
-            return u.arg
-        return _node(Conj, u)
-
-    for u in post_order(e, lambda u: not u.is_real and type(u) in _CONJ_WALKED):
-        if type(u) is Sum:
-            done[u] = sum_([conj(tm) for tm in u.terms])
-        elif type(u) is Product:
-            done[u] = prod([conj(f) for f in u.factors])
+            done[u] = _const((rn, rd, -jn, jd))
+        elif tu is Var:
+            done[u] = var(jet_var(u.vid.alpha, not u.vid.conj))
         else:
-            done[u] = int_pow(conj(u.base), u.k)
-    return conj(e)
+            done[u] = u.arg if tu is Conj else _node(Conj, u)
+        return False
+
+    return _rebuild(e, done, enter)
 
 
 def im_part(e: Expr) -> Expr:
@@ -700,7 +695,7 @@ def im_part(e: Expr) -> Expr:
 # Conj, whose argument a nested diff differentiates by the conjugate jet
 _DIFF_WALKED = frozenset((Var, Sum, Product, IntPow, AbsPow, FuncApp))
 # the node types conj_expr rebuilds from their children's conjugates; any other
-# complex node is conjugated where it is read
+# complex node is conjugated where the walk meets it
 _CONJ_WALKED = frozenset((Sum, Product, IntPow))
 
 

@@ -52,6 +52,13 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
 
 
+def _matmul(A, B) -> tuple:
+    """The exact product of two n x n matrices, a tuple of rows."""
+    n = len(A)
+    return tuple(tuple(sum(A[a][c] * B[c][b] for c in range(n)) for b in range(n))
+                 for a in range(n))
+
+
 @dataclass(frozen=True)
 class GeneratorCoeffs:
     """Canonical Lie-symmetry vector field data at space dimension n."""
@@ -256,9 +263,8 @@ def bracket_structural(g1: GeneratorCoeffs, g2: GeneratorCoeffs) -> GeneratorCoe
 
     K1 = g1.kappa_matrix()
     K2 = g2.kappa_matrix()
-    Kr = [[sum(K2[a][c] * K1[c][b] - K1[a][c] * K2[c][b] for c in range(n))
-           for b in range(n)] for a in range(n)]
-    kappa = tuple(Kr[b - 1][a - 1] for a, b in _pairs(n))
+    K21, K12 = _matmul(K2, K1), _matmul(K1, K2)
+    kappa = tuple(K21[b - 1][a - 1] - K12[b - 1][a - 1] for a, b in _pairs(n))
 
     chi = []
     for a in range(n):

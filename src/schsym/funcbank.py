@@ -234,14 +234,17 @@ def _trig_poly(coeffs: Sequence[complex]) -> ExpPoly:
     return f
 
 
+def _coeff(rng, codomain: str) -> complex:
+    """A random coefficient in [-1, 1], or in the square [-1, 1]^2 for a
+    complex codomain, whose real part is drawn first."""
+    if codomain == "complex":
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return complex(rng.uniform(-1, 1))
+
+
 def random_trig_poly(rng, codomain: str = "real") -> ExpPoly:
     """Random univariate trig polynomial with frequencies 1..TRIG_DEGREE, coeffs in [-1,1]."""
-    def coeff():
-        if codomain == "complex":
-            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        return complex(rng.uniform(-1, 1))
-
-    return _trig_poly([coeff() for _ in range(2 * TRIG_DEGREE + 1)])
+    return _trig_poly([_coeff(rng, codomain) for _ in range(2 * TRIG_DEGREE + 1)])
 
 
 def random_positive_trig_coeffs(rng, low, high, ripple) -> list[float]:
@@ -258,26 +261,17 @@ def random_positive_trig_poly(rng) -> ExpPoly:
 
 def random_surrogate(rng, arity: int, codomain: str) -> FunctionImpl:
     if arity == 0:
-        if codomain == "complex":
-            return ConstImpl(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        return ConstImpl(rng.uniform(-1, 1))
+        return ConstImpl(_coeff(rng, codomain))
     if arity == 1:
         return ExpPolyImpl(random_trig_poly(rng, codomain))
     terms = []
     for _ in range(3):
-        if codomain == "complex":
-            c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        else:
-            c = complex(rng.uniform(-1, 1))
+        c = _coeff(rng, codomain)
         factors = tuple(
             (float(rng.integers(1, 4)), rng.uniform(0, 2 * math.pi)) for _ in range(arity)
         )
         terms.append((c, factors))
-    if codomain == "complex":
-        c0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    else:
-        c0 = complex(rng.uniform(-1, 1))
-    return TrigPolyND(c0, terms)
+    return TrigPolyND(_coeff(rng, codomain), terms)
 
 
 # ---------------------------------------------------------------------------

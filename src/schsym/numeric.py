@@ -26,19 +26,21 @@ not once per tape.  The rules of each operation (the ``EPS_UNSAFE`` cuts,
 scalar or array constants, function masks, non-finite values) live in
 ``_execute``, ``_Tape`` and ``_magnitudes``, which every evaluation runs.
 
-``ExprImpl`` and ``AntiderivImpl`` own the tapes of their expression and
-its t-derivatives, ``InverseImpl`` those of T, T' and each chain-rule root
-H_k, so each compiles once per impl, and run them through ``eval_batch``.
-``InverseImpl``'s root solve reads only real values of T and T', so a real
-T whose functions are builtins runs at float64 points, on a float64 buffer
-(``_Tape.run_real``), through the same ``_execute`` rules, with no subterm
-scale and no mask.  That run is the real part of the complex one bit for
-bit: at real points every imaginary part of the complex run is a zero, so
-float sums and products, the real cos and sin, and the real parts of
-integer powers and the other functions taken in complex round as the
-complex run does.  Only a zero's sign, or a non-finite value, can tell
-them apart, and there (a zero root, a non-finite row) the complex program
-runs instead.  H_k values, quadrature and the zero tests stay complex.
+``ExprImpl`` owns the tapes of its expression's t-derivatives (an
+``AntiderivImpl`` is the ``ExprImpl`` of its integrand), ``InverseImpl``
+those of T, T' and each chain-rule root H_k, so each compiles once per
+impl, and runs them through ``eval_batch``.  ``InverseImpl``'s root solve
+reads only real values of T and T', so it runs them at float64 points, and
+the tape decides (``_Tape.run_real``): a real one with builtin functions
+and integer powers below 100 in size runs on a float64 buffer, through the
+same ``_execute`` rules, with no subterm scale and no mask.  That run is
+the real part of the complex one bit for bit: at real points every
+imaginary part of the complex run is a zero, so float sums and products,
+the real cos and sin, and the real parts of integer powers and the other
+functions taken in complex round as the complex run does.  Only a zero's
+sign, or a non-finite value, can tell them apart, and there (a zero root,
+a non-finite row) the complex program runs instead.  H_k values,
+quadrature and the zero tests stay complex.
 """
 from __future__ import annotations
 
@@ -207,11 +209,12 @@ class _Tape:
     largest constant magnitude and the rows and variables of its own
     sub-DAG (``_fold``), built on the first run that folds a scale; the
     one part of a tape of one root, which owns every row, is set when
-    compiled.
+    compiled.  ``builtins`` is the half of ``run_real``'s check made when
+    compiled: None, or the functions that must look up to their builtins.
     """
 
     __slots__ = ("code", "rows", "consts", "bcast", "cmax", "vars", "root", "single", "nodes",
-                 "exprs", "parts")
+                 "exprs", "parts", "builtins")
 
     def __init__(self, root: Expr | tuple[Expr, ...]):
         self.single = type(root) is not tuple
@@ -265,6 +268,10 @@ class _Tape:
                     raise TypeError(f"cannot evaluate {tn.__name__}")
             self.code.append(ins)
         self.bcast = [(slot[c], c.value()) for c in array_consts]
+        real = (all(r.is_real for r in roots)
+                and all(ins[0] != _IPOW or abs(ins[3]) < 100 for ins in self.code))
+        self.builtins = (tuple(dict.fromkeys(ins[3] for ins in self.code if ins[0] == _FUNC))
+                         if real else None)
 
     def _evaluate(self, binding: Binding, env: Mapping[VarId, np.ndarray], count: int, dtype):
         """Run the program on a new buffer of dtype, which for float64 loads
@@ -335,13 +342,20 @@ class _Tape:
 
     def run_real(self, binding: Binding, env: Mapping[VarId, np.ndarray],
                  count: int) -> Optional[np.ndarray]:
-        """The root's values on a float64 buffer, with no scale and no mask:
-        for a real root whose functions are builtins, at real points, the
-        real parts of ``run``'s values bit for bit (see the module
-        docstring), or None where that may fail: at a zero root, whose sign
-        a float row may flip (``cos(2) * 0.0`` is -0.0, the real part of the
-        complex product +0.0), or after a non-finite row (``inf * 0`` makes
-        a complex product's imaginary part NaN)."""
+        """The roots' values on a float64 buffer, with no scale and no mask:
+        at real points, the real parts of ``run``'s values bit for bit (see
+        the module docstring), or None where that may fail: a root that is
+        not real; an integer power of 100 or more in size, which numpy's
+        complex ``power`` (``nc_pow``) takes by exp and log, giving a negative
+        base an imaginary part that a later cos or sin turns into a change of
+        the real part; a function that does not look up to its builtin in
+        binding, read at each run, so a later ``Binding.bind`` is seen; a
+        zero root, whose sign a float row may flip (``cos(2) * 0.0`` is -0.0,
+        the real part of the complex product +0.0); or a non-finite row
+        (``inf * 0`` makes a complex product's imaginary part NaN)."""
+        if self.builtins is None or any(binding.lookup(f) is not funcbank.BUILTIN_IMPLS.get(f.name)
+                                        for f in self.builtins):
+            return None
         buf, vals, _, _ = self._evaluate(binding, env, count, float)
         root = self._root(buf, vals, count)
         return root if np.count_nonzero(root) == root.size and np.isfinite(buf).all() else None
@@ -478,11 +492,10 @@ def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray
     ``scale`` false no scale is folded (None), for a caller that reads only
     values and mask.  ``count`` is the number of points when env is empty.
 
-    An owned tape at float64 points runs on a float64 buffer
-    (``_Tape.run_real``), for a caller that has checked that its root may
-    (``InverseImpl._runs_real``): the values are the real parts of the
-    complex run's, with no scale and no mask (both None).  Where that run
-    declines, the complex program runs and returns all three.
+    An owned tape at float64 points runs on a float64 buffer where the
+    tape allows it (``_Tape.run_real``): the values are the real parts of
+    the complex run's, with no scale and no mask (both None).  Where that
+    run declines, the complex program runs and returns all three.
     """
     first = next(iter(env.values()), None)
     if first is not None:
@@ -661,9 +674,9 @@ class InverseImpl(funcbank.FunctionImpl):
     one evaluation of the expression H_k at the solved preimages.
 
     The impl owns the tapes of T, T' and each H_k, so each compiles once,
-    and runs them through ``eval_batch``: T and T' at float64 points when
-    ``_runs_real`` holds at the start of a solve (so a later
-    ``Binding.bind`` is seen), H_k at complex ones.
+    and runs them through ``eval_batch``: T and T' at float64 points, where
+    each tape decides whether it runs on a float64 buffer
+    (``_Tape.run_real``), H_k at complex ones.
 
     ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
     residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) and,
@@ -687,25 +700,9 @@ class InverseImpl(funcbank.FunctionImpl):
         self._derivs: list[Expr] = []
         self._tapes: dict[Expr, _Tape] = {}  # T, T' and each H_k evaluated
 
-    def _runs_real(self, e: Expr) -> bool:
-        """Whether e may run on a float64 buffer: e is real, each of its
-        functions is a builtin, and each integer power is one that numpy
-        takes of a complex base by multiplication.  numpy's complex
-        ``power`` loop (``nc_pow`` in numpy/_core/src/umath/funcs.inc.src)
-        multiplies for integer exponents -100 < k < 100; from |k| = 100 on
-        it calls ``npy_cpow``, whose exp and log give a negative base an
-        imaginary part, and a later cos or sin turns that into a change of
-        the real part."""
-        return (e.is_real
-                and all(self._binding.lookup(f) is funcbank.BUILTIN_IMPLS.get(f.name)
-                        for f in e.free_symbols)
-                and all(ins[0] != _IPOW or abs(ins[3]) < 100
-                        for ins in owned_tape(self._tapes, e).code))
-
-    def _real_at(self, e: Expr, s: np.ndarray, real: bool) -> np.ndarray:
+    def _real_at(self, e: Expr, s: np.ndarray) -> np.ndarray:
         """The real parts of e's values at the real points s."""
-        env = {T_VAR: s if real else s.astype(complex)}
-        return np.real(eval_batch(owned_tape(self._tapes, e), self._binding, env)[0])
+        return np.real(eval_batch(owned_tape(self._tapes, e), self._binding, {T_VAR: s})[0])
 
     def _derivative(self, k: int) -> Expr:
         """H_k, the k-th derivative of T^-1 in t = T^-1(y); H_0 = t is not evaluated."""
@@ -721,10 +718,9 @@ class InverseImpl(funcbank.FunctionImpl):
         if self._memo is not None and self._memo[0] == key:
             return self._memo[1], self._memo[2]
         T, T_t = self.T_expr, diff(self.T_expr, T_VAR)
-        real, real_t = self._runs_real(T), self._runs_real(T_t)
 
         def T_minus(s):
-            return self._real_at(T, s, real) - y
+            return self._real_at(T, s) - y
 
         blo, bhi = self._bracket
         lo = np.clip(y - 0.5, blo, bhi)
@@ -753,7 +749,7 @@ class InverseImpl(funcbank.FunctionImpl):
         s = 0.5 * (lo + hi)
         for _ in range(self.MAX_ITER):
             f = T_minus(s)
-            fp = self._real_at(T_t, s, real_t)
+            fp = self._real_at(T_t, s)
             below = f <= 0
             lo = np.where(below, s, lo)
             hi = np.where(below, hi, s)
@@ -804,19 +800,15 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-class AntiderivImpl(funcbank.FunctionImpl):
-    """Symbol defined by its derivative expression; values by quadrature.
+class AntiderivImpl(ExprImpl):
+    """Symbol defined by its derivative expression, the ``ExprImpl`` of that
+    integrand; values by quadrature.
 
-    deriv order k >= 1 evaluates the (k-1)-th formal derivative of the
-    integrand and reports that evaluation's unsafe mask; order 0 integrates
-    numerically from the base point and flags a point unsafe when the
-    integrand is unsafe anywhere in a panel between the base point and it.
+    deriv order k >= 1 is the integrand's order k - 1 and reports that
+    evaluation's unsafe mask; order 0 integrates numerically from the base
+    point and flags a point unsafe when the integrand is unsafe anywhere in
+    a panel between the base point and it.
     """
-
-    def __init__(self, integrand: Expr, binding: Binding):
-        self._integrand = integrand
-        self._binding = binding
-        self._tapes: dict[Expr, _Tape] = {}  # the integrand and its t-derivatives
 
     BASE_POINT = 1.0
     GAUSS_ORDER = 24
@@ -841,7 +833,7 @@ class AntiderivImpl(funcbank.FunctionImpl):
             nodes, weights = _gauss_legendre(self.GAUSS_ORDER)
             half = 0.5 * (hi - lo)
             pts = (0.5 * (lo + hi)[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-            vals, unsafe = self._at_t(self._integrand, pts)
+            vals, unsafe = super().deriv((0,), (pts,))
             vals = vals.reshape(len(lo), self.GAUSS_ORDER)
             panel_ints = (vals * weights[None, :]).sum(axis=1) * half
             # the panel that ends at each knot after the lowest
@@ -856,15 +848,8 @@ class AntiderivImpl(funcbank.FunctionImpl):
         mask = bad_panels[i] != bad_panels[b]
         return out.reshape(z.shape), mask.reshape(z.shape)
 
-    def _at_t(self, e: Expr, z) -> tuple[np.ndarray, np.ndarray]:
-        """Values and unsafe mask of an expression in t at the points z."""
-        vals, _, unsafe = eval_batch(owned_tape(self._tapes, e), self._binding,
-                                     {T_VAR: np.asarray(z, dtype=complex)})
-        return vals, unsafe
-
     def deriv(self, didx, args):
         k = didx[0]
-        z = np.asarray(args[0], dtype=complex)
         if k == 0:
-            return self._value(z)
-        return self._at_t(_t_derivative(self._integrand, k - 1), z)
+            return self._value(np.asarray(args[0], dtype=complex))
+        return super().deriv((k - 1,), args)

@@ -264,9 +264,14 @@ def test_antideriv_impl_matches_closed_form():
     got, _ = impl.deriv((0,), (z,))
     want = np.sin(np.real(z)) - np.sin(1.0)
     assert np.max(np.abs(got - want)) < 1e-12
-    # first derivative falls back to the integrand
-    got1, _ = impl.deriv((1,), (z,))
-    assert np.allclose(got1, np.cos(np.real(z)))
+    # orders 1 and 2 are orders 0 and 1 of the integrand's ExprImpl, bit for bit
+    integrand = ExprImpl(parse("cos(t)"), EMPTY_BINDING)
+    for k, closed_form in ((1, np.cos), (2, lambda s: -np.sin(s))):
+        got_k, unsafe_k = impl.deriv((k,), (z,))
+        want_k, want_unsafe = integrand.deriv((k - 1,), (z,))
+        assert got_k.view(np.uint64).tolist() == want_k.view(np.uint64).tolist()
+        assert unsafe_k.tolist() == want_unsafe.tolist()
+        assert np.allclose(got_k, closed_form(np.real(z)))
 
 
 def test_sorted_distinct_is_np_unique_bitwise():

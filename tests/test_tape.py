@@ -549,23 +549,24 @@ def _real_part_of_complex_run(e, binding, z):
 @example(e=int_pow(int_pow(int_pow(t(), 5), 5), 4), extra=[])
 def test_real_program_matches_the_complex_real_part_bitwise(e, extra):
     z = np.concatenate([REAL_POINTS, extra])
-    impl = InverseImpl(e, EMPTY_BINDING)  # here only the owner of e's programs
-    real = impl._runs_real(e)
-    assert real == all(abs(n.k) < 100 for n in post_order(e) if isinstance(n, IntPow))
     tape = _Tape(e)
+    real = all(abs(n.k) < 100 for n in post_order(e) if isinstance(n, IntPow))
+    assert (tape.builtins is not None) == real
     with np.errstate(all="ignore"):
         # the batch, and each point alone, so one zero does not hide the rest
         for pts in [z] + [z[i:i + 1] for i in range(len(z))]:
             want, unsafe = _real_part_of_complex_run(e, EMPTY_BINDING, pts)
-            got = tape.run_real(EMPTY_BINDING, {T_VAR: pts}, len(pts)) if real else None
+            got = tape.run_real(EMPTY_BINDING, {T_VAR: pts}, len(pts))
             if got is None:
-                # the real program declines only a zero root or a non-finite row
+                # with every power below 100, the real program declines only
+                # a zero root or a non-finite row
                 assert not real or (want == 0).any() or unsafe.any()
             else:
-                assert np.array_equal(_bits(got), _bits(want))
-            # the owner answers every point, by its route, from the complex
-            # program where the real one declines
-            assert np.array_equal(_bits(impl._real_at(e, pts, real)), _bits(want))
+                assert real and np.array_equal(_bits(got), _bits(want))
+            # eval_batch answers every point, by the tape's route, from the
+            # complex program where the real one declines
+            got = np.real(eval_batch(tape, EMPTY_BINDING, {T_VAR: pts})[0])
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_zero_root_and_non_finite_row_decline_the_real_program():
@@ -581,7 +582,7 @@ def test_zero_root_and_non_finite_row_decline_the_real_program():
         with np.errstate(all="ignore"):
             assert _Tape(e).run_real(EMPTY_BINDING, {T_VAR: z}, 2) is None
             want, _ = _real_part_of_complex_run(e, EMPTY_BINDING, z)
-            got = InverseImpl(e, EMPTY_BINDING)._real_at(e, z, True)
+            got = np.real(eval_batch(_Tape(e), EMPTY_BINDING, {T_VAR: z})[0])
         assert np.array_equal(_bits(got), _bits(want))
         assert want[0] == 0 and not np.signbit(want[0]) if e is zero_root else np.isnan(want[0])
 
@@ -640,7 +641,7 @@ def test_solve_matches_a_reference_solve_on_eval_batch(T):
     y = np.concatenate([[0.0, 0.5, -0.5, 2.0, -3.0, 1e-9],
                         np.random.default_rng(4).uniform(-3.0, 3.0, 40)])
     impl = InverseImpl(parse(T), Binding())
-    assert impl._runs_real(impl.T_expr)
+    assert _Tape(impl.T_expr).run_real(impl._binding, {T_VAR: np.array([0.7])}, 1) is not None
     with np.errstate(all="ignore"):
         _assert_solve_matches_reference(impl, y)
 
@@ -648,12 +649,20 @@ def test_solve_matches_a_reference_solve_on_eval_batch(T):
 def test_ineligible_time_maps_run_the_complex_program(monkeypatch):
     real_runs = []
     run_real = _Tape.run_real
-    monkeypatch.setattr(_Tape, "run_real",
-                        lambda self, *args: real_runs.append(self) or run_real(self, *args))
+
+    def spy(self, *args):
+        got = run_real(self, *args)
+        if got is not None:
+            real_runs.append(self)
+        return got
+
+    monkeypatch.setattr(_Tape, "run_real", spy)
     y = np.linspace(0.5, 1.5, 7)
+    pts = {T_VAR: y}
     # an integer power of 100, which numpy raises by exp and log: T runs
     # complex, while T' = 1 + 25*((t - 2)/4)^99 runs real
     impl = InverseImpl(parse("t + ((t - 2)/4)^100"), Binding())
+    assert _Tape(impl.T_expr).run_real(impl._binding, pts, len(y)) is None
     _assert_solve_matches_reference(impl, y)
     assert real_runs and impl._tapes[impl.T_expr] not in real_runs
     del real_runs[:]
@@ -661,32 +670,47 @@ def test_ineligible_time_maps_run_the_complex_program(monkeypatch):
     tbl = SymbolTable()
     f = tbl.declare("f", 1, "real")
     binding = Binding({f: random_surrogate(np.random.default_rng(3), 1, "real")})
-    _assert_solve_matches_reference(InverseImpl(parse("t + f(t)/10", tbl), binding), y)
+    impl = InverseImpl(parse("t + f(t)/10", tbl), binding)
+    assert _Tape(impl.T_expr).run_real(binding, pts, len(y)) is None
+    _assert_solve_matches_reference(impl, y)
     assert not real_runs
-    # a builtin rebound after a solve: the next solve sees the new binding
+    # a builtin rebound after a solve: the tape reads the binding at each
+    # run, so the next solve sees the new one
     binding = Binding()
     impl = InverseImpl(parse("t + sin(t)/4"), binding)
     _assert_solve_matches_reference(impl, y)
     assert real_runs
     binding.bind(SIN, random_surrogate(np.random.default_rng(5), 1, "real"))
     del real_runs[:]
+    assert impl._tapes[impl.T_expr].run_real(binding, pts, len(y)) is None
     _assert_solve_matches_reference(impl, y + 0.25)  # other points: no memo hit
     assert not real_runs
 
 
 def test_integer_powers_from_100_on_keep_the_complex_program():
-    # the bound in InverseImpl._runs_real: numpy multiplies up to |k| = 99,
-    # so a negative base keeps a zero imaginary part, and from 100 on it
-    # takes exp and log, which leave a small nonzero one
+    # the bound in _Tape.run_real: numpy multiplies up to |k| = 99, so a
+    # negative base keeps a zero imaginary part, and from 100 on it takes
+    # exp and log, which leave a small nonzero one
     b = np.array([-1.2 + 0j])
     assert (b ** 99).imag == 0 and (b ** -99).imag == 0
     assert (b ** 100).imag != 0 and (b ** -100).imag != 0
     # a later cos turns it into a change of the real part, which a float64
-    # program, holding only real parts, would miss
+    # buffer, holding only real parts, misses
     e = parse("cos((t - 3)^100)")
-    assert not InverseImpl(e, EMPTY_BINDING)._runs_real(e)
-    assert InverseImpl(e, EMPTY_BINDING)._runs_real(parse("cos((t - 3)^99)"))
+    z = np.array([1.8, 2.5])
+    tape = _Tape(e)
+    assert tape.run_real(EMPTY_BINDING, {T_VAR: z}, 2) is None
+    assert _Tape(parse("cos((t - 3)^99)")).run_real(EMPTY_BINDING, {T_VAR: z}, 2) is not None
+    want, _ = _real_part_of_complex_run(e, EMPTY_BINDING, z)
+    buf, vals, _, _ = tape._evaluate(EMPTY_BINDING, {T_VAR: z}, 2, float)
+    assert tape._root(buf, vals, 2)[0] != want[0]
+
+
+def test_an_owned_tape_at_float_points_gives_the_complex_real_parts():
+    # eval_batch of an owned tape at float64 points is the real part of
+    # the complex program bit for bit, whoever calls it
+    e = parse("cos((t - 3)^100)")
     z = np.array([1.8, 2.5])
     want, _ = _real_part_of_complex_run(e, EMPTY_BINDING, z)
-    got = _Tape(e).run_real(EMPTY_BINDING, {T_VAR: z}, 2)
-    assert got[0] != want[0]
+    got = eval_batch(_Tape(e), EMPTY_BINDING, {T_VAR: z})[0]
+    assert np.array_equal(_bits(np.real(got)), _bits(want))
