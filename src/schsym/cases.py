@@ -31,7 +31,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .closedform import expr_to_exppoly
-from .conditions import InvariantTuple, Potential, SpanError, classifying_residual, invariants
+from .conditions import (InvariantTuple, Potential, SpanError, classifying_residual, sample_rows,
+                         span_invariants)
 from .equivalence import rational_rotation
 from .expr import (COS, HALF, SIN, T_VAR, Const, Expr, FunctionSymbol, SymbolTable, abs_pow,
                    const, diff, func_app, inline, int_pow, sum_, t)
@@ -400,7 +401,9 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     A draw's distinct residuals are zero-tested in one call, on one shared
     point set (``max_normalized_residual`` of their tuple): one compiled
     program per case, kept in ``tapes`` across the draws, as is the one
-    program of the coefficients that ``invariants`` samples.
+    program of the coefficients that ``sample_rows`` samples in each draw,
+    in the random stream's order; the span analysis of all the draws then
+    runs as one stack (``span_invariants``).
     """
     tab = table()
     if case_id not in tab:
@@ -424,6 +427,7 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     template = parse_template(case)
     residuals: dict = {}  # (generator index, kappa) -> classifying residual
     tapes: dict = {}  # residual and coefficient tuples -> tapes, for every draw
+    sampled = []  # each draw's sample_rows
     for draw in range(draws):
         inst = instantiate(case, rng, template)
         res = []
@@ -443,11 +447,11 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
                      "witness": json_witness(witness)})
         if draw == 0:
             report["side_conditions"] = _check_side_conditions(case, inst)
-        try:
-            tup = invariants(inst.generators, inst.workspace.binding, rng, tol, tapes)
-        except SpanError as err:
+        sampled.append(sample_rows(inst.generators, inst.workspace.binding, rng, tapes))
+    for draw, tup in enumerate(span_invariants(sampled, tol)):
+        if isinstance(tup, SpanError):
             report["closure"]["passed"] = False
-            report["closure"]["failures"].append({"draw": draw, "error": str(err)})
+            report["closure"]["failures"].append({"draw": draw, "error": str(tup)})
             continue
         if tuple(tup) != tuple(case.expected):
             report["invariants"]["passed"] = False

@@ -8,14 +8,14 @@ vanishing (as a randomized identity) decides membership.  The
 second-prolongation residual built from total derivatives provides the
 independent oracle for the same decision.
 
-The invariant integers are rank decisions on one draw's sampled
-coefficient rows, all made here by one rank rule (sv_rank).  One program
-run samples the rows and their t-derivatives (``coefficient_rows``).  One
-SVD of the rows gives both the span's dimension and an orthonormal basis
-of its row space; the M and I probes (constant rows) and every bracket
-row are then tested against that basis in one projection each, with the
-residual threshold a least-squares solve would use.  One SVD of the
-tau/kappa columns gives both k1 and r0.
+The invariant integers are rank decisions on sampled coefficient rows,
+all made here by one rank rule (sv_rank).  Each draw's rows and their
+t-derivatives come from one program run (``coefficient_rows``), in the
+random stream's order; the span analysis of all of a case's draws then
+runs as one stack (``span_invariants``).  One SVD gives each draw's span
+dimension and row-space basis; the M and I probes (constant rows) and
+the bracket rows are tested against it in one masked projection each.
+One SVD of the tau/kappa columns gives both k1 and r0.
 """
 from __future__ import annotations
 
@@ -228,24 +228,90 @@ def _rank(mat: np.ndarray, tol: float):
     return sv_rank(np.linalg.svd(mat, compute_uv=False), tol)
 
 
-def _row_space(rows: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
-    """(rank, orthonormal basis of the row space) of rows, from one SVD.
+def _row_space(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, row-space bases) of a stack (draws, k, cols), from one SVD.
 
-    The rank is sv_rank's; the basis keeps the right singular
-    vectors above the cut numpy's least-squares solver makes by default
-    (rcond=None: eps * max(rows.shape) * s0), so projecting onto it leaves
-    the residual a least-squares solve against rows would leave.
+    The ranks are sv_rank's; a basis keeps the right singular vectors
+    above numpy's default least-squares cut (rcond=None: eps * max(k, cols)
+    * s0) and zeroes the others, so projecting onto it leaves the residual
+    a least-squares solve against that matrix would leave.
     """
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    return sv_rank(s, tol), vt[s > np.finfo(float).eps * max(rows.shape) * s[0]]
+    keep = s > np.finfo(float).eps * max(rows.shape[1:]) * s[:, :1]
+    return sv_rank(s, tol), vt * keep[..., None]
 
 
-def _first_outside(basis: np.ndarray, cand: np.ndarray, tol: float) -> Optional[int]:
-    """Index of the first row b of cand farther than tol * (1 + |b|) from the
-    span of basis's orthonormal rows, or None when every row is inside."""
-    resid = cand - (cand @ basis.T) @ basis
-    inside = np.linalg.norm(resid, axis=1) <= tol * (1.0 + np.linalg.norm(cand, axis=1))
-    return None if inside.all() else int(np.argmin(inside))
+def _inside(basis: np.ndarray, cand: np.ndarray, tol: float) -> np.ndarray:
+    """(draws, c) flags: row b of cand (c, cols), or of each draw's cand, is
+    within tol * (1 + |b|) of the span of that draw's basis (_row_space)."""
+    resid = cand - (cand @ basis.swapaxes(1, 2)) @ basis
+    return np.linalg.norm(resid, axis=-1) <= tol * (1.0 + np.linalg.norm(cand, axis=-1))
+
+
+def sample_rows(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
+                rng: Optional[np.random.Generator] = None, tapes: Optional[dict] = None):
+    """coefficient_rows of gs at 13 times drawn from rng, in one tape run;
+    raises SpanError, before drawing, for an empty list or one with eta0."""
+    if not gs:
+        raise SpanError("empty generator list")
+    if any(g.eta0 is not None for g in gs):
+        raise SpanError("invariants are defined for the essential part (eta0 = 0)")
+    rng = np.random.default_rng(0) if rng is None else rng
+    tvals = rng.uniform(0.32, 1.68, size=13)
+    return coefficient_rows(gs, binding or EMPTY_BINDING, tvals, tapes)
+
+
+def span_invariants(samples: Sequence[tuple], tol: float = DEFAULT_TOL) -> list:
+    """Each draw's invariant tuple, or the SpanError invariants would raise,
+    for the sample_rows results of draws with the same generator count.
+
+    The draws are stacked (draws, k, cols), one stacked call per decision.
+    A probe or bracket row b is in the span iff its residual after
+    projection onto the row-space basis is at most max(tol, 1e-7) *
+    (1 + |b|).  The probes are the constant rows of M and I: ones in the
+    sigma or the rho samples; the bracket rows are ``bracket_rows``.  The
+    first row outside is reported: M, then I, then the pairs (i, j),
+    i < j, in row-major order.  The left singular vectors of the tau/kappa
+    columns past their rank are the tau- and kappa-free combinations; r0
+    is the largest rank of their chi tuples at one sampled time.
+    """
+    if not samples:
+        return []
+    rows, drows, slices = zip(*samples)
+    rows, drows, slices = np.stack(rows), np.stack(drows), slices[0]
+    k, m = rows.shape[1], slices["tau"].stop
+    dim, basis = _row_space(rows, tol)
+    span_tol = max(tol, 1e-7)
+    probes = np.zeros((2, rows.shape[2]))
+    probes[0, slices["sigma"]] = probes[1, slices["rho"]] = 1.0
+    probes_in = _inside(basis, probes, span_tol)
+    pairs_in = _inside(basis, bracket_rows(rows, drows, slices), span_tol)
+
+    # columns run tau, kappa, chi, sigma, rho, so each head block is a prefix
+    rank_tau = _rank(rows[..., slices["tau"]], tol)
+    u, s, _ = np.linalg.svd(rows[..., :slices["kappa"].stop], full_matrices=True)
+    rank_tau_kappa = sv_rank(s, tol)
+    rank_tkc = _rank(rows[..., :slices["chi"].stop], tol)
+    # one (k x n) chi matrix per draw and sampled time, ranked in one stacked SVD
+    chi = u.swapaxes(1, 2) @ rows[..., slices["chi"]]
+    chi[np.arange(k) < rank_tau_kappa[:, None]] = 0.0
+    r0 = _rank(chi.reshape(len(chi), k, -1, m).transpose(0, 3, 1, 2), tol).max(axis=1)
+    k0 = dim - rank_tkc
+    k1 = (dim - rank_tau_kappa) - k0
+    k2 = (dim - rank_tau) - k1 - k0
+    tuples = np.stack([k0, k1, k2, rank_tau, r0], axis=1).tolist()
+    i, j = _pair_index(k)
+    out = []
+    for p_in, b_in, tup in zip(probes_in, pairs_in, tuples):
+        if not p_in.all():
+            out.append(SpanError(f"{('M', 'I')[np.argmin(p_in)]} is missing from the span"))
+        elif not b_in.all():
+            miss = np.argmin(b_in)
+            out.append(SpanError(f"span is not closed under the bracket "
+                                 f"(generators {i[miss]} and {j[miss]})"))
+        else:
+            out.append(InvariantTuple(*tup))
+    return out
 
 
 def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
@@ -256,59 +322,16 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
     Requires the span to be closed under the bracket and to contain the
     phase-rotation and scaling generators; raises SpanError otherwise.
 
-    The generators and their first t-derivatives are sampled once, at 13
-    times drawn from rng, in one run of the tape of all their non-constant
-    coefficients (``coefficient_rows``; ``tapes`` keeps that tape, so a
-    caller that hands the same dict in on every draw compiles it once).
-    One SVD of the rows gives the dimension and a basis of the row space
-    (_row_space).  A probe or bracket row b is in the span iff its
-    residual after projection onto that basis is at most
-    max(tol, 1e-7) * (1 + |b|).  The probes are the constant rows of M and
-    I: ones in the sigma or the rho samples.  The bracket rows are read
-    from the samples (``bracket_rows``).  The first row outside is
-    reported: M, then I, then the pairs (i, j), i < j, in row-major order.
-    The left singular vectors of the tau/kappa columns past their rank are
-    the tau- and kappa-free combinations; r0 is the largest rank of their
-    chi tuples at one sampled time.
+    It is span_invariants of one draw of sample_rows; a case's verifier
+    samples its draws from the random stream in this same order and
+    analyses them as one stack after the last (``tapes`` keeps the
+    coefficient tape, so a caller that hands the same dict in on every
+    draw compiles it once).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    binding = binding or EMPTY_BINDING
-    if not gs:
-        raise SpanError("empty generator list")
-    n = gs[0].n
-    if any(g.eta0 is not None for g in gs):
-        raise SpanError("invariants are defined for the essential part (eta0 = 0)")
-    tvals = rng.uniform(0.32, 1.68, size=13)
-    rows, drows, slices = coefficient_rows(gs, binding, tvals, tapes)
-    dim, basis = _row_space(rows, tol)
-    span_tol = max(tol, 1e-7)
-
-    probes = np.zeros((2, rows.shape[1]))
-    probes[0, slices["sigma"]] = probes[1, slices["rho"]] = 1.0
-    miss = _first_outside(basis, probes, span_tol)
-    if miss is not None:
-        raise SpanError(f"{('M', 'I')[miss]} is missing from the span")
-
-    miss = _first_outside(basis, bracket_rows(gs, rows, drows, slices), span_tol)
-    if miss is not None:
-        i, j = _pair_index(len(gs))
-        raise SpanError(f"span is not closed under the bracket "
-                        f"(generators {i[miss]} and {j[miss]})")
-
-    # columns run tau, kappa, chi, sigma, rho, so each head block is a prefix
-    rank_tau = _rank(rows[:, slices["tau"]], tol)
-    u, s, _ = np.linalg.svd(rows[:, :slices["kappa"].stop], full_matrices=True)
-    rank_tau_kappa = sv_rank(s, tol)
-    rank_tkc = _rank(rows[:, :slices["chi"].stop], tol)
-    # one (k x n) chi matrix per sampled time, ranked in one stacked SVD
-    chi = u[:, rank_tau_kappa:].T @ rows[:, slices["chi"]]
-    r0 = int(_rank(chi.reshape(len(chi), n, len(tvals)).transpose(2, 0, 1), tol).max())
-    k0 = dim - rank_tkc
-    k1 = (dim - rank_tau_kappa) - k0
-    k2 = (dim - rank_tau) - k1 - k0
-    k3 = rank_tau
-    return InvariantTuple(k0, k1, k2, k3, r0)
+    tup, = span_invariants([sample_rows(gs, binding, rng, tapes)], tol)
+    if isinstance(tup, SpanError):
+        raise tup
+    return tup
 
 
 # ---------------------------------------------------------------------------

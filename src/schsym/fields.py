@@ -363,39 +363,40 @@ def _pair_index(k: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def bracket_rows(gs: Sequence[GeneratorCoeffs], rows: np.ndarray, drows: np.ndarray,
-                 slices: dict) -> np.ndarray:
+def bracket_rows(rows: np.ndarray, drows: np.ndarray, slices: dict) -> np.ndarray:
     """Sampled rows of the brackets [gs[i], gs[j]], i < j, one row per pair
     in row-major order: (0, 1), (0, 2), ..., (1, 2), ...
 
-    (rows, drows, slices) is coefficient_rows(gs, ...).  The bracket's
-    canonical data are bilinear in the generators' data and their first
-    t-derivatives (the formulas of bracket_structural), so the sampled
-    derivatives give every bracket row without building the brackets; the
-    rotation matrices K come from the rows' kappa entries.  Rows carry no
-    eta0, so eta0 is ignored.
+    (rows, drows, slices) is coefficient_rows(gs, ...); rows and drows may
+    be stacks of draws along leading axes.  The bracket's canonical data
+    are bilinear in the generators' data and their first t-derivatives (the
+    formulas of bracket_structural), so the sampled derivatives give every
+    bracket row without building the brackets; the rotation matrices K come
+    from the rows' kappa entries.  Rows carry no eta0, so eta0 is ignored.
     """
-    k, n, m = len(gs), gs[0].n, slices["tau"].stop
+    m = slices["tau"].stop
+    k, n = rows.shape[-2], (slices["chi"].stop - slices["chi"].start) // m
     i, j = _pair_index(k)
+    rows, drows = np.moveaxis(rows, -2, 0), np.moveaxis(drows, -2, 0)  # generators first
 
     def skew(a, b):  # a_i b_j - a_j b_i for each pair
         return a[i] * b[j] - a[j] * b[i]
 
-    tau, dtau = rows[:, slices["tau"]], drows[:, slices["tau"]]
-    chi = rows[:, slices["chi"]].reshape(k, n, m)
-    dchi = drows[:, slices["chi"]].reshape(k, n, m)
+    tau, dtau = rows[..., slices["tau"]], drows[..., slices["tau"]]
+    chi = rows[..., slices["chi"]].reshape(*rows.shape[:-1], n, m)
+    dchi = drows[..., slices["chi"]].reshape(*rows.shape[:-1], n, m)
     lo, hi = _pair_index(n)
-    kappa = rows[:, slices["kappa"]]
-    K = np.zeros((k, n, n))  # K[:, b, a] = kappa_ab, K[:, a, b] = -kappa_ab
-    K[:, hi, lo] = kappa
-    K[:, lo, hi] = 0.0 - kappa  # a zero entry stays +0.0
+    kappa = rows[..., slices["kappa"]]
+    K = np.zeros((*kappa.shape[:-1], n, n))  # K[..., b, a] = kappa_ab, K[..., a, b] = -kappa_ab
+    K[..., hi, lo] = kappa
+    K[..., lo, hi] = 0.0 - kappa  # a zero entry stays +0.0
     KK = K[j] @ K[i] - K[i] @ K[j]
-    out = np.empty((len(i), rows.shape[1]))
-    out[:, slices["tau"]] = skew(tau, dtau)
-    out[:, slices["kappa"]] = KK[:, hi, lo]
-    out[:, slices["chi"]] = (skew(tau[:, None], dchi) - 0.5 * skew(dtau[:, None], chi)
-                             - (K[i] @ chi[j] - K[j] @ chi[i])).reshape(-1, n * m)
-    out[:, slices["sigma"]] = (skew(tau, drows[:, slices["sigma"]])
-                               + 0.5 * skew(chi, dchi).sum(axis=1))
-    out[:, slices["rho"]] = skew(tau, drows[:, slices["rho"]])
-    return out
+    out = np.empty((len(i), *rows.shape[1:]))
+    out[..., slices["tau"]] = skew(tau, dtau)
+    out[..., slices["kappa"]] = KK[..., hi, lo]
+    out[..., slices["chi"]] = (skew(tau[..., None, :], dchi) - 0.5 * skew(dtau[..., None, :], chi)
+                               - (K[i] @ chi[j] - K[j] @ chi[i])).reshape(*out.shape[:-1], n * m)
+    out[..., slices["sigma"]] = (skew(tau, drows[..., slices["sigma"]])
+                                 + 0.5 * skew(chi, dchi).sum(axis=-2))
+    out[..., slices["rho"]] = skew(tau, drows[..., slices["rho"]])
+    return np.moveaxis(out, 0, -2)

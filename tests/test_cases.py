@@ -217,10 +217,10 @@ def test_residual_built_once_per_generator_and_kappa(monkeypatch):
 
 
 def test_side_conditions_checked_when_closure_fails(monkeypatch):
-    def no_span(*args, **kwargs):
-        raise SpanError("span is not closed")
+    def no_span(samples, tol):
+        return [SpanError("span is not closed")] * len(samples)
 
-    monkeypatch.setattr(cases, "invariants", no_span)
+    monkeypatch.setattr(cases, "span_invariants", no_span)
     rep = verify_case(3, draws=1, rng=np.random.default_rng(3), points=30)
     assert not rep["closure"]["passed"]
     checked = [c for c in rep["side_conditions"] if c["kind"] == "nonzero_slot_deriv"]

@@ -4,9 +4,9 @@ import pytest
 from fractions import Fraction
 
 from schsym.cases import instantiate, table as case_table
-from schsym.conditions import (InvariantTuple, Potential, SpanError, _first_outside, _rank,
-                               _row_space, classifying_residual, eta0_residual, invariants,
-                               kernel_check, lemma_fixtures, prolonged_residual)
+from schsym.conditions import (InvariantTuple, Potential, SpanError, _inside, _rank, _row_space,
+                               classifying_residual, eta0_residual, invariants, kernel_check,
+                               lemma_fixtures, prolonged_residual, sample_rows, span_invariants)
 from schsym.expr import (EXP, HALF, I_UNIT, SymbolTable, T_VAR, ZERO, const, diff, func_app,
                          int_pow, t, var, x, x_var)
 from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, absx2, bracket_rows,
@@ -289,22 +289,49 @@ def test_span_test_matches_least_squares_reference(tol):
               "wide span": rng.standard_normal((8, 5)),
               "all zero": np.zeros((4, 40))}
     for name, rows in shapes.items():
-        dim, basis = _row_space(rows, 1e-8)
-        assert dim == _rank(rows, 1e-8), name
-        cands = _span_candidates(rng, rows, tol)
-        want = [_ref_row_in_span(rows, b, tol) for b in cands]
-        got = [_first_outside(basis, b[None, :], tol) is None for b in cands]
-        assert got == want, name
-        assert _first_outside(basis, cands, tol) == (want.index(False) if False in want else None)
+        # the matrix stacked with a rank-one matrix of its shape, each draw
+        # tested on the candidates made for both
+        stack = np.stack([rows, np.outer(rng.standard_normal(len(rows)), rows[0])])
+        dims, bases = _row_space(stack, 1e-8)
+        assert dims.tolist() == [_rank(mat, 1e-8) for mat in stack], name
+        own = [_span_candidates(rng, mat, tol) for mat in stack]
+        cands = np.vstack(own)
+        for mat, flags in zip(stack, _inside(bases, cands, tol)):
+            want = [_ref_row_in_span(mat, b, tol) for b in cands]
+            assert flags.tolist() == want, name
+            first = want.index(False) if False in want else None
+            assert (None if flags.all() else int(np.argmin(flags))) == first, name
+        want = [_ref_row_in_span(rows, b, tol) for b in own[0]]
         if name != "wide span":
             assert want.count(True) >= 3 and want.count(False) >= 3, name
+
+
+def test_stacked_span_analysis_equals_each_list_alone():
+    tv = var(T_VAR)
+    lists = {"closed": [M(1), Iop(1), P(1, 0), P(0, 1)],
+             "not closed": [M(1), Iop(1), D(1).add(J(1, 2)), D(tv)],
+             "I missing": [M(1), P(1, 0), P(0, 1), D(1)]}
+    alone = []
+    for gs in lists.values():
+        try:
+            alone.append(invariants(gs, rng=np.random.default_rng(7)))
+        except SpanError as err:
+            alone.append(str(err))
+    stacked = span_invariants([sample_rows(gs, rng=np.random.default_rng(7))
+                               for gs in lists.values()])
+    got = [str(e) if isinstance(e, SpanError) else e for e in stacked]
+    assert got == alone
+    assert alone == [InvariantTuple(2, 2, 0, 0, 2),
+                     "span is not closed under the bracket (generators 2 and 3)",
+                     "I is missing from the span"]
+    assert span_invariants([]) == []
 
 
 def _ref_first_unclosed(gs, seed):
     """The first pair (i, j), in row-major order, whose bracket row is outside the span."""
     tvals = np.random.default_rng(seed).uniform(0.32, 1.68, size=13)
     rows, drows, slices = coefficient_rows(gs, EMPTY_BINDING, tvals)
-    brows = bracket_rows(gs, rows, drows, slices)
+    brows = bracket_rows(rows, drows, slices)
     pairs = [(i, j) for i in range(len(gs)) for j in range(i + 1, len(gs))]
     for pair, row in zip(pairs, brows, strict=True):
         if not _ref_row_in_span(rows, row, 1e-7):

@@ -270,7 +270,7 @@ def _full_bracket_rows(gs, rows, drows, slices):
 def _assert_bracket_rows_match_structural(gs, binding, rng):
     tvals = rng.uniform(0.32, 1.68, size=13)
     rows, drows, slices = coefficient_rows(gs, binding, tvals)
-    got = bracket_rows(gs, rows, drows, slices)
+    got = bracket_rows(rows, drows, slices)
     pairs = list(itertools.combinations(range(len(gs)), 2))
     assert got.shape == (len(pairs), rows.shape[1])
     # the pairs i < j of the k x k rows, row-major, to the bit
@@ -291,6 +291,22 @@ def test_bracket_rows_match_structural_on_table_cases():
     for case in table().values():
         inst = instantiate(case, rng)
         _assert_bracket_rows_match_structural(inst.generators, inst.workspace.binding, rng)
+
+
+def test_stacked_bracket_rows_equal_per_draw_calls():
+    from schsym.cases import instantiate, table
+
+    rng = np.random.default_rng(47)
+    for cid in (5, 19):  # rotations, and the largest case
+        draws = []
+        for _ in range(5):
+            inst = instantiate(table()[cid], rng)
+            tvals = rng.uniform(0.32, 1.68, size=13)
+            draws.append(coefficient_rows(inst.generators, inst.workspace.binding, tvals))
+        slices = draws[0][2]
+        stacked = bracket_rows(np.stack([d[0] for d in draws]),
+                               np.stack([d[1] for d in draws]), slices)
+        assert np.array_equal(stacked, [bracket_rows(r, dr, slices) for r, dr, _ in draws])
 
 
 def test_bracket_rows_match_structural_with_rotations_at_n3():
