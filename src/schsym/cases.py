@@ -9,9 +9,9 @@ tuple must satisfy.
 
 The template strings are parsed once per verification, not once per draw:
 symbols compare by value and nodes are hash-consed, so every draw's parse
-would give the same DAGs.  A draw only declares and binds the symbols, runs
-the case's builder and evaluates kappa; the classifying residual of a
-generator is rebuilt only when its drawn kappa changes.
+would give the same DAGs.  A draw only declares and binds the symbols and
+runs the case's builder; each generator's classifying residual is built
+once per verification, over the symbols (case 3's kappa is beta).
 
 The quadratic cases are instantiated in reverse: fundamental solutions of
 the shift equation are drawn in closed form and the potential coefficients
@@ -34,13 +34,14 @@ from .closedform import expr_to_exppoly
 from .conditions import (InvariantTuple, Potential, SpanError, classifying_residual, sample_rows,
                          span_invariants)
 from .equivalence import rational_rotation
-from .expr import (COS, HALF, SIN, T_VAR, Const, Expr, FunctionSymbol, SymbolTable, abs_pow,
-                   const, diff, func_app, inline, int_pow, sum_, t)
+from .expr import (COS, HALF, SIN, T_VAR, Expr, FunctionSymbol, SymbolTable, abs_pow, const,
+                   diff, func_app, inline, int_pow, sum_, t)
 from .fields import GeneratorCoeffs
 from .funcbank import (TRIG_DEGREE, ConstImpl, ExpPoly, ExpPolyImpl,
                        random_positive_trig_coeffs, random_positive_trig_poly, random_surrogate)
-from .numeric import (Binding, DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
-                      Workspace, eval_batch, max_normalized_residual)
+from .numeric import (DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS, Workspace,
+                      max_normalized_residual)
+from .numeric import eval_batch  # noqa: F401  re-exported; perfbench's tracer checks its rebinding
 from .parsing import parse
 
 
@@ -116,22 +117,12 @@ def _draw_value(kind: str, rng) -> complex:
     raise ValueError(f"unknown draw kind {kind!r}")
 
 
-class GeneratorTemplate(NamedTuple):
-    """A generator's parsed coefficients; kappa is evaluated per draw."""
-
-    tau: Expr
-    chi: tuple[Expr, ...]
-    sigma: Expr
-    rho: Expr
-    kappa: Expr
-
-
 class CaseTemplate(NamedTuple):
     """A case's strings parsed once, with the coefficient functions that its
     builder defines inlined; the draws bind their symbols."""
 
     potential: Expr
-    generators: tuple[GeneratorTemplate, ...]
+    generators: tuple[GeneratorCoeffs, ...]
     integrands: dict[str, Expr]  # antiderivative symbol name -> integrand
 
 
@@ -153,10 +144,10 @@ def parse_template(case: CaseEntry) -> CaseTemplate:
         e = parse(text, tab, case.n)
         return inline(e, defs) if defs else e
 
-    gens = tuple(GeneratorTemplate(
-        p(spec.get("tau", "0")), tuple(p(c) for c in spec.get("chi", ["0"] * case.n)),
-        p(spec.get("sigma", "0")), p(spec.get("rho", "0")), p(spec.get("kappa", "0")))
-        for spec in case.generators)
+    gens = tuple(GeneratorCoeffs(
+        case.n, p(spec.get("tau", "0")), (p(spec.get("kappa", "0")),),
+        tuple(p(c) for c in spec.get("chi", ["0"] * case.n)),
+        p(spec.get("sigma", "0")), p(spec.get("rho", "0"))) for spec in case.generators)
     integrands = {d["name"]: p(d["integrand"]) for d in case.declarations
                   if d.get("draw") == "antiderivative"}
     return CaseTemplate(p(case.potential), gens, integrands)
@@ -194,20 +185,7 @@ def instantiate(case: CaseEntry, rng: np.random.Generator,
         _BUILDERS[case.builder](ws, rng)
 
     V = Potential(template.potential, case.n, ws.binding)
-    gens = [GeneratorCoeffs(case.n, g.tau, _kappa_value(g.kappa, ws.binding), g.chi,
-                            g.sigma, g.rho, None) for g in template.generators]
-    return CaseInstance(V, gens, ws)
-
-
-def _kappa_value(kexpr: Expr, binding: Binding) -> tuple[Fraction]:
-    if isinstance(kexpr, Const):  # the complex128 eval_batch would return
-        kv = complex(kexpr.value())
-    else:
-        vals, _, _ = eval_batch(kexpr, binding, {}, count=1)
-        kv = complex(vals.reshape(-1)[0])
-    if abs(kv.imag) > 1e-12:
-        raise ValueError("kappa must be real")
-    return (Fraction(kv.real),)
+    return CaseInstance(V, list(template.generators), ws)
 
 
 # -- builders for the quadratic cases -----------------------------------------
@@ -398,12 +376,13 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     Per draw: every listed generator must have numerically zero classifying
     residual, the span must be bracket-closed, the invariant tuple must match
     the expected one, and the tuple must satisfy the structural constraints.
-    A draw's distinct residuals are zero-tested in one call, on one shared
-    point set (``max_normalized_residual`` of their tuple): one compiled
-    program per case, kept in ``tapes`` across the draws, as is the one
-    program of the coefficients that ``sample_rows`` samples in each draw,
-    in the random stream's order; the span analysis of all the draws then
-    runs as one stack (``span_invariants``).
+    The residuals are built once, before the draws; each draw zero-tests
+    them in one call, on one shared point set (``max_normalized_residual``
+    of their tuple): one compiled program per case, kept in ``tapes``
+    across the draws, as is the one program of the coefficients that
+    ``sample_rows`` samples in each draw, in the random stream's order; the
+    span analysis of all the draws then runs as one stack
+    (``span_invariants``).
     """
     tab = table()
     if case_id not in tab:
@@ -425,19 +404,14 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
         "side_conditions": [],
     }
     template = parse_template(case)
-    residuals: dict = {}  # (generator index, kappa) -> classifying residual
+    V = Potential(template.potential, case.n)
+    residuals = tuple(classifying_residual(V, g) for g in template.generators)
     tapes: dict = {}  # residual and coefficient tuples -> tapes, for every draw
     sampled = []  # each draw's sample_rows
     for draw in range(draws):
         inst = instantiate(case, rng, template)
-        res = []
-        for gi, g in enumerate(inst.generators):
-            r = residuals.get((gi, g.kappa))
-            if r is None:
-                r = residuals[gi, g.kappa] = classifying_residual(inst.V, g)
-            res.append(r)
         tested = max_normalized_residual(
-            tuple(res), binding=inst.workspace.binding, trials=zero_trials,
+            residuals, binding=inst.workspace.binding, trials=zero_trials,
             points=points, rng=rng, tapes=tapes)
         for gi, (worst, witness) in enumerate(tested):
             if worst >= tol:

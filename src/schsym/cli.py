@@ -267,7 +267,7 @@ def cmd_bracket(args) -> int:
     br = bracket_structural(g1, g2)
     payload = {
         "tau": to_text(br.tau),
-        "kappa": [str(k) for k in br.kappa],
+        "kappa": [to_text(k) for k in br.kappa],
         "chi": [to_text(c) for c in br.chi],
         "sigma": to_text(br.sigma),
         "rho": to_text(br.rho),

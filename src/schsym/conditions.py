@@ -433,7 +433,7 @@ def lemma_fixtures(rng: Optional[np.random.Generator] = None, tol: float = DEFAU
     form = g_out.chi[0] * sin_t - g_out.chi[1] * cos_t
     ok_form = is_zero(form, binding=ws2.binding, rng=rng, tol=tol)
     ok_sigma = is_zero(g_out.sigma, binding=ws2.binding, rng=rng, tol=max(tol, DEFAULT_TOL))
-    ok_tau = g_out.tau is ZERO and all(k == 0 for k in g_out.kappa)
+    ok_tau = g_out.tau is ZERO and all(k is ZERO for k in g_out.kappa)
     report["polar_reduction"] = {"target_form": ok_form, "sigma_killed": ok_sigma,
                                  "no_tau_kappa": ok_tau,
                                  "passed": ok_form and ok_sigma and ok_tau}

@@ -426,10 +426,10 @@ def _push_P(g: GeneratorCoeffs, X: Sequence[Expr]) -> GeneratorCoeffs:
     # J part: the shift tuple picks up -K X (hat-X of the listed rule)
     K = g.kappa_matrix()
     for a in range(n):
-        chi[a] = chi[a] - sum_(const(K[a][b]) * X[b] for b in range(n))
+        chi[a] = chi[a] - sum_(K[a][b] * X[b] for b in range(n))
     for (a, b), kab in zip(_pairs(n), g.kappa):
-        if kab != 0:
-            sigma = sigma - const(kab) * HALF * (X[a - 1] * Xt[b - 1] - X[b - 1] * Xt[a - 1])
+        if kab is not ZERO:
+            sigma = sigma - kab * HALF * (X[a - 1] * Xt[b - 1] - X[b - 1] * Xt[a - 1])
     # P part
     sigma = sigma + HALF * (_dot(g.chi, Xt) - _dot(tuple(diff(c, T_VAR) for c in g.chi), X))
     return replace(g, chi=tuple(chi), sigma=sigma)
@@ -449,14 +449,16 @@ def _push_I(g: GeneratorCoeffs, Upsilon: Expr) -> GeneratorCoeffs:
 
 def flow(g: GeneratorCoeffs, delta: float, ws: Workspace) -> EquivTransformation:
     """A map tangent to g's flow at delta = 0: T = t + delta tau, O the
-    rotation by delta kappa, X = delta chi, Sigma = X . X_t / 4 + delta sigma,
-    Upsilon = delta rho."""
-    if g.n != 2 and any(g.kappa):
+    rotation by delta kappa (kappa's value in ws's binding), X = delta chi,
+    Sigma = X . X_t / 4 + delta sigma, Upsilon = delta rho."""
+    if g.n != 2 and any(k is not ZERO for k in g.kappa):
         raise ValueError("rotation flows are defined at n = 2 only")
     d = const(Fraction(delta))
     X = tuple(d * c for c in g.chi)
-    return _elementary(g.n, ws, T=t_expr() + d * g.tau,
-                       O=_rotation_float(delta * float(g.kappa[0])) if g.n == 2 else None,
+    O = None
+    if g.n == 2:
+        O = _rotation_float(delta * eval_batch(g.kappa[0], ws.binding, {})[0][0].real)
+    return _elementary(g.n, ws, T=t_expr() + d * g.tau, O=O,
                        X=X, Sigma=_canonical_shift_sigma(X) + d * g.sigma, Upsilon=d * g.rho)
 
 

@@ -27,6 +27,7 @@ from .expr import (
     Expr,
     HALF,
     I_UNIT,
+    ONE,
     T_VAR,
     ZERO,
     as_expr,
@@ -65,7 +66,7 @@ class GeneratorCoeffs:
 
     n: int
     tau: Expr
-    kappa: tuple[Fraction, ...]  # strict upper triangle, (1,2),(1,3),...,(n-1,n)
+    kappa: tuple[Expr, ...]  # free of t and x; strict upper triangle (1,2),(1,3),...,(n-1,n)
     chi: tuple[Expr, ...]
     sigma: Expr
     rho: Expr
@@ -76,6 +77,14 @@ class GeneratorCoeffs:
             raise ValueError("chi must have n components")
         if len(self.kappa) != len(_pairs(self.n)):
             raise ValueError("kappa must list the strict upper triangle")
+        object.__setattr__(self, "kappa", tuple(as_expr(k) for k in self.kappa))
+        for k in self.kappa:
+            if k.free_vars:
+                raise ValueError("kappa entries must be constants, free of t and x")
+            if has_complex_symbols(k):
+                raise ValueError("kappa must not contain complex-codomain symbols")
+            if not k.is_real:
+                raise ValueError("kappa must be real-valued")
         for name, e in (("tau", self.tau), ("sigma", self.sigma), ("rho", self.rho),
                         *((f"chi{i+1}", c) for i, c in enumerate(self.chi))):
             if not depends_only_on_t(e):
@@ -104,15 +113,14 @@ class GeneratorCoeffs:
 
     def scale(self, c) -> "GeneratorCoeffs":
         ce = as_expr(c)
-        cf = Fraction(c) if not isinstance(c, Fraction) else c
         return GeneratorCoeffs(
-            self.n, ce * self.tau, tuple(cf * k for k in self.kappa),
+            self.n, ce * self.tau, tuple(ce * k for k in self.kappa),
             tuple(ce * ch for ch in self.chi), ce * self.sigma, ce * self.rho,
             None if self.eta0 is None else ce * self.eta0)
 
-    def kappa_matrix(self) -> list[list[Fraction]]:
+    def kappa_matrix(self) -> list[list[Expr]]:
         """K with rotation part xi_a = K_ab x_b; K_ba = kappa_ab for a<b."""
-        K = [[Fraction(0)] * self.n for _ in range(self.n)]
+        K = [[ZERO] * self.n for _ in range(self.n)]
         for (a, b), k in zip(_pairs(self.n), self.kappa):
             K[b - 1][a - 1] = k
             K[a - 1][b - 1] = -k
@@ -121,7 +129,7 @@ class GeneratorCoeffs:
     def rotation_xi(self) -> tuple[Expr, ...]:
         K = self.kappa_matrix()
         return tuple(
-            sum_(const(K[a][b]) * x(b + 1) for b in range(self.n) if K[a][b] != 0)
+            sum_(K[a][b] * x(b + 1) for b in range(self.n) if K[a][b] is not ZERO)
             for a in range(self.n))
 
     def eta0_or_zero(self) -> Expr:
@@ -129,8 +137,7 @@ class GeneratorCoeffs:
 
 
 def zero_gen(n: int) -> GeneratorCoeffs:
-    return GeneratorCoeffs(n, ZERO, tuple(Fraction(0) for _ in _pairs(n)),
-                           (ZERO,) * n, ZERO, ZERO, None)
+    return GeneratorCoeffs(n, ZERO, (ZERO,) * len(_pairs(n)), (ZERO,) * n, ZERO, ZERO, None)
 
 
 def D(tau, n: int = 2) -> GeneratorCoeffs:
@@ -138,8 +145,8 @@ def D(tau, n: int = 2) -> GeneratorCoeffs:
 
 
 def J(a: int, b: int, n: int = 2) -> GeneratorCoeffs:
-    kap = [Fraction(0)] * len(_pairs(n))
-    kap[_pairs(n).index((a, b))] = Fraction(1)
+    kap = [ZERO] * len(_pairs(n))
+    kap[_pairs(n).index((a, b))] = ONE
     return replace(zero_gen(n), kappa=tuple(kap))
 
 
@@ -270,8 +277,8 @@ def bracket_structural(g1: GeneratorCoeffs, g2: GeneratorCoeffs) -> GeneratorCoe
     for a in range(n):
         c = t1 * diff(g2.chi[a], T_VAR) - HALF * t1t * g2.chi[a]
         c = sum_((c, -(t2 * diff(g1.chi[a], T_VAR)), prod((HALF, t2t, g1.chi[a]))))
-        c = sum_((c, *(const(-K1[a][b]) * g2.chi[b] for b in range(n))))
-        c = sum_((c, *(const(K2[a][b]) * g1.chi[b] for b in range(n))))
+        c = sum_((c, *(-K1[a][b] * g2.chi[b] for b in range(n))))
+        c = sum_((c, *(K2[a][b] * g1.chi[b] for b in range(n))))
         chi.append(c)
 
     sigma = t1 * diff(g2.sigma, T_VAR) - t2 * diff(g1.sigma, T_VAR)
@@ -299,20 +306,23 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     Returns (rows, drows, slices): row i of rows is the concatenation of
     gs[i]'s tau samples, kappa entries, chi samples (componentwise), sigma
     and rho samples; drows holds the same samples of the t-derivatives,
-    whose kappa entries are zeros.  One program samples every coefficient
-    and derivative that is not a constant: the tape of the tuple of those
-    roots, kept in ``tapes``, a caller's dict (``numeric.owned_tape``), or
-    else in one for this call, run without a subterm scale, which rows do
-    not read.  Where a node of that run is unsafe, the
-    roots are sampled one by one, the coefficients of every generator
-    first and then the derivatives, and the first unsafe one raises
-    UnsafeSampleError: singular or undefined at a sampled time.
+    whose kappa entries are zeros.  A kappa entry is sampled as the other
+    coefficients are, and its row holds its first sample.  One program
+    samples every coefficient and derivative that is not a constant: the
+    tape of the tuple of those roots, kept in ``tapes``, a caller's dict
+    (``numeric.owned_tape``), or else in one for this call, run without a
+    subterm scale, which rows do not read.  Where a node of that run is
+    unsafe, the roots are sampled one by one, the coefficients of every
+    generator first and then the derivatives, and the first unsafe one
+    raises UnsafeSampleError: singular or undefined at a sampled time.
     """
     m, n, k = len(tvals), gs[0].n, len(gs)
     if any(g.n != n for g in gs):
         raise ValueError("dimension mismatch in generator list")
-    names = ("tau", *(f"chi{a}" for a in range(1, n + 1)), "sigma", "rho")
-    coeffs = [e for g in gs for e in (g.tau, *g.chi, g.sigma, g.rho)]
+    npair = len(_pairs(n))
+    names = ("tau", *(f"kappa{a}{b}" for a, b in _pairs(n)),
+             *(f"chi{a}" for a in range(1, n + 1)), "sigma", "rho")
+    coeffs = [e for g in gs for e in (g.tau, *g.kappa, *g.chi, g.sigma, g.rho)]
     exprs = coeffs + [diff(e, T_VAR) for e in coeffs]
     env = {T_VAR: np.asarray(tvals, dtype=complex)}
     tapes = {} if tapes is None else tapes
@@ -336,14 +346,9 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
                     f"generator {i}: {names[field]} is singular or undefined at "
                     f"{int(unsafe.sum())} of {m} sampled times")
             samples[p] = np.real(vals)
-    samples = samples.reshape(2, k, n + 3, m)
-    kappa = np.array([[float(c) for c in g.kappa] for g in gs])
-
-    def layout(s, kap):  # (k, n + 3, m) samples and kappa entries to rows
-        return np.hstack([s[:, 0], kap, s[:, 1:].reshape(k, (n + 2) * m)])
-
-    rows, drows = layout(samples[0], kappa), layout(samples[1], np.zeros_like(kappa))
-    npair = kappa.shape[1]
+    samples = samples.reshape(2, k, len(names), m)
+    rows, drows = (np.hstack([s[:, 0], s[:, 1:npair + 1, 0],
+                              s[:, npair + 1:].reshape(k, (n + 2) * m)]) for s in samples)
     slices = {
         "tau": slice(0, m),
         "kappa": slice(m, m + npair),

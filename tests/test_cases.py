@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
-from schsym import cases
+from schsym import cases, expr
 from schsym.cases import (UnknownCaseError, instantiate, parse_template, table, verify_case,
                           verify_table)
 from schsym.closedform import expr_to_exppoly
 from schsym.conditions import SpanError, classifying_residual
-from schsym.expr import T_VAR, SymbolTable, diff, inline, var
+from schsym.expr import T_VAR, ZERO, FunctionSymbol, SymbolTable, diff, func_app, inline, var
 from schsym.funcbank import ExpPoly, ExpPolyImpl, random_positive_trig_poly
 from schsym.numeric import is_zero
 from schsym.parsing import parse
@@ -156,7 +156,8 @@ def test_template_nodes_are_a_fresh_parse_in_each_draw(seed):
             chi = spec.get("chi", ["0"] * case.n)
             assert len(g.chi) == len(chi)
             assert all(c is fresh(text) for c, text in zip(g.chi, chi))
-            assert gt.kappa is fresh(spec.get("kappa", "0"))
+            assert g is gt
+            assert len(g.kappa) == 1 and g.kappa[0] is fresh(spec.get("kappa", "0"))
         for d in case.declarations:
             if d.get("draw") == "antiderivative":
                 assert template.integrands[d["name"]] is fresh(d["integrand"])
@@ -202,18 +203,28 @@ def test_parse_calls_do_not_depend_on_draws(monkeypatch, cid):
     assert counts[0] == counts[1] > 0
 
 
-def test_residual_built_once_per_generator_and_kappa(monkeypatch):
+def test_residual_built_once_per_generator(monkeypatch):
+    # case 3's fourth generator has kappa = beta, a symbol that every draw
+    # binds afresh: its residual is built once, over beta, like the others
     built = _counting(monkeypatch, "classifying_residual")
-    rep = verify_case(2, draws=3, rng=np.random.default_rng(2), points=30)
-    assert rep["passed"]
-    assert len(built) == len(table()[2].generators) == 3
-    # case 3's fourth generator has kappa = beta, drawn afresh every draw
-    built.clear()
-    rep = verify_case(3, draws=3, rng=np.random.default_rng(3), points=30)
-    assert rep["passed"]
-    drawn = [g.kappa for _, g in built if g.kappa != (0,)]
-    assert len(built) == 3 + 3
-    assert len(set(drawn)) == len(drawn) == 3
+    for cid in (2, 3):
+        for draws in (1, 3):
+            built.clear()
+            rep = verify_case(cid, draws=draws, rng=np.random.default_rng(cid), points=30)
+            assert rep["passed"]
+            assert len(built) == len(table()[cid].generators)
+    beta = func_app(FunctionSymbol("beta", 0, "real"), [])
+    assert [g.kappa for _, g in built] == [(ZERO,)] * 3 + [(beta,)]
+
+
+def test_verify_table_case3_interns_no_node_after_the_first_run():
+    # the residuals and coefficient tuples are built over beta, so later
+    # draws and seeds only bind numbers
+    verify_table(case_ids=[3], seed=0)
+    n = len(expr._INTERN)
+    for seed in range(1, 6):
+        assert verify_table(case_ids=[3], seed=seed)["passed"]
+    assert len(expr._INTERN) == n
 
 
 def test_side_conditions_checked_when_closure_fails(monkeypatch):

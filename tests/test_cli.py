@@ -213,7 +213,8 @@ def test_generic_bracket_interns_a_pinned_node_count():
             "print(len(expr._INTERN) - n)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "249\n"
+    # G2's kappa, the constant -2, is interned when G2 loads, before the count
+    assert proc.stdout == "248\n"
 
 
 def test_bracket_text_pins_normal_form_term_order(capsys):

@@ -14,7 +14,7 @@ from schsym.equivalence import (AdmissibleTransformation, EquivTransformation,
                                 invert, is_free_reducible, is_real_admissible,
                                 potentials_agree, pushforward, rational_rotation,
                                 _dot, _identity_matrix, _o_apply)
-from schsym.expr import (HALF, LOG, SIN, SymbolTable, T_VAR, ZERO, abs_pow, conj_expr,
+from schsym.expr import (HALF, LOG, ONE, SIN, SymbolTable, T_VAR, ZERO, abs_pow, conj_expr,
                          const, diff, func_app, im_part, int_pow, subst, sum_, t, var, x)
 from schsym.fields import D, GeneratorCoeffs, Iop, J, M, P, _pairs, absx2
 from schsym.funcbank import random_surrogate, random_trig_poly
@@ -280,7 +280,7 @@ def test_pushforward_listed_rules():
     assert is_zero(img3.chi[1] - const(O[1][0]) * chi, rng=RNG)
     # rotations conjugate the kappa matrix trivially at n=2
     img4 = pushforward(J(1, 2), EquivTransformation.elementary_J(O, 2))
-    assert img4.kappa == (Fraction(1),)
+    assert img4.kappa == (ONE,)
 
 
 def _reference_pushforward(g, tr, kind):
@@ -322,10 +322,10 @@ def _reference_pushforward(g, tr, kind):
             - const(Fraction(1, 4)) * g.tau * (_dot(X, Xtt) - _dot(Xt, Xt))
         K = g.kappa_matrix()
         for a in range(n):
-            chi[a] = chi[a] - sum_(const(K[a][b]) * X[b] for b in range(n))
+            chi[a] = chi[a] - sum_(K[a][b] * X[b] for b in range(n))
         for (a, b), kab in zip(_pairs(n), g.kappa):
-            if kab != 0:
-                sigma = sigma - const(kab) * HALF * (X[a - 1] * Xt[b - 1] - X[b - 1] * Xt[a - 1])
+            if kab is not ZERO:
+                sigma = sigma - kab * HALF * (X[a - 1] * Xt[b - 1] - X[b - 1] * Xt[a - 1])
         sigma = sigma + HALF * (_dot(g.chi, Xt) - _dot(tuple(diff(c, T_VAR) for c in g.chi), X))
         return GeneratorCoeffs(n, g.tau, g.kappa, tuple(chi), sigma, g.rho, None)
     if kind == "M":
@@ -466,6 +466,21 @@ def test_rotation_flows_are_defined_at_n_2():
     # a rotation-free generator flows at any n
     tr = flow(D(t(), 3), 0.25, ws)
     assert tr.O == _identity_matrix(3) and tr.X == (ZERO,) * 3 and tr.Sigma is ZERO
+    tr = flow(D(1, 3), 0.25, ws)
+    assert tr.O == _identity_matrix(3) and tr.T is t() + Fraction(1, 4)
+
+
+def test_flow_rotates_by_a_symbolic_kappa_bound_in_its_workspace():
+    # case 3's D(t) + beta J: kappa is the symbol beta, which the draw binds
+    from schsym.cases import instantiate, table as case_table
+
+    inst = instantiate(case_table()[3], np.random.default_rng(1))
+    g = inst.generators[3]
+    beta = inst.workspace.binding.lookup(inst.workspace.table.get("beta"))
+    assert g.kappa == (func_app(inst.workspace.table.get("beta"), []),)
+    tr = flow(g, 0.25, inst.workspace)
+    assert float(tr.O[1][0]) == pytest.approx(np.sin(0.25 * beta.value.real))
+    assert equiv_generator_check(g, inst.V, rng=np.random.default_rng(2))
 
 
 def test_equiv_generator_check_detects_wrong_coefficient(table, monkeypatch):

@@ -8,8 +8,8 @@ from fractions import Fraction
 import schsym.expr as expr_module
 from schsym.closedform import exppoly_to_expr
 from schsym.expr import (HALF, I_UNIT, ONE, T_VAR, ZERO, AbsPow, Conj, Const, Expr, FuncApp,
-                         IntPow, Product, Sign, Sum, Var, const, diff, func_app, int_pow, psi,
-                         sum_, t, var, x)
+                         IntPow, Product, Sign, Sum, SymbolTable, Var, const, diff, func_app,
+                         int_pow, psi, sum_, t, var, x)
 from schsym.conditions import _rank, invariants
 from schsym.fields import (I2, I8, D, GeneratorCoeffs, Iop, J, M, P, _pairs, absx2,
                            bracket_generic, bracket_rows, bracket_structural,
@@ -105,8 +105,8 @@ def _ref_structural_chi(g1, g2):
     for a in range(n):
         c = t1 * diff(g2.chi[a], T_VAR) - HALF * t1t * g2.chi[a]
         c = c - (t2 * diff(g1.chi[a], T_VAR) - HALF * t2t * g1.chi[a])
-        c = c - sum_(const(K1[a][b]) * g2.chi[b] for b in range(n))
-        c = c + sum_(const(K2[a][b]) * g1.chi[b] for b in range(n))
+        c = c - sum_(K1[a][b] * g2.chi[b] for b in range(n))
+        c = c + sum_(K2[a][b] * g1.chi[b] for b in range(n))
         chi.append(c)
     return tuple(chi)
 
@@ -239,9 +239,30 @@ def test_generator_validation():
         GeneratorCoeffs(2, ZERO, (Fraction(0),), (psi(2), ZERO), ZERO, ZERO, None)
 
 
-def _full_bracket_rows(gs, rows, drows, slices):
+def test_kappa_entries_must_be_real_constants():
+    tab = SymbolTable()
+    beta = func_app(tab.declare("beta", 0, "real"), [])
+    c = func_app(tab.declare("c", 0, "complex"), [])
+    for bad, why in ((t(), "t and x"), (beta * x(2), "t and x"), (I_UNIT, "real-valued"),
+                     (const(1, 2) * beta, "real-valued"), (c, "complex-codomain")):
+        with pytest.raises(ValueError, match=f"kappa .*{why}"):
+            GeneratorCoeffs(2, ZERO, (bad,), (ZERO, ZERO), ZERO, ZERO)
+    # an arity-0 real symbol is a constant; numbers become exact constants
+    assert GeneratorCoeffs(2, ZERO, (beta,), (ZERO, ZERO), ZERO, ZERO).kappa == (beta,)
+    assert GeneratorCoeffs(2, ZERO, (Fraction(1, 2),), (ZERO, ZERO), ZERO, ZERO).kappa == (HALF,)
+
+
+def _entry_value(k, binding) -> float:
+    """A kappa entry's value: a constant's own, else its own eval_batch's."""
+    if type(k) is Const:
+        return k.value().real
+    vals, _, _ = eval_batch(k, binding, {}, count=1)
+    return vals.reshape(-1)[0].real
+
+
+def _full_bracket_rows(gs, binding, rows, drows, slices):
     """The k x k bracket rows as bracket_rows computed them before it kept
-    only the pairs i < j, with K from each generator's Fraction
+    only the pairs i < j, with K from the values of each generator's exact
     kappa_matrix: out[i, j] is the row of [gs[i], gs[j]]."""
     k, n, m = len(gs), gs[0].n, slices["tau"].stop
 
@@ -252,7 +273,8 @@ def _full_bracket_rows(gs, rows, drows, slices):
     tau, dtau = rows[:, slices["tau"]], drows[:, slices["tau"]]
     chi = rows[:, slices["chi"]].reshape(k, n, m)
     dchi = drows[:, slices["chi"]].reshape(k, n, m)
-    K = np.array([g.kappa_matrix() for g in gs], dtype=float)
+    K = np.array([[[_entry_value(e, binding) for e in row] for row in g.kappa_matrix()]
+                  for g in gs])
     lo, hi = (np.array(_pairs(n), dtype=int).reshape(-1, 2) - 1).T
     KK = K[None, :] @ K[:, None]  # KK[i, j] = K_j K_i
     KC = K[:, None] @ chi[None, :]  # KC[i, j] = K_i chi_j
@@ -274,7 +296,7 @@ def _assert_bracket_rows_match_structural(gs, binding, rng):
     pairs = list(itertools.combinations(range(len(gs)), 2))
     assert got.shape == (len(pairs), rows.shape[1])
     # the pairs i < j of the k x k rows, row-major, to the bit
-    full = _full_bracket_rows(gs, rows, drows, slices)
+    full = _full_bracket_rows(gs, binding, rows, drows, slices)
     assert got.tobytes() == full[tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)].tobytes()
     for (i, j), row in zip(pairs, got):
         ref, _, _ = coefficient_rows([bracket_structural(gs[i], gs[j])], binding, tvals)
@@ -318,7 +340,7 @@ def test_bracket_rows_match_structural_with_rotations_at_n3():
 
     gs = [GeneratorCoeffs(3, fn(), tuple(Fraction(int(rng.integers(-2, 3)), 3) for _ in range(3)),
                           (fn(), fn(), fn()), fn(), fn(), None) for _ in range(4)]
-    assert any(k != 0 for g in gs for k in g.kappa)
+    assert any(k is not ZERO for g in gs for k in g.kappa)
     _assert_bracket_rows_match_structural(gs, EMPTY_BINDING, rng)
 
 
@@ -332,7 +354,8 @@ def _eval_batch_rows(gs, binding, tvals, order):
         vals, _, _ = eval_batch(diff(e, T_VAR) if order else e, binding, env)
         return np.real(np.broadcast_to(vals, (m,)))
 
-    return np.array([np.concatenate([sample(g.tau), [0.0 if order else float(k) for k in g.kappa],
+    # a kappa entry's row holds its first sample
+    return np.array([np.concatenate([sample(g.tau), [sample(k)[0] for k in g.kappa],
                                      *(sample(c) for c in g.chi),
                                      sample(g.sigma), sample(g.rho)]) for g in gs])
 

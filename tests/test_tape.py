@@ -207,12 +207,13 @@ def test_eval_batch_keeps_no_tape(monkeypatch):
     assert "_tape" not in Expr.__slots__
 
 
-def test_verify_case_compiles_each_root_once_per_owner(monkeypatch):
+@pytest.mark.parametrize("cid", [3, 16])
+def test_verify_case_compiles_each_root_once_per_owner(monkeypatch, cid):
     compiled = _record_compiles(monkeypatch)
-    assert verify_case(16, rng=np.random.default_rng(7))["passed"]
-    # case 16's draws bind only numbers, so they share one residual tuple
-    # and one coefficient tuple: two tapes, both in verify_case's one dict,
-    # for all 5 draws (192 when each draw bound expressions of its own)
+    assert verify_case(cid, rng=np.random.default_rng(7))["passed"]
+    # the draws bind only numbers (case 3's kappa beta, case 16's
+    # coefficients), so they share one residual tuple and one coefficient
+    # tuple: two tapes, both in verify_case's one dict, for all 5 draws
     assert len(compiled) == 2
     assert len({id(owner) for owner, _ in compiled}) == 1
     assert None not in [owner for owner, _ in compiled]
