@@ -8,10 +8,11 @@ The action on potentials composes the closed-form target potential with
 the inverse variable map.  An inverse time map T^-1 is a
 fresh function symbol evaluated by root finding, with derivatives from the
 chain-rule expressions H_k, except for a map built by ``invert``, whose
-inverse is the original T.  A generator of the equivalence algebra is its
-``GeneratorCoeffs``: ``pushforward`` moves it along any map, one closed-form
-rule per elementary factor, and ``flow`` is a map tangent to its flow,
-checked against its dV component ``conditions.dv_coefficient``.
+inverse is the original T, and a map whose T is t, whose inverse is t.
+A generator of the equivalence algebra is its ``GeneratorCoeffs``:
+``pushforward`` moves it along any map, one closed-form rule per
+elementary factor, and ``flow`` is a map tangent to its flow, checked
+against its dV component ``conditions.dv_coefficient``.
 """
 from __future__ import annotations
 
@@ -172,12 +173,15 @@ class EquivTransformation:
     # -- derived data
 
     def tinv_app(self) -> Expr:
-        """The inverse time map T^-1(t): given, or a root-solved FuncApp."""
+        """The inverse time map T^-1(t): given, t itself where T is t (so no
+        symbol is bound and no Tinv number taken), or a root-solved FuncApp."""
         if self._tinv is None:
-            name = f"Tinv{next(_tinv_numbers)}"
-            sym = FunctionSymbol(name, 1, "real")
-            self.binding.bind(sym, InverseImpl(self.T, self.binding, self.bracket))
-            self._tinv = func_app(sym, [t_expr()])
+            if self.T is t_expr():
+                self._tinv = self.T
+            else:
+                sym = FunctionSymbol(f"Tinv{next(_tinv_numbers)}", 1, "real")
+                self.binding.bind(sym, InverseImpl(self.T, self.binding, self.bracket))
+                self._tinv = func_app(sym, [t_expr()])
         return self._tinv
 
 

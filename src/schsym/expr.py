@@ -797,7 +797,12 @@ def total_derivative(e: Expr, direction: int) -> Expr:
 
 
 def subst(e: Expr, mapping: Mapping[VarId, Expr]) -> Expr:
-    """Replace variables by expressions (no capture issues: vars are global)."""
+    """Replace variables by expressions (nothing is captured: vars are global).
+    An entry mapping a variable to itself is dropped, and e is returned when
+    none is left, so substituting t for t rebuilds nothing."""
+    mapping = {v: x for v, x in mapping.items() if x is not var(v)}
+    if not mapping:
+        return e
     keys = mapping.keys()
     return _rebuild(e, {var(v): x for v, x in mapping.items()},
                     lambda u: not u.free_vars.isdisjoint(keys))

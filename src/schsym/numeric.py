@@ -28,8 +28,10 @@ scalar or array constants, function masks, non-finite values) live in
 
 ``ExprImpl`` owns the tapes of its expression's t-derivatives (an
 ``AntiderivImpl`` is the ``ExprImpl`` of its integrand), ``InverseImpl``
-those of T, T' and each chain-rule root H_k, so each compiles once per
-impl, and runs them through ``eval_batch``.  ``InverseImpl``'s root solve
+those of T, of the tuple (T, T') and of each chain-rule root H_k, so each
+compiles once per impl, and runs them through ``eval_batch``: one run of T
+at both ends of every bracket, concatenated, and one run of (T, T') per
+Newton step.  ``InverseImpl``'s root solve
 reads only real values of T and T', so it runs them at float64 points, and
 the tape decides (``_Tape.run_real``): a real one with builtin functions
 and integer powers below 100 in size runs on a float64 buffer, through the
@@ -673,18 +675,23 @@ class InverseImpl(funcbank.FunctionImpl):
     of Faa di Bruno's formula", Amer. Math. Monthly 109, 2002), so order k is
     one evaluation of the expression H_k at the solved preimages.
 
-    The impl owns the tapes of T, T' and each H_k, so each compiles once,
-    and runs them through ``eval_batch``: T and T' at float64 points, where
-    each tape decides whether it runs on a float64 buffer
-    (``_Tape.run_real``), H_k at complex ones.
+    The impl owns the tapes of T, of (T, T') and of each H_k, so each
+    compiles once, and runs them through ``eval_batch``: T at float64
+    points for both ends of every bracket in one run of their
+    concatenation, and for the residuals, and (T, T') at float64 points in
+    one run per Newton step, where each tape decides, as a whole, whether
+    it runs on a float64 buffer (``_Tape.run_real``); H_k at complex ones.
+    Float operations are elementwise, so the solve is bit for bit the one
+    that runs T and T' apart, one bracket end at a time.
 
     ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
     residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) and,
     for k >= 1, points where evaluating H_k is unsafe (|T'(s)| < 1e-9, a
-    flat point of T).  The last solve is memoized by its points and by the
-    binding's count of binds, so derivative orders 0..k on the same points
-    cost one root solve, and a ``Binding.bind`` (which may change T) makes
-    the memo stale.
+    flat point of T).  The last two solves are memoized by their points and
+    by the binding's count of binds, so derivative orders 0..k on the same
+    points cost one root solve, also when a solve at other points (a
+    quadrature's) comes between them, and a ``Binding.bind`` (which may
+    change T) makes the memo stale.
     """
 
     MAX_ORDER = 8
@@ -696,12 +703,14 @@ class InverseImpl(funcbank.FunctionImpl):
         self.T_expr = T_expr
         self._binding = binding
         self._bracket = bracket
-        self._memo: Optional[tuple[tuple, np.ndarray, np.ndarray]] = None
+        # the last two solves, newest first: (key, preimages, residuals)
+        self._memo: tuple[tuple[tuple, np.ndarray, np.ndarray], ...] = ()
         self._derivs: list[Expr] = []
-        self._tapes: dict[Expr, _Tape] = {}  # T, T' and each H_k evaluated
+        self._tapes: dict[Expr | tuple, _Tape] = {}  # T, (T, T') and each H_k evaluated
 
-    def _real_at(self, e: Expr, s: np.ndarray) -> np.ndarray:
-        """The real parts of e's values at the real points s."""
+    def _real_at(self, e: Expr | tuple[Expr, ...], s: np.ndarray) -> np.ndarray:
+        """The real parts of e's values at the real points s, one row per
+        root of a tuple."""
         return np.real(eval_batch(owned_tape(self._tapes, e), self._binding, {T_VAR: s})[0])
 
     def _derivative(self, k: int) -> Expr:
@@ -715,18 +724,21 @@ class InverseImpl(funcbank.FunctionImpl):
         """Preimages s of args[0] and their residuals |T(s) - y|."""
         y = np.real(np.asarray(args[0], dtype=complex))
         key = (self._binding._binds, y.shape, y.tobytes())
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1], self._memo[2]
+        for memo in self._memo:
+            if memo[0] == key:
+                return memo[1], memo[2]
         T, T_t = self.T_expr, diff(self.T_expr, T_VAR)
+        n = len(y)
 
-        def T_minus(s):
-            return self._real_at(T, s) - y
+        def ends(lo, hi):
+            # T - y at both ends of every bracket, as one run
+            f = self._real_at(T, np.concatenate((lo, hi)))
+            return f[:n] - y, f[n:] - y
 
         blo, bhi = self._bracket
         lo = np.clip(y - 0.5, blo, bhi)
         hi = np.clip(y + 0.5, blo, bhi)
-        flo = T_minus(lo)
-        fhi = T_minus(hi)
+        flo, fhi = ends(lo, hi)
         step = 1.0
         for _ in range(80):
             # a point pinned at both bracket limits cannot gain a sign change
@@ -735,8 +747,7 @@ class InverseImpl(funcbank.FunctionImpl):
                 break
             lo = np.where(bad, np.maximum(lo - step, blo), lo)
             hi = np.where(bad, np.minimum(hi + step, bhi), hi)
-            flo = T_minus(lo)
-            fhi = T_minus(hi)
+            flo, fhi = ends(lo, hi)
             step *= 1.6
             if step > 4.0 * (bhi - blo):
                 break
@@ -748,8 +759,8 @@ class InverseImpl(funcbank.FunctionImpl):
         lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
         s = 0.5 * (lo + hi)
         for _ in range(self.MAX_ITER):
-            f = T_minus(s)
-            fp = self._real_at(T_t, s)
+            T_s, fp = self._real_at((T, T_t), s)
+            f = T_s - y
             below = f <= 0
             lo = np.where(below, s, lo)
             hi = np.where(below, hi, s)
@@ -762,8 +773,8 @@ class InverseImpl(funcbank.FunctionImpl):
             s = nxt
             if np.all(done | ~bracketed):
                 break
-        residual = np.abs(T_minus(s))
-        self._memo = (key, s, residual)
+        residual = np.abs(self._real_at(T, s) - y)
+        self._memo = ((key, s, residual), *self._memo[:1])
         return s, residual
 
     def deriv(self, didx, args):

@@ -477,13 +477,13 @@ def test_transform_json_output_is_pinned():
 N3_TRANSFORM_SPEC = ('{"X":["sin(t)","-sin(t)/2","sin(t) + cos(t)"],'
                      '"O":[["1/3","2/3","2/3"],["2/3","1/3","-2/3"],["2/3","-2/3","1/3"]]}')
 # in the inverse map's x1 row sin(t) cancels at the second step of the
-# binary chain and comes back at the third: one n-ary sum prints otherwise
+# binary chain and comes back at the third: one n-ary sum prints otherwise;
+# T is t, so the map's inverse time map is t itself
 N3_TRANSFORMED = "".join([
-    '5/3*x1 + 1/3*x2 + 1/3*x3 - 11/6*sin(Tinv1(t)) - 1/3*cos(Tinv1(t)) + '
-    '1/2*sin[2](Tinv1(t))*(x1 - sin(Tinv1(t))) - 1/4*sin[2](Tinv1(t))*(x2 + '
-    '1/2*sin(Tinv1(t))) + 1/2*(sin[2](Tinv1(t)) + cos[2](Tinv1(t)))*(x3 - '
-    'sin(Tinv1(t)) - cos(Tinv1(t))) - 5/16*sin[1](Tinv1(t))^2 - '
-    '1/4*(sin[1](Tinv1(t)) + cos[1](Tinv1(t)))^2'])
+    '5/3*x1 + 1/3*x2 + 1/3*x3 - 11/6*sin(t) - 1/3*cos(t) + 1/2*sin[2](t)*(x1 - '
+    'sin(t)) - 1/4*sin[2](t)*(x2 + 1/2*sin(t)) + 1/2*(sin[2](t) + '
+    'cos[2](t))*(x3 - sin(t) - cos(t)) - 5/16*sin[1](t)^2 - 1/4*(sin[1](t) + '
+    'cos[1](t))^2'])
 
 
 def test_n3_transform_text_is_pinned(capsys):

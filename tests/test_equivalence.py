@@ -15,10 +15,11 @@ from schsym.equivalence import (AdmissibleTransformation, EquivTransformation,
                                 potentials_agree, pushforward, rational_rotation,
                                 _dot, _identity_matrix, _o_apply)
 from schsym.expr import (HALF, LOG, ONE, SIN, SymbolTable, T_VAR, ZERO, abs_pow, conj_expr,
-                         const, diff, func_app, im_part, int_pow, subst, sum_, t, var, x)
+                         const, diff, func_app, im_part, int_pow, subst, sum_, t, var, x,
+                         x_var)
 from schsym.fields import D, GeneratorCoeffs, Iop, J, M, P, _pairs, absx2
 from schsym.funcbank import random_surrogate, random_trig_poly
-from schsym.numeric import Binding, Workspace, is_zero
+from schsym.numeric import Binding, Workspace, eval_batch, is_zero
 from schsym.parsing import parse
 
 RNG = np.random.default_rng(41)
@@ -91,6 +92,26 @@ def test_identity_acts_trivially(table):
     V = generic_potential(table)
     Vt = act_on_potential(V, EquivTransformation.identity(2))
     assert potentials_agree(Vt, V, rng=RNG)
+
+
+def test_a_map_whose_time_map_is_t_binds_no_inverse(table):
+    # T^-1 is t itself: no inverse symbol, so the target is the source
+    tr = EquivTransformation.identity(2)
+    assert tr.tinv_app() is t()
+    V = generic_potential(table)
+    assert act_on_potential(V, tr).expr is V.expr
+    assert tr.binding.impl_map() == {}
+
+
+def test_a_shift_acts_outside_the_solver_bracket():
+    # a root solve of T = t brackets in [-60, 60] and gave 900 at both
+    # points, masked; t itself is defined everywhere
+    V = Potential(parse("x1^2 + t*x2"), 2)
+    Vt = act_on_potential(V, EquivTransformation.elementary_P((t(), ZERO), 2))
+    zeros = np.zeros(2, dtype=complex)
+    env = {T_VAR: np.array([70.0, -100.0], dtype=complex), x_var(1): zeros, x_var(2): zeros}
+    vals, _, unsafe = eval_batch(Vt.expr, Vt.binding, env)
+    assert vals.tolist() == [4900, 10000] and not unsafe.any()
 
 
 def test_phase_shift_adds_constant(table):

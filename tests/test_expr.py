@@ -124,6 +124,13 @@ def test_subst_replaces_vars(table):
     assert out is parse("(t+1)^2 + x1", table)
 
 
+def test_subst_drops_each_entry_that_maps_a_variable_to_itself(table, monkeypatch):
+    e = parse("t^2 + x1", table)
+    assert subst(e, {T_VAR: t(), x_var(1): x(2)}) is parse("t^2 + x2", table)
+    monkeypatch.setattr(expr_module, "_rebuild", None)  # with none left, nothing is rebuilt
+    assert subst(e, {T_VAR: t()}) is e
+
+
 # -- property tests ---------------------------------------------------------
 
 def _expr_strategy(table, smooth=False, normal_forms=False):

@@ -17,6 +17,7 @@ from schsym.numeric import (_FOLD_ELEMS, EMPTY_BINDING, EPS_UNSAFE, Binding, Exp
                             InverseImpl, _Tape, draw_env, eval_batch)
 from schsym.parsing import parse
 from test_expr import _expr_strategy
+from test_numeric import _counting_eval_batch
 
 
 def _reference_eval(e, binding, env, count=1):
@@ -661,11 +662,13 @@ def test_ineligible_time_maps_run_the_complex_program(monkeypatch):
     y = np.linspace(0.5, 1.5, 7)
     pts = {T_VAR: y}
     # an integer power of 100, which numpy raises by exp and log: T runs
-    # complex, while T' = 1 + 25*((t - 2)/4)^99 runs real
+    # complex, and so does each Newton step's (T, T') tape, which decides as
+    # a whole, though T' = 1 + 25*((t - 2)/4)^99 alone could run real
     impl = InverseImpl(parse("t + ((t - 2)/4)^100"), Binding())
     assert _Tape(impl.T_expr).run_real(impl._binding, pts, len(y)) is None
     _assert_solve_matches_reference(impl, y)
-    assert real_runs and impl._tapes[impl.T_expr] not in real_runs
+    both = impl._tapes[(impl.T_expr, diff(impl.T_expr, T_VAR))]
+    assert both.run_real(impl._binding, pts, len(y)) is None and not real_runs
     del real_runs[:]
     # a symbol bound to a random surrogate
     tbl = SymbolTable()
@@ -686,6 +689,56 @@ def test_ineligible_time_maps_run_the_complex_program(monkeypatch):
     assert impl._tapes[impl.T_expr].run_real(binding, pts, len(y)) is None
     _assert_solve_matches_reference(impl, y + 0.25)  # other points: no memo hit
     assert not real_runs
+
+
+def test_a_solve_runs_t_and_its_derivative_as_one_program(monkeypatch):
+    # one run for both bracket ends, one (T, T') run per Newton step and
+    # one run of T for the residuals: 1 + 5 + 1, against 13 in two programs
+    impl = InverseImpl(parse("t + 3/10*sin(t)"), Binding())
+    y = np.random.default_rng(6).uniform(-3.0, 3.0, 100)
+    calls = _counting_eval_batch(monkeypatch)
+    _assert_solve_matches_reference(impl, y)
+    both = impl._tapes[(impl.T_expr, diff(impl.T_expr, T_VAR))]
+    assert len(calls) == 7 and calls[1:-1] == [both] * 5
+
+
+def test_a_solve_keeps_the_last_two_point_sets(monkeypatch):
+    impl = InverseImpl(parse("t + 3/10*sin(t)"), Binding())
+    a, b = np.linspace(-1.0, 1.0, 100), np.linspace(-2.0, 2.0, 2400)
+    calls = _counting_eval_batch(monkeypatch)
+    first = impl._solve((a,))
+    impl._solve((b,))
+    del calls[:]
+    again = impl._solve((a,))
+    assert not calls and all(g is w for g, w in zip(again, first))
+    impl._solve((a + 0.5,))  # a third set drops the one solved first
+    del calls[:]
+    impl._solve((b,))
+    assert not calls
+    impl._solve((a,))
+    assert calls
+
+
+@pytest.mark.parametrize("T, sign", [("t/3 + sin(t)/10", 1), ("-t - sin(t)/4", -1)])
+def test_a_solve_whose_bracket_expands_matches_the_reference(T, sign, monkeypatch):
+    # preimages far from y: the bracket search widens every end several times
+    y = sign * np.linspace(2.0, 15.0, 40)
+    impl = InverseImpl(parse(T), Binding())
+    calls = _counting_eval_batch(monkeypatch)
+    _assert_solve_matches_reference(impl, y)
+    assert calls[:3] == [impl._tapes[impl.T_expr]] * 3
+
+
+def test_the_inverse_of_t_is_each_point_itself():
+    # why an identity map may take t for its inverse time map: the solve of
+    # T = t returns y bit for bit, apart from the sign of a zero
+    rng = np.random.default_rng(11)
+    y = np.concatenate([np.linspace(-60.0, 60.0, 12001), rng.uniform(-60.0, 60.0, 4000),
+                        [-0.0, 1e-300, -5e-324, 59.99999999999999]])
+    s, residual = InverseImpl(t(), Binding())._solve((y,))
+    nonzero = y != 0
+    assert np.array_equal(_bits(s[nonzero]), _bits(y[nonzero]))
+    assert (s[~nonzero] == 0).all() and not residual.any()
 
 
 def test_integer_powers_from_100_on_keep_the_complex_program():
