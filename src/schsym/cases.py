@@ -34,8 +34,8 @@ from .closedform import expr_to_exppoly
 from .conditions import (InvariantTuple, Potential, SpanError, classifying_residual, sample_rows,
                          span_invariants)
 from .equivalence import rational_rotation
-from .expr import (COS, HALF, SIN, T_VAR, Expr, FunctionSymbol, SymbolTable, abs_pow, const,
-                   diff, func_app, inline, int_pow, sum_, t)
+from .expr import (COS, HALF, SIN, T_VAR, ZERO, Expr, FunctionSymbol, SymbolTable, abs_pow,
+                   const, diff, func_app, inline, int_pow, sum_, t)
 from .fields import GeneratorCoeffs
 from .funcbank import (TRIG_DEGREE, ConstImpl, ExpPoly, ExpPolyImpl,
                        random_positive_trig_coeffs, random_positive_trig_poly, random_surrogate)
@@ -140,14 +140,16 @@ def parse_template(case: CaseEntry) -> CaseTemplate:
         tab.declare(d["name"], int(d["arity"]), d["codomain"])
     defs = case16_definitions(tab) if case.builder == "case16" else {}
 
-    def p(text: str) -> Expr:
+    def p(text: Optional[str]) -> Expr:
+        if text is None:  # a coefficient the spec omits: ZERO, as "0" parses
+            return ZERO
         e = parse(text, tab, case.n)
         return inline(e, defs) if defs else e
 
     gens = tuple(GeneratorCoeffs(
-        case.n, p(spec.get("tau", "0")), (p(spec.get("kappa", "0")),),
-        tuple(p(c) for c in spec.get("chi", ["0"] * case.n)),
-        p(spec.get("sigma", "0")), p(spec.get("rho", "0"))) for spec in case.generators)
+        case.n, p(spec.get("tau")), (p(spec.get("kappa")),),
+        tuple(p(c) for c in spec.get("chi", [None] * case.n)),
+        p(spec.get("sigma")), p(spec.get("rho"))) for spec in case.generators)
     integrands = {d["name"]: p(d["integrand"]) for d in case.declarations
                   if d.get("draw") == "antiderivative"}
     return CaseTemplate(p(case.potential), gens, integrands)

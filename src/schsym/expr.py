@@ -13,10 +13,11 @@ time.  The node set is deliberately small: sums, products, integer powers,
 applications of abstract function symbols carrying a formal derivative
 multi-index over their argument slots.
 
-Node facts are set at construction, and `diff`, `subst`, `conj_expr`,
-printing and the evaluation tape walk a DAG with one explicit-stack
-`post_order`, so none has a depth limit.  Each node keeps its derivatives
-once computed (`Expr._diffs`).
+Node facts are set at construction: a node's free variables and function
+symbols are int bitmasks over per-process registries.  `diff` walks a DAG on
+an explicit stack of its own, and `subst`, `conj_expr`, printing and the
+evaluation tape with one explicit-stack `post_order`, so none has a depth
+limit.  Each node keeps its derivatives once computed (`Expr._diffs`).
 """
 from __future__ import annotations
 
@@ -145,23 +146,51 @@ def raise_jet(v: VarId, direction: int) -> VarId:
 # coefficient ints; as Expr defines no __eq__ or __hash__, a key compares its
 # children by identity, and as it holds them, it never aliases a freed id()
 _INTERN: dict = {}
-_EMPTY: frozenset = frozenset()
 
 
-def _union(a: frozenset, b: frozenset) -> frozenset:
-    """a | b, returned as a or b itself when that set holds the other, so a
-    node whose children add nothing new shares a child's set."""
-    if a is b or b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
+class _Registry:
+    """Per-process bits of node masks: each new member takes the next bit the
+    first time a node holding it is built, and keeps it for the life of the
+    process.  `marked` holds the bits of the members for which `mark` holds."""
+
+    def __init__(self, mark):
+        self.bits: dict = {}
+        self.members: list = []
+        self.mark = mark
+        self.marked = 0
+
+    def bit(self, m) -> int:
+        """m's bit, registered on first use."""
+        bit = self.bits.get(m)
+        if bit is None:
+            bit = self.bits[m] = 1 << len(self.members)
+            self.members.append(m)
+            if self.mark(m):
+                self.marked |= bit
+        return bit
+
+    def members_of(self, mask: int) -> frozenset:
+        """The members whose bits mask holds."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.members[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+
+# the bits of the variables, jet variables marked, and of the function
+# symbols, complex-codomain symbols marked
+VARIABLES = _Registry(lambda v: v.is_jet)
+SYMBOLS = _Registry(lambda s: s.codomain == "complex")
 
 
 class Expr:
-    # is_real, free_vars and free_symbols are set once, by the constructor;
-    # _diffs: None until the node's first diff, then {VarId: derivative}
-    __slots__ = ("is_real", "free_vars", "free_symbols", "_diffs", "__weakref__")
+    # is_real, vmask and smask are set once, by the constructor: vmask holds
+    # the bits of the node's free variables, smask those of its function
+    # symbols; _diffs: None until the node's first diff, then
+    # {variable's bit: derivative}
+    __slots__ = ("is_real", "vmask", "smask", "_diffs", "__weakref__")
 
     def __str__(self):
         from . import parsing  # parsing imports this module
@@ -198,25 +227,32 @@ class Expr:
     def __rtruediv__(self, other):
         return prod((as_expr(other), int_pow(self, -1)))
 
+    # read-only views of the masks, for callers that need the members
+    @property
+    def free_vars(self) -> frozenset:
+        return VARIABLES.members_of(self.vmask)
+
+    @property
+    def free_symbols(self) -> frozenset:
+        return SYMBOLS.members_of(self.smask)
+
     @property
     def jet_vars(self) -> frozenset:
-        return frozenset(v for v in self.free_vars if v.is_jet)
+        return VARIABLES.members_of(self.vmask & VARIABLES.marked)
 
     def children(self) -> tuple["Expr", ...]:
         return ()
 
-    def _init_facts(self, is_real: bool, kids: tuple, vid: Optional[VarId] = None,
-                    sym: Optional[FunctionSymbol] = None):
+    def _init_facts(self, is_real: bool, kids: tuple, vmask: int = 0, smask: int = 0):
         # children are built before their parents, so their facts exist; the
         # node is real if is_real holds and every child is real
-        vs = syms = _EMPTY
         for k in kids:
-            vs = _union(vs, k.free_vars)
-            syms = _union(syms, k.free_symbols)
+            vmask |= k.vmask
+            smask |= k.smask
             is_real = is_real and k.is_real
         self.is_real = is_real
-        self.free_vars = vs if vid is None else _union(vs, frozenset((vid,)))
-        self.free_symbols = syms if sym is None else _union(syms, frozenset((sym,)))
+        self.vmask = vmask
+        self.smask = smask
         self._diffs = None
 
 
@@ -294,7 +330,7 @@ class Var(Expr):
 
     def __init__(self, vid: VarId):
         self.vid = vid
-        self._init_facts(not vid.is_jet, (), vid=vid)
+        self._init_facts(not vid.is_jet, (), VARIABLES.bit(vid))
 
 
 class FuncApp(Expr):
@@ -304,7 +340,7 @@ class FuncApp(Expr):
         self.sym = sym
         self.args = args
         self.didx = didx
-        self._init_facts(sym.codomain == "real", args, sym=sym)
+        self._init_facts(sym.codomain == "real", args, 0, SYMBOLS.bit(sym))
 
     def children(self):
         return self.args
@@ -707,22 +743,30 @@ def diff(e: Expr, v: VarId) -> Expr:
     derivative is kept on its node, so a walk computes only those of the
     nodes that contain v and lack one, children first.
     """
-    d = e._diffs and e._diffs.get(v)
-    if d is not None:
-        return d
-    if v not in e.free_vars or type(e) is Sign:
+    bit = VARIABLES.bits.get(v)  # None if no node holds v
+    if bit is None or not e.vmask & bit or type(e) is Sign:
         return ZERO
-
-    def enter(u):
-        return (v in u.free_vars and type(u) in _DIFF_WALKED
-                and (u._diffs is None or v not in u._diffs))
-
-    for u in (e,) if type(e) is Conj else post_order(e, enter):
-        d = _diff(u, v)
-        if u._diffs is None:
-            u._diffs = {v: d}
+    ds = e._diffs
+    if ds is not None and bit in ds:
+        return ds[bit]
+    # one explicit-stack post-order walk, entering only the nodes that hold v,
+    # are of a walked type and lack v's derivative (a node met again is
+    # skipped by the derivative kept on it); a Conj root is not walked
+    stack = [(e, iter(() if type(e) is Conj else e.children()))]
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if (c.vmask & bit and type(c) in _DIFF_WALKED
+                    and ((cd := c._diffs) is None or bit not in cd)):
+                stack.append((c, iter(c.children())))
+                break
         else:
-            u._diffs[v] = d
+            stack.pop()
+            d = _diff(node, v)
+            if node._diffs is None:
+                node._diffs = {bit: d}
+            else:
+                node._diffs[bit] = d
     return d  # e's: it is the walk's last node
 
 
@@ -803,9 +847,11 @@ def subst(e: Expr, mapping: Mapping[VarId, Expr]) -> Expr:
     mapping = {v: x for v, x in mapping.items() if x is not var(v)}
     if not mapping:
         return e
-    keys = mapping.keys()
-    return _rebuild(e, {var(v): x for v, x in mapping.items()},
-                    lambda u: not u.free_vars.isdisjoint(keys))
+    done = {var(v): x for v, x in mapping.items()}
+    mask = 0
+    for u in done:
+        mask |= u.vmask
+    return _rebuild(e, done, lambda u: u.vmask & mask)
 
 
 def inline(e: Expr, defs: Mapping[FunctionSymbol, Expr]) -> Expr:
@@ -813,8 +859,11 @@ def inline(e: Expr, defs: Mapping[FunctionSymbol, Expr]) -> Expr:
     definition, an expression in t.  ValueError where a defined symbol is
     left applied otherwise (at another argument, or differentiated)."""
     done = {func_app(f, [t()]): d for f, d in defs.items()}
-    out = _rebuild(e, done, lambda u: u not in done and not u.free_symbols.isdisjoint(defs))
-    left = sorted(f.name for f in out.free_symbols if f in defs)
+    mask = 0
+    for u in done:
+        mask |= u.smask
+    out = _rebuild(e, done, lambda u: u not in done and u.smask & mask)
+    left = sorted(f.name for f in SYMBOLS.members_of(out.smask & mask))
     if left:
         raise ValueError(f"{', '.join(left)} applied other than at t")
     return out
@@ -848,8 +897,8 @@ def _rebuild(e: Expr, done: dict, enter) -> Expr:
 
 
 def depends_only_on_t(e: Expr) -> bool:
-    return all(v == T_VAR for v in e.free_vars)
+    return not e.vmask & ~VARIABLES.bits.get(T_VAR, 0)
 
 
 def has_complex_symbols(e: Expr) -> bool:
-    return any(s.codomain == "complex" for s in e.free_symbols)
+    return bool(e.smask & SYMBOLS.marked)

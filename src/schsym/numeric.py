@@ -518,14 +518,25 @@ def eval_batch(e: Expr | _Tape, binding: Binding, env: Mapping[VarId, np.ndarray
 # randomized zero test
 # ---------------------------------------------------------------------------
 
-def _union(roots: tuple, attr: str) -> frozenset:
-    """The union of the roots' free_vars or free_symbols; one root's own set."""
-    return functools.reduce(expr._union, [getattr(r, attr) for r in roots])
+def _free_vars(roots: tuple) -> frozenset:
+    """The union of the roots' free_vars, from one OR of their masks."""
+    mask = 0
+    for r in roots:
+        mask |= r.vmask
+    return expr.VARIABLES.members_of(mask)
+
+
+def _free_symbols(roots: tuple) -> frozenset:
+    """The union of the roots' free_symbols, from one OR of their masks."""
+    mask = 0
+    for r in roots:
+        mask |= r.smask
+    return expr.SYMBOLS.members_of(mask)
 
 
 def _fill_surrogates(roots: tuple, binding: Binding, rng: np.random.Generator) -> Binding:
     extra = {}
-    for sym in sorted(_union(roots, "free_symbols"), key=lambda s: s.name):
+    for sym in sorted(_free_symbols(roots), key=lambda s: s.name):
         if sym not in binding:
             extra[sym] = funcbank.random_surrogate(rng, sym.arity, sym.codomain)
     return binding.merged(Binding(extra)) if extra else binding
@@ -537,7 +548,7 @@ def eval_resampling(roots: tuple, binding: Binding, points: int,
     random points drawn over the union of their variables and redrawn where
     any root is unsafe, and the env of those points."""
     tape = owned_tape(tapes, roots)
-    vars_needed = _union(roots, "free_vars")
+    vars_needed = _free_vars(roots)
     env = draw_env(vars_needed, points, rng)
     vals, scale, unsafe = eval_batch(tape, binding, env, points)
     budget = RETRY_BUDGET

@@ -1,5 +1,7 @@
 """Expression engine: construction, differentiation, conjugation, round trips."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 import schsym.expr as expr_module
 from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Conj, Const, FuncApp, IntPow,
                          Product, Sign, Sum, SymbolTable, Var, _const, _node, abs_pow,
-                         conj_expr, const, diff, func_app, im_part, int_pow, jet_var,
-                         post_order, prod, psi, psi_var, sign_of, subst, sum_, t,
-                         total_derivative, var, x, x_var)
+                         conj_expr, const, depends_only_on_t, diff, func_app,
+                         has_complex_symbols, im_part, int_pow, jet_var, post_order, prod,
+                         psi, psi_var, sign_of, subst, sum_, t, total_derivative, var, x,
+                         x_var)
 from schsym.funcbank import random_surrogate
 from schsym.numeric import (EMPTY_BINDING, Binding, draw_env, eval_batch, is_zero,
                             max_normalized_residual)
@@ -765,11 +768,72 @@ def test_node_facts_match_recursive_definition(data):
     vs, syms = _ref_facts(e)
     assert e.free_vars == vs and e.free_symbols == syms
     assert e.jet_vars == {v for v in vs if v.is_jet}
-    # a child's set that already holds the union is shared, not copied
-    for fact in ("free_vars", "free_symbols"):
-        own = getattr(e, fact)
-        if any(getattr(c, fact) == own for c in e.children()):
-            assert any(getattr(c, fact) is own for c in e.children())
+    assert depends_only_on_t(e) == all(v == T_VAR for v in vs)
+    assert has_complex_symbols(e) == any(s.codomain == "complex" for s in syms)
+    # each node's masks are the OR of its children's plus its own variable's
+    # or symbol's bit, one bit per registered variable or symbol
+    for u in post_order(e):
+        vmask = smask = 0
+        for c in u.children():
+            vmask |= c.vmask
+            smask |= c.smask
+        if isinstance(u, Var):
+            bit = expr_module.VARIABLES.bits[u.vid]
+            assert bit.bit_count() == 1 and expr_module.VARIABLES.members[bit.bit_length() - 1] == u.vid
+            vmask |= bit
+        if isinstance(u, FuncApp):
+            bit = expr_module.SYMBOLS.bits[u.sym]
+            assert bit.bit_count() == 1 and expr_module.SYMBOLS.members[bit.bit_length() - 1] == u.sym
+            smask |= bit
+        assert (u.vmask, u.smask) == (vmask, smask)
+
+
+# registers, before any node is built, the bits of t, x1, x2, the psi jets up
+# to order 2 and their conjugates, the builtins and the table's symbols in
+# the reverse of their order here
+_REGISTER_REVERSED = """
+import itertools
+from schsym import expr
+from schsym.cases import table
+vids = [expr.T_VAR, expr.x_var(1), expr.x_var(2)] + [
+    expr.jet_var(a, c) for a in itertools.product(range(3), repeat=3) if sum(a) <= 2
+    for c in (False, True)]
+syms = list(expr.BUILTIN_SYMBOLS) + [
+    expr.FunctionSymbol(d["name"], int(d["arity"]), d["codomain"])
+    for case in table().values() for d in case.declarations]
+for v in reversed(vids):
+    expr.VARIABLES.bit(v)
+for s in reversed(syms):
+    expr.SYMBOLS.bit(s)
+assert expr.VARIABLES.members[-1] == expr.T_VAR and expr.SYMBOLS.members[-1] == expr.COS
+"""
+# the CI workflow's verify-table --seed 0, bracket G1 G2 --check and
+# transform with TR, and the keys of a witness point over five variables
+_BIT_ORDER_RUN = """
+from schsym import cli, expr
+from schsym.numeric import max_normalized_residual
+G1 = '{"tau":"t^2 + 1","kappa":"1","chi":["sin(t)","t*cos(t)"],"sigma":"exp(t)","rho":"t^(1/3)"}'
+G2 = '{"tau":"exp(2*t)","kappa":"-2","chi":["cos(t)","t^(3/2)"],"sigma":"sin(t)*t","rho":"cos(t)"}'
+TR = ('{"T":"t + 3/10*sin(t)","X":["t","0"],"O":[["3/5","-4/5"],["4/5","3/5"]],'
+      '"Sigma":"t^2","Upsilon":"cos(t)"}')
+cli.main(["verify-table", "--seed", "0", "--format", "json"])
+cli.main(["bracket", G1, G2, "--check", "--format", "json"])
+cli.main(["transform", "x1^2 + t*x2", TR, "--format", "json"])
+e = (expr.x(2) * expr.var(expr.jet_var((0, 1, 0), True)) + expr.t() * expr.x(1)
+     + expr.psi(2))
+print(list(max_normalized_residual(e, trials=1, bindings_per_trial=1)[1]["point"]))
+"""
+
+
+def test_bit_order_does_not_reach_output():
+    # the plain process and one whose bits run in reverse order, side by side
+    procs = [subprocess.Popen([sys.executable, "-c", pre + _BIT_ORDER_RUN],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for pre in ("", _REGISTER_REVERSED)]
+    (plain, err), (reordered, err2) = (p.communicate() for p in procs)
+    assert [p.returncode for p in procs] == [0, 0], err + err2
+    assert reordered == plain
+    assert plain.endswith("['psi', 'conj(psi_1)', 't', 'x1', 'x2']\n")
 
 
 def test_facts_and_evaluation_do_not_recurse_at_depth_2000():

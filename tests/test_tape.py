@@ -343,7 +343,7 @@ def test_tuple_matches_each_root_on_table_residuals():
         if not roots:
             continue
         binding = numeric._fill_surrogates(roots, inst.workspace.binding, rng)
-        env = draw_env(numeric._union(roots, "free_vars"), 16, rng)
+        env = draw_env(numeric._free_vars(roots), 16, rng)
         _assert_tuple_matches_each_root(roots, binding, env)
         sizes.append(len(roots))
     assert max(sizes) >= 4
@@ -360,8 +360,8 @@ def test_tuple_matches_each_root_on_shared_subterms(data):
     roots = (a + b, a * c, int_pow(b, 2) - c, c, conj_expr(a) * Fraction(3, 7), a + b)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     binding = Binding({s: random_surrogate(rng, s.arity, s.codomain)
-                       for s in numeric._union(roots, "free_symbols")})
-    env = draw_env(numeric._union(roots, "free_vars"), 12, rng)
+                       for s in numeric._free_symbols(roots)})
+    env = draw_env(numeric._free_vars(roots), 12, rng)
     if x_var(1) in env and data.draw(st.booleans()):
         env[x_var(1)][:3] = 0.0  # singular points of 1/x1
     _assert_tuple_matches_each_root(roots, binding, env)
