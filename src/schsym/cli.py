@@ -24,7 +24,7 @@ from . import groupoid as gp
 from . import schema
 from .conditions import Potential, SpanError, classifying_residual, invariants
 from .equivalence import EquivTransformation, act_on_potential, restart_inverse_names
-from .expr import SymbolTable
+from .expr import ZERO, SymbolTable
 from .fields import GeneratorCoeffs, bracket_generic, bracket_structural, expand
 from .numeric import (DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
                       UnsafeSampleError, Workspace, eval_resampling, is_zero,
@@ -176,7 +176,7 @@ def _load_generator(spec, table: SymbolTable, n: int) -> GeneratorCoeffs:
     else:  # the rotation in the (x1, x2) plane
         kappa = (Fraction(kap),) + (Fraction(0),) * (n * (n - 1) // 2 - 1)
     eta0 = spec.get("eta0")
-    eta = parse(str(eta0), table, n) if eta0 not in (None, "null") else None
+    eta = ZERO if eta0 in (None, "null") else parse(str(eta0), table, n)
     return GeneratorCoeffs(n, tau, kappa, chi, sigma, rho, eta)
 
 
@@ -271,7 +271,7 @@ def cmd_bracket(args) -> int:
         "chi": [to_text(c) for c in br.chi],
         "sigma": to_text(br.sigma),
         "rho": to_text(br.rho),
-        "eta0": None if br.eta0 is None else to_text(br.eta0),
+        "eta0": None if br.eta0 is ZERO else to_text(br.eta0),
     }
     if args.check:
         gen = bracket_generic(expand(g1), expand(g2))
@@ -353,7 +353,7 @@ def cmd_groupoid(args) -> int:
         ok = all(payload.values())
     elif args.check == "factorization":
         payload = gp.verify_factorization(model)
-        ok = bool(payload.get("applicable")) and payload["passed"]
+        ok = payload["passed"]
     else:
         fn = {"uniform": gp.is_uniform,
               "semi-normalized": gp.is_semi_normalized,

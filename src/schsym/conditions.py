@@ -254,7 +254,7 @@ def sample_rows(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None
     raises SpanError, before drawing, for an empty list or one with eta0."""
     if not gs:
         raise SpanError("empty generator list")
-    if any(g.eta0 is not None for g in gs):
+    if any(g.eta0 is not ZERO for g in gs):
         raise SpanError("invariants are defined for the essential part (eta0 = 0)")
     rng = np.random.default_rng(0) if rng is None else rng
     tvals = rng.uniform(0.32, 1.68, size=13)
@@ -316,7 +316,7 @@ def span_invariants(samples: Sequence[tuple], tol: float = DEFAULT_TOL) -> list:
 
 def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
                rng: Optional[np.random.Generator] = None,
-               tol: float = DEFAULT_TOL, tapes: Optional[dict] = None) -> InvariantTuple:
+               tol: float = DEFAULT_TOL) -> InvariantTuple:
     """Invariant integers (k0, k1, k2, k3, r0) of the span of gs.
 
     Requires the span to be closed under the bracket and to contain the
@@ -324,11 +324,9 @@ def invariants(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None,
 
     It is span_invariants of one draw of sample_rows; a case's verifier
     samples its draws from the random stream in this same order and
-    analyses them as one stack after the last (``tapes`` keeps the
-    coefficient tape, so a caller that hands the same dict in on every
-    draw compiles it once).
+    analyses them as one stack after the last.
     """
-    tup, = span_invariants([sample_rows(gs, binding, rng, tapes)], tol)
+    tup, = span_invariants([sample_rows(gs, binding, rng)], tol)
     if isinstance(tup, SpanError):
         raise tup
     return tup
@@ -412,7 +410,7 @@ def lemma_fixtures(rng: Optional[np.random.Generator] = None, tol: float = DEFAU
     sigma_expr = exppoly_to_expr(random_trig_poly(rng, "real"))
     rho_expr = exppoly_to_expr(random_trig_poly(rng, "real"))
     g = P(h_expr * cosT, h_expr * sinT)
-    g = GeneratorCoeffs(2, g.tau, g.kappa, g.chi, sigma_expr, rho_expr, None)
+    g = GeneratorCoeffs(2, g.tau, g.kappa, g.chi, sigma_expr, rho_expr)
 
     trD = eq.EquivTransformation.elementary_D(theta_expr, 2, ws2)
     g_mid = eq.pushforward(g, trD)

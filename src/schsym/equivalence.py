@@ -376,7 +376,7 @@ def pushforward(g: GeneratorCoeffs, tr: EquivTransformation) -> GeneratorCoeffs:
     with X_hat = O^T X / |T_t|^(1/2) and Sigma_hat = eps (Sigma - T_tt |X_hat|^2
     / (8 |T_t|)) - X_hat . X_hat_t / 4; only D needs T^-1.  A factor whose
     parameter is ZERO, t or the identity matrix is skipped."""
-    if g.eta0 is not None:
+    if g.eta0 is not ZERO:
         raise ValueError("pushforward is defined for the essential part (eta0 = 0)")
     x_hat = None  # no shift factor
     sigma_hat = tr.Sigma if tr.eps > 0 else -tr.Sigma

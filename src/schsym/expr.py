@@ -410,7 +410,12 @@ class Conj(Expr):
 
     def __init__(self, arg: Expr):
         self.arg = arg
-        self._init_facts(False, (arg,))
+        # conj(arg) is a function of the conjugate of each jet arg holds; arg's
+        # own jets stay, as a tape reads them
+        vmask = 0
+        for v in VARIABLES.members_of(arg.vmask & VARIABLES.marked):
+            vmask |= VARIABLES.bit(jet_var(v.alpha, not v.conj))
+        self._init_facts(False, (arg,), vmask)
 
     def children(self):
         return (self.arg,)

@@ -4,7 +4,7 @@ A generator is stored in the canonical coefficient form
 (tau, kappa, chi, sigma, rho, eta0): time component tau(t), rotation
 coefficients kappa_ab (a<b, multiplying J_ab = x_a d_b - x_b d_a),
 generalized-shift tuple chi(t), phase part sigma(t), scaling part rho(t)
-and an optional inhomogeneous part eta0(t, x).
+and inhomogeneous part eta0(t, x), ZERO when the generator has none.
 
 Brackets come in three flavours: the closed-form structural bracket on
 canonical data; the generic commutator of first-order operators on
@@ -70,9 +70,11 @@ class GeneratorCoeffs:
     chi: tuple[Expr, ...]
     sigma: Expr
     rho: Expr
-    eta0: Optional[Expr] = None
+    eta0: Expr = ZERO  # a None passed in is stored as ZERO
 
     def __post_init__(self):
+        if self.eta0 is None:
+            object.__setattr__(self, "eta0", ZERO)
         if len(self.chi) != self.n:
             raise ValueError("chi must have n components")
         if len(self.kappa) != len(_pairs(self.n)):
@@ -93,7 +95,7 @@ class GeneratorCoeffs:
                 raise ValueError(f"{name} must not contain complex-codomain symbols")
             if not e.is_real:
                 raise ValueError(f"{name} must be real-valued")
-        if self.eta0 is not None and self.eta0.jet_vars:
+        if self.eta0.jet_vars:
             raise ValueError("eta0 must not contain jet variables")
 
     # -- linear structure
@@ -101,22 +103,18 @@ class GeneratorCoeffs:
     def add(self, other: "GeneratorCoeffs") -> "GeneratorCoeffs":
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        e1 = self.eta0 if self.eta0 is not None else ZERO
-        e2 = other.eta0 if other.eta0 is not None else ZERO
-        eta = e1 + e2
         return GeneratorCoeffs(
             self.n, self.tau + other.tau,
             tuple(a + b for a, b in zip(self.kappa, other.kappa)),
             tuple(a + b for a, b in zip(self.chi, other.chi)),
-            self.sigma + other.sigma, self.rho + other.rho,
-            None if eta is ZERO else eta)
+            self.sigma + other.sigma, self.rho + other.rho, self.eta0 + other.eta0)
 
     def scale(self, c) -> "GeneratorCoeffs":
         ce = as_expr(c)
         return GeneratorCoeffs(
             self.n, ce * self.tau, tuple(ce * k for k in self.kappa),
             tuple(ce * ch for ch in self.chi), ce * self.sigma, ce * self.rho,
-            None if self.eta0 is None else ce * self.eta0)
+            ce * self.eta0)
 
     def kappa_matrix(self) -> list[list[Expr]]:
         """K with rotation part xi_a = K_ab x_b; K_ba = kappa_ab for a<b."""
@@ -132,12 +130,9 @@ class GeneratorCoeffs:
             sum_(K[a][b] * x(b + 1) for b in range(self.n) if K[a][b] is not ZERO)
             for a in range(self.n))
 
-    def eta0_or_zero(self) -> Expr:
-        return self.eta0 if self.eta0 is not None else ZERO
-
 
 def zero_gen(n: int) -> GeneratorCoeffs:
-    return GeneratorCoeffs(n, ZERO, (ZERO,) * len(_pairs(n)), (ZERO,) * n, ZERO, ZERO, None)
+    return GeneratorCoeffs(n, ZERO, (ZERO,) * len(_pairs(n)), (ZERO,) * n, ZERO, ZERO)
 
 
 def D(tau, n: int = 2) -> GeneratorCoeffs:
@@ -215,8 +210,8 @@ def expand(g: GeneratorCoeffs) -> VectorField:
     q = sum_((prod((I8, tau_tt, absx2(n))),
               *(prod((I2, diff(g.chi[a - 1], T_VAR), x(a))) for a in range(1, n + 1)),
               g.rho, I_UNIT * g.sigma))
-    coef_psi = q * psi(n) + g.eta0_or_zero()
-    coef_psi_star = conj_expr(q) * psi(n, conj=True) + conj_expr(g.eta0_or_zero())
+    coef_psi = q * psi(n) + g.eta0
+    coef_psi_star = conj_expr(q) * psi(n, conj=True) + conj_expr(g.eta0)
     return VectorField(n, g.tau, coef_x, coef_psi, coef_psi_star)
 
 
@@ -289,9 +284,8 @@ def bracket_structural(g1: GeneratorCoeffs, g2: GeneratorCoeffs) -> GeneratorCoe
 
     rho = t1 * diff(g2.rho, T_VAR) - t2 * diff(g1.rho, T_VAR)
 
-    eta = _z_action(g1, g2.eta0_or_zero()) - _z_action(g2, g1.eta0_or_zero())
-    return GeneratorCoeffs(n, tau, kappa, tuple(chi), sigma, rho,
-                           None if eta is ZERO else eta)
+    eta0 = _z_action(g1, g2.eta0) - _z_action(g2, g1.eta0)
+    return GeneratorCoeffs(n, tau, kappa, tuple(chi), sigma, rho, eta0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +306,9 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     tape of the tuple of those roots, kept in ``tapes``, a caller's dict
     (``numeric.owned_tape``), or else in one for this call, run without a
     subterm scale, which rows do not read.  Where a node of that run is
-    unsafe, the roots are sampled one by one, the coefficients of every
-    generator first and then the derivatives, and the first unsafe one
-    raises UnsafeSampleError: singular or undefined at a sampled time.
+    unsafe, UnsafeSampleError is raised: singular or undefined at a sampled
+    time.  It names the first root that is unsafe in a run of its own, the
+    coefficients of every generator first and then the derivatives.
     """
     m, n, k = len(tvals), gs[0].n, len(gs)
     if any(g.n != n for g in gs):
@@ -330,22 +324,21 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     sampled = {}
     if roots:
         vals, _, unsafe = eval_batch(owned_tape(tapes, roots), binding, env, scale=False)
-        if not unsafe.any():
-            sampled = dict(zip(roots, np.real(vals)))
+        if unsafe.any():
+            for e in roots:  # in the order of their first places in exprs
+                alone = eval_batch(e, binding, env, scale=False)[2]
+                if alone.any():
+                    i, field = divmod(exprs.index(e) % len(coeffs), len(names))
+                    raise UnsafeSampleError(
+                        f"generator {i}: {names[field]} is singular or undefined at "
+                        f"{int(alone.sum())} of {m} sampled times")
+            raise UnsafeSampleError(f"the coefficients are singular or undefined at "
+                                    f"{int(unsafe.sum())} of {m} sampled times")
+        sampled = dict(zip(roots, np.real(vals)))
     samples = np.empty((len(exprs), m))
     for p, e in enumerate(exprs):
-        if type(e) is Const:
-            samples[p] = e.value().real  # the real part eval_batch would give
-        elif e in sampled:
-            samples[p] = sampled[e]
-        else:
-            vals, _, unsafe = eval_batch(owned_tape(tapes, e), binding, env, scale=False)
-            if unsafe.any():
-                i, field = divmod(p % len(coeffs), len(names))
-                raise UnsafeSampleError(
-                    f"generator {i}: {names[field]} is singular or undefined at "
-                    f"{int(unsafe.sum())} of {m} sampled times")
-            samples[p] = np.real(vals)
+        # a constant's real part is the one eval_batch would give
+        samples[p] = e.value().real if type(e) is Const else sampled[e]
     samples = samples.reshape(2, k, len(names), m)
     rows, drows = (np.hstack([s[:, 0], s[:, 1:npair + 1, 0],
                               s[:, npair + 1:].reshape(k, (n + 2) * m)]) for s in samples)

@@ -47,8 +47,7 @@ class FiniteGroupoid:
         self.mult = dict(mult)
         self.unit: dict[str, int] = {}
         self.inv: dict[int, int] = {}
-        self._arrow_index = {a: i for i, a in enumerate(arrows)}
-        if len(self._arrow_index) != len(arrows):
+        if len(set(arrows)) != len(arrows):
             raise GroupoidError("duplicate arrows")
         self._validate()
 
@@ -112,31 +111,17 @@ class FiniteGroupoid:
     def labels(self, arrow_ids: Iterable[int]) -> frozenset[str]:
         return frozenset(self.arrows[i].label for i in arrow_ids)
 
+    def _closed(self, ids: frozenset[int]) -> bool:
+        """Whether ids holds the inverse of each of its arrows and each
+        product of two of them."""
+        return all(self.inv[i] in ids for i in ids) and frobenius_product(self, ids, ids) <= ids
+
     def is_subgroupoid(self, ids: frozenset[int]) -> bool:
         """Whether ids is a wide subgroupoid: closed, with every unit."""
-        if any(self.unit[obj] not in ids for obj in self.objects):
-            return False
-        for i in ids:
-            if self.inv[i] not in ids:
-                return False
-            for j in ids:
-                k = self.mult.get((i, j))
-                if k is not None and k not in ids:
-                    return False
-        return True
+        return all(self.unit[obj] in ids for obj in self.objects) and self._closed(ids)
 
     def is_subgroup_at(self, obj: str, ids: frozenset[int]) -> bool:
-        if not ids <= self.vertex_group(obj):
-            return False
-        if self.unit[obj] not in ids:
-            return False
-        for i in ids:
-            if self.inv[i] not in ids:
-                return False
-            for j in ids:
-                if self.mult[(i, j)] not in ids:
-                    return False
-        return True
+        return ids <= self.vertex_group(obj) and self.unit[obj] in ids and self._closed(ids)
 
 
 def frobenius_product(G: FiniteGroupoid, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
@@ -176,11 +161,10 @@ class GroupoidModel:
         return frozenset(out)
 
 
-def is_uniform(m: GroupoidModel, H: Optional[frozenset[int]] = None) -> bool:
+def is_uniform(m: GroupoidModel) -> bool:
     """N_{s(T)} * T == T * N_{t(T)} for every arrow T of the action subgroupoid."""
     G = m.G
-    H = m.H if H is None else H
-    for i in H:
+    for i in m.H:
         a = G.arrows[i]
         left = {G.mult[(j, i)] for j in m.N[a.src]}
         right = {G.mult[(i, j)] for j in m.N[a.tgt]}
@@ -189,24 +173,30 @@ def is_uniform(m: GroupoidModel, H: Optional[frozenset[int]] = None) -> bool:
     return True
 
 
-def is_semi_normalized(m: GroupoidModel, H: Optional[frozenset[int]] = None) -> bool:
+def _covers(m: GroupoidModel) -> bool:
+    """is_semi_normalized's test, for a family already known to be uniform."""
+    return frobenius_product(m.G, m.n_f(), m.H) == m.G.all_arrows()
+
+
+def _disjoint(m: GroupoidModel) -> bool:
+    """is_disjointedly's test, for a family already known to be uniform."""
+    h_labels = m.G.labels(m.H)
+    return all(m.G.labels(m.N[obj]) & h_labels == {m.G.unit_label} for obj in m.G.objects)
+
+
+def is_semi_normalized(m: GroupoidModel) -> bool:
     """N^f * G^H covers the whole groupoid (requires a uniform family)."""
-    H = m.H if H is None else H
-    if not is_uniform(m, H):
+    if not is_uniform(m):
         raise ModelNotUniform("the symmetry family is not uniform for this action")
-    return frobenius_product(m.G, m.n_f(), H) == m.G.all_arrows()
+    return _covers(m)
 
 
 def is_disjointedly(m: GroupoidModel) -> bool:
-    """N_theta intersects the projected subgroup only in the identity."""
+    """N_theta intersects the projected subgroup only in the identity
+    (requires a uniform family)."""
     if not is_uniform(m):
         raise ModelNotUniform("the symmetry family is not uniform for this action")
-    h_labels = m.G.labels(m.H)
-    for obj in m.G.objects:
-        shared = m.G.labels(m.N[obj]) & h_labels
-        if shared != {m.G.unit_label}:
-            return False
-    return True
+    return _disjoint(m)
 
 
 def kernel_labels(G: FiniteGroupoid) -> frozenset[str]:
@@ -228,12 +218,12 @@ def verify_factorization(m: GroupoidModel) -> dict:
     if not is_uniform(m):
         return {"applicable": False, "reason": "family is not uniform",
                 "passed": False}
-    if not is_semi_normalized(m):
+    if not _covers(m):
         return {"applicable": False, "reason": "model is not semi-normalized",
                 "passed": False}
     h_labels = G.labels(m.H)
     report = {"applicable": True, "objects": {}, "passed": True}
-    disjoint = is_disjointedly(m)
+    disjoint = _disjoint(m)
     for obj in G.objects:
         vertex = G.vertex_group(obj)
         n_ids = m.N[obj]
@@ -263,18 +253,15 @@ def verify_factorization(m: GroupoidModel) -> dict:
     return report
 
 
-def verify_extension(m: GroupoidModel, Hbar: Optional[frozenset[int]] = None) -> bool:
-    """Semi-normalization persists for a larger subgroup and for the
-    kernel-enlarged symmetry family."""
+def verify_extension(m: GroupoidModel) -> bool:
+    """Semi-normalization persists for the larger subgroupoid m.Hbar (m.H
+    where that is None) and for the kernel-enlarged symmetry family."""
     G = m.G
-    Hbar = m.Hbar if Hbar is None else Hbar
-    if Hbar is None:
-        Hbar = m.H
-    if not G.is_subgroupoid(Hbar):
-        raise GroupoidError("Hbar is not a wide subgroupoid")
-    if not (m.H <= Hbar):
+    Hbar = m.H if m.Hbar is None else m.Hbar
+    if not m.H <= Hbar:
         raise GroupoidError("Hbar does not contain H")
-    if not (is_uniform(m, Hbar) and is_semi_normalized(m, Hbar)):
+    wider = GroupoidModel(G, Hbar, m.N)
+    if not (is_uniform(wider) and _covers(wider)):
         return False
     klabels = kernel_labels(G)
     nbar = {}
@@ -285,22 +272,21 @@ def verify_extension(m: GroupoidModel, Hbar: Optional[frozenset[int]] = None) ->
         if not G.is_subgroup_at(obj, prod):
             return False
         nbar[obj] = prod
-    mbar = GroupoidModel(G, m.H, nbar)
-    return is_uniform(mbar, Hbar) and is_semi_normalized(mbar, Hbar)
+    mbar = GroupoidModel(G, Hbar, nbar)
+    return is_uniform(mbar) and _covers(mbar)
 
 
 def run_all_checks(m: GroupoidModel) -> dict:
     """The documented truth table entries for one model."""
     uniform = is_uniform(m)
     out = {"uniform": uniform,
-           "semi_normalized": uniform and is_semi_normalized(m),
-           "disjoint": uniform and is_disjointedly(m)}
+           "semi_normalized": uniform and _covers(m),
+           "disjoint": uniform and _disjoint(m)}
     fact = verify_factorization(m)
-    out["factorization"] = bool(fact.get("applicable") and fact["passed"])
-    out["splitting"] = bool(
-        fact.get("applicable") and fact["passed"] and fact.get("disjoint")
-        and all(e.get("unique_decomposition", False)
-                for e in fact["objects"].values()))
+    # passed is False where the check is not applicable, and on a disjoint
+    # model it requires a unique decomposition at every object
+    out["factorization"] = fact["passed"]
+    out["splitting"] = fact["passed"] and fact["disjoint"]
     try:
         out["extension"] = verify_extension(m)
     except GroupoidError:

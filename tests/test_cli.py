@@ -79,6 +79,16 @@ def test_invariants_non_closed_span(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("eta0", ['"0"', "0", "null"])
+def test_invariants_zero_eta0_is_an_absent_one(capsys, eta0):
+    # "0", 0 and null all mean no inhomogeneous part, as an absent key does
+    plain = run_cli(capsys, "invariants", '[{"sigma":"1"},{"rho":"1"},{"tau":"1"}]',
+                    "--format", "json")
+    spec = f'[{{"sigma":"1"}},{{"rho":"1"}},{{"tau":"1","eta0":{eta0}}}]'
+    assert run_cli(capsys, "invariants", spec, "--format", "json") == plain
+    assert plain[0] == 0 and json.loads(plain[1])["dim"] == 3
+
+
 def test_transform_sigma_shift(capsys):
     code, out = run_cli(capsys, "transform", "0", '{"Sigma": "t/2"}')
     assert code == 0

@@ -1,7 +1,9 @@
 """Classifying condition, prolongation oracle, invariants, kernel, lemmas."""
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from schsym.cases import instantiate, table as case_table
 from schsym.conditions import (InvariantTuple, Potential, SpanError, _inside, _rank, _row_space,
@@ -157,10 +159,19 @@ def test_invariants_counts_blocks():
     assert invariants(gens, rng=RNG) == InvariantTuple(2, 0, 0, 2, 0)
 
 
+def test_invariants_take_a_zero_eta0_as_none():
+    gens = [M(1), Iop(1), D(1)]
+    want = invariants(gens, rng=np.random.default_rng(0))
+    assert invariants([replace(g, eta0=ZERO) for g in gens],
+                      rng=np.random.default_rng(0)) == want == InvariantTuple(2, 0, 0, 1, 0)
+    with pytest.raises(SpanError, match="essential part"):
+        invariants([M(1), Iop(1), replace(D(1), eta0=x(1))], rng=np.random.default_rng(0))
+
+
 def test_invariants_samples_each_draw_once(monkeypatch):
-    # one run of the tape of every non-constant coefficient and derivative,
-    # compiled once in the caller's dict; the M/I probes are constant rows
-    # and r0 reads the generators' rows instead of sampling them again
+    # one run of the tape of every non-constant coefficient and derivative;
+    # the M/I probes are constant rows and r0 reads the generators' rows
+    # instead of sampling them again
     import schsym.fields as fields_module
 
     runs = []
@@ -173,10 +184,14 @@ def test_invariants_samples_each_draw_once(monkeypatch):
     monkeypatch.setattr(fields_module, "eval_batch", counted)
     tv = var(T_VAR)
     gens = [M(1), Iop(1), P(1, 0), P(tv, 0), P(0, 1), P(0, tv), D(1)]
+    for seed in (0, 1):
+        assert invariants(gens, rng=np.random.default_rng(seed)) == InvariantTuple(2, 4, 0, 1, 2)
+    assert runs == [(_Tape((tv,)).root, 13)] * 2
+    # draws that share one dict compile the tape once
+    runs.clear()
     tapes = {}
     for seed in (0, 1):
-        assert invariants(gens, rng=np.random.default_rng(seed),
-                          tapes=tapes) == InvariantTuple(2, 4, 0, 1, 2)
+        sample_rows(gens, rng=np.random.default_rng(seed), tapes=tapes)
     assert list(tapes) == [(tv,)]
     assert runs == [(tapes[tv,].root, 13)] * 2 and type(runs[0][0]) is tuple
     # with every coefficient constant there is nothing to run

@@ -284,6 +284,13 @@ def test_a_map_keeps_expressions_not_bindings():
     assert results[0].expr is results[1].expr
 
 
+def test_pushforward_takes_a_zero_eta0_as_none():
+    identity = EquivTransformation.identity(2)
+    assert pushforward(replace(D(1), eta0=ZERO), identity) == pushforward(D(1), identity)
+    with pytest.raises(ValueError, match="essential part"):
+        pushforward(replace(D(1), eta0=x(1)), identity)
+
+
 def test_pushforward_listed_rules():
     rng = np.random.default_rng(7)
     tau = small_fn(rng, amp=1.0)

@@ -112,6 +112,18 @@ def test_total_derivative_raises_jets():
     assert total_derivative(parse("t^2"), 1) is ZERO
 
 
+def test_conjugated_function_of_a_jet_is_differentiated_by_the_conjugate_jet(table):
+    # conj(U(psi)) is Ubar(conj(psi)): it holds both jets, and its derivative
+    # by conj(psi) is conj(U[1](psi)), by psi zero
+    U = table.get("U")
+    e = conj_expr(func_app(U, [psi(2)]))
+    assert type(e) is Conj and e.free_vars == {psi_var(2), psi_var(2, conj=True)}
+    dU = conj_expr(func_app(U, [psi(2)], [1]))
+    assert diff(e, psi_var(2)) is ZERO
+    assert diff(e, psi_var(2, conj=True)) is dU
+    assert total_derivative(e, 0) is dU * var(jet_var((1, 0, 0), conj=True))
+
+
 def test_conjugation_distributes(table):
     e = parse("i*x1 + U(x2)", table)
     c = conj_expr(e)

@@ -39,6 +39,12 @@ def test_expand_time_translation():
     assert f.coef_psi is ZERO and f.coef_psi_star is ZERO
 
 
+def test_eta0_none_is_stored_as_zero():
+    args = (2, var(T_VAR), (ZERO,), (ONE, ZERO), ZERO, ZERO)
+    assert GeneratorCoeffs(*args, None) == GeneratorCoeffs(*args, ZERO) == GeneratorCoeffs(*args)
+    assert GeneratorCoeffs(*args, None).eta0 is ZERO
+
+
 def test_expand_rotation():
     f = expand(J(1, 2))
     assert f.coef_x == (-x(2), x(1))
@@ -132,7 +138,7 @@ def test_expand_and_structural_chi_match_binary_chains():
         coef_x, q = _ref_expand_x_and_q(g1)
         e = expand(g1)
         assert all(u is v for u, v in zip(e.coef_x, coef_x))
-        assert e.coef_psi is q * psi(2) + g1.eta0_or_zero()
+        assert e.coef_psi is q * psi(2) + g1.eta0
         for g2 in gens:
             got = bracket_structural(g1, g2).chi
             assert all(u is v for u, v in zip(got, _ref_structural_chi(g1, g2)))
@@ -417,6 +423,23 @@ def test_coefficient_rows_fold_no_scale(monkeypatch):
 def test_coefficient_rows_reject_unsafe_samples():
     gs = [Iop(1), D(parse("t")), P(ONE, parse("log(t - 2)"))]
     with pytest.raises(UnsafeSampleError, match="generator 2: chi2"):
+        coefficient_rows(gs, EMPTY_BINDING, np.linspace(0.32, 1.68, 13))
+
+
+def test_coefficient_rows_raise_when_no_root_is_unsafe_alone(monkeypatch):
+    # an unsafe union run raises even where no root's own run names a culprit
+    import schsym.fields as fields_module
+
+    real = fields_module.eval_batch
+
+    def union_unsafe(e, *args, **kw):
+        vals, scale, unsafe = real(e, *args, **kw)
+        return vals, scale, unsafe | (type(e) is _Tape)
+
+    monkeypatch.setattr(fields_module, "eval_batch", union_unsafe)
+    gs = [Iop(1), D(parse("t")), P(ONE, parse("sin(t)"))]
+    with pytest.raises(UnsafeSampleError, match="^the coefficients are singular or undefined "
+                                                "at 13 of 13 sampled times$"):
         coefficient_rows(gs, EMPTY_BINDING, np.linspace(0.32, 1.68, 13))
 
 

@@ -202,9 +202,13 @@ def test_kernel_and_extension():
     m = s3_model()
     assert kernel_labels(m.G) == {"e", "r", "rr"}
     assert verify_extension(m)  # uses the shipped Hbar
-    assert verify_extension(m, m.H)  # Hbar = H is allowed
-    with pytest.raises(GroupoidError):
-        verify_extension(m, frozenset())  # not wide
+    assert verify_extension(GroupoidModel(m.G, m.H, m.N, m.H))  # Hbar = H is allowed
+    assert verify_extension(GroupoidModel(m.G, m.H, m.N))  # no Hbar: H itself
+    with pytest.raises(GroupoidError, match="Hbar is not a wide subgroupoid"):
+        GroupoidModel(m.G, m.H, m.N, frozenset())
+    units = frozenset(m.G.unit.values())  # wide, but without H's other arrows
+    with pytest.raises(GroupoidError, match="Hbar does not contain H"):
+        verify_extension(GroupoidModel(m.G, m.H, m.N, units))
 
 
 def test_json_round_trip_and_malformed():
