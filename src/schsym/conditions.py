@@ -420,7 +420,10 @@ def lemma_fixtures(rng: Optional[np.random.Generator] = None, tol: float = DEFAU
     h2_til = subst(abs_pow(diff(theta_expr, T_VAR), 1) * h_expr * h_expr,
                    {T_VAR: tinv_app})
     lam_integrand = const(-2) * sig_til * int_pow(h2_til, -1)
-    lam = ws2.declare("lam_1", 1, "real", AntiderivImpl(lam_integrand, ws2.binding))
+    # lambda's value is an antiderivative's free constant (AntiderivImpl),
+    # drawn so that no fixed number can be a root of a wrong identity
+    lam = ws2.declare("lam_1", 1, "real",
+                      AntiderivImpl(lam_integrand, ws2.binding, rng.uniform(-1.0, 1.0)))
     lam_app = func_app(lam, [t_expr()])
     Xshift = (lam_app * g_mid.chi[0], lam_app * g_mid.chi[1])
     trP = eq.EquivTransformation.elementary_P(Xshift, 2, ws2)

@@ -130,6 +130,11 @@ def psi_var(n: int, conj: bool = False) -> VarId:
     return jet_var((0,) * (n + 1), conj)
 
 
+def conj_var(v: VarId) -> VarId:
+    """The conjugate variable: a jet with its flag flipped; t and x are their own."""
+    return jet_var(v.alpha, not v.conj) if v.is_jet else v
+
+
 def raise_jet(v: VarId, direction: int) -> VarId:
     """Raise the multi-index in coordinate direction 0=t, 1..n=x_a."""
     alpha = list(v.alpha)
@@ -414,7 +419,7 @@ class Conj(Expr):
         # own jets stay, as a tape reads them
         vmask = 0
         for v in VARIABLES.members_of(arg.vmask & VARIABLES.marked):
-            vmask |= VARIABLES.bit(jet_var(v.alpha, not v.conj))
+            vmask |= VARIABLES.bit(conj_var(v))
         self._init_facts(False, (arg,), vmask)
 
     def children(self):
@@ -716,7 +721,7 @@ def conj_expr(e: Expr) -> Expr:
             rn, rd, jn, jd = u.coeff
             done[u] = _const((rn, rd, -jn, jd))
         elif tu is Var:
-            done[u] = var(jet_var(u.vid.alpha, not u.vid.conj))
+            done[u] = var(conj_var(u.vid))
         else:
             done[u] = u.arg if tu is Conj else _node(Conj, u)
         return False
@@ -805,7 +810,7 @@ def _diff(e: Expr, v: VarId) -> Expr:
         return prod((const(e.q), abs_pow(e.base, e.q - 1), sign_of(e.base), diff(e.base, v)))
     if isinstance(e, Conj):
         # conj(f)' is conj(f') by v with its jet flag flipped
-        return conj_expr(diff(e.arg, jet_var(v.alpha, not v.conj) if v.is_jet else v))
+        return conj_expr(diff(e.arg, conj_var(v)))
     terms = []
     for s in range(e.sym.arity):  # a FuncApp
         d = diff(e.args[s], v)
@@ -845,18 +850,63 @@ def total_derivative(e: Expr, direction: int) -> Expr:
     return out
 
 
+class _Pending(Exception):
+    """A Conj met by ``subst`` before its image is made."""
+
+
 def subst(e: Expr, mapping: Mapping[VarId, Expr]) -> Expr:
     """Replace variables by expressions (nothing is captured: vars are global).
     An entry mapping a variable to itself is dropped, and e is returned when
-    none is left, so substituting t for t rebuilds nothing."""
+    none is left, so substituting t for t rebuilds nothing.
+
+    A Conj node is a function of the conjugates of the jets its argument
+    holds (as ``diff`` takes it), so one that holds a mapped variable becomes
+    the conjugate of its argument under the conjugate map: each key swapped
+    for its conjugate (t and x are their own) and each value conjugated.
+    Every Conj of the call shares that one map, made at the first, so the
+    two maps' ``done`` dicts serve any nesting.  A rebuild that meets a Conj
+    without an image stops before it builds anything, and the arguments of
+    its Conjs are rebuilt first, on an explicit stack, so nesting has no
+    depth limit.
+    """
     mapping = {v: x for v, x in mapping.items() if x is not var(v)}
     if not mapping:
         return e
-    done = {var(v): x for v, x in mapping.items()}
-    mask = 0
-    for u in done:
-        mask |= u.vmask
-    return _rebuild(e, done, lambda u: u.vmask & mask)
+    sides: list = []  # (done, mask) of the map, then of the conjugate map
+    stack = [(e, 0, None)]  # (node, side of its map, the Conj it is the argument of)
+    while True:
+        u, k, c = stack[-1]
+        if k == len(sides):
+            m = mapping if k == 0 else {conj_var(v): conj_expr(x) for v, x in mapping.items()}
+            done = {var(v): x for v, x in m.items()}
+            mask = 0
+            for w in done:
+                mask |= w.vmask
+            sides.append((done, mask))
+        done, mask = sides[k]
+
+        def enter(w, pending=None):
+            if not w.vmask & mask:
+                return False
+            if type(w) is not Conj:
+                return True
+            if w not in done:
+                if pending is None:
+                    raise _Pending
+                pending.append(w)
+            return False
+
+        try:
+            out = _rebuild(u, done, enter)
+        except _Pending:
+            pending: list = []
+            post_order(u, lambda w: enter(w, pending))
+            stack += [(w.arg, 1 - k, w) for w in pending]
+            continue
+        stack.pop()
+        if c is None:
+            return out
+        sides[1 - k][0][c] = conj_expr(out)
 
 
 def inline(e: Expr, defs: Mapping[FunctionSymbol, Expr]) -> Expr:

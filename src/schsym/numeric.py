@@ -41,12 +41,11 @@ imaginary part of the complex run is a zero, so float sums and products,
 the real cos and sin, and the real parts of integer powers and the other
 functions taken in complex round as the complex run does.  Only a zero's
 sign, or a non-finite value, can tell them apart, and there (a zero root,
-a non-finite row) the complex program runs instead.  H_k values,
-quadrature and the zero tests stay complex.
+a non-finite row) the complex program runs instead.  H_k values and the
+zero tests stay complex.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable, Mapping, Optional
 
@@ -698,11 +697,10 @@ class InverseImpl(funcbank.FunctionImpl):
     ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
     residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) and,
     for k >= 1, points where evaluating H_k is unsafe (|T'(s)| < 1e-9, a
-    flat point of T).  The last two solves are memoized by their points and
-    by the binding's count of binds, so derivative orders 0..k on the same
-    points cost one root solve, also when a solve at other points (a
-    quadrature's) comes between them, and a ``Binding.bind`` (which may
-    change T) makes the memo stale.
+    flat point of T).  The last solve is memoized by its points and by the
+    binding's count of binds, so derivative orders 0..k on the same points
+    cost one root solve, and a ``Binding.bind`` (which may change T) makes
+    the memo stale.
     """
 
     MAX_ORDER = 8
@@ -714,8 +712,7 @@ class InverseImpl(funcbank.FunctionImpl):
         self.T_expr = T_expr
         self._binding = binding
         self._bracket = bracket
-        # the last two solves, newest first: (key, preimages, residuals)
-        self._memo: tuple[tuple[tuple, np.ndarray, np.ndarray], ...] = ()
+        self._memo: tuple = (None, None, None)  # the last solve: (key, preimages, residuals)
         self._derivs: list[Expr] = []
         self._tapes: dict[Expr | tuple, _Tape] = {}  # T, (T, T') and each H_k evaluated
 
@@ -735,9 +732,8 @@ class InverseImpl(funcbank.FunctionImpl):
         """Preimages s of args[0] and their residuals |T(s) - y|."""
         y = np.real(np.asarray(args[0], dtype=complex))
         key = (self._binding._binds, y.shape, y.tobytes())
-        for memo in self._memo:
-            if memo[0] == key:
-                return memo[1], memo[2]
+        if self._memo[0] == key:
+            return self._memo[1:]
         T, T_t = self.T_expr, diff(self.T_expr, T_VAR)
         n = len(y)
 
@@ -785,7 +781,7 @@ class InverseImpl(funcbank.FunctionImpl):
             if np.all(done | ~bracketed):
                 break
         residual = np.abs(self._real_at(T, s) - y)
-        self._memo = ((key, s, residual), *self._memo[:1])
+        self._memo = (key, s, residual)
         return s, residual
 
     def deriv(self, didx, args):
@@ -801,77 +797,26 @@ class InverseImpl(funcbank.FunctionImpl):
         return vals, unsafe | bad
 
 
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a 1-d float array, bit for bit, by numpy's own sort
-    path: NaNs sort last and only the first is kept.  ``np.unique`` itself
-    imports ``numpy.ma`` on its first call, a cost every fresh process
-    would pay at its first quadrature."""
-    a = np.sort(a)
-    keep = np.empty(len(a), dtype=bool)
-    keep[:1] = True
-    keep[1:] = (a[1:] != a[:-1]) & ~np.isnan(a[:-1])
-    return a[keep]
-
-
-@functools.cache
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
-    per process."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 class AntiderivImpl(ExprImpl):
     """Symbol defined by its derivative expression, the ``ExprImpl`` of that
-    integrand; values by quadrature.
+    integrand, and by a free constant ``c``, its value.
 
     deriv order k >= 1 is the integrand's order k - 1 and reports that
-    evaluation's unsafe mask; order 0 integrates numerically from the base
-    point and flags a point unsafe when the integrand is unsafe anywhere in
-    a panel between the base point and it.
+    evaluation's unsafe mask; order 0 is ``c`` at every point, with no mask.
+    That is sound only for a pointwise identity in which the symbol is
+    applied at t alone: there it appears only as its value and its
+    t-derivatives at t, so the identity must hold for every antiderivative,
+    and at a fixed t their values are every number.  A span analysis, which
+    samples values at several times, needs a true antiderivative (case 8's
+    ``H`` takes ``ExpPoly.antiderivative``).
     """
 
-    BASE_POINT = 1.0
-    GAUSS_ORDER = 24
-    MAX_PANEL = 0.25
-
-    def _value(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative Gauss-Legendre integration over sorted panels.
-
-        All integrand evaluations happen in one vectorized batch, which keeps
-        integrands containing root-finding inverses affordable.
-        """
-        flat = np.real(z).reshape(-1)
-        knots = _sorted_distinct(np.concatenate([[self.BASE_POINT], flat]))
-        # integral and number of unsafe panels from the lowest knot to each knot
-        integral = np.zeros(len(knots), dtype=complex)
-        bad_panels = np.zeros(len(knots), dtype=int)
-        if len(knots) > 1:
-            edges = [np.linspace(a, b, max(1, int(np.ceil((b - a) / self.MAX_PANEL))) + 1)
-                     for a, b in zip(knots[:-1], knots[1:])]
-            lo = np.concatenate([e[:-1] for e in edges])
-            hi = np.concatenate([e[1:] for e in edges])
-            nodes, weights = _gauss_legendre(self.GAUSS_ORDER)
-            half = 0.5 * (hi - lo)
-            pts = (0.5 * (lo + hi)[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-            vals, unsafe = super().deriv((0,), (pts,))
-            vals = vals.reshape(len(lo), self.GAUSS_ORDER)
-            panel_ints = (vals * weights[None, :]).sum(axis=1) * half
-            # the panel that ends at each knot after the lowest
-            ends = np.cumsum([len(e) - 1 for e in edges]) - 1
-            integral[1:] = np.cumsum(panel_ints)[ends]
-            bad = unsafe.reshape(len(lo), self.GAUSS_ORDER).any(axis=1)
-            bad_panels[1:] = np.cumsum(bad)[ends]
-        # knots below the base point integrate with negative orientation
-        i = np.searchsorted(knots, flat)
-        b = np.searchsorted(knots, self.BASE_POINT)
-        out = integral[i] - integral[b]
-        mask = bad_panels[i] != bad_panels[b]
-        return out.reshape(z.shape), mask.reshape(z.shape)
+    def __init__(self, integrand: Expr, binding: Binding, c: complex):
+        super().__init__(integrand, binding)
+        self._c = complex(c)
 
     def deriv(self, didx, args):
         k = didx[0]
         if k == 0:
-            return self._value(np.asarray(args[0], dtype=complex))
+            return np.full(np.shape(args[0]), self._c), None
         return super().deriv((k - 1,), args)

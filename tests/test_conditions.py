@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import schsym.conditions as conditions
+import schsym.expr as expr_module
 from schsym.cases import instantiate, table as case_table
 from schsym.conditions import (InvariantTuple, Potential, SpanError, _inside, _rank, _row_space,
                                classifying_residual, eta0_residual, invariants, kernel_check,
                                lemma_fixtures, prolonged_residual, sample_rows, span_invariants)
-from schsym.expr import (EXP, HALF, I_UNIT, SymbolTable, T_VAR, ZERO, const, diff, func_app,
-                         int_pow, t, var, x, x_var)
+from schsym.expr import (EXP, HALF, I_UNIT, SymbolTable, T_VAR, ZERO, conj_expr, const, diff,
+                         func_app, int_pow, jet_var, psi, subst, t, var, x, x_var)
 from schsym.fields import (D, GeneratorCoeffs, Iop, J, M, P, absx2, bracket_rows,
                            coefficient_rows, expand)
 from schsym.funcbank import FunctionImpl
@@ -263,6 +265,56 @@ def test_lemma_fixtures():
     assert rep["shift_pair"]["passed"]
     assert rep["polar_reduction"]["passed"]
     assert rep["passed"]
+
+
+def _antideriv_class(scale=1, value=None):
+    """An AntiderivImpl whose integrand is scaled, or whose value is forced."""
+    class Impl(conditions.AntiderivImpl):
+        def __init__(self, integrand, binding, *c):  # c: the constant the lemma draws
+            super().__init__(const(scale) * integrand, binding, *c)
+
+        def deriv(self, didx, args):
+            if didx[0] == 0 and value is not None:
+                return np.full(np.shape(args[0]), complex(value)), None
+            return super().deriv(didx, args)
+    return Impl
+
+
+def test_lemma_polar_reduction_fails_with_a_wrong_integrand(monkeypatch):
+    # the negative control: lambda' scaled by 11/10 leaves a sigma part
+    monkeypatch.setattr(conditions, "AntiderivImpl", _antideriv_class(scale=Fraction(11, 10)))
+    for seed in range(8):
+        rep = lemma_fixtures(np.random.default_rng(seed))
+        assert not rep["polar_reduction"]["sigma_killed"], seed
+
+
+@pytest.mark.parametrize("value", [-1000, 0, 1000])
+def test_lemma_polar_reduction_holds_for_every_antiderivative(monkeypatch, value):
+    # lambda enters the checks only through its t-derivatives at t, so its
+    # value, the free constant of an antiderivative, is any number
+    monkeypatch.setattr(conditions, "AntiderivImpl", _antideriv_class(value=value))
+    assert lemma_fixtures(np.random.default_rng(5))["polar_reduction"]["passed"]
+
+
+def test_prolonged_residual_map_takes_a_conj_as_its_argument_image(monkeypatch, table):
+    # prolonged_residual's map sends psi_t and conj(psi_t) to conjugate values,
+    # so substituting the conjugate map into a Conj's argument gives what
+    # substituting the map itself does
+    maps = []
+    real_subst = conditions.subst
+    monkeypatch.setattr(conditions, "subst", lambda e, m: maps.append(m) or real_subst(e, m))
+    prolonged_residual(inverse_square(table), expand(D(var(T_VAR))))
+    repl, = maps
+    W = table.get("W")
+    psi_t, psi0 = var(jet_var((1, 0, 0))), psi(2)
+    e = (conj_expr(func_app(W, [psi_t, psi0 * conj_expr(psi_t), x(1)])) * psi0
+         + func_app(W, [conj_expr(func_app(W, [psi_t, t(), x(1)])), psi0, t()]))
+    done = {var(v): val for v, val in repl.items()}
+    mask = 0
+    for u in done:
+        mask |= u.vmask
+    plain = expr_module._rebuild(e, done, lambda u: u.vmask & mask)
+    assert plain is not e and subst(e, repl) is plain
 
 
 # -- the span test against the least-squares test it replaced -------------------

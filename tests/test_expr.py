@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import schsym.expr as expr_module
 from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Conj, Const, FuncApp, IntPow,
                          Product, Sign, Sum, SymbolTable, Var, _const, _node, abs_pow,
-                         conj_expr, const, depends_only_on_t, diff, func_app,
+                         conj_expr, conj_var, const, depends_only_on_t, diff, func_app,
                          has_complex_symbols, im_part, int_pow, jet_var, post_order, prod,
                          psi, psi_var, sign_of, subst, sum_, t, total_derivative, var, x,
                          x_var)
@@ -122,6 +122,36 @@ def test_conjugated_function_of_a_jet_is_differentiated_by_the_conjugate_jet(tab
     assert diff(e, psi_var(2)) is ZERO
     assert diff(e, psi_var(2, conj=True)) is dU
     assert total_derivative(e, 0) is dU * var(jet_var((1, 0, 0), conj=True))
+
+
+def test_subst_takes_a_conjugated_function_of_a_jet_by_the_conjugate_jet(table):
+    # as diff does: conj(U(psi)) is Ubar(conj(psi)), so a map of conj(psi)
+    # reaches its argument and a map of psi does not
+    U = table.get("U")
+    e = conj_expr(func_app(U, [psi(2)]))
+    assert subst(e, {psi_var(2, conj=True): x(1)}) is conj_expr(func_app(U, [x(1)]))
+    assert subst(e, {psi_var(2): x(1)}) is e
+    # a value for t or x goes in conjugated: conj(U(t))[t -> i*x1] is Ubar(i*x1)
+    ix1 = const(0, 1) * x(1)
+    assert subst(conj_expr(func_app(U, [t()])), {T_VAR: ix1}) is conj_expr(
+        func_app(U, [conj_expr(ix1)]))
+    # conj(U(conj(U(psi)))) is Ubar(U(psi)), a function of psi: each nested
+    # Conj swaps the map back
+    nested = conj_expr(func_app(U, [e]))
+    assert subst(nested, {psi_var(2): x(1)}) is conj_expr(
+        func_app(U, [conj_expr(func_app(U, [x(1)]))]))
+    assert subst(nested, {psi_var(2, conj=True): x(1)}) is nested
+
+
+def test_subst_of_nested_conjugates_does_not_recurse(table):
+    # each level's Conj is rebuilt from its argument under the other map, on
+    # an explicit stack
+    U = table.get("U")
+    e, in_t = x(1), t()
+    for _ in range(2000):
+        e = func_app(U, [conj_expr(e) + x(1)])
+        in_t = func_app(U, [conj_expr(in_t) + t()])
+    assert subst(e, {x_var(1): t()}) is in_t
 
 
 def test_conjugation_distributes(table):
@@ -647,7 +677,10 @@ def _ref_subst(e, mapping, memo):
     elif isinstance(e, Sign):
         out = sign_of(_ref_subst(e.base, mapping, memo))
     elif isinstance(e, Conj):
-        out = conj_expr(_ref_subst(e.arg, mapping, memo))
+        # conj(f) is a function of the conjugate variables: substitute the
+        # conjugate of each value for the conjugate of each key
+        conj_map = {conj_var(v): conj_expr(x) for v, x in mapping.items()}
+        out = conj_expr(_ref_subst(e.arg, conj_map, {}))
     else:
         out = func_app(e.sym, [_ref_subst(a, mapping, memo) for a in e.args], e.didx)
     memo[e] = out
