@@ -13,6 +13,9 @@ would give the same DAGs.  A draw only declares and binds the symbols and
 runs the case's builder; each generator's classifying residual is built
 once per verification, over the symbols (case 3's kappa is beta).
 
+Case 8's H, defined by H' = t G', is bound by its builder in closed form:
+the antiderivative of t G' for the draw's exponential-polynomial G.
+
 The quadratic cases are instantiated in reverse: fundamental solutions of
 the shift equation are drawn in closed form and the potential coefficients
 are defined from them, which exercises exactly the listed algebra-potential
@@ -30,7 +33,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .closedform import expr_to_exppoly
 from .conditions import (InvariantTuple, Potential, SpanError, classifying_residual, sample_rows,
                          span_invariants)
 from .equivalence import rational_rotation
@@ -123,11 +125,10 @@ class CaseTemplate(NamedTuple):
 
     potential: Expr
     generators: tuple[GeneratorCoeffs, ...]
-    integrands: dict[str, Expr]  # antiderivative symbol name -> integrand
 
 
 def parse_template(case: CaseEntry) -> CaseTemplate:
-    """Parse the potential, generator and integrand strings of a case.
+    """Parse the potential and generator strings of a case.
 
     The parse declares the case's symbols in a table of its own; a draw's
     workspace declares equal symbols, so the nodes are the ones a parse in
@@ -150,9 +151,7 @@ def parse_template(case: CaseEntry) -> CaseTemplate:
         case.n, p(spec.get("tau")), (p(spec.get("kappa")),),
         tuple(p(c) for c in spec.get("chi", [None] * case.n)),
         p(spec.get("sigma")), p(spec.get("rho"))) for spec in case.generators)
-    integrands = {d["name"]: p(d["integrand"]) for d in case.declarations
-                  if d.get("draw") == "antiderivative"}
-    return CaseTemplate(p(case.potential), gens, integrands)
+    return CaseTemplate(p(case.potential), gens)
 
 
 def instantiate(case: CaseEntry, rng: np.random.Generator,
@@ -164,7 +163,6 @@ def instantiate(case: CaseEntry, rng: np.random.Generator,
     if template is None:
         template = parse_template(case)
     ws = Workspace()
-    deferred = []
     for d in case.declarations:
         sym = ws.table.declare(d["name"], int(d["arity"]), d["codomain"])
         kind = d.get("draw", "surrogate")
@@ -174,15 +172,10 @@ def instantiate(case: CaseEntry, rng: np.random.Generator,
             ws.binding.bind(sym, ExpPolyImpl(random_positive_trig_poly(rng)))
         elif kind in ("real", "positive", "real_nonzero", "complex_nonzero"):
             ws.binding.bind(sym, ConstImpl(_draw_value(kind, rng)))
-        elif kind == "antiderivative":
-            deferred.append(sym)
         elif kind == "builder":
             pass
         else:
             raise ValueError(f"unknown draw kind {kind!r}")
-    for sym in deferred:
-        poly = expr_to_exppoly(template.integrands[sym.name], ws.binding.impl_map())
-        ws.binding.bind(sym, ExpPolyImpl(poly.antiderivative()))
     if case.builder:
         _BUILDERS[case.builder](ws, rng)
 
@@ -190,7 +183,14 @@ def instantiate(case: CaseEntry, rng: np.random.Generator,
     return CaseInstance(V, list(template.generators), ws)
 
 
-# -- builders for the quadratic cases -----------------------------------------
+# -- builders ------------------------------------------------------------------
+
+def build_case8(ws: Workspace, rng) -> None:
+    """Bind H, with H' = t G', to the antiderivative of t G' of the draw's G."""
+    g = ws.binding.lookup(ws.table.get("G")).func
+    ws.binding.bind(ws.table.get("H"),
+                    ExpPolyImpl((ExpPoly.identity() * g.derivative()).antiderivative()))
+
 
 def _liouville_pair(num: Callable[[str], Expr], p: int):
     """A scalar pair u1, u2 with u'' = d u, constant unit Wronskian.
@@ -339,6 +339,7 @@ def build_case18(ws: Workspace, rng) -> None:
 
 
 _BUILDERS: dict[str, Callable] = {
+    "case8": build_case8,
     "case16": build_case16,
     "case17": build_case17,
     "case18": build_case18,

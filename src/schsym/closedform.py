@@ -3,13 +3,12 @@
 The lemma fixtures build potentials and generators whose time dependence
 is an exact ExpPoly; this module renders such a function as an Expr over
 cos/sin/exp so that formal differentiation and numeric evaluation agree to
-rounding, and reads an antiderivative's integrand back as an ExpPoly.
+rounding.
 """
 from __future__ import annotations
 
-from .expr import (COS, EXP, SIN, Const, Expr, FuncApp, IntPow, Product, Sum, const, func_app,
-                   int_pow, post_order, prod, sum_, t)
-from .funcbank import ExpPoly, ExpPolyImpl
+from .expr import COS, EXP, SIN, Expr, const, func_app, int_pow, prod, sum_, t
+from .funcbank import ExpPoly
 
 
 def _poly_expr(coeffs, var_expr: Expr, real_part: bool) -> Expr:
@@ -76,42 +75,3 @@ def exppoly_to_expr(f: ExpPoly) -> Expr:
             body = body * func_app(EXP, [const(a) * tv])
         terms.append(body)
     return sum_(terms)
-
-
-def expr_to_exppoly(e: Expr, impls: dict) -> ExpPoly:
-    """Interpret an expression in t within ExpPoly arithmetic.
-
-    Supports constants, t, sums, products, non-negative integer powers, and
-    applications to t itself (with slot derivatives) of symbols whose
-    implementation is an ExpPoly, folded over the DAG children first.  Used
-    to give antiderivative-defined symbols exact implementations.
-    """
-    tv = t()
-    done: dict[Expr, ExpPoly] = {}
-    for u in post_order(e):
-        if isinstance(u, Const):
-            out = ExpPoly.constant(complex(u.value()))
-        elif u is tv:
-            out = ExpPoly.identity()
-        elif isinstance(u, Sum):
-            out = ExpPoly()
-            for tm in u.terms:
-                out = out + done[tm]
-        elif isinstance(u, Product):
-            out = ExpPoly.constant(1.0)
-            for f in u.factors:
-                out = out * done[f]
-        elif isinstance(u, IntPow) and u.k >= 0:
-            out = ExpPoly.constant(1.0)
-            for _ in range(u.k):
-                out = out * done[u.base]
-        elif isinstance(u, FuncApp) and isinstance(impls.get(u.sym), ExpPolyImpl):
-            if u.args[0] is not tv:
-                raise ValueError(f"symbol {u.sym.name} must be applied to t itself")
-            out = impls[u.sym].func
-            for _ in range(u.didx[0]):
-                out = out.derivative()
-        else:
-            raise ValueError(f"{u} is not an exponential polynomial in t")
-        done[u] = out
-    return done[e]

@@ -53,6 +53,7 @@ from .numeric import (
     Binding,
     DEFAULT_TOL,
     InverseImpl,
+    SOLVE_BRACKET,
     T_RANGE,
     Workspace,
     draw_env,
@@ -105,7 +106,7 @@ class EquivTransformation:
     Sigma: Expr
     Upsilon: Expr
     binding: Binding = field(default_factory=Binding)
-    bracket: tuple[float, float] = (-60.0, 60.0)
+    bracket: tuple[float, float] = SOLVE_BRACKET
     eps: int = 0
     _tinv: Optional[Expr] = None
     _targets: dict[Expr, Expr] = field(default_factory=dict, init=False,

@@ -737,9 +737,8 @@ def im_part(e: Expr) -> Expr:
 # differentiation / substitution
 # ---------------------------------------------------------------------------
 
-# the node types the diff walk enters: not Sign, whose derivative is zero, nor
-# Conj, whose argument a nested diff differentiates by the conjugate jet
-_DIFF_WALKED = frozenset((Var, Sum, Product, IntPow, AbsPow, FuncApp))
+# the node types the diff walk enters: not Sign, whose derivative is zero
+_DIFF_WALKED = frozenset((Var, Sum, Product, IntPow, AbsPow, Conj, FuncApp))
 # the node types conj_expr rebuilds from their children's conjugates; any other
 # complex node is conjugated where the walk meets it
 _CONJ_WALKED = frozenset((Sum, Product, IntPow))
@@ -759,25 +758,34 @@ def diff(e: Expr, v: VarId) -> Expr:
     ds = e._diffs
     if ds is not None and bit in ds:
         return ds[bit]
-    # one explicit-stack post-order walk, entering only the nodes that hold v,
-    # are of a walked type and lack v's derivative (a node met again is
-    # skipped by the derivative kept on it); a Conj root is not walked
-    stack = [(e, iter(() if type(e) is Conj else e.children()))]
-    while stack:
-        node, kids = stack[-1]
+    # one explicit-stack post-order walk from a sentinel entry whose child is
+    # e, entering only the nodes that hold their variable, are of a walked
+    # type and lack its derivative (a node met again is skipped by the
+    # derivative kept on it).  An entry carries its children's variable and
+    # bit: under a Conj, the conjugate's (bit 0 if no node holds it)
+    stack = [(None, iter((e,)), v, bit)]
+    while True:
+        node, kids, v, bit = stack[-1]
         for c in kids:
             if (c.vmask & bit and type(c) in _DIFF_WALKED
                     and ((cd := c._diffs) is None or bit not in cd)):
-                stack.append((c, iter(c.children())))
+                if type(c) is Conj:
+                    cv = conj_var(v)
+                    stack.append((c, iter(c.children()), cv, VARIABLES.bits.get(cv, 0)))
+                else:
+                    stack.append((c, iter(c.children()), v, bit))
                 break
         else:
             stack.pop()
+            if node is None:
+                return d  # e's: it is the walk's last node
+            if type(node) is Conj:  # its own variable is its parent's children's
+                v, bit = stack[-1][2:]
             d = _diff(node, v)
             if node._diffs is None:
                 node._diffs = {bit: d}
             else:
                 node._diffs[bit] = d
-    return d  # e's: it is the walk's last node
 
 
 def _diff(e: Expr, v: VarId) -> Expr:
@@ -809,7 +817,8 @@ def _diff(e: Expr, v: VarId) -> Expr:
     if isinstance(e, AbsPow):
         return prod((const(e.q), abs_pow(e.base, e.q - 1), sign_of(e.base), diff(e.base, v)))
     if isinstance(e, Conj):
-        # conj(f)' is conj(f') by v with its jet flag flipped
+        # conj(f)' is conj(f') by v with its jet flag flipped, which the walk
+        # made first
         return conj_expr(diff(e.arg, conj_var(v)))
     terms = []
     for s in range(e.sym.arity):  # a FuncApp

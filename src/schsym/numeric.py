@@ -80,6 +80,8 @@ T_RANGE = (0.3, 1.7)
 X_RANGE = (-2.0, 2.0)
 JET_RADIUS = 1.0
 EPS_UNSAFE = 1e-9
+# the interval in which an inverse time map's root solve seeks the preimages
+SOLVE_BRACKET = (-60.0, 60.0)
 # run defaults, read by cases and by the CLI's RunConfig: zero-test
 # tolerance, trials (random draws), bindings per trial, points per batch
 DEFAULT_TOL = 1e-8
@@ -708,7 +710,7 @@ class InverseImpl(funcbank.FunctionImpl):
     STEP_TOL = 1e-13
     RESIDUAL_TOL = 1e-8
 
-    def __init__(self, T_expr: Expr, binding: Binding, bracket=(-60.0, 60.0)):
+    def __init__(self, T_expr: Expr, binding: Binding, bracket=SOLVE_BRACKET):
         self.T_expr = T_expr
         self._binding = binding
         self._bracket = bracket

@@ -5,10 +5,9 @@ import pytest
 from schsym import cases, expr
 from schsym.cases import (UnknownCaseError, instantiate, parse_template, table, verify_case,
                           verify_table)
-from schsym.closedform import expr_to_exppoly
 from schsym.conditions import SpanError, classifying_residual
-from schsym.expr import T_VAR, ZERO, FunctionSymbol, SymbolTable, diff, func_app, inline, var
-from schsym.funcbank import ExpPoly, ExpPolyImpl, random_positive_trig_poly
+from schsym.expr import T_VAR, ZERO, FunctionSymbol, diff, func_app, inline, var
+from schsym.funcbank import ExpPoly
 from schsym.numeric import is_zero
 from schsym.parsing import parse
 
@@ -158,26 +157,21 @@ def test_template_nodes_are_a_fresh_parse_in_each_draw(seed):
             assert all(c is fresh(text) for c, text in zip(g.chi, chi))
             assert g is gt
             assert len(g.kappa) == 1 and g.kappa[0] is fresh(spec.get("kappa", "0"))
-        for d in case.declarations:
-            if d.get("draw") == "antiderivative":
-                assert template.integrands[d["name"]] is fresh(d["integrand"])
 
 
-def test_integrands_read_as_exponential_polynomials():
-    # case 8's is the only shipped integrand; the other three have no exact
-    # reading
-    integrands = [d["integrand"] for c in table().values() for d in c.declarations
-                  if d.get("draw") == "antiderivative"]
-    assert integrands == ["t*D(G(t),t)"]
-    tbl = SymbolTable()
-    G = tbl.declare("G", 1, "real")
-    g = random_positive_trig_poly(np.random.default_rng(8))
-    impls = {G: ExpPolyImpl(g)}
-    got = expr_to_exppoly(parse(integrands[0], tbl), impls)
-    assert got.terms == (ExpPoly.identity() * g.derivative()).terms
-    for text in ("cos(t)", "G(2*t)", "t^(-1)"):
-        with pytest.raises(ValueError):
-            expr_to_exppoly(parse(text, tbl), impls)
+def test_case8_builder_binds_h_as_an_antiderivative_of_t_times_g_prime():
+    # H' = t G' in closed form, for the exponential polynomial G of the draw;
+    # H's derivative is t G' to rounding, as integration divides
+    inst = instantiate(table()[8], np.random.default_rng(8))
+    binding, tab = inst.workspace.binding, inst.workspace.table
+    g = binding.lookup(tab.get("G")).func
+    h = binding.lookup(tab.get("H")).func
+    integrand = ExpPoly.identity() * g.derivative()
+    assert h.terms == integrand.antiderivative().terms
+    dh = h.derivative().terms
+    assert list(dh) == list(integrand.terms)
+    for lam, coeffs in integrand.terms.items():
+        assert dh[lam] == pytest.approx(coeffs, rel=1e-15, abs=1e-15)
 
 
 def _counting(monkeypatch, name):

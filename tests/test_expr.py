@@ -145,13 +145,19 @@ def test_subst_takes_a_conjugated_function_of_a_jet_by_the_conjugate_jet(table):
 
 def test_subst_of_nested_conjugates_does_not_recurse(table):
     # each level's Conj is rebuilt from its argument under the other map, on
-    # an explicit stack
+    # an explicit stack; diff walks each Conj's argument in its own stack.
+    # The derivative d and its conjugate dc are built level by level:
+    # (U(conj(e) + x1))' = U'(conj(e) + x1) (conj(e') + 1)
     U = table.get("U")
-    e, in_t = x(1), t()
+    e, in_t, d, dc = x(1), t(), ONE, ONE
     for _ in range(2000):
-        e = func_app(U, [conj_expr(e) + x(1)])
+        arg = conj_expr(e) + x(1)
+        du = func_app(U, [arg], [1])
+        d, dc = du * (dc + 1), conj_expr(du) * (d + 1)
+        e = func_app(U, [arg])
         in_t = func_app(U, [conj_expr(in_t) + t()])
     assert subst(e, {x_var(1): t()}) is in_t
+    assert diff(e, x_var(1)) is d
 
 
 def test_conjugation_distributes(table):
@@ -745,8 +751,11 @@ def test_walks_match_recursive_reference(data):
     tbl.declare("f", 1, "real")
     tbl.declare("c", 0, "real")
     e = data.draw(_expr_strategy(tbl, normal_forms=True))
-    # a Conj whose argument holds both jet flags, and an arity-0 symbol
-    w = conj_expr(func_app(tbl.get("U"), [psi(2) * psi(2, conj=True) + x(1)]))
+    # a Conj whose argument holds both jet flags, in the argument of another,
+    # and an arity-0 symbol
+    U = tbl.get("U")
+    w = conj_expr(func_app(U, [psi(2) * psi(2, conj=True) + x(1)]))
+    w = conj_expr(func_app(U, [w * psi(2) + x(2)]))
     mappings = ({T_VAR: t() + 1}, {x_var(1): x(2) * t(), T_VAR: const(2)},
                 {psi_var(2): x(1)}, {x_var(2): func_app(SIN, [t()]), x_var(1): x(1)})
     for u in (e, e * w + func_app(tbl.get("c"), [])):

@@ -13,8 +13,8 @@ from schsym.expr import (ATAN, AbsPow, COS, Conj, Const, EXP, Expr, FuncApp, Int
                          conj_expr, const, diff, func_app, int_pow, jet_var, post_order, psi,
                          psi_var, sign_of, t, x, x_var)
 from schsym.funcbank import FunctionImpl, random_surrogate
-from schsym.numeric import (_FOLD_ELEMS, EMPTY_BINDING, EPS_UNSAFE, Binding, ExprImpl,
-                            InverseImpl, _Tape, draw_env, eval_batch)
+from schsym.numeric import (_FOLD_ELEMS, EMPTY_BINDING, EPS_UNSAFE, SOLVE_BRACKET, Binding,
+                            ExprImpl, InverseImpl, _Tape, draw_env, eval_batch)
 from schsym.parsing import parse
 from test_expr import _expr_strategy
 from test_numeric import _counting_eval_batch
@@ -589,7 +589,7 @@ def test_zero_root_and_non_finite_row_decline_the_real_program():
         assert want[0] == 0 and not np.signbit(want[0]) if e is zero_root else np.isnan(want[0])
 
 
-def _reference_solve(T, binding, y, bracket=(-60.0, 60.0)):
+def _reference_solve(T, binding, y, bracket=SOLVE_BRACKET):
     """InverseImpl's root solve, every evaluation through eval_batch."""
     def T_at(e, s):
         return np.real(eval_batch(e, binding, {T_VAR: s.astype(complex)})[0])
