@@ -257,8 +257,12 @@ def sample_rows(gs: Sequence[GeneratorCoeffs], binding: Optional[Binding] = None
     if any(g.eta0 is not ZERO for g in gs):
         raise SpanError("invariants are defined for the essential part (eta0 = 0)")
     rng = np.random.default_rng(0) if rng is None else rng
-    tvals = rng.uniform(0.32, 1.68, size=13)
-    return coefficient_rows(gs, binding or EMPTY_BINDING, tvals, tapes)
+    return coefficient_rows(gs, binding or EMPTY_BINDING, sample_times(rng), tapes)
+
+
+def sample_times(rng: np.random.Generator) -> np.ndarray:
+    """The 13 times in [0.32, 1.68] at which ``sample_rows`` samples a draw."""
+    return rng.uniform(0.32, 1.68, size=13)
 
 
 def span_invariants(samples: Sequence[tuple], tol: float = DEFAULT_TOL) -> list:

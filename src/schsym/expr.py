@@ -700,19 +700,36 @@ def sign_of(base: Expr) -> Expr:
     return _node(Sign, base)
 
 
+# complex node -> its conjugate, kept both ways by conj_expr for every node it
+# conjugates, as interned nodes are, for the life of the process
+_CONJUGATES: dict[Expr, Expr] = {}
+
+
 def conj_expr(e: Expr) -> Expr:
     """Complex conjugate, distributed structurally.
 
     Conjugation flips the flag of jet variables and wraps irreducibly complex
     function applications in a Conj node; Conj(Conj(e)) collapses to e.  Each
-    complex sum, product and power is rebuilt once, children first.
+    complex sum, product and power is rebuilt once, children first.  Every
+    conjugate is kept with its node (``_CONJUGATES``), both ways, so a later
+    walk stops at a node conjugated before, or at such a conjugate: ``diff``
+    through nested Conj levels conjugates each derivative once.
     """
+    if e.is_real:
+        return e
+    known = _CONJUGATES.get(e)
+    if known is not None:
+        return known
     done: dict[Expr, Expr] = {}
 
     def enter(u):
-        # a real node is its own conjugate; a complex one not walked gets
-        # its conjugate here
+        # a real node is its own conjugate; a complex one not walked, or
+        # conjugated before, gets its conjugate here
         if u.is_real:
+            return False
+        got = _CONJUGATES.get(u)
+        if got is not None:
+            done[u] = got
             return False
         tu = type(u)
         if tu in _CONJ_WALKED:
@@ -726,7 +743,11 @@ def conj_expr(e: Expr) -> Expr:
             done[u] = u.arg if tu is Conj else _node(Conj, u)
         return False
 
-    return _rebuild(e, done, enter)
+    out = _rebuild(e, done, enter)
+    for u, c in done.items():
+        _CONJUGATES[u] = c
+        _CONJUGATES[c] = u
+    return out
 
 
 def im_part(e: Expr) -> Expr:

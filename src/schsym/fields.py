@@ -43,7 +43,7 @@ from .expr import (
     x,
     x_var,
 )
-from .numeric import Binding, UnsafeSampleError, eval_batch, owned_tape
+from .numeric import Binding, StackedBinding, UnsafeSampleError, eval_batch, owned_tape
 
 I8 = const(0, Fraction(1, 8))  # i/8
 I2 = const(0, Fraction(1, 2))  # i/2
@@ -309,8 +309,14 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     unsafe, UnsafeSampleError is raised: singular or undefined at a sampled
     time.  It names the first root that is unsafe in a run of its own, the
     coefficients of every generator first and then the derivatives.
+
+    tvals may be 2-d, one row of times per draw, with binding a sequence of
+    the draws' bindings: the tape then runs once over all the times
+    (``numeric.StackedBinding``), and rows and drows gain a leading axis,
+    one entry per draw, each bit for bit that draw's own.
     """
-    m, n, k = len(tvals), gs[0].n, len(gs)
+    m, n, k = np.shape(tvals)[-1], gs[0].n, len(gs)
+    lead = np.shape(tvals)[:-1]
     if any(g.n != n for g in gs):
         raise ValueError("dimension mismatch in generator list")
     npair = len(_pairs(n))
@@ -318,7 +324,9 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
              *(f"chi{a}" for a in range(1, n + 1)), "sigma", "rho")
     coeffs = [e for g in gs for e in (g.tau, *g.kappa, *g.chi, g.sigma, g.rho)]
     exprs = coeffs + [diff(e, T_VAR) for e in coeffs]
-    env = {T_VAR: np.asarray(tvals, dtype=complex)}
+    env = {T_VAR: np.asarray(tvals, dtype=complex).ravel()}
+    if lead:
+        binding = StackedBinding(binding, m)
     tapes = {} if tapes is None else tapes
     roots = tuple(dict.fromkeys(e for e in exprs if type(e) is not Const))
     sampled = {}
@@ -331,23 +339,24 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
                     i, field = divmod(exprs.index(e) % len(coeffs), len(names))
                     raise UnsafeSampleError(
                         f"generator {i}: {names[field]} is singular or undefined at "
-                        f"{int(alone.sum())} of {m} sampled times")
+                        f"{int(alone.sum())} of {alone.size} sampled times")
             raise UnsafeSampleError(f"the coefficients are singular or undefined at "
-                                    f"{int(unsafe.sum())} of {m} sampled times")
+                                    f"{int(unsafe.sum())} of {unsafe.size} sampled times")
         sampled = dict(zip(roots, np.real(vals)))
-    samples = np.empty((len(exprs), m))
+    samples = np.empty((*lead, len(exprs), m))
     for p, e in enumerate(exprs):
         # a constant's real part is the one eval_batch would give
-        samples[p] = e.value().real if type(e) is Const else sampled[e]
-    samples = samples.reshape(2, k, len(names), m)
-    rows, drows = (np.hstack([s[:, 0], s[:, 1:npair + 1, 0],
-                              s[:, npair + 1:].reshape(k, (n + 2) * m)]) for s in samples)
+        samples[..., p, :] = e.value().real if type(e) is Const else sampled[e].reshape(*lead, m)
+    samples = samples.reshape(*lead, 2, k, len(names), m)
+    rows, drows = (np.concatenate([s[..., 0, :], s[..., 1:npair + 1, 0],
+                                   s[..., npair + 1:, :].reshape(*lead, k, (n + 2) * m)], axis=-1)
+                   for s in (samples[..., 0, :, :, :], samples[..., 1, :, :, :]))
     slices = {
         "tau": slice(0, m),
         "kappa": slice(m, m + npair),
         "chi": slice(m + npair, m + npair + n * m),
         "sigma": slice(m + npair + n * m, m + npair + n * m + m),
-        "rho": slice(m + npair + n * m + m, rows.shape[1]),
+        "rho": slice(m + npair + n * m + m, rows.shape[-1]),
     }
     return rows, drows, slices
 

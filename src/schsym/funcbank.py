@@ -158,17 +158,24 @@ class ExpPoly:
         return out
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for lam, p in self.terms.items():
-            pv = np.zeros_like(z)
-            for c in reversed(p):
-                pv = pv * z + c
-            # pv times exp, in that order at every size: numpy computes a
-            # product with a large temporary right operand as exp * pv,
-            # and complex multiply is not bitwise commutative
-            out = out + np.multiply(pv, np.exp(lam * z))
-        return out
+        return _exp_poly_values(self.terms.items(), np.asarray(z, dtype=complex))
+
+
+def _exp_poly_values(terms, z: np.ndarray) -> np.ndarray:
+    """The sum over terms (lam, p) of p(z) e^(lam z) at the complex points z,
+    by Horner's rule in p's coefficients, each a number or an array of one
+    per point (complex addition rounds each part alone, so an array of
+    equal numbers gives the bits of the number)."""
+    out = np.zeros_like(z)
+    for lam, p in terms:
+        pv = np.zeros_like(z)
+        for c in reversed(p):
+            pv = pv * z + c
+        # pv times exp, in that order at every size: numpy computes a
+        # product with a large temporary right operand as exp * pv,
+        # and complex multiply is not bitwise commutative
+        out = out + np.multiply(pv, np.exp(lam * z))
+    return out
 
 
 class ExpPolyImpl(FunctionImpl):
@@ -181,8 +188,46 @@ class ExpPolyImpl(FunctionImpl):
     def func(self) -> ExpPoly:
         return self._derivs[0]
 
+    def derivative(self, k: int) -> ExpPoly:
+        return nth_derivative(self._derivs, k, ExpPoly.derivative)
+
     def deriv(self, didx, args):
-        return nth_derivative(self._derivs, didx[0], ExpPoly.derivative)(args[0]), None
+        return self.derivative(didx[0])(args[0]), None
+
+
+class StackedImpl(FunctionImpl):
+    """The impls of consecutive blocks of ``size`` points, one per block,
+    as one impl: each block's values and mask are those of its own impl at
+    its own points, bit for bit, concatenated (a None mask reads as all
+    safe).
+
+    Exponential polynomials whose derivatives of the order asked have the
+    same (lam, len(p)) terms in the same order make one evaluation, with
+    an array of each coefficient, repeated over its block's points
+    (``_exp_poly_values``); any other impls are called block by block.
+    """
+
+    def __init__(self, impls: Sequence[FunctionImpl], size: int):
+        self.impls = impls
+        self.size = size
+
+    def deriv(self, didx, args):
+        size = self.size
+        if all(type(f) is ExpPolyImpl for f in self.impls):
+            fs = [f.derivative(didx[0]) for f in self.impls]
+            shape = [(lam, len(p)) for lam, p in fs[0].terms.items()]
+            if all([(lam, len(p)) for lam, p in f.terms.items()] == shape for f in fs[1:]):
+                # each coefficient of each term as one array over every block
+                terms = [(lam, [np.repeat(cs, size) for cs in zip(*ps)])
+                         for (lam, _), *ps in zip(shape, *(f.terms.values() for f in fs))]
+                return _exp_poly_values(terms, np.asarray(args[0], dtype=complex)), None
+        got = [f.deriv(didx, tuple([a[b * size:(b + 1) * size] for a in args]))
+               for b, f in enumerate(self.impls)]
+        vals = np.concatenate([np.broadcast_to(v, (size,)) for v, _ in got])
+        if all(m is None for _, m in got):
+            return vals, None
+        return vals, np.concatenate([np.zeros(size, dtype=bool) if m is None else m
+                                     for _, m in got])
 
 
 class TrigPolyND(FunctionImpl):

@@ -17,7 +17,11 @@ one function, ``_fold``.  The zero test takes a tuple of roots, a bare
 root as its 1-tuple: one draw of surrogates and points over the union of
 their symbols and variables, redrawn where any root is unsafe, and one
 run of their tape, whose rows and scales give each root its own worst
-value and witness (``cases.verify_case`` tests a draw's residuals so).
+value and witness.  ``cases.verify_case`` draws the trials of a group of
+draws in that order (``draw_trial``) and runs the tape once over all of
+their points (``stacked_residuals``), each block of points with its own
+binding (``StackedBinding``): every operation is pointwise, so each
+block's values, scales and witness are those of its own run.
 ``eval_batch`` keeps nothing; a caller that evaluates a root again owns
 its tapes in a plain dict (``owned_tape``), as ``cases.verify_case`` does
 across its draws, and hands the tape in.
@@ -47,7 +51,7 @@ zero tests stay complex.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -136,11 +140,26 @@ class Binding:
     def __contains__(self, sym: FunctionSymbol) -> bool:
         return sym in self._impls or sym.name in funcbank.BUILTIN_IMPLS
 
-    def impl_map(self) -> dict:
-        return dict(self._impls)
-
 
 EMPTY_BINDING = Binding()
+
+
+class StackedBinding:
+    """The bindings of consecutive blocks of ``size`` points, one per block,
+    as a tape run over all the blocks looks them up: the impl of a single
+    block, or a builtin that every block binds, is itself, called once over
+    every point; any other is the ``funcbank.StackedImpl`` of the blocks'
+    impls, whose values are each block's own bit for bit."""
+
+    def __init__(self, bindings: Sequence[Binding], size: int):
+        self._bindings = bindings
+        self._size = size
+
+    def lookup(self, sym: FunctionSymbol) -> funcbank.FunctionImpl:
+        impls = [b.lookup(sym) for b in self._bindings]
+        if len(impls) == 1 or all(f is funcbank.BUILTIN_IMPLS.get(sym.name) for f in impls):
+            return impls[0]
+        return funcbank.StackedImpl(impls, self._size)
 
 
 class Workspace:
@@ -190,6 +209,9 @@ def _var_sort_key(v: VarId):
 _SUM, _PROD, _IPOW, _APOW, _SIGN, _CONJ, _FUNC = range(7)
 # elements of |value| taken at once when folding the subterm scale
 _FOLD_ELEMS = 1 << 16
+# elements of a stacked zero-test buffer, rows x points x blocks, within
+# which draws are stacked (``stacked_draws``)
+STACK_ELEMS = 1 << 14
 
 
 class _Tape:
@@ -568,6 +590,37 @@ def eval_resampling(roots: tuple, binding: Binding, points: int,
     return vals, scale, env
 
 
+def _live(roots: tuple) -> tuple:
+    """The distinct roots other than ``ZERO``, which the zero test samples."""
+    return tuple({r: None for r in roots if r is not ZERO})
+
+
+def _keep_worst(live: tuple, vals: np.ndarray, scale: np.ndarray, env: Mapping,
+                worst: list, witness: list) -> None:
+    """Raise each live root's worst normalized value to its largest at env's
+    points, from one row of vals and scale per root, and take the point of
+    a value at least as large as before as its witness."""
+    normed = np.abs(vals) / (1.0 + scale)
+    for j, r in enumerate(live):
+        row = normed[j]
+        i = int(row.argmax())
+        top = float(row[i])
+        if top >= worst[j]:
+            worst[j] = top
+            witness[j] = {
+                "value": complex(vals[j, i]),
+                "normalized": top,
+                "point": {var_name(v): complex(env[v][i])
+                          for v in sorted(r.free_vars, key=_var_sort_key)},
+            }
+
+
+def _answers(roots: tuple, live: tuple, worst: list, witness: list) -> tuple:
+    """One (worst, witness) pair per root, ``ZERO``'s without a draw."""
+    got = dict(zip(live, zip(worst, witness)))
+    return tuple([got[r] if r is not ZERO else _zero_residual() for r in roots])
+
+
 def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Binding] = None,
                             trials: int = DEFAULT_TRIALS,
                             bindings_per_trial: int = DEFAULT_BINDINGS,
@@ -599,7 +652,7 @@ def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Bin
         raise ValueError(f"a zero test needs at least one draw and one point, got "
                          f"{trials} * {bindings_per_trial} draws of {points} points")
     roots = e if type(e) is tuple else (e,)
-    live = tuple({r: None for r in roots if r is not ZERO})
+    live = _live(roots)
     binding = binding or EMPTY_BINDING
     rng = np.random.default_rng(0) if rng is None else rng
     tapes = {} if tapes is None else tapes
@@ -608,27 +661,66 @@ def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Bin
     for _ in range(trials * bindings_per_trial if live else 0):
         full = _fill_surrogates(live, binding, rng)
         vals, scale, env = eval_resampling(live, full, points, rng, tapes)
-        normed = np.abs(vals) / (1.0 + scale)
-        for j, r in enumerate(live):
-            row = normed[j]
-            i = int(row.argmax())
-            top = float(row[i])
-            if top >= worst[j]:
-                worst[j] = top
-                witness[j] = {
-                    "value": complex(vals[j, i]),
-                    "normalized": top,
-                    "point": {var_name(v): complex(env[v][i])
-                              for v in sorted(r.free_vars, key=_var_sort_key)},
-                }
-    got = dict(zip(live, zip(worst, witness)))
-    got = tuple([got[r] if r is not ZERO else _zero_residual() for r in roots])
+        _keep_worst(live, vals, scale, env, worst, witness)
+    got = _answers(roots, live, worst, witness)
     return got if type(e) is tuple else got[0]
 
 
 def _zero_residual():
     """ZERO's answer, as sampling it would give: it draws nothing and reads 0."""
     return 0.0, {"value": 0j, "normalized": 0.0, "point": {}}
+
+
+# ---------------------------------------------------------------------------
+# stacked zero tests: the draws of a case verification in one run
+# ---------------------------------------------------------------------------
+
+def stacked_draws(roots: tuple, points: int, trials: int, tapes: dict) -> int:
+    """How many draws of ``trials`` zero-test trials of the roots one stacked
+    run takes: as many as keep its buffer, rows x points x trials a draw
+    (one row at least, the points' own), within ``STACK_ELEMS`` elements,
+    and at least one."""
+    live = _live(roots)
+    rows = owned_tape(tapes, live).rows if live else 0
+    return max(1, STACK_ELEMS // (max(rows, 1) * points * trials))
+
+
+def draw_trial(roots: tuple, binding: Binding, points: int, rng: np.random.Generator):
+    """One trial of ``max_normalized_residual`` of the roots, drawn from rng
+    as it draws one when no point is unsafe: the binding with surrogates
+    for the roots' unbound symbols, then the env of ``points`` points over
+    their variables."""
+    full = _fill_surrogates(roots, binding, rng)
+    return full, draw_env(_free_vars(roots), points, rng)
+
+
+def stacked_residuals(roots: tuple, blocks: Sequence[tuple], points: int, trials: int,
+                      tapes: dict) -> list:
+    """``max_normalized_residual`` of the roots for each run of ``trials``
+    consecutive blocks, a block one ``draw_trial``, from one run of their
+    tape over every block's points with each block's binding
+    (``StackedBinding``): each draw's pairs are bit for bit those its own
+    test gives from the same random stream when no point is unsafe.
+    Raises UnsafeSampleError, redrawing nothing, where any point is unsafe.
+    """
+    live = _live(roots)
+    out = []
+    if live:
+        bindings, envs = zip(*blocks)
+        env = {v: np.concatenate([x[v] for x in envs]) for v in envs[0]}
+        vals, scale, unsafe = eval_batch(owned_tape(tapes, live), StackedBinding(bindings, points),
+                                         env, len(blocks) * points)
+        if unsafe.any():
+            raise UnsafeSampleError(f"{int(unsafe.sum())} of {unsafe.size} stacked sample "
+                                    f"points are unsafe")
+    for first in range(0, len(blocks), trials):
+        worst = [0.0] * len(live)
+        witness = [None] * len(live)
+        for b in range(first, first + trials) if live else ():
+            at = slice(b * points, (b + 1) * points)
+            _keep_worst(live, vals[:, at], scale[:, at], blocks[b][1], worst, witness)
+        out.append(_answers(roots, live, worst, witness))
+    return out
 
 
 def is_zero(e: Expr | tuple[Expr, ...], trials: int = DEFAULT_TRIALS,

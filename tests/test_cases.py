@@ -1,14 +1,17 @@
 """Case table integrity and per-case verification."""
+import json
+
 import numpy as np
 import pytest
 
-from schsym import cases, expr
+from schsym import cases, expr, numeric
 from schsym.cases import (UnknownCaseError, instantiate, parse_template, table, verify_case,
                           verify_table)
-from schsym.conditions import SpanError, classifying_residual
+from schsym.conditions import (Potential, SpanError, classifying_residual, sample_rows,
+                               span_invariants)
 from schsym.expr import T_VAR, ZERO, FunctionSymbol, diff, func_app, inline, var
-from schsym.funcbank import ExpPoly
-from schsym.numeric import is_zero
+from schsym.funcbank import ExpPoly, ExpPolyImpl, StackedImpl, random_trig_poly
+from schsym.numeric import is_zero, max_normalized_residual
 from schsym.parsing import parse
 
 
@@ -231,3 +234,135 @@ def test_side_conditions_checked_when_closure_fails(monkeypatch):
     checked = [c for c in rep["side_conditions"] if c["kind"] == "nonzero_slot_deriv"]
     assert checked == [{"kind": "nonzero_slot_deriv", "symbol": "U",
                         "checked": True, "passed": True}]
+
+
+def _ref_verify_case(case_id, draws, rng, points, zero_trials, tol):
+    """verify_case as each draw was zero-tested and sampled in turn, with
+    no stacked run: the reference for the stacked draws."""
+    case = table()[case_id]
+    report = {
+        "case": case.id, "label": case.label, "potential": case.potential,
+        "expected_invariants": list(case.expected), "draws": draws,
+        "residuals": {"passed": True, "failures": []},
+        "closure": {"passed": True, "failures": []},
+        "invariants": {"passed": True, "failures": []},
+        "constraints": {"passed": True, "violations": []},
+        "side_conditions": [],
+    }
+    template = parse_template(case)
+    V = Potential(template.potential, case.n)
+    residuals = tuple(classifying_residual(V, g) for g in template.generators)
+    tapes = {}
+    sampled = []
+    for draw in range(draws):
+        inst = instantiate(case, rng, template)
+        tested = max_normalized_residual(
+            residuals, binding=inst.workspace.binding, trials=zero_trials,
+            points=points, rng=rng, tapes=tapes)
+        for gi, (worst, witness) in enumerate(tested):
+            if worst >= tol:
+                report["residuals"]["passed"] = False
+                report["residuals"]["failures"].append(
+                    {"draw": draw, "generator": gi, "max_residual": worst,
+                     "witness": cases.json_witness(witness)})
+        if draw == 0:
+            report["side_conditions"] = cases._check_side_conditions(case, inst)
+        sampled.append(sample_rows(inst.generators, inst.workspace.binding, rng, tapes))
+    for draw, tup in enumerate(span_invariants(sampled, tol)):
+        if isinstance(tup, SpanError):
+            report["closure"]["passed"] = False
+            report["closure"]["failures"].append({"draw": draw, "error": str(tup)})
+            continue
+        if tuple(tup) != tuple(case.expected):
+            report["invariants"]["passed"] = False
+            report["invariants"]["failures"].append(
+                {"draw": draw, "got": list(tup), "expected": list(case.expected)})
+        bad = tup.constraint_violations(case.n)
+        if bad:
+            report["constraints"]["passed"] = False
+            report["constraints"]["violations"].append({"draw": draw, "violations": bad})
+    side_ok = all(c.get("passed", True) for c in report["side_conditions"])
+    report["passed"] = (report["residuals"]["passed"] and report["closure"]["passed"]
+                        and report["invariants"]["passed"]
+                        and report["constraints"]["passed"] and side_ok)
+    return report
+
+
+def _both(cid, seed, **kw):
+    """verify_case and its reference from equal streams: each one's JSON
+    report, or its exception's type and message, and its final rng state."""
+    out = []
+    for verify in (verify_case, _ref_verify_case):
+        rng = np.random.default_rng([seed, cid])
+        try:
+            got = json.dumps(verify(cid, rng=rng, **kw))
+        except Exception as exc:  # compared with the reference's
+            got = f"{type(exc).__name__}: {exc}"
+        out.append((got, rng.bit_generator.state))
+    return out
+
+
+def test_stacked_draws_give_the_reference_report_bytes(monkeypatch):
+    # every residual float and witness point is in a report at tol 1e-30;
+    # at 400 points and 2 trials a draw, the buffer cap cuts the groups
+    groups = _counting(monkeypatch, "_draw_group")
+    redrawn = _counting(monkeypatch, "_draw")
+    for cid in sorted(table()):
+        new, ref = _both(cid, 5, draws=7, points=400, zero_trials=2, tol=1e-30)
+        assert new == ref, cid
+    sizes = [count for _, count in groups]
+    assert max(sizes) > 1 and sum(sizes) == 7 * len(table()) < len(sizes) * 7
+    assert not redrawn
+
+
+@pytest.mark.parametrize("eps", [0.05, 1.0, 3.0])
+def test_unsafe_points_redraw_the_group_as_the_reference(monkeypatch, eps):
+    # a wide unsafe cut makes draws redraw points (0.05), a coefficient
+    # sample raise (1.0, case 10) or the zero test give up (3.0): the group
+    # is then drawn again, one draw at a time, from its first state
+    monkeypatch.setattr(numeric, "EPS_UNSAFE", eps)
+    redrawn = _counting(monkeypatch, "_draw")
+    raised = 0
+    for cid in sorted(table()):
+        new, ref = _both(cid, 1, draws=5, points=100, zero_trials=1, tol=1e-30)
+        assert new == ref, cid
+        raised += "UnsafeSampleError" in new[0]
+    assert redrawn
+    assert (raised > 0) == (eps > 0.05)
+
+
+def _exppoly_impls(rng, count):
+    return [ExpPolyImpl(random_trig_poly(rng, "complex")) for _ in range(count)]
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_stacked_exppoly_values_are_each_impls_bits(monkeypatch, order):
+    # equal term shapes make one evaluation with per-point coefficients;
+    # unequal ones call each block's impl on its own points
+    rng = np.random.default_rng(order)
+    size = 7
+    z = rng.uniform(-2, 2, size=4 * size) + 1j * rng.uniform(-1, 1, size=4 * size)
+    same = _exppoly_impls(rng, 4)
+    mixed = same[:2] + [ExpPolyImpl(ExpPoly.exp(0.5)),
+                        ExpPolyImpl(ExpPoly.identity() * random_trig_poly(rng))]
+    calls = _counting_method(monkeypatch, ExpPolyImpl, "deriv")
+    for impls, per_block in ((same, 0), (mixed, 4)):
+        calls.clear()
+        got, mask = StackedImpl(impls, size).deriv((order,), (z,))
+        assert len(calls) == per_block
+        ref = np.concatenate([f.derivative(order)(z[b * size:(b + 1) * size])
+                              for b, f in enumerate(impls)])
+        assert mask is None
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _counting_method(monkeypatch, cls, name):
+    seen = []
+    real = getattr(cls, name)
+
+    def wrapper(self, *args):
+        seen.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return seen

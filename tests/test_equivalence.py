@@ -100,7 +100,7 @@ def test_a_map_whose_time_map_is_t_binds_no_inverse(table):
     assert tr.tinv_app() is t()
     V = generic_potential(table)
     assert act_on_potential(V, tr).expr is V.expr
-    assert tr.binding.impl_map() == {}
+    assert tr.binding._impls == {}  # no InverseImpl, nor any other impl
 
 
 def test_a_shift_acts_outside_the_solver_bracket():
