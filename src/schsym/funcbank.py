@@ -27,6 +27,12 @@ class FunctionImpl:
     base, a branch cut, a failed root solve), or None when every point is
     safe.  An implementation may substitute harmless values at unsafe
     points, but it must report them: the zero test redraws those points.
+
+    Values and mask are pointwise: each point's depend only on that point's
+    arguments, bit for bit, whatever other points share the call.  A
+    stacked run calls an impl that every block binds once over all the
+    blocks' points (``numeric.StackedBinding``) and reads each block's own
+    values from it.
     """
 
     def deriv(self, didx: tuple[int, ...], args: tuple[np.ndarray, ...]

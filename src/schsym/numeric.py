@@ -17,11 +17,13 @@ one function, ``_fold``.  The zero test takes a tuple of roots, a bare
 root as its 1-tuple: one draw of surrogates and points over the union of
 their symbols and variables, redrawn where any root is unsafe, and one
 run of their tape, whose rows and scales give each root its own worst
-value and witness.  ``cases.verify_case`` draws the trials of a group of
-draws in that order (``draw_trial``) and runs the tape once over all of
-their points (``stacked_residuals``), each block of points with its own
-binding (``StackedBinding``): every operation is pointwise, so each
-block's values, scales and witness are those of its own run.
+value and witness.  ``max_normalized_residual`` draws the trials of one
+test, and ``cases.verify_case`` those of a group of draws, in that order
+(``draw_trial``) and runs the tape once over all of their points
+(``stacked_residuals``), each block of points with its own binding
+(``StackedBinding``), within one buffer cap (``STACK_ELEMS``): every
+operation and every impl is pointwise, so each block's values, scales and
+witness are those of its own run.
 ``eval_batch`` keeps nothing; a caller that evaluates a root again owns
 its tapes in a plain dict (``owned_tape``), as ``cases.verify_case`` does
 across its draws, and hands the tape in.
@@ -146,10 +148,12 @@ EMPTY_BINDING = Binding()
 
 class StackedBinding:
     """The bindings of consecutive blocks of ``size`` points, one per block,
-    as a tape run over all the blocks looks them up: the impl of a single
-    block, or a builtin that every block binds, is itself, called once over
-    every point; any other is the ``funcbank.StackedImpl`` of the blocks'
-    impls, whose values are each block's own bit for bit."""
+    as a tape run over all the blocks looks them up: an impl that every
+    block binds to the same object (a builtin, or an ``InverseImpl`` of a
+    binding the blocks share) is itself, called once over every point, which
+    the impl contract allows (``funcbank.FunctionImpl``); any other is the
+    ``funcbank.StackedImpl`` of the blocks' impls, whose values are each
+    block's own bit for bit."""
 
     def __init__(self, bindings: Sequence[Binding], size: int):
         self._bindings = bindings
@@ -157,7 +161,7 @@ class StackedBinding:
 
     def lookup(self, sym: FunctionSymbol) -> funcbank.FunctionImpl:
         impls = [b.lookup(sym) for b in self._bindings]
-        if len(impls) == 1 or all(f is funcbank.BUILTIN_IMPLS.get(sym.name) for f in impls):
+        if all(f is impls[0] for f in impls[1:]):
             return impls[0]
         return funcbank.StackedImpl(impls, self._size)
 
@@ -207,11 +211,13 @@ def _var_sort_key(v: VarId):
 
 # opcodes of computed nodes
 _SUM, _PROD, _IPOW, _APOW, _SIGN, _CONJ, _FUNC = range(7)
-# elements of |value| taken at once when folding the subterm scale
-_FOLD_ELEMS = 1 << 16
-# elements of a stacked zero-test buffer, rows x points x blocks, within
-# which draws are stacked (``stacked_draws``)
-STACK_ELEMS = 1 << 14
+# elements of |value| taken at once when folding the subterm scale: an
+# eighth of a full stacked buffer, whose peak memory it adds to
+_FOLD_ELEMS = 1 << 14
+# elements of a stacked zero-test buffer, rows x points x blocks: the cap
+# of every stacked run, of a case's draws (``stacked_draws``) and of a zero
+# test's trials (``max_normalized_residual``)
+STACK_ELEMS = 1 << 17
 
 
 class _Tape:
@@ -647,8 +653,17 @@ def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Bin
     variables; the Schwartz-Zippel bound holds for each root on shared
     points.  ``ZERO``, alone or in a tuple, is answered as sampling it would
     (value 0 and no variables) without a draw.
+
+    Two draws or more whose stacked buffer fits in ``STACK_ELEMS`` elements
+    are drawn first, each in the loop's random-stream order (``draw_trial``),
+    and zero-tested in one run of the tape over all their points
+    (``stacked_residuals``), which gives the loop's pairs bit for bit.
+    Where a point of that run is unsafe, rng is set back and the draws are
+    taken one at a time, each redrawing its unsafe points (``eval_resampling``),
+    as are one draw and draws over the cap.
     """
-    if trials * bindings_per_trial < 1 or points < 1:
+    draws = trials * bindings_per_trial
+    if draws < 1 or points < 1:
         raise ValueError(f"a zero test needs at least one draw and one point, got "
                          f"{trials} * {bindings_per_trial} draws of {points} points")
     roots = e if type(e) is tuple else (e,)
@@ -656,13 +671,22 @@ def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Bin
     binding = binding or EMPTY_BINDING
     rng = np.random.default_rng(0) if rng is None else rng
     tapes = {} if tapes is None else tapes
-    worst = [0.0] * len(live)
-    witness = [None] * len(live)
-    for _ in range(trials * bindings_per_trial if live else 0):
-        full = _fill_surrogates(live, binding, rng)
-        vals, scale, env = eval_resampling(live, full, points, rng, tapes)
-        _keep_worst(live, vals, scale, env, worst, witness)
-    got = _answers(roots, live, worst, witness)
+    got = None
+    if live and 1 < draws <= _stack_room(live, points, tapes):
+        state = rng.bit_generator.state
+        blocks = [draw_trial(live, binding, points, rng) for _ in range(draws)]
+        try:
+            (got,) = stacked_residuals(roots, blocks, points, draws, tapes)
+        except UnsafeSampleError:
+            rng.bit_generator.state = state
+    if got is None:
+        worst = [0.0] * len(live)
+        witness = [None] * len(live)
+        for _ in range(draws if live else 0):
+            full = _fill_surrogates(live, binding, rng)
+            vals, scale, env = eval_resampling(live, full, points, rng, tapes)
+            _keep_worst(live, vals, scale, env, worst, witness)
+        got = _answers(roots, live, worst, witness)
     return got if type(e) is tuple else got[0]
 
 
@@ -672,17 +696,22 @@ def _zero_residual():
 
 
 # ---------------------------------------------------------------------------
-# stacked zero tests: the draws of a case verification in one run
+# stacked zero tests: the trials of a test, or the draws of a case
+# verification, in one run
 # ---------------------------------------------------------------------------
+
+def _stack_room(live: tuple, points: int, tapes: dict) -> int:
+    """How many blocks of ``points`` points of the live roots one stacked run
+    holds within ``STACK_ELEMS`` elements, a block's buffer rows x points
+    (one row at least, the points' own)."""
+    rows = owned_tape(tapes, live).rows if live else 0
+    return STACK_ELEMS // (max(rows, 1) * points)
+
 
 def stacked_draws(roots: tuple, points: int, trials: int, tapes: dict) -> int:
     """How many draws of ``trials`` zero-test trials of the roots one stacked
-    run takes: as many as keep its buffer, rows x points x trials a draw
-    (one row at least, the points' own), within ``STACK_ELEMS`` elements,
-    and at least one."""
-    live = _live(roots)
-    rows = owned_tape(tapes, live).rows if live else 0
-    return max(1, STACK_ELEMS // (max(rows, 1) * points * trials))
+    run takes: as many as fit its buffer (``_stack_room``), and at least one."""
+    return max(1, _stack_room(_live(roots), points, tapes) // trials)
 
 
 def draw_trial(roots: tuple, binding: Binding, points: int, rng: np.random.Generator):
@@ -773,7 +802,10 @@ class InverseImpl(funcbank.FunctionImpl):
     Values come from a safeguarded Newton solve ("rtsafe"): an expanding
     search finds a bracket [lo, hi] with a sign change of T - y, then each
     iteration narrows the bracket and takes the Newton step if it stays
-    inside, else bisects, until every bracketed step is below 1e-13.
+    inside, else bisects.  Each bracketed point steps until its own step is
+    below 1e-13 (or ``MAX_ITER`` steps), and is then frozen: a point's
+    preimage is the one it gets when solved alone, whatever other points
+    share the solve, as the impl contract asks (``funcbank.FunctionImpl``).
     Derivatives follow from the chain rule g' = 1/T'(g): g^(k) = H_k(g) with
     H_1 = 1/T' and H_(k+1) = H_k' H_1 (W. P. Johnson, "The curious history
     of Faa di Bruno's formula", Amer. Math. Monthly 109, 2002), so order k is
@@ -786,7 +818,8 @@ class InverseImpl(funcbank.FunctionImpl):
     one run per Newton step, where each tape decides, as a whole, whether
     it runs on a float64 buffer (``_Tape.run_real``); H_k at complex ones.
     Float operations are elementwise, so the solve is bit for bit the one
-    that runs T and T' apart, one bracket end at a time.
+    that runs T and T' apart, one bracket end at a time, and a frozen point
+    is still evaluated, its values unread, so every run is over all points.
 
     ``deriv`` returns ``(values, unsafe_mask)``; the mask flags points whose
     residual |T(s) - y| exceeds 1e-8 (e.g. y outside the range of T) and,
@@ -852,14 +885,18 @@ class InverseImpl(funcbank.FunctionImpl):
             step *= 1.6
             if step > 4.0 * (bhi - blo):
                 break
-        # points without a sign change (y outside the range of T) must not
-        # hold the loop open; the residual check marks them unsafe
-        bracketed = flo * fhi <= 0
+        # a point steps while it is bracketed and not yet done, and is then
+        # frozen, so its preimage depends on its own y alone; a point without
+        # a sign change (y outside the range of T) never steps, and the
+        # residual check marks it unsafe
+        live = flo * fhi <= 0
         # orient so f(lo) <= 0 <= f(hi)
         swap = flo > 0
         lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
         s = 0.5 * (lo + hi)
         for _ in range(self.MAX_ITER):
+            if not live.any():
+                break
             T_s, fp = self._real_at((T, T_t), s)
             f = T_s - y
             below = f <= 0
@@ -871,9 +908,8 @@ class InverseImpl(funcbank.FunctionImpl):
             inside = (newton >= np.minimum(lo, hi)) & (newton <= np.maximum(lo, hi))
             nxt = np.where(inside, newton, 0.5 * (lo + hi))
             done = np.abs(nxt - s) < self.STEP_TOL
-            s = nxt
-            if np.all(done | ~bracketed):
-                break
+            s = np.where(live, nxt, s)
+            live &= ~done
         residual = np.abs(self._real_at(T, s) - y)
         self._memo = (key, s, residual)
         return s, residual

@@ -266,6 +266,34 @@ def test_a_map_builds_each_target_once(table, monkeypatch):
     assert len(calls) == 4
 
 
+def test_potentials_agree_solves_each_inverse_argument_set_once(table, monkeypatch):
+    # two trials of 60 points are one stacked run, in which each inverse
+    # time map, bound once and shared by both trials' bindings, is called
+    # once over all 120 points; its orders reuse that solve
+    from schsym.numeric import InverseImpl
+
+    rng = np.random.default_rng(5)
+    ws = Workspace()
+    V = generic_potential(table)
+    t1 = AdmissibleTransformation.create(V, random_transform(rng, ws))
+    t2 = AdmissibleTransformation.create(t1.target, random_transform(rng, ws))
+    direct = act_on_potential(V, compose(t1, t2, validate=False).map)
+    solved = []
+    solve = InverseImpl._solve
+
+    def recorded(self, args):
+        y = np.real(np.asarray(args[0], dtype=complex))
+        if self._memo[0] != (self._binding._binds, y.shape, y.tobytes()):
+            solved.append((self, y.tobytes(), len(y)))
+        return solve(self, args)
+
+    monkeypatch.setattr(InverseImpl, "_solve", recorded)
+    assert potentials_agree(direct, t2.target, rng=rng, tol=1e-7)
+    # the composed map's T^-1, and T2^-1 and T1^-1 nested in t2's target
+    assert len({impl for impl, _, _ in solved}) == 3
+    assert len(set(solved)) == len(solved) and {n for _, _, n in solved} == {120}
+
+
 def test_a_map_keeps_expressions_not_bindings():
     rng = np.random.default_rng(14)
     tr = random_transform(rng, Workspace())

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schsym.expr import (COS, SymbolTable, T_VAR, ZERO, const, diff, func_app, int_pow, t, var,
-                         x, x_var)
+from schsym.expr import (COS, SymbolTable, T_VAR, ZERO, const, diff, func_app, int_pow, sign_of,
+                         t, var, x, x_var)
 from schsym.funcbank import ExpPoly, ExpPolyImpl, FunctionImpl
 from schsym.numeric import (AntiderivImpl, Binding, EMPTY_BINDING, ExprImpl, InverseImpl,
                             UnboundSymbolError, UnsafeSampleError, Workspace, draw_env,
@@ -205,6 +205,130 @@ def test_tuple_of_zeros_draws_nothing_and_a_1_tuple_draws_as_its_root(monkeypatc
     got, state_mixed = run((e, ZERO, e))
     assert got == (one, zero, one) and state_mixed == state and len(calls) == 3
     assert is_zero((ZERO,)) and is_zero(()) and not is_zero((ZERO, e))
+
+
+# -- stacked trials: one run of the tape over every trial's points ----------
+
+def _ref_max_normalized_residual(e, *, binding=None, trials, bindings_per_trial=1, points,
+                                 rng, tapes=None):
+    """max_normalized_residual as each draw was zero-tested in turn, with no
+    stacked run: the reference for the stacked trials."""
+    import schsym.numeric as numeric
+
+    roots = e if type(e) is tuple else (e,)
+    live = numeric._live(roots)
+    binding = binding or EMPTY_BINDING
+    tapes = {} if tapes is None else tapes
+    worst = [0.0] * len(live)
+    witness = [None] * len(live)
+    for _ in range(trials * bindings_per_trial if live else 0):
+        full = numeric._fill_surrogates(live, binding, rng)
+        vals, scale, env = eval_resampling(live, full, points, rng, tapes)
+        numeric._keep_worst(live, vals, scale, env, worst, witness)
+    got = numeric._answers(roots, live, worst, witness)
+    return got if type(e) is tuple else got[0]
+
+
+def _both_tests(e, seed, **kw):
+    """max_normalized_residual and its reference from equal streams: each
+    one's pairs as text, or its exception's type and message, and its final
+    rng state."""
+    out = []
+    for test in (max_normalized_residual, _ref_max_normalized_residual):
+        rng = np.random.default_rng(seed)
+        try:
+            got = repr(test(e, rng=rng, **kw))
+        except UnsafeSampleError as exc:  # compared with the reference's
+            got = f"UnsafeSampleError: {exc}"
+        out.append((got, rng.bit_generator.state))
+    return out
+
+
+def _stacked_runs(monkeypatch):
+    """The number of blocks of each stacked_residuals call."""
+    import schsym.numeric as numeric
+
+    runs = []
+    real = numeric.stacked_residuals
+
+    def counted(roots, blocks, *args):
+        runs.append(len(blocks))
+        return real(roots, blocks, *args)
+
+    monkeypatch.setattr(numeric, "stacked_residuals", counted)
+    return runs
+
+
+def test_stacked_trials_of_a_composed_map_give_the_reference_pairs(monkeypatch):
+    # two inverse time maps, one nested in the other, and a surrogate W
+    # drawn afresh for each trial
+    from schsym.conditions import Potential
+    from schsym.equivalence import (AdmissibleTransformation, act_on_potential, compose,
+                                    potentials_agree)
+    from test_equivalence import random_transform
+
+    rng = np.random.default_rng(5)
+    ws = Workspace()
+    W = ws.table.declare("W", 3, "complex")
+    V = Potential(func_app(W, [t(), x(1), x(2)]), 2)
+    t1 = AdmissibleTransformation.create(V, random_transform(rng, ws))
+    t2 = AdmissibleTransformation.create(t1.target, random_transform(rng, ws))
+    direct = act_on_potential(V, compose(t1, t2, validate=False).map)
+    d = direct.expr - t2.target.expr
+    binding = direct.binding.merged(t2.target.binding)
+    runs = _stacked_runs(monkeypatch)
+    for seed in range(3):
+        new, ref = _both_tests(d, seed, binding=binding, trials=2, points=60)
+        assert new == ref, seed
+    assert runs == [2] * 3
+    assert potentials_agree(direct, t2.target, rng=np.random.default_rng(0), tol=1e-7)
+
+
+def test_stacked_bindings_per_trial_give_the_reference_pairs(monkeypatch):
+    # every draw binds its own surrogates of f, U and c
+    tbl = SymbolTable()
+    tbl.declare("f", 1, "real")
+    tbl.declare("U", 2, "complex")
+    tbl.declare("c", 0, "complex")
+    roots = (parse("f(t)*x1 + U(t, x2) + c", tbl), ZERO, parse("U(x1, x2)*conj(c) - x2", tbl))
+    runs = _stacked_runs(monkeypatch)
+    for seed in range(3):
+        new, ref = _both_tests(roots, seed, trials=2, bindings_per_trial=3, points=9)
+        assert new == ref, seed
+    assert runs == [6] * 3
+
+
+@pytest.mark.parametrize("eps", [0.05, 3.0])
+def test_unsafe_stacked_trials_fall_back_as_the_reference(monkeypatch, eps):
+    # a wide unsafe cut: at 0.05 some points of 1/x1 and sgn(x2 - t) are
+    # unsafe, so the stacked run sets rng back and the loop redraws them;
+    # at 3.0 every point is, and the loop raises as the reference does
+    import schsym.numeric as numeric
+
+    monkeypatch.setattr(numeric, "EPS_UNSAFE", eps)
+    e = int_pow(x(1), -1) * t() + sign_of(x(2) - t()) * x(1)
+    runs = _stacked_runs(monkeypatch)
+    draws = _recorded_draws(monkeypatch)
+    for seed in range(3):
+        new, ref = _both_tests(e, seed, trials=3, points=40)
+        assert new == ref, seed
+        assert new[0].startswith("UnsafeSampleError") == (eps == 3.0)
+    assert runs == [3] * 3
+    assert eps == 3.0 or any(count < 40 for _, count in draws)  # redraws of unsafe points
+
+
+def test_a_dag_over_the_stack_cap_runs_trial_by_trial(monkeypatch):
+    import schsym.numeric as numeric
+
+    deep = parse("sin(x1 + " * 300 + "t" + ")" * 300) * x(2)
+    tape = numeric._Tape(deep)
+    assert tape.rows * 100 * 5 > numeric.STACK_ELEMS >= tape.rows * 100
+    runs = _stacked_runs(monkeypatch)
+    new, ref = _both_tests(deep, 7, trials=5, points=100)
+    assert new == ref and not runs
+    # one draw has nothing to stack: it runs as the loop's
+    new, ref = _both_tests(x(1) * t(), 7, trials=1, points=100)
+    assert new == ref and not runs
 
 
 def test_roots_without_variables_are_resampled_at_every_point():

@@ -590,7 +590,8 @@ def test_zero_root_and_non_finite_row_decline_the_real_program():
 
 
 def _reference_solve(T, binding, y, bracket=SOLVE_BRACKET):
-    """InverseImpl's root solve, every evaluation through eval_batch."""
+    """InverseImpl's root solve, every evaluation through eval_batch: each
+    bracketed point steps until its own step is done, and is then frozen."""
     def T_at(e, s):
         return np.real(eval_batch(e, binding, {T_VAR: s.astype(complex)})[0])
 
@@ -608,11 +609,13 @@ def _reference_solve(T, binding, y, bracket=SOLVE_BRACKET):
         step *= 1.6
         if step > 4.0 * (bhi - blo):
             break
-    bracketed = flo * fhi <= 0
+    live = flo * fhi <= 0
     swap = flo > 0
     lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
     s = 0.5 * (lo + hi)
     for _ in range(InverseImpl.MAX_ITER):
+        if not live.any():
+            break
         f = T_at(T, s) - y
         fp = T_at(diff(T, T_VAR), s)
         below = f <= 0
@@ -622,9 +625,8 @@ def _reference_solve(T, binding, y, bracket=SOLVE_BRACKET):
         inside = (newton >= np.minimum(lo, hi)) & (newton <= np.maximum(lo, hi))
         nxt = np.where(inside, newton, 0.5 * (lo + hi))
         done = np.abs(nxt - s) < InverseImpl.STEP_TOL
-        s = nxt
-        if np.all(done | ~bracketed):
-            break
+        s = np.where(live, nxt, s)
+        live = live & ~done
     return s, np.abs(T_at(T, s) - y)
 
 
@@ -646,6 +648,22 @@ def test_solve_matches_a_reference_solve_on_eval_batch(T):
     assert _Tape(impl.T_expr).run_real(impl._binding, {T_VAR: np.array([0.7])}, 1) is not None
     with np.errstate(all="ignore"):
         _assert_solve_matches_reference(impl, y)
+
+
+@pytest.mark.parametrize("T", ["t^3", "atan(t)", "t + 3/10*sin(t)", "-t - sin(t)/4",
+                               "t + exp(t)/10 + 1/(t^2 + 4)"])
+def test_a_point_solves_to_the_same_bits_alone_and_in_a_batch(T):
+    # the flat point of t^3, y outside the range of atan, and points whose
+    # Newton steps end at different iterations: each point's preimage and
+    # residual are those of its own solve, whatever shares the batch
+    y = np.concatenate([[0.0, 2.0, -3.0, 1e-9],
+                        np.random.default_rng(14).uniform(-3.0, 3.0, 24)])
+    with np.errstate(all="ignore"):
+        together = InverseImpl(parse(T), Binding())._solve((y,))
+        for i in range(len(y)):
+            alone = InverseImpl(parse(T), Binding())._solve((y[i:i + 1],))
+            for a, b in zip(alone, together):
+                assert _bits(a).tolist() == _bits(b[i:i + 1]).tolist(), (T, y[i])
 
 
 def test_ineligible_time_maps_run_the_complex_program(monkeypatch):
