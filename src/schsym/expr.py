@@ -1,9 +1,11 @@
 """Immutable expression DAG for symbolic work on (1+n)-dimensional wave operators.
 
 Nodes are hash-consed: structurally equal expressions are the *same* object,
-so `a is b` is structural equality.  A node is interned under its type tag
-(its class) and its own children, a constant under its coefficient ints, so
-a key pins its children and can never alias a freed node's `id()`.
+so `a is b` is structural equality.  A sum or product is interned under the
+tuple of terms or factors it stores (under its class and that tuple when a
+node of the other class holds it), any other node under its class and its
+own children, a constant under its coefficient ints, so a key pins its
+children and can never alias a freed node's `id()`.
 Constants are exact complex rationals, held as reduced integer pairs
 (re_num, re_den, im_num, im_den) on which `sum_`, `prod` and the powers fold
 coefficients with `schsym.rational`; a constant's `.re` and `.im` are
@@ -17,7 +19,9 @@ Node facts are set at construction: a node's free variables and function
 symbols are int bitmasks over per-process registries.  `diff` walks a DAG on
 an explicit stack of its own, and `subst`, `conj_expr`, printing and the
 evaluation tape with one explicit-stack `post_order`, so none has a depth
-limit.  Each node keeps its derivatives once computed (`Expr._diffs`).
+limit.  Each node keeps its derivatives once computed (`Expr._diffs`): the
+one (variable's bit, derivative) pair of a node differentiated by one
+variable, a dict only from its second.
 """
 from __future__ import annotations
 
@@ -146,10 +150,13 @@ def raise_jet(v: VarId, direction: int) -> VarId:
 # nodes
 # ---------------------------------------------------------------------------
 
-# every node, keyed by its type tag (its class) and the children and
-# parameters it stores itself, e.g. (IntPow, base, k), or a Const by its
-# coefficient ints; as Expr defines no __eq__ or __hash__, a key compares its
-# children by identity, and as it holds them, it never aliases a freed id()
+# every node, once, keyed by what it stores itself: a Sum or Product by the
+# very terms or factors tuple it holds (by (cls, tuple) when a node of the
+# other class holds that key), any other node by its type tag (its class) and
+# the children and parameters it stores, e.g. (IntPow, base, k), a Const by
+# its coefficient ints; as Expr defines no __eq__ or __hash__, a key compares
+# its children by identity, and as it holds them, it never aliases a freed
+# id()
 _INTERN: dict = {}
 
 
@@ -193,7 +200,8 @@ SYMBOLS = _Registry(lambda s: s.codomain == "complex")
 class Expr:
     # is_real, vmask and smask are set once, by the constructor: vmask holds
     # the bits of the node's free variables, smask those of its function
-    # symbols; _diffs: None until the node's first diff, then
+    # symbols; _diffs: None until the node's first diff, then the pair
+    # (variable's bit, derivative), and from a second variable on the dict
     # {variable's bit: derivative}
     __slots__ = ("is_real", "vmask", "smask", "_diffs", "__weakref__")
 
@@ -431,11 +439,23 @@ class Conj(Expr):
 # ---------------------------------------------------------------------------
 
 def _node(*key) -> Expr:
-    """The interned node key[0](*key[1:]): every node but a Const is built by
-    this one helper, under its class and its constructor arguments."""
+    """The interned node key[0](*key[1:]): every node but a Const, Sum or
+    Product is built by this one helper, under its class and its constructor
+    arguments."""
     node = _INTERN.get(key)
     if node is None:
         node = _INTERN[key] = key[0](*key[1:])
+    return node
+
+
+def _nary(cls: type, kids: tuple) -> Expr:
+    """The interned Sum or Product cls(kids), keyed by kids itself unless a
+    node of the other class was built first under it."""
+    node = _INTERN.get(kids)
+    if node is None:
+        node = _INTERN[kids] = cls(kids)
+    elif type(node) is not cls:
+        node = _node(cls, kids)
     return node
 
 
@@ -546,7 +566,7 @@ def sum_(terms: Iterable[Expr]) -> Expr:
                 # the Sum's terms are already normal: fold c into each coefficient
                 stack.extend([(fs[0].coeff, u) for u in reversed(fs[1].terms)])
                 continue
-            coeff, mono = fs[0].coeff, fs[1] if len(fs) == 2 else _node(Product, fs[1:])
+            coeff, mono = fs[0].coeff, fs[1] if len(fs) == 2 else _nary(Product, fs[1:])
         else:
             coeff, mono = _C1, tm
         if c is not None:
@@ -571,12 +591,12 @@ def sum_(terms: Iterable[Expr]) -> Expr:
         else:
             # mono is normal, so prod((c, mono)) would return exactly this node
             fs = (_const(coeff),) + (mono.factors if isinstance(mono, Product) else (mono,))
-            out.append(_node(Product, fs))
+            out.append(_nary(Product, fs))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    return _node(Sum, tuple(out))
+    return _nary(Sum, tuple(out))
 
 
 def prod(factors: Iterable[Expr]) -> Expr:
@@ -637,7 +657,7 @@ def prod(factors: Iterable[Expr]) -> Expr:
         return ONE
     if len(out) == 1:
         return out[0]
-    return _node(Product, tuple(out))
+    return _nary(Product, tuple(out))
 
 
 def int_pow(base: Expr, k: int) -> Expr:
@@ -777,8 +797,12 @@ def diff(e: Expr, v: VarId) -> Expr:
     if bit is None or not e.vmask & bit or type(e) is Sign:
         return ZERO
     ds = e._diffs
-    if ds is not None and bit in ds:
-        return ds[bit]
+    if ds is not None:
+        if type(ds) is tuple:
+            if ds[0] == bit:
+                return ds[1]
+        elif bit in ds:
+            return ds[bit]
     # one explicit-stack post-order walk from a sentinel entry whose child is
     # e, entering only the nodes that hold their variable, are of a walked
     # type and lack its derivative (a node met again is skipped by the
@@ -789,7 +813,8 @@ def diff(e: Expr, v: VarId) -> Expr:
         node, kids, v, bit = stack[-1]
         for c in kids:
             if (c.vmask & bit and type(c) in _DIFF_WALKED
-                    and ((cd := c._diffs) is None or bit not in cd)):
+                    and ((cd := c._diffs) is None
+                         or (cd[0] != bit if type(cd) is tuple else bit not in cd))):
                 if type(c) is Conj:
                     cv = conj_var(v)
                     stack.append((c, iter(c.children()), cv, VARIABLES.bits.get(cv, 0)))
@@ -803,10 +828,13 @@ def diff(e: Expr, v: VarId) -> Expr:
             if type(node) is Conj:  # its own variable is its parent's children's
                 v, bit = stack[-1][2:]
             d = _diff(node, v)
-            if node._diffs is None:
-                node._diffs = {bit: d}
+            ds = node._diffs
+            if ds is None:
+                node._diffs = (bit, d)
+            elif type(ds) is tuple:
+                node._diffs = {ds[0]: ds[1], bit: d}
             else:
-                node._diffs[bit] = d
+                ds[bit] = d
 
 
 def _diff(e: Expr, v: VarId) -> Expr:
@@ -829,7 +857,7 @@ def _diff(e: Expr, v: VarId) -> Expr:
                     for j, g in enumerate(fs) if j != i):
                 # d is a new base of power 1 in f's place, so nf is already
                 # the normal form prod(nf) would build
-                terms.append(_node(Product, nf))
+                terms.append(_nary(Product, nf))
             else:
                 terms.append(prod(nf))
         return _sum_of(terms)

@@ -9,8 +9,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import schsym.expr as expr_module
-from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Conj, Const, FuncApp, IntPow,
-                         Product, Sign, Sum, SymbolTable, Var, _const, _node, abs_pow,
+from schsym.expr import (COS, ONE, SIN, T_VAR, ZERO, AbsPow, Conj, Const, FuncApp,
+                         FunctionSymbol, IntPow, Product, Sign, Sum, SymbolTable, Var, _const,
+                         _nary, _node, abs_pow,
                          conj_expr, conj_var, const, depends_only_on_t, diff, func_app,
                          has_complex_symbols, im_part, int_pow, jet_var, post_order, prod,
                          psi, psi_var, sign_of, subst, sum_, t, total_derivative, var, x,
@@ -48,6 +49,18 @@ def test_interning_gives_structural_identity(table):
     assert parse("x1*x2 + x1*x2", table) is parse("2*x1*x2", table)
     assert (x(1) - x(1)) is ZERO
     assert int_pow(x(1), 0) is ONE
+    # a Sum and a Product over equal children are two nodes, in either build
+    # order: the first is keyed by the children tuple, the second by its class
+    # and that tuple.  The symbols are fresh, so no other test built these
+    for first, second in ((sum_, prod), (prod, sum_)):
+        f, g = (FunctionSymbol(f"{name}_{first.__name__}", 1, "real") for name in ("fk", "gk"))
+        kids = (func_app(f, [t()]), func_app(g, [t()]))
+        n = len(expr_module._INTERN)
+        a, b = first(kids), second(kids)
+        assert len(expr_module._INTERN) == n + 2 and a is not b
+        assert a.children() == b.children() == kids
+        assert expr_module._INTERN[kids] is a and expr_module._INTERN[(type(b), kids)] is b
+        assert first(kids) is a and second(kids) is b and len(expr_module._INTERN) == n + 2
 
 
 def test_sum_collects_like_terms(table):
@@ -66,6 +79,25 @@ def test_parse_examples_from_contract(table):
 
 def test_diff_power():
     assert diff(parse("x1^2"), x_var(1)) is parse("2*x1")
+
+
+def test_a_node_keeps_one_derivative_as_a_pair_and_more_in_a_dict(monkeypatch):
+    # a fresh symbol, so no other test differentiated e
+    h = FunctionSymbol("h_kept", 2, "real")
+    e = func_app(h, [t() * x(1), x(1) + t()])
+    calls = []
+    real_diff = expr_module._diff
+    monkeypatch.setattr(expr_module, "_diff",
+                        lambda u, v: calls.append((u, v)) or real_diff(u, v))
+    bits = expr_module.VARIABLES.bits
+    dt = diff(e, T_VAR)
+    assert e._diffs == (bits[T_VAR], dt)
+    dx = diff(e, x_var(1))
+    assert e._diffs == {bits[T_VAR]: dt, bits[x_var(1)]: dx}
+    assert diff(e, T_VAR) is dt and diff(e, x_var(1)) is dx
+    # _diff ran once per (node, variable): on e, once by each variable
+    assert len(calls) == len(set(calls)) and [v for u, v in calls if u is e] == [T_VAR, x_var(1)]
+    assert dt is _ref_diff(e, T_VAR, {}) and dx is _ref_diff(e, x_var(1), {})
 
 
 def test_diff_rotating_arguments(table):
@@ -322,7 +354,7 @@ def _ref_split_coeff(term):
     if isinstance(term, Product) and isinstance(term.factors[0], Const):
         c = term.factors[0]
         rest = term.factors[1:]
-        mono = rest[0] if len(rest) == 1 else _node(Product, rest)
+        mono = rest[0] if len(rest) == 1 else _nary(Product, rest)
         return (c.re, c.im), mono
     return (_F1, _F0), term
 
@@ -367,7 +399,7 @@ def _ref_sum(terms):
         return ZERO
     if len(out) == 1:
         return out[0]
-    return _node(Sum, tuple(out))
+    return _nary(Sum, tuple(out))
 
 
 def _ref_prod(factors):
@@ -427,7 +459,7 @@ def _ref_prod(factors):
         out.insert(0, const(*cacc))
     if len(out) == 1:
         return out[0]
-    return _node(Product, tuple(out))
+    return _nary(Product, tuple(out))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -144,10 +144,10 @@ def test_expand_and_structural_chi_match_binary_chains():
             assert all(u is v for u, v in zip(got, _ref_structural_chi(g1, g2)))
 
 
-# the stored fields an interned node's key holds after its class
-_KEY_FIELDS = {Sum: ("terms",), Product: ("factors",), FuncApp: ("sym", "args", "didx"),
-               IntPow: ("base", "k"), AbsPow: ("base", "q"), Sign: ("base",),
-               Conj: ("arg",), Var: ("vid",)}
+# the stored fields an interned node's key holds after its class; a Sum or
+# Product is keyed by the one tuple it stores
+_KEY_FIELDS = {FuncApp: ("sym", "args", "didx"), IntPow: ("base", "k"), AbsPow: ("base", "q"),
+               Sign: ("base",), Conj: ("arg",), Var: ("vid",)}
 
 
 def test_intern_keys_hold_the_nodes_own_children():
@@ -163,6 +163,13 @@ def test_intern_keys_hold_the_nodes_own_children():
             assert key is node.coeff and all(type(v) is int for v in key)
             continue
         kinds.add(type(node))
+        if type(node) is Sum or type(node) is Product:
+            # its own children, or its class and them when the other class
+            # holds that tuple
+            kids = node.children()
+            assert key is kids or (key == (type(node), kids) and key[1] is kids
+                                   and type(expr_module._INTERN[kids]) in {Sum, Product} - {type(node)})
+            continue
         stored = tuple(getattr(node, f) for f in _KEY_FIELDS[type(node)])
         assert key[0] is type(node) and len(key) == 1 + len(stored)
         assert all(k is v for k, v in zip(key[1:], stored)), key
