@@ -157,12 +157,20 @@ def test_intern_keys_hold_the_nodes_own_children():
         .add(bracket_structural(g2, bracket_structural(g3, g1))) \
         .add(bracket_structural(g3, bracket_structural(g1, g2)))
     expand(jacobi).sub(bracket_generic(expand(g1), expand(bracket_structural(g2, g3))))
-    kinds = set()
+    kinds, pairs = set(), 0
     for key, node in expr_module._INTERN.items():
+        # a node differentiated by one variable keeps its derivative as a
+        # pair; a dict holds two or more
+        diffs = node._diffs
+        assert not (type(diffs) is dict and len(diffs) == 1), node
+        pairs += type(diffs) is tuple
         if type(node) is Const:
             assert key is node.coeff and all(type(v) is int for v in key)
             continue
         kinds.add(type(node))
+        # a Sum/Product key is a bare tuple of children, apart from the Const
+        # int-tuple keys only while every child is an Expr
+        assert all(isinstance(c, Expr) for c in node.children())
         if type(node) is Sum or type(node) is Product:
             # its own children, or its class and them when the other class
             # holds that tuple
@@ -173,8 +181,7 @@ def test_intern_keys_hold_the_nodes_own_children():
         stored = tuple(getattr(node, f) for f in _KEY_FIELDS[type(node)])
         assert key[0] is type(node) and len(key) == 1 + len(stored)
         assert all(k is v for k, v in zip(key[1:], stored)), key
-        assert all(isinstance(c, Expr) for c in node.children())
-    assert {Sum, Product, FuncApp, IntPow, AbsPow, Sign, Var} <= kinds
+    assert {Sum, Product, FuncApp, IntPow, AbsPow, Sign, Var} <= kinds and pairs
 
 
 def test_generic_bracket_simple():
