@@ -7,7 +7,9 @@ residual for every listed generator, (ii) bracket closure of the span,
 (iii) the expected invariant tuple, (iv) the structural constraints every
 tuple must satisfy.  The draws are drawn one by one, in groups whose zero
 tests run as one tape run and whose coefficient samples as another; the
-report is byte for byte the one that testing each draw alone gives.
+report is byte for byte the one that testing each draw alone gives,
+except where a group's zero test meets an unsafe point, whose redraws
+then come after all of the group's draws.
 
 The template strings are parsed once per verification, not once per draw:
 symbols compare by value and nodes are hash-consed, so every draw's parse
@@ -35,8 +37,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .conditions import (InvariantTuple, Potential, SpanError, classifying_residual, sample_rows,
-                         sample_times, span_invariants)
+from .conditions import (InvariantTuple, Potential, SpanError, classifying_residual, sample_times,
+                         span_invariants)
 from .equivalence import rational_rotation
 from .expr import (COS, HALF, SIN, T_VAR, ZERO, Expr, FunctionSymbol, SymbolTable, abs_pow,
                    const, diff, func_app, inline, int_pow, sum_, t)
@@ -44,8 +46,7 @@ from .fields import GeneratorCoeffs, coefficient_rows
 from .funcbank import (TRIG_DEGREE, ConstImpl, ExpPoly, ExpPolyImpl,
                        random_positive_trig_coeffs, random_positive_trig_poly, random_surrogate)
 from .numeric import (DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
-                      UnsafeSampleError, Workspace, draw_trial, max_normalized_residual,
-                      stacked_draws, stacked_residuals)
+                      Workspace, draw_trial, stacked_draws, stacked_residuals)
 from .numeric import eval_batch  # noqa: F401  re-exported; perfbench's tracer checks its rebinding
 from .parsing import parse
 
@@ -386,7 +387,8 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     groups (``_draw_group``), each group's zero tests and coefficient
     samples in one run each, and the span analysis of all the draws then
     runs as one stack (``span_invariants``).  The report is the one that
-    testing and sampling each draw in turn would give (``_draw``).
+    testing and sampling each draw in turn would give, except that a
+    group's zero test redraws its unsafe points after all of its draws.
     """
     tab = table()
     if case_id not in tab:
@@ -412,12 +414,10 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     residuals = tuple(classifying_residual(V, g) for g in template.generators)
     tapes: dict = {}  # residual and coefficient tuples -> tapes, for every draw
     run = (case, template, residuals, rng, points, zero_trials, tapes)
-    # no trial, no point or no generator: _draw raises, after drawing one draw
-    size = (stacked_draws(residuals, points, zero_trials, tapes)
-            if zero_trials >= 1 and points >= 1 and template.generators else 0)
+    size = stacked_draws(residuals, points, zero_trials, tapes)
     drawn = []  # each draw's instance, residual pairs and sample_rows
     while len(drawn) < draws:
-        drawn += _draw_group(run, min(size, draws - len(drawn))) if size else [_draw(*run)]
+        drawn += _draw_group(run, len(drawn), min(size, draws - len(drawn)))
     for draw, (_, tested, _) in enumerate(drawn):
         for gi, (worst, witness) in enumerate(tested):
             if worst >= tol:
@@ -447,40 +447,25 @@ def verify_case(case_id: int, draws: int = DEFAULT_TRIALS,
     return report
 
 
-def _draw(case, template, residuals, rng, points, zero_trials, tapes) -> tuple:
-    """One draw, zero-tested and sampled in turn: its instance, its
-    residuals' (worst, witness) pairs and its ``sample_rows``."""
-    inst = instantiate(case, rng, template)
-    binding = inst.workspace.binding
-    tested = max_normalized_residual(residuals, binding=binding, trials=zero_trials,
-                                     points=points, rng=rng, tapes=tapes)
-    return inst, tested, sample_rows(inst.generators, binding, rng, tapes)
-
-
-def _draw_group(run: tuple, count: int) -> list:
-    """``count`` draws as ``_draw`` gives them, each drawn as ``_draw`` draws
-    it when no point is unsafe: its instance, its zero-test trials
-    (``draw_trial``) and its sample times.  Then the residuals' tape runs
-    once over every trial's points (``stacked_residuals``) and the
-    coefficients' once over every draw's times (``coefficient_rows``).
-    Where a point of either run is unsafe, rng is set back to the group's
-    start and the draws are taken by ``_draw``, which redraws or raises as
-    a draw alone does."""
+def _draw_group(run: tuple, first: int, count: int) -> list:
+    """``count`` draws, the first numbered ``first`` in the case: each
+    draw's instance, residual pairs and ``sample_rows``.  Each draw is
+    drawn in turn: its instance, its zero-test trials (``draw_trial``) and
+    its sample times.  Then the residuals' tape runs once over every
+    trial's points (``stacked_residuals``), redrawing unsafe points after
+    all of the draws, and the coefficients' once over every draw's times
+    (``coefficient_rows``), which raises where a time is unsafe."""
     case, template, residuals, rng, points, zero_trials, tapes = run
-    state = rng.bit_generator.state
     insts, trials, times = [], [], []
     for _ in range(count):
         insts.append(instantiate(case, rng, template))
         binding = insts[-1].workspace.binding
         trials += [draw_trial(residuals, binding, points, rng) for _ in range(zero_trials)]
         times.append(sample_times(rng))
-    try:
-        tested = stacked_residuals(residuals, trials, points, zero_trials, tapes)
-        rows, drows, slices = coefficient_rows(
-            template.generators, [i.workspace.binding for i in insts], np.array(times), tapes)
-    except UnsafeSampleError:
-        rng.bit_generator.state = state
-        return [_draw(*run) for _ in range(count)]
+    tested = stacked_residuals(residuals, trials, points, zero_trials, rng, tapes)
+    rows, drows, slices = coefficient_rows(template.generators,
+                                           [i.workspace.binding for i in insts],
+                                           np.array(times), tapes, first)
     return [(i, t, (r, d, slices)) for i, t, r, d in zip(insts, tested, rows, drows)]
 
 

@@ -27,7 +27,7 @@ from .equivalence import EquivTransformation, act_on_potential, restart_inverse_
 from .expr import ZERO, SymbolTable
 from .fields import GeneratorCoeffs, bracket_generic, bracket_structural, expand
 from .numeric import (DEFAULT_BINDINGS, DEFAULT_POINTS, DEFAULT_TOL, DEFAULT_TRIALS,
-                      UnsafeSampleError, Workspace, eval_resampling, is_zero,
+                      UnsafeSampleError, Workspace, draw_env, eval_resampling, is_zero,
                       max_normalized_residual)
 from .parsing import ParseError, load_declarations, parse, to_text, var_name
 
@@ -304,7 +304,8 @@ def cmd_transform(args) -> int:
     Upsilon = parse(str(spec.get("Upsilon", "0")), ws.table, cfg.n)
     tr = EquivTransformation(cfg.n, T, O, X, Sigma, Upsilon, binding=ws.binding)
     Vt = act_on_potential(V, tr)
-    (vals,), _, env = eval_resampling((Vt.expr,), Vt.binding, 5, rng, {})
+    env = draw_env(Vt.expr.free_vars, 5, rng)
+    (vals,), _, env = eval_resampling((Vt.expr,), [(Vt.binding, env)], 5, rng, {})
     spots = []
     for i in range(len(vals)):
         pt = {var_name(v): complex(env[v][i]) for v in env}

@@ -293,7 +293,7 @@ def bracket_structural(g1: GeneratorCoeffs, g2: GeneratorCoeffs) -> GeneratorCoe
 # ---------------------------------------------------------------------------
 
 def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
-                     tvals: np.ndarray, tapes: Optional[dict] = None):
+                     tvals: np.ndarray, tapes: Optional[dict] = None, first_draw: int = 0):
     """Sampled coefficient matrices of the canonical data and of its first
     t-derivatives.
 
@@ -313,7 +313,9 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     tvals may be 2-d, one row of times per draw, with binding a sequence of
     the draws' bindings: the tape then runs once over all the times
     (``numeric.StackedBinding``), and rows and drows gain a leading axis,
-    one entry per draw, each bit for bit that draw's own.
+    one entry per draw, each bit for bit that draw's own.  An unsafe run
+    then names the first draw with an unsafe time, numbered from
+    ``first_draw``, its first root unsafe alone and that draw's count.
     """
     m, n, k = np.shape(tvals)[-1], gs[0].n, len(gs)
     lead = np.shape(tvals)[:-1]
@@ -333,15 +335,18 @@ def coefficient_rows(gs: Sequence[GeneratorCoeffs], binding: Binding,
     if roots:
         vals, _, unsafe = eval_batch(owned_tape(tapes, roots), binding, env, scale=False)
         if unsafe.any():
+            d = int(unsafe.reshape(-1, m).any(axis=1).argmax())
+            at = slice(d * m, (d + 1) * m)
+            where = f" of draw {first_draw + d}" if lead else ""
             for e in roots:  # in the order of their first places in exprs
-                alone = eval_batch(e, binding, env, scale=False)[2]
+                alone = eval_batch(e, binding, env, scale=False)[2][at]
                 if alone.any():
                     i, field = divmod(exprs.index(e) % len(coeffs), len(names))
                     raise UnsafeSampleError(
                         f"generator {i}: {names[field]} is singular or undefined at "
-                        f"{int(alone.sum())} of {alone.size} sampled times")
+                        f"{int(alone.sum())} of {m} sampled times{where}")
             raise UnsafeSampleError(f"the coefficients are singular or undefined at "
-                                    f"{int(unsafe.sum())} of {unsafe.size} sampled times")
+                                    f"{int(unsafe[at].sum())} of {m} sampled times{where}")
         sampled = dict(zip(roots, np.real(vals)))
     samples = np.empty((*lead, len(exprs), m))
     for p, e in enumerate(exprs):

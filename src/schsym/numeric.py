@@ -18,12 +18,14 @@ root as its 1-tuple: one draw of surrogates and points over the union of
 their symbols and variables, redrawn where any root is unsafe, and one
 run of their tape, whose rows and scales give each root its own worst
 value and witness.  ``max_normalized_residual`` draws the trials of one
-test, and ``cases.verify_case`` those of a group of draws, in that order
-(``draw_trial``) and runs the tape once over all of their points
-(``stacked_residuals``), each block of points with its own binding
-(``StackedBinding``), within one buffer cap (``STACK_ELEMS``): every
-operation and every impl is pointwise, so each block's values, scales and
-witness are those of its own run.
+test, and ``cases.verify_case`` those of a group of draws, in turn
+(``draw_trial``), and one evaluator, ``eval_resampling``, runs the tape
+once over all of their points, each block of points with its own binding
+(``StackedBinding``), within one buffer cap (``STACK_ELEMS``), then
+redraws the unsafe points block by block and runs again: every operation
+and every impl is pointwise, so each block's values, scales and witness
+are those of its own run.  One draw is a stack of one; only a larger
+stack that meets an unsafe point draws its redraws after all of its draws.
 ``eval_batch`` keeps nothing; a caller that evaluates a root again owns
 its tapes in a plain dict (``owned_tape``), as ``cases.verify_case`` does
 across its draws, and hands the tape in.
@@ -571,28 +573,43 @@ def _fill_surrogates(roots: tuple, binding: Binding, rng: np.random.Generator) -
     return binding.merged(Binding(extra)) if extra else binding
 
 
-def eval_resampling(roots: tuple, binding: Binding, points: int,
+def eval_resampling(roots: tuple, blocks: Sequence[tuple], points: int,
                     rng: np.random.Generator, tapes: dict):
-    """The roots' values and scales, one row per root, at `points` safe
-    random points drawn over the union of their variables and redrawn where
-    any root is unsafe, and the env of those points."""
+    """The roots' values and scales, one row per root, at the points of
+    every block, a block a ``(binding, env)`` draw of ``points`` points
+    (``draw_trial``), and the env of those points, one array per variable
+    over the blocks in order.  The roots' tape runs once over every block,
+    each with its own binding (``StackedBinding``; one block runs with its
+    own binding and env arrays).  While a point is unsafe, each block's
+    unsafe points are redrawn, in block order, and the tape runs again, for
+    up to ``RETRY_BUDGET`` rounds; UnsafeSampleError then gives the count
+    of the first block still unsafe."""
     tape = owned_tape(tapes, roots)
-    vars_needed = _free_vars(roots)
-    env = draw_env(vars_needed, points, rng)
-    vals, scale, unsafe = eval_batch(tape, binding, env, points)
+    count = len(blocks) * points
+    if len(blocks) == 1:
+        binding, env = blocks[0]
+    else:
+        bindings, envs = zip(*blocks)
+        binding = StackedBinding(bindings, points)
+        env = {v: np.concatenate([x[v] for x in envs]) for v in envs[0]}
+    vals, scale, unsafe = eval_batch(tape, binding, env, count)
     budget = RETRY_BUDGET
     while unsafe.any():
+        unsafe = unsafe.reshape(len(blocks), points)
         if budget == 0:
             raise UnsafeSampleError(
-                f"{int(unsafe.sum())} of {points} sample points remained unsafe "
-                f"after {RETRY_BUDGET} redraws")
+                f"{int(unsafe[unsafe.any(axis=1).argmax()].sum())} of {points} sample points "
+                f"remained unsafe after {RETRY_BUDGET} redraws")
         budget -= 1
-        k = int(unsafe.sum())
-        fresh = draw_env(vars_needed, k, rng)
-        for v in env:
-            env[v] = env[v].copy()
-            env[v][unsafe] = fresh[v]
-        vals, scale, unsafe = eval_batch(tape, binding, env, points)
+        vars_needed = _free_vars(roots)
+        env = {v: x.copy() for v, x in env.items()}
+        for b, bad in enumerate(unsafe):
+            k = int(bad.sum())
+            if k:
+                fresh = draw_env(vars_needed, k, rng)
+                for v, x in env.items():
+                    x[b * points:(b + 1) * points][bad] = fresh[v]
+        vals, scale, unsafe = eval_batch(tape, binding, env, count)
     return vals, scale, env
 
 
@@ -601,24 +618,28 @@ def _live(roots: tuple) -> tuple:
     return tuple({r: None for r in roots if r is not ZERO})
 
 
-def _keep_worst(live: tuple, vals: np.ndarray, scale: np.ndarray, env: Mapping,
+def _keep_worst(live: tuple, run: tuple, blocks: range, points: int,
                 worst: list, witness: list) -> None:
-    """Raise each live root's worst normalized value to its largest at env's
-    points, from one row of vals and scale per root, and take the point of
-    a value at least as large as before as its witness."""
-    normed = np.abs(vals) / (1.0 + scale)
-    for j, r in enumerate(live):
-        row = normed[j]
-        i = int(row.argmax())
-        top = float(row[i])
-        if top >= worst[j]:
-            worst[j] = top
-            witness[j] = {
-                "value": complex(vals[j, i]),
-                "normalized": top,
-                "point": {var_name(v): complex(env[v][i])
-                          for v in sorted(r.free_vars, key=_var_sort_key)},
-            }
+    """Raise each live root's worst normalized value to its largest over the
+    given blocks of ``points`` points of one ``eval_resampling`` run, block
+    by block, and take the point of a value at least as large as before as
+    its witness."""
+    vals, scale, env = run
+    for b in blocks:
+        at = slice(b * points, (b + 1) * points)
+        normed = np.abs(vals[:, at]) / (1.0 + scale[:, at])
+        for j, r in enumerate(live):
+            i = int(normed[j].argmax())
+            top = float(normed[j, i])
+            if top >= worst[j]:
+                worst[j] = top
+                i += at.start
+                witness[j] = {
+                    "value": complex(vals[j, i]),
+                    "normalized": top,
+                    "point": {var_name(v): complex(env[v][i])
+                              for v in sorted(r.free_vars, key=_var_sort_key)},
+                }
 
 
 def _answers(roots: tuple, live: tuple, worst: list, witness: list) -> tuple:
@@ -654,13 +675,11 @@ def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Bin
     points.  ``ZERO``, alone or in a tuple, is answered as sampling it would
     (value 0 and no variables) without a draw.
 
-    Two draws or more whose stacked buffer fits in ``STACK_ELEMS`` elements
-    are drawn first, each in the loop's random-stream order (``draw_trial``),
-    and zero-tested in one run of the tape over all their points
-    (``stacked_residuals``), which gives the loop's pairs bit for bit.
-    Where a point of that run is unsafe, rng is set back and the draws are
-    taken one at a time, each redrawing its unsafe points (``eval_resampling``),
-    as are one draw and draws over the cap.
+    The draws are drawn in turn (``draw_trial``) and zero-tested as one
+    stack (``eval_resampling``), or as several, in order, past
+    ``STACK_ELEMS``.  A stack with no unsafe point, or of one draw, gives
+    the pairs of a loop that draws, redraws and tests each draw in turn; a
+    larger one that meets an unsafe point redraws after all of its draws.
     """
     draws = trials * bindings_per_trial
     if draws < 1 or points < 1:
@@ -671,22 +690,14 @@ def max_normalized_residual(e: Expr | tuple[Expr, ...], *, binding: Optional[Bin
     binding = binding or EMPTY_BINDING
     rng = np.random.default_rng(0) if rng is None else rng
     tapes = {} if tapes is None else tapes
-    got = None
-    if live and 1 < draws <= _stack_room(live, points, tapes):
-        state = rng.bit_generator.state
-        blocks = [draw_trial(live, binding, points, rng) for _ in range(draws)]
-        try:
-            (got,) = stacked_residuals(roots, blocks, points, draws, tapes)
-        except UnsafeSampleError:
-            rng.bit_generator.state = state
-    if got is None:
-        worst = [0.0] * len(live)
-        witness = [None] * len(live)
-        for _ in range(draws if live else 0):
-            full = _fill_surrogates(live, binding, rng)
-            vals, scale, env = eval_resampling(live, full, points, rng, tapes)
-            _keep_worst(live, vals, scale, env, worst, witness)
-        got = _answers(roots, live, worst, witness)
+    worst = [0.0] * len(live)
+    witness = [None] * len(live)
+    room = max(1, _stack_room(live, points, tapes))
+    for first in range(0, draws if live else 0, room):
+        blocks = [draw_trial(live, binding, points, rng) for _ in range(min(room, draws - first))]
+        run = eval_resampling(live, blocks, points, rng, tapes)
+        _keep_worst(live, run, range(len(blocks)), points, worst, witness)
+    got = _answers(roots, live, worst, witness)
     return got if type(e) is tuple else got[0]
 
 
@@ -710,44 +721,36 @@ def _stack_room(live: tuple, points: int, tapes: dict) -> int:
 
 def stacked_draws(roots: tuple, points: int, trials: int, tapes: dict) -> int:
     """How many draws of ``trials`` zero-test trials of the roots one stacked
-    run takes: as many as fit its buffer (``_stack_room``), and at least one."""
+    run takes: as many as fit its buffer (``_stack_room``), and at least one.
+    ValueError for no trial or no point."""
+    if trials < 1 or points < 1:
+        raise ValueError(f"a zero test needs at least one trial and one point, got {trials} "
+                         f"trials of {points} points")
     return max(1, _stack_room(_live(roots), points, tapes) // trials)
 
 
 def draw_trial(roots: tuple, binding: Binding, points: int, rng: np.random.Generator):
-    """One trial of ``max_normalized_residual`` of the roots, drawn from rng
-    as it draws one when no point is unsafe: the binding with surrogates
-    for the roots' unbound symbols, then the env of ``points`` points over
-    their variables."""
+    """One trial of the roots' zero test, a block of ``eval_resampling``:
+    the binding with surrogates for their unbound symbols, then the env of
+    ``points`` points over their variables."""
     full = _fill_surrogates(roots, binding, rng)
     return full, draw_env(_free_vars(roots), points, rng)
 
 
 def stacked_residuals(roots: tuple, blocks: Sequence[tuple], points: int, trials: int,
-                      tapes: dict) -> list:
+                      rng: np.random.Generator, tapes: dict) -> list:
     """``max_normalized_residual`` of the roots for each run of ``trials``
-    consecutive blocks, a block one ``draw_trial``, from one run of their
-    tape over every block's points with each block's binding
-    (``StackedBinding``): each draw's pairs are bit for bit those its own
-    test gives from the same random stream when no point is unsafe.
-    Raises UnsafeSampleError, redrawing nothing, where any point is unsafe.
-    """
+    consecutive blocks, a block one ``draw_trial``, from one stack of every
+    block (``eval_resampling``), which redraws unsafe points from rng after
+    all of the blocks are drawn."""
     live = _live(roots)
+    run = eval_resampling(live, blocks, points, rng, tapes) if live else None
     out = []
-    if live:
-        bindings, envs = zip(*blocks)
-        env = {v: np.concatenate([x[v] for x in envs]) for v in envs[0]}
-        vals, scale, unsafe = eval_batch(owned_tape(tapes, live), StackedBinding(bindings, points),
-                                         env, len(blocks) * points)
-        if unsafe.any():
-            raise UnsafeSampleError(f"{int(unsafe.sum())} of {unsafe.size} stacked sample "
-                                    f"points are unsafe")
     for first in range(0, len(blocks), trials):
         worst = [0.0] * len(live)
         witness = [None] * len(live)
-        for b in range(first, first + trials) if live else ():
-            at = slice(b * points, (b + 1) * points)
-            _keep_worst(live, vals[:, at], scale[:, at], blocks[b][1], worst, witness)
+        if live:
+            _keep_worst(live, run, range(first, first + trials), points, worst, witness)
         out.append(_answers(roots, live, worst, witness))
     return out
 

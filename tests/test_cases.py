@@ -7,12 +7,14 @@ import pytest
 from schsym import cases, expr, numeric
 from schsym.cases import (UnknownCaseError, instantiate, parse_template, table, verify_case,
                           verify_table)
-from schsym.conditions import (Potential, SpanError, classifying_residual, sample_rows,
+from schsym.conditions import (Potential, SpanError, classifying_residual, sample_times,
                                span_invariants)
 from schsym.expr import T_VAR, ZERO, FunctionSymbol, diff, func_app, inline, var
 from schsym.funcbank import ExpPoly, ExpPolyImpl, StackedImpl, random_trig_poly
-from schsym.numeric import is_zero, max_normalized_residual
+from schsym.fields import coefficient_rows
+from schsym.numeric import UnsafeSampleError, is_zero
 from schsym.parsing import parse
+from test_numeric import _recorded_draws, _ref_resampling
 
 
 def test_table_loads_all_twenty():
@@ -236,9 +238,13 @@ def test_side_conditions_checked_when_closure_fails(monkeypatch):
                         "checked": True, "passed": True}]
 
 
-def _ref_verify_case(case_id, draws, rng, points, zero_trials, tol):
-    """verify_case as each draw was zero-tested and sampled in turn, with
-    no stacked run: the reference for the stacked draws."""
+def _ref_verify_case(case_id, draws, rng, points, zero_trials, tol, group=None):
+    """verify_case from loops over draws: the draws in groups of ``group``
+    (as many as one stacked run holds when None), a group's draws drawn in
+    turn (instance, trials, sample times), their trials zero-tested with
+    redraws after the group's draws (``_ref_resampling``) and each draw's
+    coefficients sampled alone.  With ``group=1`` each draw is drawn,
+    zero-tested and sampled in turn."""
     case = table()[case_id]
     report = {
         "case": case.id, "label": case.label, "potential": case.potential,
@@ -252,22 +258,38 @@ def _ref_verify_case(case_id, draws, rng, points, zero_trials, tol):
     template = parse_template(case)
     V = Potential(template.potential, case.n)
     residuals = tuple(classifying_residual(V, g) for g in template.generators)
+    live = numeric._live(residuals)
     tapes = {}
+    group = group or numeric.stacked_draws(residuals, points, zero_trials, tapes)
     sampled = []
-    for draw in range(draws):
-        inst = instantiate(case, rng, template)
-        tested = max_normalized_residual(
-            residuals, binding=inst.workspace.binding, trials=zero_trials,
-            points=points, rng=rng, tapes=tapes)
-        for gi, (worst, witness) in enumerate(tested):
-            if worst >= tol:
-                report["residuals"]["passed"] = False
-                report["residuals"]["failures"].append(
-                    {"draw": draw, "generator": gi, "max_residual": worst,
-                     "witness": cases.json_witness(witness)})
-        if draw == 0:
-            report["side_conditions"] = cases._check_side_conditions(case, inst)
-        sampled.append(sample_rows(inst.generators, inst.workspace.binding, rng, tapes))
+    for first in range(0, draws, group):
+        insts, blocks, times = [], [], []
+        for _ in range(min(group, draws - first)):
+            insts.append(instantiate(case, rng, template))
+            for _ in range(zero_trials):
+                full = numeric._fill_surrogates(live, insts[-1].workspace.binding, rng)
+                blocks.append((full, numeric.draw_env(numeric._free_vars(live), points, rng)))
+            times.append(sample_times(rng))
+        runs = _ref_resampling(live, blocks, points, rng, tapes) if live else []
+        for d, inst in enumerate(insts):
+            draw = first + d
+            worst = [0.0] * len(live)
+            witness = [None] * len(live)
+            for run in runs[d * zero_trials:(d + 1) * zero_trials]:
+                numeric._keep_worst(live, run, range(1), points, worst, witness)
+            for gi, (top, wit) in enumerate(numeric._answers(residuals, live, worst, witness)):
+                if top >= tol:
+                    report["residuals"]["passed"] = False
+                    report["residuals"]["failures"].append(
+                        {"draw": draw, "generator": gi, "max_residual": top,
+                         "witness": cases.json_witness(wit)})
+            if draw == 0:
+                report["side_conditions"] = cases._check_side_conditions(case, inst)
+            try:
+                sampled.append(coefficient_rows(inst.generators, inst.workspace.binding,
+                                                times[d], tapes))
+            except UnsafeSampleError as exc:
+                raise UnsafeSampleError(f"{exc} of draw {draw}") from None
     for draw, tup in enumerate(span_invariants(sampled, tol)):
         if isinstance(tup, SpanError):
             report["closure"]["passed"] = False
@@ -289,13 +311,15 @@ def _ref_verify_case(case_id, draws, rng, points, zero_trials, tol):
 
 
 def _both(cid, seed, **kw):
-    """verify_case and its reference from equal streams: each one's JSON
-    report, or its exception's type and message, and its final rng state."""
+    """verify_case, its reference and the draw-by-draw loop from equal
+    streams: each one's JSON report, or its exception's type and message,
+    and its final rng state."""
     out = []
-    for verify in (verify_case, _ref_verify_case):
+    for verify, extra in ((verify_case, {}), (_ref_verify_case, {}),
+                          (_ref_verify_case, {"group": 1})):
         rng = np.random.default_rng([seed, cid])
         try:
-            got = json.dumps(verify(cid, rng=rng, **kw))
+            got = json.dumps(verify(cid, rng=rng, **kw, **extra))
         except Exception as exc:  # compared with the reference's
             got = f"{type(exc).__name__}: {exc}"
         out.append((got, rng.bit_generator.state))
@@ -304,31 +328,46 @@ def _both(cid, seed, **kw):
 
 def test_stacked_draws_give_the_reference_report_bytes(monkeypatch):
     # every residual float and witness point is in a report at tol 1e-30;
-    # at 400 points and 2 trials a draw, the buffer cap cuts the groups
+    # at 400 points and 2 trials a draw, the buffer cap cuts the groups;
+    # no point is unsafe, so the draw-by-draw loop gives the same bytes
     groups = _counting(monkeypatch, "_draw_group")
-    redrawn = _counting(monkeypatch, "_draw")
+    draws = _recorded_draws(monkeypatch)
     for cid in sorted(table()):
-        new, ref = _both(cid, 5, draws=7, points=400, zero_trials=2, tol=1e-30)
-        assert new == ref, cid
-    sizes = [count for _, count in groups]
+        new, ref, loop = _both(cid, 5, draws=7, points=400, zero_trials=2, tol=1e-30)
+        assert new == ref == loop, cid
+    sizes = [count for _, _, count in groups]
     assert max(sizes) > 1 and sum(sizes) == 7 * len(table()) < len(sizes) * 7
-    assert not redrawn
+    assert all(count == 400 for _, count in draws)  # no redraw
 
 
 @pytest.mark.parametrize("eps", [0.05, 1.0, 3.0])
 def test_unsafe_points_redraw_the_group_as_the_reference(monkeypatch, eps):
-    # a wide unsafe cut makes draws redraw points (0.05), a coefficient
-    # sample raise (1.0, case 10) or the zero test give up (3.0): the group
-    # is then drawn again, one draw at a time, from its first state
+    # a wide unsafe cut makes a group redraw points after its draws (0.05),
+    # a coefficient sample raise (1.0, case 10) or the zero test give up (3.0)
     monkeypatch.setattr(numeric, "EPS_UNSAFE", eps)
-    redrawn = _counting(monkeypatch, "_draw")
-    raised = 0
+    draws = _recorded_draws(monkeypatch)
+    raised = []
     for cid in sorted(table()):
-        new, ref = _both(cid, 1, draws=5, points=100, zero_trials=1, tol=1e-30)
+        new, ref, _ = _both(cid, 1, draws=5, points=100, zero_trials=1, tol=1e-30)
         assert new == ref, cid
-        raised += "UnsafeSampleError" in new[0]
-    assert redrawn
-    assert (raised > 0) == (eps > 0.05)
+        if "UnsafeSampleError" in new[0]:
+            raised.append(new[0])
+    assert any(count < 100 for _, count in draws)
+    assert bool(raised) == (eps > 0.05)
+    if eps == 1.0:
+        assert "UnsafeSampleError: generator 2: rho is singular or undefined at " in raised[0]
+        assert raised[0].endswith(" of 13 sampled times of draw 0")
+
+
+def test_every_case_holds_at_negative_times(monkeypatch):
+    # the potentials are written with |t| where they hold for both signs of
+    # t, so each classifying residual must vanish at t < 0 as at t > 0
+    monkeypatch.setattr(numeric, "T_RANGE", (-1.7, -0.3))
+    failed = set()
+    for cid in sorted(table()):
+        rep = verify_case(cid, draws=2, rng=np.random.default_rng([7, cid]))
+        failed |= {(cid, f["generator"]) for f in rep["residuals"]["failures"]}
+    assert failed == set()
 
 
 def _exppoly_impls(rng, count):

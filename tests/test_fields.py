@@ -440,6 +440,18 @@ def test_coefficient_rows_reject_unsafe_samples():
         coefficient_rows(gs, EMPTY_BINDING, np.linspace(0.32, 1.68, 13))
 
 
+def test_stacked_coefficient_rows_name_the_first_unsafe_draw():
+    # log(t - 1) is unsafe at t <= 1 and log(t - 2) at t <= 2: draw 0 is
+    # safe, draw 1 is unsafe in generator 2 only and draw 2 in both, so the
+    # error names draw 1, counted from first_draw, and its generator 2
+    gs = [Iop(1), P(ONE, parse("log(t - 1)")), P(ONE, parse("log(t - 2)"))]
+    times = np.array([np.linspace(2.1, 2.5, 13), np.linspace(1.5, 2.5, 13),
+                      np.linspace(0.5, 0.9, 13)])
+    with pytest.raises(UnsafeSampleError, match=r"^generator 2: chi2 is singular or undefined "
+                                                r"at 7 of 13 sampled times of draw 5$"):
+        coefficient_rows(gs, [EMPTY_BINDING] * 3, times, first_draw=4)
+
+
 def test_coefficient_rows_raise_when_no_root_is_unsafe_alone(monkeypatch):
     # an unsafe union run raises even where no root's own run names a culprit
     import schsym.fields as fields_module

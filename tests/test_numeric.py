@@ -209,35 +209,69 @@ def test_tuple_of_zeros_draws_nothing_and_a_1_tuple_draws_as_its_root(monkeypatc
 
 # -- stacked trials: one run of the tape over every trial's points ----------
 
+def _ref_resampling(live, blocks, points, rng, tapes):
+    """eval_resampling as a loop over draw_env and eval_batch: each block
+    (binding, env) run alone, and while a point is unsafe, each block's
+    unsafe points redrawn in block order, for up to RETRY_BUDGET rounds.
+    Returns each block's (values, scale, env)."""
+    import schsym.numeric as numeric
+
+    tape = numeric.owned_tape(tapes, live)
+    envs = [dict(env) for _, env in blocks]
+    for budget in range(numeric.RETRY_BUDGET, -1, -1):
+        runs = [eval_batch(tape, binding, env, points) for (binding, _), env in zip(blocks, envs)]
+        unsafe = [bad for _, _, bad in runs if bad.any()]
+        if not unsafe:
+            return [(vals, scale, env) for (vals, scale, _), env in zip(runs, envs)]
+        if budget == 0:
+            raise UnsafeSampleError(f"{int(unsafe[0].sum())} of {points} sample points "
+                                    f"remained unsafe after {numeric.RETRY_BUDGET} redraws")
+        for (_, _, bad), env in zip(runs, envs):
+            if bad.any():
+                fresh = numeric.draw_env(numeric._free_vars(live), int(bad.sum()), rng)
+                for v in env:
+                    env[v] = env[v].copy()
+                    env[v][bad] = fresh[v]
+
+
 def _ref_max_normalized_residual(e, *, binding=None, trials, bindings_per_trial=1, points,
-                                 rng, tapes=None):
-    """max_normalized_residual as each draw was zero-tested in turn, with no
-    stacked run: the reference for the stacked trials."""
+                                 rng, tapes=None, stack=None):
+    """max_normalized_residual as a loop over draw_env and eval_batch: the
+    draws in stacks of ``stack`` (as many as one stacked run holds when
+    None), a stack's draws drawn in turn, then redrawn block by block
+    (``_ref_resampling``).  With ``stack=1`` this is the per-trial loop,
+    which draws, redraws and tests each draw in turn."""
     import schsym.numeric as numeric
 
     roots = e if type(e) is tuple else (e,)
     live = numeric._live(roots)
     binding = binding or EMPTY_BINDING
     tapes = {} if tapes is None else tapes
+    draws = trials * bindings_per_trial
+    stack = stack or max(1, numeric._stack_room(live, points, tapes))
     worst = [0.0] * len(live)
     witness = [None] * len(live)
-    for _ in range(trials * bindings_per_trial if live else 0):
-        full = numeric._fill_surrogates(live, binding, rng)
-        vals, scale, env = eval_resampling(live, full, points, rng, tapes)
-        numeric._keep_worst(live, vals, scale, env, worst, witness)
+    for first in range(0, draws if live else 0, stack):
+        blocks = []
+        for _ in range(min(stack, draws - first)):
+            full = numeric._fill_surrogates(live, binding, rng)
+            blocks.append((full, numeric.draw_env(numeric._free_vars(live), points, rng)))
+        for run in _ref_resampling(live, blocks, points, rng, tapes):
+            numeric._keep_worst(live, run, range(1), points, worst, witness)
     got = numeric._answers(roots, live, worst, witness)
     return got if type(e) is tuple else got[0]
 
 
 def _both_tests(e, seed, **kw):
-    """max_normalized_residual and its reference from equal streams: each
-    one's pairs as text, or its exception's type and message, and its final
-    rng state."""
+    """max_normalized_residual, its reference and the per-trial loop from
+    equal streams: each one's pairs as text, or its exception's type and
+    message, and its final rng state."""
     out = []
-    for test in (max_normalized_residual, _ref_max_normalized_residual):
+    for test, extra in ((max_normalized_residual, {}), (_ref_max_normalized_residual, {}),
+                        (_ref_max_normalized_residual, {"stack": 1})):
         rng = np.random.default_rng(seed)
         try:
-            got = repr(test(e, rng=rng, **kw))
+            got = repr(test(e, rng=rng, **kw, **extra))
         except UnsafeSampleError as exc:  # compared with the reference's
             got = f"UnsafeSampleError: {exc}"
         out.append((got, rng.bit_generator.state))
@@ -245,17 +279,17 @@ def _both_tests(e, seed, **kw):
 
 
 def _stacked_runs(monkeypatch):
-    """The number of blocks of each stacked_residuals call."""
+    """The number of blocks of each eval_resampling call."""
     import schsym.numeric as numeric
 
     runs = []
-    real = numeric.stacked_residuals
+    real = numeric.eval_resampling
 
     def counted(roots, blocks, *args):
         runs.append(len(blocks))
         return real(roots, blocks, *args)
 
-    monkeypatch.setattr(numeric, "stacked_residuals", counted)
+    monkeypatch.setattr(numeric, "eval_resampling", counted)
     return runs
 
 
@@ -278,8 +312,8 @@ def test_stacked_trials_of_a_composed_map_give_the_reference_pairs(monkeypatch):
     binding = direct.binding.merged(t2.target.binding)
     runs = _stacked_runs(monkeypatch)
     for seed in range(3):
-        new, ref = _both_tests(d, seed, binding=binding, trials=2, points=60)
-        assert new == ref, seed
+        new, ref, loop = _both_tests(d, seed, binding=binding, trials=2, points=60)
+        assert new == ref == loop, seed
     assert runs == [2] * 3
     assert potentials_agree(direct, t2.target, rng=np.random.default_rng(0), tol=1e-7)
 
@@ -293,16 +327,17 @@ def test_stacked_bindings_per_trial_give_the_reference_pairs(monkeypatch):
     roots = (parse("f(t)*x1 + U(t, x2) + c", tbl), ZERO, parse("U(x1, x2)*conj(c) - x2", tbl))
     runs = _stacked_runs(monkeypatch)
     for seed in range(3):
-        new, ref = _both_tests(roots, seed, trials=2, bindings_per_trial=3, points=9)
-        assert new == ref, seed
+        new, ref, loop = _both_tests(roots, seed, trials=2, bindings_per_trial=3, points=9)
+        assert new == ref == loop, seed
     assert runs == [6] * 3
 
 
 @pytest.mark.parametrize("eps", [0.05, 3.0])
 def test_unsafe_stacked_trials_fall_back_as_the_reference(monkeypatch, eps):
     # a wide unsafe cut: at 0.05 some points of 1/x1 and sgn(x2 - t) are
-    # unsafe, so the stacked run sets rng back and the loop redraws them;
-    # at 3.0 every point is, and the loop raises as the reference does
+    # unsafe, and the stack falls back on redrawing them after all three
+    # trials are drawn, as the reference does;
+    # at 3.0 every point is, and the stack raises as the reference does
     import schsym.numeric as numeric
 
     monkeypatch.setattr(numeric, "EPS_UNSAFE", eps)
@@ -310,36 +345,105 @@ def test_unsafe_stacked_trials_fall_back_as_the_reference(monkeypatch, eps):
     runs = _stacked_runs(monkeypatch)
     draws = _recorded_draws(monkeypatch)
     for seed in range(3):
-        new, ref = _both_tests(e, seed, trials=3, points=40)
+        new, ref, _ = _both_tests(e, seed, trials=3, points=40)
         assert new == ref, seed
         assert new[0].startswith("UnsafeSampleError") == (eps == 3.0)
     assert runs == [3] * 3
     assert eps == 3.0 or any(count < 40 for _, count in draws)  # redraws of unsafe points
 
 
-def test_a_dag_over_the_stack_cap_runs_trial_by_trial(monkeypatch):
+def test_log_stack_redraws_block_by_block_after_every_trial(monkeypatch):
+    # the classifying residual log[1](x1) + t^2 of log(x1) + t*x2 under chi
+    # = (1, t), as `schsym residual` tests it: log is unsafe at x1 <= 0,
+    # about half of every trial's points, so the three trials are drawn,
+    # then each round redraws the unsafe points of each trial in turn, and
+    # the pairs are no longer the per-trial loop's
+    from schsym.conditions import Potential, classifying_residual
+    from schsym.fields import GeneratorCoeffs
+
+    g = GeneratorCoeffs(2, ZERO, (const(0),), (const(1), t()), ZERO, ZERO)
+    e = classifying_residual(Potential(parse("log(x1) + t*x2"), 2), g)
+    assert str(e) == "log[1](x1) + t^2"
+    calls = _recorded_draws(monkeypatch)
+    new, ref, loop = _both_tests(e, 2, trials=3, points=100)
+    assert new == ref and new[0] != loop[0] and new[1] != loop[1]
+    calls.clear()
+    max_normalized_residual(e, trials=3, points=100, rng=np.random.default_rng(2))
+    names = ["t", "x1"]
+    assert calls[:3] == [(names, 100)] * 3
+    # the first round redraws every trial, each fewer than its 100 points
+    assert all(0 < count < 100 for _, count in calls[3:6]) and len(calls) > 6
+
+
+def test_a_stack_that_stays_unsafe_names_its_first_unsafe_block(monkeypatch):
+    # block 0 is safe, block 1 is unsafe everywhere and block 2 where t > 1:
+    # every round redraws block 1's 40 points and then block 2's, and the
+    # error counts block 1's points, not the stack's
+    import schsym.numeric as numeric
+
+    class Masked(FunctionImpl):  # f(t) = t, unsafe where cut(t)
+        def __init__(self, cut):
+            self.cut = cut
+
+        def deriv(self, didx, args):
+            z = np.asarray(args[0], dtype=complex)
+            return z, self.cut(z.real)
+
+    f = SymbolTable().declare("f", 1, "real")
+    roots = (func_app(f, [t()]) * x(1),)
+    calls = _recorded_draws(monkeypatch)
+    got = []
+    for resample in (numeric.eval_resampling, _ref_resampling):
+        calls.clear()
+        rng = np.random.default_rng(13)
+        blocks = [(Binding({f: Masked(cut)}), numeric.draw_env(roots[0].free_vars, 40, rng))
+                  for cut in (lambda s: s > 9, lambda s: s > 0, lambda s: s > 1)]
+        with pytest.raises(UnsafeSampleError) as info:
+            resample(roots, blocks, 40, rng, {})
+        got.append((str(info.value), rng.bit_generator.state, calls[:]))
+    assert got[0] == got[1]
+    assert got[0][0] == f"40 of 40 sample points remained unsafe after {numeric.RETRY_BUDGET} redraws"
+    redraws = [count for _, count in got[0][2][3:]]
+    assert redraws[0] == 40 and 0 < redraws[1] < 40 and redraws.count(40) == numeric.RETRY_BUDGET
+
+
+def test_a_dag_over_the_stack_cap_runs_as_several_stacks(monkeypatch):
     import schsym.numeric as numeric
 
     deep = parse("sin(x1 + " * 300 + "t" + ")" * 300) * x(2)
     tape = numeric._Tape(deep)
     assert tape.rows * 100 * 5 > numeric.STACK_ELEMS >= tape.rows * 100
+    room = numeric.STACK_ELEMS // (tape.rows * 100)
     runs = _stacked_runs(monkeypatch)
-    new, ref = _both_tests(deep, 7, trials=5, points=100)
-    assert new == ref and not runs
-    # one draw has nothing to stack: it runs as the loop's
-    new, ref = _both_tests(x(1) * t(), 7, trials=1, points=100)
-    assert new == ref and not runs
+    new, ref, loop = _both_tests(deep, 7, trials=5, points=100)
+    assert new == ref == loop
+    assert runs == [room] * (5 // room) + [5 % room] * (5 % room > 0)
+    # one draw is a stack of one
+    runs.clear()
+    new, ref, loop = _both_tests(x(1) * t(), 7, trials=1, points=100)
+    assert new == ref == loop and runs == [1]
+
+
+def test_a_dag_over_the_stack_cap_runs_trial_by_trial(monkeypatch):
+    # one trial's buffer alone is over the cap: each trial is a stack of one
+    import schsym.numeric as numeric
+
+    deep = parse("sin(x1 + " * 300 + "t" + ")" * 300) * x(2)
+    assert numeric._Tape(deep).rows * 300 > numeric.STACK_ELEMS
+    runs = _stacked_runs(monkeypatch)
+    new, ref, loop = _both_tests(deep, 7, trials=3, points=300)
+    assert new == ref == loop and runs == [1] * 3
 
 
 def test_roots_without_variables_are_resampled_at_every_point():
     # no variable means an empty env, so only the count gives the points
     rng = np.random.default_rng(12)
     roots = (const(3), const(Fraction(1, 2)) * func_app(COS, [const(2)]))
-    vals, scale, env = eval_resampling(roots, EMPTY_BINDING, 5, rng, {})
+    vals, scale, env = eval_resampling(roots, [(EMPTY_BINDING, {})], 5, rng, {})
     assert vals.shape == scale.shape == (2, 5) and env == {}
     assert vals[0].tolist() == [3] * 5 and len(set(vals[1].tolist())) == 1
-    (vals,), _, _ = eval_resampling(roots[:1], EMPTY_BINDING, 5, rng, {})
-    assert vals.tolist() == [3] * 5
+    (vals,), _, _ = eval_resampling(roots[:1], [(EMPTY_BINDING, {})] * 2, 5, rng, {})
+    assert vals.tolist() == [3] * 10
 
 
 def test_verify_table_verdicts_match_at_seeds_0_to_9():
